@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivc_core::scenario::{Delivery, Scenario};
-use ivc_core::{run_trial, PrepareContext, PreparedCell};
+use ivc_core::{run_trial, PrepareContext, PreparedCell, TrialScratch};
 use ivc_experiments::shard::{merge_shards, ShardArchive, ShardPlan};
 use ivc_experiments::{CampaignSpec, DeliverySpec, TrialRecord};
 use ivc_speech::commands::corpus;
@@ -57,8 +57,9 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| {
             let ctx = PrepareContext::new().unwrap();
             let prepared = PreparedCell::prepare(&ctx, command, &attack, &seeds).unwrap();
+            let mut scratch = TrialScratch::new();
             for &seed in &seeds {
-                prepared.run(seed, &recognizer, None).unwrap();
+                prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
             }
         })
     });
@@ -102,8 +103,8 @@ fn synthetic_record(spec: &CampaignSpec, slot: usize) -> TrialRecord {
 fn bench_merge(c: &mut Criterion) {
     // Merge throughput over synthetic partials: the streaming shard merge
     // (per-cell accumulators, records moved not cloned) and the columnar
-    // wire format's encode/decode against the legacy JSON decode — the
-    // numbers behind the PR-10 merge-memory fix.
+    // wire format's encode/decode — the numbers behind the streaming
+    // merge-memory fix.
     let mut group = c.benchmark_group("merge");
     group.sample_size(10);
     let spec = CampaignSpec {
@@ -131,15 +132,11 @@ fn bench_merge(c: &mut Criterion) {
     });
     let one = &partials[0];
     let bytes = one.to_column_bytes();
-    let json = one.to_json_string();
     group.bench_function("columns_encode_128_trials", |b| {
         b.iter(|| one.to_column_bytes())
     });
     group.bench_function("columns_decode_128_trials", |b| {
         b.iter(|| ShardArchive::from_column_bytes(&bytes).unwrap())
-    });
-    group.bench_function("json_decode_128_trials", |b| {
-        b.iter(|| ShardArchive::from_json_str(&json).unwrap())
     });
     group.finish();
 }

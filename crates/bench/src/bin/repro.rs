@@ -1,6 +1,6 @@
 //! Reproduction driver: prints the rows/series of every paper table and
 //! figure, and runs campaign presets through the parallel engine —
-//! in-process, or sharded across forked worker processes.
+//! in-process, or sharded across supervised worker processes.
 //!
 //! Usage:
 //!
@@ -16,14 +16,14 @@
 //!
 //! # The same shard contract as standalone steps (file transfer is the
 //! # only coupling, so the three can run on different machines).  Partials
-//! # travel in the compact columnar format (ivc-trial-columns-v1) when the
-//! # --out file ends in .bin, and as JSON when it ends in .json; the merge
-//! # streams them one at a time and accepts either:
+//! # travel in the compact columnar format (ivc-trial-columns-v1), the one
+//! # wire format; the merge streams them one at a time:
 //! cargo run --release -p ivc-bench --bin repro -- shard-plan a6 --shards 4 --out-dir jobs/
 //! cargo run --release -p ivc-bench --bin repro -- shard-worker --job jobs/a6-carrier-frequency.shard-0-of-4.job.json --out parts/part0.bin
 //! cargo run --release -p ivc-bench --bin repro -- shard-merge --out a6.json parts/*.bin
 //!
-//! # Re-encode one binary partial archive as JSON for human inspection:
+//! # Dump one partial archive as JSON for human inspection (one way only:
+//! # nothing reads the JSON back):
 //! cargo run --release -p ivc-bench --bin repro -- export-json parts/part0.bin --out part0.json
 //!
 //! # Supervised sharding: retries, straggler re-issue, checkpoint/resume.
@@ -38,12 +38,14 @@
 //! # Compare two committed bench snapshots (exit 1 past the threshold):
 //! cargo run --release -p ivc-bench --bin repro -- bench-diff BENCH_pr7.json fresh.json
 //!
-//! # Flags:
-//! #   --workers N             worker threads (default: all cores; per process when sharded)
-//! #   --shards N              fork N shard-worker processes per campaign
-//! #   --partial-format F      wire format for shard partials: columns (default) or json
-//! #                           (campaign --shards and orchestrate)
-//! #   --archive DIR           write each campaign's JSON report into DIR
+//! # Flags (each mode accepts only its own; see ACCEPTED_FLAGS below):
+//! #   --workers N             worker threads per process (default: all cores;
+//! #                           cores / shards when sharded; 1 for profile)
+//! #   --shards N              split each campaign into N shards: shard-plan writes N job
+//! #                           files; campaign, orchestrate and profile run N supervised
+//! #                           shard-worker processes (campaign and profile retry nothing)
+//! #   --archive DIR           write each campaign's JSON report into DIR (and, when
+//! #                           sharded, its run manifest)
 //! #   --max-retries N         extra attempts per failed shard (orchestrate; default 2)
 //! #   --straggler-timeout S   re-issue attempts running longer than S seconds (orchestrate)
 //! #   --resume DIR            resume from the checkpoints in DIR (orchestrate)
@@ -51,14 +53,16 @@
 //! #                           fleet-merged across workers when sharded)
 //! #   --trace FILE            write a Chrome trace-event JSON (chrome://tracing / Perfetto)
 //! #   --max-regress PCT       bench-diff regression threshold in percent (default 25)
+//! #   --job FILE / --out FILE / --out-dir DIR   shard-worker, shard-merge, export-json
+//! #                           and shard-plan inputs and outputs
 //! ```
 
 use ivc_bench::*;
 use ivc_core::telemetry;
 use ivc_experiments::orchestrate::{OrchestratorConfig, ENV_FAULT_SHARD, ENV_SHARD_ATTEMPT};
 use ivc_experiments::shard::{
-    merge_shard_files, metrics_sidecar_path, run_shard, shard_job_file_name, PartialFormat,
-    ShardArchive, ShardJob, ShardPlan,
+    merge_shard_files, metrics_sidecar_path, run_shard, shard_job_file_name, ShardArchive,
+    ShardJob, ShardPlan,
 };
 use ivc_experiments::{default_workers, presets, CampaignReport};
 use std::path::{Path, PathBuf};
@@ -67,7 +71,8 @@ use std::path::{Path, PathBuf};
 enum Mode {
     /// Render paper experiments (the default; empty or `all` = everything).
     Experiments(Vec<String>),
-    /// Run campaign presets through the engine.
+    /// Run campaign presets through the engine (in-process, or with
+    /// `--shards N` under the orchestrator with no retries).
     Campaign(Vec<String>),
     /// Write shard job files for presets (`--shards`, `--out-dir`).
     ShardPlanFiles(Vec<String>),
@@ -75,7 +80,7 @@ enum Mode {
     ShardWorker,
     /// Merge partial archives into a final report (`--out`, inputs).
     ShardMerge(Vec<PathBuf>),
-    /// Re-encode one partial archive as JSON (`export-json IN --out OUT`).
+    /// Dump one partial archive as JSON (`export-json IN --out OUT`).
     ExportJson(PathBuf),
     /// Run campaign presets under the supervising orchestrator
     /// (`--shards`, optional `--max-retries`/`--straggler-timeout`/
@@ -84,13 +89,55 @@ enum Mode {
     /// Profile campaign presets: run with telemetry enabled and print
     /// the per-stage time-attribution table (default `--workers 1`, so
     /// stage totals track wall clock; with `--shards N` the table is the
-    /// merged fleet of forked worker processes).
+    /// merged fleet of supervised worker processes).
     Profile(Vec<String>),
     /// Compare two bench snapshots (`bench-diff OLD NEW`), exiting
     /// non-zero when a bench entry's mean regressed past `--max-regress`.
     BenchDiff(PathBuf, PathBuf),
 }
 
+/// The flags each mode accepts (`experiments` is a run without a
+/// subcommand).  A flag given to any other mode is an error, never
+/// silently ignored.
+#[rustfmt::skip]
+const ACCEPTED_FLAGS: &[(&str, &[&str])] = &[
+    ("experiments", &["--workers", "--archive", "--metrics", "--trace"]),
+    ("campaign", &["--workers", "--shards", "--archive", "--metrics", "--trace"]),
+    ("shard-plan", &["--shards", "--out-dir"]),
+    ("shard-worker", &["--workers", "--job", "--out"]),
+    ("shard-merge", &["--out"]),
+    ("export-json", &["--out"]),
+    ("orchestrate", &["--workers", "--shards", "--archive", "--max-retries",
+                      "--straggler-timeout", "--resume", "--metrics", "--trace"]),
+    ("profile", &["--workers", "--shards", "--metrics", "--trace"]),
+    ("bench-diff", &["--max-regress"]),
+];
+
+/// "experiment runs and the campaign and orchestrate subcommands": the
+/// modes that accept `flag`, in words.
+fn applies_to(flag: &str) -> String {
+    let modes: Vec<&str> = ACCEPTED_FLAGS
+        .iter()
+        .filter(|(_, flags)| flags.contains(&flag))
+        .map(|(mode, _)| *mode)
+        .collect();
+    let (runs, subcommands) = match modes.split_first() {
+        Some((&"experiments", rest)) => (true, rest),
+        _ => (false, &modes[..]),
+    };
+    let subcommands = match subcommands {
+        [] => String::new(),
+        [one] => format!("the {one} subcommand"),
+        [init @ .., last] => format!("the {} and {last} subcommands", init.join(", ")),
+    };
+    match (runs, subcommands.is_empty()) {
+        (true, true) => "experiment runs".to_string(),
+        (true, false) => format!("experiment runs and {subcommands}"),
+        (false, _) => subcommands,
+    }
+}
+
+#[derive(Default)]
 struct Options {
     workers: Option<usize>,
     archive: Option<PathBuf>,
@@ -104,13 +151,72 @@ struct Options {
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
     max_regress: Option<f64>,
-    partial_format: Option<PartialFormat>,
 }
 
 impl Options {
     /// `--workers`, defaulting to the machine's parallelism.
     fn worker_threads(&self) -> usize {
         self.workers.unwrap_or_else(default_workers)
+    }
+
+    /// `--workers` for each of `num_shards` concurrent worker processes,
+    /// defaulting to the machine split across them (num_shards x
+    /// all-cores threads would thrash, not speed up).
+    fn workers_per_shard(&self, num_shards: usize) -> usize {
+        self.workers
+            .unwrap_or_else(|| (default_workers() / num_shards).max(1))
+    }
+
+    /// Parses `flag` and its value, taken from `args`, into the options.
+    fn parse_flag<'a>(
+        &mut self,
+        flag: &str,
+        args: &mut std::iter::Peekable<impl Iterator<Item = &'a String>>,
+    ) -> Result<(), String> {
+        let mut value = |wants: &str| flag_value(&mut *args, flag, wants);
+        match flag {
+            "--workers" => self.workers = Some(at_least_one(flag, value("a number")?)?),
+            "--shards" => self.shards = Some(at_least_one(flag, value("a number")?)?),
+            "--archive" => self.archive = Some(value("a directory")?.into()),
+            "--job" => self.job = Some(value("a shard job file")?.into()),
+            "--out" => self.out = Some(value("an output file")?.into()),
+            "--out-dir" => self.out_dir = Some(value("an output directory")?.into()),
+            "--max-retries" => self.max_retries = Some(count(flag, value("a number")?)?),
+            "--straggler-timeout" => {
+                let seconds = value("seconds")?;
+                self.straggler_timeout = Some(positive(flag, seconds, "positive seconds")?);
+            }
+            "--resume" => self.resume = Some(value("a checkpoint directory")?.into()),
+            "--metrics" => self.metrics = Some(value("an output file")?.into()),
+            "--trace" => self.trace = Some(value("an output file")?.into()),
+            "--max-regress" => {
+                let pct = value("a percentage")?;
+                self.max_regress = Some(positive(flag, pct, "a positive percentage")?);
+            }
+            _ => return Err(format!("unknown flag '{flag}'")),
+        }
+        Ok(())
+    }
+}
+
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} value '{value}'"))
+}
+
+fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
+    match count(flag, value)? {
+        0 => Err(format!("invalid {flag} value '{value}' (need at least 1)")),
+        n => Ok(n),
+    }
+}
+
+fn positive(flag: &str, value: &str, need: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(x) if x > 0.0 && x.is_finite() => Ok(x),
+        Ok(_) => Err(format!("invalid {flag} value '{value}' (need {need})")),
+        Err(_) => Err(format!("invalid {flag} value '{value}'")),
     }
 }
 
@@ -128,110 +234,13 @@ fn flag_value<'a, I: Iterator<Item = &'a String>>(
 }
 
 fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
-    let mut options = Options {
-        workers: None,
-        archive: None,
-        shards: None,
-        job: None,
-        out: None,
-        out_dir: None,
-        max_retries: None,
-        straggler_timeout: None,
-        resume: None,
-        metrics: None,
-        trace: None,
-        max_regress: None,
-        partial_format: None,
-    };
-    let mut subcommand: Option<String> = None;
+    let mut options = Options::default();
+    let mut given: Vec<&str> = Vec::new();
+    let mut subcommand: Option<&str> = None;
     let mut positionals: Vec<String> = Vec::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--workers" => {
-                let value = flag_value(&mut iter, "--workers", "a number")?;
-                let workers = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --workers value '{value}'"))?;
-                if workers == 0 {
-                    return Err("invalid --workers value '0' (need at least 1)".to_string());
-                }
-                options.workers = Some(workers);
-            }
-            "--shards" => {
-                let value = flag_value(&mut iter, "--shards", "a number")?;
-                let shards = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --shards value '{value}'"))?;
-                if shards == 0 {
-                    return Err("invalid --shards value '0' (need at least 1)".to_string());
-                }
-                options.shards = Some(shards);
-            }
-            "--archive" => {
-                let value = flag_value(&mut iter, "--archive", "a directory")?;
-                options.archive = Some(PathBuf::from(value));
-            }
-            "--job" => {
-                let value = flag_value(&mut iter, "--job", "a shard job file")?;
-                options.job = Some(PathBuf::from(value));
-            }
-            "--out" => {
-                let value = flag_value(&mut iter, "--out", "an output file")?;
-                options.out = Some(PathBuf::from(value));
-            }
-            "--out-dir" => {
-                let value = flag_value(&mut iter, "--out-dir", "an output directory")?;
-                options.out_dir = Some(PathBuf::from(value));
-            }
-            "--max-retries" => {
-                let value = flag_value(&mut iter, "--max-retries", "a number")?;
-                let retries = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --max-retries value '{value}'"))?;
-                options.max_retries = Some(retries);
-            }
-            "--straggler-timeout" => {
-                let value = flag_value(&mut iter, "--straggler-timeout", "seconds")?;
-                let seconds = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid --straggler-timeout value '{value}'"))?;
-                if !(seconds > 0.0) || !seconds.is_finite() {
-                    return Err(format!(
-                        "invalid --straggler-timeout value '{value}' (need positive seconds)"
-                    ));
-                }
-                options.straggler_timeout = Some(seconds);
-            }
-            "--resume" => {
-                let value = flag_value(&mut iter, "--resume", "a checkpoint directory")?;
-                options.resume = Some(PathBuf::from(value));
-            }
-            "--metrics" => {
-                let value = flag_value(&mut iter, "--metrics", "an output file")?;
-                options.metrics = Some(PathBuf::from(value));
-            }
-            "--trace" => {
-                let value = flag_value(&mut iter, "--trace", "an output file")?;
-                options.trace = Some(PathBuf::from(value));
-            }
-            "--partial-format" => {
-                let value = flag_value(&mut iter, "--partial-format", "'columns' or 'json'")?;
-                options.partial_format =
-                    Some(PartialFormat::parse(value).map_err(|e| e.to_string())?);
-            }
-            "--max-regress" => {
-                let value = flag_value(&mut iter, "--max-regress", "a percentage")?;
-                let pct = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid --max-regress value '{value}'"))?;
-                if !(pct > 0.0) || !pct.is_finite() {
-                    return Err(format!(
-                        "invalid --max-regress value '{value}' (need a positive percentage)"
-                    ));
-                }
-                options.max_regress = Some(pct);
-            }
             name @ ("campaign" | "shard-plan" | "shard-worker" | "shard-merge" | "export-json"
             | "orchestrate" | "profile" | "bench-diff")
                 if subcommand.is_none() =>
@@ -244,119 +253,24 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
                         positionals.join(", ")
                     ));
                 }
-                subcommand = Some(name.to_string());
+                subcommand = Some(name);
             }
             other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'"));
+                options.parse_flag(other, &mut iter)?;
+                given.push(other);
             }
             other => positionals.push(other.to_string()),
         }
     }
-    // Each flag belongs to specific subcommands; a misplaced flag is an
-    // error, never silently ignored.
-    let reject_flag = |set: bool, flag: &str, wants: &str| -> Result<(), String> {
-        if set {
-            return Err(format!("{flag} applies to {wants} only"));
+    let mode_name = subcommand.unwrap_or("experiments");
+    let (_, accepted) = ACCEPTED_FLAGS
+        .iter()
+        .find(|(mode, _)| *mode == mode_name)
+        .expect("every mode has a row in ACCEPTED_FLAGS");
+    for flag in given {
+        if !accepted.contains(&flag) {
+            return Err(format!("{flag} applies to {} only", applies_to(flag)));
         }
-        Ok(())
-    };
-    let subcommand = subcommand.as_deref();
-    if matches!(
-        subcommand,
-        Some("shard-plan" | "shard-merge" | "export-json" | "bench-diff")
-    ) {
-        reject_flag(
-            options.workers.is_some(),
-            "--workers",
-            "experiment runs and the campaign and shard-worker subcommands",
-        )?;
-    }
-    if !matches!(
-        subcommand,
-        Some("campaign" | "shard-plan" | "orchestrate" | "profile")
-    ) {
-        reject_flag(
-            options.shards.is_some(),
-            "--shards",
-            "the campaign, shard-plan, orchestrate and profile subcommands",
-        )?;
-    }
-    if !matches!(subcommand, Some("bench-diff")) {
-        reject_flag(
-            options.max_regress.is_some(),
-            "--max-regress",
-            "the bench-diff subcommand",
-        )?;
-    }
-    if !matches!(subcommand, Some("campaign" | "orchestrate")) {
-        reject_flag(
-            options.partial_format.is_some(),
-            "--partial-format",
-            "the campaign (with --shards) and orchestrate subcommands",
-        )?;
-    }
-    if !matches!(subcommand, None | Some("campaign" | "orchestrate")) {
-        reject_flag(
-            options.archive.is_some(),
-            "--archive",
-            "experiment runs and the campaign and orchestrate subcommands",
-        )?;
-    }
-    if !matches!(subcommand, Some("orchestrate")) {
-        reject_flag(
-            options.max_retries.is_some(),
-            "--max-retries",
-            "the orchestrate subcommand",
-        )?;
-        reject_flag(
-            options.straggler_timeout.is_some(),
-            "--straggler-timeout",
-            "the orchestrate subcommand",
-        )?;
-        reject_flag(
-            options.resume.is_some(),
-            "--resume",
-            "the orchestrate subcommand",
-        )?;
-    }
-    if matches!(
-        subcommand,
-        Some("shard-plan" | "shard-worker" | "shard-merge" | "export-json" | "bench-diff")
-    ) {
-        reject_flag(
-            options.metrics.is_some(),
-            "--metrics",
-            "experiment runs and the campaign, orchestrate and profile subcommands",
-        )?;
-        reject_flag(
-            options.trace.is_some(),
-            "--trace",
-            "experiment runs and the campaign, orchestrate and profile subcommands",
-        )?;
-    }
-    if !matches!(subcommand, Some("shard-worker")) {
-        reject_flag(
-            options.job.is_some(),
-            "--job",
-            "the shard-worker subcommand",
-        )?;
-    }
-    if !matches!(
-        subcommand,
-        Some("shard-worker" | "shard-merge" | "export-json")
-    ) {
-        reject_flag(
-            options.out.is_some(),
-            "--out",
-            "the shard-worker, shard-merge and export-json subcommands",
-        )?;
-    }
-    if !matches!(subcommand, Some("shard-plan")) {
-        reject_flag(
-            options.out_dir.is_some(),
-            "--out-dir",
-            "the shard-plan subcommand",
-        )?;
     }
     let mode = match subcommand {
         None => Mode::Experiments(positionals),
@@ -366,13 +280,6 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
                     "campaign needs a preset name (available: {})",
                     presets::PRESET_NAMES.join(", ")
                 ));
-            }
-            // An in-process campaign writes no partials, so a requested
-            // wire format would be silently meaningless.
-            if options.partial_format.is_some() && options.shards.is_none() {
-                return Err("--partial-format needs --shards N (an in-process campaign \
-                            writes no partial archives)"
-                    .to_string());
             }
             Mode::Campaign(positionals)
         }
@@ -518,65 +425,10 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn run_campaigns(
-    presets_named: &[String],
-    fidelity: Fidelity,
-    options: &Options,
-    workers: usize,
-    worker_metrics: &mut Vec<telemetry::Snapshot>,
-) {
+/// Runs campaign presets in-process on the worker pool.
+fn run_campaigns(presets_named: &[String], fidelity: Fidelity, options: &Options, workers: usize) {
     for preset in presets_named {
-        let reports = match options.shards {
-            None => run_campaign_preset(preset, fidelity, workers),
-            Some(num_shards) => {
-                let exe = std::env::current_exe()
-                    .map_err(|e| format!("locating the shard-worker binary: {e}").into());
-                exe.and_then(|exe| {
-                    // Unique per run: pids recycle, and a failed earlier
-                    // run legitimately leaves its directory behind.
-                    let scratch = unique_scratch_dir(&format!("shards-{preset}"));
-                    let result = run_campaign_preset_sharded(
-                        preset,
-                        fidelity,
-                        num_shards,
-                        workers,
-                        &exe,
-                        &scratch,
-                        options.partial_format.unwrap_or_default(),
-                    )
-                    .and_then(|reports| {
-                        // Collect the workers' telemetry sidecars before
-                        // the scratch directory disappears; a missing
-                        // sidecar is a hard error (an under-reported
-                        // fleet document would be worse than none).
-                        if options.metrics.is_some() {
-                            let specs = presets::by_name(preset, fidelity.quick())
-                                .expect("preset ran above");
-                            for spec in &specs {
-                                worker_metrics
-                                    .extend(collect_worker_metrics(spec, num_shards, &scratch)?);
-                            }
-                        }
-                        Ok(reports)
-                    });
-                    // Clean up on success only: a failed run's job files
-                    // and partials are the evidence the error points at.
-                    match result {
-                        Ok(reports) => {
-                            let _ = std::fs::remove_dir_all(&scratch);
-                            Ok(reports)
-                        }
-                        Err(e) if scratch.exists() => Err(format!(
-                            "{e} (job files and partials kept in {})",
-                            scratch.display()
-                        )
-                        .into()),
-                        Err(e) => Err(e),
-                    }
-                })
-            }
-        };
-        match reports {
+        match run_campaign_preset(preset, fidelity, workers) {
             Ok(reports) => {
                 print_reports(&reports);
                 if !archive_all(&reports, &options.archive) {
@@ -588,46 +440,56 @@ fn run_campaigns(
     }
 }
 
-/// Runs campaign presets under the supervising orchestrator.  Without
-/// `--resume` the checkpoints go to a fresh unique scratch directory,
-/// removed on success and kept on failure (the failure message names it,
-/// so an interrupted run can be resumed); with `--resume DIR` the run
-/// picks up the surviving checkpoints in DIR first.
+/// The `repro` binary itself, re-entered as every shard worker.
+fn worker_exe() -> PathBuf {
+    std::env::current_exe()
+        .unwrap_or_else(|e| fail(format_args!("locating the shard-worker binary: {e}")))
+}
+
+/// Runs campaign presets under the supervising orchestrator — the one
+/// multi-process runner, behind both `orchestrate` and `campaign
+/// --shards` (which passes a config with no retries).  Without `--resume`
+/// the checkpoints go to a fresh unique scratch directory, removed on
+/// success and kept on failure (the failure message names it, so an
+/// interrupted run can be resumed); with `--resume DIR` the run picks up
+/// the surviving checkpoints in DIR first.  Worker telemetry sidecars
+/// are collected for `--metrics` and run manifests copied into
+/// `--archive` before the scratch directory disappears.
 fn run_orchestrate(
     presets_named: &[String],
     fidelity: Fidelity,
     options: &Options,
-    workers: usize,
+    config: &OrchestratorConfig,
     worker_metrics: &mut Vec<telemetry::Snapshot>,
 ) {
-    let num_shards = options.shards.expect("checked at parse time");
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => fail(format_args!("locating the shard-worker binary: {e}")),
-    };
+    let num_shards = config.num_shards;
+    let workers = options.workers_per_shard(num_shards);
+    let exe = worker_exe();
     let scratch = options
         .resume
         .clone()
         .unwrap_or_else(|| unique_scratch_dir("orchestrate"));
-    let config = OrchestratorConfig {
-        max_retries: options.max_retries.unwrap_or(2),
-        straggler_timeout: options
-            .straggler_timeout
-            .map(std::time::Duration::from_secs_f64),
-        partial_format: options.partial_format.unwrap_or_default(),
-        ..OrchestratorConfig::new(num_shards)
-    };
     let mut stderr = std::io::stderr();
     for preset in presets_named {
         let reports = run_campaign_preset_orchestrated(
             preset,
             fidelity,
-            &config,
+            config,
             workers,
             &exe,
             &scratch,
             &mut stderr,
-        );
+        )
+        .and_then(|reports| {
+            // A missing sidecar is a hard error: an under-reported fleet
+            // document would be worse than none.
+            if options.metrics.is_some() {
+                for spec in &preset_specs(preset, fidelity)? {
+                    worker_metrics.extend(collect_worker_metrics(spec, num_shards, &scratch)?);
+                }
+            }
+            Ok(reports)
+        });
         match reports {
             Ok(reports) => {
                 print_reports(&reports);
@@ -636,29 +498,11 @@ fn run_orchestrate(
                 }
             }
             Err(e) if scratch.exists() => fail(format_args!(
-                "campaign {preset} failed: {e} (checkpoints kept in {}; pick up where it \
-                 stopped with --resume {})",
-                scratch.display(),
-                scratch.display()
+                "campaign {preset} failed: {e} (checkpoints kept in {dir}; pick up where it \
+                 stopped with `orchestrate {preset} --shards {num_shards} --resume {dir}`)",
+                dir = scratch.display()
             )),
             Err(e) => fail(format_args!("campaign {preset} failed: {e}")),
-        }
-    }
-    // Collect the workers' telemetry sidecars (renamed alongside their
-    // checkpoints by the orchestrator) before the scratch directory
-    // disappears; missing worker telemetry is a hard error.
-    if options.metrics.is_some() {
-        for preset in presets_named {
-            let specs = presets::by_name(preset, fidelity.quick()).expect("presets ran above");
-            for spec in &specs {
-                match collect_worker_metrics(spec, num_shards, &scratch) {
-                    Ok(snapshots) => worker_metrics.extend(snapshots),
-                    Err(e) => fail(format_args!(
-                        "{e} (checkpoints kept in {})",
-                        scratch.display()
-                    )),
-                }
-            }
         }
     }
     // The structured run manifests are part of the run's record: copy
@@ -670,6 +514,15 @@ fn run_orchestrate(
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// The orchestrator as a plain shard runner, for `campaign --shards` and
+/// `profile --shards`: the first worker failure fails the run.
+fn no_retries(num_shards: usize) -> OrchestratorConfig {
+    OrchestratorConfig {
+        max_retries: 0,
+        ..OrchestratorConfig::new(num_shards)
+    }
 }
 
 /// Copies every `<spec>.manifest.jsonl` run manifest from the scratch
@@ -697,13 +550,7 @@ fn run_shard_plan(presets_named: &[String], fidelity: Fidelity, options: &Option
         fail(format_args!("creating {}: {e}", out_dir.display()));
     }
     for preset in presets_named {
-        let specs = match presets::by_name(preset, fidelity.quick()) {
-            Some(specs) => specs,
-            None => fail(format_args!(
-                "unknown campaign preset '{preset}' (available: {})",
-                presets::PRESET_NAMES.join(", ")
-            )),
-        };
+        let specs = preset_specs(preset, fidelity).unwrap_or_else(|e| fail(e));
         for spec in &specs {
             let plan = match ShardPlan::partition(spec, num_shards) {
                 Ok(plan) => plan,
@@ -800,9 +647,9 @@ fn run_shard_worker(options: &Options) {
 fn run_shard_merge(partial_paths: &[PathBuf], options: &Options) {
     let out_path = options.out.as_ref().expect("checked at parse time");
     ensure_parent_dir(out_path);
-    // Streaming merge: each partial (columnar or JSON, detected from its
-    // bytes) is loaded, folded into the per-cell accumulators and dropped
-    // before the next — the driver never holds every shard's records.
+    // Streaming merge: each columnar partial is loaded, folded into the
+    // per-cell accumulators and dropped before the next — the driver
+    // never holds every shard's records.
     let report = match merge_shard_files(partial_paths) {
         Ok(report) => report,
         Err(e) => fail(e),
@@ -891,47 +738,48 @@ fn main() {
             );
             run_shard_plan(&presets_named, fidelity, &options);
         }
-        Mode::Campaign(presets_named) => {
-            // When sharding without an explicit --workers, split the
-            // machine across the concurrent worker processes instead of
-            // giving each one every core (num_shards x all-cores threads
-            // would thrash, not speed up).
-            let workers = match options.shards {
-                Some(num_shards) => options
-                    .workers
-                    .unwrap_or_else(|| (default_workers() / num_shards).max(1)),
-                None => options.worker_threads(),
-            };
-            println!(
-                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}{}\n",
-                options
-                    .shards
-                    .map(|n| format!("; shards: {n}"))
-                    .unwrap_or_default(),
-            );
-            run_campaigns(
-                &presets_named,
-                fidelity,
-                &options,
-                workers,
-                &mut worker_metrics,
-            );
-        }
+        Mode::Campaign(presets_named) => match options.shards {
+            None => {
+                let workers = options.worker_threads();
+                println!(
+                    "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}\n"
+                );
+                run_campaigns(&presets_named, fidelity, &options, workers);
+            }
+            Some(num_shards) => {
+                println!(
+                    "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {}; \
+                     shards: {num_shards}\n",
+                    options.workers_per_shard(num_shards)
+                );
+                run_orchestrate(
+                    &presets_named,
+                    fidelity,
+                    &options,
+                    &no_retries(num_shards),
+                    &mut worker_metrics,
+                );
+            }
+        },
         Mode::Orchestrate(presets_named) => {
             let num_shards = options.shards.expect("checked at parse time");
-            // Same core-splitting default as sharded campaign mode.
-            let workers = options
-                .workers
-                .unwrap_or_else(|| (default_workers() / num_shards).max(1));
             println!(
-                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}; \
-                 shards: {num_shards} (orchestrated)\n"
+                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {}; \
+                 shards: {num_shards} (orchestrated)\n",
+                options.workers_per_shard(num_shards)
             );
+            let config = OrchestratorConfig {
+                max_retries: options.max_retries.unwrap_or(2),
+                straggler_timeout: options
+                    .straggler_timeout
+                    .map(std::time::Duration::from_secs_f64),
+                ..OrchestratorConfig::new(num_shards)
+            };
             run_orchestrate(
                 &presets_named,
                 fidelity,
                 &options,
-                workers,
+                &config,
                 &mut worker_metrics,
             );
         }
@@ -940,9 +788,7 @@ fn main() {
             // their totals track wall clock instead of overlapping.
             // Sharded profiles split the cores like sharded campaigns.
             let workers = match options.shards {
-                Some(num_shards) => options
-                    .workers
-                    .unwrap_or_else(|| (default_workers() / num_shards).max(1)),
+                Some(num_shards) => options.workers_per_shard(num_shards),
                 None => options.workers.unwrap_or(1),
             };
             println!(
@@ -956,26 +802,29 @@ fn main() {
             for preset in &presets_named {
                 let result = match options.shards {
                     None => profile_campaign_preset(preset, fidelity, workers),
-                    Some(num_shards) => std::env::current_exe()
-                        .map_err(|e| format!("locating the shard-worker binary: {e}").into())
-                        .and_then(|exe| {
-                            let scratch = unique_scratch_dir(&format!("profile-{preset}"));
-                            let result = profile_campaign_preset_sharded(
-                                preset, fidelity, num_shards, workers, &exe, &scratch,
-                            );
-                            match result {
-                                Ok(profile) => {
-                                    let _ = std::fs::remove_dir_all(&scratch);
-                                    Ok(profile)
-                                }
-                                Err(e) if scratch.exists() => Err(format!(
-                                    "{e} (job files and partials kept in {})",
-                                    scratch.display()
-                                )
-                                .into()),
-                                Err(e) => Err(e),
+                    Some(num_shards) => {
+                        let scratch = unique_scratch_dir("profile");
+                        let result = profile_campaign_preset_sharded(
+                            preset,
+                            fidelity,
+                            &no_retries(num_shards),
+                            workers,
+                            &worker_exe(),
+                            &scratch,
+                            &mut std::io::stderr(),
+                        );
+                        match result {
+                            Ok(profile) => {
+                                let _ = std::fs::remove_dir_all(&scratch);
+                                Ok(profile)
                             }
-                        }),
+                            Err(e) if scratch.exists() => {
+                                Err(format!("{e} (checkpoints kept in {})", scratch.display())
+                                    .into())
+                            }
+                            Err(e) => Err(e),
+                        }
+                    }
                 };
                 match result {
                     Ok(profile) => {

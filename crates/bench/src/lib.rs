@@ -24,10 +24,7 @@ use ivc_core::Result;
 use ivc_defense::evaluation::{ConfusionMatrix, RocCurve};
 use ivc_defense::features::DefenseFeatures;
 use ivc_experiments::orchestrate::{orchestrate, OrchestratorConfig, ProcessLauncher};
-use ivc_experiments::shard::{
-    merge_shard_files, metrics_sidecar_path, shard_archive_file_name, shard_archive_file_name_with,
-    shard_job_file_name, PartialFormat, ShardPlan,
-};
+use ivc_experiments::shard::{metrics_sidecar_path, shard_archive_file_name, ShardPlan};
 use ivc_experiments::{
     presets, run_campaign, CampaignReport, CampaignSpec, CellCoords, TrialRecord,
 };
@@ -515,158 +512,29 @@ pub fn tab_b3_success_rate(
     Ok((table, reports))
 }
 
+/// The campaign specs a preset name expands to (`b3` and `d5` expand to
+/// several), or the one-line "unknown campaign preset" error listing the
+/// available names.
+pub fn preset_specs(name: &str, fidelity: Fidelity) -> Result<Vec<CampaignSpec>> {
+    presets::by_name(name, fidelity.quick()).ok_or_else(|| {
+        format!(
+            "unknown campaign preset '{name}' (available: {})",
+            presets::PRESET_NAMES.join(", ")
+        )
+        .into()
+    })
+}
+
 /// Runs a named campaign preset through the engine, returning one report
-/// per expanded spec (`b3` and `d5` expand to several).
+/// per expanded spec.
 pub fn run_campaign_preset(
     name: &str,
     fidelity: Fidelity,
     workers: usize,
 ) -> Result<Vec<CampaignReport>> {
-    let specs = presets::by_name(name, fidelity.quick()).ok_or_else(|| {
-        format!(
-            "unknown campaign preset '{name}' (available: {})",
-            presets::PRESET_NAMES.join(", ")
-        )
-    })?;
-    let mut reports = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        reports.push(run_campaign(spec, workers)?);
-    }
-    Ok(reports)
-}
-
-/// Runs one campaign spec as `num_shards` forked worker processes of
-/// `worker_exe` (normally the `repro` binary itself, re-entered through
-/// its `shard-worker` subcommand), then merges the partial archives into
-/// a report **byte-identical** to the in-process [`run_campaign`] run.
-///
-/// Job files and partial archives pass through `scratch_dir` using the
-/// same file contract the `shard-plan` / `shard-worker` / `shard-merge`
-/// subcommands expose for multi-machine runs — this is that contract,
-/// driven across local processes.  `scratch_dir` is created if missing
-/// and left in place for the caller to inspect or delete.
-///
-/// `partial_format` picks the wire format the workers write (the `.bin`
-/// columnar default, or `.json` for humans); the merged bytes are
-/// identical either way.  The merge streams the partial files one at a
-/// time through per-cell accumulators, so driver memory stays O(cells)
-/// plus a single shard's records.
-pub fn run_campaign_spec_sharded(
-    spec: &CampaignSpec,
-    num_shards: usize,
-    workers: usize,
-    worker_exe: &Path,
-    scratch_dir: &Path,
-    partial_format: PartialFormat,
-) -> Result<CampaignReport> {
-    // The library-level `ShardPlan::partition` tolerates more shards than
-    // jobs (empty tails merge as no-ops), but at the driver level that
-    // silently forks workers with nothing to do — reject it with one line.
-    let num_jobs = spec.num_trials();
-    if num_shards > num_jobs {
-        return Err(format!(
-            "campaign '{}' has {num_jobs} trial(s) but {num_shards} shards were requested — \
-             every shard must own at least one trial (use --shards <= {num_jobs})",
-            spec.name
-        )
-        .into());
-    }
-    let plan = ShardPlan::partition(spec, num_shards)?;
-    std::fs::create_dir_all(scratch_dir)?;
-    let mut children = Vec::with_capacity(num_shards);
-    for job in plan.jobs() {
-        let job_path = scratch_dir.join(shard_job_file_name(&spec.name, &job.shard));
-        let out_path = scratch_dir.join(shard_archive_file_name_with(
-            &spec.name,
-            &job.shard,
-            partial_format,
-        ));
-        let spawned = job.save(&job_path).map_err(Into::into).and_then(|()| {
-            std::process::Command::new(worker_exe)
-                .arg("shard-worker")
-                .arg("--job")
-                .arg(&job_path)
-                .arg("--out")
-                .arg(&out_path)
-                .arg("--workers")
-                .arg(workers.to_string())
-                .spawn()
-                .map_err(|e| {
-                    ivc_core::Error::from(format!(
-                        "spawning shard worker {}: {e}",
-                        job.shard.shard_index
-                    ))
-                })
-        });
-        match spawned {
-            Ok(child) => children.push((job.shard.shard_index, out_path, child)),
-            Err(e) => {
-                // Never leave already-spawned workers orphaned, burning
-                // CPU and writing into a scratch dir the caller may
-                // delete: reap them before reporting the failure.
-                for (_, _, mut child) in children {
-                    child.kill().ok();
-                    child.wait().ok();
-                }
-                return Err(e);
-            }
-        }
-    }
-    // Wait for every worker before reporting, so a failure message never
-    // races with surviving children still writing partials.  Partials
-    // stay on disk until the streaming merge below — the driver never
-    // gathers every shard's records in memory at once.
-    let mut partial_paths = Vec::with_capacity(num_shards);
-    let mut failures: Vec<String> = Vec::new();
-    for (shard_index, out_path, mut child) in children {
-        match child.wait() {
-            Err(e) => failures.push(format!("waiting for shard {shard_index}: {e}")),
-            Ok(status) if !status.success() => {
-                failures.push(format!("shard {shard_index} worker exited with {status}"))
-            }
-            Ok(_) if !out_path.exists() => failures.push(format!(
-                "shard {shard_index} worker exited 0 but left no partial at {}",
-                out_path.display()
-            )),
-            Ok(_) => partial_paths.push(out_path),
-        }
-    }
-    if !failures.is_empty() {
-        return Err(failures.join("; ").into());
-    }
-    Ok(merge_shard_files(&partial_paths)?)
-}
-
-/// The sharded flavour of [`run_campaign_preset`]: each of the preset's
-/// specs runs as `num_shards` forked `worker_exe` processes (scratch
-/// files are per-spec, so one directory serves the whole preset).
-pub fn run_campaign_preset_sharded(
-    name: &str,
-    fidelity: Fidelity,
-    num_shards: usize,
-    workers: usize,
-    worker_exe: &Path,
-    scratch_dir: &Path,
-    partial_format: PartialFormat,
-) -> Result<Vec<CampaignReport>> {
-    let specs = presets::by_name(name, fidelity.quick()).ok_or_else(|| {
-        format!(
-            "unknown campaign preset '{name}' (available: {})",
-            presets::PRESET_NAMES.join(", ")
-        )
-    })?;
-    specs
+    preset_specs(name, fidelity)?
         .iter()
-        .map(|spec| {
-            run_campaign_spec_sharded(
-                spec,
-                num_shards,
-                workers,
-                worker_exe,
-                scratch_dir,
-                partial_format,
-            )
-        })
+        .map(|spec| Ok(run_campaign(spec, workers)?))
         .collect()
 }
 
@@ -689,30 +557,15 @@ pub fn unique_scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Runs one campaign spec under the supervising orchestrator: `repro
-/// shard-worker` child processes launched from `worker_exe` (`workers`
-/// threads each), failed shards retried, stragglers re-issued, finished
-/// partials checkpointed into `scratch_dir` and surviving checkpoints
-/// resumed — see [`ivc_experiments::orchestrate`].  The report is
+/// The orchestrated flavour of [`run_campaign_preset`], and the one
+/// multi-process shard runner: each of the preset's specs runs under
+/// [`ivc_experiments::orchestrate`] as `repro shard-worker` child
+/// processes launched from `worker_exe` (`workers` threads each), with
+/// failed shards retried up to `config.max_retries`, stragglers
+/// re-issued, finished partials checkpointed into `scratch_dir` and
+/// surviving checkpoints resumed.  Shard file names carry the spec name,
+/// so one scratch directory serves the whole preset.  Each report is
 /// byte-identical to the in-process [`run_campaign`] run.
-pub fn run_campaign_spec_orchestrated(
-    spec: &CampaignSpec,
-    config: &OrchestratorConfig,
-    workers: usize,
-    worker_exe: &Path,
-    scratch_dir: &Path,
-    status: &mut dyn std::io::Write,
-) -> Result<CampaignReport> {
-    let mut launcher = ProcessLauncher::new(worker_exe, workers);
-    let run = orchestrate(spec, config, scratch_dir, &mut launcher, status)?;
-    Ok(run.report)
-}
-
-/// The orchestrated flavour of [`run_campaign_preset`]: each of the
-/// preset's specs runs under [`run_campaign_spec_orchestrated`] (shard
-/// file names carry the spec name, so one scratch directory serves the
-/// whole preset — and resuming a multi-spec preset re-runs only the
-/// shards whose checkpoints are missing).
 pub fn run_campaign_preset_orchestrated(
     name: &str,
     fidelity: Fidelity,
@@ -722,22 +575,15 @@ pub fn run_campaign_preset_orchestrated(
     scratch_dir: &Path,
     status: &mut dyn std::io::Write,
 ) -> Result<Vec<CampaignReport>> {
-    let specs = presets::by_name(name, fidelity.quick()).ok_or_else(|| {
-        format!(
-            "unknown campaign preset '{name}' (available: {})",
-            presets::PRESET_NAMES.join(", ")
-        )
-    })?;
-    specs
+    let mut launcher = ProcessLauncher::new(worker_exe, workers);
+    preset_specs(name, fidelity)?
         .iter()
-        .map(|spec| {
-            run_campaign_spec_orchestrated(spec, config, workers, worker_exe, scratch_dir, status)
-        })
+        .map(|spec| Ok(orchestrate(spec, config, scratch_dir, &mut launcher, status)?.report))
         .collect()
 }
 
-/// Loads and parses the telemetry sidecars the workers of a sharded or
-/// orchestrated run left next to their canonical partial archives — one
+/// Loads and parses the telemetry sidecars the workers of an orchestrated
+/// run left next to their canonical partial archives — one
 /// `ivc-metrics-v1` document per shard of `spec`'s `num_shards` plan.
 ///
 /// A missing or unparseable sidecar is a **loud error**, never an
@@ -893,39 +739,41 @@ pub fn profile_campaign_preset(
 }
 
 /// The multi-process flavour of [`profile_campaign_preset`]: the preset
-/// runs as `num_shards` forked `worker_exe` processes, each worker's
-/// telemetry sidecar is collected, and the attribution table is rendered
-/// from the merged **fleet** snapshot — so the table finally covers the
-/// work that actually happened in the workers, not just coordinator
-/// overhead.  Stage totals aggregate across concurrent processes, so
-/// their sum can exceed wall clock, exactly as with `workers > 1`.
+/// runs under the orchestrator (`config`) as forked `worker_exe`
+/// processes, each worker's telemetry sidecar is collected, and the
+/// attribution table is rendered from the merged **fleet** snapshot — so
+/// the table covers the work that actually happened in the workers, not
+/// just coordinator overhead.  Stage totals aggregate across concurrent
+/// processes, so their sum can exceed wall clock, exactly as with
+/// `workers > 1`.
 pub fn profile_campaign_preset_sharded(
     name: &str,
     fidelity: Fidelity,
-    num_shards: usize,
+    config: &OrchestratorConfig,
     workers: usize,
     worker_exe: &Path,
     scratch_dir: &Path,
+    status: &mut dyn std::io::Write,
 ) -> Result<ProfileReport> {
     telemetry::reset();
     telemetry::set_enabled(true);
     let start = std::time::Instant::now();
-    let outcome = run_campaign_preset_sharded(
+    let outcome = run_campaign_preset_orchestrated(
         name,
         fidelity,
-        num_shards,
+        config,
         workers,
         worker_exe,
         scratch_dir,
-        PartialFormat::default(),
+        status,
     );
     let wall_s = start.elapsed().as_secs_f64();
     telemetry::set_enabled(false);
     let local = telemetry::snapshot();
     outcome?;
-    let specs = presets::by_name(name, fidelity.quick()).expect("preset ran above");
+    let num_shards = config.num_shards;
     let mut worker_snapshots = Vec::new();
-    for spec in &specs {
+    for spec in &preset_specs(name, fidelity)? {
         worker_snapshots.extend(collect_worker_metrics(spec, num_shards, scratch_dir)?);
     }
     let fleet = merge_fleet_metrics(local, &worker_snapshots)?;

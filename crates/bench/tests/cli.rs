@@ -256,32 +256,6 @@ fn malformed_flag_values_are_one_line_errors() {
             &["bench-diff", "a.json", "b.json", "--workers", "2"][..],
             "--workers applies to",
         ),
-        (
-            &["campaign", "smoke", "--partial-format", "json"][..],
-            "--partial-format needs --shards",
-        ),
-        (
-            &[
-                "shard-merge",
-                "--out",
-                "x.json",
-                "--partial-format",
-                "json",
-                "p.json",
-            ][..],
-            "--partial-format applies to",
-        ),
-        (
-            &[
-                "campaign",
-                "smoke",
-                "--shards",
-                "2",
-                "--partial-format",
-                "xml",
-            ][..],
-            "expected 'columns' or 'json'",
-        ),
         (&["export-json", "p.bin"][..], "export-json needs --out"),
         (
             &["export-json", "--out", "x.json"][..],
@@ -356,13 +330,14 @@ fn shard_merge_rejects_unreadable_partials() {
     assert!(line.contains("reading"), "{line}");
 }
 
-/// The columnar shard contract end to end at the CLI: a worker writes
-/// columnar (`.bin`) or JSON (`.json`) partials depending on nothing but
-/// the `--out` extension; `export-json` re-encodes a binary partial to
-/// exactly the JSON the worker would have written; and `shard-merge`
-/// produces byte-identical reports from either wire format.
+/// The columnar shard contract end to end at the CLI: workers write
+/// columnar partials; `export-json` dumps one as the valid
+/// `ivc-campaign-shard-v1` JSON document `to_json_string()` gives; and
+/// `shard-merge` of the binary partials reproduces the in-process bytes.
 #[test]
-fn columnar_and_json_partials_merge_to_identical_reports() {
+fn columnar_partials_export_as_json_and_merge_to_the_in_process_bytes() {
+    use ivc_core::json::JsonValue;
+    use ivc_experiments::shard::{ShardArchive, SHARD_FORMAT};
     let scratch = std::env::temp_dir().join(format!("ivc-cli-columnar-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
     std::fs::create_dir_all(&scratch).unwrap();
@@ -385,73 +360,115 @@ fn columnar_and_json_partials_merge_to_identical_reports() {
     );
     for shard in 0..2 {
         let job = path(&format!("smoke.shard-{shard}-of-2.job.json"));
-        for ext in ["bin", "json"] {
-            run(
-                &[
-                    "shard-worker",
-                    "--job",
-                    &job,
-                    "--out",
-                    &path(&format!("part{shard}.{ext}")),
-                    "--workers",
-                    "1",
-                ],
-                &format!("shard-worker {shard} ({ext})"),
-            );
-        }
-    }
-    // The binary partial is compact, and its JSON export is byte-equal to
-    // what the worker writes when asked for JSON directly.
-    for shard in 0..2 {
-        let bin = std::fs::read(scratch.join(format!("part{shard}.bin"))).unwrap();
-        let json = std::fs::read(scratch.join(format!("part{shard}.json"))).unwrap();
-        assert!(
-            bin.len() < json.len(),
-            "columnar partial ({} bytes) should be smaller than JSON ({} bytes)",
-            bin.len(),
-            json.len()
-        );
+        let bin = path(&format!("part{shard}.bin"));
         run(
             &[
-                "export-json",
-                &path(&format!("part{shard}.bin")),
+                "shard-worker",
+                "--job",
+                &job,
                 "--out",
-                &path(&format!("export{shard}.json")),
+                &bin,
+                "--workers",
+                "1",
             ],
+            &format!("shard-worker {shard}"),
+        );
+        let exported = path(&format!("export{shard}.json"));
+        run(
+            &["export-json", &bin, "--out", &exported],
             &format!("export-json {shard}"),
         );
-        let exported = std::fs::read(scratch.join(format!("export{shard}.json"))).unwrap();
+        let text = std::fs::read_to_string(&exported).unwrap();
+        let doc = JsonValue::parse(&text).expect("export-json writes valid JSON");
         assert_eq!(
-            exported, json,
-            "export-json must reproduce the worker's JSON bytes for shard {shard}"
+            doc.get("format").and_then(JsonValue::as_str),
+            Some(SHARD_FORMAT)
+        );
+        let partial = ShardArchive::load(std::path::Path::new(&bin)).unwrap();
+        assert_eq!(
+            text,
+            partial.to_json_string(),
+            "export-json must write exactly to_json_string() for shard {shard}"
         );
     }
     run(
         &[
             "shard-merge",
             "--out",
-            &path("from-bin.json"),
+            &path("merged.json"),
             &path("part0.bin"),
             &path("part1.bin"),
         ],
-        "merge from columnar",
+        "shard-merge",
     );
-    run(
-        &[
-            "shard-merge",
-            "--out",
-            &path("from-json.json"),
-            &path("part0.json"),
-            &path("part1.json"),
-        ],
-        "merge from JSON",
-    );
-    let from_bin = std::fs::read_to_string(scratch.join("from-bin.json")).unwrap();
-    let from_json = std::fs::read_to_string(scratch.join("from-json.json")).unwrap();
+    let merged = std::fs::read_to_string(scratch.join("merged.json")).unwrap();
+    let in_process = ivc_experiments::run_campaign(&ivc_experiments::presets::smoke(), 2)
+        .unwrap()
+        .to_json_string();
     assert_eq!(
-        from_bin, from_json,
-        "the merged report must not depend on the partial wire format"
+        merged, in_process,
+        "merged columnar partials must reproduce the in-process bytes"
     );
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// Columnar is the only wire format: a legacy JSON partial — even a
+/// complete, valid one — is a one-line decode error naming the file, with
+/// no panic and no output written.
+#[test]
+fn shard_merge_rejects_a_legacy_json_partial() {
+    use ivc_experiments::shard::{ShardArchive, ShardRange};
+    use ivc_experiments::{CampaignSpec, DeliverySpec, TrialRecord};
+    let spec = CampaignSpec {
+        deliveries: vec![DeliverySpec::array("4 elements", 4, 40.0, 40_000.0)],
+        distances_m: vec![1.0],
+        trials_per_cell: 2,
+        ..CampaignSpec::new("legacy-json")
+    };
+    let num_jobs = spec.num_trials();
+    let partial = ShardArchive {
+        shard: ShardRange {
+            shard_index: 0,
+            num_shards: 1,
+            start_job: 0,
+            end_job: num_jobs,
+        },
+        records: (0..num_jobs)
+            .map(|slot| TrialRecord {
+                cell_index: slot / spec.trials_per_cell,
+                trial_index: slot % spec.trials_per_cell,
+                seed: spec.trial_seed(slot % spec.trials_per_cell),
+                accepted: true,
+                word_accuracy: 1.0,
+                recognized_words: vec![],
+                bystander_spl_db: None,
+                bystander_spl_dba: None,
+                bystander_voice_spl_db: None,
+                leak_audible: None,
+                power_shortfall_w: 0.0,
+                defense_features: vec![0.0; 4],
+                detection_probability: None,
+                recording_band_summary_db: None,
+            })
+            .collect(),
+        spec,
+    };
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-legacy-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).unwrap();
+    let legacy = scratch.join("legacy.part.json");
+    std::fs::write(&legacy, partial.to_json_string()).unwrap();
+    let out = scratch.join("merged.json");
+    let output = repro(&[
+        "shard-merge",
+        "--out",
+        &out.to_string_lossy(),
+        &legacy.to_string_lossy(),
+    ]);
+    let line = one_line_error(&output, "legacy JSON partial");
+    assert!(line.contains("decode"), "{line}");
+    assert!(line.contains("legacy.part.json"), "{line}");
+    assert!(!out.exists(), "a failed merge must not write output");
     std::fs::remove_dir_all(&scratch).ok();
 }
 
@@ -779,9 +796,9 @@ fn bench_diff_gates_on_regressions_only() {
 }
 
 /// The acceptance path end to end, through real processes and real files:
-/// `campaign smoke` in-process == `campaign smoke --shards 2` (forked
-/// workers) == shard-plan → 2x shard-worker → shard-merge.  All three
-/// archives must be byte-identical.
+/// `campaign smoke` in-process == `campaign smoke --shards 2` (the
+/// orchestrator with no retries) == shard-plan → 2x shard-worker →
+/// shard-merge.  All three archives must be byte-identical.
 #[test]
 fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {
     let scratch = std::env::temp_dir().join(format!("ivc-cli-e2e-{}", std::process::id()));
@@ -815,6 +832,10 @@ fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {
     assert!(output.status.success(), "sharded run failed: {output:?}");
     let sharded = std::fs::read_to_string(dir("sharded").join("smoke.json")).unwrap();
     assert_eq!(sharded, baseline, "--shards 2 changed the archive bytes");
+    assert!(
+        dir("sharded").join("smoke.manifest.jsonl").exists(),
+        "a sharded campaign archives its run manifest"
+    );
 
     // 3. The standalone file-based path: plan, run each worker, merge.
     let jobs_dir = dir("jobs");
@@ -831,7 +852,7 @@ fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {
     for index in 0..2 {
         let job = jobs_dir.join(format!("smoke.shard-{index}-of-2.job.json"));
         assert!(job.exists(), "shard-plan did not write {}", job.display());
-        let part = dir(&format!("part-{index}.json"));
+        let part = dir(&format!("part-{index}.bin"));
         let output = repro(&[
             "shard-worker",
             "--job",

@@ -353,7 +353,7 @@ fn fault_knob_fails_only_the_first_attempt_of_its_shard() {
     let job = &plan.jobs()[0];
     let job_path = scratch.join(shard_job_file_name(&spec.name, &job.shard));
     job.save(&job_path).unwrap();
-    let out_path = scratch.join("part.json");
+    let out_path = scratch.join("part.bin");
 
     let output = repro_cmd()
         .args(["shard-worker", "--job", &job_path.to_string_lossy()])

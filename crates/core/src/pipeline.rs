@@ -7,7 +7,7 @@
 //! all trials of a cell.
 
 use crate::scenario::Scenario;
-use crate::stages::{PrepareContext, PreparedCell};
+use crate::stages::{PrepareContext, PreparedCell, TrialScratch};
 use crate::Result;
 use ivc_attack::leakage::LeakageReport;
 use ivc_defense::classifier::LogisticRegression;
@@ -59,7 +59,12 @@ pub fn run_trial(
 ) -> Result<TrialOutcome> {
     let ctx = PrepareContext::new()?;
     let prepared = PreparedCell::prepare(&ctx, command, scenario, &[scenario.seed])?;
-    prepared.run(scenario.seed, recognizer, detector)
+    prepared.run(
+        scenario.seed,
+        recognizer,
+        detector,
+        &mut TrialScratch::new(),
+    )
 }
 
 #[cfg(test)]

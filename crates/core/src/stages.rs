@@ -303,15 +303,12 @@ impl PreparedCell {
     /// Stage 2: the seed-dependent perturbation — ambient-noise draw,
     /// microphone capture and ADC — returning the digital recording the
     /// device's software receives for trial `seed`.
-    pub fn perturb(&self, seed: u64) -> Result<Signal> {
-        self.perturb_with_scratch(seed, &mut TrialScratch::new())
-    }
-
-    /// [`perturb`](Self::perturb) with caller-owned scratch buffers: a
-    /// worker looping over trials reuses one [`TrialScratch`] instead of
-    /// re-allocating the pressure and capture workspaces per call.  The
-    /// output is bit-identical to [`perturb`](Self::perturb).
-    pub fn perturb_with_scratch(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
+    ///
+    /// `scratch` holds the pressure and capture workspaces: a worker
+    /// looping over trials reuses one [`TrialScratch`] instead of
+    /// re-allocating them per call.  The output is bit-identical with a
+    /// fresh or a reused scratch.
+    pub fn perturb(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
         let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
         let clean: &Signal = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
@@ -400,26 +397,16 @@ impl PreparedCell {
     }
 
     /// Perturb + Evaluate for one trial seed — the shape campaign workers
-    /// run after preparing (or being handed) the cell.
+    /// run after preparing (or being handed) the cell, reusing `scratch`
+    /// across trials (see [`perturb`](Self::perturb)).
     pub fn run(
-        &self,
-        seed: u64,
-        recognizer: &Recognizer,
-        detector: Option<&LogisticRegression>,
-    ) -> Result<TrialOutcome> {
-        self.run_with_scratch(seed, recognizer, detector, &mut TrialScratch::new())
-    }
-
-    /// [`run`](Self::run) with caller-owned scratch buffers (see
-    /// [`perturb_with_scratch`](Self::perturb_with_scratch)).
-    pub fn run_with_scratch(
         &self,
         seed: u64,
         recognizer: &Recognizer,
         detector: Option<&LogisticRegression>,
         scratch: &mut TrialScratch,
     ) -> Result<TrialOutcome> {
-        let recording = self.perturb_with_scratch(seed, scratch)?;
+        let recording = self.perturb(seed, scratch)?;
         self.evaluate(recording, seed, recognizer, detector)
     }
 }
@@ -546,8 +533,9 @@ mod tests {
         let prepared = PreparedCell::prepare(&ctx, command, &scenario, &[1, 2]).unwrap();
         // The same prepared cell serves multiple seeds; each equals the
         // one-shot wrapper for that seed, bit for bit.
+        let mut scratch = TrialScratch::new();
         for seed in [1u64, 2] {
-            let staged = prepared.run(seed, &recognizer, None).unwrap();
+            let staged = prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
             let monolithic =
                 crate::pipeline::run_trial(command, &scenario.with_seed(seed), &recognizer, None)
                     .unwrap();
@@ -555,8 +543,8 @@ mod tests {
             assert_eq!(staged.seed, seed);
         }
         // Different seeds draw different noise: recordings differ.
-        let a = prepared.perturb(1).unwrap();
-        let b = prepared.perturb(2).unwrap();
+        let a = prepared.perturb(1, &mut scratch).unwrap();
+        let b = prepared.perturb(2, &mut scratch).unwrap();
         assert_ne!(a.samples(), b.samples());
     }
 
@@ -570,16 +558,22 @@ mod tests {
         let ctx = PrepareContext::new().unwrap();
         // Seeds 3 and 11 share variant 3: one rendered path serves both.
         let prepared = PreparedCell::prepare(&ctx, command, &scenario, &[3, 11]).unwrap();
-        let a = prepared.run(3, &recognizer, None).unwrap();
+        let mut scratch = TrialScratch::new();
+        let a = prepared.run(3, &recognizer, None, &mut scratch).unwrap();
         let b = prepared
-            .run(3 + NUM_TALKER_VARIANTS as u64, &recognizer, None)
+            .run(
+                3 + NUM_TALKER_VARIANTS as u64,
+                &recognizer,
+                None,
+                &mut scratch,
+            )
             .unwrap();
         // Same talker, different noise draw.
         assert_eq!(a.seed, 3);
         assert_ne!(a.recording.samples(), b.recording.samples());
         // A seed whose variant was not prepared is a loud error, not a
         // silent wrong-talker trial.
-        assert!(prepared.perturb(4).is_err());
+        assert!(prepared.perturb(4, &mut scratch).is_err());
     }
 
     #[test]
@@ -605,6 +599,7 @@ mod tests {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
         let ctx = PrepareContext::new().unwrap();
+        let mut scratch = TrialScratch::new();
         let oblivious = quick_scenario(Delivery::ArrayUltrasound {
             num_elements: 6,
             total_power_w: 60.0,
@@ -616,11 +611,11 @@ mod tests {
         };
         let plain = PreparedCell::prepare(&ctx, command, &oblivious, &[1])
             .unwrap()
-            .run(1, &recognizer, None)
+            .run(1, &recognizer, None, &mut scratch)
             .unwrap();
         let suppressed = PreparedCell::prepare(&ctx, command, &adaptive, &[1])
             .unwrap()
-            .run(1, &recognizer, None)
+            .run(1, &recognizer, None, &mut scratch)
             .unwrap();
         assert_ne!(plain.recording.samples(), suppressed.recording.samples());
         // Suppression shrinks the shadow feature the detector keys on.

@@ -23,10 +23,10 @@
 //! negative zeros and NaN payloads — round-trips exactly, and the same
 //! archive always serialises to the same bytes.
 //!
-//! JSON ([`SHARD_FORMAT`](crate::shard::SHARD_FORMAT)) remains the
-//! human-facing export: [`ShardArchive::load`](crate::ShardArchive::load)
-//! accepts both formats, and `repro export-json` converts a columnar
-//! partial back to its JSON form.
+//! This is the only encoding a partial is loaded from.  JSON
+//! ([`SHARD_FORMAT`](crate::shard::SHARD_FORMAT)) is a one-way
+//! human-facing dump: `repro export-json` converts a columnar partial to
+//! it, and nothing reads it back.
 
 use crate::error::{ExperimentError, Result};
 use crate::executor::TrialRecord;
@@ -111,14 +111,6 @@ fn put_opt_f64(out: &mut Vec<u8>, value: Option<f64>) {
             col::put_f64(out, value);
         }
     }
-}
-
-/// Whether `bytes` claim to be a columnar shard archive (any version):
-/// the content-sniff [`ShardArchive::load`] uses to keep accepting JSON
-/// partials from the same call site.  JSON documents start with `{`;
-/// a columnar one starts with the length prefix of its format tag.
-pub fn looks_columnar(bytes: &[u8]) -> bool {
-    !bytes.starts_with(b"{")
 }
 
 /// Parses columnar bytes back into a shard archive, rejecting wrong or

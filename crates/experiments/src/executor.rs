@@ -438,7 +438,7 @@ fn run_one_trial(
     let detector = detector?;
     let seed = spec.trial_seed(trial_index);
     let outcome = prepared
-        .run_with_scratch(seed, recognizer, detector.as_deref(), scratch)
+        .run(seed, recognizer, detector.as_deref(), scratch)
         .map_err(|e| e.to_string())?;
     let recording_band_summary_db = match &spec.recording_band_summary {
         None => None,

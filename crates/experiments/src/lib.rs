@@ -81,8 +81,8 @@ pub use orchestrate::{
 };
 pub use report::CampaignReport;
 pub use shard::{
-    merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name_with,
-    PartialFormat, ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
+    merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name,
+    ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
 };
 
 /// The commonly used items, in one import.
@@ -101,8 +101,7 @@ pub mod prelude {
     };
     pub use crate::report::CampaignReport;
     pub use crate::shard::{
-        merge_shard_files, merge_shards, metrics_sidecar_path, run_shard,
-        shard_archive_file_name_with, PartialFormat, ShardArchive, ShardJob, ShardMerger,
-        ShardPlan, ShardRange,
+        merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name,
+        ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
     };
 }

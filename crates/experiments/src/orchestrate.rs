@@ -43,10 +43,8 @@
 //! ## Checkpoint layout
 //!
 //! Everything lives flat in one scratch directory, named by the spec.
-//! Partials default to the compact columnar format
-//! ([`crate::columns::COLUMNS_FORMAT`], extension `.bin`); setting
-//! [`OrchestratorConfig::partial_format`] to [`PartialFormat::Json`]
-//! switches every partial file below to `.json`:
+//! Partials are in the columnar wire format
+//! ([`crate::columns::COLUMNS_FORMAT`], extension `.bin`):
 //!
 //! ```text
 //! <spec>.shard-i-of-n.job.json                 shard job (input, rewritten on start)
@@ -75,8 +73,8 @@ use crate::aggregate::wilson_interval;
 use crate::error::{ExperimentError, Result};
 use crate::grid::CampaignSpec;
 use crate::shard::{
-    merge_shard_files, metrics_sidecar_path, run_shard, shard_archive_file_name_with,
-    shard_job_file_name, PartialFormat, ShardArchive, ShardJob, ShardPlan,
+    merge_shard_files, metrics_sidecar_path, run_shard, shard_archive_file_name,
+    shard_job_file_name, ShardArchive, ShardJob, ShardPlan,
 };
 use ivc_core::json::{u64_to_json, JsonValue};
 use ivc_core::telemetry;
@@ -132,12 +130,6 @@ pub struct OrchestratorConfig {
     /// this long (one is also emitted at startup and after every finished
     /// shard).
     pub progress_interval: Duration,
-    /// Wire format for partial archives (checkpoints and attempt
-    /// outputs): compact columnar by default, JSON for humans and old
-    /// tooling.  Checkpoints left by a previous run in the *other*
-    /// format still resume — [`ShardArchive::load`] detects the format
-    /// from the bytes.
-    pub partial_format: PartialFormat,
 }
 
 impl OrchestratorConfig {
@@ -153,7 +145,6 @@ impl OrchestratorConfig {
             max_concurrent: num_shards,
             poll_interval: Duration::from_millis(25),
             progress_interval: Duration::from_secs(5),
-            partial_format: PartialFormat::default(),
         }
     }
 }
@@ -614,11 +605,8 @@ fn attempt_file_name(slot: &Slot, nonce: u32, attempt: usize) -> String {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
-    let (stem, extension) = match base.strip_suffix(".json") {
-        Some(stem) => (stem, "json"),
-        None => (base.strip_suffix(".bin").unwrap_or(&base), "bin"),
-    };
-    format!("{stem}.attempt-{nonce}-{attempt}.{extension}")
+    let stem = base.strip_suffix(".bin").unwrap_or(&base);
+    format!("{stem}.attempt-{nonce}-{attempt}.bin")
 }
 
 /// Runs one campaign under supervision: shards are issued to `launcher`,
@@ -682,11 +670,7 @@ pub fn orchestrate(
     for job in plan.jobs() {
         let job_path = scratch_dir.join(shard_job_file_name(&spec.name, &job.shard));
         job.save(&job_path)?;
-        let checkpoint_path = scratch_dir.join(shard_archive_file_name_with(
-            &spec.name,
-            &job.shard,
-            config.partial_format,
-        ));
+        let checkpoint_path = scratch_dir.join(shard_archive_file_name(&spec.name, &job.shard));
         let mut slot = Slot {
             job,
             job_path,
@@ -697,23 +681,6 @@ pub fn orchestrate(
             not_before: now,
             accepted: None,
         };
-        // A previous run may have checkpointed in the other format (a
-        // pre-columnar run, or a format switch between runs): its
-        // checkpoint is just as valid, so resume from it where it is.
-        if !slot.checkpoint_path.exists() {
-            let other = match config.partial_format {
-                PartialFormat::Columns => PartialFormat::Json,
-                PartialFormat::Json => PartialFormat::Columns,
-            };
-            let legacy = scratch_dir.join(shard_archive_file_name_with(
-                &spec.name,
-                &slot.job.shard,
-                other,
-            ));
-            if legacy.exists() {
-                slot.checkpoint_path = legacy;
-            }
-        }
         if slot.checkpoint_path.exists() {
             let loaded = ShardArchive::load(&slot.checkpoint_path).and_then(|partial| {
                 partial.validate_for(&slot.job)?;
@@ -1206,7 +1173,7 @@ mod tests {
     use super::*;
     use crate::executor::TrialRecord;
     use crate::grid::DeliverySpec;
-    use crate::shard::{merge_shards, shard_archive_file_name};
+    use crate::shard::merge_shards;
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::rc::Rc;
@@ -1266,7 +1233,7 @@ mod tests {
 
     struct MockAttempt {
         behavior: Behavior,
-        payload: String,
+        payload: Vec<u8>,
         out_path: PathBuf,
         finished: bool,
         killed: bool,
@@ -1340,7 +1307,7 @@ mod tests {
             let behavior = self.scripts.get(&key).copied().unwrap_or(Behavior::Ok);
             Ok(Box::new(MockAttempt {
                 behavior,
-                payload: fabricated_partial(&self.spec, job).to_json_string(),
+                payload: fabricated_partial(&self.spec, job).to_column_bytes(),
                 out_path: out_path.to_path_buf(),
                 finished: false,
                 killed: false,

@@ -642,7 +642,7 @@ pub(crate) fn trial_to_json(trial: &TrialRecord) -> JsonValue {
     ])
 }
 
-pub(crate) fn trial_from_json(value: &JsonValue) -> Result<TrialRecord> {
+fn trial_from_json(value: &JsonValue) -> Result<TrialRecord> {
     let leak_audible = match req(value, "leak_audible")? {
         JsonValue::Null => None,
         JsonValue::Bool(b) => Some(*b),

@@ -23,10 +23,10 @@
 //! alone — scheduling, sharding and process boundaries never reach the
 //! bytes.
 //!
-//! Partials travel in the compact columnar format by default
-//! ([`crate::columns`], tag `ivc-trial-columns-v1`); the JSON form
-//! ([`SHARD_FORMAT`]) is still written on request (`.json` output paths,
-//! `--partial-format json`) and always accepted on load.
+//! Partials travel in one wire format, the compact columnar encoding
+//! ([`crate::columns`], tag `ivc-trial-columns-v1`).  The JSON form
+//! ([`SHARD_FORMAT`], [`ShardArchive::to_json_string`]) is a one-way
+//! human-facing dump (`repro export-json`): nothing loads it back.
 
 use crate::aggregate::{psychometric_curves, CellAccumulator, CellReport};
 use crate::columns;
@@ -34,8 +34,7 @@ use crate::error::{ExperimentError, Result};
 use crate::executor::{execute_jobs, TrialRecord};
 use crate::grid::{CampaignSpec, CellSpec};
 use crate::report::{
-    obj, req, req_str, req_usize, spec_from_json, spec_to_json, trial_from_json, trial_to_json,
-    CampaignReport,
+    obj, req, req_str, req_usize, spec_from_json, spec_to_json, trial_to_json, CampaignReport,
 };
 use ivc_core::json::JsonValue;
 use std::path::Path;
@@ -142,82 +141,21 @@ pub fn shard_job_file_name(spec_name: &str, shard: &ShardRange) -> String {
     )
 }
 
-/// On-disk encoding of a shard's partial archive.  [`ShardArchive::save`]
-/// picks the encoding from the output path's extension and
-/// [`ShardArchive::load`] detects it from the content, so the format is
-/// carried by the file name — this enum names the two spellings where a
-/// caller chooses one (`--partial-format`, checkpoint layouts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartialFormat {
-    /// Compact binary columnar (`.part.bin`, tag `ivc-trial-columns-v1`)
-    /// — the default wire format.
-    #[default]
-    Columns,
-    /// Pretty-printed JSON (`.part.json`, tag [`SHARD_FORMAT`]) — the
-    /// legacy wire format, still accepted everywhere and kept as the
-    /// human-facing export.
-    Json,
-}
-
-impl PartialFormat {
-    /// The file extension that selects this encoding.
-    pub fn extension(&self) -> &'static str {
-        match self {
-            PartialFormat::Columns => "bin",
-            PartialFormat::Json => "json",
-        }
-    }
-
-    /// Parses a `--partial-format` value.
-    pub fn parse(value: &str) -> Result<PartialFormat> {
-        match value {
-            "columns" => Ok(PartialFormat::Columns),
-            "json" => Ok(PartialFormat::Json),
-            other => Err(ExperimentError::invalid(
-                "partial-format",
-                format!("'{other}' (expected 'columns' or 'json')"),
-            )),
-        }
-    }
-}
-
-/// Stable file name of a shard's partial archive in the chosen encoding.
-pub fn shard_archive_file_name_with(
-    spec_name: &str,
-    shard: &ShardRange,
-    format: PartialFormat,
-) -> String {
+/// Stable file name of a shard's partial archive (`.part.bin`).
+pub fn shard_archive_file_name(spec_name: &str, shard: &ShardRange) -> String {
     format!(
-        "{spec_name}.shard-{}-of-{}.part.{}",
-        shard.shard_index,
-        shard.num_shards,
-        format.extension()
+        "{spec_name}.shard-{}-of-{}.part.bin",
+        shard.shard_index, shard.num_shards
     )
 }
 
-/// Stable file name of a shard's partial archive (the default columnar
-/// encoding, `.part.bin`).
-pub fn shard_archive_file_name(spec_name: &str, shard: &ShardRange) -> String {
-    shard_archive_file_name_with(spec_name, shard, PartialFormat::Columns)
-}
-
 /// Path of the telemetry sidecar a worker writes next to a partial
-/// archive: the partial's path with its `.bin`/`.json` extension replaced
-/// by `.metrics.json` — identical for both partial encodings, so format
-/// choice never moves the sidecar.  Derived from the *output* path, so an
-/// attempt-unique partial gets an attempt-unique sidecar, and the
-/// orchestrator can rename the two together when a checkpoint is
-/// accepted.
+/// archive: the partial's path with its extension replaced by
+/// `.metrics.json`.  Derived from the *output* path, so an attempt-unique
+/// partial gets an attempt-unique sidecar, and the orchestrator can
+/// rename the two together when a checkpoint is accepted.
 pub fn metrics_sidecar_path(partial_path: &Path) -> std::path::PathBuf {
-    let name = partial_path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let stem = name
-        .strip_suffix(".json")
-        .or_else(|| name.strip_suffix(".bin"))
-        .unwrap_or(&name);
-    partial_path.with_file_name(format!("{stem}.metrics.json"))
+    partial_path.with_extension("metrics.json")
 }
 
 /// Everything a worker needs to run one shard: the full spec plus the
@@ -286,7 +224,9 @@ pub struct ShardArchive {
 }
 
 impl ShardArchive {
-    /// Serialises the partial archive (pretty, deterministic).
+    /// Serialises the partial archive as pretty, deterministic JSON — the
+    /// human-facing dump `repro export-json` writes.  One way only: the
+    /// wire and checkpoint format is [`to_column_bytes`](Self::to_column_bytes).
     pub fn to_json_string(&self) -> String {
         let mut members = vec![
             ("format", JsonValue::string(SHARD_FORMAT)),
@@ -300,23 +240,6 @@ impl ShardArchive {
         obj(members).to_json_string_pretty()
     }
 
-    /// Parses a partial archive.
-    pub fn from_json_str(text: &str) -> Result<ShardArchive> {
-        let root = JsonValue::parse(text).map_err(|e| ExperimentError::decode(e.to_string()))?;
-        check_format(&root, SHARD_FORMAT, "shard archive")?;
-        let records = req(&root, "records")?
-            .as_array()
-            .ok_or_else(|| ExperimentError::decode("'records' is not an array".to_string()))?
-            .iter()
-            .map(trial_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardArchive {
-            spec: spec_from_json(req(&root, "spec")?)?,
-            shard: range_from_json(&root)?,
-            records,
-        })
-    }
-
     /// Serialises the partial archive to the compact columnar encoding
     /// ([`crate::columns`], tag `ivc-trial-columns-v1`).
     pub fn to_column_bytes(&self) -> Vec<u8> {
@@ -328,47 +251,25 @@ impl ShardArchive {
         columns::from_column_bytes(bytes)
     }
 
-    /// Writes the partial archive to `path` — as JSON when the path ends
-    /// in `.json`, in the columnar encoding otherwise.  The output path
-    /// *is* the format switch, so launchers and workers agree on the
-    /// encoding by agreeing on the file name alone.
+    /// Writes the partial archive to `path` in the columnar encoding.
     pub fn save(&self, path: &Path) -> Result<()> {
-        let bytes = if path.extension().is_some_and(|e| e == "json") {
-            self.to_json_string().into_bytes()
-        } else {
-            self.to_column_bytes()
-        };
-        std::fs::write(path, bytes)
+        std::fs::write(path, self.to_column_bytes())
             .map_err(|e| ExperimentError::Io(format!("writing {}: {e}", path.display())))
     }
 
-    /// Reads a partial archive back from `path`, detecting the encoding
-    /// from the content (JSON documents start with `{`), so columnar and
-    /// legacy JSON partials load through the same call.
+    /// Reads a columnar partial archive back from `path`.  Anything else
+    /// (a legacy JSON partial included) is a decode error naming the file.
     pub fn load(path: &Path) -> Result<ShardArchive> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ExperimentError::Io(format!("reading {}: {e}", path.display())))?;
-        if columns::looks_columnar(&bytes) {
-            return ShardArchive::from_column_bytes(&bytes);
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| ExperimentError::decode(format!("{}: {e}", path.display())))?;
-        ShardArchive::from_json_str(text)
+        let bytes = read_partial(path)?;
+        ShardArchive::from_column_bytes(&bytes).map_err(|e| in_file(path, e))
     }
 
-    /// Reads just the shard's slot range from `path`: O(header) for a
-    /// columnar partial, a full parse for a legacy JSON one.  Lets a
-    /// streaming merge order its input files without holding more than
+    /// Reads just the shard's slot range from `path` — O(header), so a
+    /// streaming merge orders its input files without holding more than
     /// one decoded partial at a time.
     pub fn peek_range(path: &Path) -> Result<ShardRange> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ExperimentError::Io(format!("reading {}: {e}", path.display())))?;
-        if columns::looks_columnar(&bytes) {
-            return columns::peek_column_range(&bytes);
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| ExperimentError::decode(format!("{}: {e}", path.display())))?;
-        Ok(ShardArchive::from_json_str(text)?.shard)
+        let bytes = read_partial(path)?;
+        columns::peek_column_range(&bytes).map_err(|e| in_file(path, e))
     }
 
     /// Checks that this partial is exactly the finished form of `job`:
@@ -392,6 +293,20 @@ impl ShardArchive {
             )));
         }
         Ok(())
+    }
+}
+
+fn read_partial(path: &Path) -> Result<Vec<u8>> {
+    std::fs::read(path).map_err(|e| ExperimentError::Io(format!("reading {}: {e}", path.display())))
+}
+
+/// Prefixes a decode error with the file it came from.
+fn in_file(path: &Path, error: ExperimentError) -> ExperimentError {
+    match error {
+        ExperimentError::Decode(reason) => {
+            ExperimentError::decode(format!("{}: {reason}", path.display()))
+        }
+        other => other,
     }
 }
 
@@ -566,10 +481,9 @@ pub fn merge_shards(mut shards: Vec<ShardArchive>) -> Result<CampaignReport> {
 /// plus the growing report, never the whole flat record list, regardless
 /// of how many trials the campaign ran.
 ///
-/// Files are ordered by their shard range first — O(header) per columnar
-/// file via [`ShardArchive::peek_range`] — so the partials stream through
-/// the [`ShardMerger`] in slot order whatever order the paths arrive in.
-/// Columnar and legacy JSON partials can be mixed freely.
+/// Files are ordered by their shard range first — O(header) per file via
+/// [`ShardArchive::peek_range`] — so the partials stream through the
+/// [`ShardMerger`] in slot order whatever order the paths arrive in.
 pub fn merge_shard_files(paths: &[std::path::PathBuf]) -> Result<CampaignReport> {
     if paths.is_empty() {
         return Err(ExperimentError::Merge(
@@ -818,21 +732,12 @@ mod tests {
             .iter()
             .map(|job| {
                 let archive = run_shard(job, 2).unwrap();
-                // Through the columnar wire format, as a real worker
-                // would ship it by default.
+                // Through the columnar wire format, as a real worker ships it.
                 ShardArchive::from_column_bytes(&archive.to_column_bytes()).unwrap()
             })
-            .collect();
-        // And through the legacy JSON wire format, which must keep
-        // merging identically for one version.
-        let json_partials: Vec<ShardArchive> = partials
-            .iter()
-            .map(|p| ShardArchive::from_json_str(&p.to_json_string()).unwrap())
             .collect();
         let merged = merge_shards(partials).unwrap();
         assert_eq!(merged, baseline);
         assert_eq!(merged.to_json_string(), baseline.to_json_string());
-        let merged_json = merge_shards(json_partials).unwrap();
-        assert_eq!(merged_json.to_json_string(), baseline.to_json_string());
     }
 }

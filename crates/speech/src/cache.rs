@@ -1,22 +1,15 @@
-//! A thread-safe cache of rendered utterances.
+//! The identity of a synthetic talker, the utterance-cache key component.
 //!
 //! Synthesis is the single most repeated computation in a campaign: every
 //! trial of every cell speaks one of a handful of `(command, talker)`
-//! combinations.  [`UtteranceCache`] renders each combination once and
-//! hands out shared references, so the per-trial (and per-cell) cost of a
-//! campaign drops to the channel simulation itself.
-//!
-//! The cache key is the *identity* of the talker, not the profile values:
+//! combinations, and the process-wide Prepare cache renders each one once.
+//! Its key is the *identity* of the talker, not the profile values:
 //! the legitimate-delivery semantics select a talker as `seed % 8`
 //! ([`TalkerKey::Variant`]), and the attacker always uses the canonical
 //! TTS voice ([`TalkerKey::Canonical`]).  Rendering is deterministic, so a
 //! cached utterance is bit-identical to a fresh render.
 
-use crate::commands::{CommandId, VoiceCommand};
-use crate::error::Result;
-use crate::synthesis::{SpeakerProfile, Synthesizer, Utterance};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use crate::synthesis::SpeakerProfile;
 
 /// Which synthetic talker speaks the command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,87 +29,5 @@ impl TalkerKey {
             TalkerKey::Canonical => SpeakerProfile::canonical(),
             TalkerKey::Variant(index) => SpeakerProfile::variant(*index),
         }
-    }
-}
-
-/// A thread-safe render-once cache of `(command, talker)` utterances.
-#[derive(Debug, Default)]
-pub struct UtteranceCache {
-    entries: Mutex<HashMap<(CommandId, TalkerKey), Arc<Utterance>>>,
-}
-
-impl UtteranceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        UtteranceCache::default()
-    }
-
-    /// The utterance of `command` spoken by `talker`, rendering it with
-    /// `synth` on the first request and returning the shared copy after.
-    pub fn rendered(
-        &self,
-        synth: &Synthesizer,
-        command: &VoiceCommand,
-        talker: TalkerKey,
-    ) -> Result<Arc<Utterance>> {
-        let key = (command.id, talker);
-        if let Some(hit) = self
-            .entries
-            .lock()
-            .expect("utterance cache poisoned")
-            .get(&key)
-        {
-            return Ok(Arc::clone(hit));
-        }
-        // Render outside the lock: synthesis is the expensive part, and
-        // concurrent misses on *different* keys should not serialise.  A
-        // concurrent miss on the same key renders twice and keeps the
-        // first insertion — wasteful but correct (rendering is pure).
-        let rendered = Arc::new(synth.render(command, &talker.profile())?);
-        let mut entries = self.entries.lock().expect("utterance cache poisoned");
-        Ok(Arc::clone(entries.entry(key).or_insert(rendered)))
-    }
-
-    /// Number of distinct `(command, talker)` renders held.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("utterance cache poisoned").len()
-    }
-
-    /// `true` if nothing has been rendered yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::commands::corpus;
-
-    #[test]
-    fn cache_hits_are_bit_identical_to_fresh_renders_and_rendered_once() {
-        let synth = Synthesizer::new(48_000.0).unwrap();
-        let cache = UtteranceCache::new();
-        let command = &corpus()[0];
-        let first = cache
-            .rendered(&synth, command, TalkerKey::Variant(3))
-            .unwrap();
-        let again = cache
-            .rendered(&synth, command, TalkerKey::Variant(3))
-            .unwrap();
-        // Same allocation, not merely equal content.
-        assert!(Arc::ptr_eq(&first, &again));
-        let fresh = synth.render(command, &SpeakerProfile::variant(3)).unwrap();
-        assert_eq!(first.signal.samples(), fresh.signal.samples());
-        assert_eq!(cache.len(), 1);
-        // A different talker (or command) is a distinct entry.
-        cache
-            .rendered(&synth, command, TalkerKey::Canonical)
-            .unwrap();
-        cache
-            .rendered(&synth, &corpus()[1], TalkerKey::Variant(3))
-            .unwrap();
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.is_empty());
     }
 }

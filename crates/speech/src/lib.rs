@@ -36,7 +36,7 @@ pub mod recognizer;
 pub mod synthesis;
 pub mod vad;
 
-pub use cache::{TalkerKey, UtteranceCache};
+pub use cache::TalkerKey;
 pub use commands::{CommandId, VoiceCommand};
 pub use error::{Result, SpeechError};
 pub use recognizer::{RecognitionOutcome, Recognizer, RecognizerConfig};

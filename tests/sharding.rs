@@ -10,19 +10,12 @@ use inaudible_voice_commands::experiments::shard::{
 use inaudible_voice_commands::experiments::{run_campaign, CampaignSpec};
 
 /// Runs `spec` as `num_shards` shards of `workers` threads each, shipping
-/// every partial through a real file in the given wire format (`"bin"`
-/// for columnar, `"json"` for the legacy text encoding — the extension
-/// picks the encoding, exactly as in the CLI contract), and returns the
-/// merged archive bytes.
-fn sharded_archive_bytes(
-    spec: &CampaignSpec,
-    num_shards: usize,
-    workers: usize,
-    ext: &str,
-) -> String {
+/// every partial through a real file in the columnar wire format, and
+/// returns the merged archive bytes.
+fn sharded_archive_bytes(spec: &CampaignSpec, num_shards: usize, workers: usize) -> String {
     let plan = ShardPlan::partition(spec, num_shards).unwrap();
     let scratch = std::env::temp_dir().join(format!(
-        "ivc-sharding-test-{}-{}-{num_shards}-{workers}-{ext}",
+        "ivc-sharding-test-{}-{}-{num_shards}-{workers}",
         std::process::id(),
         spec.name,
     ));
@@ -32,12 +25,12 @@ fn sharded_archive_bytes(
         .iter()
         .map(|job| {
             let archive = run_shard(job, workers).unwrap();
-            let path = scratch.join(format!("shard-{}.part.{ext}", job.shard.shard_index));
+            let path = scratch.join(format!("shard-{}.part.bin", job.shard.shard_index));
             archive.save(&path).unwrap();
             let reloaded = ShardArchive::load(&path).unwrap();
             assert_eq!(
                 reloaded, archive,
-                "the {ext} wire format must round-trip the shard exactly"
+                "the wire format must round-trip the shard exactly"
             );
             reloaded
         })
@@ -64,20 +57,13 @@ fn smoke_and_a6_archives_are_shard_and_worker_invariant() {
         for num_shards in [2, 4] {
             for workers in [1, 4] {
                 assert_eq!(
-                    sharded_archive_bytes(&spec, num_shards, workers, "bin"),
+                    sharded_archive_bytes(&spec, num_shards, workers),
                     baseline,
                     "{}: {num_shards} shards x {workers} workers changed the archive",
                     spec.name
                 );
             }
         }
-        // The legacy JSON wire format must keep merging to the same bytes.
-        assert_eq!(
-            sharded_archive_bytes(&spec, 2, 1, "json"),
-            baseline,
-            "{}: JSON partials changed the archive",
-            spec.name
-        );
     }
 }
 
@@ -111,5 +97,5 @@ fn mid_cell_shard_boundaries_reproduce_the_bytes() {
         "plan must actually split a cell for this test to mean anything"
     );
     let baseline = run_campaign(&spec, 2).unwrap().to_json_string();
-    assert_eq!(sharded_archive_bytes(&spec, 4, 2, "bin"), baseline);
+    assert_eq!(sharded_archive_bytes(&spec, 4, 2), baseline);
 }

@@ -23,7 +23,7 @@ use inaudible_voice_commands::attack::multispeaker::{
 use inaudible_voice_commands::attack::single::SingleSpeakerAttack;
 use inaudible_voice_commands::core::scenario::{Delivery, Scenario};
 use inaudible_voice_commands::core::{
-    run_trial, PrepareContext, PreparedCell, Result, TrialOutcome,
+    run_trial, PrepareContext, PreparedCell, Result, TrialOutcome, TrialScratch,
 };
 use inaudible_voice_commands::defense::features::DefenseFeatures;
 use inaudible_voice_commands::dsp::signal::Signal;
@@ -265,8 +265,9 @@ fn shared_prepared_cell_reproduces_every_per_seed_legacy_trial() {
         let scenario = scenario_for(delivery, Some(RoomPreset::Office), seeds[0]);
         let ctx = PrepareContext::new().unwrap();
         let prepared = PreparedCell::prepare(&ctx, command, &scenario, &seeds).unwrap();
+        let mut scratch = TrialScratch::new();
         for seed in seeds {
-            let staged = prepared.run(seed, &recognizer, None).unwrap();
+            let staged = prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
             let legacy = legacy_run_trial(command, &scenario.with_seed(seed), &recognizer).unwrap();
             assert_eq!(staged, legacy, "seed {seed} diverged for {delivery:?}");
         }
