@@ -19,6 +19,10 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts (real
+/// documents stay under ten levels): a parse error, not a stack overflow.
+const MAX_NESTING_DEPTH: usize = 128;
+
 /// One node of a JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -202,14 +206,11 @@ impl JsonValue {
 
     /// Parses JSON text into a value tree.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser { text, pos: 0 };
         parser.skip_whitespace();
-        let value = parser.parse_value()?;
+        let value = parser.parse_value(0)?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing characters after the document"));
         }
         Ok(value)
@@ -341,7 +342,9 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset; the parser steps over whole characters only, so it is
+    /// always a char boundary.
     pos: usize,
 }
 
@@ -354,7 +357,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -372,14 +375,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonParseError> {
+    /// Parses the value at `pos`, inside `depth` open arrays and objects.
+    fn parse_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
         match self.peek() {
             Some(b'n') => self.parse_keyword("null", JsonValue::Null),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') if depth == MAX_NESTING_DEPTH => {
+                Err(self.error(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")))
+            }
+            Some(b'[') => self.parse_array(depth + 1),
+            Some(b'{') => self.parse_object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -391,7 +398,7 @@ impl<'a> Parser<'a> {
         keyword: &str,
         value: JsonValue,
     ) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+        if self.text[self.pos..].starts_with(keyword) {
             self.pos += keyword.len();
             Ok(value)
         } else {
@@ -422,8 +429,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid UTF-8 in number"))?;
+        let text = &self.text[start..self.pos];
         let parsed: f64 = text
             .parse()
             .map_err(|_| self.error(format!("invalid number '{text}'")))?;
@@ -491,10 +497,11 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 encoded character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("peek guaranteed a byte");
+                    // Consume one (possibly multi-byte) character.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte");
                     if (ch as u32) < 0x20 {
                         return Err(self.error("unescaped control character in string"));
                     }
@@ -506,17 +513,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_hex4(&mut self) -> Result<u32, JsonParseError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.error("truncated \\u escape"));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid UTF-8 in \\u escape"))?;
+        let text = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
         let value = u32::from_str_radix(text, 16).map_err(|_| self.error("invalid \\u escape"))?;
         self.pos += 4;
         Ok(value)
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, JsonParseError> {
+    fn parse_array(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_whitespace();
@@ -526,7 +532,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_whitespace();
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -539,7 +545,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonParseError> {
+    fn parse_object(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_whitespace();
@@ -553,7 +559,7 @@ impl<'a> Parser<'a> {
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             members.push((key, value));
             self.skip_whitespace();
             match self.peek() {
@@ -713,6 +719,38 @@ mod tests {
             "1e999",
         ] {
             assert!(JsonValue::parse(text).is_err(), "accepted: {text}");
+        }
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // ~1 MB: 80k short strings with a multi-byte character each.  The
+        // parser once re-validated the rest of the document per character,
+        // which took minutes at this size in a debug build.
+        let items: Vec<JsonValue> = (0..80_000)
+            .map(|i| JsonValue::String(format!("s{i:06}é")))
+            .collect();
+        let text = JsonValue::Array(items.clone()).to_json_string();
+        assert!(text.len() > 900_000, "{}", text.len());
+        let start = std::time::Instant::now();
+        assert_eq!(JsonValue::parse(&text).unwrap(), JsonValue::Array(items));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 5.0, "parse took {elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(JsonValue::parse(&nested(MAX_NESTING_DEPTH, "[", "]")).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_NESTING_DEPTH, "{\"k\":", "}")).is_ok());
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let err = JsonValue::parse(&nested(MAX_NESTING_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            // Far past any stack: an error, not an abort.
+            let err = JsonValue::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Content-addressed reuse of Prepare-stage sub-products.
+//! Content-addressed, single-flight memo of campaign products.
 //!
 //! Adjacent cells of a campaign differ in one axis, yet a naive Prepare
 //! rebuilds everything: the TTS render, the attack build (modulation,
@@ -12,6 +12,10 @@
 //! the determining inputs) and memoises the products process-wide, so a
 //! sweep along one axis re-derives only what that axis determines.
 //!
+//! It is the one memo layer for campaign work: it also holds the
+//! default-corpus recognizer and every trained detector, so a process
+//! enrolls and trains once, under the same switch, counters and bound.
+//!
 //! Soundness leans on the purity contract from the staged pipeline: a
 //! trial is a pure function of `(spec, cell, seed)`, so equal keys imply
 //! bit-identical products and archives stay `cmp`-identical with the
@@ -19,30 +23,43 @@
 //! with `{:?}` (shortest round-trip representation), so distinct inputs
 //! always produce distinct keys.
 //!
-//! Memory is bounded: entries are evicted least-recently-used by byte
-//! estimate once the cache exceeds its capacity (default 512 MiB,
+//! Lookups are single-flight.  The map lock only finds or inserts a key's
+//! slot; the first misser builds under the slot's own lock, same-key
+//! callers wait on it and count as hits, and distinct keys never contend.
+//! Nested builds (propagation → utterance) lock slots in dependency order
+//! without the map lock, so they cannot deadlock.  A build that returns
+//! `Err` or panics leaves no entry, so the next caller rebuilds; poisoned
+//! locks are recovered, since no lock guards a half-written value.
+//!
+//! Memory is bounded: finished entries are evicted least-recently-used by
+//! byte estimate once the cache exceeds its capacity (default 512 MiB,
 //! `IVC_PREPARE_CACHE_MB` overrides).  `IVC_PREPARE_CACHE=off` (or `0`)
-//! disables the cache entirely; [`set_enabled`] does the same from code
-//! (the byte-identity suite runs both ways and compares archives).
+//! disables the cache entirely, recognizer and detectors included;
+//! [`set_enabled`] does the same from code (the byte-identity suite runs
+//! both ways and compares archives).
 //!
 //! Telemetry: every lookup increments `executor.prepare_cache_hit` or
 //! `executor.prepare_cache_miss`, and hits additionally count the
 //! per-product `prepare.*_reused` counter, so `repro profile` shows
 //! cache effectiveness per run.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::scenario::Scenario;
 use crate::telemetry;
 use crate::Result;
 use ivc_attack::baseband::BasebandConfig;
 use ivc_attack::leakage::LeakageReport;
+use ivc_defense::classifier::LogisticRegression;
+use ivc_defense::dataset::DatasetConfig;
 use ivc_dsp::signal::Signal;
 use ivc_room::RoomInstance;
 use ivc_speech::cache::TalkerKey;
 use ivc_speech::commands::VoiceCommand;
+use ivc_speech::recognizer::Recognizer;
 use ivc_speech::synthesis::Utterance;
 
 /// Default capacity: generous for workstation campaigns, far below the
@@ -62,8 +79,8 @@ pub struct AttackBuild {
     pub power_shortfall_w: f64,
 }
 
-/// Which Prepare sub-product a cache entry holds (drives the
-/// `prepare.*_reused` telemetry counter names).
+/// Which product a cache entry holds (drives the `prepare.*_reused`
+/// telemetry counter names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProductKind {
     /// A full TTS render for one `(command, talker)`.
@@ -76,6 +93,10 @@ pub enum ProductKind {
     Propagation,
     /// A bystander [`LeakageReport`].
     Leakage,
+    /// The default-corpus [`Recognizer`].
+    Recognizer,
+    /// A trained detector ([`LogisticRegression`]).
+    Detector,
 }
 
 impl ProductKind {
@@ -86,105 +107,56 @@ impl ProductKind {
             ProductKind::Rir => "prepare.rir_reused",
             ProductKind::Propagation => "prepare.propagation_reused",
             ProductKind::Leakage => "prepare.leakage_reused",
+            ProductKind::Recognizer => "prepare.recognizer_reused",
+            ProductKind::Detector => "prepare.detector_reused",
         }
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum Product {
-    Utterance(Arc<Utterance>),
-    Signal(Arc<Signal>),
-    Attack(Arc<AttackBuild>),
-    Room(Arc<RoomInstance>),
-    Leakage(Arc<LeakageReport>),
+mod sealed {
+    pub trait Sealed {}
 }
 
 /// Types the cache can hold. Sealed to this crate: the set of products is
-/// exactly the Prepare stage's sub-products.
-pub(crate) trait Cacheable: Sized {
-    fn wrap(value: &Arc<Self>) -> Product;
-    fn unwrap(product: &Product) -> Option<Arc<Self>>;
+/// exactly the Prepare stage's sub-products plus the campaign set-up ones.
+pub trait Cacheable: sealed::Sealed + Any + Send + Sync {
+    /// Approximate resident size, in bytes, for the LRU bound.
     fn byte_estimate(&self) -> usize;
 }
 
-impl Cacheable for Utterance {
-    fn wrap(value: &Arc<Self>) -> Product {
-        Product::Utterance(Arc::clone(value))
-    }
-    fn unwrap(product: &Product) -> Option<Arc<Self>> {
-        match product {
-            Product::Utterance(u) => Some(Arc::clone(u)),
-            _ => None,
+macro_rules! cacheable {
+    ($($product:ty => |$it:ident| $bytes:expr;)*) => {$(
+        impl sealed::Sealed for $product {}
+        impl Cacheable for $product {
+            fn byte_estimate(&self) -> usize {
+                let $it = self;
+                $bytes
+            }
         }
-    }
-    fn byte_estimate(&self) -> usize {
-        self.signal.len() * 8 + self.word_boundaries.len() * 32 + self.text.len() + 128
-    }
+    )*};
 }
 
-impl Cacheable for Signal {
-    fn wrap(value: &Arc<Self>) -> Product {
-        Product::Signal(Arc::clone(value))
-    }
-    fn unwrap(product: &Product) -> Option<Arc<Self>> {
-        match product {
-            Product::Signal(s) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-    fn byte_estimate(&self) -> usize {
-        self.len() * 8 + 64
-    }
+cacheable! {
+    Utterance => |u| u.signal.len() * 8 + u.word_boundaries.len() * 32 + u.text.len() + 128;
+    Signal => |s| s.len() * 8 + 64;
+    AttackBuild => |a| a.near_field_at_1m.len() * 8 + 128;
+    RoomInstance => |r| r.occluders.len() * 128 + 512;
+    LeakageReport => |_l| 512;
+    // One MFCC template per command: ~200 frames of ~40 coefficients.
+    Recognizer => |r| r.num_templates() * 64 * 1024 + 256;
+    // Weights plus the per-feature means and deviations.
+    LogisticRegression => |m| m.weights().len() * 3 * 8 + 128;
 }
 
-impl Cacheable for AttackBuild {
-    fn wrap(value: &Arc<Self>) -> Product {
-        Product::Attack(Arc::clone(value))
-    }
-    fn unwrap(product: &Product) -> Option<Arc<Self>> {
-        match product {
-            Product::Attack(a) => Some(Arc::clone(a)),
-            _ => None,
-        }
-    }
-    fn byte_estimate(&self) -> usize {
-        self.near_field_at_1m.len() * 8 + 128
-    }
-}
+/// One key's cell: the type-erased product, `None` until its build lands.
+/// The builder holds the lock across the build, so same-key callers wait.
+type Slot = Arc<Mutex<Option<Arc<dyn Any + Send + Sync>>>>;
 
-impl Cacheable for RoomInstance {
-    fn wrap(value: &Arc<Self>) -> Product {
-        Product::Room(Arc::clone(value))
-    }
-    fn unwrap(product: &Product) -> Option<Arc<Self>> {
-        match product {
-            Product::Room(r) => Some(Arc::clone(r)),
-            _ => None,
-        }
-    }
-    fn byte_estimate(&self) -> usize {
-        self.occluders.len() * 128 + 512
-    }
-}
-
-impl Cacheable for LeakageReport {
-    fn wrap(value: &Arc<Self>) -> Product {
-        Product::Leakage(Arc::clone(value))
-    }
-    fn unwrap(product: &Product) -> Option<Arc<Self>> {
-        match product {
-            Product::Leakage(l) => Some(Arc::clone(l)),
-            _ => None,
-        }
-    }
-    fn byte_estimate(&self) -> usize {
-        512
-    }
-}
-
+#[derive(Default)]
 struct Entry {
-    product: Product,
-    bytes: usize,
+    slot: Slot,
+    /// `None` while the build is in flight (not counted, not evictable).
+    bytes: Option<usize>,
     tick: u64,
 }
 
@@ -202,6 +174,11 @@ static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 fn state() -> &'static Mutex<CacheState> {
     static STATE: OnceLock<Mutex<CacheState>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(CacheState::default()))
+}
+
+/// Locks `mutex`, recovering it if a panicking thread poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn enabled_flag() -> &'static AtomicBool {
@@ -227,7 +204,7 @@ fn capacity_bytes() -> usize {
     })
 }
 
-/// `true` when Prepare sub-products are being reused.
+/// `true` when products are being reused.
 pub fn is_enabled() -> bool {
     enabled_flag().load(Ordering::Relaxed)
 }
@@ -240,8 +217,9 @@ pub fn set_enabled(enabled: bool) {
 }
 
 /// Drops every cached product (counters are monotonic and unaffected).
+/// Builds in flight finish and serve their waiters, but are not stored.
 pub fn clear() {
-    let mut guard = state().lock().expect("prepare cache poisoned");
+    let mut guard = lock(state());
     guard.entries.clear();
     guard.total_bytes = 0;
 }
@@ -251,7 +229,8 @@ pub fn clear() {
 /// so concurrent tests can assert on deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache since process start.
+    /// Lookups served from the cache (or a same-key build) since process
+    /// start.
     pub hits: u64,
     /// Lookups that had to build since process start.
     pub misses: u64,
@@ -265,39 +244,64 @@ pub struct CacheStats {
 
 /// Current cache statistics.
 pub fn stats() -> CacheStats {
-    let guard = state().lock().expect("prepare cache poisoned");
+    let guard = lock(state());
     CacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
-        entries: guard.entries.len(),
+        entries: guard.entries.values().filter(|e| e.bytes.is_some()).count(),
         bytes: guard.total_bytes,
     }
 }
 
-fn evict_if_needed(state: &mut CacheState) {
+/// Evicts finished entries, least recently used first, until the cache
+/// fits its bound.  `keep` (the entry just stored) always survives, even
+/// when it alone exceeds the bound.
+fn evict_if_needed(state: &mut CacheState, keep: &str) {
     let cap = capacity_bytes();
-    // The entry just inserted carries the highest tick, so the `> 1`
-    // guard keeps it even when it alone exceeds the bound.
-    while state.total_bytes > cap && state.entries.len() > 1 {
+    while state.total_bytes > cap {
         let victim = state
             .entries
             .iter()
+            .filter(|(k, e)| e.bytes.is_some() && k.as_str() != keep)
             .min_by_key(|(_, e)| e.tick)
             .map(|(k, _)| k.clone());
         let Some(key) = victim else { break };
-        if let Some(entry) = state.entries.remove(&key) {
-            state.total_bytes -= entry.bytes;
+        if let Some(bytes) = state.entries.remove(&key).and_then(|e| e.bytes) {
+            state.total_bytes -= bytes;
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
             telemetry::add_count("executor.prepare_cache_evicted", 1);
         }
     }
 }
 
-/// Looks `key` up; on a miss, runs `build`, stores the product and
-/// returns it. Builds run outside the lock and the first insert wins, so
-/// racing workers converge on one shared `Arc`.
-pub(crate) fn get_or_build<T: Cacheable>(
+/// `key`'s entry while it still holds `slot` (a failed build or [`clear`]
+/// may have dropped it).
+fn entry_of<'s>(state: &'s mut CacheState, key: &str, slot: &Slot) -> Option<&'s mut Entry> {
+    state
+        .entries
+        .get_mut(key)
+        .filter(|e| Arc::ptr_eq(&e.slot, slot))
+}
+
+/// Dropped when a build returns `Err` or unwinds (forgotten on success):
+/// unlists the in-flight entry before the slot unlocks, so waiters retry.
+struct FailedBuild<'a>(&'a str, &'a Slot);
+
+impl Drop for FailedBuild<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(state());
+        if entry_of(&mut state, self.0, self.1).is_some() {
+            state.entries.remove(self.0);
+        }
+    }
+}
+
+/// Looks `key` up; on a miss, runs `build` once, stores the product and
+/// returns it.  Concurrent callers for the same key wait for that one
+/// build and share its `Arc` (see the module docs for the single-flight
+/// and failure contract).
+pub fn get_or_build<T: Cacheable>(
     kind: ProductKind,
     key: &str,
     build: impl FnOnce() -> Result<T>,
@@ -305,44 +309,43 @@ pub(crate) fn get_or_build<T: Cacheable>(
     if !is_enabled() {
         return Ok(Arc::new(build()?));
     }
-    {
-        let mut guard = state().lock().expect("prepare cache poisoned");
-        guard.tick += 1;
-        let tick = guard.tick;
-        if let Some(entry) = guard.entries.get_mut(key) {
-            if let Some(value) = T::unwrap(&entry.product) {
-                entry.tick = tick;
-                drop(guard);
-                HITS.fetch_add(1, Ordering::Relaxed);
-                telemetry::add_count("executor.prepare_cache_hit", 1);
-                telemetry::add_count(kind.reused_counter(), 1);
-                return Ok(value);
-            }
+    loop {
+        let slot = {
+            let mut state = lock(state());
+            state.tick += 1;
+            let tick = state.tick;
+            let entry = state.entries.entry(key.to_string()).or_default();
+            entry.tick = tick;
+            Arc::clone(&entry.slot)
+        };
+        let mut cell = lock(&slot);
+        if let Some(product) = cell.as_ref() {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            telemetry::add_count("executor.prepare_cache_hit", 1);
+            telemetry::add_count(kind.reused_counter(), 1);
+            return Arc::clone(product).downcast::<T>().map_err(|_| {
+                format!("prepare cache key '{key}' holds another product type").into()
+            });
         }
+        if entry_of(&mut lock(state()), key, &slot).is_none() {
+            // The build this caller waited on failed; look the key up anew.
+            continue;
+        }
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        telemetry::add_count("executor.prepare_cache_miss", 1);
+        let failed = FailedBuild(key, &slot);
+        let value = Arc::new(build()?);
+        std::mem::forget(failed);
+        let bytes = value.byte_estimate();
+        *cell = Some(Arc::clone(&value) as _);
+        let mut state = lock(state());
+        if let Some(entry) = entry_of(&mut state, key, &slot) {
+            entry.bytes = Some(bytes);
+            state.total_bytes += bytes;
+            evict_if_needed(&mut state, key);
+        }
+        return Ok(value);
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    telemetry::add_count("executor.prepare_cache_miss", 1);
-    let value = Arc::new(build()?);
-    let bytes = value.byte_estimate();
-    let mut guard = state().lock().expect("prepare cache poisoned");
-    guard.tick += 1;
-    let tick = guard.tick;
-    if let Some(existing) = guard.entries.get(key).and_then(|e| T::unwrap(&e.product)) {
-        // A racing worker inserted first; keep its Arc so every caller
-        // shares one copy (the products are bit-identical by purity).
-        return Ok(existing);
-    }
-    guard.entries.insert(
-        key.to_string(),
-        Entry {
-            product: T::wrap(&value),
-            bytes,
-            tick,
-        },
-    );
-    guard.total_bytes += bytes;
-    evict_if_needed(&mut guard);
-    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -434,9 +437,28 @@ pub fn leakage_key(source_key: &str, scenario: &Scenario) -> String {
     )
 }
 
+/// Key of the default-corpus recognizer (enrollment has no varying inputs).
+pub fn default_recognizer_key() -> String {
+    "recognizer|default-corpus".to_string()
+}
+
+/// Key of a trained detector: its training corpus configuration (training
+/// always runs with the constant `TrainingConfig::default()`).
+pub fn detector_key(config: &DatasetConfig) -> String {
+    format!("detector|{config:?}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn signal(len: usize) -> Signal {
+        Signal::new(vec![0.0; len], 48_000.0).expect("valid signal")
+    }
+
+    fn contains(key: &str) -> bool {
+        lock(state()).entries.contains_key(key)
+    }
 
     #[test]
     fn lru_eviction_respects_the_byte_bound() {
@@ -449,19 +471,110 @@ mod tests {
             state.entries.insert(
                 format!("k{i}"),
                 Entry {
-                    product: Product::Signal(Arc::new(
-                        Signal::new(vec![0.0], 48_000.0).expect("valid signal"),
-                    )),
-                    bytes: capacity_bytes() / 2,
+                    bytes: Some(capacity_bytes() / 2),
                     tick,
+                    ..Entry::default()
                 },
             );
             state.total_bytes += capacity_bytes() / 2;
         }
-        evict_if_needed(&mut state);
+        // An in-flight entry is never a victim.
+        state
+            .entries
+            .insert("pending".to_string(), Entry::default());
+        evict_if_needed(&mut state, "k3");
         assert!(state.total_bytes <= capacity_bytes());
-        // The newest entry always survives.
+        // The entry just stored always survives.
         assert!(state.entries.contains_key("k3"));
+        assert!(state.entries.contains_key("pending"));
+    }
+
+    // The counters are process-wide and other tests in this binary run
+    // Prepare stages concurrently, so stats deltas are checked as lower
+    // bounds; the build count pins the single flight exactly.  The result
+    // holds under any interleaving; the slow build only widens the window
+    // in which a design without single flight would build twice.
+    #[test]
+    fn same_key_callers_share_one_build() {
+        set_enabled(true);
+        let key = "test|single-flight";
+        let builds = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let before = stats();
+        let values: Vec<Arc<Signal>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        get_or_build(ProductKind::Propagation, key, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            Ok(signal(16))
+                        })
+                        .expect("build succeeds")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let after = stats();
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "build must run once");
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        assert!(after.misses - before.misses >= 1);
+        assert!(after.hits - before.hits >= 7);
+        assert!(contains(key));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_rebuildable() {
+        set_enabled(true);
+        let key = "test|panicking-build";
+        let outcome = std::panic::catch_unwind(|| {
+            get_or_build::<Signal>(ProductKind::Propagation, key, || panic!("build failed"))
+        });
+        assert!(outcome.is_err());
+        assert!(!contains(key), "a panicked build must leave no entry");
+        // The cache stays usable: stats, other keys and the same key.
+        let before = stats();
+        let other = get_or_build(ProductKind::Propagation, "test|after-panic", || {
+            Ok(signal(4))
+        })
+        .expect("other keys still build");
+        assert_eq!(other.len(), 4);
+        let rebuilt =
+            get_or_build(ProductKind::Propagation, key, || Ok(signal(8))).expect("rebuilds");
+        assert_eq!(rebuilt.len(), 8);
+        assert!(stats().misses - before.misses >= 2);
+        assert!(contains(key));
+    }
+
+    #[test]
+    fn a_failed_build_leaves_no_entry_and_wakes_its_waiters() {
+        set_enabled(true);
+        let key = "test|failed-build";
+        let (building, started) = std::sync::mpsc::channel();
+        let (failed, waited) = std::thread::scope(|scope| {
+            let failing = scope.spawn(move || {
+                get_or_build::<Signal>(ProductKind::Propagation, key, || {
+                    building.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Err("no product".into())
+                })
+            });
+            // The waiter starts only once the failing build holds the slot,
+            // so it either waits on that build or arrives after it failed;
+            // both ways it must build afresh.
+            started.recv().unwrap();
+            let waiter =
+                scope.spawn(|| get_or_build(ProductKind::Propagation, key, || Ok(signal(2))));
+            (failing.join().unwrap(), waiter.join().unwrap())
+        });
+        assert!(failed.is_err());
+        assert_eq!(waited.expect("the waiter builds afresh").len(), 2);
+        let key = "test|failed-build-alone";
+        let failed = get_or_build::<Signal>(ProductKind::Propagation, key, || Err("no".into()));
+        assert!(failed.is_err());
+        assert!(!contains(key), "a failed build must leave no entry");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::aggregate::{aggregate_cells, psychometric_curves};
 use crate::error::{ExperimentError, Result};
 use crate::grid::{BandSummarySpec, CampaignSpec, DetectorSpec};
 use crate::report::CampaignReport;
+use ivc_core::prepare_cache::{self, ProductKind};
 use ivc_core::{telemetry, PrepareContext, PreparedCell, TrialScratch};
 use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
 use ivc_defense::dataset::Dataset;
@@ -113,51 +114,6 @@ pub fn train_detector_model(spec: &DetectorSpec) -> Result<LogisticRegression> {
         .map_err(|e| ExperimentError::Setup(format!("detector training: {e}")))
 }
 
-/// Process-wide memo of trained detectors, keyed by the full spec.
-///
-/// Training is a pure function of the [`DetectorSpec`], so a model can be
-/// shared across campaigns: `repro all` runs d1/d3/d4/every d5 level/d6
-/// against the byte-identical "standard detector" and trains it exactly
-/// once per process instead of once per campaign.
-static DETECTOR_MEMO: std::sync::OnceLock<Mutex<HashMap<String, Arc<LogisticRegression>>>> =
-    std::sync::OnceLock::new();
-
-/// Process-wide memo of the default-corpus recognizer.
-///
-/// Corpus enrollment is deterministic and read-only after construction, so
-/// every campaign in a process (a `repro all`, a bench loop, a shard
-/// worker) shares one instance instead of re-enrolling per campaign —
-/// `campaign.setup` amortises to a map lookup after the first run.
-static RECOGNIZER_MEMO: std::sync::OnceLock<std::result::Result<Arc<Recognizer>, String>> =
-    std::sync::OnceLock::new();
-
-fn cached_default_recognizer() -> Result<Arc<Recognizer>> {
-    RECOGNIZER_MEMO
-        .get_or_init(|| {
-            Recognizer::with_default_corpus()
-                .map(Arc::new)
-                .map_err(|e| format!("recogniser: {e}"))
-        })
-        .clone()
-        .map_err(ExperimentError::Setup)
-}
-
-fn cached_detector_model(spec: &DetectorSpec) -> Result<Arc<LogisticRegression>> {
-    // `Debug` covers every field deterministically, so it is a sound
-    // memo key for a pure training function.
-    let key = format!("{spec:?}");
-    let memo = DETECTOR_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = memo.lock().expect("detector memo poisoned").get(&key) {
-        return Ok(Arc::clone(hit));
-    }
-    // Train outside the lock: concurrent misses on different specs should
-    // not serialise; a duplicate train on the same spec keeps the first
-    // insertion (training is pure, so both are identical).
-    let model = Arc::new(train_detector_model(spec)?);
-    let mut entries = memo.lock().expect("detector memo poisoned");
-    Ok(Arc::clone(entries.entry(key).or_insert(model)))
-}
-
 /// Runs every trial of `spec` on a pool of `workers` threads and returns
 /// the aggregated, archivable report.
 ///
@@ -209,7 +165,12 @@ pub(crate) fn execute_jobs(
         return Ok(Vec::new());
     }
     let setup_span = telemetry::span("campaign.setup");
-    let recognizer = cached_default_recognizer()?;
+    let recognizer = prepare_cache::get_or_build(
+        ProductKind::Recognizer,
+        &prepare_cache::default_recognizer_key(),
+        || Ok(Recognizer::with_default_corpus()?),
+    )
+    .map_err(|e| ExperimentError::Setup(format!("recogniser: {e}")))?;
     let recognizer = recognizer.as_ref();
     let commands = corpus();
     let cells = spec.cells();
@@ -285,9 +246,14 @@ pub(crate) fn execute_jobs(
                 let entry = &spec.detectors[detector_index];
                 let handle = scope.spawn(move || match entry {
                     None => Ok(None),
-                    Some(detector_spec) => cached_detector_model(detector_spec)
+                    Some(detector_spec) => {
+                        let key = prepare_cache::detector_key(&detector_spec.dataset_config());
+                        prepare_cache::get_or_build(ProductKind::Detector, &key, || {
+                            Ok(train_detector_model(detector_spec)?)
+                        })
                         .map(Some)
-                        .map_err(|e| e.to_string()),
+                        .map_err(|e| e.to_string())
+                    }
                 });
                 (detector_index, handle)
             })

@@ -5,7 +5,7 @@
 //! across distinct axis sub-tuples (fuzzed below).
 
 use ivc_core::prepare_cache;
-use ivc_experiments::grid::{CampaignSpec, DeliverySpec};
+use ivc_experiments::grid::{CampaignSpec, DeliverySpec, DetectorSpec};
 use ivc_experiments::run_campaign;
 use ivc_room::RoomPreset;
 use ivc_speech::cache::TalkerKey;
@@ -14,9 +14,19 @@ use proptest::prelude::*;
 
 /// A small multi-axis campaign: delivery × room, two trials per cell, so
 /// the run exercises utterance, attack-build, RIR, propagation and
-/// leakage caching plus the legitimate talker-variant paths.
+/// leakage caching plus the legitimate talker-variant paths — and, through
+/// its one tiny detector, the cached recognizer and trained detector.
 fn multi_axis_spec() -> CampaignSpec {
     CampaignSpec {
+        detectors: vec![Some(DetectorSpec {
+            // The smallest corpus that still trains (the classifier wants
+            // >= 4 samples): 3 legitimate variants + 1 attack.
+            distances_m: vec![1.5],
+            num_speaker_variants: 3,
+            command_indices: vec![0],
+            max_voice_duration_s: 0.8,
+            ..DetectorSpec::standard(true)
+        })],
         deliveries: vec![
             DeliverySpec::legitimate("legit talker", 68.0),
             DeliverySpec::array("array (4 elements, 40 W)", 4, 40.0, 40_000.0),
@@ -47,12 +57,17 @@ fn archives_are_byte_identical_with_cache_on_off_warm_cold_any_workers() {
         "a cold cache must record misses"
     );
 
-    // Fully warm cache: the same campaign re-prepares nothing.
+    // Fully warm cache: the same campaign re-prepares, re-enrolls and
+    // re-trains nothing.
     let warm2 = run_campaign(&spec, 1).expect("warm run 2").to_json_string();
     let after_second = prepare_cache::stats();
     assert_eq!(
         after_second.misses, after_first.misses,
         "a fully warm re-run must not miss"
+    );
+    assert_eq!(
+        after_second.entries, after_first.entries,
+        "a fully warm re-run must add no entries"
     );
     assert!(
         after_second.hits > after_first.hits,
