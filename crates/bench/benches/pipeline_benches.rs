@@ -1,11 +1,11 @@
 //! Criterion benches for the end-to-end trial pipeline (the unit of work
-//! behind every accuracy-vs-distance point in the reproduction), including
-//! the staged-pipeline reuse criterion: a campaign cell's trials through
-//! one shared `PreparedCell` versus rebuilding everything per trial.
+//! behind every accuracy-vs-distance point in the reproduction), a whole
+//! quick campaign, the shard merge and the columnar wire format.  These
+//! are local layer timings; the end-to-end perf ledger is `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ivc_core::run_trial;
 use ivc_core::scenario::{Delivery, Scenario};
-use ivc_core::{run_trial, PrepareContext, PreparedCell, TrialScratch};
 use ivc_experiments::shard::{merge_shards, ShardArchive, ShardPlan};
 use ivc_experiments::{CampaignSpec, DeliverySpec, TrialRecord};
 use ivc_speech::commands::corpus;
@@ -41,28 +41,6 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| run_trial(command, &attack, &recognizer, None).unwrap())
     });
 
-    // The PreparedCell reuse criterion: a 4-trial campaign cell run by
-    // rebuilding the full pipeline per trial vs preparing once and
-    // perturbing/evaluating per seed.  The ratio of these two numbers is
-    // the campaign speed-up the staged refactor buys.
-    let seeds: Vec<u64> = (1..=4).collect();
-    group.bench_function("prepared_vs_rebuild/rebuild_4_trials", |b| {
-        b.iter(|| {
-            for &seed in &seeds {
-                run_trial(command, &attack.with_seed(seed), &recognizer, None).unwrap();
-            }
-        })
-    });
-    group.bench_function("prepared_vs_rebuild/prepared_4_trials", |b| {
-        b.iter(|| {
-            let ctx = PrepareContext::new().unwrap();
-            let prepared = PreparedCell::prepare(&ctx, command, &attack, &seeds).unwrap();
-            let mut scratch = TrialScratch::new();
-            for &seed in &seeds {
-                prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
-            }
-        })
-    });
     group.finish();
 }
 

@@ -35,9 +35,6 @@
 //! cargo run --release -p ivc-bench --bin repro -- profile a1
 //! cargo run --release -p ivc-bench --bin repro -- profile smoke --shards 2
 //!
-//! # Compare two committed bench snapshots (exit 1 past the threshold):
-//! cargo run --release -p ivc-bench --bin repro -- bench-diff BENCH_pr7.json fresh.json
-//!
 //! # Flags (each mode accepts only its own; see ACCEPTED_FLAGS below):
 //! #   --workers N             worker threads per process (default: all cores;
 //! #                           cores / shards when sharded; 1 for profile)
@@ -52,7 +49,6 @@
 //! #   --metrics FILE          write span/counter metrics JSON (ivc-metrics-v1;
 //! #                           fleet-merged across workers when sharded)
 //! #   --trace FILE            write a Chrome trace-event JSON (chrome://tracing / Perfetto)
-//! #   --max-regress PCT       bench-diff regression threshold in percent (default 25)
 //! #   --job FILE / --out FILE / --out-dir DIR   shard-worker, shard-merge, export-json
 //! #                           and shard-plan inputs and outputs
 //! ```
@@ -91,9 +87,6 @@ enum Mode {
     /// stage totals track wall clock; with `--shards N` the table is the
     /// merged fleet of supervised worker processes).
     Profile(Vec<String>),
-    /// Compare two bench snapshots (`bench-diff OLD NEW`), exiting
-    /// non-zero when a bench entry's mean regressed past `--max-regress`.
-    BenchDiff(PathBuf, PathBuf),
 }
 
 /// The flags each mode accepts (`experiments` is a run without a
@@ -110,7 +103,6 @@ const ACCEPTED_FLAGS: &[(&str, &[&str])] = &[
     ("orchestrate", &["--workers", "--shards", "--archive", "--max-retries",
                       "--straggler-timeout", "--resume", "--metrics", "--trace"]),
     ("profile", &["--workers", "--shards", "--metrics", "--trace"]),
-    ("bench-diff", &["--max-regress"]),
 ];
 
 /// "experiment runs and the campaign and orchestrate subcommands": the
@@ -150,7 +142,6 @@ struct Options {
     resume: Option<PathBuf>,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
-    max_regress: Option<f64>,
 }
 
 impl Options {
@@ -189,10 +180,6 @@ impl Options {
             "--resume" => self.resume = Some(value("a checkpoint directory")?.into()),
             "--metrics" => self.metrics = Some(value("an output file")?.into()),
             "--trace" => self.trace = Some(value("an output file")?.into()),
-            "--max-regress" => {
-                let pct = value("a percentage")?;
-                self.max_regress = Some(positive(flag, pct, "a positive percentage")?);
-            }
             _ => return Err(format!("unknown flag '{flag}'")),
         }
         Ok(())
@@ -242,7 +229,7 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             name @ ("campaign" | "shard-plan" | "shard-worker" | "shard-merge" | "export-json"
-            | "orchestrate" | "profile" | "bench-diff")
+            | "orchestrate" | "profile")
                 if subcommand.is_none() =>
             {
                 // A subcommand after positionals would silently demote
@@ -354,15 +341,6 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
                 ));
             }
             Mode::Profile(positionals)
-        }
-        Some("bench-diff") => {
-            if positionals.len() != 2 {
-                return Err(
-                    "bench-diff needs exactly two snapshot files: bench-diff OLD NEW".to_string(),
-                );
-            }
-            let mut paths = positionals.into_iter().map(PathBuf::from);
-            Mode::BenchDiff(paths.next().expect("two"), paths.next().expect("two"))
         }
         Some(_) => unreachable!(),
     };
@@ -839,28 +817,6 @@ fn main() {
                     }
                     Err(e) => fail(format_args!("profile {preset} failed: {e}")),
                 }
-            }
-        }
-        Mode::BenchDiff(old_path, new_path) => {
-            let threshold = options.max_regress.unwrap_or(25.0);
-            let read = |path: &Path| -> String {
-                std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| fail(format_args!("reading {}: {e}", path.display())))
-            };
-            let (old_text, new_text) = (read(&old_path), read(&new_path));
-            match bench_diff(&old_text, &new_text, threshold) {
-                Ok(report) => {
-                    println!("{}", report.table.render());
-                    if !report.regressions.is_empty() {
-                        fail(format_args!(
-                            "{} bench regression(s) past {threshold}%: {}",
-                            report.regressions.len(),
-                            report.regressions.join("; ")
-                        ));
-                    }
-                    println!("no bench regression past {threshold}%");
-                }
-                Err(e) => fail(e),
             }
         }
         Mode::Experiments(experiments) => {

@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ivc_core::json::JsonValue;
 use ivc_core::results::{fmt, Series, Table};
 use ivc_core::scenario::Delivery;
 use ivc_core::telemetry;
@@ -625,7 +624,7 @@ fn stage_time_ns(snapshot: &telemetry::Snapshot) -> u64 {
     ]
     .iter()
     .map(|name| snapshot.span(name).map(|s| s.total_ns).unwrap_or(0))
-    .sum()
+    .fold(0, u64::saturating_add)
 }
 
 /// Merges worker sidecar snapshots into the coordinator's local snapshot,
@@ -637,7 +636,10 @@ pub fn merge_fleet_metrics(
     local: telemetry::Snapshot,
     workers: &[telemetry::Snapshot],
 ) -> Result<telemetry::Snapshot> {
-    let worker_stage_ns: u64 = workers.iter().map(stage_time_ns).sum();
+    let worker_stage_ns = workers
+        .iter()
+        .map(stage_time_ns)
+        .fold(0, u64::saturating_add);
     let mut fleet = local.with_source("coordinator");
     for worker in workers {
         fleet.merge(worker);
@@ -883,170 +885,6 @@ pub fn write_trace_file(path: &Path, snapshot: &telemetry::Snapshot) -> Result<(
     text.push('\n');
     std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
     Ok(())
-}
-
-/// The format tag of the committed machine-readable bench snapshot
-/// (`BENCH_*.json`, regenerated by `scripts/bench-snapshot.sh`).
-pub const BENCH_SNAPSHOT_FORMAT: &str = "ivc-bench-snapshot-v1";
-
-/// The outcome of comparing two bench snapshots: a one-row-per-entry
-/// delta table plus the list of entries whose mean regressed past the
-/// threshold (the gate — empty means the diff passes).
-pub struct BenchDiffReport {
-    /// Per-entry mean deltas; bench entries first, then the per-stage
-    /// attribution deltas (annotate-only — stage means move with worker
-    /// counts and runner load, so they inform but never gate).
-    pub table: Table,
-    /// One line per bench entry over the regression threshold.
-    pub regressions: Vec<String>,
-}
-
-/// The comparable content of an `ivc-bench-snapshot-v1` document:
-/// `group/name → mean_ns` for the bench entries and `span → mean_ns`
-/// for the folded-in stage attribution.
-struct BenchSnapshot {
-    benches: Vec<(String, f64)>,
-    stages: Vec<(String, f64)>,
-}
-
-fn parse_bench_snapshot(text: &str, label: &str) -> Result<BenchSnapshot> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("parsing {label}: {e}"))?;
-    if doc.get("format").and_then(JsonValue::as_str) != Some(BENCH_SNAPSHOT_FORMAT) {
-        return Err(format!("{label} is not an {BENCH_SNAPSHOT_FORMAT} document").into());
-    }
-    let mut benches = Vec::new();
-    for entry in doc
-        .get("benches")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&[])
-    {
-        let key = match (
-            entry.get("group").and_then(JsonValue::as_str),
-            entry.get("name").and_then(JsonValue::as_str),
-        ) {
-            (Some(group), Some(name)) => format!("{group}/{name}"),
-            _ => return Err(format!("{label} has a bench entry without group/name").into()),
-        };
-        let mean = entry
-            .get("mean_ns")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{label} bench entry '{key}' is missing mean_ns"))?;
-        benches.push((key, mean));
-    }
-    let mut stages = Vec::new();
-    if let Some(spans) = doc
-        .get("stage_attribution")
-        .and_then(|s| s.get("spans"))
-        .and_then(JsonValue::as_array)
-    {
-        for span in spans {
-            let name = span
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{label} has a stage-attribution span without a name"))?;
-            let mean = span
-                .get("mean_ns")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("{label} stage span '{name}' is missing mean_ns"))?;
-            stages.push((name.to_string(), mean));
-        }
-    }
-    Ok(BenchSnapshot { benches, stages })
-}
-
-/// The key union of two `(key, value)` lists: old order first, then
-/// new-only keys in their own order.
-fn key_union(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<String> {
-    let mut keys: Vec<String> = old.iter().map(|(k, _)| k.clone()).collect();
-    for (k, _) in new {
-        if !keys.contains(k) {
-            keys.push(k.clone());
-        }
-    }
-    keys
-}
-
-/// Compares two `ivc-bench-snapshot-v1` documents entry by entry.  A
-/// bench entry whose mean grew by more than `max_regress_pct` percent is
-/// a **regression** (listed in [`BenchDiffReport::regressions`]); stage
-/// attribution deltas appear in the table for context but never gate.
-/// Entries present on only one side are reported as added/removed.
-pub fn bench_diff(old_text: &str, new_text: &str, max_regress_pct: f64) -> Result<BenchDiffReport> {
-    let old = parse_bench_snapshot(old_text, "OLD")?;
-    let new = parse_bench_snapshot(new_text, "NEW")?;
-    let mut table = Table::new(
-        format!("Bench diff — mean per entry (gate: > +{max_regress_pct:.0}% on bench entries)"),
-        &[
-            "Entry",
-            "Old mean (ms)",
-            "New mean (ms)",
-            "Delta (%)",
-            "Status",
-        ],
-    );
-    let mut regressions = Vec::new();
-    let mut push = |key: &str, old_mean: Option<f64>, new_mean: Option<f64>, gated: bool| {
-        let (delta, status) = match (old_mean, new_mean) {
-            (Some(o), Some(n)) if o > 0.0 => {
-                let pct = 100.0 * (n - o) / o;
-                let status = if !gated {
-                    "info"
-                } else if pct > max_regress_pct {
-                    regressions.push(format!(
-                        "{key}: mean {:.3} ms -> {:.3} ms (+{:.1}% > {:.0}%)",
-                        o / 1e6,
-                        n / 1e6,
-                        pct,
-                        max_regress_pct
-                    ));
-                    "REGRESSED"
-                } else if pct < -max_regress_pct {
-                    // Improvements past the gate threshold get their own
-                    // annotation so perf wins are visible in CI logs, not
-                    // just the absence of a failure.
-                    "IMPROVED"
-                } else {
-                    "ok"
-                };
-                (format!("{pct:+.1}"), status)
-            }
-            (Some(_), Some(_)) => ("-".into(), "info"),
-            (Some(_), None) => ("-".into(), "removed"),
-            (None, Some(_)) => ("-".into(), "added"),
-            (None, None) => ("-".into(), "-"),
-        };
-        table.push_row(vec![
-            key.to_string(),
-            old_mean
-                .map(|v| fmt(v / 1e6, 3))
-                .unwrap_or_else(|| "-".into()),
-            new_mean
-                .map(|v| fmt(v / 1e6, 3))
-                .unwrap_or_else(|| "-".into()),
-            delta,
-            status.to_string(),
-        ]);
-    };
-    let lookup =
-        |list: &[(String, f64)], key: &str| list.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-    for key in key_union(&old.benches, &new.benches) {
-        push(
-            &key,
-            lookup(&old.benches, &key),
-            lookup(&new.benches, &key),
-            true,
-        );
-    }
-    for key in key_union(&old.stages, &new.stages) {
-        let label = format!("stage:{key}");
-        push(
-            &label,
-            lookup(&old.stages, &key),
-            lookup(&new.stages, &key),
-            false,
-        );
-    }
-    Ok(BenchDiffReport { table, regressions })
 }
 
 /// Trial records of a report paired with their attack/legitimate label

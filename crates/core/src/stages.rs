@@ -201,83 +201,20 @@ impl PreparedCell {
             Delivery::SingleSpeakerUltrasound {
                 power_w,
                 carrier_hz,
-            } => {
-                let build_key = prepare_cache::attack_build_key(command, scenario, &ctx.baseband);
-                let build =
-                    prepare_cache::get_or_build(ProductKind::AttackBuild, &build_key, || {
-                        let voice = attack_voice(ctx, command, scenario, cap_s)?;
-                        let _span = telemetry::span("prepare.attack_build");
-                        let attack =
-                            SingleSpeakerAttack::build(&voice, carrier_hz, 0.9, &ctx.baseband)?;
-                        let speaker = UltrasonicSpeaker::default();
-                        let array = SpeakerArray::new(speaker.clone(), 1, 0.03)?;
-                        let placed_w = power_w.min(speaker.max_power_w);
-                        let drives = single_speaker_element_drives(&attack, placed_w)?;
-                        Ok(AttackBuild {
-                            near_field_at_1m: array.emitted_field_at_1m(&drives)?,
-                            aperture_m: array.aperture_m(),
-                            power_shortfall_w: power_w - placed_w,
-                        })
-                    })?;
-                let (at_port, leak) = deliver_attack(&build, &build_key, scenario, room)?;
-                (
-                    PreparedPaths::Attack(at_port),
-                    Some(leak),
-                    build.power_shortfall_w,
-                )
-            }
+            } => prepare_attack(ctx, command, scenario, room, 1, power_w, carrier_hz)?,
             Delivery::ArrayUltrasound {
                 num_elements,
                 total_power_w,
                 carrier_hz,
-            } => {
-                let build_key = prepare_cache::attack_build_key(command, scenario, &ctx.baseband);
-                let build =
-                    prepare_cache::get_or_build(ProductKind::AttackBuild, &build_key, || {
-                        let voice = attack_voice(ctx, command, scenario, cap_s)?;
-                        let _span = telemetry::span("prepare.attack_build");
-                        let speaker = UltrasonicSpeaker::default();
-                        let array = SpeakerArray::new(speaker.clone(), num_elements.max(1), 0.03)?;
-                        let (drives, shortfall_w) = if num_elements <= 1 {
-                            let attack =
-                                SingleSpeakerAttack::build(&voice, carrier_hz, 0.9, &ctx.baseband)?;
-                            let placed_w = total_power_w.min(speaker.max_power_w);
-                            (
-                                single_speaker_element_drives(&attack, placed_w)?,
-                                total_power_w - placed_w,
-                            )
-                        } else {
-                            // `build_balanced` sizes the carrier element group
-                            // against the budget, so big arrays keep their
-                            // carrier-to-sideband balance instead of starving the
-                            // carrier at one element's rating (the old E-A2
-                            // 61-element anomaly).
-                            let attack = MultiSpeakerAttack::build_balanced(
-                                &voice,
-                                carrier_hz,
-                                num_elements,
-                                total_power_w,
-                                0.3,
-                                speaker.max_power_w,
-                                &ctx.baseband,
-                            )?;
-                            let allocation =
-                                attack.allocate_power(total_power_w, 0.3, speaker.max_power_w)?;
-                            (allocation.drives, allocation.shortfall_w)
-                        };
-                        Ok(AttackBuild {
-                            near_field_at_1m: array.emitted_field_at_1m(&drives)?,
-                            aperture_m: array.aperture_m(),
-                            power_shortfall_w: shortfall_w,
-                        })
-                    })?;
-                let (at_port, leak) = deliver_attack(&build, &build_key, scenario, room)?;
-                (
-                    PreparedPaths::Attack(at_port),
-                    Some(leak),
-                    build.power_shortfall_w,
-                )
-            }
+            } => prepare_attack(
+                ctx,
+                command,
+                scenario,
+                room,
+                num_elements,
+                total_power_w,
+                carrier_hz,
+            )?,
         };
         Ok(PreparedCell {
             scenario: scenario.clone(),
@@ -437,9 +374,8 @@ fn attack_voice(
     ctx: &PrepareContext,
     command: &VoiceCommand,
     scenario: &Scenario,
-    cap_s: f64,
 ) -> Result<Signal> {
-    let voice = ctx.voice(command, TalkerKey::Canonical, cap_s)?;
+    let voice = ctx.voice(command, TalkerKey::Canonical, scenario.max_voice_duration_s)?;
     if scenario.shadow_suppression > 0.0 {
         Ok(precompensated_baseband(
             &voice,
@@ -448,6 +384,63 @@ fn attack_voice(
     } else {
         Ok(voice)
     }
+}
+
+/// Prepares an ultrasonic attack from `num_elements` speakers sharing
+/// `total_power_w` (a single speaker is the one-element array): builds
+/// the emitted near field, or fetches it from the Prepare cache, and
+/// delivers it to the target and the bystander.
+fn prepare_attack(
+    ctx: &PrepareContext,
+    command: &VoiceCommand,
+    scenario: &Scenario,
+    room: Option<&RoomInstance>,
+    num_elements: usize,
+    total_power_w: f64,
+    carrier_hz: f64,
+) -> Result<(PreparedPaths, Option<LeakageReport>, f64)> {
+    let build_key = prepare_cache::attack_build_key(command, scenario, &ctx.baseband);
+    let build = prepare_cache::get_or_build(ProductKind::AttackBuild, &build_key, || {
+        let voice = attack_voice(ctx, command, scenario)?;
+        let _span = telemetry::span("prepare.attack_build");
+        let speaker = UltrasonicSpeaker::default();
+        let array = SpeakerArray::new(speaker.clone(), num_elements.max(1), 0.03)?;
+        let (drives, shortfall_w) = if num_elements <= 1 {
+            let attack = SingleSpeakerAttack::build(&voice, carrier_hz, 0.9, &ctx.baseband)?;
+            let placed_w = total_power_w.min(speaker.max_power_w);
+            (
+                single_speaker_element_drives(&attack, placed_w)?,
+                total_power_w - placed_w,
+            )
+        } else {
+            // `build_balanced` sizes the carrier element group against the
+            // budget, so big arrays keep their carrier-to-sideband balance
+            // instead of starving the carrier at one element's rating (the
+            // old E-A2 61-element anomaly).
+            let attack = MultiSpeakerAttack::build_balanced(
+                &voice,
+                carrier_hz,
+                num_elements,
+                total_power_w,
+                0.3,
+                speaker.max_power_w,
+                &ctx.baseband,
+            )?;
+            let allocation = attack.allocate_power(total_power_w, 0.3, speaker.max_power_w)?;
+            (allocation.drives, allocation.shortfall_w)
+        };
+        Ok(AttackBuild {
+            near_field_at_1m: array.emitted_field_at_1m(&drives)?,
+            aperture_m: array.aperture_m(),
+            power_shortfall_w: shortfall_w,
+        })
+    })?;
+    let (at_port, leak) = deliver_attack(&build, &build_key, scenario, room)?;
+    Ok((
+        PreparedPaths::Attack(at_port),
+        Some(leak),
+        build.power_shortfall_w,
+    ))
 }
 
 /// Propagates a 1 m-referenced pressure waveform from a source of
@@ -546,6 +539,31 @@ mod tests {
         let a = prepared.perturb(1, &mut scratch).unwrap();
         let b = prepared.perturb(2, &mut scratch).unwrap();
         assert_ne!(a.samples(), b.samples());
+    }
+
+    #[test]
+    fn a_single_speaker_is_the_one_element_array() {
+        let recognizer = Recognizer::with_default_corpus().unwrap();
+        let command = &corpus()[0];
+        let ctx = PrepareContext::new().unwrap();
+        let mut scratch = TrialScratch::new();
+        let mut outcome = |delivery: Delivery| {
+            let scenario = quick_scenario(delivery);
+            PreparedCell::prepare(&ctx, command, &scenario, &[7])
+                .unwrap()
+                .run(7, &recognizer, None, &mut scratch)
+                .unwrap()
+        };
+        let single = outcome(Delivery::SingleSpeakerUltrasound {
+            power_w: 3.0,
+            carrier_hz: 30_000.0,
+        });
+        let array = outcome(Delivery::ArrayUltrasound {
+            num_elements: 1,
+            total_power_w: 3.0,
+            carrier_hz: 30_000.0,
+        });
+        assert_eq!(single, array);
     }
 
     #[test]

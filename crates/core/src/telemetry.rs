@@ -86,16 +86,17 @@ impl SpanStat {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Fold another aggregate into this one: counts and totals add,
-    /// min/max widen, histograms add bucket-wise. This is the span half
-    /// of [`Snapshot::merge`].
+    /// Fold another aggregate into this one: counts and totals add
+    /// (saturating, so two accepted documents never overflow), min/max
+    /// widen, histograms add bucket-wise. This is the span half of
+    /// [`Snapshot::merge`].
     pub fn absorb(&mut self, other: &SpanStat) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
+        self.count = self.count.saturating_add(other.count);
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += *theirs;
+            *mine = mine.saturating_add(*theirs);
         }
     }
 
@@ -113,14 +114,14 @@ impl SpanStat {
             if in_bucket == 0 {
                 continue;
             }
-            if seen + in_bucket >= target {
+            if seen.saturating_add(in_bucket) >= target {
                 let lo = if i == 0 { 0u64 } else { 1u64 << i };
                 let hi = (1u64 << (i + 1)) - 1;
                 let frac = (target - seen) as f64 / in_bucket as f64;
                 let estimate = (lo as f64 + frac * (hi - lo) as f64) as u64;
                 return estimate.clamp(self.min_ns, self.max_ns);
             }
-            seen += in_bucket;
+            seen = seen.saturating_add(in_bucket);
         }
         self.max_ns
     }
@@ -471,23 +472,30 @@ impl Snapshot {
                 max_ns: need_u64(entry, "max_ns")?,
                 buckets: [0; HISTOGRAM_BUCKETS],
             };
-            let offset = need_u64(entry, "histogram_log2_ns_offset")? as usize;
+            let offset = need_u64(entry, "histogram_log2_ns_offset")?;
             let hist = entry
                 .get("histogram_log2_ns")
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| format!("span '{name}' missing histogram_log2_ns"))?;
-            if offset + hist.len() > HISTOGRAM_BUCKETS {
-                return Err(format!(
-                    "span '{name}' histogram spills past bucket {HISTOGRAM_BUCKETS}"
-                )
-                .into());
-            }
+            let offset = usize::try_from(offset)
+                .ok()
+                .filter(|o| {
+                    o.checked_add(hist.len())
+                        .is_some_and(|end| end <= HISTOGRAM_BUCKETS)
+                })
+                .ok_or_else(|| {
+                    format!("span '{name}' histogram spills past bucket {HISTOGRAM_BUCKETS}")
+                })?;
             for (i, value) in hist.iter().enumerate() {
                 stat.buckets[offset + i] = value
                     .as_u64()
                     .ok_or_else(|| format!("span '{name}' has a non-integer histogram bucket"))?;
             }
-            if stat.buckets.iter().sum::<u64>() != stat.count {
+            let mass = stat
+                .buckets
+                .iter()
+                .try_fold(0u64, |sum, &bucket| sum.checked_add(bucket));
+            if mass != Some(stat.count) {
                 return Err(
                     format!("span '{name}' histogram mass does not match its count").into(),
                 );
@@ -547,7 +555,10 @@ impl Snapshot {
     /// provenance (a parsed or merged fleet document) is unchanged.
     pub fn with_source(mut self, label: &str) -> Snapshot {
         if self.sources.is_empty() {
-            let spans = self.spans.iter().map(|(_, stat)| stat.count).sum();
+            let spans = self
+                .spans
+                .iter()
+                .fold(0, |sum: u64, (_, stat)| sum.saturating_add(stat.count));
             self.sources.push((label.to_string(), spans));
         }
         self
@@ -557,10 +568,11 @@ impl Snapshot {
     /// absorb name-wise ([`SpanStat::absorb`]), counters and per-source
     /// span counts sum name-wise, dropped-event counts add, and the result
     /// stays sorted — so merging is associative and commutative and
-    /// preserves total span counts and histogram mass. Trace events are
-    /// process-local and do not merge: the merged snapshot is a
-    /// metrics-level document with no events (export any trace *before*
-    /// merging).
+    /// preserves total span counts and histogram mass. Every sum saturates
+    /// at `u64::MAX`, so no pair of parsed documents can overflow it.
+    /// Trace events are process-local and do not merge: the merged
+    /// snapshot is a metrics-level document with no events (export any
+    /// trace *before* merging).
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, stat) in &other.spans {
             match self.spans.iter_mut().find(|(k, _)| k == name) {
@@ -571,19 +583,19 @@ impl Snapshot {
         self.spans.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, value) in &other.counters {
             match self.counters.iter_mut().find(|(k, _)| k == name) {
-                Some((_, mine)) => *mine += value,
+                Some((_, mine)) => *mine = mine.saturating_add(*value),
                 None => self.counters.push((name.clone(), *value)),
             }
         }
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, spans) in &other.sources {
             match self.sources.iter_mut().find(|(k, _)| k == name) {
-                Some((_, mine)) => *mine += spans,
+                Some((_, mine)) => *mine = mine.saturating_add(*spans),
                 None => self.sources.push((name.clone(), *spans)),
             }
         }
         self.sources.sort_by(|a, b| a.0.cmp(&b.0));
-        self.dropped_events += other.dropped_events;
+        self.dropped_events = self.dropped_events.saturating_add(other.dropped_events);
         self.events.clear();
     }
 
@@ -881,6 +893,17 @@ mod tests {
         let text = snap.metrics_json(2.0).to_json_string_pretty();
         let parsed = Snapshot::parse_metrics(&text).expect("parses");
         assert_eq!(parsed, snap, "parse inverts metrics_json");
+
+        // Two sidecars whose counters and span totals sit at u64::MAX
+        // merge by saturating, never by panicking or wrapping.
+        let mut huge = synthetic_snapshot(&[("test.a", &[1])], &[("test.n", u64::MAX)]);
+        huge.spans[0].1.total_ns = u64::MAX;
+        let text = huge.metrics_json(1.0).to_json_string();
+        let mut fleet = Snapshot::parse_metrics(&text).expect("sidecar 0 parses");
+        fleet.merge(&Snapshot::parse_metrics(&text).expect("sidecar 1 parses"));
+        assert_eq!(fleet.counter("test.n"), u64::MAX);
+        let span = fleet.span("test.a").expect("merged span");
+        assert_eq!((span.count, span.total_ns), (2, u64::MAX));
     }
 
     #[test]
@@ -894,6 +917,30 @@ mod tests {
         let lying = doc.replace("\"count\":2", "\"count\":5");
         let err = Snapshot::parse_metrics(&lying).expect_err("mass mismatch");
         assert!(err.to_string().contains("histogram mass"), "{err}");
+
+        // Hostile sidecars: an offset that overflows `offset + len`, and
+        // buckets whose mass overflows u64 (it must not wrap to `count`).
+        let hostile = |count: &str, offset: &str, buckets: &str| {
+            format!(
+                r#"{{"format":"{METRICS_FORMAT}","wall_s":1,"counters":[],"spans":[{{
+                "name":"test.h","count":{count},"total_ns":1,"min_ns":1,"max_ns":1,
+                "histogram_log2_ns_offset":{offset},"histogram_log2_ns":{buckets}}}]}}"#
+            )
+        };
+        for (doc, needle) in [
+            (
+                hostile("1", r#""18446744073709551615""#, "[1]"),
+                "spills past",
+            ),
+            (hostile("1", "40", "[1]"), "spills past"),
+            (
+                hostile("0", "0", r#"["18446744073709551615", 1]"#),
+                "histogram mass",
+            ),
+        ] {
+            let err = Snapshot::parse_metrics(&doc).expect_err("hostile sidecar");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]
