@@ -17,10 +17,10 @@ use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
 use ivc_dsp::signal::Signal;
 
-/// Reusable buffers for [`Microphone::capture_with_scratch`]: the complex
-/// FFT workspace of the front-end shaping stage and the analog-chain work
-/// buffer.  One arena per worker thread removes the per-trial allocations
-/// of the capture path.
+/// Reusable buffers for [`Microphone::capture_with_scratch`]: the
+/// half-spectrum workspace of the front-end shaping stage and the
+/// analog-chain work buffer.  One arena per worker thread removes the
+/// per-trial allocations of the capture path.
 #[derive(Debug, Default)]
 pub struct CaptureScratch {
     spectrum: Vec<Complex>,
@@ -31,6 +31,12 @@ impl CaptureScratch {
     /// An empty arena; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         CaptureScratch::default()
+    }
+
+    /// Returns the buffer of an analog signal from
+    /// [`Microphone::analog_front_end`] to the arena for the next capture.
+    pub fn recycle(&mut self, analog: Signal) {
+        self.work = analog.into_samples();
     }
 }
 
@@ -185,6 +191,26 @@ impl Microphone {
         seed: u64,
         scratch: &mut CaptureScratch,
     ) -> Result<Signal> {
+        let analog = self.analog_front_end(pressure_at_port, seed, scratch)?;
+        let digital = digitize(&analog, &self.adc, seed);
+        scratch.recycle(analog);
+        digital
+    }
+
+    /// The analog half of [`Microphone::capture`]: grille/transducer
+    /// response, capsule self noise, normalisation against the acoustic
+    /// overload point and the non-linearity.  The result, at the input
+    /// rate and relative to full scale, is what [`digitize`] with this
+    /// microphone's `adc` turns into the recording.
+    ///
+    /// The returned signal owns the arena's work buffer; hand it back with
+    /// [`CaptureScratch::recycle`] once digitised.
+    pub fn analog_front_end(
+        &self,
+        pressure_at_port: &Signal,
+        seed: u64,
+        scratch: &mut CaptureScratch,
+    ) -> Result<Signal> {
         if pressure_at_port.is_empty() {
             return Err(AcousticsError::invalid("pressure_at_port", "empty signal"));
         }
@@ -216,12 +242,7 @@ impl Microphone {
 
         // 4. Transducer/amplifier non-linearity (memoryless).
         self.nonlinearity.apply_in_place(&mut work);
-
-        // 5. ADC: anti-alias, resample, quantise.
-        let analog = Signal::new(work, pressure_at_port.sample_rate_hz())?;
-        let digital = digitize(&analog, &self.adc, seed);
-        scratch.work = analog.into_samples();
-        digital
+        Ok(Signal::new(work, pressure_at_port.sample_rate_hz())?)
     }
 
     /// The demodulation efficiency of the microphone for an AM ultrasound

@@ -18,8 +18,7 @@
 use crate::absorption::absorption_gain;
 use crate::environment::AirEnvironment;
 use crate::error::{AcousticsError, Result};
-use ivc_dsp::complex::Complex;
-use ivc_dsp::fft::{bin_frequency, fft_in_place, next_power_of_two};
+use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 
 /// Propagates `source_at_1m` (a pressure waveform in pascal referenced to
@@ -139,13 +138,10 @@ pub fn propagate_with_gain_curve(
     // An extended source keeps its on-axis level out to the frequency's
     // Rayleigh distance before the 1/r decay starts.
     let n = next_power_of_two(source_at_1m.len());
-    let mut buffer = vec![Complex::ZERO; n];
-    for (slot, &x) in buffer.iter_mut().zip(source_at_1m.samples().iter()) {
-        *slot = Complex::from_real(x);
-    }
-    fft_in_place(&mut buffer, false)?;
-    for (k, value) in buffer.iter_mut().enumerate() {
-        let f = bin_frequency(k, n, fs).abs();
+    let mut spectrum = Vec::new();
+    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
+    for (k, value) in spectrum.iter_mut().enumerate() {
+        let f = bin_frequency(k, n, fs);
         let collimated_to_m = rayleigh_distance_m(aperture_m, f, env).max(1.0);
         let spreading_gain = (collimated_to_m / distance_m).min(1.0);
         let gain = absorption_gain(f, distance_m, env)?;
@@ -155,12 +151,9 @@ pub fn propagate_with_gain_curve(
         let curve_gain = interpolate_gain_curve(gain_curve, f);
         *value = value.scale(gain * spreading_gain * curve_gain);
     }
-    fft_in_place(&mut buffer, true)?;
-    let mut samples: Vec<f64> = buffer
-        .into_iter()
-        .take(source_at_1m.len())
-        .map(|c| c.re)
-        .collect();
+    let mut samples = Vec::new();
+    irfft_into(&mut spectrum, &mut samples)?;
+    samples.truncate(source_at_1m.len());
 
     // Whole-sample propagation delay.
     let delay_samples = propagation_delay_samples(distance_m, fs, env);

@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use ivc_dsp::complex::Complex;
-use ivc_dsp::fft::{bin_frequency, fft_in_place, next_power_of_two};
+use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 
 /// Applies the magnitude response `gain_at(frequency_hz)` to `input`.
@@ -26,8 +26,9 @@ pub fn shape_spectrum(input: &Signal, gain_at: impl Fn(f64) -> f64) -> Result<Si
 }
 
 /// [`shape_spectrum`] writing into caller-owned buffers: `spectrum` is the
-/// complex FFT workspace and `out` receives the shaped samples (both are
-/// cleared and resized).  Hot paths reuse the allocations across calls.
+/// half-spectrum workspace of the real transform and `out` receives the
+/// shaped samples (both are cleared and resized).  Hot paths reuse the
+/// allocations across calls.
 pub fn shape_spectrum_into(
     input: &Signal,
     gain_at: impl Fn(f64) -> f64,
@@ -40,20 +41,16 @@ pub fn shape_spectrum_into(
     }
     let fs = input.sample_rate_hz();
     let n = next_power_of_two(input.len());
-    spectrum.clear();
-    spectrum.resize(n, Complex::ZERO);
-    for (slot, &x) in spectrum.iter_mut().zip(input.samples().iter()) {
-        *slot = Complex::from_real(x);
-    }
-    fft_in_place(spectrum, false)?;
+    rfft_into(input.samples(), n, spectrum)?;
+    // The half spectrum holds bins 0..=n/2, all at non-negative
+    // frequencies; their mirror images get the same gain.
     for (k, value) in spectrum.iter_mut().enumerate() {
-        let f = bin_frequency(k, n, fs).abs();
+        let f = bin_frequency(k, n, fs);
         let g = gain_at(f).max(0.0);
         *value = value.scale(g);
     }
-    fft_in_place(spectrum, true)?;
-    out.clear();
-    out.extend(spectrum.iter().take(input.len()).map(|c| c.re));
+    irfft_into(spectrum, out)?;
+    out.truncate(input.len());
     Ok(())
 }
 

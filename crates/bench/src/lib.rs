@@ -697,7 +697,12 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
     ),
     (
         telemetry::SPAN_STAGE_PERTURB,
-        &["perturb.ambient_noise", "perturb.mic_capture"],
+        &[
+            "perturb.ambient_noise",
+            "perturb.mic_capture",
+            "perturb.mic_capture.front_end",
+            "perturb.mic_capture.adc",
+        ],
     ),
     (
         telemetry::SPAN_STAGE_EVALUATE,
@@ -840,7 +845,10 @@ fn attribution_report(
     for (top, subs) in PROFILE_ROWS {
         stage_total_s += row((*top).to_string(), top);
         for sub in *subs {
-            row(format!("  {sub}"), sub);
+            // Indent by nesting: `perturb.mic_capture.adc` sits under
+            // `perturb.mic_capture`.
+            let indent = "  ".repeat(sub.matches('.').count());
+            row(format!("{indent}{sub}"), sub);
         }
     }
     // Prepare-cache effectiveness: hit/miss/eviction counters plus the

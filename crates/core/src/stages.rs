@@ -32,6 +32,7 @@ use crate::prepare_cache::{self, AttackBuild, ProductKind};
 use crate::scenario::{Delivery, Scenario};
 use crate::telemetry;
 use crate::Result;
+use ivc_acoustics::adc::digitize;
 use ivc_acoustics::array::SpeakerArray;
 use ivc_acoustics::microphone::{CaptureScratch, Microphone};
 use ivc_acoustics::noise::room_noise_pa;
@@ -277,12 +278,21 @@ impl PreparedCell {
             )?;
             pressure_at_port.mix(&noise)?;
         }
+        // `Microphone::capture_with_scratch`, split so each half of the
+        // capture chain gets its own span.
         let _span = telemetry::span("perturb.mic_capture");
-        let recording =
+        let analog = {
+            let _span = telemetry::span("perturb.mic_capture.front_end");
             self.microphone
-                .capture_with_scratch(&pressure_at_port, seed, &mut scratch.capture)?;
+                .analog_front_end(&pressure_at_port, seed, &mut scratch.capture)?
+        };
+        let recording = {
+            let _span = telemetry::span("perturb.mic_capture.adc");
+            digitize(&analog, &self.microphone.adc, seed)
+        };
+        scratch.capture.recycle(analog);
         scratch.pressure = pressure_at_port.into_samples();
-        Ok(recording)
+        Ok(recording?)
     }
 
     /// Stage 3: recognition, defense features and the optional trained

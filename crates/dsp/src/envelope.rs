@@ -9,7 +9,7 @@
 
 use crate::complex::Complex;
 use crate::error::{DspError, Result};
-use crate::fft::{fft_in_place, next_power_of_two};
+use crate::fft::{fft_in_place, next_power_of_two, rfft_into};
 use crate::filter::biquad::BiquadCascade;
 use crate::signal::Signal;
 
@@ -22,21 +22,14 @@ pub fn analytic_signal(samples: &[f64]) -> Result<Vec<Complex>> {
         });
     }
     let n = next_power_of_two(samples.len());
-    let mut buffer = vec![Complex::ZERO; n];
-    for (slot, &x) in buffer.iter_mut().zip(samples.iter()) {
-        *slot = Complex::from_real(x);
+    // The forward half comes from the real transform: keep DC and Nyquist,
+    // double the positive frequencies, leave the negative ones at zero.
+    let mut buffer = Vec::with_capacity(n);
+    rfft_into(samples, n, &mut buffer)?;
+    for value in buffer.iter_mut().take(n / 2).skip(1) {
+        *value = value.scale(2.0);
     }
-    fft_in_place(&mut buffer, false)?;
-    // Build the analytic spectrum.
-    for (k, value) in buffer.iter_mut().enumerate() {
-        if k == 0 || k == n / 2 {
-            // DC and Nyquist stay as they are.
-        } else if k < n / 2 {
-            *value = value.scale(2.0);
-        } else {
-            *value = Complex::ZERO;
-        }
-    }
+    buffer.resize(n, Complex::ZERO);
     fft_in_place(&mut buffer, true)?;
     buffer.truncate(samples.len());
     Ok(buffer)

@@ -8,12 +8,19 @@
 //! (e.g. the defense's shadow-correlation feature).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::{DspError, Result};
 use crate::fft::KernelSpectrum;
 use crate::signal::Signal;
 use crate::window::WindowKind;
+
+/// The process-wide [`FirFilter::low_pass_cached`] memo, keyed by the
+/// design parameters.
+fn design_memo() -> &'static Mutex<HashMap<String, Arc<FirFilter>>> {
+    static MEMO: OnceLock<Mutex<HashMap<String, Arc<FirFilter>>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
 
 /// A finite-impulse-response filter described by its coefficients.
 ///
@@ -137,14 +144,15 @@ impl FirFilter {
         taps: usize,
         window: WindowKind,
     ) -> Result<Arc<Self>> {
-        static MEMO: OnceLock<Mutex<HashMap<String, Arc<FirFilter>>>> = OnceLock::new();
         let key = format!(
             "{:x}|{:x}|{taps}|{window:?}",
             cutoff_hz.to_bits(),
             sample_rate_hz.to_bits()
         );
-        let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = memo.lock().expect("fir design memo poisoned").get(&key) {
+        // Entries are inserted whole, so a panic elsewhere while the lock
+        // was held leaves the map consistent: recover a poisoned lock.
+        let memo = || design_memo().lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = memo().get(&key) {
             return Ok(Arc::clone(hit));
         }
         // Design outside the lock; on a race the first insert wins, which
@@ -155,7 +163,7 @@ impl FirFilter {
             taps,
             window,
         )?);
-        let mut guard = memo.lock().expect("fir design memo poisoned");
+        let mut guard = memo();
         let entry = guard.entry(key).or_insert(designed);
         Ok(Arc::clone(entry))
     }
@@ -460,5 +468,20 @@ mod tests {
     fn rejects_empty_input() {
         let f = FirFilter::low_pass(1_000.0, 8_000.0, 51, WindowKind::Hamming).unwrap();
         assert!(f.filter(&[]).is_err());
+    }
+
+    #[test]
+    fn design_memo_survives_a_poisoned_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _guard = design_memo().lock().unwrap();
+            panic!("poison the design memo");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(design_memo().is_poisoned());
+        let first = FirFilter::low_pass_cached(3_000.0, 44_100.0, 33, WindowKind::Hann).unwrap();
+        let again = FirFilter::low_pass_cached(3_000.0, 44_100.0, 33, WindowKind::Hann).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        let designed = FirFilter::low_pass(3_000.0, 44_100.0, 33, WindowKind::Hann).unwrap();
+        assert_eq!(*first, designed);
     }
 }

@@ -6,7 +6,7 @@
 //! below 50 Hz (defense shadow feature), and spectral tilt (defense).
 
 use crate::error::{DspError, Result};
-use crate::fft::{fft_real_n, next_power_of_two};
+use crate::fft::{next_power_of_two, rfft_into};
 use crate::window::WindowKind;
 
 /// A power spectral density estimate.
@@ -133,6 +133,7 @@ pub fn welch_psd(
 
     let n_bins = nfft / 2 + 1;
     let mut accumulated = vec![0.0; n_bins];
+    let mut spec = Vec::with_capacity(n_bins);
     let mut n_segments = 0usize;
     let mut start = 0usize;
     while start + segment_len <= samples.len() {
@@ -142,7 +143,7 @@ pub fn welch_psd(
             .map(|(s, w)| s * w)
             .collect();
         frame.resize(nfft, 0.0);
-        let spec = fft_real_n(&frame, nfft)?;
+        rfft_into(&frame, nfft, &mut spec)?;
         for (k, acc) in accumulated.iter_mut().enumerate() {
             // One-sided PSD: double everything except DC and Nyquist.
             let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
@@ -155,7 +156,7 @@ pub fn welch_psd(
         // Signal shorter than one segment: pad a single frame.
         let mut frame: Vec<f64> = samples.iter().zip(win.iter()).map(|(s, w)| s * w).collect();
         frame.resize(nfft, 0.0);
-        let spec = fft_real_n(&frame, nfft)?;
+        rfft_into(&frame, nfft, &mut spec)?;
         for (k, acc) in accumulated.iter_mut().enumerate() {
             let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
             *acc += scale * spec[k].norm_sqr() / (sample_rate_hz * win_power);

@@ -6,7 +6,7 @@
 //! defense features build on.
 
 use crate::error::{DspError, Result};
-use crate::fft::{fft_real_n, next_power_of_two};
+use crate::fft::{next_power_of_two, rfft_into};
 use crate::window::WindowKind;
 
 /// Magnitude/power spectrogram of a signal.
@@ -94,6 +94,7 @@ pub fn spectrogram(
 
     let mut frames = Vec::new();
     let mut times_s = Vec::new();
+    let mut spec = Vec::with_capacity(n_bins);
     let mut start = 0usize;
     // Always emit at least one frame, zero-padding if the signal is short.
     loop {
@@ -107,7 +108,7 @@ pub fn spectrogram(
             .map(|(s, w)| s * w)
             .collect();
         frame.resize(nfft, 0.0);
-        let spec = fft_real_n(&frame, nfft)?;
+        rfft_into(&frame, nfft, &mut spec)?;
         let power: Vec<f64> = (0..n_bins)
             .map(|k| {
                 let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };

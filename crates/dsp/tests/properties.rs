@@ -8,7 +8,7 @@
 use ivc_dsp::complex::Complex;
 use ivc_dsp::correlation::{autocorrelation, pearson_correlation};
 use ivc_dsp::envelope::hilbert_envelope;
-use ivc_dsp::fft::{fft, fft_real_n, ifft, next_power_of_two};
+use ivc_dsp::fft::{fft, fft_real_n, ifft, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::resample::{downsample, upsample};
@@ -18,6 +18,22 @@ use proptest::prelude::*;
 
 fn sample_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0f64..1.0, 4..max_len)
+}
+
+/// The textbook O(n²) DFT of a real signal, bins `0..=n/2`.
+fn naive_dft(samples: &[f64]) -> Vec<Complex> {
+    let n = samples.len();
+    let phasors: Vec<Complex> = (0..n)
+        .map(|m| Complex::cis(-2.0 * std::f64::consts::PI * m as f64 / n as f64))
+        .collect();
+    (0..=n / 2)
+        .map(|k| {
+            samples
+                .iter()
+                .enumerate()
+                .fold(Complex::ZERO, |acc, (j, &x)| acc + phasors[(j * k) % n] * x)
+        })
+        .collect()
 }
 
 proptest! {
@@ -42,6 +58,28 @@ proptest! {
         let time_energy: f64 = samples.iter().map(|x| x * x).sum();
         let freq_energy: f64 = spec.iter().map(|c| c.norm_sqr()).sum::<f64>() / n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * (1.0 + time_energy));
+    }
+
+    #[test]
+    fn real_fft_matches_naive_dft_and_round_trips(
+        log2 in 0usize..13,
+        pool in prop::collection::vec(-1.0f64..1.0, 4096..4097),
+    ) {
+        let n = 1usize << log2;
+        let samples = &pool[..n];
+        let mut spectrum = Vec::new();
+        rfft_into(samples, n, &mut spectrum).unwrap();
+        let naive = naive_dft(samples);
+        prop_assert_eq!(spectrum.len(), naive.len());
+        for (fast, slow) in spectrum.iter().zip(naive.iter()) {
+            prop_assert!((*fast - *slow).abs() < 1e-12 * n as f64);
+        }
+        let mut back = Vec::new();
+        irfft_into(&mut spectrum, &mut back).unwrap();
+        prop_assert_eq!(back.len(), n);
+        for (x, y) in samples.iter().zip(back.iter()) {
+            prop_assert!((x - y).abs() < 1e-12);
+        }
     }
 
     #[test]

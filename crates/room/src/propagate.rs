@@ -29,7 +29,7 @@ use ivc_acoustics::propagation::{
     interpolate_gain_curve, propagate_with_gain_curve, propagation_delay_samples,
 };
 use ivc_dsp::complex::Complex;
-use ivc_dsp::fft::{bin_frequency, fft_in_place, next_power_of_two};
+use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::sparse::{convolve_sparse_into, SparseTap, SparseTaps};
 
@@ -91,30 +91,38 @@ pub fn propagate_in_room(
     let mut out = direct_signal.into_samples();
     out.resize(out.len().max(len + max_delay), 0.0);
 
-    // One forward FFT; each active band re-uses it via a masked inverse.
+    // One forward real FFT; each active band re-uses it via a masked
+    // inverse.  The half spectrum holds bins 0..=n/2; every bin but DC and
+    // Nyquist stands for itself and its mirror image, so counts twice in
+    // the power sums.
     let n = next_power_of_two(len);
-    let mut spectrum = vec![Complex::ZERO; n];
-    for (slot, &x) in spectrum.iter_mut().zip(source_at_1m.samples().iter()) {
-        *slot = Complex::from_real(x);
-    }
-    fft_in_place(&mut spectrum, false)?;
-    let total_power: f64 = spectrum.iter().map(|v| v.re * v.re + v.im * v.im).sum();
+    let mut spectrum = Vec::new();
+    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
+    let bin_power = |k: usize, v: &Complex| {
+        let mirrored = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
+        mirrored * (v.re * v.re + v.im * v.im)
+    };
+    let total_power: f64 = spectrum
+        .iter()
+        .enumerate()
+        .map(|(k, v)| bin_power(k, v))
+        .sum();
 
-    let mut buffer: Vec<Complex> = Vec::with_capacity(n);
-    let mut band_time: Vec<f64> = Vec::with_capacity(len);
+    let mut buffer: Vec<Complex> = Vec::with_capacity(spectrum.len());
+    let mut band_time: Vec<f64> = Vec::with_capacity(n);
     let mut contribution: Vec<f64> = Vec::new();
 
     for (band, &anchor_hz) in ANCHOR_FREQUENCIES_HZ.iter().enumerate() {
         let (lo, hi) = band_bounds(band);
         let in_band = |k: usize| {
-            let f = bin_frequency(k, n, fs).abs();
+            let f = bin_frequency(k, n, fs);
             f >= lo && f < hi
         };
         let band_power: f64 = spectrum
             .iter()
             .enumerate()
             .filter(|&(k, _)| in_band(k))
-            .map(|(_, v)| v.re * v.re + v.im * v.im)
+            .map(|(k, v)| bin_power(k, v))
             .sum();
         if band_power <= total_power * BAND_POWER_SKIP_FRACTION {
             continue;
@@ -135,9 +143,9 @@ pub fn propagate_in_room(
         }
         let taps = SparseTaps::new(taps)?;
 
-        // The masked inverse reuses one complex workspace and one
+        // The masked inverse reuses one half-spectrum workspace and one
         // convolution output buffer across bands: memcpy + in-place ops
-        // instead of a fresh allocation per band, with identical numerics.
+        // instead of a fresh allocation per band.
         buffer.clear();
         buffer.extend_from_slice(&spectrum);
         for (k, value) in buffer.iter_mut().enumerate() {
@@ -145,9 +153,8 @@ pub fn propagate_in_room(
                 *value = Complex::ZERO;
             }
         }
-        fft_in_place(&mut buffer, true)?;
-        band_time.clear();
-        band_time.extend(buffer.iter().take(len).map(|v| v.re));
+        irfft_into(&mut buffer, &mut band_time)?;
+        band_time.truncate(len);
         let band_signal = Signal::new(std::mem::take(&mut band_time), fs)?;
         convolve_sparse_into(&band_signal, &taps, &mut contribution)?;
         band_time = band_signal.into_samples();

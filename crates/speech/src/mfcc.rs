@@ -5,7 +5,7 @@
 //! vectors.  The implementation follows the standard HTK-style recipe.
 
 use crate::error::{Result, SpeechError};
-use ivc_dsp::fft::{fft_real_n, next_power_of_two};
+use ivc_dsp::fft::{next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
 
@@ -188,6 +188,7 @@ pub fn mfcc(signal: &Signal, config: &MfccConfig) -> Result<MfccFrames> {
     let filterbank = build_filterbank(config, fs, nfft, n_bins);
 
     let mut frames = Vec::new();
+    let mut spec = Vec::with_capacity(n_bins);
     let mut start = 0usize;
     while start + frame_len <= emphasised.len() || (start == 0 && !emphasised.is_empty()) {
         let end = (start + frame_len).min(emphasised.len());
@@ -198,8 +199,8 @@ pub fn mfcc(signal: &Signal, config: &MfccConfig) -> Result<MfccFrames> {
             .collect();
         frame.resize(nfft, 0.0);
         let energy: f64 = frame.iter().map(|x| x * x).sum::<f64>().max(1e-12);
-        let spec = fft_real_n(&frame, nfft)?;
-        let power: Vec<f64> = (0..n_bins).map(|k| spec[k].norm_sqr()).collect();
+        rfft_into(&frame, nfft, &mut spec)?;
+        let power: Vec<f64> = spec.iter().map(|c| c.norm_sqr()).collect();
         // Mel filterbank energies.
         let mut log_mel = Vec::with_capacity(config.num_filters);
         for filter in &filterbank {
