@@ -683,7 +683,14 @@ pub struct ProfileReport {
 /// are informational (they nest inside their parent's total).
 const PROFILE_ROWS: &[(&str, &[&str])] = &[
     ("campaign.setup", &[]),
-    ("campaign.detector_train", &[]),
+    (
+        "campaign.detector_train",
+        &[
+            "campaign.detector_train.corpus",
+            "campaign.detector_train.features",
+            "campaign.detector_train.fit",
+        ],
+    ),
     ("executor.cell_wait", &[]),
     (
         telemetry::SPAN_STAGE_PREPARE,
@@ -846,8 +853,12 @@ fn attribution_report(
         stage_total_s += row((*top).to_string(), top);
         for sub in *subs {
             // Indent by nesting: `perturb.mic_capture.adc` sits under
-            // `perturb.mic_capture`.
-            let indent = "  ".repeat(sub.matches('.').count());
+            // `perturb.mic_capture`, and a sub-step named after its row
+            // (`campaign.detector_train.fit`) one level under that row.
+            let depth = sub
+                .strip_prefix(top)
+                .map_or(sub.matches('.').count(), |rest| rest.matches('.').count());
+            let indent = "  ".repeat(depth);
             row(format!("{indent}{sub}"), sub);
         }
     }

@@ -427,13 +427,18 @@ pub fn target_propagation_key(source_key: &str, aperture_m: f64, scenario: &Scen
 }
 
 /// Key of the bystander propagation + leakage analysis: source, bystander
-/// distance, room geometry, air.
+/// distance, room preset, air.  The target distance is *not* part of it:
+/// the bystander's room path (`RoomInstance::bystander_rir`) depends only
+/// on the room, the source and the bystander, so every target distance in
+/// a room shares one leakage build.
 pub fn leakage_key(source_key: &str, scenario: &Scenario) -> String {
+    let room = match scenario.room {
+        None => "free".to_string(),
+        Some(preset) => format!("room|{preset:?}"),
+    };
     format!(
-        "leak|{source_key}|b={:?}|{}|env={:?}",
-        scenario.bystander_distance_m,
-        room_part(scenario),
-        scenario.env,
+        "leak|{source_key}|b={:?}|{room}|env={:?}",
+        scenario.bystander_distance_m, scenario.env,
     )
 }
 
@@ -593,5 +598,22 @@ mod tests {
             target_propagation_key("src", 0.1, &a),
             target_propagation_key("src", 0.1, &farther),
         );
+        // In a room, the target distance does not reach the bystander's
+        // leakage, but the bystander distance does.
+        let mut in_room = a.clone();
+        in_room.room = Some(ivc_room::RoomPreset::Office);
+        let mut in_room_farther = in_room.clone();
+        in_room_farther.distance_m += 1.0;
+        let mut bystander_farther = in_room.clone();
+        bystander_farther.bystander_distance_m += 0.5;
+        assert_eq!(
+            leakage_key("src", &in_room),
+            leakage_key("src", &in_room_farther),
+        );
+        assert_ne!(
+            leakage_key("src", &in_room),
+            leakage_key("src", &bystander_farther),
+        );
+        assert_ne!(leakage_key("src", &a), leakage_key("src", &in_room));
     }
 }

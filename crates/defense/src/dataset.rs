@@ -10,7 +10,7 @@ use ivc_acoustics::array::SpeakerArray;
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_acoustics::noise::room_noise_pa;
-use ivc_acoustics::propagation::propagate;
+use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
 use ivc_acoustics::speaker::UltrasonicSpeaker;
 use ivc_acoustics::spl::spl_db_to_pressure;
 use ivc_attack::baseband::BasebandConfig;
@@ -119,20 +119,28 @@ pub fn generate_legit_recording(
     Ok(device.microphone().capture(&at_mic, seed)?)
 }
 
-/// Produces an attack recording: the ultrasonic injection played by a
-/// speaker (or array), propagated and captured by the device.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_attack_recording(
+/// The distance-independent half of an attack recording: the pressure the
+/// speaker (or array) emits at 1 m on-axis, plus the aperture that sets how
+/// it spreads.  It depends on the voice, element count, power and carrier,
+/// never on distance, device or seed, so one emission serves every
+/// distance a corpus covers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EmittedAttack {
+    /// Emitted pressure waveform at 1 m on-axis, in pascal.
+    pub near_field_at_1m: Signal,
+    /// Physical aperture of the emitting array, in metres.
+    pub aperture_m: f64,
+}
+
+/// Builds the attack's emitted near field: modulates `voice` onto the
+/// carrier, splits it across `attack_elements` speakers (1 = single
+/// speaker baseline) and sums their emissions at 1 m.
+pub fn emit_attack(
     voice: &Signal,
-    device: DevicePreset,
-    distance_m: f64,
     attack_elements: usize,
     total_power_w: f64,
     carrier_hz: f64,
-    ambient_noise_spl_db: f64,
-    env: &AirEnvironment,
-    seed: u64,
-) -> Result<Signal> {
+) -> Result<EmittedAttack> {
     if attack_elements == 0 {
         return Err(DefenseError::invalid(
             "attack_elements",
@@ -152,7 +160,29 @@ pub fn generate_attack_recording(
         let drives = attack.element_drives(total_power_w, 0.3, speaker.max_power_w)?;
         (array, drives)
     };
-    let mut at_mic = array.field_at_target(&drives, distance_m, env)?;
+    Ok(EmittedAttack {
+        near_field_at_1m: array.emitted_field_at_1m(&drives)?,
+        aperture_m: array.aperture_m(),
+    })
+}
+
+/// The per-distance half of an attack recording: propagates an emitted
+/// near field `distance_m` down the beam, adds ambient noise and captures
+/// it with the device.
+pub fn record_attack(
+    emitted: &EmittedAttack,
+    device: DevicePreset,
+    distance_m: f64,
+    ambient_noise_spl_db: f64,
+    env: &AirEnvironment,
+    seed: u64,
+) -> Result<Signal> {
+    let mut at_mic = propagate_from_aperture(
+        &emitted.near_field_at_1m,
+        distance_m,
+        emitted.aperture_m,
+        env,
+    )?;
     let noise = room_noise_pa(
         ambient_noise_spl_db,
         at_mic.duration_s(),
@@ -161,6 +191,32 @@ pub fn generate_attack_recording(
     )?;
     at_mic.mix(&noise)?;
     Ok(device.microphone().capture(&at_mic, seed)?)
+}
+
+/// Produces an attack recording: the ultrasonic injection played by a
+/// speaker (or array), propagated and captured by the device.  The
+/// composition of [`emit_attack`] and [`record_attack`].
+#[allow(clippy::too_many_arguments)]
+pub fn generate_attack_recording(
+    voice: &Signal,
+    device: DevicePreset,
+    distance_m: f64,
+    attack_elements: usize,
+    total_power_w: f64,
+    carrier_hz: f64,
+    ambient_noise_spl_db: f64,
+    env: &AirEnvironment,
+    seed: u64,
+) -> Result<Signal> {
+    let emitted = emit_attack(voice, attack_elements, total_power_w, carrier_hz)?;
+    record_attack(
+        &emitted,
+        device,
+        distance_m,
+        ambient_noise_spl_db,
+        env,
+        seed,
+    )
 }
 
 impl Dataset {
@@ -192,6 +248,17 @@ impl Dataset {
             let command = commands.get(ci).ok_or_else(|| {
                 DefenseError::invalid("command_indices", format!("index {ci} out of range"))
             })?;
+            // The attacker uses the canonical TTS voice (as in the paper),
+            // and its emission does not depend on distance: build it once
+            // per command, then only propagate and capture per distance.
+            let utterance = synth.render(command, &SpeakerProfile::canonical())?;
+            let attack_voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+            let emitted = emit_attack(
+                &attack_voice,
+                config.attack_elements,
+                config.attack_total_power_w,
+                config.carrier_hz,
+            )?;
             for &distance in &config.distances_m {
                 // Legitimate recordings from several speakers.
                 for variant in 0..config.num_speaker_variants {
@@ -216,18 +283,12 @@ impl Dataset {
                         command_index: ci,
                     });
                 }
-                // One attack recording (the attacker uses the canonical TTS
-                // voice, as in the paper).
-                let utterance = synth.render(command, &SpeakerProfile::canonical())?;
-                let voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+                // One attack recording.
                 seed = seed.wrapping_add(1);
-                let rec = generate_attack_recording(
-                    &voice,
+                let rec = record_attack(
+                    &emitted,
                     config.device,
                     distance,
-                    config.attack_elements,
-                    config.attack_total_power_w,
-                    config.carrier_hz,
                     config.ambient_noise_spl_db,
                     &env,
                     seed,
@@ -372,6 +433,40 @@ mod tests {
         let (train2, test2) = ds.split_features(2).unwrap();
         assert_eq!(train.len(), train2.len());
         assert_eq!(test.len(), test2.len());
+    }
+
+    #[test]
+    fn hoisted_emission_matches_the_one_shot_attack_recording() {
+        let mut cfg = tiny_config();
+        cfg.distances_m = vec![1.0, 2.5];
+        let ds = Dataset::generate(&cfg).unwrap();
+        let synth = Synthesizer::new(48_000.0).unwrap();
+        let command = &corpus()[cfg.command_indices[0]];
+        let utterance = synth.render(command, &SpeakerProfile::canonical()).unwrap();
+        let voice = clip_duration(&utterance.signal, cfg.max_voice_duration_s);
+        let env = AirEnvironment::default();
+        // Recordings are (variants legit, 1 attack) per distance, each
+        // taking the next seed in turn.
+        let per_distance = cfg.num_speaker_variants + 1;
+        let attacks: Vec<_> = ds.recordings.iter().filter(|r| r.is_attack).collect();
+        assert_eq!(attacks.len(), cfg.distances_m.len());
+        for (k, (rec, &distance)) in attacks.iter().zip(&cfg.distances_m).enumerate() {
+            let seed = cfg.seed + ((k + 1) * per_distance) as u64;
+            let one_shot = generate_attack_recording(
+                &voice,
+                cfg.device,
+                distance,
+                cfg.attack_elements,
+                cfg.attack_total_power_w,
+                cfg.carrier_hz,
+                cfg.ambient_noise_spl_db,
+                &env,
+                seed,
+            )
+            .unwrap();
+            assert_eq!(rec.distance_m, distance);
+            assert_eq!(rec.recording, one_shot, "attack recording at {distance} m");
+        }
     }
 
     #[test]

@@ -104,12 +104,22 @@ type SharedDetector = std::result::Result<Option<Arc<LogisticRegression>>, Strin
 
 /// Trains the logistic-regression detector a detector-axis entry stands
 /// for.  Pure: the same spec always yields the same weights.
+///
+/// Its three phases record the `campaign.detector_train.corpus`,
+/// `.features` and `.fit` spans.
 pub fn train_detector_model(spec: &DetectorSpec) -> Result<LogisticRegression> {
-    let dataset = Dataset::generate(&spec.dataset_config())
-        .map_err(|e| ExperimentError::Setup(format!("detector corpus: {e}")))?;
-    let samples = dataset
-        .to_feature_samples()
-        .map_err(|e| ExperimentError::Setup(format!("detector features: {e}")))?;
+    let dataset = {
+        let _span = telemetry::span("campaign.detector_train.corpus");
+        Dataset::generate(&spec.dataset_config())
+            .map_err(|e| ExperimentError::Setup(format!("detector corpus: {e}")))?
+    };
+    let samples = {
+        let _span = telemetry::span("campaign.detector_train.features");
+        dataset
+            .to_feature_samples()
+            .map_err(|e| ExperimentError::Setup(format!("detector features: {e}")))?
+    };
+    let _span = telemetry::span("campaign.detector_train.fit");
     LogisticRegression::train(&samples, &TrainingConfig::default())
         .map_err(|e| ExperimentError::Setup(format!("detector training: {e}")))
 }

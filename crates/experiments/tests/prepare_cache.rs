@@ -5,6 +5,7 @@
 //! across distinct axis sub-tuples (fuzzed below).
 
 use ivc_core::prepare_cache;
+use ivc_core::scenario::Scenario;
 use ivc_experiments::grid::{CampaignSpec, DeliverySpec, DetectorSpec};
 use ivc_experiments::run_campaign;
 use ivc_room::RoomPreset;
@@ -92,7 +93,8 @@ fn archives_are_byte_identical_with_cache_on_off_warm_cold_any_workers() {
 }
 
 /// Renders the determining sub-tuple of each product family for a point
-/// in the fuzzed axis space.
+/// in the fuzzed axis space: utterance, legitimate source, room and room
+/// leakage (off the legitimate source key).
 fn family_keys(
     command_index: usize,
     variant: usize,
@@ -118,14 +120,18 @@ fn family_keys(
     };
     let cap_s = f64::from(cap_ds) / 10.0;
     let spl_db = f64::from(spl_tenth_db) / 10.0;
+    let source_key = prepare_cache::legitimate_source_key(command, variant, cap_s, spl_db);
+    let scenario = Scenario {
+        room: Some(preset),
+        distance_m: f64::from(dist_cm) / 100.0,
+        bystander_distance_m: f64::from(bystander_cm) / 100.0,
+        ..Scenario::default_attack()
+    };
     vec![
         prepare_cache::utterance_key(command, &talker, f64::from(fs_khz) * 1_000.0),
-        prepare_cache::legitimate_source_key(command, variant, cap_s, spl_db),
-        prepare_cache::room_key(
-            preset,
-            f64::from(dist_cm) / 100.0,
-            f64::from(bystander_cm) / 100.0,
-        ),
+        source_key.clone(),
+        prepare_cache::room_key(preset, scenario.distance_m, scenario.bystander_distance_m),
+        prepare_cache::leakage_key(&source_key, &scenario),
     ]
 }
 
@@ -194,6 +200,15 @@ proptest! {
             let room_tuple = |t: &Axes| (t.1 .1 % 4, t.1 .2, t.1 .3);
             if room_tuple(&a) != room_tuple(&b) {
                 prop_assert_ne!(&ka[2], &kb[2]);
+            }
+            // Leakage reads the source, room and bystander but never the
+            // target distance: equal sub-tuples share a key even when the
+            // target distances differ.
+            let leakage_tuple = |t: &Axes| (legit_tuple(t), t.1 .1 % 4, t.1 .3);
+            if leakage_tuple(&a) == leakage_tuple(&b) {
+                prop_assert_eq!(&ka[3], &kb[3]);
+            } else {
+                prop_assert_ne!(&ka[3], &kb[3]);
             }
         }
     }

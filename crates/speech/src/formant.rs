@@ -108,19 +108,39 @@ pub fn render_phoneme(
 /// Glottal source: a band-limited pulse train at `f0_hz` (sum of the first
 /// harmonics with a gentle -6 dB/octave tilt, which approximates a glottal
 /// flow derivative spectrum).
+///
+/// One `sin_cos` per sample gives the fundamental's phase `θ`; every higher
+/// harmonic follows from the Chebyshev recurrence
+/// `sin((h+1)θ) = 2cosθ·sin(hθ) − sin((h−1)θ)`, so the cost is one libm
+/// call per sample instead of one per harmonic per sample.  `θ` is taken
+/// from the phase reduced to one period (`i·f0 mod fs`, exact whenever
+/// `i·f0` is), which keeps the argument error from growing with `i`.
 fn glottal_source(f0_hz: f64, n: usize, sample_rate_hz: f64) -> Vec<f64> {
+    let amps: Vec<f64> = (1..=max_harmonic(f0_hz, sample_rate_hz))
+        .map(|h| 1.0 / h as f64) // spectral tilt
+        .collect();
+    (0..n)
+        .map(|i| {
+            let cycle = (i as f64 * f0_hz) % sample_rate_hz / sample_rate_hz;
+            let (sin_theta, cos_theta) = (2.0 * std::f64::consts::PI * cycle).sin_cos();
+            let two_cos = 2.0 * cos_theta;
+            let (mut prev, mut cur) = (0.0, sin_theta);
+            let mut acc = 0.0;
+            for amp in &amps {
+                acc += amp * cur;
+                (prev, cur) = (cur, two_cos * cur - prev);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Number of harmonics in the glottal source: everything up to 8 kHz (or
+/// 0.9 × Nyquist, whichever is lower), at least the fundamental.
+fn max_harmonic(f0_hz: f64, sample_rate_hz: f64) -> usize {
     let nyquist = sample_rate_hz / 2.0;
-    let max_harmonic = ((8_000.0_f64.min(nyquist * 0.9)) / f0_hz).floor() as usize;
-    let mut out = vec![0.0; n];
-    for h in 1..=max_harmonic.max(1) {
-        let f = f0_hz * h as f64;
-        let amp = 1.0 / h as f64; // spectral tilt
-        let w = 2.0 * std::f64::consts::PI * f / sample_rate_hz;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o += amp * (w * i as f64).sin();
-        }
-    }
-    out
+    let harmonics = ((8_000.0_f64.min(nyquist * 0.9)) / f0_hz).floor() as usize;
+    harmonics.max(1)
 }
 
 /// White noise source with unit-ish amplitude.
@@ -168,6 +188,44 @@ mod tests {
     use super::*;
     use ivc_dsp::spectrum::{band_power, welch_psd};
     use ivc_dsp::window::WindowKind;
+
+    /// The direct per-harmonic sum the recurrence replaces: one `sin` per
+    /// harmonic per sample, summed in ascending `h` with amplitude `1/h`.
+    /// Each argument is reduced to one period in exact arithmetic (every
+    /// `i·h·f0` below is a multiple of 0.5 well under 2^53), so the
+    /// reference carries no phase error that grows with `i`.
+    fn direct_glottal_source(f0_hz: f64, n: usize, sample_rate_hz: f64) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        for h in 1..=max_harmonic(f0_hz, sample_rate_hz) {
+            let amp = 1.0 / h as f64;
+            let f = f0_hz * h as f64;
+            for (i, o) in out.iter_mut().enumerate() {
+                let cycle = (i as f64 * f) % sample_rate_hz / sample_rate_hz;
+                *o += amp * (2.0 * std::f64::consts::PI * cycle).sin();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn harmonic_recurrence_matches_the_direct_sin_sum() {
+        for fs in [48_000.0, 192_000.0] {
+            for f0 in [50.0, 100.0, 137.5, 250.0, 400.0] {
+                let n = fs as usize; // 1 s
+                let fast = glottal_source(f0, n, fs);
+                let direct = direct_glottal_source(f0, n, fs);
+                let peak = direct.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+                let max_err = fast
+                    .iter()
+                    .zip(&direct)
+                    .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
+                assert!(
+                    max_err <= 1e-12 * peak,
+                    "f0 {f0} Hz, fs {fs} Hz: max |error| {max_err:e} vs peak {peak}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn validation() {
