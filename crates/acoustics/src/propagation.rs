@@ -15,7 +15,7 @@
 //! at line-of-sight in an ordinary room, where the direct path dominates the
 //! demodulated baseband; DESIGN.md records this as a simplification.
 
-use crate::absorption::absorption_gain;
+use crate::absorption::AirAbsorption;
 use crate::environment::AirEnvironment;
 use crate::error::{AcousticsError, Result};
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
@@ -140,11 +140,12 @@ pub fn propagate_with_gain_curve(
     let n = next_power_of_two(source_at_1m.len());
     let mut spectrum = Vec::new();
     rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
+    let air = AirAbsorption::new(env);
     for (k, value) in spectrum.iter_mut().enumerate() {
         let f = bin_frequency(k, n, fs);
         let collimated_to_m = rayleigh_distance_m(aperture_m, f, env).max(1.0);
         let spreading_gain = (collimated_to_m / distance_m).min(1.0);
-        let gain = absorption_gain(f, distance_m, env)?;
+        let gain = air.gain(f, distance_m)?;
         // `interpolate_gain_curve` returns exactly 1.0 for an empty curve
         // and `x * 1.0 == x` in IEEE arithmetic, so the free-field result
         // is bit-identical to the pre-room-model implementation.

@@ -1,33 +1,15 @@
-//! Criterion benches for the room-acoustics hot paths: sparse-tap
-//! convolution, impulse-response construction, and full in-room
-//! propagation.
+//! Criterion benches for the room-acoustics hot paths: impulse-response
+//! construction and full in-room propagation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_dsp::signal::Signal;
-use ivc_dsp::sparse::{convolve_sparse, SparseTap, SparseTaps};
 use ivc_room::propagate::propagate_in_room;
 use ivc_room::RoomPreset;
 
 fn bench_room(c: &mut Criterion) {
     let mut group = c.benchmark_group("room");
     group.sample_size(20);
-
-    // Sparse convolution at attack scale: a 0.5 s drive at 192 kHz
-    // against the tap count of an order-2 shoebox response.
-    let drive = Signal::tone(40_000.0, 0.5, 0.5, 192_000.0).unwrap();
-    let taps = SparseTaps::new(
-        (0..24)
-            .map(|i| SparseTap {
-                delay_samples: 700 * (i + 1),
-                gain: 0.8f64.powi(i as i32 + 1),
-            })
-            .collect(),
-    )
-    .unwrap();
-    group.bench_function("sparse_convolution_24taps_96k", |b| {
-        b.iter(|| convolve_sparse(std::hint::black_box(&drive), &taps).unwrap())
-    });
 
     // Impulse-response construction: geometry + material curves for the
     // order-3 conference room, both receiver paths.
@@ -40,15 +22,17 @@ fn bench_room(c: &mut Criterion) {
         })
     });
 
-    // Full multipath propagation of a short ultrasonic burst through the
-    // office (order 2): forward FFT + active-band inverse FFTs + sparse
-    // convolutions.
+    // Full multipath propagation at the size of a `sweep` room cell: a
+    // 0.6 s drive at 192 kHz through the order-3 conference room's
+    // 62-tap target response: forward FFT, per-bin tap response, inverse
+    // FFT, on top of the direct path.
     let env = AirEnvironment::default();
-    let office = RoomPreset::Office.instantiate(3.0, 1.0).unwrap();
-    let rir = office.target_rir(0.33).unwrap();
-    let burst = Signal::tone(40_000.0, 0.5, 0.25, 192_000.0).unwrap();
-    group.bench_function("propagate_in_room_office_order2", |b| {
-        b.iter(|| propagate_in_room(std::hint::black_box(&burst), &rir, &env).unwrap())
+    let conference = RoomPreset::ConferenceRoom.instantiate(3.0, 1.0).unwrap();
+    let rir = conference.target_rir(0.33).unwrap();
+    assert_eq!(rir.reflected().len(), 62);
+    let drive = Signal::tone(40_000.0, 0.5, 0.6, 192_000.0).unwrap();
+    group.bench_function("propagate_in_room_conference_order3", |b| {
+        b.iter(|| propagate_in_room(std::hint::black_box(&drive), &rir, &env).unwrap())
     });
 
     group.finish();

@@ -277,6 +277,9 @@ pub fn rfft_into(input: &[f64], n: usize, spectrum: &mut Vec<Complex>) -> Result
         return Ok(());
     }
     let m = n / 2;
+    // Exactly the m + 1 bins: growing by `extend`, `resize` and the final
+    // Nyquist `push` would otherwise double the capacity past them.
+    spectrum.reserve_exact(m + 1);
     let input = &input[..input.len().min(n)];
     spectrum.extend(
         input
@@ -688,6 +691,18 @@ mod tests {
             [true, true],
             "both segment-count parities covered"
         );
+    }
+
+    #[test]
+    fn rfft_into_allocates_exactly_the_half_spectrum() {
+        // A short input zero-padded to many times its length: the Nyquist
+        // bin must not double a fresh buffer's capacity.
+        for n in [2, 8, 1 << 12] {
+            let mut spectrum = Vec::new();
+            rfft_into(&[1.0, -0.5, 0.25], n, &mut spectrum).unwrap();
+            assert_eq!(spectrum.len(), n / 2 + 1);
+            assert_eq!(spectrum.capacity(), n / 2 + 1, "n = {n}");
+        }
     }
 
     #[test]

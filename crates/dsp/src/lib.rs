@@ -18,8 +18,6 @@
 //! * Amplitude [`modulation`] and the square-law demodulation that models
 //!   what a non-linear microphone does to an AM ultrasound signal.
 //! * [`correlation`] utilities and the [`goertzel`] single-bin DFT.
-//! * [`sparse`] delay/gain tap lists and their convolution against a
-//!   [`Signal`] — the time-domain form of a room's early reflections.
 //!
 //! All functions operate either on plain `&[f64]` slices or on the
 //! [`Signal`] container, which couples samples with a sample rate and is the
@@ -39,7 +37,6 @@ pub mod goertzel;
 pub mod modulation;
 pub mod resample;
 pub mod signal;
-pub mod sparse;
 pub mod spectrum;
 pub mod stft;
 pub mod window;
@@ -56,6 +53,5 @@ pub mod prelude {
     pub use crate::filter::biquad::{Biquad, BiquadCascade, SosFilter};
     pub use crate::filter::fir::FirFilter;
     pub use crate::signal::Signal;
-    pub use crate::sparse::{convolve_sparse, convolve_sparse_into, SparseTap, SparseTaps};
     pub use crate::window::WindowKind;
 }

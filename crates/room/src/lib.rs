@@ -21,8 +21,8 @@
 //! * [`propagate`] — applies an impulse response to a signal: the direct
 //!   path through the exact free-field machinery (aperture-aware
 //!   collimation, per-bin absorption — **bit-identical** to free field
-//!   when there are no reflections), reflected taps through a banded
-//!   sparse convolution.
+//!   when there are no reflections), reflected taps as one frequency
+//!   response between a forward and an inverse transform.
 //! * [`presets`] — named rooms (`Anechoic`, `Office`, `ConferenceRoom`,
 //!   `Corridor`, `ThroughDoorway`) that place source, target and
 //!   bystander for a concrete scenario.

@@ -7,28 +7,42 @@
 //! delay.  With no reflections and no occlusion this *is* the free-field
 //! result, bit for bit.
 //!
-//! Reflected taps are applied with a banded sparse convolution: the source
-//! spectrum is split into the bands around the material anchor
-//! frequencies, each band's waveform is convolved against the taps'
-//! delay/gain lists (gains evaluated at the band's anchor: surface losses
-//! × occlusion × air absorption over the path × spherical spreading), and
-//! the bands are summed.  A band is skipped only when its power is below
-//! `BAND_POWER_SKIP_FRACTION` (1e-24) of the total, a floor far beneath
-//! the spectral spread of any finite recording.  An AM-ultrasound drive
-//! is *not* confined to a few bands: its sidebands, the emitter's
-//! non-linear products and the spread of its edges keep every band above
-//! the floor (all 12 were active in each of the 40 room propagations of a
-//! `sweep` run).  So the work is one forward FFT plus, per band, one
-//! masked inverse and one sparse convolution.
+//! The reflected taps form one linear, time-invariant filter, applied as
+//! its frequency response.  The source is transformed once at
+//! `N = next_power_of_two(len + max_delay)` points, so no tap's delay
+//! wraps around, and every bin `k` is multiplied by
+//!
+//! ```text
+//! H(k) = Σ_taps g_tap(band(k)) · e^(−j2π·k·d_tap/N)
+//! ```
+//!
+//! where `d_tap` is the tap's whole-sample delay (the direct path's
+//! rounding) and `g_tap(band)` its gain at the anchor frequency of the
+//! bin's band: surface losses × occlusion × air absorption over the path
+//! × spherical spreading.  Band `i` holds the bins closest in
+//! log-frequency to anchor `i`.  One inverse transform then yields every
+//! reflection at once, added onto the direct path.  The work is two
+//! transforms plus taps × N/2 complex multiply-adds, where taps that land
+//! on the same sample count once (a 62-tap conference-room response has
+//! 36–52 distinct delays).  Each tap's phase steps from bin to bin by one
+//! complex multiplication and is re-anchored to an exact `cis` every
+//! `REANCHOR_BINS` bins, so rounding cannot accumulate across a long
+//! transform.
+//!
+//! The response is applied whole, including the ringing that a band edge's
+//! step in gain spreads past the end of the source.  An earlier banded
+//! time-domain form cut each band's waveform off at the source's length
+//! before convolving it with the taps; room archives moved (bystander
+//! levels by under 1 dB) when that truncation went away.
 //!
 //! Reflected paths are treated as point sources (no collimation): a beam
 //! that bounced off a wall has left the array's axis, so the `1/r` law
 //! over the full path length is the right spreading model.
 
 use crate::error::Result;
-use crate::material::ANCHOR_FREQUENCIES_HZ;
+use crate::material::{ANCHOR_FREQUENCIES_HZ, NUM_ANCHORS};
 use crate::rir::RoomImpulseResponse;
-use ivc_acoustics::absorption::absorption_gain;
+use ivc_acoustics::absorption::AirAbsorption;
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::propagation::{
     interpolate_gain_curve, propagate_with_gain_curve, propagation_delay_samples,
@@ -36,27 +50,21 @@ use ivc_acoustics::propagation::{
 use ivc_dsp::complex::Complex;
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
-use ivc_dsp::sparse::{convolve_sparse_into, SparseTap, SparseTaps};
+use std::f64::consts::PI;
 
-/// Relative band-power threshold below which a band's reflections are
-/// skipped (the band carries no meaningful signal energy).
-const BAND_POWER_SKIP_FRACTION: f64 = 1e-24;
+/// Bins between exact re-evaluations of each tap's phase; in between, the
+/// phase advances by complex multiplication, whose rounding drifts by
+/// about 1e-15 per step, so under 1e-11 over this many steps.
+const REANCHOR_BINS: usize = 4096;
 
-/// Band edges around the anchor frequencies: band `i` covers the
-/// frequencies closest (in log-frequency) to anchor `i`.
-fn band_bounds(i: usize) -> (f64, f64) {
-    let anchors = &ANCHOR_FREQUENCIES_HZ;
-    let lo = if i == 0 {
-        0.0
-    } else {
-        (anchors[i - 1] * anchors[i]).sqrt()
-    };
-    let hi = if i + 1 == anchors.len() {
-        f64::INFINITY
-    } else {
-        (anchors[i] * anchors[i + 1]).sqrt()
-    };
-    (lo, hi)
+/// Upper edge of band `i`: the log-frequency midpoint between anchor `i`
+/// and the next one (unbounded for the last band).  Band `i` covers
+/// `[upper edge of band i - 1, upper edge of band i)`, from 0 Hz up.
+fn band_upper_edge_hz(i: usize) -> f64 {
+    match ANCHOR_FREQUENCIES_HZ.get(i + 1) {
+        Some(next) => (ANCHOR_FREQUENCIES_HZ[i] * next).sqrt(),
+        None => f64::INFINITY,
+    }
 }
 
 /// Propagates `source_at_1m` (a pressure waveform referenced to 1 m from
@@ -88,86 +96,78 @@ pub fn propagate_in_room(
     // Delay rounding is owned by the acoustics layer, so reflected taps
     // share the direct path's exact time axis.
     let delay_of = |distance_m: f64| propagation_delay_samples(distance_m, fs, env);
-    let max_delay = reflected
-        .iter()
-        .map(|t| delay_of(t.distance_m))
-        .max()
-        .expect("reflected is non-empty");
+    let mut delays: Vec<usize> = reflected.iter().map(|t| delay_of(t.distance_m)).collect();
+    delays.sort_unstable();
+    delays.dedup();
+    let max_delay = *delays.last().expect("reflected is non-empty");
+    let out_len = len + max_delay;
     let mut out = direct_signal.into_samples();
-    out.resize(out.len().max(len + max_delay), 0.0);
+    out.resize(out.len().max(out_len), 0.0);
 
-    // One forward real FFT; each active band re-uses it via a masked
-    // inverse.  The half spectrum holds bins 0..=n/2; every bin but DC and
-    // Nyquist stands for itself and its mirror image, so counts twice in
-    // the power sums.
-    let n = next_power_of_two(len);
-    let mut spectrum = Vec::new();
-    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
-    let bin_power = |k: usize, v: &Complex| {
-        let mirrored = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
-        mirrored * (v.re * v.re + v.im * v.im)
-    };
-    let total_power: f64 = spectrum
-        .iter()
-        .enumerate()
-        .map(|(k, v)| bin_power(k, v))
-        .sum();
-
-    let mut buffer: Vec<Complex> = Vec::with_capacity(spectrum.len());
-    let mut band_time: Vec<f64> = Vec::with_capacity(n);
-    let mut contribution: Vec<f64> = Vec::new();
-
-    for (band, &anchor_hz) in ANCHOR_FREQUENCIES_HZ.iter().enumerate() {
-        let (lo, hi) = band_bounds(band);
-        let in_band = |k: usize| {
-            let f = bin_frequency(k, n, fs);
-            f >= lo && f < hi
-        };
-        let band_power: f64 = spectrum
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| in_band(k))
-            .map(|(k, v)| bin_power(k, v))
-            .sum();
-        if band_power <= total_power * BAND_POWER_SKIP_FRACTION {
-            continue;
-        }
-
-        // Per-tap gain at this band's anchor: what the walls did, what the
-        // air does over the path, and spherical spreading (clamped at the
-        // 1 m reference, matching the free-field convention).
-        let mut taps = Vec::with_capacity(reflected.len());
-        for tap in reflected {
+    // Per-delay gain at each band's anchor, band-major: what the walls
+    // did, what the air does over the path, and spherical spreading
+    // (clamped at the 1 m reference, matching the free-field convention).
+    // A shoebox's mirror-image paths often arrive on the same sample; they
+    // share one phase, so their gains are summed here.
+    let air_absorption = AirAbsorption::new(env);
+    let mut gains = vec![0.0; NUM_ANCHORS * delays.len()];
+    for tap in reflected {
+        let slot = delays
+            .binary_search(&delay_of(tap.distance_m))
+            .expect("every tap's delay is listed");
+        for (band, &anchor_hz) in ANCHOR_FREQUENCIES_HZ.iter().enumerate() {
             let surface = interpolate_gain_curve(&tap.gain_curve, anchor_hz);
-            let air = absorption_gain(anchor_hz, tap.distance_m, env)?;
+            let air = air_absorption.gain(anchor_hz, tap.distance_m)?;
             let spreading = (1.0 / tap.distance_m).min(1.0);
-            taps.push(SparseTap {
-                delay_samples: delay_of(tap.distance_m),
-                gain: surface * air * spreading,
-            });
-        }
-        let taps = SparseTaps::new(taps)?;
-
-        // The masked inverse reuses one half-spectrum workspace and one
-        // convolution output buffer across bands: memcpy + in-place ops
-        // instead of a fresh allocation per band.
-        buffer.clear();
-        buffer.extend_from_slice(&spectrum);
-        for (k, value) in buffer.iter_mut().enumerate() {
-            if !in_band(k) {
-                *value = Complex::ZERO;
-            }
-        }
-        irfft_into(&mut buffer, &mut band_time)?;
-        band_time.truncate(len);
-        let band_signal = Signal::new(std::mem::take(&mut band_time), fs)?;
-        convolve_sparse_into(&band_signal, &taps, &mut contribution)?;
-        band_time = band_signal.into_samples();
-        for (o, &x) in out.iter_mut().zip(contribution.iter()) {
-            *o += x;
+            gains[band * delays.len() + slot] += surface * air * spreading;
         }
     }
+
+    let n = next_power_of_two(out_len);
+    let mut spectrum = Vec::new();
+    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
+    apply_reflections(&mut spectrum, n, fs, &delays, &gains);
+    let mut reflections = Vec::new();
+    irfft_into(&mut spectrum, &mut reflections)?;
+    for (o, &x) in out.iter_mut().zip(&reflections[..out_len]) {
+        *o += x;
+    }
     Ok(Signal::new(out, fs)?)
+}
+
+/// Multiplies the half spectrum (bins `0..=n/2` of an `n`-point transform
+/// at `fs`) in place by the taps' frequency response `H(k)`: the taps
+/// that arrive `delays[t]` samples late scale band `b` by
+/// `gains[b * delays.len() + t]` together.
+fn apply_reflections(spectrum: &mut [Complex], n: usize, fs: f64, delays: &[usize], gains: &[f64]) {
+    let taps = delays.len();
+    let radians_per_sample_bin = -2.0 * PI / n as f64;
+    let steps: Vec<Complex> = delays
+        .iter()
+        .map(|&d| Complex::cis(d as f64 * radians_per_sample_bin))
+        .collect();
+    let mut phases = vec![Complex::ZERO; taps];
+    let mut band = 0;
+    let mut band_end_hz = band_upper_edge_hz(band);
+    for (k, value) in spectrum.iter_mut().enumerate() {
+        if k % REANCHOR_BINS == 0 {
+            for (phase, &d) in phases.iter_mut().zip(delays) {
+                *phase = Complex::cis(((d * k) % n) as f64 * radians_per_sample_bin);
+            }
+        }
+        let f = bin_frequency(k, n, fs);
+        while f >= band_end_hz {
+            band += 1;
+            band_end_hz = band_upper_edge_hz(band);
+        }
+        let band_gains = &gains[band * taps..(band + 1) * taps];
+        let mut response = Complex::ZERO;
+        for ((phase, step), &gain) in phases.iter_mut().zip(&steps).zip(band_gains) {
+            response += phase.scale(gain);
+            *phase *= *step;
+        }
+        *value *= response;
+    }
 }
 
 #[cfg(test)]
@@ -250,8 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn silent_bands_are_skipped_without_changing_the_result() {
-        // A pure tone occupies one band; the other eleven are skipped.
+    fn output_lasts_until_the_latest_reflection_ends() {
+        // A pure tone occupies one band; the other eleven carry nothing.
         // The result must still contain the reflections of that band.
         let env = AirEnvironment::default();
         let signal = tone(1_000.0, 48_000.0);
@@ -261,5 +261,124 @@ mod tests {
             + (rir.reflected().last().unwrap().distance_m / env.speed_of_sound_m_per_s() * 48_000.0)
                 .round() as usize;
         assert_eq!(out.len(), expected_len);
+    }
+
+    /// `e^(−j2π·(d·k mod n)/n)`, evaluated directly.
+    fn exact_phase(d: usize, k: usize, n: usize) -> Complex {
+        Complex::cis(-2.0 * std::f64::consts::PI * ((d * k) % n) as f64 / n as f64)
+    }
+
+    #[test]
+    fn phase_recurrence_stays_on_the_exact_response() {
+        // Unit gains in every band turn the response into a plain sum of
+        // tap phases; across a transform as long as a room cell's, the
+        // stepped phases must stay on the directly evaluated ones.
+        let n = 1 << 18;
+        let delays = [1, 777, 12_345, 99_999, 131_071, 200_000];
+        let gains = vec![1.0; NUM_ANCHORS * delays.len()];
+        let mut response = vec![Complex::ONE; n / 2 + 1];
+        apply_reflections(&mut response, n, 192_000.0, &delays, &gains);
+        let mut worst = (0.0f64, 0);
+        for (k, h) in response.iter().enumerate() {
+            let exact = delays
+                .iter()
+                .fold(Complex::ZERO, |acc, &d| acc + exact_phase(d, k, n));
+            let error = (*h - exact).abs();
+            if error > worst.0 {
+                worst = (error, k);
+            }
+        }
+        // Re-anchored every REANCHOR_BINS bins the error stays near 4e-12;
+        // stepped across the whole transform it drifts well past 1e-11.
+        assert!(worst.0 < 1e-11, "bin {}: error {}", worst.1, worst.0);
+    }
+
+    #[test]
+    fn reflections_match_the_directly_evaluated_frequency_response() {
+        // Oracle: the same response built from an exact `cis` per (tap,
+        // bin) and each bin's band taken as its nearest anchor in
+        // log-frequency, for a source with energy in several bands.
+        let env = AirEnvironment::default();
+        let fs = 192_000.0;
+        let mut samples = vec![0.0; 9_600];
+        for (i, x) in samples.iter_mut().enumerate() {
+            let t = i as f64 / fs;
+            for (freq, amp) in [
+                (300.0, 1.0),
+                (1_500.0, 0.7),
+                (9_000.0, 0.5),
+                (30_000.0, 0.8),
+            ] {
+                *x += amp * (2.0 * std::f64::consts::PI * freq * t).sin();
+            }
+        }
+        let source = Signal::new(samples, fs).unwrap();
+        let rir = crate::presets::RoomPreset::Office
+            .instantiate(3.0, 1.0)
+            .unwrap()
+            .target_rir(0.0)
+            .unwrap();
+        assert!(rir.reflected().len() > 20);
+        let out = propagate_in_room(&source, &rir, &env).unwrap();
+
+        let direct = rir.direct();
+        let mut expected = propagate_with_gain_curve(
+            &source,
+            direct.distance_m,
+            rir.aperture_m,
+            &direct.gain_curve,
+            &env,
+        )
+        .unwrap()
+        .into_samples();
+        let delays: Vec<usize> = rir
+            .reflected()
+            .iter()
+            .map(|tap| propagation_delay_samples(tap.distance_m, fs, &env))
+            .collect();
+        let out_len = source.len() + delays.iter().max().unwrap();
+        expected.resize(out_len, 0.0);
+        let n = next_power_of_two(out_len);
+        assert!(n / 2 > 2 * REANCHOR_BINS, "the transform spans re-anchors");
+        let mut spectrum = Vec::new();
+        rfft_into(source.samples(), n, &mut spectrum).unwrap();
+        let nearest_anchor = |f: f64| {
+            let distance = |anchor: f64| (f.max(1e-9) / anchor).ln().abs();
+            (0..NUM_ANCHORS)
+                .min_by(|&a, &b| {
+                    distance(ANCHOR_FREQUENCIES_HZ[a])
+                        .total_cmp(&distance(ANCHOR_FREQUENCIES_HZ[b]))
+                })
+                .unwrap()
+        };
+        for (k, value) in spectrum.iter_mut().enumerate() {
+            let anchor_hz = ANCHOR_FREQUENCIES_HZ[nearest_anchor(bin_frequency(k, n, fs))];
+            let mut response = Complex::ZERO;
+            for (tap, &d) in rir.reflected().iter().zip(&delays) {
+                let gain = interpolate_gain_curve(&tap.gain_curve, anchor_hz)
+                    * ivc_acoustics::absorption::absorption_gain(anchor_hz, tap.distance_m, &env)
+                        .unwrap()
+                    * (1.0 / tap.distance_m).min(1.0);
+                response += exact_phase(d, k, n).scale(gain);
+            }
+            *value *= response;
+        }
+        let mut reflections = Vec::new();
+        irfft_into(&mut spectrum, &mut reflections).unwrap();
+        for (e, &x) in expected.iter_mut().zip(&reflections) {
+            *e += x;
+        }
+
+        assert_eq!(out.len(), expected.len());
+        let peak = expected.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let max_error = out
+            .samples()
+            .iter()
+            .zip(&expected)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        assert!(
+            max_error <= 1e-9 * peak,
+            "max error {max_error} vs peak {peak}"
+        );
     }
 }
