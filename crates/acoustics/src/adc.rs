@@ -3,7 +3,7 @@
 
 use crate::error::{AcousticsError, Result};
 use ivc_dsp::filter::fir::FirFilter;
-use ivc_dsp::resample::resample;
+use ivc_dsp::resample::{filter_and_resample, resample};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
 use rand::rngs::StdRng;
@@ -67,17 +67,21 @@ pub fn digitize(analog_full_scale: &Signal, config: &AdcConfig, seed: u64) -> Re
     let cutoff =
         (config.output_rate_hz / 2.0 * config.anti_alias_fraction).min(input_rate / 2.0 * 0.98);
 
-    // Anti-alias low-pass at the output Nyquist (applied at the input rate).
-    let filtered = if cutoff < input_rate / 2.0 * 0.98 {
+    // Anti-alias low-pass at the output Nyquist (applied at the input
+    // rate), then resampling to the output rate.  An integer
+    // power-of-two ratio runs both as one folded decimator.
+    let resampled = if cutoff < input_rate / 2.0 * 0.98 {
         let lpf = FirFilter::low_pass_cached(cutoff, input_rate, 255, WindowKind::Blackman)?;
-        lpf.filter_signal(analog_full_scale)?
+        filter_and_resample(&lpf, analog_full_scale, config.output_rate_hz)?
     } else {
-        analog_full_scale.clone()
+        resample(analog_full_scale, config.output_rate_hz)?
     };
+    Ok(add_noise_and_quantize(resampled, config, seed))
+}
 
-    // Resample to the output rate.
-    let mut resampled = resample(&filtered, config.output_rate_hz)?;
-
+/// The converter's noise floor, then quantisation and clipping to full
+/// scale.
+fn add_noise_and_quantize(mut resampled: Signal, config: &AdcConfig, seed: u64) -> Signal {
     // Converter noise.
     let noise_rms = 10f64.powf(config.noise_floor_dbfs / 20.0);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -92,7 +96,7 @@ pub fn digitize(analog_full_scale: &Signal, config: &AdcConfig, seed: u64) -> Re
         let clipped = x.clamp(-1.0, 1.0);
         *x = (clipped * levels).round() / levels;
     }
-    Ok(resampled)
+    resampled
 }
 
 #[cfg(test)]
@@ -170,6 +174,47 @@ mod tests {
         let loud = Signal::tone(1_000.0, 2.0, 0.1, 192_000.0).unwrap();
         let out = digitize(&loud, &AdcConfig::default(), 1).unwrap();
         assert!(out.peak() <= 1.0 + 1e-9);
+    }
+
+    /// The two full-rate passes `digitize` ran before the folded
+    /// decimator: the 255-tap anti-alias filter, then `resample`.
+    fn two_pass_digitize(analog: &Signal, config: &AdcConfig, seed: u64) -> Signal {
+        let input_rate = analog.sample_rate_hz();
+        let cutoff = config.output_rate_hz / 2.0 * config.anti_alias_fraction;
+        let lpf =
+            FirFilter::low_pass_cached(cutoff, input_rate, 255, WindowKind::Blackman).unwrap();
+        let filtered = lpf.filter_signal(analog).unwrap();
+        let resampled = resample(&filtered, config.output_rate_hz).unwrap();
+        add_noise_and_quantize(resampled, config, seed)
+    }
+
+    #[test]
+    fn folded_digitize_is_bit_identical_to_the_two_passes() {
+        use crate::microphone::{CaptureScratch, DevicePreset};
+        use crate::spl::spl_db_to_pressure;
+        let fs = 192_000.0;
+        let mut scratch = CaptureScratch::new();
+        for device in [DevicePreset::AndroidPhone, DevicePreset::AmazonEcho] {
+            let mic = device.microphone();
+            for seed in 0..20u64 {
+                // An AM attack at a seed-dependent level and voice pitch.
+                let amp = spl_db_to_pressure(95.0 + seed as f64) * std::f64::consts::SQRT_2;
+                let voice_hz = 300.0 + 50.0 * seed as f64;
+                let samples: Vec<f64> = (0..(0.1 * fs) as usize)
+                    .map(|i| {
+                        let t = i as f64 / fs;
+                        let m = 1.0 + 0.8 * (std::f64::consts::TAU * voice_hz * t).cos();
+                        0.5 * amp * m * (std::f64::consts::TAU * 40_000.0 * t).cos()
+                    })
+                    .collect();
+                let pressure = Signal::new(samples, fs).unwrap();
+                let analog = mic.analog_front_end(&pressure, seed, &mut scratch).unwrap();
+                let folded = digitize(&analog, &mic.adc, seed).unwrap();
+                let reference = two_pass_digitize(&analog, &mic.adc, seed);
+                assert_eq!(folded, reference, "{device:?}, seed {seed}");
+                scratch.recycle(analog);
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,42 @@ impl CaptureScratch {
     }
 }
 
+/// [`Microphone::front_end_gain`] with its per-capture invariants — both
+/// grille losses as linear gains and the mechanical roll-off's reference
+/// at 20 kHz — computed once instead of at every spectrum bin.
+struct FrontEndResponse {
+    grille_audible: f64,
+    grille_ultrasonic: f64,
+    corner_hz: f64,
+    roll_off_reference: f64,
+}
+
+impl FrontEndResponse {
+    fn new(mic: &Microphone) -> Self {
+        FrontEndResponse {
+            grille_audible: 10f64.powf(-mic.grille_loss_audible_db / 20.0),
+            grille_ultrasonic: 10f64.powf(-mic.grille_loss_ultrasonic_db / 20.0),
+            corner_hz: mic.transducer_corner_hz,
+            roll_off_reference: one_pole_low_pass_gain(20_000.0, mic.transducer_corner_hz),
+        }
+    }
+
+    /// Bit-equal to [`Microphone::front_end_gain`] at every frequency.
+    fn gain(&self, frequency_hz: f64) -> f64 {
+        let grille = if frequency_hz >= 20_000.0 {
+            self.grille_ultrasonic
+        } else {
+            self.grille_audible
+        };
+        let mechanical = if frequency_hz <= 20_000.0 {
+            1.0
+        } else {
+            one_pole_low_pass_gain(frequency_hz, self.corner_hz) / self.roll_off_reference
+        };
+        grille * mechanical
+    }
+}
+
 /// Device presets with parameters representative of the paper's targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DevicePreset {
@@ -203,6 +239,10 @@ impl Microphone {
     /// rate and relative to full scale, is what [`digitize`] with this
     /// microphone's `adc` turns into the recording.
     ///
+    /// It is [`Microphone::front_end_shaping`] followed by
+    /// [`Microphone::front_end_self_noise`]; callers that time the two
+    /// halves separately call them in turn.
+    ///
     /// The returned signal owns the arena's work buffer; hand it back with
     /// [`CaptureScratch::recycle`] once digitised.
     pub fn analog_front_end(
@@ -211,20 +251,40 @@ impl Microphone {
         seed: u64,
         scratch: &mut CaptureScratch,
     ) -> Result<Signal> {
+        let shaped = self.front_end_shaping(pressure_at_port, scratch)?;
+        self.front_end_self_noise(shaped, seed)
+    }
+
+    /// The first half of [`Microphone::analog_front_end`]: the
+    /// grille/transducer response applied in the frequency domain, in
+    /// pascal, written into the arena's work buffer.
+    pub fn front_end_shaping(
+        &self,
+        pressure_at_port: &Signal,
+        scratch: &mut CaptureScratch,
+    ) -> Result<Signal> {
         if pressure_at_port.is_empty() {
             return Err(AcousticsError::invalid("pressure_at_port", "empty signal"));
         }
-        // 1. Acoustic front end, shaped into the scratch work buffer.
         let mut work = std::mem::take(&mut scratch.work);
+        let response = FrontEndResponse::new(self);
         shape_spectrum_into(
             pressure_at_port,
-            |f| self.front_end_gain(f),
+            |f| response.gain(f),
             &mut scratch.spectrum,
             &mut work,
         )?;
+        Ok(Signal::new(work, pressure_at_port.sample_rate_hz())?)
+    }
 
-        // 2. Capsule self noise (pressure-equivalent, added before the
-        //    non-linearity like the real thermal-acoustic noise is).
+    /// The second half of [`Microphone::analog_front_end`]: capsule self
+    /// noise, normalisation to full scale and the non-linearity, in place
+    /// on the output of [`Microphone::front_end_shaping`].
+    pub fn front_end_self_noise(&self, shaped: Signal, seed: u64) -> Result<Signal> {
+        let sample_rate_hz = shaped.sample_rate_hz();
+        let mut work = shaped.into_samples();
+        // Capsule self noise (pressure-equivalent, added before the
+        // non-linearity like the real thermal-acoustic noise is).
         let noise_rms_pa = spl_db_to_pressure(self.self_noise_db_spl);
         add_white_noise(
             &mut work,
@@ -232,7 +292,7 @@ impl Microphone {
             seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         )?;
 
-        // 3. Normalise to full scale at the acoustic overload point.
+        // Normalise to full scale at the acoustic overload point.
         let fs_pressure_peak =
             spl_db_to_pressure(self.acoustic_overload_point_db_spl) * std::f64::consts::SQRT_2;
         let gain = 1.0 / fs_pressure_peak;
@@ -240,9 +300,9 @@ impl Microphone {
             *s *= gain;
         }
 
-        // 4. Transducer/amplifier non-linearity (memoryless).
+        // Transducer/amplifier non-linearity (memoryless).
         self.nonlinearity.apply_in_place(&mut work);
-        Ok(Signal::new(work, pressure_at_port.sample_rate_hz())?)
+        Ok(Signal::new(work, sample_rate_hz)?)
     }
 
     /// The demodulation efficiency of the microphone for an AM ultrasound
@@ -393,6 +453,42 @@ mod tests {
         let loud = mic.demodulation_gain_db(100.0, 40_000.0);
         // +20 dB carrier -> +40 dB product (square law).
         assert!((loud - quiet - 40.0).abs() < 0.5, "{quiet} -> {loud}");
+    }
+
+    #[test]
+    fn hoisted_front_end_response_is_bit_equal_at_every_bin() {
+        use ivc_dsp::fft::bin_frequency;
+        for device in DevicePreset::ALL {
+            let mic = device.microphone();
+            let response = FrontEndResponse::new(&mic);
+            for (n, fs) in [(1usize << 15, 48_000.0), (1 << 17, 192_000.0)] {
+                for k in 0..=n / 2 {
+                    let f = bin_frequency(k, n, fs);
+                    assert_eq!(
+                        response.gain(f).to_bits(),
+                        mic.front_end_gain(f).to_bits(),
+                        "{device:?} at bin {k} of {n} ({f} Hz)"
+                    );
+                }
+            }
+            // Both boundaries sit exactly at 20 kHz.
+            for f in [19_999.999, 20_000.0, 20_000.001] {
+                assert_eq!(response.gain(f).to_bits(), mic.front_end_gain(f).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn front_end_halves_compose_to_the_whole() {
+        let mic = DevicePreset::AmazonEcho.microphone();
+        let p = pressure_tone(40_000.0, 100.0, 0.05, 192_000.0);
+        let mut scratch = CaptureScratch::new();
+        let whole = mic.analog_front_end(&p, 5, &mut scratch).unwrap();
+        let shaped = mic
+            .front_end_shaping(&p, &mut CaptureScratch::new())
+            .unwrap();
+        let halves = mic.front_end_self_noise(shaped, 5).unwrap();
+        assert_eq!(whole, halves);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::error::{AcousticsError, Result};
 use crate::spl::spl_db_to_pressure;
-use ivc_dsp::filter::biquad::BiquadCascade;
+use ivc_dsp::filter::biquad::{Biquad, BiquadCascade, BiquadState};
 use ivc_dsp::signal::Signal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,16 +65,28 @@ pub fn pink_noise(rms: f64, duration_s: f64, sample_rate_hz: f64, seed: u64) -> 
         sample_rate_hz / 60.0,
         sample_rate_hz / 12.0,
     ];
-    let mut acc = vec![0.0; white.len()];
-    for (stage, corner) in corners.iter().enumerate() {
+    let branch = |corner: f64| -> Result<Biquad> {
         let cutoff = corner.min(sample_rate_hz * 0.45).max(10.0);
         let lpf = BiquadCascade::butterworth_low_pass(cutoff, 2, sample_rate_hz)
             .map_err(AcousticsError::from)?;
-        let filtered = lpf.filter(white.samples());
-        let gain = 1.0 / (stage as f64 + 1.0);
-        for (a, f) in acc.iter_mut().zip(filtered.iter()) {
-            *a += gain * f;
-        }
+        Ok(lpf.sections()[0].clone())
+    };
+    let (low, mid, high) = (
+        branch(corners[0])?,
+        branch(corners[1])?,
+        branch(corners[2])?,
+    );
+    // The three branches run side by side in one pass over the white
+    // draw, summed in branch order with gains 1, 1/2 and 1/3.
+    let mut states = [BiquadState::default(); 3];
+    let mut acc = white.into_samples();
+    for slot in acc.iter_mut() {
+        let x = *slot;
+        let mut sum = 0.0;
+        sum += 1.0 * low.step(&mut states[0], x);
+        sum += (1.0 / 2.0) * mid.step(&mut states[1], x);
+        sum += (1.0 / 3.0) * high.step(&mut states[2], x);
+        *slot = sum;
     }
     let mut out = Signal::new(acc, sample_rate_hz)?;
     out.remove_dc();
@@ -142,6 +154,29 @@ mod tests {
         let low = band_power(s.samples(), 48_000.0, 100.0, 1_000.0).unwrap();
         let high = band_power(s.samples(), 48_000.0, 8_000.0, 16_000.0).unwrap();
         assert!(low / high > 4.0, "low/high {}", low / high);
+    }
+
+    #[test]
+    fn one_pass_pink_noise_matches_the_per_branch_sum_bit_for_bit() {
+        // The three branches filtered one after another, each over the
+        // whole white draw, and summed into a zeroed accumulator.
+        for (fs, seed) in [(48_000.0, 7), (192_000.0, 0xDEAD_BEEF)] {
+            let white = white_noise(1.0, 0.2, fs, seed).unwrap();
+            let mut acc = vec![0.0; white.len()];
+            for (stage, corner) in [fs / 300.0, fs / 60.0, fs / 12.0].iter().enumerate() {
+                let cutoff = corner.min(fs * 0.45).max(10.0);
+                let lpf = BiquadCascade::butterworth_low_pass(cutoff, 2, fs).unwrap();
+                let filtered = lpf.filter(white.samples());
+                let gain = 1.0 / (stage as f64 + 1.0);
+                for (a, f) in acc.iter_mut().zip(filtered.iter()) {
+                    *a += gain * f;
+                }
+            }
+            let mut reference = Signal::new(acc, fs).unwrap();
+            reference.remove_dc();
+            reference.normalize_rms(0.3);
+            assert_eq!(pink_noise(0.3, 0.2, fs, seed).unwrap(), reference);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Criterion benches for the DSP hot paths used by every experiment:
-//! FFT (complex and real-input), FIR filtering, resampling and Welch PSD
-//! estimation.
+//! FFT (complex and real-input), FIR filtering, resampling, the ADC's
+//! anti-alias decimation, biquad cascades and Welch PSD estimation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivc_dsp::complex::Complex;
 use ivc_dsp::fft::{fft_in_place, fft_real_n, rfft_into};
+use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::filter::fir::FirFilter;
-use ivc_dsp::resample::upsample;
+use ivc_dsp::resample::{filter_and_resample, resample, upsample};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::spectrum::welch_psd;
 use ivc_dsp::window::WindowKind;
@@ -54,6 +55,33 @@ fn bench_dsp(c: &mut Criterion) {
 
     group.bench_function("upsample_4x_12k_samples", |b| {
         b.iter(|| upsample(std::hint::black_box(&tone), 4).unwrap())
+    });
+
+    // The ADC's 192 kHz → 48 kHz chain on a 0.6 s capture: the folded
+    // decimator `digitize` runs, and the two full-rate passes it replaced.
+    let analog = Signal::tone(1_000.0, 0.5, 0.6, 192_000.0).unwrap();
+    let anti_alias =
+        FirFilter::low_pass_cached(21_600.0, 192_000.0, 255, WindowKind::Blackman).unwrap();
+    group.bench_function("anti_alias_folded_decimator_192k_0p6s", |b| {
+        b.iter(|| {
+            filter_and_resample(&anti_alias, std::hint::black_box(&analog), 48_000.0).unwrap()
+        })
+    });
+    group.bench_function("anti_alias_two_passes_192k_0p6s", |b| {
+        b.iter(|| {
+            let filtered = anti_alias
+                .filter_signal(std::hint::black_box(&analog))
+                .unwrap();
+            resample(&filtered, 48_000.0).unwrap()
+        })
+    });
+
+    // The defense's voice-band isolator: four sections, forward and back,
+    // over a 0.6 s recording.
+    let recording = Signal::tone(1_000.0, 0.5, 0.6, 48_000.0).unwrap();
+    let voice_band = BiquadCascade::butterworth_band_pass(300.0, 4_000.0, 4, 48_000.0).unwrap();
+    group.bench_function("filtfilt_bpf4_29k_samples", |b| {
+        b.iter(|| voice_band.filtfilt(std::hint::black_box(recording.samples())))
     });
 
     group.bench_function("welch_psd_12k_samples", |b| {

@@ -708,6 +708,8 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
             "perturb.ambient_noise",
             "perturb.mic_capture",
             "perturb.mic_capture.front_end",
+            "perturb.mic_capture.front_end.shaping",
+            "perturb.mic_capture.front_end.self_noise",
             "perturb.mic_capture.adc",
         ],
     ),

@@ -283,8 +283,13 @@ impl PreparedCell {
         let _span = telemetry::span("perturb.mic_capture");
         let analog = {
             let _span = telemetry::span("perturb.mic_capture.front_end");
-            self.microphone
-                .analog_front_end(&pressure_at_port, seed, &mut scratch.capture)?
+            let shaped = {
+                let _span = telemetry::span("perturb.mic_capture.front_end.shaping");
+                self.microphone
+                    .front_end_shaping(&pressure_at_port, &mut scratch.capture)?
+            };
+            let _span = telemetry::span("perturb.mic_capture.front_end.self_noise");
+            self.microphone.front_end_self_noise(shaped, seed)?
         };
         let recording = {
             let _span = telemetry::span("perturb.mic_capture.adc");

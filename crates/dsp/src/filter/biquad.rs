@@ -7,6 +7,16 @@
 use crate::error::{DspError, Result};
 use crate::signal::Signal;
 
+/// The delay line of one direct-form-I section: its last two inputs and
+/// outputs (all zero at the start of a buffer).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BiquadState {
+    x1: f64,
+    x2: f64,
+    y1: f64,
+    y2: f64,
+}
+
 /// One direct-form-I second-order section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Biquad {
@@ -99,37 +109,46 @@ impl Biquad {
     /// which are carried in local state, so overwriting the buffer as it
     /// is read is safe and allocation-free.
     pub fn filter_in_place(&self, buffer: &mut [f64]) {
-        let mut x1 = 0.0;
-        let mut x2 = 0.0;
-        let mut y1 = 0.0;
-        let mut y2 = 0.0;
+        let mut state = BiquadState::default();
         for slot in buffer.iter_mut() {
-            let x = *slot;
-            let y = self.b0 * x + self.b1 * x1 + self.b2 * x2 - self.a1 * y1 - self.a2 * y2;
-            x2 = x1;
-            x1 = x;
-            y2 = y1;
-            y1 = y;
-            *slot = y;
+            *slot = self.step(&mut state, *slot);
         }
     }
 
     /// Filters a buffer into a caller-owned slice of the same length
-    /// (initial state is zero). `out.len()` must equal `input.len()`.
+    /// (initial state is zero).
+    ///
+    /// # Panics
+    ///
+    /// If `out.len()` differs from `input.len()`: a longer `out` would keep
+    /// stale samples past the input and a shorter one would drop its tail.
     pub fn filter_to_slice(&self, input: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(input.len(), out.len());
-        let mut x1 = 0.0;
-        let mut x2 = 0.0;
-        let mut y1 = 0.0;
-        let mut y2 = 0.0;
+        assert_eq!(
+            input.len(),
+            out.len(),
+            "Biquad::filter_to_slice needs an output as long as its input"
+        );
+        let mut state = BiquadState::default();
         for (slot, &x) in out.iter_mut().zip(input.iter()) {
-            let y = self.b0 * x + self.b1 * x1 + self.b2 * x2 - self.a1 * y1 - self.a2 * y2;
-            x2 = x1;
-            x1 = x;
-            y2 = y1;
-            y1 = y;
-            *slot = y;
+            *slot = self.step(&mut state, x);
         }
+    }
+
+    /// One sample through the section: returns `y[n]` for input `x[n]`
+    /// and advances `state` past it.  Filtering a sequence by repeated
+    /// steps from [`BiquadState::default`] is bit-identical to
+    /// [`Biquad::filter`], so callers can interleave several independent
+    /// sections sample by sample.
+    #[inline]
+    pub fn step(&self, state: &mut BiquadState, x: f64) -> f64 {
+        let y = self.b0 * x + self.b1 * state.x1 + self.b2 * state.x2
+            - self.a1 * state.y1
+            - self.a2 * state.y2;
+        state.x2 = state.x1;
+        state.x1 = x;
+        state.y2 = state.y1;
+        state.y1 = y;
+        y
     }
 
     /// Magnitude response at `frequency_hz`.
@@ -235,6 +254,11 @@ impl BiquadCascade {
         self.sections.len()
     }
 
+    /// The second-order sections, in filtering order.
+    pub fn sections(&self) -> &[Biquad] {
+        &self.sections
+    }
+
     /// Filters a buffer through all sections in sequence.
     pub fn filter(&self, input: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -251,10 +275,14 @@ impl BiquadCascade {
     }
 
     /// Filters a buffer through all sections in place.
+    ///
+    /// Sample-major: each sample passes through every section before the
+    /// next sample is read, so the sections' serial recursions overlap
+    /// instead of running one whole-buffer sweep after another.  Each
+    /// section still sees exactly the sequence it would section-major, so
+    /// the output is bit-identical.
     pub fn filter_in_place(&self, buffer: &mut [f64]) {
-        for section in &self.sections {
-            section.filter_in_place(buffer);
-        }
+        self.run(buffer, false);
     }
 
     /// Filters a [`Signal`], preserving its sample rate.
@@ -262,13 +290,28 @@ impl BiquadCascade {
         Signal::new(self.filter(input.samples()), input.sample_rate_hz())
     }
 
-    /// Zero-phase filtering (forward + time-reversed pass).
+    /// Zero-phase filtering: a forward pass, then a second pass run from
+    /// the last sample back to the first, both in place on one copy.
     pub fn filtfilt(&self, input: &[f64]) -> Vec<f64> {
-        let forward = self.filter(input);
-        let mut reversed: Vec<f64> = forward.into_iter().rev().collect();
-        reversed = self.filter(&reversed);
-        reversed.reverse();
-        reversed
+        let mut out = input.to_vec();
+        self.run(&mut out, false);
+        self.run(&mut out, true);
+        out
+    }
+
+    /// The sample-major loop over `buffer` (last sample first if
+    /// `reverse`), in groups of up to four sections so each group's
+    /// states stay in registers.
+    fn run(&self, buffer: &mut [f64], reverse: bool) {
+        for group in self.sections.chunks(4) {
+            match group {
+                [a] => run_group([a], buffer, reverse),
+                [a, b] => run_group([a, b], buffer, reverse),
+                [a, b, c] => run_group([a, b, c], buffer, reverse),
+                [a, b, c, d] => run_group([a, b, c, d], buffer, reverse),
+                _ => unreachable!("chunks(4) yields one to four sections"),
+            }
+        }
     }
 
     /// Combined magnitude response of the cascade.
@@ -277,6 +320,25 @@ impl BiquadCascade {
             .iter()
             .map(|s| s.magnitude_response(frequency_hz, sample_rate_hz))
             .product()
+    }
+}
+
+/// Passes every sample of `buffer` (last first if `reverse`) through
+/// `N` sections in turn.
+#[inline]
+fn run_group<const N: usize>(sections: [&Biquad; N], buffer: &mut [f64], reverse: bool) {
+    let mut states = [BiquadState::default(); N];
+    let mut step = |slot: &mut f64| {
+        let mut v = *slot;
+        for (section, state) in sections.iter().zip(states.iter_mut()) {
+            v = section.step(state, v);
+        }
+        *slot = v;
+    };
+    if reverse {
+        buffer.iter_mut().rev().for_each(&mut step);
+    } else {
+        buffer.iter_mut().for_each(&mut step);
     }
 }
 
@@ -425,6 +487,87 @@ mod tests {
         let mut cascade_in_place = x.clone();
         cascade.filter_in_place(&mut cascade_in_place);
         assert_eq!(cascade_baseline, cascade_in_place);
+    }
+
+    /// The section-major cascade: each section sweeps the whole buffer
+    /// before the next one starts.
+    fn section_major(cascade: &BiquadCascade, input: &[f64]) -> Vec<f64> {
+        let mut out = input.to_vec();
+        for section in cascade.sections() {
+            out = section.filter(&out);
+        }
+        out
+    }
+
+    /// Cascades of 1 to 6 sections mixing low-, high- and band-pass
+    /// sections, over an input with a click, a tone and a DC step.
+    fn cascades_and_input() -> (Vec<BiquadCascade>, Vec<f64>) {
+        let fs = 48_000.0;
+        let pool = [
+            Biquad::low_pass(3_000.0, 0.54, fs).unwrap(),
+            Biquad::high_pass(80.0, 1.31, fs).unwrap(),
+            Biquad::band_pass(1_200.0, 4.0, fs).unwrap(),
+            Biquad::low_pass(9_000.0, 0.707, fs).unwrap(),
+            Biquad::notch(50.0, 2.0, fs).unwrap(),
+            Biquad::high_pass(300.0, 0.52, fs).unwrap(),
+        ];
+        let cascades = (1..=pool.len())
+            .map(|n| BiquadCascade::new(pool[..n].to_vec()).unwrap())
+            .collect();
+        let mut input: Vec<f64> = tone(440.0, fs, 2_903)
+            .iter()
+            .enumerate()
+            .map(|(i, x)| x + if i > 1_500 { 0.25 } else { 0.0 })
+            .collect();
+        input[17] += 3.0;
+        (cascades, input)
+    }
+
+    #[test]
+    fn sample_major_cascades_match_section_major_bit_for_bit() {
+        let (cascades, input) = cascades_and_input();
+        for cascade in &cascades {
+            let reference = section_major(cascade, &input);
+            assert_eq!(cascade.filter(&input), reference, "{cascade:?}");
+            let mut in_place = input.clone();
+            cascade.filter_in_place(&mut in_place);
+            assert_eq!(in_place, reference);
+        }
+    }
+
+    #[test]
+    fn in_place_filtfilt_matches_the_reversed_copies_bit_for_bit() {
+        let (cascades, input) = cascades_and_input();
+        for cascade in &cascades {
+            let forward = section_major(cascade, &input);
+            let reversed: Vec<f64> = forward.into_iter().rev().collect();
+            let mut reference = section_major(cascade, &reversed);
+            reference.reverse();
+            assert_eq!(cascade.filtfilt(&input), reference, "{cascade:?}");
+        }
+    }
+
+    #[test]
+    fn stepping_a_section_matches_filtering_it() {
+        let (_, input) = cascades_and_input();
+        let section = Biquad::band_pass(700.0, 3.0, 48_000.0).unwrap();
+        let mut state = BiquadState::default();
+        let stepped: Vec<f64> = input.iter().map(|&x| section.step(&mut state, x)).collect();
+        assert_eq!(stepped, section.filter(&input));
+    }
+
+    #[test]
+    #[should_panic(expected = "as long as its input")]
+    fn filter_to_slice_rejects_a_longer_output() {
+        let section = Biquad::low_pass(1_000.0, 0.707, 8_000.0).unwrap();
+        section.filter_to_slice(&[1.0, 2.0], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "as long as its input")]
+    fn filter_to_slice_rejects_a_shorter_output() {
+        let section = Biquad::low_pass(1_000.0, 0.707, 8_000.0).unwrap();
+        section.filter_to_slice(&[1.0, 2.0, 3.0], &mut [0.0; 2]);
     }
 
     #[test]

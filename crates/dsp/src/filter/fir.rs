@@ -10,8 +10,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::complex::Complex;
 use crate::error::{DspError, Result};
-use crate::fft::KernelSpectrum;
+use crate::fft::{irfft_into, next_power_of_two, rfft_into, KernelSpectrum};
 use crate::signal::Signal;
 use crate::window::WindowKind;
 
@@ -26,11 +27,13 @@ fn design_memo() -> &'static Mutex<HashMap<String, Arc<FirFilter>>> {
 ///
 /// The kernel spectrum used by the FFT application path is computed
 /// lazily on first use and kept for the filter's lifetime, so applying
-/// the same filter to many signals transforms the kernel only once.
+/// the same filter to many signals transforms the kernel only once.  The
+/// same holds for the last [`FoldedDecimator`] built on this filter.
 #[derive(Debug, Clone)]
 pub struct FirFilter {
     coefficients: Vec<f64>,
     spectrum: OnceLock<Arc<KernelSpectrum>>,
+    decimator: OnceLock<Arc<FoldedDecimator>>,
 }
 
 impl PartialEq for FirFilter {
@@ -45,6 +48,7 @@ impl FirFilter {
         FirFilter {
             coefficients,
             spectrum: OnceLock::new(),
+            decimator: OnceLock::new(),
         }
     }
 
@@ -232,6 +236,33 @@ impl FirFilter {
         })
     }
 
+    /// The folded decimator for "this filter, then `second`, then keep
+    /// every `factor`-th sample" (see [`FoldedDecimator`]), or `None` if
+    /// `factor` is not a power of two the decimator's block can serve.
+    ///
+    /// The first decimator built on a filter is kept for its lifetime,
+    /// next to its kernel spectrum; a request for a different `second` or
+    /// `factor` builds a fresh one.
+    pub fn folded_decimator(
+        &self,
+        second: &FirFilter,
+        factor: usize,
+    ) -> Option<Arc<FoldedDecimator>> {
+        let build = || FoldedDecimator::new(self, second, factor).map(Arc::new);
+        let cached = match self.decimator.get() {
+            Some(cached) => cached,
+            None => {
+                let built = build()?;
+                self.decimator.get_or_init(|| built)
+            }
+        };
+        if cached.factor == factor && cached.second == second.coefficients {
+            Some(Arc::clone(cached))
+        } else {
+            build()
+        }
+    }
+
     /// Applies the filter to a [`Signal`], preserving its sample rate.
     pub fn filter_signal(&self, input: &Signal) -> Result<Signal> {
         let samples = self.filter(input.samples())?;
@@ -271,6 +302,201 @@ impl FirFilter {
             }
         }
     }
+}
+
+/// Two FIR passes and a decimation, computing only the samples kept.
+///
+/// The reference is `first.filter`, then `second.filter` on its output,
+/// then every `factor`-th sample (as [`crate::resample::downsample`]
+/// keeps them).  In the interior the two passes are one convolution with
+/// the combined kernel `first * second`, so the decimator runs overlap-save
+/// at the *output* rate: each block is one real transform of `block`
+/// input-rate points, multiplied by the combined kernel's spectrum and
+/// folded onto `block / factor` bins (sampling every `factor`-th point of
+/// a sequence sums its spectrum's `factor` aliases), then one
+/// `block / factor`-point inverse.  Near each end `second` reads `first`'s
+/// output cut off to the input's length, which the combined kernel does
+/// not see; those few outputs are computed by direct sums over the cut-off
+/// first stage, as the two passes define them.
+///
+/// The result matches the two passes to rounding (within 1e-12 of the
+/// output's peak), not bit for bit.
+#[derive(Debug)]
+pub struct FoldedDecimator {
+    first: Vec<f64>,
+    second: Vec<f64>,
+    factor: usize,
+    block: usize,
+    /// The combined kernel's half spectrum at `block` points, divided by
+    /// `factor` (exact: `factor` is a power of two).
+    spectrum: Vec<Complex>,
+}
+
+impl FoldedDecimator {
+    fn new(first: &FirFilter, second: &FirFilter, factor: usize) -> Option<Self> {
+        let combined = direct_convolve(&first.coefficients, &second.coefficients);
+        let block = (4 * next_power_of_two(combined.len())).max(256);
+        if factor < 2 || !factor.is_power_of_two() || first_kept(combined.len(), factor) >= block {
+            return None;
+        }
+        let mut spectrum = Vec::new();
+        rfft_into(&combined, block, &mut spectrum).expect("the block is a power of two");
+        let scale = 1.0 / factor as f64;
+        for bin in &mut spectrum {
+            *bin = bin.scale(scale);
+        }
+        Some(FoldedDecimator {
+            first: first.coefficients.clone(),
+            second: second.coefficients.clone(),
+            factor,
+            block,
+            spectrum,
+        })
+    }
+
+    /// The decimation factor.
+    pub fn factor(&self) -> usize {
+        self.factor
+    }
+
+    /// Filters `input` by both kernels and keeps samples `0, factor,
+    /// 2·factor, …`: `input.len().div_ceil(factor)` outputs.
+    pub fn decimate(&self, input: &[f64]) -> Result<Vec<f64>> {
+        if input.is_empty() {
+            return Err(DspError::EmptyInput {
+                operation: "FoldedDecimator::decimate",
+            });
+        }
+        let len = input.len();
+        let m = self.factor;
+        let count = len.div_ceil(m);
+        let (behind, ahead) = self.second_reach();
+        // Output `j` reads the cut-off first stage from `m·j - behind` to
+        // `m·j + ahead`; it lies in the interior when both ends fall
+        // inside the input.
+        let interior_start = behind.div_ceil(m).min(count);
+        let interior_end = if len > ahead {
+            ((len - 1 - ahead) / m + 1).max(interior_start)
+        } else {
+            interior_start
+        };
+        let mut out = vec![0.0; count];
+        self.edge_outputs(input, 0..interior_start, &mut out);
+        self.interior_outputs(input, interior_start..interior_end, &mut out);
+        self.edge_outputs(input, interior_end..count, &mut out);
+        Ok(out)
+    }
+
+    /// How far `second`'s time-aligned output at `n` reads behind and
+    /// ahead of `n` (equal for an odd number of taps).
+    fn second_reach(&self) -> (usize, usize) {
+        let ahead = (self.second.len() - 1) / 2;
+        (self.second.len() - 1 - ahead, ahead)
+    }
+
+    /// Outputs `range` by overlap-save with the folded combined spectrum.
+    fn interior_outputs(&self, input: &[f64], range: std::ops::Range<usize>, out: &mut [f64]) {
+        let (m, n) = (self.factor, self.block);
+        let combined_len = self.first.len() + self.second.len() - 1;
+        let combined_delay = (self.first.len() - 1) / 2 + (self.second.len() - 1) / 2;
+        // Within a block, circular sample `t` is a valid linear output for
+        // `t >= combined_len - 1`; the kept ones are `t = lead + m·i`.
+        let lead = first_kept(combined_len, m);
+        let per_block = (n - lead) / m;
+        let folded_len = n / m;
+        let mut padded = Vec::new();
+        let mut spectrum = Vec::new();
+        let mut folded = vec![Complex::ZERO; folded_len / 2 + 1];
+        let mut decimated = Vec::new();
+        let mut first_output = range.start;
+        while first_output < range.end {
+            // Block input sample 0 sits at `start`, so circular sample
+            // `lead` is linear output `m·first_output + combined_delay`.
+            let start = (m * first_output + combined_delay) as isize - lead as isize;
+            let segment = if start >= 0 {
+                let start = start as usize;
+                &input[start.min(input.len())..(start + n).min(input.len())]
+            } else {
+                let skip = start.unsigned_abs();
+                padded.clear();
+                padded.resize(skip.min(n), 0.0);
+                padded.extend_from_slice(&input[..(n - padded.len()).min(input.len())]);
+                &padded[..]
+            };
+            rfft_into(segment, n, &mut spectrum).expect("the block is a power of two");
+            for (x, h) in spectrum.iter_mut().zip(&self.spectrum) {
+                *x *= *h;
+            }
+            // Sampling every m-th point sums the m aliases
+            // `k + q·folded_len`; bins past n/2 are mirror images.
+            let half = n / 2;
+            for (k, slot) in folded.iter_mut().enumerate() {
+                let mut sum = Complex::ZERO;
+                for q in 0..m {
+                    let bin = k + q * folded_len;
+                    sum += if bin <= half {
+                        spectrum[bin]
+                    } else {
+                        spectrum[n - bin].conj()
+                    };
+                }
+                *slot = sum;
+            }
+            irfft_into(&mut folded, &mut decimated).expect("the folded block is a power of two");
+            let take = per_block.min(range.end - first_output);
+            out[first_output..first_output + take]
+                .copy_from_slice(&decimated[lead / m..lead / m + take]);
+            first_output += take;
+        }
+    }
+
+    /// Outputs `range` by direct sums, exactly as the two passes define
+    /// them: `second` over `first`'s output cut off to `[0, input.len())`.
+    fn edge_outputs(&self, input: &[f64], range: std::ops::Range<usize>, out: &mut [f64]) {
+        if range.is_empty() {
+            return;
+        }
+        let m = self.factor;
+        let first_delay = (self.first.len() - 1) / 2;
+        let (behind, ahead) = self.second_reach();
+        // The cut-off first-stage samples these outputs read.
+        let lo = (m * range.start).saturating_sub(behind);
+        let hi = (m * (range.end - 1) + ahead + 1).min(input.len());
+        let stage: Vec<f64> = (lo..hi)
+            .map(|i| dot_at(input, &self.first, i + first_delay))
+            .collect();
+        for j in range {
+            let centre = m * j + ahead;
+            out[j] = self
+                .second
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &c)| {
+                    let i = centre.checked_sub(k)?;
+                    (lo..hi).contains(&i).then(|| c * stage[i - lo])
+                })
+                .sum();
+        }
+    }
+}
+
+/// The first circular sample of an overlap-save block that is both a
+/// valid linear output (at or past `kernel_len - 1`) and a multiple of
+/// `factor`.
+fn first_kept(kernel_len: usize, factor: usize) -> usize {
+    (kernel_len - 1).div_ceil(factor) * factor
+}
+
+/// Sample `at` of the full linear convolution of `input` with `kernel`.
+fn dot_at(input: &[f64], kernel: &[f64], at: usize) -> f64 {
+    kernel
+        .iter()
+        .enumerate()
+        .filter_map(|(k, &c)| {
+            let i = at.checked_sub(k)?;
+            input.get(i).map(|&x| c * x)
+        })
+        .sum()
 }
 
 /// Normalised sinc: `sin(pi x) / (pi x)`.

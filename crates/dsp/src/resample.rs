@@ -8,6 +8,8 @@
 //! anti-alias filter; arbitrary ratios fall back to band-limited linear
 //! interpolation after appropriate filtering.
 
+use std::sync::Arc;
+
 use crate::error::{DspError, Result};
 use crate::filter::fir::FirFilter;
 use crate::signal::Signal;
@@ -53,14 +55,49 @@ pub fn downsample(input: &Signal, factor: usize) -> Result<Signal> {
     if factor == 1 {
         return Ok(input.clone());
     }
-    let out_rate = input.sample_rate_hz() / factor as f64;
-    let cutoff = (out_rate / 2.0) * 0.95;
-    let taps = (16 * factor + 1).max(65);
-    let lpf =
-        FirFilter::low_pass_cached(cutoff, input.sample_rate_hz(), taps, WindowKind::Blackman)?;
+    let lpf = downsample_filter(input.sample_rate_hz(), factor)?;
     let filtered = lpf.filter(input.samples())?;
     let decimated: Vec<f64> = filtered.iter().step_by(factor).copied().collect();
-    Signal::new(decimated, out_rate)
+    Signal::new(decimated, input.sample_rate_hz() / factor as f64)
+}
+
+/// The anti-alias low-pass [`downsample`] applies before keeping every
+/// `factor`-th sample of a signal at `sample_rate_hz`.
+fn downsample_filter(sample_rate_hz: f64, factor: usize) -> Result<Arc<FirFilter>> {
+    let out_rate = sample_rate_hz / factor as f64;
+    let cutoff = (out_rate / 2.0) * 0.95;
+    let taps = (16 * factor + 1).max(65);
+    FirFilter::low_pass_cached(cutoff, sample_rate_hz, taps, WindowKind::Blackman)
+}
+
+/// `ratio` as an integer factor, if it is one (within 1e-9) and at least 1.
+fn integer_factor(ratio: f64) -> Option<usize> {
+    ((ratio.round() - ratio).abs() < 1e-9 && ratio >= 1.0).then(|| ratio.round() as usize)
+}
+
+/// `first.filter_signal(input)` followed by [`resample`] to
+/// `target_rate_hz`, the ADC's anti-alias-then-convert chain.
+///
+/// When the input rate is a power-of-two multiple of the target that
+/// [`FoldedDecimator`](crate::filter::fir::FoldedDecimator) serves, both
+/// low-passes and the decimation run as one folded decimator that computes
+/// only the kept samples (equal to the two passes to rounding).  Every
+/// other ratio takes the two passes.
+pub fn filter_and_resample(
+    first: &FirFilter,
+    input: &Signal,
+    target_rate_hz: f64,
+) -> Result<Signal> {
+    let source_rate = input.sample_rate_hz();
+    let factor = integer_factor(source_rate / target_rate_hz).filter(|&factor| factor >= 2);
+    if let (Some(factor), false) = (factor, input.is_empty()) {
+        let second = downsample_filter(source_rate, factor)?;
+        if let Some(decimator) = first.folded_decimator(&second, factor) {
+            let decimated = decimator.decimate(input.samples())?;
+            return Signal::new(decimated, source_rate / factor as f64);
+        }
+    }
+    resample(&first.filter_signal(input)?, target_rate_hz)
 }
 
 /// Resamples to an arbitrary target rate.
@@ -86,12 +123,11 @@ pub fn resample(input: &Signal, target_rate_hz: f64) -> Result<Signal> {
     }
     let ratio = target_rate_hz / source_rate;
     // Exact integer factors.
-    if (ratio.round() - ratio).abs() < 1e-9 && ratio >= 1.0 {
-        return upsample(input, ratio.round() as usize);
+    if let Some(factor) = integer_factor(ratio) {
+        return upsample(input, factor);
     }
-    let inv = source_rate / target_rate_hz;
-    if (inv.round() - inv).abs() < 1e-9 && inv >= 1.0 {
-        return downsample(input, inv.round() as usize);
+    if let Some(factor) = integer_factor(source_rate / target_rate_hz) {
+        return downsample(input, factor);
     }
     // General path: if downsampling, anti-alias first, then linearly
     // interpolate onto the target grid.
@@ -188,6 +224,123 @@ mod tests {
         let a = s.slice_seconds(0.05, 0.15).rms();
         let b = back.slice_seconds(0.05, 0.15).rms();
         assert!((a - b).abs() / a < 0.05, "rms {a} vs {b}");
+    }
+
+    /// A deterministic broadband input: an LCG's uniforms plus a tone.
+    fn noisy(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let uniform = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                uniform + 0.3 * (0.01 * i as f64).sin()
+            })
+            .collect()
+    }
+
+    /// The ADC's anti-alias design at `input_rate` for a 48 kHz output.
+    fn anti_alias(input_rate: f64) -> Arc<FirFilter> {
+        FirFilter::low_pass_cached(21_600.0, input_rate, 255, WindowKind::Blackman).unwrap()
+    }
+
+    #[test]
+    fn folded_decimator_matches_the_two_passes_at_every_length() {
+        for factor in [2usize, 4, 8] {
+            let input_rate = 48_000.0 * factor as f64;
+            let first = anti_alias(input_rate);
+            let second = downsample_filter(input_rate, factor).unwrap();
+            let decimator = first.folded_decimator(&second, factor).unwrap();
+            assert_eq!(decimator.factor(), factor);
+            // Outputs per overlap-save block, and the first interior output.
+            let combined = first.len() + second.len() - 1;
+            let lead = (combined - 1).div_ceil(factor) * factor;
+            let per_block = (4 * combined.next_power_of_two() - lead) / factor;
+            let second_delay = (second.len() - 1) / 2;
+            let interior_start = second_delay.div_ceil(factor);
+            let mut lengths = vec![1, 2, factor, 40, 100, combined - 1, combined, 1_000];
+            for blocks in [1, 2, 3] {
+                // Interior outputs end exactly at a block boundary.
+                let at = factor * (interior_start + blocks * per_block - 1) + second_delay + 1;
+                lengths.extend([at - 1, at, at + 1]);
+            }
+            lengths.push(20_011);
+            for len in lengths {
+                let input = Signal::new(noisy(len, len as u64), input_rate).unwrap();
+                let got = filter_and_resample(&first, &input, 48_000.0).unwrap();
+                let want = resample(&first.filter_signal(&input).unwrap(), 48_000.0).unwrap();
+                assert_eq!(got.sample_rate_hz(), want.sample_rate_hz());
+                assert_eq!(got.len(), want.len(), "factor {factor}, length {len}");
+                let peak = want.samples().iter().fold(0.0f64, |p, x| p.max(x.abs()));
+                for (i, (g, w)) in got.samples().iter().zip(want.samples()).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-12 * peak,
+                        "factor {factor}, length {len}, output {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_decimator_keeps_each_filters_own_delay() {
+        // Two even-length filters: each delay rounds down, so together
+        // they fall one sample short of the combined kernel's centre.
+        let input_rate = 192_000.0;
+        let even = |filter: &FirFilter| {
+            let taps = filter.coefficients();
+            FirFilter::from_coefficients(taps[..taps.len() - 1].to_vec()).unwrap()
+        };
+        let first = even(&anti_alias(input_rate));
+        let second = even(&downsample_filter(input_rate, 4).unwrap());
+        let decimator = first.folded_decimator(&second, 4).unwrap();
+        let input = noisy(5_001, 9);
+        let got = decimator.decimate(&input).unwrap();
+        let filtered = second.filter(&first.filter(&input).unwrap()).unwrap();
+        let want: Vec<f64> = filtered.iter().step_by(4).copied().collect();
+        assert_eq!(got.len(), want.len());
+        let peak = want.iter().fold(0.0f64, |p, x| p.max(x.abs()));
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() <= 1e-12 * peak, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn filter_and_resample_keeps_the_two_passes_where_it_cannot_fold() {
+        let input = Signal::new(noisy(5_000, 3), 96_000.0).unwrap();
+        let first = anti_alias(96_000.0);
+        // A non-integer ratio, an equal rate and an upsampling ratio.
+        for target in [44_100.0, 96_000.0, 192_000.0] {
+            let got = filter_and_resample(&first, &input, target).unwrap();
+            let want = resample(&first.filter_signal(&input).unwrap(), target).unwrap();
+            assert_eq!(got, want, "target {target}");
+        }
+        // A factor the decimator cannot serve (not a power of two).
+        let second = downsample_filter(144_000.0, 3).unwrap();
+        assert!(anti_alias(144_000.0).folded_decimator(&second, 3).is_none());
+        let input = Signal::new(noisy(5_000, 4), 144_000.0).unwrap();
+        let got = filter_and_resample(&anti_alias(144_000.0), &input, 48_000.0).unwrap();
+        let want = downsample(&anti_alias(144_000.0).filter_signal(&input).unwrap(), 3).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_filter_keeps_its_first_decimator() {
+        // A fresh design, not the process-wide memo's shared filter.
+        let first = FirFilter::low_pass(21_600.0, 192_000.0, 255, WindowKind::Blackman).unwrap();
+        let second = downsample_filter(192_000.0, 4).unwrap();
+        let a = first.folded_decimator(&second, 4).unwrap();
+        let b = first.folded_decimator(&second, 4).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        // Another factor is served, uncached.
+        let other = downsample_filter(192_000.0, 2).unwrap();
+        let c = first.folded_decimator(&other, 2).unwrap();
+        assert_eq!(c.factor(), 2);
+        assert!(Arc::ptr_eq(
+            &a,
+            &first.folded_decimator(&second, 4).unwrap()
+        ));
     }
 
     #[test]
