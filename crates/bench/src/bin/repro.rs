@@ -2,6 +2,17 @@
 //! figure, and runs campaign presets through the parallel engine —
 //! in-process, or sharded across supervised worker processes.
 //!
+//! There is one run path.  Every preset-running mode is
+//! [`run_preset`] plus a printer: paper experiments (no subcommand) look
+//! each id up in [`EXPERIMENTS`] and print its paper table, `campaign` and
+//! `orchestrate` print each report's summary, and `profile` prints the
+//! per-stage attribution table.  The runner is in-process with `--workers`
+//! threads, or, with `--shards N`, the orchestrator over `shard-worker`
+//! processes.  Telemetry collection, the fleet merge of worker sidecars
+//! and the `--metrics`/`--trace` files live once, in [`Telemetry`].  The
+//! `shard-plan`, `shard-worker`, `shard-merge` and `export-json`
+//! subcommands are the file-based spelling of the shard contract.
+//!
 //! Usage:
 //!
 //! ```text
@@ -45,10 +56,13 @@
 //! #                           sharded, its run manifest)
 //! #   --max-retries N         extra attempts per failed shard (orchestrate; default 2)
 //! #   --straggler-timeout S   re-issue attempts running longer than S seconds (orchestrate)
-//! #   --resume DIR            resume from the checkpoints in DIR (orchestrate)
-//! #   --metrics FILE          write span/counter metrics JSON (ivc-metrics-v1;
-//! #                           fleet-merged across workers when sharded)
-//! #   --trace FILE            write a Chrome trace-event JSON (chrome://tracing / Perfetto)
+//! #   --resume DIR            resume from the checkpoints in DIR (orchestrate); DIR is
+//! #                           left in place, checkpoints included
+//! #   --metrics FILE          write span/counter metrics JSON (ivc-metrics-v1; one
+//! #                           document per invocation, fleet-merged across workers
+//! #                           when sharded and across presets when profiling)
+//! #   --trace FILE            write a Chrome trace-event JSON (chrome://tracing /
+//! #                           Perfetto); profile takes one preset with it
 //! #   --job FILE / --out FILE / --out-dir DIR   shard-worker, shard-merge, export-json
 //! #                           and shard-plan inputs and outputs
 //! ```
@@ -62,14 +76,13 @@ use ivc_experiments::shard::{
 };
 use ivc_experiments::{default_workers, presets, CampaignReport};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// What the invocation asked the driver to do.
 enum Mode {
-    /// Render paper experiments (the default; empty or `all` = everything).
-    Experiments(Vec<String>),
-    /// Run campaign presets through the engine (in-process, or with
-    /// `--shards N` under the orchestrator with no retries).
-    Campaign(Vec<String>),
+    /// Run presets (experiment ids for [`RunKind::Experiments`]) and print
+    /// what the kind asks for.
+    Run(RunKind, Vec<String>),
     /// Write shard job files for presets (`--shards`, `--out-dir`).
     ShardPlanFiles(Vec<String>),
     /// Execute one shard job file (`--job`, `--out`).
@@ -78,15 +91,27 @@ enum Mode {
     ShardMerge(Vec<PathBuf>),
     /// Dump one partial archive as JSON (`export-json IN --out OUT`).
     ExportJson(PathBuf),
-    /// Run campaign presets under the supervising orchestrator
+}
+
+/// The preset-running modes, which differ only in the runner's policy and
+/// in what they print.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    /// The paper table of each experiment id (the default mode; empty or
+    /// `all` = every experiment).
+    Experiments,
+    /// Each report's summary (in-process, or with `--shards N` under the
+    /// orchestrator with no retries).
+    Campaign,
+    /// Each report's summary, under the supervising orchestrator
     /// (`--shards`, optional `--max-retries`/`--straggler-timeout`/
     /// `--resume`).
-    Orchestrate(Vec<String>),
-    /// Profile campaign presets: run with telemetry enabled and print
-    /// the per-stage time-attribution table (default `--workers 1`, so
-    /// stage totals track wall clock; with `--shards N` the table is the
-    /// merged fleet of supervised worker processes).
-    Profile(Vec<String>),
+    Orchestrate,
+    /// The per-stage time-attribution table of each preset, run with
+    /// telemetry enabled (default `--workers 1`, so stage totals track
+    /// wall clock; with `--shards N` the table is the merged fleet of
+    /// supervised worker processes).
+    Profile,
 }
 
 /// The flags each mode accepts (`experiments` is a run without a
@@ -259,24 +284,20 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
             return Err(format!("{flag} applies to {} only", applies_to(flag)));
         }
     }
+    if matches!(
+        subcommand,
+        Some("campaign" | "shard-plan" | "orchestrate" | "profile")
+    ) && positionals.is_empty()
+    {
+        return Err(format!(
+            "{mode_name} needs a preset name (available: {})",
+            presets::PRESET_NAMES.join(", ")
+        ));
+    }
     let mode = match subcommand {
-        None => Mode::Experiments(positionals),
-        Some("campaign") => {
-            if positionals.is_empty() {
-                return Err(format!(
-                    "campaign needs a preset name (available: {})",
-                    presets::PRESET_NAMES.join(", ")
-                ));
-            }
-            Mode::Campaign(positionals)
-        }
+        None => Mode::Run(RunKind::Experiments, positionals),
+        Some("campaign") => Mode::Run(RunKind::Campaign, positionals),
         Some("shard-plan") => {
-            if positionals.is_empty() {
-                return Err(format!(
-                    "shard-plan needs a preset name (available: {})",
-                    presets::PRESET_NAMES.join(", ")
-                ));
-            }
             if options.shards.is_none() {
                 return Err("shard-plan needs --shards N".to_string());
             }
@@ -322,25 +343,23 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
             Mode::ExportJson(PathBuf::from(positionals.into_iter().next().expect("one")))
         }
         Some("orchestrate") => {
-            if positionals.is_empty() {
-                return Err(format!(
-                    "orchestrate needs a preset name (available: {})",
-                    presets::PRESET_NAMES.join(", ")
-                ));
-            }
             if options.shards.is_none() {
                 return Err("orchestrate needs --shards N".to_string());
             }
-            Mode::Orchestrate(positionals)
+            Mode::Run(RunKind::Orchestrate, positionals)
         }
         Some("profile") => {
-            if positionals.is_empty() {
+            // Trace events are process-local and do not merge, so one
+            // trace file holds one profiled preset.
+            if positionals.len() > 1 && options.trace.is_some() {
                 return Err(format!(
-                    "profile needs a preset name (available: {})",
-                    presets::PRESET_NAMES.join(", ")
+                    "profile --trace takes one preset (got {}: {}): trace events do not merge \
+                     across presets",
+                    positionals.len(),
+                    positionals.join(", ")
                 ));
             }
-            Mode::Profile(positionals)
+            Mode::Run(RunKind::Profile, positionals)
         }
         Some(_) => unreachable!(),
     };
@@ -375,24 +394,25 @@ fn archive_all(reports: &[CampaignReport], archive: &Option<PathBuf>) -> bool {
     ok
 }
 
-/// Prints a campaign report's summary table and per-curve attack ranges —
-/// shared by the in-process and sharded campaign paths, so the two differ
-/// in nothing but how the trials were executed.
-fn print_reports(reports: &[CampaignReport]) {
-    for report in reports {
-        println!("{}", report.summary_table().render());
-        for curve in &report.curves {
-            println!(
-                "range at >= 0.8 success [{}]: {} m",
-                curve.label,
-                curve
-                    .range_at_success_rate(0.8)
-                    .map(|d| format!("{d:.1}"))
-                    .unwrap_or_else(|| "-".into())
-            );
-        }
-        println!();
-    }
+/// Each report's summary table and per-curve attack ranges: what
+/// `campaign` and `orchestrate` print for a preset, whichever runner ran it.
+fn campaign_summary(reports: &[CampaignReport]) -> ivc_core::Result<String> {
+    let blocks: Vec<String> = reports
+        .iter()
+        .map(|report| {
+            let mut text = format!("{}\n", report.summary_table().render());
+            for curve in &report.curves {
+                let range = curve.range_at_success_rate(0.8);
+                text += &format!(
+                    "range at >= 0.8 success [{}]: {} m\n",
+                    curve.label,
+                    range.map_or_else(|| "-".into(), |d| format!("{d:.1}"))
+                );
+            }
+            text
+        })
+        .collect();
+    Ok(blocks.join("\n"))
 }
 
 /// A one-line error followed by a non-zero exit: every runtime failure
@@ -403,103 +423,231 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Runs campaign presets in-process on the worker pool.
-fn run_campaigns(presets_named: &[String], fidelity: Fidelity, options: &Options, workers: usize) {
-    for preset in presets_named {
-        match run_campaign_preset(preset, fidelity, workers) {
-            Ok(reports) => {
-                print_reports(&reports);
-                if !archive_all(&reports, &options.archive) {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => fail(format_args!("campaign {preset} failed: {e}")),
-        }
-    }
-}
-
-/// The `repro` binary itself, re-entered as every shard worker.
-fn worker_exe() -> PathBuf {
-    std::env::current_exe()
-        .unwrap_or_else(|e| fail(format_args!("locating the shard-worker binary: {e}")))
-}
-
-/// Runs campaign presets under the supervising orchestrator — the one
-/// multi-process runner, behind both `orchestrate` and `campaign
-/// --shards` (which passes a config with no retries).  Without `--resume`
-/// the checkpoints go to a fresh unique scratch directory, removed on
-/// success and kept on failure (the failure message names it, so an
-/// interrupted run can be resumed); with `--resume DIR` the run picks up
-/// the surviving checkpoints in DIR first.  Worker telemetry sidecars
-/// are collected for `--metrics` and run manifests copied into
-/// `--archive` before the scratch directory disappears.
-fn run_orchestrate(
-    presets_named: &[String],
-    fidelity: Fidelity,
-    options: &Options,
-    config: &OrchestratorConfig,
-    worker_metrics: &mut Vec<telemetry::Snapshot>,
-) {
-    let num_shards = config.num_shards;
-    let workers = options.workers_per_shard(num_shards);
-    let exe = worker_exe();
-    let scratch = options
-        .resume
-        .clone()
-        .unwrap_or_else(|| unique_scratch_dir("orchestrate"));
-    let mut stderr = std::io::stderr();
-    for preset in presets_named {
-        let reports = run_campaign_preset_orchestrated(
-            preset,
-            fidelity,
-            config,
+/// Runs the presets of a preset-running mode and prints each one.  The
+/// experiments mode keeps going past a failed id and exits non-zero at the
+/// end; the other modes stop at the first failure.
+fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options) {
+    let workers = match options.shards {
+        Some(num_shards) => options.workers_per_shard(num_shards),
+        // One profiling worker by default: stages then run back to back,
+        // so their totals track wall clock instead of overlapping.
+        None if kind == RunKind::Profile => options.workers.unwrap_or(1),
+        None => options.worker_threads(),
+    };
+    let runner = match options.shards {
+        None => Runner::InProcess { workers },
+        Some(num_shards) => Runner::Orchestrated {
+            // `campaign --shards` and `profile --shards` retry nothing: the
+            // first worker failure fails the run.
+            config: OrchestratorConfig {
+                max_retries: options
+                    .max_retries
+                    .unwrap_or(if kind == RunKind::Orchestrate { 2 } else { 0 }),
+                straggler_timeout: options.straggler_timeout.map(Duration::from_secs_f64),
+                ..OrchestratorConfig::new(num_shards)
+            },
             workers,
-            &exe,
-            &scratch,
-            &mut stderr,
-        )
-        .and_then(|reports| {
-            // A missing sidecar is a hard error: an under-reported fleet
-            // document would be worse than none.
-            if options.metrics.is_some() {
-                for spec in &preset_specs(preset, fidelity)? {
-                    worker_metrics.extend(collect_worker_metrics(spec, num_shards, &scratch)?);
-                }
+            worker_exe: std::env::current_exe()
+                .unwrap_or_else(|e| fail(format_args!("locating the shard-worker binary: {e}"))),
+            // Without `--resume` the checkpoints go to a fresh directory,
+            // removed on success and kept on failure (the failure message
+            // names it, so the run can be resumed).  `--resume DIR` picks
+            // up the checkpoints in DIR, and DIR stays its owner's.
+            scratch_dir: options
+                .resume
+                .clone()
+                .unwrap_or_else(|| unique_scratch_dir("orchestrate")),
+        },
+    };
+    // Fail on an unwritable telemetry destination before the run.
+    for path in [&options.metrics, &options.trace].into_iter().flatten() {
+        ensure_parent_dir(path);
+    }
+    println!(
+        "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}{}{}\n",
+        options
+            .shards
+            .map(|n| format!("; shards: {n}"))
+            .unwrap_or_default(),
+        match kind {
+            RunKind::Orchestrate => " (orchestrated)",
+            RunKind::Profile => " (profiling)",
+            _ => "",
+        },
+    );
+    let names = match kind {
+        RunKind::Experiments if names.is_empty() || names.iter().any(|n| n == "all") => EXPERIMENTS
+            .iter()
+            .map(|(ids, ..)| ids[0].to_string())
+            .collect(),
+        _ => names,
+    };
+
+    let run_start = Instant::now();
+    let mut telemetry = Telemetry {
+        on: kind == RunKind::Profile || options.metrics.is_some() || options.trace.is_some(),
+        ..Telemetry::default()
+    };
+    let per_preset = kind == RunKind::Profile;
+    if !per_preset {
+        telemetry.begin();
+    }
+    let mut failed = false;
+    for name in &names {
+        if per_preset {
+            telemetry.begin();
+        }
+        let ok = match run_one(kind, name, fidelity, &runner, &mut telemetry) {
+            Ok((text, reports)) => {
+                println!("{text}");
+                archive_all(&reports, &options.archive)
             }
-            Ok(reports)
-        });
-        match reports {
-            Ok(reports) => {
-                print_reports(&reports);
-                if !archive_all(&reports, &options.archive) {
-                    std::process::exit(1);
-                }
+            Err(e) => {
+                let noun = match kind {
+                    RunKind::Experiments => "experiment",
+                    RunKind::Profile => "profile",
+                    _ => "campaign",
+                };
+                let kept = match &runner {
+                    Runner::Orchestrated {
+                        config,
+                        scratch_dir,
+                        ..
+                    } if scratch_dir.exists() => {
+                        let dir = scratch_dir.display();
+                        match kind {
+                            RunKind::Profile => format!(" (checkpoints kept in {dir})"),
+                            _ => format!(
+                                " (checkpoints kept in {dir}; pick up where it stopped with \
+                                 `orchestrate {name} --shards {} --resume {dir}`)",
+                                config.num_shards
+                            ),
+                        }
+                    }
+                    _ => String::new(),
+                };
+                eprintln!("{noun} {name} failed: {e}{kept}");
+                false
             }
-            Err(e) if scratch.exists() => fail(format_args!(
-                "campaign {preset} failed: {e} (checkpoints kept in {dir}; pick up where it \
-                 stopped with `orchestrate {preset} --shards {num_shards} --resume {dir}`)",
-                dir = scratch.display()
-            )),
-            Err(e) => fail(format_args!("campaign {preset} failed: {e}")),
+        };
+        if !ok && kind != RunKind::Experiments {
+            std::process::exit(1);
+        }
+        failed |= !ok;
+    }
+    if failed {
+        std::process::exit(1);
+    }
+    if let Runner::Orchestrated { scratch_dir, .. } = &runner {
+        // The structured run manifests are part of the run's record: copy
+        // them into the archive directory (when one was asked for) before
+        // a scratch directory of the run's own disappears.
+        if let Some(dir) = &options.archive {
+            if let Err(e) = copy_manifests(scratch_dir, dir) {
+                fail(format_args!("archiving run manifests: {e}"));
+            }
+        }
+        if options.resume.is_none() {
+            let _ = std::fs::remove_dir_all(scratch_dir);
         }
     }
-    // The structured run manifests are part of the run's record: copy
-    // them into the archive directory (when one was asked for) before
-    // the scratch directory disappears.
-    if let Some(dir) = &options.archive {
-        if let Err(e) = copy_manifests(&scratch, dir) {
-            fail(format_args!("archiving run manifests: {e}"));
+    if telemetry.on {
+        if !per_preset {
+            telemetry.end().unwrap_or_else(|e| fail(e));
+        }
+        if let Err(e) = telemetry.write(options, run_start.elapsed()) {
+            fail(e);
         }
     }
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// The orchestrator as a plain shard runner, for `campaign --shards` and
-/// `profile --shards`: the first worker failure fails the run.
-fn no_retries(num_shards: usize) -> OrchestratorConfig {
-    OrchestratorConfig {
-        max_retries: 0,
-        ..OrchestratorConfig::new(num_shards)
+/// Runs one preset (or experiment id) on `runner` and renders what `kind`
+/// prints for it, returning the text and the reports to archive.
+fn run_one(
+    kind: RunKind,
+    name: &str,
+    fidelity: Fidelity,
+    runner: &Runner,
+    telemetry: &mut Telemetry,
+) -> ivc_core::Result<(String, Vec<CampaignReport>)> {
+    let (preset, render): (&str, Renderer) = match kind {
+        RunKind::Experiments => experiment(name)?,
+        _ => (name, campaign_summary),
+    };
+    let start = Instant::now();
+    let reports = run_preset(preset, fidelity, runner)?;
+    let wall_s = start.elapsed().as_secs_f64();
+    if telemetry.on {
+        telemetry
+            .workers
+            .extend(runner.worker_metrics(preset, fidelity)?);
+    }
+    let text = match kind {
+        RunKind::Profile => attribution_report(preset, runner, &telemetry.end()?, wall_s),
+        _ => render(&reports)?,
+    };
+    Ok((text, reports))
+}
+
+/// The invocation's telemetry: the one place the driver collects it,
+/// merges worker sidecars into the fleet document and writes `--metrics`
+/// and `--trace`.  A segment runs from [`Telemetry::begin`] to
+/// [`Telemetry::end`].  `profile` closes one per preset, so each
+/// attribution table covers its preset alone; the other modes close one
+/// for the whole run.  `--metrics` is every segment's fleet snapshot,
+/// merged; `--trace` is the last segment's own events, which do not merge.
+#[derive(Default)]
+struct Telemetry {
+    /// Whether this invocation collects at all.
+    on: bool,
+    /// Worker sidecars of the open segment.
+    workers: Vec<telemetry::Snapshot>,
+    /// The fleet snapshots of the closed segments, merged.
+    fleet: Option<telemetry::Snapshot>,
+    /// The last closed segment's own snapshot, trace events included.
+    local: Option<telemetry::Snapshot>,
+}
+
+impl Telemetry {
+    /// Opens a segment: clears the collector and starts collecting.
+    fn begin(&self) {
+        if self.on {
+            telemetry::reset();
+            telemetry::set_enabled(true);
+        }
+    }
+
+    /// Closes the segment and returns its fleet snapshot: this process's
+    /// merged with every worker sidecar, checked to hold the workers'
+    /// stage time.
+    fn end(&mut self) -> ivc_core::Result<telemetry::Snapshot> {
+        telemetry::set_enabled(false);
+        let local = telemetry::snapshot();
+        let workers = std::mem::take(&mut self.workers);
+        let fleet = if workers.is_empty() {
+            local.clone()
+        } else {
+            merge_fleet_metrics(local.clone(), &workers)?
+        };
+        match &mut self.fleet {
+            Some(all) => all.merge(&fleet),
+            None => self.fleet = Some(fleet.clone()),
+        }
+        self.local = Some(local);
+        Ok(fleet)
+    }
+
+    /// Writes the `--metrics` and `--trace` documents of the invocation.
+    fn write(&self, options: &Options, wall: Duration) -> ivc_core::Result<()> {
+        if let (Some(path), Some(fleet)) = (&options.metrics, &self.fleet) {
+            write_metrics_file(path, fleet, wall.as_secs_f64())?;
+            println!("metrics written to {}", path.display());
+        }
+        if let (Some(path), Some(local)) = (&options.trace, &self.local) {
+            write_trace_file(path, local)?;
+            println!("trace written to {}", path.display());
+        }
+        Ok(())
     }
 }
 
@@ -676,39 +824,13 @@ fn main() {
         }
     };
     let fidelity = Fidelity::from_env();
-
-    // Telemetry export: fail on an unwritable destination before the run,
-    // then collect for the whole invocation and write at the end.  The
-    // profile subcommand manages its own per-preset collection instead.
-    let telemetry_on = options.metrics.is_some() || options.trace.is_some();
-    if let Some(path) = &options.metrics {
-        ensure_parent_dir(path);
-    }
-    if let Some(path) = &options.trace {
-        ensure_parent_dir(path);
-    }
-    let is_profile = matches!(mode, Mode::Profile(_));
-    if telemetry_on && !is_profile {
-        telemetry::reset();
-        telemetry::set_enabled(true);
-    }
-    let run_start = std::time::Instant::now();
-    // Worker sidecar snapshots collected by the sharded paths, merged
-    // into the fleet-wide `--metrics` document at the end of the run.
-    let mut worker_metrics: Vec<telemetry::Snapshot> = Vec::new();
-
     match mode {
-        Mode::ShardWorker => {
-            // Workers are quiet children of a sharded campaign: no banner,
-            // their stdout is the one summary line.
-            run_shard_worker(&options);
-        }
-        Mode::ShardMerge(partials) => {
-            run_shard_merge(&partials, &options);
-        }
-        Mode::ExportJson(input) => {
-            run_export_json(&input, &options);
-        }
+        Mode::Run(kind, names) => run(kind, names, fidelity, &options),
+        // Workers are quiet children of a sharded campaign: no banner,
+        // their stdout is the one summary line.
+        Mode::ShardWorker => run_shard_worker(&options),
+        Mode::ShardMerge(partials) => run_shard_merge(&partials, &options),
+        Mode::ExportJson(input) => run_export_json(&input, &options),
         Mode::ShardPlanFiles(presets_named) => {
             println!(
                 "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); shards: {}\n",
@@ -716,283 +838,5 @@ fn main() {
             );
             run_shard_plan(&presets_named, fidelity, &options);
         }
-        Mode::Campaign(presets_named) => match options.shards {
-            None => {
-                let workers = options.worker_threads();
-                println!(
-                    "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}\n"
-                );
-                run_campaigns(&presets_named, fidelity, &options, workers);
-            }
-            Some(num_shards) => {
-                println!(
-                    "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {}; \
-                     shards: {num_shards}\n",
-                    options.workers_per_shard(num_shards)
-                );
-                run_orchestrate(
-                    &presets_named,
-                    fidelity,
-                    &options,
-                    &no_retries(num_shards),
-                    &mut worker_metrics,
-                );
-            }
-        },
-        Mode::Orchestrate(presets_named) => {
-            let num_shards = options.shards.expect("checked at parse time");
-            println!(
-                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {}; \
-                 shards: {num_shards} (orchestrated)\n",
-                options.workers_per_shard(num_shards)
-            );
-            let config = OrchestratorConfig {
-                max_retries: options.max_retries.unwrap_or(2),
-                straggler_timeout: options
-                    .straggler_timeout
-                    .map(std::time::Duration::from_secs_f64),
-                ..OrchestratorConfig::new(num_shards)
-            };
-            run_orchestrate(
-                &presets_named,
-                fidelity,
-                &options,
-                &config,
-                &mut worker_metrics,
-            );
-        }
-        Mode::Profile(presets_named) => {
-            // One worker by default: stages then run back-to-back, so
-            // their totals track wall clock instead of overlapping.
-            // Sharded profiles split the cores like sharded campaigns.
-            let workers = match options.shards {
-                Some(num_shards) => options.workers_per_shard(num_shards),
-                None => options.workers.unwrap_or(1),
-            };
-            println!(
-                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {workers}{} \
-                 (profiling)\n",
-                options
-                    .shards
-                    .map(|n| format!("; shards: {n}"))
-                    .unwrap_or_default(),
-            );
-            for preset in &presets_named {
-                let result = match options.shards {
-                    None => profile_campaign_preset(preset, fidelity, workers),
-                    Some(num_shards) => {
-                        let scratch = unique_scratch_dir("profile");
-                        let result = profile_campaign_preset_sharded(
-                            preset,
-                            fidelity,
-                            &no_retries(num_shards),
-                            workers,
-                            &worker_exe(),
-                            &scratch,
-                            &mut std::io::stderr(),
-                        );
-                        match result {
-                            Ok(profile) => {
-                                let _ = std::fs::remove_dir_all(&scratch);
-                                Ok(profile)
-                            }
-                            Err(e) if scratch.exists() => {
-                                Err(format!("{e} (checkpoints kept in {})", scratch.display())
-                                    .into())
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                };
-                match result {
-                    Ok(profile) => {
-                        println!("{}", profile.table.render());
-                        println!(
-                            "stages account for {:.2} s of {:.2} s wall ({:.1}%)\n",
-                            profile.stage_total_s,
-                            profile.wall_s,
-                            100.0 * profile.stage_total_s / profile.wall_s.max(f64::EPSILON),
-                        );
-                        write_telemetry_files(&options, &profile.snapshot, profile.wall_s);
-                    }
-                    Err(e) => fail(format_args!("profile {preset} failed: {e}")),
-                }
-            }
-        }
-        Mode::Experiments(experiments) => {
-            println!(
-                "fidelity: {fidelity:?} (set IVC_FULL=1 for full sweeps); workers: {}\n",
-                options.worker_threads()
-            );
-            let selected: Vec<String> =
-                if experiments.is_empty() || experiments.iter().any(|a| a == "all") {
-                    vec![
-                        "a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "rooms", "d1", "d3",
-                        "d4", "d5", "d6",
-                    ]
-                    .into_iter()
-                    .map(String::from)
-                    .collect()
-                } else {
-                    experiments
-                };
-            let mut archives_ok = true;
-            let mut experiments_ok = true;
-            for experiment in &selected {
-                let result = run_one(experiment, fidelity, &options, &mut archives_ok);
-                match result {
-                    Ok(output) => println!("{output}"),
-                    Err(e) => {
-                        eprintln!("experiment {experiment} failed: {e}");
-                        experiments_ok = false;
-                    }
-                }
-            }
-            if !archives_ok || !experiments_ok {
-                std::process::exit(1);
-            }
-        }
     }
-
-    if telemetry_on && !is_profile {
-        telemetry::set_enabled(false);
-        let local = telemetry::snapshot();
-        let wall_s = run_start.elapsed().as_secs_f64();
-        // The metrics document is fleet-wide: the coordinator's snapshot
-        // merged with every worker sidecar.  The Chrome trace stays
-        // process-local by design (merging drops per-event detail), so it
-        // is written from the coordinator's own snapshot.
-        if let Some(path) = &options.metrics {
-            let fleet = if worker_metrics.is_empty() {
-                local.clone()
-            } else {
-                match merge_fleet_metrics(local.clone(), &worker_metrics) {
-                    Ok(fleet) => fleet,
-                    Err(e) => fail(e),
-                }
-            };
-            if let Err(e) = write_metrics_file(path, &fleet, wall_s) {
-                fail(e);
-            }
-            println!("metrics written to {}", path.display());
-        }
-        if let Some(path) = &options.trace {
-            if let Err(e) = write_trace_file(path, &local) {
-                fail(e);
-            }
-            println!("trace written to {}", path.display());
-        }
-    }
-}
-
-/// Writes the `--metrics` / `--trace` documents from a snapshot — shared
-/// by the whole-invocation path and the per-preset profile subcommand.
-fn write_telemetry_files(options: &Options, snapshot: &telemetry::Snapshot, wall_s: f64) {
-    if let Some(path) = &options.metrics {
-        if let Err(e) = write_metrics_file(path, snapshot, wall_s) {
-            fail(e);
-        }
-        println!("metrics written to {}", path.display());
-    }
-    if let Some(path) = &options.trace {
-        if let Err(e) = write_trace_file(path, snapshot) {
-            fail(e);
-        }
-        println!("trace written to {}", path.display());
-    }
-}
-
-fn run_one(
-    name: &str,
-    fidelity: Fidelity,
-    options: &Options,
-    archives_ok: &mut bool,
-) -> ivc_core::Result<String> {
-    Ok(match name {
-        "a1" => {
-            let (table, report) = fig_a1_leakage_vs_power(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "a2" => {
-            let (table, series, report) =
-                fig_a2_accuracy_vs_distance(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            let mut out = table.render();
-            for s in series {
-                out.push_str(&format!(
-                    "range at >= 0.8 accuracy [{}]: {:.1} m\n",
-                    s.name,
-                    s.last_x_with_y_at_least(0.8).unwrap_or(0.0)
-                ));
-            }
-            out
-        }
-        "a3" => {
-            let (table, report) = fig_a3_accuracy_vs_speakers(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "a4" => {
-            let (table, report) = fig_a4_leakage_vs_speakers(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "rooms" => {
-            let (table, report) = fig_rooms_sweep(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "a5" => {
-            let (table, report) = tab_a5_range_per_device(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "a6" => {
-            let (table, report) = fig_a6_carrier_frequency(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "b1" => {
-            let (table, report) = tab_b1_range_vs_power(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "b2" => {
-            let (table, report) = fig_b2_spectrogram_triplet(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "b3" => {
-            let (table, reports) = tab_b3_success_rate(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(&reports, &options.archive);
-            table.render()
-        }
-        "d1" | "d2" => {
-            let (table, report) = fig_d1_d2_feature_separation(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "d3" => {
-            let (table, report) = fig_d3_roc(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "d4" => {
-            let (table, report) = tab_d4_detection_grid(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        "d5" => {
-            let (table, reports) = fig_d5_noise_robustness(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(&reports, &options.archive);
-            table.render()
-        }
-        "d6" => {
-            let (table, report) = fig_d6_adaptive_attacker(fidelity, options.worker_threads())?;
-            *archives_ok &= archive_all(std::slice::from_ref(&report), &options.archive);
-            table.render()
-        }
-        other => return Err(format!("unknown experiment id '{other}'").into()),
-    })
 }

@@ -1,11 +1,14 @@
 //! # ivc-bench — the reproduction harness
 //!
-//! One function per paper table/figure.  Every experiment runs through the
-//! campaign engine (`ivc_experiments`): the function builds (or looks up)
-//! a campaign preset, runs it on the worker pool, and renders the paper's
-//! table from the archived report — there are no bespoke trial loops left
-//! here, so the staged `Prepare → Perturb → Evaluate` pipeline is the one
-//! and only trial-execution path in the codebase.
+//! One way from a campaign preset to reports, [`run_preset`], and one
+//! renderer per paper table/figure.  [`run_preset`] runs a preset's specs
+//! through the campaign engine (`ivc_experiments`), in-process on the
+//! worker pool or under the shard orchestrator ([`Runner`]).  Each
+//! `fig_*`/`tab_*` function is a pure renderer: it turns the reports it is
+//! handed into the paper's table, and [`EXPERIMENTS`] pairs every
+//! experiment id with its preset and renderer.  There are no bespoke trial
+//! loops here, so the staged `Prepare → Perturb → Evaluate` pipeline is the
+//! one and only trial-execution path in the codebase.
 //!
 //! Two fidelity levels are supported to keep wall-clock time manageable:
 //! [`Fidelity::Quick`] (trimmed sweeps, truncated commands — minutes) and
@@ -59,16 +62,54 @@ impl Fidelity {
     }
 }
 
-/// E-A1 — audible leakage of a single speaker versus drive power.
-///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a1`) through
-/// the parallel engine; the returned report is the archivable record.
-pub fn fig_a1_leakage_vs_power(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::a1(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// A paper-table renderer: the text `repro` prints for the reports one
+/// preset run produced.
+pub type Renderer = fn(&[CampaignReport]) -> Result<String>;
+
+/// Every paper experiment, in the order `repro all` prints them: the ids
+/// that select it, the campaign preset it runs and its renderer.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[(&[&str], &str, Renderer)] = &[
+    (&["a1"], "a1", fig_a1_leakage_vs_power),
+    (&["a2"], "a2", fig_a2_accuracy_vs_distance),
+    (&["a3"], "a3", fig_a3_accuracy_vs_speakers),
+    (&["a4"], "a4", fig_a4_leakage_vs_speakers),
+    (&["a5"], "a5", tab_a5_range_per_device),
+    (&["a6"], "a6", fig_a6_carrier_frequency),
+    (&["b1"], "b1", tab_b1_range_vs_power),
+    (&["b2"], "b2", fig_b2_spectrogram_triplet),
+    (&["b3"], "b3", tab_b3_success_rate),
+    (&["rooms"], "rooms", fig_rooms_sweep),
+    (&["d1", "d2"], "d1", fig_d1_d2_feature_separation),
+    (&["d3"], "d3", fig_d3_roc),
+    (&["d4"], "d4", tab_d4_detection_grid),
+    (&["d5"], "d5", fig_d5_noise_robustness),
+    (&["d6"], "d6", fig_d6_adaptive_attacker),
+];
+
+/// The preset and renderer of experiment `id`, or the one-line "unknown
+/// experiment id" error.
+pub fn experiment(id: &str) -> Result<(&'static str, Renderer)> {
+    EXPERIMENTS
+        .iter()
+        .find(|(ids, ..)| ids.contains(&id))
+        .map(|&(_, preset, render)| (preset, render))
+        .ok_or_else(|| format!("unknown experiment id '{id}'").into())
+}
+
+/// The report of a single-spec preset.
+fn only(reports: &[CampaignReport]) -> Result<&CampaignReport> {
+    match reports {
+        [report] => Ok(report),
+        _ => Err(format!("expected one campaign report, got {}", reports.len()).into()),
+    }
+}
+
+/// E-A1 — audible leakage of a single speaker versus drive power, from
+/// the `a1` preset's report.
+pub fn fig_a1_leakage_vs_power(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-A1: single-speaker leakage vs drive power (bystander at 1 m)",
         &[
@@ -103,19 +144,15 @@ pub fn fig_a1_leakage_vs_power(
             if audible { "yes".into() } else { "no".into() },
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
-/// E-A2 — word accuracy versus distance: single speaker vs array.
-///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a2`); the
-/// series are the report's psychometric curves read as accuracy curves.
-pub fn fig_a2_accuracy_vs_distance(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, Vec<Series>, CampaignReport)> {
-    let spec = presets::a2(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// E-A2 — word accuracy versus distance: single speaker vs array, from
+/// the `a2` preset's report, followed by each psychometric curve's range
+/// read as an accuracy curve.
+pub fn fig_a2_accuracy_vs_distance(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-A2: injected-command word accuracy vs distance",
         &["Distance (m)", "Single 3 W", "Array 16", "Array 61"],
@@ -139,30 +176,27 @@ pub fn fig_a2_accuracy_vs_distance(
             fmt(accuracy(2), 2),
         ]);
     }
-    let series = report
-        .curves
-        .iter()
-        .map(|curve| {
-            Series::new(
-                curve.label.clone(),
-                curve.distances_m.clone(),
-                curve.mean_word_accuracy.clone(),
-            )
-        })
-        .collect();
-    Ok((table, series, report))
+    let mut out = table.render();
+    for curve in &report.curves {
+        let series = Series::new(
+            curve.label.clone(),
+            curve.distances_m.clone(),
+            curve.mean_word_accuracy.clone(),
+        );
+        out.push_str(&format!(
+            "range at >= 0.8 accuracy [{}]: {:.1} m\n",
+            series.name,
+            series.last_x_with_y_at_least(0.8).unwrap_or(0.0)
+        ));
+    }
+    Ok(out)
 }
 
-/// E-A3 — word accuracy versus number of array elements at long range.
-///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a3`) through
-/// the parallel engine; the table reproduces the bespoke loop it replaced.
-pub fn fig_a3_accuracy_vs_speakers(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::a3(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// E-A3 — word accuracy versus number of array elements at long range,
+/// from the `a3` preset's report.
+pub fn fig_a3_accuracy_vs_speakers(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let distance = spec.distances_m[0];
     let mut table = Table::new(
         format!("E-A3: word accuracy vs number of elements (distance {distance} m)"),
@@ -198,19 +232,16 @@ pub fn fig_a3_accuracy_vs_speakers(
             ),
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-A4 — leakage audibility versus number of elements at equal total power.
 ///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a4`); the
-/// A-weighted column comes from the report's `mean_bystander_spl_dba`.
-pub fn fig_a4_leakage_vs_speakers(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::a4(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// From the `a4` preset's report; the A-weighted column is the report's
+/// `mean_bystander_spl_dba`.
+pub fn fig_a4_leakage_vs_speakers(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let Delivery::ArrayUltrasound { total_power_w, .. } = spec.deliveries[0].delivery else {
         unreachable!("a4 sweeps array element counts");
     };
@@ -252,15 +283,15 @@ pub fn fig_a4_leakage_vs_speakers(
             if audible { "yes".into() } else { "no".into() },
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// Room × distance sweep: the same array attack in every room preset,
 /// rendered as a word-accuracy pivot (rows = distances, columns = rooms)
 /// plus a bystander-leak pivot in the same table.
-pub fn fig_rooms_sweep(fidelity: Fidelity, workers: usize) -> Result<(Table, CampaignReport)> {
-    let spec = presets::rooms(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+pub fn fig_rooms_sweep(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut columns: Vec<String> = vec!["Distance (m)".into()];
     for &room in &spec.rooms {
         columns.push(format!("{} acc.", ivc_experiments::room_token(room)));
@@ -294,19 +325,16 @@ pub fn fig_rooms_sweep(fidelity: Fidelity, workers: usize) -> Result<(Table, Cam
         );
         table.push_row(row);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-A5 — attack range per device at a fixed array configuration.
 ///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a5`); each
-/// device's range is read off its psychometric accuracy curve.
-pub fn tab_a5_range_per_device(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::a5(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// From the `a5` preset's report; each device's range is read off its
+/// psychometric accuracy curve.
+pub fn tab_a5_range_per_device(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-A5: attack range per device (accuracy >= 0.6, 16-element array, 120 W)",
         &["Device", "Range (m)"],
@@ -325,19 +353,16 @@ pub fn tab_a5_range_per_device(
         let range = series.last_x_with_y_at_least(0.6).unwrap_or(0.0);
         table.push_row(vec![device.name().to_string(), fmt(range, 1)]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-A6 — demodulated quality versus carrier frequency.
 ///
-/// Runs as a built-in campaign (`ivc_experiments::presets::a6`) over the
-/// engine's carrier-frequency axis.
-pub fn fig_a6_carrier_frequency(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::a6(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// From the `a6` preset's report, swept over the engine's
+/// carrier-frequency axis.
+pub fn fig_a6_carrier_frequency(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-A6: word accuracy vs carrier frequency (single speaker, 10 W, 1.5 m)",
         &["Carrier (kHz)", "Word accuracy"],
@@ -355,20 +380,16 @@ pub fn fig_a6_carrier_frequency(
             fmt(cell.stats.mean_word_accuracy, 2),
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-B1 — Song–Mittal Table 1: attack range versus speaker input power.
 ///
-/// Runs as a built-in campaign (`ivc_experiments::presets::b1`) over the
-/// engine's power axis; ranges are read off the per-(device, power)
-/// accuracy curves.
-pub fn tab_b1_range_vs_power(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::b1(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+/// From the `b1` preset's report, swept over the engine's power axis;
+/// ranges are read off the per-(device, power) accuracy curves.
+pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-B1: attack range vs speaker input power (single speaker)",
         &["Power (W)", "Phone range (cm)", "Echo range (cm)"],
@@ -393,7 +414,7 @@ pub fn tab_b1_range_vs_power(
         }
         table.push_row(vec![fmt(p, 1), fmt(ranges[0], 0), fmt(ranges[1], 0)]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-B2 — spectrogram band-energy summary of normal / attack / recorded.
@@ -402,13 +423,10 @@ pub fn tab_b1_range_vs_power(
 /// summary; the normal-voice and attack-drive columns are pure signal
 /// analysis of the synthesiser and attack-construction outputs (no trial
 /// is run outside the engine).
-pub fn fig_b2_spectrogram_triplet(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
+pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> {
     use ivc_dsp::stft::{spectrogram, StftConfig};
-    let spec = presets::b2(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+    let report = only(reports)?;
+    let spec = &report.spec;
     let band_spec = spec
         .recording_band_summary
         .expect("b2 archives the recording band summary");
@@ -465,20 +483,20 @@ pub fn fig_b2_spectrogram_triplet(
             fmt(rec_bands[i], 1),
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-B3 — success rates over repeated trials (Song–Mittal §4.2).
 ///
-/// Runs each (device, distance, command) case as its own built-in
-/// campaign (`ivc_experiments::presets::b3`) so the success rates come
+/// One row per report of the `b3` preset, which runs each (device,
+/// distance, command) case as its own campaign so the success rates come
 /// with Wilson confidence intervals for free.
-pub fn tab_b3_success_rate(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, Vec<CampaignReport>)> {
-    let specs = presets::b3(fidelity.quick());
-    let trials = specs[0].trials_per_cell;
+pub fn tab_b3_success_rate(reports: &[CampaignReport]) -> Result<String> {
+    let trials = reports
+        .first()
+        .ok_or("b3 ran no campaign")?
+        .spec
+        .trials_per_cell;
     let mut table = Table::new(
         format!("E-B3: attack success rate over {trials} trials"),
         &[
@@ -489,9 +507,8 @@ pub fn tab_b3_success_rate(
             "95% CI",
         ],
     );
-    let mut reports = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let report = run_campaign(&spec, workers)?;
+    for report in reports {
+        let spec = &report.spec;
         let cell = &report.cells[0];
         table.push_row(vec![
             spec.devices[0].name().to_string(),
@@ -506,9 +523,8 @@ pub fn tab_b3_success_rate(
                 fmt(cell.stats.success_ci_high, 2)
             ),
         ]);
-        reports.push(report);
     }
-    Ok((table, reports))
+    Ok(table.render())
 }
 
 /// The campaign specs a preset name expands to (`b3` and `d5` expand to
@@ -522,19 +538,6 @@ pub fn preset_specs(name: &str, fidelity: Fidelity) -> Result<Vec<CampaignSpec>>
         )
         .into()
     })
-}
-
-/// Runs a named campaign preset through the engine, returning one report
-/// per expanded spec.
-pub fn run_campaign_preset(
-    name: &str,
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<Vec<CampaignReport>> {
-    preset_specs(name, fidelity)?
-        .iter()
-        .map(|spec| Ok(run_campaign(spec, workers)?))
-        .collect()
 }
 
 /// A per-invocation unique scratch-directory path under the system temp
@@ -556,63 +559,116 @@ pub fn unique_scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// The orchestrated flavour of [`run_campaign_preset`], and the one
-/// multi-process shard runner: each of the preset's specs runs under
-/// [`ivc_experiments::orchestrate`] as `repro shard-worker` child
-/// processes launched from `worker_exe` (`workers` threads each), with
-/// failed shards retried up to `config.max_retries`, stragglers
-/// re-issued, finished partials checkpointed into `scratch_dir` and
-/// surviving checkpoints resumed.  Shard file names carry the spec name,
-/// so one scratch directory serves the whole preset.  Each report is
-/// byte-identical to the in-process [`run_campaign`] run.
-pub fn run_campaign_preset_orchestrated(
-    name: &str,
-    fidelity: Fidelity,
-    config: &OrchestratorConfig,
-    workers: usize,
-    worker_exe: &Path,
-    scratch_dir: &Path,
-    status: &mut dyn std::io::Write,
-) -> Result<Vec<CampaignReport>> {
-    let mut launcher = ProcessLauncher::new(worker_exe, workers);
-    preset_specs(name, fidelity)?
-        .iter()
-        .map(|spec| Ok(orchestrate(spec, config, scratch_dir, &mut launcher, status)?.report))
-        .collect()
+/// Where [`run_preset`] executes a preset's trials.  Either way every
+/// report is byte-identical to the in-process [`run_campaign`] run.
+#[derive(Debug, Clone)]
+pub enum Runner {
+    /// In this process, on a pool of worker threads.
+    InProcess {
+        /// Worker threads.
+        workers: usize,
+    },
+    /// Under [`ivc_experiments::orchestrate`], the one multi-process shard
+    /// runner: `repro shard-worker` child processes launched from
+    /// `worker_exe`, failed shards retried up to `config.max_retries`,
+    /// stragglers re-issued, finished partials checkpointed into
+    /// `scratch_dir` and surviving checkpoints resumed.  Shard file names
+    /// carry the spec name, so one scratch directory serves every preset.
+    Orchestrated {
+        /// The supervision policy.
+        config: OrchestratorConfig,
+        /// Worker threads per shard-worker process.
+        workers: usize,
+        /// The executable re-entered as `shard-worker`.
+        worker_exe: PathBuf,
+        /// Where checkpoints, telemetry sidecars and run manifests go.
+        scratch_dir: PathBuf,
+    },
 }
 
-/// Loads and parses the telemetry sidecars the workers of an orchestrated
-/// run left next to their canonical partial archives — one
-/// `ivc-metrics-v1` document per shard of `spec`'s `num_shards` plan.
-///
-/// A missing or unparseable sidecar is a **loud error**, never an
-/// under-reported fleet document: a silently dropped worker is exactly
-/// the failure mode fleet telemetry exists to prevent.
-pub fn collect_worker_metrics(
-    spec: &CampaignSpec,
-    num_shards: usize,
-    scratch_dir: &Path,
-) -> Result<Vec<telemetry::Snapshot>> {
-    let plan = ShardPlan::partition(spec, num_shards)?;
-    let mut snapshots = Vec::with_capacity(plan.shards.len());
-    for shard in &plan.shards {
-        let sidecar =
-            metrics_sidecar_path(&scratch_dir.join(shard_archive_file_name(&spec.name, shard)));
-        let text = std::fs::read_to_string(&sidecar).map_err(|e| {
-            format!(
-                "shard {} of campaign '{}' left no telemetry sidecar at {} ({e}); refusing to \
-                 emit under-reported fleet metrics",
-                shard.shard_index,
-                spec.name,
-                sidecar.display()
-            )
-        })?;
-        snapshots.push(
-            telemetry::Snapshot::parse_metrics(&text)
-                .map_err(|e| format!("parsing {}: {e}", sidecar.display()))?,
-        );
+impl Runner {
+    /// The telemetry sidecars the workers of an orchestrated run of preset
+    /// `name` left next to their checkpoints: one `ivc-metrics-v1`
+    /// snapshot per shard of each spec, and none for an in-process run.
+    ///
+    /// A missing or unparseable sidecar is a **loud error**, never an
+    /// under-reported fleet document: a silently dropped worker is exactly
+    /// the failure mode fleet telemetry exists to prevent.
+    pub fn worker_metrics(
+        &self,
+        name: &str,
+        fidelity: Fidelity,
+    ) -> Result<Vec<telemetry::Snapshot>> {
+        let Runner::Orchestrated {
+            config,
+            scratch_dir,
+            ..
+        } = self
+        else {
+            return Ok(Vec::new());
+        };
+        let mut snapshots = Vec::new();
+        for spec in preset_specs(name, fidelity)? {
+            for shard in ShardPlan::partition(&spec, config.num_shards)?.shards {
+                let partial = scratch_dir.join(shard_archive_file_name(&spec.name, &shard));
+                let sidecar = metrics_sidecar_path(&partial);
+                let text = std::fs::read_to_string(&sidecar).map_err(|e| {
+                    format!(
+                        "shard {} of campaign '{}' left no telemetry sidecar at {} ({e}); \
+                         refusing to emit under-reported fleet metrics",
+                        shard.shard_index,
+                        spec.name,
+                        sidecar.display()
+                    )
+                })?;
+                snapshots.push(
+                    telemetry::Snapshot::parse_metrics(&text)
+                        .map_err(|e| format!("parsing {}: {e}", sidecar.display()))?,
+                );
+            }
+        }
+        Ok(snapshots)
     }
-    Ok(snapshots)
+}
+
+/// "4 worker(s)", or "2 shard(s) x 2 worker(s)" when orchestrated.
+impl std::fmt::Display for Runner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Runner::InProcess { workers } => write!(f, "{workers} worker(s)"),
+            Runner::Orchestrated {
+                config, workers, ..
+            } => write!(f, "{} shard(s) x {workers} worker(s)", config.num_shards),
+        }
+    }
+}
+
+/// Runs campaign preset `name` on `runner`: one report per expanded spec.
+/// This is the one way from a preset name to reports; the orchestrator's
+/// status lines go to stderr.
+pub fn run_preset(name: &str, fidelity: Fidelity, runner: &Runner) -> Result<Vec<CampaignReport>> {
+    let specs = preset_specs(name, fidelity)?;
+    match runner {
+        Runner::InProcess { workers } => specs
+            .iter()
+            .map(|spec| Ok(run_campaign(spec, *workers)?))
+            .collect(),
+        Runner::Orchestrated {
+            config,
+            workers,
+            worker_exe,
+            scratch_dir,
+        } => {
+            let mut launcher = ProcessLauncher::new(worker_exe, *workers);
+            let mut status = std::io::stderr();
+            specs
+                .iter()
+                .map(|spec| {
+                    Ok(orchestrate(spec, config, scratch_dir, &mut launcher, &mut status)?.report)
+                })
+                .collect()
+        }
+    }
 }
 
 /// Total `stage.*` time of a snapshot, in nanoseconds.
@@ -656,25 +712,6 @@ pub fn merge_fleet_metrics(
         .into());
     }
     Ok(fleet)
-}
-
-/// A profiled campaign run: the per-stage time-attribution table plus
-/// the raw telemetry snapshot it was built from (for `--metrics` /
-/// `--trace` export alongside the table).
-pub struct ProfileReport {
-    /// Per-stage attribution: span counts, total seconds, mean
-    /// milliseconds and share of wall clock, with pipeline sub-steps
-    /// indented under their stage.
-    pub table: Table,
-    /// Seconds covered by the non-overlapping top-level spans (setup,
-    /// detector training, the three stages, band summary, aggregation
-    /// and cell-lock waits).  With one worker this should track the
-    /// wall clock closely; the gap is unattributed engine overhead.
-    pub stage_total_s: f64,
-    /// Wall-clock seconds of the profiled run.
-    pub wall_s: f64,
-    /// The telemetry snapshot the table was rendered from.
-    pub snapshot: telemetry::Snapshot,
 }
 
 /// The top-level attribution rows, in pipeline order, each with the
@@ -725,93 +762,22 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
     ("campaign.aggregate", &[]),
 ];
 
-/// Profiles a campaign preset: runs it with telemetry enabled and
-/// returns the per-stage time-attribution table.  The preset's reports
-/// are computed and discarded — the profile is the product.  Call with
-/// `workers = 1` for attribution that tracks wall clock (parallel
-/// workers overlap stage time, so stage totals then exceed wall).
-///
-/// Resets the process-global telemetry collector, so the snapshot
-/// covers exactly this run; the collector is left disabled.
-pub fn profile_campaign_preset(
+/// The per-stage attribution table of preset `name` run on `runner`,
+/// rendered from a (possibly fleet-merged) snapshot covering `wall_s`
+/// seconds: span counts, totals, means, histogram-derived p50/p90/p99
+/// estimates and share of wall clock.  A footer gives the seconds the
+/// top-level spans cover.  Those never overlap each other, so with one
+/// in-process worker their sum tracks the wall clock and the gap is
+/// unattributed engine overhead; parallel workers and shards overlap
+/// stage time, so the sum then exceeds wall.
+pub fn attribution_report(
     name: &str,
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<ProfileReport> {
-    telemetry::reset();
-    telemetry::set_enabled(true);
-    let start = std::time::Instant::now();
-    let outcome = run_campaign_preset(name, fidelity, workers);
-    let wall_s = start.elapsed().as_secs_f64();
-    telemetry::set_enabled(false);
-    let snapshot = telemetry::snapshot();
-    outcome?;
-    Ok(attribution_report(
-        name,
-        &format!("{workers} worker(s)"),
-        snapshot,
-        wall_s,
-    ))
-}
-
-/// The multi-process flavour of [`profile_campaign_preset`]: the preset
-/// runs under the orchestrator (`config`) as forked `worker_exe`
-/// processes, each worker's telemetry sidecar is collected, and the
-/// attribution table is rendered from the merged **fleet** snapshot — so
-/// the table covers the work that actually happened in the workers, not
-/// just coordinator overhead.  Stage totals aggregate across concurrent
-/// processes, so their sum can exceed wall clock, exactly as with
-/// `workers > 1`.
-pub fn profile_campaign_preset_sharded(
-    name: &str,
-    fidelity: Fidelity,
-    config: &OrchestratorConfig,
-    workers: usize,
-    worker_exe: &Path,
-    scratch_dir: &Path,
-    status: &mut dyn std::io::Write,
-) -> Result<ProfileReport> {
-    telemetry::reset();
-    telemetry::set_enabled(true);
-    let start = std::time::Instant::now();
-    let outcome = run_campaign_preset_orchestrated(
-        name,
-        fidelity,
-        config,
-        workers,
-        worker_exe,
-        scratch_dir,
-        status,
-    );
-    let wall_s = start.elapsed().as_secs_f64();
-    telemetry::set_enabled(false);
-    let local = telemetry::snapshot();
-    outcome?;
-    let num_shards = config.num_shards;
-    let mut worker_snapshots = Vec::new();
-    for spec in &preset_specs(name, fidelity)? {
-        worker_snapshots.extend(collect_worker_metrics(spec, num_shards, scratch_dir)?);
-    }
-    let fleet = merge_fleet_metrics(local, &worker_snapshots)?;
-    Ok(attribution_report(
-        name,
-        &format!("{num_shards} shard(s) x {workers} worker(s)"),
-        fleet,
-        wall_s,
-    ))
-}
-
-/// Renders the per-stage attribution table from a (possibly fleet-merged)
-/// snapshot: span counts, totals, means, histogram-derived p50/p90/p99
-/// estimates and share of wall clock.
-fn attribution_report(
-    name: &str,
-    workers_label: &str,
-    snapshot: telemetry::Snapshot,
+    runner: &Runner,
+    snapshot: &telemetry::Snapshot,
     wall_s: f64,
-) -> ProfileReport {
+) -> String {
     let mut table = Table::new(
-        format!("Stage attribution — preset '{name}' ({workers_label})"),
+        format!("Stage attribution — preset '{name}' ({runner})"),
         &[
             "Stage",
             "Spans",
@@ -881,12 +847,11 @@ fn attribution_report(
             ]);
         }
     }
-    ProfileReport {
-        table,
-        stage_total_s,
-        wall_s,
-        snapshot,
-    }
+    format!(
+        "{}\nstages account for {stage_total_s:.2} s of {wall_s:.2} s wall ({:.1}%)\n",
+        table.render(),
+        100.0 * stage_total_s / wall_s.max(f64::EPSILON),
+    )
 }
 
 /// Writes a telemetry snapshot as a pretty-printed `ivc-metrics-v1`
@@ -934,16 +899,13 @@ fn scored_trials(report: &CampaignReport) -> Result<Vec<(f64, bool)>> {
 
 /// E-D1 / E-D2 — defense feature separation between legit and attack.
 ///
-/// Runs the `d1` campaign (legitimate talker vs the standard attack, the
-/// trained detector on the axis) and averages the archived per-trial
+/// From the `d1` preset's report (legitimate talker vs the standard
+/// attack, the trained detector on the axis): averages the archived per-trial
 /// feature vectors per class; the final row is the detector's mean attack
 /// probability per class — the detector-probability line the trained-
 /// detector axis adds to the d-series.
-pub fn fig_d1_d2_feature_separation(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let report = run_campaign(&presets::d1(fidelity.quick()), workers)?;
+pub fn fig_d1_d2_feature_separation(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
     let mut table = Table::new(
         "E-D1/E-D2: defense feature means (legitimate vs attack recordings)",
         &["Feature", "Legit mean", "Attack mean"],
@@ -951,7 +913,7 @@ pub fn fig_d1_d2_feature_separation(
     let mut sums = [[0.0f64; 2]; DefenseFeatures::DIMENSION];
     let mut probability_sums = [0.0f64; 2];
     let mut counts = [0usize; 2];
-    for (trial, is_attack) in labelled_trials(&report) {
+    for (trial, is_attack) in labelled_trials(report) {
         let class = usize::from(is_attack);
         counts[class] += 1;
         for (i, v) in trial.defense_features.iter().enumerate() {
@@ -971,14 +933,13 @@ pub fn fig_d1_d2_feature_separation(
         fmt(probability_sums[0] / counts[0].max(1) as f64, 2),
         fmt(probability_sums[1] / counts[1].max(1) as f64, 2),
     ]);
-    Ok((table, report))
+    Ok(table.render())
 }
 
-/// E-D3 — the detector's ROC curve, traced from the `d3` campaign's
+/// E-D3 — the detector's ROC curve, traced from the `d3` preset's
 /// archived per-trial `(probability, label)` pairs.
-pub fn fig_d3_roc(fidelity: Fidelity, workers: usize) -> Result<(Table, CampaignReport)> {
-    let report = run_campaign(&presets::d3(fidelity.quick()), workers)?;
-    let scored = scored_trials(&report)?;
+pub fn fig_d3_roc(reports: &[CampaignReport]) -> Result<String> {
+    let scored = scored_trials(only(reports)?)?;
     let roc = RocCurve::compute(&scored)?;
     let mut table = Table::new(
         format!("E-D3: detector ROC (AUC = {:.3})", roc.auc),
@@ -990,18 +951,15 @@ pub fn fig_d3_roc(fidelity: Fidelity, workers: usize) -> Result<(Table, Campaign
             fmt(p.true_positive_rate, 3),
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 /// E-D4 — detection accuracy per device and distance, from the `d4`
-/// campaign's archived detection probabilities (threshold 0.5), with the
+/// preset's archived detection probabilities (threshold 0.5), with the
 /// trained-detector axis's mean-probability column.
-pub fn tab_d4_detection_grid(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::d4(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+pub fn tab_d4_detection_grid(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-D4: detection accuracy / FPR per device and distance",
         &[
@@ -1016,7 +974,7 @@ pub fn tab_d4_detection_grid(
     for (device_index, device) in spec.devices.iter().enumerate() {
         for (distance_index, &distance) in spec.distances_m.iter().enumerate() {
             let mut scored = Vec::new();
-            for (trial, is_attack) in labelled_trials(&report) {
+            for (trial, is_attack) in labelled_trials(report) {
                 let cell = &report.cells[trial.cell_index].cell.coords;
                 if cell.device_index != device_index || cell.distance_index != distance_index {
                     continue;
@@ -1038,16 +996,13 @@ pub fn tab_d4_detection_grid(
             ]);
         }
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
-/// E-D5 — detection robustness versus ambient noise: one campaign per
-/// noise level, each scored by its trained detector.
-pub fn fig_d5_noise_robustness(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, Vec<CampaignReport>)> {
-    let specs = presets::d5(fidelity.quick());
+/// E-D5 — detection robustness versus ambient noise: one row per report
+/// of the `d5` preset (a campaign per noise level), each scored by its
+/// trained detector.
+pub fn fig_d5_noise_robustness(reports: &[CampaignReport]) -> Result<String> {
     let mut table = Table::new(
         "E-D5: detection accuracy vs ambient noise",
         &[
@@ -1058,33 +1013,27 @@ pub fn fig_d5_noise_robustness(
             "Mean P(attack)",
         ],
     );
-    let mut reports = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let report = run_campaign(&spec, workers)?;
-        let scored = scored_trials(&report)?;
+    for report in reports {
+        let scored = scored_trials(report)?;
         let matrix = ConfusionMatrix::from_scores(&scored, 0.5);
         let mean_p = scored.iter().map(|(p, _)| p).sum::<f64>() / scored.len().max(1) as f64;
         table.push_row(vec![
-            fmt(spec.ambient_noise_spl_db, 0),
+            fmt(report.spec.ambient_noise_spl_db, 0),
             fmt(matrix.accuracy(), 2),
             fmt(matrix.true_positive_rate(), 2),
             fmt(matrix.false_positive_rate(), 2),
             fmt(mean_p, 2),
         ]);
-        reports.push(report);
     }
-    Ok((table, reports))
+    Ok(table.render())
 }
 
 /// E-D6 — the adaptive attacker: shadow suppression vs detection and
-/// command intelligibility, from the `d6` campaign's suppression-swept
+/// command intelligibility, from the `d6` preset's suppression-swept
 /// delivery axis.
-pub fn fig_d6_adaptive_attacker(
-    fidelity: Fidelity,
-    workers: usize,
-) -> Result<(Table, CampaignReport)> {
-    let spec = presets::d6(fidelity.quick());
-    let report = run_campaign(&spec, workers)?;
+pub fn fig_d6_adaptive_attacker(reports: &[CampaignReport]) -> Result<String> {
+    let report = only(reports)?;
+    let spec = &report.spec;
     let mut table = Table::new(
         "E-D6: adaptive attacker (shadow suppression)",
         &[
@@ -1120,7 +1069,7 @@ pub fn fig_d6_adaptive_attacker(
             },
         ]);
     }
-    Ok((table, report))
+    Ok(table.render())
 }
 
 #[cfg(test)]
@@ -1139,6 +1088,20 @@ mod tests {
             !source.contains(needle),
             "bespoke trial execution crept back into ivc-bench"
         );
+    }
+
+    #[test]
+    fn every_experiment_id_is_unique_and_names_a_preset() {
+        let mut seen = Vec::new();
+        for (ids, preset, _) in EXPERIMENTS {
+            assert!(preset_specs(preset, Fidelity::Quick).is_ok(), "{preset}");
+            for id in *ids {
+                assert!(!seen.contains(id), "experiment id {id} listed twice");
+                seen.push(*id);
+            }
+        }
+        assert_eq!(experiment("d2").unwrap().0, "d1");
+        assert!(experiment("bench-diff").is_err());
     }
 
     #[test]

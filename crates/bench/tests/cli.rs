@@ -762,3 +762,101 @@ fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {
 
     std::fs::remove_dir_all(&scratch).ok();
 }
+
+/// `profile A B --metrics F` writes one document for the whole invocation:
+/// the presets' snapshots merged, so F counts the spans of both (smoke's
+/// 4 trials plus a1's 3).  Trace events do not merge, so `--trace` with
+/// more than one profile preset is a one-line parse error.
+#[test]
+fn profile_metrics_cover_every_preset() {
+    use ivc_core::json::JsonValue;
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-profile-2-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).unwrap();
+    let metrics = scratch.join("pm.json");
+    let output = repro(&[
+        "profile",
+        "smoke",
+        "a1",
+        "--metrics",
+        &metrics.to_string_lossy(),
+    ]);
+    assert!(output.status.success(), "profile failed: {output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(stdout.matches("Stage attribution").count(), 2, "{stdout}");
+    let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
+    for stage in ["stage.prepare", "stage.perturb", "stage.evaluate"] {
+        let count = spans
+            .iter()
+            .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(stage))
+            .and_then(|s| s.get("count"))
+            .and_then(JsonValue::as_u64);
+        assert_eq!(count, Some(7), "{stage} must count both presets' trials");
+    }
+
+    let trace = scratch.join("t.json");
+    let output = repro(&[
+        "profile",
+        "smoke",
+        "a1",
+        "--trace",
+        &trace.to_string_lossy(),
+    ]);
+    let line = one_line_error(&output, "profile --trace with two presets");
+    assert_eq!(output.status.code(), Some(2), "a parse error exits 2");
+    assert!(line.contains("--trace takes one preset"), "{line}");
+    assert!(!trace.exists(), "a refused run must write no trace");
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// Paper experiments and campaigns share one run path: `repro a1 b3` and
+/// `repro campaign a1 b3` archive the same set of files, byte for byte
+/// (`b3` expands to several specs).
+#[test]
+fn experiment_archives_equal_campaign_archives() {
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-views-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    let experiments = scratch.join("experiments");
+    let campaigns = scratch.join("campaigns");
+    for (args, dir) in [
+        (&["a1", "b3"][..], &experiments),
+        (&["campaign", "a1", "b3"][..], &campaigns),
+    ] {
+        let mut args = args.to_vec();
+        let dir_arg = dir.to_string_lossy().into_owned();
+        args.extend(["--workers", "2", "--archive", &dir_arg]);
+        let output = repro(&args);
+        assert!(
+            output.status.success(),
+            "`repro {}` failed: {output:?}",
+            args.join(" ")
+        );
+    }
+    let files = |dir: &PathBuf| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let names = files(&experiments);
+    assert_eq!(
+        names,
+        files(&campaigns),
+        "the two runs archived different files"
+    );
+    assert!(
+        names.len() >= 3,
+        "a1 and b3 archive at least three reports: {names:?}"
+    );
+    for name in &names {
+        assert_eq!(
+            std::fs::read(experiments.join(name)).unwrap(),
+            std::fs::read(campaigns.join(name)).unwrap(),
+            "{name} differs between the experiment and the campaign run"
+        );
+    }
+    std::fs::remove_dir_all(&scratch).ok();
+}

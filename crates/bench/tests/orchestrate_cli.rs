@@ -389,3 +389,35 @@ fn fault_knob_fails_only_the_first_attempt_of_its_shard() {
     assert_eq!(partial.records.len(), job.shard.num_jobs());
     std::fs::remove_dir_all(&scratch).ok();
 }
+
+/// `--resume DIR` names a directory the user owns: a successful run
+/// deletes nothing in it that the run did not write (a sentinel file
+/// here), and leaves its checkpoints for a later resume.
+#[test]
+fn resume_dir_survives_a_successful_run() {
+    let scratch = scratch_dir("resume-keep");
+    let ckpt = scratch.join("ckpt");
+    let archive = scratch.join("archive");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    let sentinel = ckpt.join("keep.txt");
+    std::fs::write(&sentinel, "not the run's").unwrap();
+    let output = repro_cmd()
+        .args(["orchestrate", "smoke", "--shards", "2", "--workers", "1"])
+        .args(["--resume", &ckpt.to_string_lossy()])
+        .args(["--archive", &archive.to_string_lossy()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "orchestrate --resume failed:\n{stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&sentinel).ok().as_deref(),
+        Some("not the run's"),
+        "the run deleted a file it did not write"
+    );
+    assert_eq!(count_checkpoints(&ckpt), 2, "the checkpoints stay in DIR");
+    assert_eq!(read_archive(&archive), smoke_baseline());
+    std::fs::remove_dir_all(&scratch).ok();
+}

@@ -159,8 +159,6 @@ pub struct CellAccumulator {
     bystander_voice_spl_db: MeanAccumulator,
     leak_audible: MeanAccumulator,
     detection_probability: MeanAccumulator,
-    band_summary_sums: Vec<f64>,
-    band_summary_count: usize,
 }
 
 impl CellAccumulator {
@@ -183,15 +181,6 @@ impl CellAccumulator {
             .fold(record.leak_audible.map(|a| if a { 1.0 } else { 0.0 }));
         self.detection_probability
             .fold(record.detection_probability);
-        if let Some(bands) = &record.recording_band_summary_db {
-            if self.band_summary_sums.len() < bands.len() {
-                self.band_summary_sums.resize(bands.len(), 0.0);
-            }
-            for (sum, value) in self.band_summary_sums.iter_mut().zip(bands) {
-                *sum += value;
-            }
-            self.band_summary_count += 1;
-        }
     }
 
     /// Number of trials folded so far.
@@ -202,19 +191,6 @@ impl CellAccumulator {
     /// Trials folded so far that were accepted end to end.
     pub fn successes(&self) -> usize {
         self.successes
-    }
-
-    /// Mean recording band-energy summary in dB over the trials that
-    /// carried one (`None` when no trial did).  Not part of [`CellStats`]
-    /// — the archived bytes are frozen — but available to streaming
-    /// consumers that would otherwise have to hold every record.
-    pub fn mean_band_summary_db(&self) -> Option<Vec<f64>> {
-        (self.band_summary_count > 0).then(|| {
-            self.band_summary_sums
-                .iter()
-                .map(|sum| sum / self.band_summary_count as f64)
-                .collect()
-        })
     }
 
     /// The cell's statistics from the running sums.  Bit-identical to the

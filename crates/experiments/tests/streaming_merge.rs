@@ -132,8 +132,7 @@ fn merger_streams_the_finest_tiling_to_the_bulk_merge_bytes() {
 /// The memory regression this PR fixes: aggregation state must not grow
 /// with the trial count.  Records are generated on the fly and folded one
 /// at a time — never materialized — and after 200 000 trials the
-/// accumulator still owns nothing but its fixed struct plus one sum per
-/// band-summary band.
+/// accumulator still owns nothing but its fixed, heap-free struct.
 #[test]
 fn accumulator_state_stays_o_cells_under_many_trials() {
     const TRIALS: usize = 200_000;
@@ -153,9 +152,6 @@ fn accumulator_state_stays_o_cells_under_many_trials() {
     }
     assert_eq!(accumulator.trials(), TRIALS);
     assert!(accumulator.successes() > 0 && accumulator.successes() < TRIALS);
-    // The only heap the accumulator holds tracks the band-summary band
-    // count (3 in the synthetic records), not the trial count.
-    assert_eq!(accumulator.mean_band_summary_db().map(|b| b.len()), Some(3));
 
     let stats = accumulator.stats();
     assert_eq!(stats.trials, TRIALS);
