@@ -13,11 +13,13 @@ fn bench_room(c: &mut Criterion) {
 
     // Impulse-response construction: geometry + material curves for the
     // order-3 conference room, both receiver paths.
-    let instance = RoomPreset::ConferenceRoom.instantiate(4.0, 1.0).unwrap();
+    let conference = RoomPreset::ConferenceRoom;
     group.bench_function("impulse_response_conference_order3", |b| {
         b.iter(|| {
-            let target = instance.target_rir(std::hint::black_box(0.33)).unwrap();
-            let bystander = instance.bystander_rir().unwrap();
+            let target = conference
+                .target_rir(4.0, std::hint::black_box(0.33))
+                .unwrap();
+            let bystander = conference.bystander_rir(1.0).unwrap();
             (target.num_taps(), bystander.num_taps())
         })
     });
@@ -27,8 +29,7 @@ fn bench_room(c: &mut Criterion) {
     // 62-tap target response: forward FFT, per-bin tap response, inverse
     // FFT, on top of the direct path.
     let env = AirEnvironment::default();
-    let conference = RoomPreset::ConferenceRoom.instantiate(3.0, 1.0).unwrap();
-    let rir = conference.target_rir(0.33).unwrap();
+    let rir = conference.target_rir(3.0, 0.33).unwrap();
     assert_eq!(rir.reflected().len(), 62);
     let drive = Signal::tone(40_000.0, 0.5, 0.6, 192_000.0).unwrap();
     group.bench_function("propagate_in_room_conference_order3", |b| {

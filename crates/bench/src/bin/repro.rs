@@ -493,9 +493,14 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
         telemetry.begin();
     }
     let mut failed = false;
-    for name in &names {
+    let mut run_dirs = Vec::new();
+    for (run, name) in names.iter().enumerate() {
         if per_preset {
             telemetry.begin();
+        }
+        let runner = own_checkpoints(&runner, run, name);
+        if let Runner::Orchestrated { scratch_dir, .. } = &runner {
+            run_dirs.push(scratch_dir.clone());
         }
         let ok = match run_one(kind, name, fidelity, &runner, &mut telemetry) {
             Ok((text, reports)) => {
@@ -543,8 +548,10 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
         // them into the archive directory (when one was asked for) before
         // a scratch directory of the run's own disappears.
         if let Some(dir) = &options.archive {
-            if let Err(e) = copy_manifests(scratch_dir, dir) {
-                fail(format_args!("archiving run manifests: {e}"));
+            for run_dir in &run_dirs {
+                if let Err(e) = copy_manifests(run_dir, dir) {
+                    fail(format_args!("archiving run manifests: {e}"));
+                }
             }
         }
         if options.resume.is_none() {
@@ -559,6 +566,22 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
             fail(e);
         }
     }
+}
+
+/// `runner` with checkpoints of its own for the `run`-th name of the
+/// invocation: the first run keeps the scratch directory itself (the one
+/// `--resume DIR` names), every later run gets a sub-directory of it.  So
+/// a preset named twice never resumes its first run's checkpoints or
+/// re-reads its telemetry sidecars, and re-running the same names with
+/// `--resume DIR` finds each run's checkpoints where it left them.
+fn own_checkpoints(runner: &Runner, run: usize, name: &str) -> Runner {
+    let mut runner = runner.clone();
+    if let Runner::Orchestrated { scratch_dir, .. } = &mut runner {
+        if run > 0 {
+            *scratch_dir = scratch_dir.join(format!("{run}-{name}"));
+        }
+    }
+    runner
 }
 
 /// Runs one preset (or experiment id) on `runner` and renders what `kind`

@@ -717,7 +717,8 @@ pub fn merge_fleet_metrics(
 /// The top-level attribution rows, in pipeline order, each with the
 /// sub-step spans nested inside it.  Top-level spans never overlap each
 /// other, so their totals sum to attributable engine time; sub-steps
-/// are informational (they nest inside their parent's total).
+/// are informational (they nest inside their parent's total).  A sub-step
+/// with no span but a counter of its name renders as a count-only row.
 const PROFILE_ROWS: &[(&str, &[&str])] = &[
     ("campaign.setup", &[]),
     (
@@ -737,6 +738,8 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
             "prepare.rir_build",
             "prepare.convolution",
             "prepare.leakage",
+            "prepare.cache_wait",
+            "prepare_cache.wait",
         ],
     ),
     (
@@ -814,6 +817,12 @@ pub fn attribution_report(
                 fmt(pct, 1),
             ]);
             return total_s;
+        }
+        let count = snapshot.counter(name);
+        if count > 0 {
+            let mut cells = vec![label, count.to_string()];
+            cells.resize(8, "-".into());
+            table.push_row(cells);
         }
         0.0
     };

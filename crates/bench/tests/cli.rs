@@ -860,3 +860,73 @@ fn experiment_archives_equal_campaign_archives() {
     }
     std::fs::remove_dir_all(&scratch).ok();
 }
+
+/// A preset named twice in one sharded invocation runs twice, each run in
+/// checkpoints of its own: the second run neither resumes the first run's
+/// checkpoints nor re-reads its telemetry sidecars.
+#[test]
+fn a_preset_named_twice_runs_in_checkpoints_of_its_own() {
+    use ivc_core::json::JsonValue;
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-twice-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).unwrap();
+
+    // Two shards of one worker each overlap at most two stage-seconds per
+    // wall-second, so no table may claim more than 200 % of its wall.
+    let output = repro(&[
+        "profile",
+        "smoke",
+        "smoke",
+        "--shards",
+        "2",
+        "--workers",
+        "1",
+    ]);
+    assert!(output.status.success(), "profile failed: {output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let coverage: Vec<f64> = stdout
+        .split("wall (")
+        .skip(1)
+        .map(|rest| rest.split('%').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(coverage.len(), 2, "{stdout}");
+    for percent in coverage {
+        assert!(
+            percent > 0.0 && percent <= 200.0,
+            "{percent}% of wall:\n{stdout}"
+        );
+    }
+
+    let counters = |names: &[&str]| {
+        let path = scratch.join(format!("{}.json", names.len()));
+        let mut args = vec!["campaign"];
+        args.extend(names);
+        let path_arg = path.to_string_lossy().into_owned();
+        args.extend(["--shards", "2", "--workers", "1", "--metrics", &path_arg]);
+        let output = repro(&args);
+        assert!(output.status.success(), "{args:?} failed: {output:?}");
+        let doc = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let counter = |name: &str| {
+            let counters = doc.get("counters").and_then(JsonValue::as_array).unwrap();
+            counters
+                .iter()
+                .find(|c| c.get("name").and_then(JsonValue::as_str) == Some(name))
+                .and_then(|c| c.get("value"))
+                .and_then(JsonValue::as_u64)
+                .unwrap_or(0)
+        };
+        [
+            "executor.trials_completed",
+            "orchestrate.launched",
+            "orchestrate.resumed",
+        ]
+        .map(counter)
+    };
+    let [once_trials, once_launched, once_resumed] = counters(&["smoke"]);
+    let [twice_trials, twice_launched, twice_resumed] = counters(&["smoke", "smoke"]);
+    assert_eq!(once_trials, 4);
+    assert_eq!(twice_trials, 2 * once_trials);
+    assert_eq!(twice_launched, 2 * once_launched);
+    assert_eq!((once_resumed, twice_resumed), (0, 0));
+    std::fs::remove_dir_all(&scratch).ok();
+}

@@ -48,7 +48,7 @@ pub use json::JsonValue;
 pub use pipeline::{run_trial, TrialOutcome};
 pub use results::{Series, Table};
 pub use scenario::{Delivery, Scenario};
-pub use stages::{PrepareContext, PreparedCell, TrialScratch};
+pub use stages::{PreparedCell, TrialScratch};
 
 /// Convenience error alias: the pipeline surfaces whichever layer failed.
 pub type Error = Box<dyn std::error::Error + Send + Sync>;

@@ -7,7 +7,7 @@
 //! all trials of a cell.
 
 use crate::scenario::Scenario;
-use crate::stages::{PrepareContext, PreparedCell, TrialScratch};
+use crate::stages::{PreparedCell, TrialScratch};
 use crate::Result;
 use ivc_attack::leakage::LeakageReport;
 use ivc_defense::classifier::LogisticRegression;
@@ -57,8 +57,7 @@ pub fn run_trial(
     recognizer: &Recognizer,
     detector: Option<&LogisticRegression>,
 ) -> Result<TrialOutcome> {
-    let ctx = PrepareContext::new()?;
-    let prepared = PreparedCell::prepare(&ctx, command, scenario, &[scenario.seed])?;
+    let prepared = PreparedCell::prepare(command, scenario, &[scenario.seed])?;
     prepared.run(
         scenario.seed,
         recognizer,

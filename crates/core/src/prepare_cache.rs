@@ -2,15 +2,19 @@
 //!
 //! Adjacent cells of a campaign differ in one axis, yet a naive Prepare
 //! rebuilds everything: the TTS render, the attack build (modulation,
-//! power allocation, the array's emitted near field), the room instance
-//! and both propagation runs.  Each of those is a pure function of a
-//! *sub-tuple* of the cell's axes — an utterance render depends only on
-//! `(command, talker)`, an attack build on `(command, delivery,
-//! suppression, cap, baseband)`, a propagation on its source, geometry
-//! and environment.  This module hashes those sub-tuples into string keys
-//! (range-vector-hashing style: the key *is* the deterministic render of
-//! the determining inputs) and memoises the products process-wide, so a
-//! sweep along one axis re-derives only what that axis determines.
+//! power allocation, the array's emitted near field) and both propagation
+//! runs.  Each of those is a pure function of a *sub-tuple* of the cell's
+//! axes, and each product names that sub-tuple as a plain inputs struct
+//! (`UtteranceInputs`, `AttackInputs`, `PathInputs` and `LeakageInputs` in
+//! [`crate::stages`], plus the detector's [`DatasetConfig`] and
+//! [`DefaultRecognizer`]) implementing [`Product`].  The struct holds
+//! exactly the fields its [`Product::build`] reads, and the cache key is
+//! the struct's derived `Debug` rendering (range-vector-hashing style: the
+//! key *is* the deterministic render of the determining inputs).  A build
+//! that needs another product holds that product's inputs as a field and
+//! fetches it through [`get`], so a key also covers what its build reads
+//! second-hand.  A sweep along one axis therefore re-derives only what
+//! that axis determines.
 //!
 //! It is the one memo layer for campaign work: it also holds the
 //! default-corpus recognizer and every trained detector, so a process
@@ -19,17 +23,18 @@
 //! Soundness leans on the purity contract from the staged pipeline: a
 //! trial is a pure function of `(spec, cell, seed)`, so equal keys imply
 //! bit-identical products and archives stay `cmp`-identical with the
-//! cache on or off, at any worker or shard count.  Keys render floats
-//! with `{:?}` (shortest round-trip representation), so distinct inputs
-//! always produce distinct keys.
+//! cache on or off, at any worker or shard count.  `Debug` renders floats
+//! in their shortest round-trip form, so distinct inputs always produce
+//! distinct keys.
 //!
 //! Lookups are single-flight.  The map lock only finds or inserts a key's
 //! slot; the first misser builds under the slot's own lock, same-key
 //! callers wait on it and count as hits, and distinct keys never contend.
-//! Nested builds (propagation → utterance) lock slots in dependency order
-//! without the map lock, so they cannot deadlock.  A build that returns
-//! `Err` or panics leaves no entry, so the next caller rebuilds; poisoned
-//! locks are recovered, since no lock guards a half-written value.
+//! Nested builds (propagation → attack build → utterance) lock slots in
+//! dependency order without the map lock, so they cannot deadlock.  A
+//! build that returns `Err` or panics leaves no entry, so the next caller
+//! rebuilds; poisoned locks are recovered, since no lock guards a
+//! half-written value.
 //!
 //! Memory is bounded: finished entries are evicted least-recently-used by
 //! byte estimate once the cache exceeds its capacity (default 512 MiB,
@@ -40,112 +45,89 @@
 //!
 //! Telemetry: every lookup increments `executor.prepare_cache_hit` or
 //! `executor.prepare_cache_miss`, and hits additionally count the
-//! per-product `prepare.*_reused` counter, so `repro profile` shows
-//! cache effectiveness per run.
+//! product's `prepare.*_reused` counter, so `repro profile` shows cache
+//! effectiveness per run.  A caller that blocks on another caller's
+//! in-flight build records the wait as a `prepare.cache_wait` span and a
+//! `prepare_cache.wait` count.
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
-use crate::scenario::Scenario;
 use crate::telemetry;
 use crate::Result;
-use ivc_attack::baseband::BasebandConfig;
-use ivc_attack::leakage::LeakageReport;
-use ivc_defense::classifier::LogisticRegression;
-use ivc_defense::dataset::DatasetConfig;
-use ivc_dsp::signal::Signal;
-use ivc_room::RoomInstance;
-use ivc_speech::cache::TalkerKey;
-use ivc_speech::commands::VoiceCommand;
+use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
+use ivc_defense::dataset::{Dataset, DatasetConfig};
 use ivc_speech::recognizer::Recognizer;
-use ivc_speech::synthesis::Utterance;
 
 /// Default capacity: generous for workstation campaigns, far below the
 /// size at which an orchestrator shard would notice.
 const DEFAULT_CAPACITY_BYTES: usize = 512 * 1024 * 1024;
 
-/// The speaker-side products of one attack build, cached as a unit: the
-/// emitted near field referenced to 1 m, the array aperture and the
-/// electrical budget the allocation could not place.
-#[derive(Debug, Clone)]
-pub struct AttackBuild {
-    /// Superposed element emissions at the 1 m reference.
-    pub near_field_at_1m: Signal,
-    /// Physical aperture of the emitting array, in metres.
-    pub aperture_m: f64,
-    /// Unplaced electrical budget, in watts.
-    pub power_shortfall_w: f64,
+/// The inputs of one cacheable product.  The implementing struct holds
+/// exactly the fields [`build`](Product::build) reads, and its derived
+/// `Debug` rendering is the cache key.
+pub trait Product: Debug {
+    /// What the build produces.
+    type Output: Any + Send + Sync;
+    /// The `prepare.*_reused` telemetry counter a cache hit bumps.
+    const REUSED_COUNTER: &'static str;
+    /// Approximate resident size of `output`, in bytes, for the LRU bound.
+    fn byte_estimate(output: &Self::Output) -> usize;
+    /// Builds the product from these inputs alone.
+    fn build(&self) -> Result<Self::Output>;
 }
 
-/// Which product a cache entry holds (drives the `prepare.*_reused`
-/// telemetry counter names).
+/// The default-corpus [`Recognizer`]: enrollment has no varying inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProductKind {
-    /// A full TTS render for one `(command, talker)`.
-    Utterance,
-    /// An [`AttackBuild`].
-    AttackBuild,
-    /// A [`RoomInstance`] (geometry + materials for one room sub-tuple).
-    Rir,
-    /// A propagated pressure waveform at the device port.
-    Propagation,
-    /// A bystander [`LeakageReport`].
-    Leakage,
-    /// The default-corpus [`Recognizer`].
-    Recognizer,
-    /// A trained detector ([`LogisticRegression`]).
-    Detector,
-}
+pub struct DefaultRecognizer;
 
-impl ProductKind {
-    fn reused_counter(self) -> &'static str {
-        match self {
-            ProductKind::Utterance => "prepare.utterance_reused",
-            ProductKind::AttackBuild => "prepare.attack_build_reused",
-            ProductKind::Rir => "prepare.rir_reused",
-            ProductKind::Propagation => "prepare.propagation_reused",
-            ProductKind::Leakage => "prepare.leakage_reused",
-            ProductKind::Recognizer => "prepare.recognizer_reused",
-            ProductKind::Detector => "prepare.detector_reused",
-        }
+impl Product for DefaultRecognizer {
+    type Output = Recognizer;
+    const REUSED_COUNTER: &'static str = "prepare.recognizer_reused";
+
+    // One MFCC template per command: ~200 frames of ~40 coefficients.
+    fn byte_estimate(recognizer: &Recognizer) -> usize {
+        recognizer.num_templates() * 64 * 1024 + 256
+    }
+
+    fn build(&self) -> Result<Recognizer> {
+        Ok(Recognizer::with_default_corpus()?)
     }
 }
 
-mod sealed {
-    pub trait Sealed {}
-}
+/// A trained detector is a pure function of its training corpus
+/// configuration (training always runs with the constant
+/// `TrainingConfig::default()`).  Its three phases record the
+/// `campaign.detector_train.corpus`, `.features` and `.fit` spans.
+impl Product for DatasetConfig {
+    type Output = LogisticRegression;
+    const REUSED_COUNTER: &'static str = "prepare.detector_reused";
 
-/// Types the cache can hold. Sealed to this crate: the set of products is
-/// exactly the Prepare stage's sub-products plus the campaign set-up ones.
-pub trait Cacheable: sealed::Sealed + Any + Send + Sync {
-    /// Approximate resident size, in bytes, for the LRU bound.
-    fn byte_estimate(&self) -> usize;
-}
-
-macro_rules! cacheable {
-    ($($product:ty => |$it:ident| $bytes:expr;)*) => {$(
-        impl sealed::Sealed for $product {}
-        impl Cacheable for $product {
-            fn byte_estimate(&self) -> usize {
-                let $it = self;
-                $bytes
-            }
-        }
-    )*};
-}
-
-cacheable! {
-    Utterance => |u| u.signal.len() * 8 + u.word_boundaries.len() * 32 + u.text.len() + 128;
-    Signal => |s| s.len() * 8 + 64;
-    AttackBuild => |a| a.near_field_at_1m.len() * 8 + 128;
-    RoomInstance => |r| r.occluders.len() * 128 + 512;
-    LeakageReport => |_l| 512;
-    // One MFCC template per command: ~200 frames of ~40 coefficients.
-    Recognizer => |r| r.num_templates() * 64 * 1024 + 256;
     // Weights plus the per-feature means and deviations.
-    LogisticRegression => |m| m.weights().len() * 3 * 8 + 128;
+    fn byte_estimate(model: &LogisticRegression) -> usize {
+        model.weights().len() * 3 * 8 + 128
+    }
+
+    fn build(&self) -> Result<LogisticRegression> {
+        let dataset = {
+            let _span = telemetry::span("campaign.detector_train.corpus");
+            Dataset::generate(self).map_err(|e| format!("detector corpus: {e}"))?
+        };
+        let samples = {
+            let _span = telemetry::span("campaign.detector_train.features");
+            dataset
+                .to_feature_samples()
+                .map_err(|e| format!("detector features: {e}"))?
+        };
+        let _span = telemetry::span("campaign.detector_train.fit");
+        Ok(
+            LogisticRegression::train(&samples, &TrainingConfig::default())
+                .map_err(|e| format!("detector training: {e}"))?,
+        )
+    }
 }
 
 /// One key's cell: the type-erased product, `None` until its build lands.
@@ -170,6 +152,7 @@ struct CacheState {
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static WAITS: AtomicU64 = AtomicU64::new(0);
 
 fn state() -> &'static Mutex<CacheState> {
     static STATE: OnceLock<Mutex<CacheState>> = OnceLock::new();
@@ -225,7 +208,7 @@ pub fn clear() {
 }
 
 /// A point-in-time view of the cache's effectiveness and footprint.
-/// `hits`/`misses`/`evictions` are monotonic over the process lifetime,
+/// `hits`/`misses`/`evictions`/`waits` are monotonic over the process lifetime,
 /// so concurrent tests can assert on deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -236,6 +219,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped by the LRU bound since process start.
     pub evictions: u64,
+    /// Lookups that blocked on another caller's in-flight build since
+    /// process start.
+    pub waits: u64,
     /// Live entries right now.
     pub entries: usize,
     /// Estimated bytes held right now.
@@ -249,6 +235,7 @@ pub fn stats() -> CacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
+        waits: WAITS.load(Ordering::Relaxed),
         entries: guard.entries.values().filter(|e| e.bytes.is_some()).count(),
         bytes: guard.total_bytes,
     }
@@ -297,13 +284,25 @@ impl Drop for FailedBuild<'_> {
     }
 }
 
+/// The product `inputs` stand for: served from the cache, or built once
+/// by [`Product::build`] and stored.  Concurrent callers for the same
+/// inputs wait for that one build and share its `Arc` (see the module docs
+/// for the single-flight and failure contract).
+pub fn get<P: Product>(inputs: &P) -> Result<Arc<P::Output>> {
+    get_or_build(
+        &format!("{inputs:?}"),
+        P::REUSED_COUNTER,
+        P::byte_estimate,
+        || inputs.build(),
+    )
+}
+
 /// Looks `key` up; on a miss, runs `build` once, stores the product and
-/// returns it.  Concurrent callers for the same key wait for that one
-/// build and share its `Arc` (see the module docs for the single-flight
-/// and failure contract).
-pub fn get_or_build<T: Cacheable>(
-    kind: ProductKind,
+/// returns it.
+fn get_or_build<T: Any + Send + Sync>(
     key: &str,
+    reused_counter: &'static str,
+    byte_estimate: fn(&T) -> usize,
     build: impl FnOnce() -> Result<T>,
 ) -> Result<Arc<T>> {
     if !is_enabled() {
@@ -318,11 +317,23 @@ pub fn get_or_build<T: Cacheable>(
             entry.tick = tick;
             Arc::clone(&entry.slot)
         };
-        let mut cell = lock(&slot);
+        // Only a caller that finds the slot locked blocks: almost always
+        // on another caller's in-flight build (a hit holds the lock only
+        // to clone the product).
+        let mut cell = match slot.try_lock() {
+            Ok(cell) => cell,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                let _span = telemetry::span("prepare.cache_wait");
+                WAITS.fetch_add(1, Ordering::Relaxed);
+                telemetry::add_count("prepare_cache.wait", 1);
+                lock(&slot)
+            }
+        };
         if let Some(product) = cell.as_ref() {
             HITS.fetch_add(1, Ordering::Relaxed);
             telemetry::add_count("executor.prepare_cache_hit", 1);
-            telemetry::add_count(kind.reused_counter(), 1);
+            telemetry::add_count(reused_counter, 1);
             return Arc::clone(product).downcast::<T>().map_err(|_| {
                 format!("prepare cache key '{key}' holds another product type").into()
             });
@@ -336,7 +347,7 @@ pub fn get_or_build<T: Cacheable>(
         let failed = FailedBuild(key, &slot);
         let value = Arc::new(build()?);
         std::mem::forget(failed);
-        let bytes = value.byte_estimate();
+        let bytes = byte_estimate(&value);
         *cell = Some(Arc::clone(&value) as _);
         let mut state = lock(state());
         if let Some(entry) = entry_of(&mut state, key, &slot) {
@@ -348,117 +359,20 @@ pub fn get_or_build<T: Cacheable>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Key derivation. Public so the key-collision property tests can fuzz the
-// exact functions production uses. Every function renders precisely the
-// sub-tuple of inputs its product depends on — nothing more (reuse across
-// the other axes), nothing less (no cross-scenario collisions).
-// ---------------------------------------------------------------------------
-
-/// Key of a full TTS render: `(command, talker, synthesis rate)`.
-pub fn utterance_key(command: &VoiceCommand, talker: &TalkerKey, sample_rate_hz: f64) -> String {
-    format!(
-        "utt|c{:?}|{}|{talker:?}|fs={sample_rate_hz:?}",
-        command.id, command.text
-    )
-}
-
-/// Key of an attack build: the command and cap that shape the baseband,
-/// the suppression that pre-compensates it, the delivery that sets
-/// carrier/power/element count, and the modulation configuration.
-/// Distance, device, room and noise do *not* belong here — the emitted
-/// near field is independent of them, which is exactly what lets a
-/// distance sweep reuse one build.
-pub fn attack_build_key(
-    command: &VoiceCommand,
-    scenario: &Scenario,
-    baseband: &BasebandConfig,
-) -> String {
-    format!(
-        "attack|c{:?}|{}|cap={:?}|sup={:?}|{:?}|{baseband:?}",
-        command.id,
-        command.text,
-        scenario.max_voice_duration_s,
-        scenario.shadow_suppression,
-        scenario.delivery,
-    )
-}
-
-/// Key of a legitimate talker's 1 m-referenced source: `(command,
-/// variant, cap, talker level)`.
-pub fn legitimate_source_key(
-    command: &VoiceCommand,
-    variant: usize,
-    cap_s: f64,
-    talker_spl_db: f64,
-) -> String {
-    format!(
-        "legit|c{:?}|{}|v{variant}|cap={cap_s:?}|spl={talker_spl_db:?}",
-        command.id, command.text
-    )
-}
-
-/// Key of a room instantiation: `(preset, target distance, bystander
-/// distance)` — the geometry sub-tuple.
-pub fn room_key(
-    preset: ivc_room::RoomPreset,
-    distance_m: f64,
-    bystander_distance_m: f64,
-) -> String {
-    format!("room|{preset:?}|d={distance_m:?}|b={bystander_distance_m:?}")
-}
-
-fn room_part(scenario: &Scenario) -> String {
-    match scenario.room {
-        None => "free".to_string(),
-        Some(preset) => room_key(preset, scenario.distance_m, scenario.bystander_distance_m),
-    }
-}
-
-/// Key of the propagation from a source (identified by its own key) to
-/// the device port: source, aperture, distance, room geometry, air.
-pub fn target_propagation_key(source_key: &str, aperture_m: f64, scenario: &Scenario) -> String {
-    format!(
-        "prop|{source_key}|ap={aperture_m:?}|d={:?}|{}|env={:?}",
-        scenario.distance_m,
-        room_part(scenario),
-        scenario.env,
-    )
-}
-
-/// Key of the bystander propagation + leakage analysis: source, bystander
-/// distance, room preset, air.  The target distance is *not* part of it:
-/// the bystander's room path (`RoomInstance::bystander_rir`) depends only
-/// on the room, the source and the bystander, so every target distance in
-/// a room shares one leakage build.
-pub fn leakage_key(source_key: &str, scenario: &Scenario) -> String {
-    let room = match scenario.room {
-        None => "free".to_string(),
-        Some(preset) => format!("room|{preset:?}"),
-    };
-    format!(
-        "leak|{source_key}|b={:?}|{room}|env={:?}",
-        scenario.bystander_distance_m, scenario.env,
-    )
-}
-
-/// Key of the default-corpus recognizer (enrollment has no varying inputs).
-pub fn default_recognizer_key() -> String {
-    "recognizer|default-corpus".to_string()
-}
-
-/// Key of a trained detector: its training corpus configuration (training
-/// always runs with the constant `TrainingConfig::default()`).
-pub fn detector_key(config: &DatasetConfig) -> String {
-    format!("detector|{config:?}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::{AttackInputs, PathInputs, Source, UtteranceInputs};
+    use ivc_dsp::signal::Signal;
+    use ivc_speech::cache::TalkerKey;
 
     fn signal(len: usize) -> Signal {
         Signal::new(vec![0.0; len], 48_000.0).expect("valid signal")
+    }
+
+    /// A test product under `key`, built by `build`.
+    fn get_signal(key: &str, build: impl FnOnce() -> Result<Signal>) -> Result<Arc<Signal>> {
+        get_or_build(key, "prepare.test_reused", |s: &Signal| s.len() * 8, build)
     }
 
     fn contains(key: &str) -> bool {
@@ -511,7 +425,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        get_or_build(ProductKind::Propagation, key, || {
+                        get_signal(key, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             std::thread::sleep(std::time::Duration::from_millis(50));
                             Ok(signal(16))
@@ -527,6 +441,8 @@ mod tests {
         assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
         assert!(after.misses - before.misses >= 1);
         assert!(after.hits - before.hits >= 7);
+        // The seven callers that found the build in flight waited on it.
+        assert!(after.waits - before.waits >= 1);
         assert!(contains(key));
     }
 
@@ -534,20 +450,15 @@ mod tests {
     fn a_panicking_build_leaves_the_key_rebuildable() {
         set_enabled(true);
         let key = "test|panicking-build";
-        let outcome = std::panic::catch_unwind(|| {
-            get_or_build::<Signal>(ProductKind::Propagation, key, || panic!("build failed"))
-        });
+        let outcome = std::panic::catch_unwind(|| get_signal(key, || panic!("build failed")));
         assert!(outcome.is_err());
         assert!(!contains(key), "a panicked build must leave no entry");
         // The cache stays usable: stats, other keys and the same key.
         let before = stats();
-        let other = get_or_build(ProductKind::Propagation, "test|after-panic", || {
-            Ok(signal(4))
-        })
-        .expect("other keys still build");
+        let other =
+            get_signal("test|after-panic", || Ok(signal(4))).expect("other keys still build");
         assert_eq!(other.len(), 4);
-        let rebuilt =
-            get_or_build(ProductKind::Propagation, key, || Ok(signal(8))).expect("rebuilds");
+        let rebuilt = get_signal(key, || Ok(signal(8))).expect("rebuilds");
         assert_eq!(rebuilt.len(), 8);
         assert!(stats().misses - before.misses >= 2);
         assert!(contains(key));
@@ -560,7 +471,7 @@ mod tests {
         let (building, started) = std::sync::mpsc::channel();
         let (failed, waited) = std::thread::scope(|scope| {
             let failing = scope.spawn(move || {
-                get_or_build::<Signal>(ProductKind::Propagation, key, || {
+                get_signal(key, || {
                     building.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(50));
                     Err("no product".into())
@@ -570,14 +481,13 @@ mod tests {
             // so it either waits on that build or arrives after it failed;
             // both ways it must build afresh.
             started.recv().unwrap();
-            let waiter =
-                scope.spawn(|| get_or_build(ProductKind::Propagation, key, || Ok(signal(2))));
+            let waiter = scope.spawn(|| get_signal(key, || Ok(signal(2))));
             (failing.join().unwrap(), waiter.join().unwrap())
         });
         assert!(failed.is_err());
         assert_eq!(waited.expect("the waiter builds afresh").len(), 2);
         let key = "test|failed-build-alone";
-        let failed = get_or_build::<Signal>(ProductKind::Propagation, key, || Err("no".into()));
+        let failed = get_signal(key, || Err("no".into()));
         assert!(failed.is_err());
         assert!(!contains(key), "a failed build must leave no entry");
     }
@@ -585,35 +495,43 @@ mod tests {
     #[test]
     fn keys_render_the_determining_sub_tuple_only() {
         let command = ivc_speech::commands::corpus()[0].clone();
-        let a = Scenario::default_attack();
-        let mut farther = a.clone();
-        farther.distance_m += 1.0;
-        // Distance is not an attack-build axis: builds are shared.
-        assert_eq!(
-            attack_build_key(&command, &a, &BasebandConfig::default()),
-            attack_build_key(&command, &farther, &BasebandConfig::default()),
-        );
-        // But it is a propagation axis: propagations are not.
-        assert_ne!(
-            target_propagation_key("src", 0.1, &a),
-            target_propagation_key("src", 0.1, &farther),
-        );
-        // In a room, the target distance does not reach the bystander's
-        // leakage, but the bystander distance does.
-        let mut in_room = a.clone();
-        in_room.room = Some(ivc_room::RoomPreset::Office);
-        let mut in_room_farther = in_room.clone();
-        in_room_farther.distance_m += 1.0;
-        let mut bystander_farther = in_room.clone();
-        bystander_farther.bystander_distance_m += 0.5;
-        assert_eq!(
-            leakage_key("src", &in_room),
-            leakage_key("src", &in_room_farther),
-        );
-        assert_ne!(
-            leakage_key("src", &in_room),
-            leakage_key("src", &bystander_farther),
-        );
-        assert_ne!(leakage_key("src", &a), leakage_key("src", &in_room));
+        let voice = UtteranceInputs {
+            command,
+            talker: TalkerKey::Canonical,
+        };
+        let attack = AttackInputs {
+            voice: voice.clone(),
+            max_voice_duration_s: 0.8,
+            shadow_suppression: 0.0,
+            num_elements: 8,
+            total_power_w: 40.0,
+            carrier_hz: 40_000.0,
+        };
+        let key = |inputs: &dyn Debug| format!("{inputs:?}");
+        // Each family's key names its struct, so families never collide.
+        assert!(key(&voice).starts_with("UtteranceInputs {"));
+        assert!(key(&attack).starts_with("AttackInputs {"));
+        assert_eq!(key(&DefaultRecognizer), "DefaultRecognizer");
+        // A dependency's inputs are part of the dependent's key.
+        let path = PathInputs {
+            source: Source::Attack(attack.clone()),
+            distance_m: 2.0,
+            room: None,
+            env: Default::default(),
+        };
+        assert!(key(&path).contains(&key(&attack)));
+        // Distance is a path field: paths at two distances do not share.
+        let farther = PathInputs {
+            distance_m: 3.0,
+            ..path.clone()
+        };
+        assert_ne!(key(&path), key(&farther));
+        // Floats render in their shortest round-trip form: nearby values
+        // never share a key.
+        let nudged = AttackInputs {
+            total_power_w: f64::from_bits(40.0f64.to_bits() + 1),
+            ..attack.clone()
+        };
+        assert_ne!(key(&attack), key(&nudged));
     }
 }

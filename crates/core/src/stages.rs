@@ -17,9 +17,16 @@
 //! * **Evaluate** ([`PreparedCell::evaluate`]) — recognition, defense
 //!   feature extraction and the optional trained detector.
 //!
-//! [`crate::pipeline::run_trial`] survives as the compose-all wrapper; its
-//! outputs are bit-identical to the pre-staged monolith (pinned per
-//! delivery kind × room preset in `tests/staged_pipeline.rs`).
+//! Prepare's products — the render, the attack build, the target path
+//! and the leakage — are memoised process-wide in [`crate::prepare_cache`].
+//! Each is named by a plain inputs struct holding exactly the fields its
+//! build reads ([`UtteranceInputs`], [`AttackInputs`], [`PathInputs`],
+//! [`LeakageInputs`]); [`CellInputs::project`] is the one place a
+//! scenario is projected onto them, and no build sees a [`Scenario`].
+//!
+//! [`crate::pipeline::run_trial`] survives as the compose-all wrapper; the
+//! staged outputs are pinned per delivery kind × room axis by the trial
+//! digests in `tests/staged_pipeline.rs`.
 //!
 //! Sharing contract: a `PreparedCell` is immutable after construction and
 //! holds no interior mutability, so `&PreparedCell` may be shared freely
@@ -28,12 +35,13 @@
 //! worker count.
 
 use crate::pipeline::TrialOutcome;
-use crate::prepare_cache::{self, AttackBuild, ProductKind};
+use crate::prepare_cache::{self, Product};
 use crate::scenario::{Delivery, Scenario};
 use crate::telemetry;
 use crate::Result;
 use ivc_acoustics::adc::digitize;
 use ivc_acoustics::array::SpeakerArray;
+use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::{CaptureScratch, Microphone};
 use ivc_acoustics::noise::room_noise_pa;
 use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
@@ -47,60 +55,349 @@ use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::countermeasures::precompensated_baseband;
 use ivc_defense::features::DefenseFeatures;
 use ivc_dsp::signal::Signal;
-use ivc_room::{propagate_in_room, RoomInstance};
+use ivc_room::{propagate_in_room, RoomPreset};
 use ivc_speech::cache::TalkerKey;
 use ivc_speech::commands::VoiceCommand;
 use ivc_speech::recognizer::Recognizer;
-use ivc_speech::synthesis::Synthesizer;
+use ivc_speech::synthesis::{Synthesizer, Utterance};
 use std::sync::Arc;
 
 /// Number of deterministic talker variants legitimate deliveries cycle
 /// through: trial seed `s` speaks with variant `s % 8`.
 pub const NUM_TALKER_VARIANTS: usize = 8;
 
-/// The talker variant a legitimate delivery uses at `seed` (the
-/// `seed % 8` semantics the defense dataset and campaigns rely on).
+/// The talker variant a legitimate delivery uses at `seed` (the `seed % 8`
+/// semantics campaigns rely on; the defense dataset draws its own,
+/// `variant + seed % 3`).
 pub fn talker_variant(seed: u64) -> usize {
     seed as usize % NUM_TALKER_VARIANTS
 }
 
-/// Shared, cell-independent preparation state: the synthesiser and the
-/// baseband configuration.
-///
-/// Utterance renders (and every other Prepare sub-product) are memoised
-/// process-wide in [`crate::prepare_cache`], keyed by the sub-tuple of
-/// axes that determines them, so contexts are cheap to create and a
-/// campaign's cells share work with each other *and* with later
-/// campaigns in the same process.
-#[derive(Debug)]
-pub struct PrepareContext {
-    synth: Synthesizer,
-    baseband: BasebandConfig,
+/// Inputs of a full TTS render at 48 kHz: the command and its talker.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UtteranceInputs {
+    /// The command spoken.
+    pub command: VoiceCommand,
+    /// Who speaks it.
+    pub talker: TalkerKey,
 }
 
-impl PrepareContext {
-    /// A fresh context (sub-product reuse is process-wide, not per
-    /// context).
-    pub fn new() -> Result<Self> {
-        Ok(PrepareContext {
-            synth: Synthesizer::new(48_000.0)?,
-            baseband: BasebandConfig::default(),
-        })
+impl Product for UtteranceInputs {
+    type Output = Utterance;
+    const REUSED_COUNTER: &'static str = "prepare.utterance_reused";
+
+    fn byte_estimate(u: &Utterance) -> usize {
+        u.signal.len() * 8 + u.word_boundaries.len() * 32 + u.text.len() + 128
     }
 
-    /// The (possibly truncated) voice waveform of `command` spoken by
-    /// `talker` — the process-wide cached render, clipped to the
-    /// scenario's cap.
-    fn voice(&self, command: &VoiceCommand, talker: TalkerKey, cap_s: f64) -> Result<Signal> {
-        let key = prepare_cache::utterance_key(command, &talker, self.synth.sample_rate_hz());
-        let utterance = prepare_cache::get_or_build(ProductKind::Utterance, &key, || {
-            let _span = telemetry::span("prepare.utterance_render");
-            Ok(self.synth.render(command, &talker.profile())?)
-        })?;
+    fn build(&self) -> Result<Utterance> {
+        let _span = telemetry::span("prepare.utterance_render");
+        Ok(Synthesizer::new(48_000.0)?.render(&self.command, &self.talker.profile())?)
+    }
+}
+
+impl UtteranceInputs {
+    /// The cached render, truncated to `cap_s` seconds.
+    fn voice(&self, cap_s: f64) -> Result<Signal> {
+        let utterance = prepare_cache::get(self)?;
         Ok(if utterance.signal.duration_s() > cap_s {
             utterance.signal.slice_seconds(0.0, cap_s)
         } else {
             utterance.signal.clone()
+        })
+    }
+}
+
+/// Inputs of an attack build: the attacker's voice, its cap and shadow
+/// pre-compensation, and the array emitting it (a single speaker is the
+/// one-element array).  Distance, device, room and noise are not here:
+/// the emitted near field is independent of them, which is exactly what
+/// lets a distance sweep reuse one build.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttackInputs {
+    /// The canonical TTS render of the injected command.
+    pub voice: UtteranceInputs,
+    /// Voice-duration cap, in seconds.
+    pub max_voice_duration_s: f64,
+    /// Adaptive-attacker shadow suppression in `[0, 1]`.
+    pub shadow_suppression: f64,
+    /// Array elements, at least 1.
+    pub num_elements: usize,
+    /// Total electrical power, in watt.
+    pub total_power_w: f64,
+    /// Carrier frequency, in Hz.
+    pub carrier_hz: f64,
+}
+
+/// The speaker-side products of one attack build, cached as a unit: the
+/// emitted near field referenced to 1 m, the array aperture and the
+/// electrical budget the allocation could not place.
+#[derive(Debug, Clone)]
+pub struct AttackBuild {
+    /// Superposed element emissions at the 1 m reference.
+    pub near_field_at_1m: Signal,
+    /// Physical aperture of the emitting array, in metres.
+    pub aperture_m: f64,
+    /// Unplaced electrical budget, in watts.
+    pub power_shortfall_w: f64,
+}
+
+impl Product for AttackInputs {
+    type Output = AttackBuild;
+    const REUSED_COUNTER: &'static str = "prepare.attack_build_reused";
+
+    fn byte_estimate(build: &AttackBuild) -> usize {
+        build.near_field_at_1m.len() * 8 + 128
+    }
+
+    fn build(&self) -> Result<AttackBuild> {
+        let mut voice = self.voice.voice(self.max_voice_duration_s)?;
+        if self.shadow_suppression > 0.0 {
+            voice = precompensated_baseband(&voice, self.shadow_suppression)?;
+        }
+        let _span = telemetry::span("prepare.attack_build");
+        let baseband = BasebandConfig::default();
+        let (num_elements, total_power_w) = (self.num_elements, self.total_power_w);
+        let speaker = UltrasonicSpeaker::default();
+        let array = SpeakerArray::new(speaker.clone(), num_elements, 0.03)?;
+        let (drives, shortfall_w) = if num_elements == 1 {
+            let attack = SingleSpeakerAttack::build(&voice, self.carrier_hz, 0.9, &baseband)?;
+            let placed_w = total_power_w.min(speaker.max_power_w);
+            (
+                single_speaker_element_drives(&attack, placed_w)?,
+                total_power_w - placed_w,
+            )
+        } else {
+            // `build_balanced` sizes the carrier element group against the
+            // budget, so big arrays keep their carrier-to-sideband balance
+            // instead of starving the carrier at one element's rating (the
+            // old E-A2 61-element anomaly).
+            let attack = MultiSpeakerAttack::build_balanced(
+                &voice,
+                self.carrier_hz,
+                num_elements,
+                total_power_w,
+                0.3,
+                speaker.max_power_w,
+                &baseband,
+            )?;
+            let allocation = attack.allocate_power(total_power_w, 0.3, speaker.max_power_w)?;
+            (allocation.drives, allocation.shortfall_w)
+        };
+        Ok(AttackBuild {
+            near_field_at_1m: array.emitted_field_at_1m(&drives)?,
+            aperture_m: array.aperture_m(),
+            power_shortfall_w: shortfall_w,
+        })
+    }
+}
+
+/// What a target path carries from 1 m out.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// A person speaking (a point source).
+    Talker {
+        /// The talker's render of the command.
+        voice: UtteranceInputs,
+        /// Voice-duration cap, in seconds.
+        max_voice_duration_s: f64,
+        /// Talker level as SPL at 1 m, in dB.
+        talker_spl_db: f64,
+    },
+    /// An attack build's emitted near field, leaving the array's aperture.
+    Attack(AttackInputs),
+}
+
+/// Inputs of the clean pressure at the device port: the source and the
+/// channel to the target.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathInputs {
+    /// What is propagated.
+    pub source: Source,
+    /// Source-to-device distance, in metres.
+    pub distance_m: f64,
+    /// The room (`None` = free field).
+    pub room: Option<RoomPreset>,
+    /// Air conditions.
+    pub env: AirEnvironment,
+}
+
+impl Product for PathInputs {
+    type Output = Signal;
+    const REUSED_COUNTER: &'static str = "prepare.propagation_reused";
+
+    fn byte_estimate(path: &Signal) -> usize {
+        path.len() * 8 + 64
+    }
+
+    fn build(&self) -> Result<Signal> {
+        match &self.source {
+            Source::Talker {
+                voice,
+                max_voice_duration_s,
+                talker_spl_db,
+            } => {
+                let voice = voice.voice(*max_voice_duration_s)?;
+                let rms = voice.rms().max(1e-12);
+                let at_1m = voice.scaled(spl_db_to_pressure(*talker_spl_db) / rms);
+                self.propagate(&at_1m, 0.0)
+            }
+            Source::Attack(attack) => {
+                let build = prepare_cache::get(attack)?;
+                self.propagate(&build.near_field_at_1m, build.aperture_m)
+            }
+        }
+    }
+}
+
+impl PathInputs {
+    /// Propagates a 1 m-referenced pressure waveform from a source of
+    /// `aperture_m` to the target microphone: free field, or through the
+    /// room's image-source response.
+    fn propagate(&self, at_1m: &Signal, aperture_m: f64) -> Result<Signal> {
+        let _span = telemetry::span("prepare.convolution");
+        Ok(match self.room {
+            None => propagate_from_aperture(at_1m, self.distance_m, aperture_m, &self.env)?,
+            Some(preset) => propagate_in_room(
+                at_1m,
+                &preset.target_rir(self.distance_m, aperture_m)?,
+                &self.env,
+            )?,
+        })
+    }
+}
+
+/// Inputs of the bystander's leakage report: the attack build and the
+/// channel to the bystander.  The target distance is not here: the
+/// bystander's path depends only on the room, the source and the
+/// bystander, so every target distance shares one leakage build.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeakageInputs {
+    /// The emitting attack build (a point source towards the bystander).
+    pub source: AttackInputs,
+    /// Source-to-bystander distance, in metres.
+    pub bystander_distance_m: f64,
+    /// The room (`None` = free field).
+    pub room: Option<RoomPreset>,
+    /// Air conditions.
+    pub env: AirEnvironment,
+}
+
+impl Product for LeakageInputs {
+    type Output = LeakageReport;
+    const REUSED_COUNTER: &'static str = "prepare.leakage_reused";
+
+    fn byte_estimate(_: &LeakageReport) -> usize {
+        512
+    }
+
+    fn build(&self) -> Result<LeakageReport> {
+        let build = prepare_cache::get(&self.source)?;
+        let _span = telemetry::span("prepare.leakage");
+        let near = &build.near_field_at_1m;
+        let (distance_m, env) = (self.bystander_distance_m, &self.env);
+        let field = match self.room {
+            None => propagate(near, distance_m, env)?,
+            Some(preset) => propagate_in_room(near, &preset.bystander_rir(distance_m)?, env)?,
+        };
+        Ok(leakage_from_field(&field, distance_m, 0.0)?)
+    }
+}
+
+/// The Prepare products one cell reads: its `(command, scenario, seeds)`
+/// projected onto product inputs (built once per cell and consumed at
+/// once, so the variants' size difference costs nothing).
+#[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)]
+pub enum CellInputs {
+    /// A legitimate delivery: one target path per talker variant the
+    /// trial seeds select, sorted by variant.
+    Legitimate(Vec<(usize, PathInputs)>),
+    /// An attack delivery: the build, its target path and the bystander's
+    /// leakage.
+    Attack {
+        /// The attack build (read for its power shortfall).
+        build: AttackInputs,
+        /// The path to the device port.
+        path: PathInputs,
+        /// The leakage at the bystander.
+        leakage: LeakageInputs,
+    },
+}
+
+impl CellInputs {
+    /// Validates one cell and projects it onto the inputs of the products
+    /// it reads.  `scenario.seed` is *not* consulted — the seed is a
+    /// Perturb-stage input.
+    pub fn project(
+        command: &VoiceCommand,
+        scenario: &Scenario,
+        seeds: &[u64],
+    ) -> Result<CellInputs> {
+        if seeds.is_empty() {
+            return Err("PreparedCell::prepare needs at least one trial seed".into());
+        }
+        if !(0.0..=1.0).contains(&scenario.shadow_suppression) {
+            return Err("shadow_suppression must be within [0, 1]".into());
+        }
+        if let Some(preset) = scenario.room {
+            // Placing both listeners checks the geometry once; each product
+            // then places only the listener it reads.
+            let _span = telemetry::span("prepare.rir_build");
+            preset.instantiate(scenario.distance_m, scenario.bystander_distance_m)?;
+        }
+        let path = |source| PathInputs {
+            source,
+            distance_m: scenario.distance_m,
+            room: scenario.room,
+            env: scenario.env,
+        };
+        let voice = |talker| UtteranceInputs {
+            command: command.clone(),
+            talker,
+        };
+        let max_voice_duration_s = scenario.max_voice_duration_s;
+        let (num_elements, total_power_w, carrier_hz) = match scenario.delivery {
+            Delivery::Legitimate { talker_spl_db } => {
+                let mut variants: Vec<usize> = seeds.iter().map(|&s| talker_variant(s)).collect();
+                variants.sort_unstable();
+                variants.dedup();
+                let talker = |variant| Source::Talker {
+                    voice: voice(TalkerKey::Variant(variant)),
+                    max_voice_duration_s,
+                    talker_spl_db,
+                };
+                return Ok(CellInputs::Legitimate(
+                    variants.into_iter().map(|v| (v, path(talker(v)))).collect(),
+                ));
+            }
+            Delivery::SingleSpeakerUltrasound {
+                power_w,
+                carrier_hz,
+            } => (1, power_w, carrier_hz),
+            Delivery::ArrayUltrasound {
+                num_elements,
+                total_power_w,
+                carrier_hz,
+            } => (num_elements.max(1), total_power_w, carrier_hz),
+        };
+        let build = AttackInputs {
+            voice: voice(TalkerKey::Canonical),
+            max_voice_duration_s,
+            shadow_suppression: scenario.shadow_suppression,
+            num_elements,
+            total_power_w,
+            carrier_hz,
+        };
+        Ok(CellInputs::Attack {
+            path: path(Source::Attack(build.clone())),
+            leakage: LeakageInputs {
+                source: build.clone(),
+                bystander_distance_m: scenario.bystander_distance_m,
+                room: scenario.room,
+                env: scenario.env,
+            },
+            build,
         })
     }
 }
@@ -141,82 +438,34 @@ impl PreparedCell {
     /// deliveries render one path per distinct `seed % 8` talker variant,
     /// so the `seed`-selects-the-talker semantics are preserved exactly.
     /// Attack deliveries always use the canonical TTS voice and prepare a
-    /// single path.  `scenario.seed` itself is *not* consulted — the seed
-    /// is a Perturb-stage input.
+    /// single path.  Every product comes from (or lands in) the Prepare
+    /// cache under the inputs [`CellInputs::project`] names.
     pub fn prepare(
-        ctx: &PrepareContext,
         command: &VoiceCommand,
         scenario: &Scenario,
         seeds: &[u64],
     ) -> Result<PreparedCell> {
-        if seeds.is_empty() {
-            return Err("PreparedCell::prepare needs at least one trial seed".into());
-        }
-        if !(0.0..=1.0).contains(&scenario.shadow_suppression) {
-            return Err("shadow_suppression must be within [0, 1]".into());
-        }
         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
-        let room = match scenario.room {
-            None => None,
-            Some(preset) => {
-                let key = prepare_cache::room_key(
-                    preset,
-                    scenario.distance_m,
-                    scenario.bystander_distance_m,
-                );
-                Some(prepare_cache::get_or_build(ProductKind::Rir, &key, || {
-                    let _span = telemetry::span("prepare.rir_build");
-                    Ok(preset.instantiate(scenario.distance_m, scenario.bystander_distance_m)?)
-                })?)
-            }
-        };
-        let room = room.as_deref();
-        let cap_s = scenario.max_voice_duration_s;
-        let (paths, leakage, power_shortfall_w) = match scenario.delivery {
-            Delivery::Legitimate { talker_spl_db } => {
-                let mut variants: Vec<usize> = seeds.iter().map(|&s| talker_variant(s)).collect();
-                variants.sort_unstable();
-                variants.dedup();
-                let mut prepared = Vec::with_capacity(variants.len());
-                for variant in variants {
-                    let source_key = prepare_cache::legitimate_source_key(
-                        command,
-                        variant,
-                        cap_s,
-                        talker_spl_db,
-                    );
-                    let prop_key =
-                        prepare_cache::target_propagation_key(&source_key, 0.0, scenario);
-                    let at_port =
-                        prepare_cache::get_or_build(ProductKind::Propagation, &prop_key, || {
-                            let voice = ctx.voice(command, TalkerKey::Variant(variant), cap_s)?;
-                            let rms = voice.rms().max(1e-12);
-                            let pressure_at_1m =
-                                voice.scaled(spl_db_to_pressure(talker_spl_db) / rms);
-                            propagate_to_target(&pressure_at_1m, 0.0, scenario, room)
-                        })?;
-                    prepared.push((variant, at_port));
+        let (paths, leakage, power_shortfall_w) =
+            match CellInputs::project(command, scenario, seeds)? {
+                CellInputs::Legitimate(paths) => {
+                    let paths = paths
+                        .iter()
+                        .map(|(variant, path)| Ok((*variant, prepare_cache::get(path)?)))
+                        .collect::<Result<_>>()?;
+                    (PreparedPaths::Legitimate(paths), None, 0.0)
                 }
-                (PreparedPaths::Legitimate(prepared), None, 0.0)
-            }
-            Delivery::SingleSpeakerUltrasound {
-                power_w,
-                carrier_hz,
-            } => prepare_attack(ctx, command, scenario, room, 1, power_w, carrier_hz)?,
-            Delivery::ArrayUltrasound {
-                num_elements,
-                total_power_w,
-                carrier_hz,
-            } => prepare_attack(
-                ctx,
-                command,
-                scenario,
-                room,
-                num_elements,
-                total_power_w,
-                carrier_hz,
-            )?,
-        };
+                CellInputs::Attack {
+                    build,
+                    path,
+                    leakage,
+                } => {
+                    let shortfall_w = prepare_cache::get(&build)?.power_shortfall_w;
+                    let at_port = prepare_cache::get(&path)?;
+                    let leakage = (*prepare_cache::get(&leakage)?).clone();
+                    (PreparedPaths::Attack(at_port), Some(leakage), shortfall_w)
+                }
+            };
         Ok(PreparedCell {
             scenario: scenario.clone(),
             command: command.clone(),
@@ -382,139 +631,6 @@ impl TrialScratch {
     }
 }
 
-/// The attacker's baseband voice: the canonical TTS render, truncated,
-/// with the adaptive attacker's shadow pre-compensation applied when the
-/// scenario asks for it.
-fn attack_voice(
-    ctx: &PrepareContext,
-    command: &VoiceCommand,
-    scenario: &Scenario,
-) -> Result<Signal> {
-    let voice = ctx.voice(command, TalkerKey::Canonical, scenario.max_voice_duration_s)?;
-    if scenario.shadow_suppression > 0.0 {
-        Ok(precompensated_baseband(
-            &voice,
-            scenario.shadow_suppression,
-        )?)
-    } else {
-        Ok(voice)
-    }
-}
-
-/// Prepares an ultrasonic attack from `num_elements` speakers sharing
-/// `total_power_w` (a single speaker is the one-element array): builds
-/// the emitted near field, or fetches it from the Prepare cache, and
-/// delivers it to the target and the bystander.
-fn prepare_attack(
-    ctx: &PrepareContext,
-    command: &VoiceCommand,
-    scenario: &Scenario,
-    room: Option<&RoomInstance>,
-    num_elements: usize,
-    total_power_w: f64,
-    carrier_hz: f64,
-) -> Result<(PreparedPaths, Option<LeakageReport>, f64)> {
-    let build_key = prepare_cache::attack_build_key(command, scenario, &ctx.baseband);
-    let build = prepare_cache::get_or_build(ProductKind::AttackBuild, &build_key, || {
-        let voice = attack_voice(ctx, command, scenario)?;
-        let _span = telemetry::span("prepare.attack_build");
-        let speaker = UltrasonicSpeaker::default();
-        let array = SpeakerArray::new(speaker.clone(), num_elements.max(1), 0.03)?;
-        let (drives, shortfall_w) = if num_elements <= 1 {
-            let attack = SingleSpeakerAttack::build(&voice, carrier_hz, 0.9, &ctx.baseband)?;
-            let placed_w = total_power_w.min(speaker.max_power_w);
-            (
-                single_speaker_element_drives(&attack, placed_w)?,
-                total_power_w - placed_w,
-            )
-        } else {
-            // `build_balanced` sizes the carrier element group against the
-            // budget, so big arrays keep their carrier-to-sideband balance
-            // instead of starving the carrier at one element's rating (the
-            // old E-A2 61-element anomaly).
-            let attack = MultiSpeakerAttack::build_balanced(
-                &voice,
-                carrier_hz,
-                num_elements,
-                total_power_w,
-                0.3,
-                speaker.max_power_w,
-                &ctx.baseband,
-            )?;
-            let allocation = attack.allocate_power(total_power_w, 0.3, speaker.max_power_w)?;
-            (allocation.drives, allocation.shortfall_w)
-        };
-        Ok(AttackBuild {
-            near_field_at_1m: array.emitted_field_at_1m(&drives)?,
-            aperture_m: array.aperture_m(),
-            power_shortfall_w: shortfall_w,
-        })
-    })?;
-    let (at_port, leak) = deliver_attack(&build, &build_key, scenario, room)?;
-    Ok((
-        PreparedPaths::Attack(at_port),
-        Some(leak),
-        build.power_shortfall_w,
-    ))
-}
-
-/// Propagates a 1 m-referenced pressure waveform from a source of
-/// `aperture_m` to the target microphone: free field when the scenario has
-/// no room, through the room's image-source response otherwise.
-fn propagate_to_target(
-    source_at_1m: &Signal,
-    aperture_m: f64,
-    scenario: &Scenario,
-    room: Option<&RoomInstance>,
-) -> Result<Signal> {
-    let _span = telemetry::span("prepare.convolution");
-    match room {
-        None => Ok(propagate_from_aperture(
-            source_at_1m,
-            scenario.distance_m,
-            aperture_m,
-            &scenario.env,
-        )?),
-        Some(instance) => Ok(propagate_in_room(
-            source_at_1m,
-            &instance.target_rir(aperture_m)?,
-            &scenario.env,
-        )?),
-    }
-}
-
-/// Propagates an attack build's emitted near field to the target
-/// (aperture-aware, room-aware) and to the bystander (point source,
-/// room-aware), analysing the leakage there.  Both products are
-/// content-addressed off `build_key`, so a sweep that varies only trial
-/// seeds or unrelated axes reuses them.
-fn deliver_attack(
-    build: &AttackBuild,
-    build_key: &str,
-    scenario: &Scenario,
-    room: Option<&RoomInstance>,
-) -> Result<(Arc<Signal>, LeakageReport)> {
-    let prop_key = prepare_cache::target_propagation_key(build_key, build.aperture_m, scenario);
-    let at_port = prepare_cache::get_or_build(ProductKind::Propagation, &prop_key, || {
-        propagate_to_target(&build.near_field_at_1m, build.aperture_m, scenario, room)
-    })?;
-    let leak_key = prepare_cache::leakage_key(build_key, scenario);
-    let leak = prepare_cache::get_or_build(ProductKind::Leakage, &leak_key, || {
-        let _span = telemetry::span("prepare.leakage");
-        let near = &build.near_field_at_1m;
-        let bystander_field = match room {
-            None => propagate(near, scenario.bystander_distance_m, &scenario.env)?,
-            Some(instance) => propagate_in_room(near, &instance.bystander_rir()?, &scenario.env)?,
-        };
-        Ok(leakage_from_field(
-            &bystander_field,
-            scenario.bystander_distance_m,
-            0.0,
-        )?)
-    })?;
-    Ok((at_port, (*leak).clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,8 +653,7 @@ mod tests {
             total_power_w: 60.0,
             carrier_hz: 40_000.0,
         });
-        let ctx = PrepareContext::new().unwrap();
-        let prepared = PreparedCell::prepare(&ctx, command, &scenario, &[1, 2]).unwrap();
+        let prepared = PreparedCell::prepare(command, &scenario, &[1, 2]).unwrap();
         // The same prepared cell serves multiple seeds; each equals the
         // one-shot wrapper for that seed, bit for bit.
         let mut scratch = TrialScratch::new();
@@ -560,11 +675,10 @@ mod tests {
     fn a_single_speaker_is_the_one_element_array() {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
-        let ctx = PrepareContext::new().unwrap();
         let mut scratch = TrialScratch::new();
         let mut outcome = |delivery: Delivery| {
             let scenario = quick_scenario(delivery);
-            PreparedCell::prepare(&ctx, command, &scenario, &[7])
+            PreparedCell::prepare(command, &scenario, &[7])
                 .unwrap()
                 .run(7, &recognizer, None, &mut scratch)
                 .unwrap()
@@ -588,9 +702,8 @@ mod tests {
         let scenario = quick_scenario(Delivery::Legitimate {
             talker_spl_db: 68.0,
         });
-        let ctx = PrepareContext::new().unwrap();
         // Seeds 3 and 11 share variant 3: one rendered path serves both.
-        let prepared = PreparedCell::prepare(&ctx, command, &scenario, &[3, 11]).unwrap();
+        let prepared = PreparedCell::prepare(command, &scenario, &[3, 11]).unwrap();
         let mut scratch = TrialScratch::new();
         let a = prepared.run(3, &recognizer, None, &mut scratch).unwrap();
         let b = prepared
@@ -612,11 +725,10 @@ mod tests {
     #[test]
     fn prepare_rejects_bad_inputs() {
         let command = &corpus()[0];
-        let ctx = PrepareContext::new().unwrap();
         let scenario = quick_scenario(Delivery::Legitimate {
             talker_spl_db: 68.0,
         });
-        assert!(PreparedCell::prepare(&ctx, command, &scenario, &[]).is_err());
+        assert!(PreparedCell::prepare(command, &scenario, &[]).is_err());
         let bad = Scenario {
             shadow_suppression: 1.5,
             ..quick_scenario(Delivery::SingleSpeakerUltrasound {
@@ -624,14 +736,13 @@ mod tests {
                 carrier_hz: 40_000.0,
             })
         };
-        assert!(PreparedCell::prepare(&ctx, command, &bad, &[1]).is_err());
+        assert!(PreparedCell::prepare(command, &bad, &[1]).is_err());
     }
 
     #[test]
     fn shadow_suppression_changes_the_attack_but_not_the_legit_path() {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
-        let ctx = PrepareContext::new().unwrap();
         let mut scratch = TrialScratch::new();
         let oblivious = quick_scenario(Delivery::ArrayUltrasound {
             num_elements: 6,
@@ -642,11 +753,11 @@ mod tests {
             shadow_suppression: 1.0,
             ..oblivious.clone()
         };
-        let plain = PreparedCell::prepare(&ctx, command, &oblivious, &[1])
+        let plain = PreparedCell::prepare(command, &oblivious, &[1])
             .unwrap()
             .run(1, &recognizer, None, &mut scratch)
             .unwrap();
-        let suppressed = PreparedCell::prepare(&ctx, command, &adaptive, &[1])
+        let suppressed = PreparedCell::prepare(command, &adaptive, &[1])
             .unwrap()
             .run(1, &recognizer, None, &mut scratch)
             .unwrap();

@@ -177,36 +177,6 @@ impl Spectrogram {
         acc / self.frames.len() as f64
     }
 
-    /// Per-frame power in a frequency band (one value per frame).
-    pub fn band_power_track(&self, low_hz: f64, high_hz: f64) -> Vec<f64> {
-        let bins: Vec<usize> = self
-            .frequencies_hz
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| **f >= low_hz && **f <= high_hz)
-            .map(|(i, _)| i)
-            .collect();
-        self.frames
-            .iter()
-            .map(|frame| bins.iter().map(|&b| frame[b]).sum())
-            .collect()
-    }
-
-    /// Frequency of the strongest bin in each frame.
-    pub fn peak_frequency_track(&self) -> Vec<f64> {
-        self.frames
-            .iter()
-            .map(|frame| {
-                frame
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| self.frequencies_hz[i])
-                    .unwrap_or(0.0)
-            })
-            .collect()
-    }
-
     /// A coarse band-energy summary: splits `[0, max_hz]` into `n_bands`
     /// equal bands and returns the mean power in each, in dB.  This is what
     /// the figure harnesses print instead of a bitmap spectrogram.
@@ -267,30 +237,6 @@ mod tests {
         let in_band = sg.mean_band_power(4_500.0, 5_500.0);
         let out_band = sg.mean_band_power(10_000.0, 15_000.0);
         assert!(in_band / out_band.max(1e-20) > 1e4);
-        let peaks = sg.peak_frequency_track();
-        for p in &peaks[1..peaks.len().saturating_sub(1)] {
-            assert!((p - 5_000.0).abs() < 100.0, "peak {p}");
-        }
-    }
-
-    #[test]
-    fn chirp_peak_track_moves_upwards() {
-        let fs = 48_000.0;
-        let n = 48_000;
-        // Linear chirp 1 kHz -> 10 kHz.
-        let x: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64 / fs;
-                let f0 = 1_000.0;
-                let k = 9_000.0; // Hz per second
-                (2.0 * std::f64::consts::PI * (f0 * t + 0.5 * k * t * t)).sin()
-            })
-            .collect();
-        let sg = spectrogram(&x, fs, &StftConfig::default()).unwrap();
-        let track = sg.peak_frequency_track();
-        let early = track[2];
-        let late = track[track.len() - 3];
-        assert!(late > early + 5_000.0, "early {early} late {late}");
     }
 
     #[test]

@@ -24,16 +24,16 @@
 //! 3. a `PreparedCell` is immutable and `perturb`/`evaluate` are pure
 //!    functions of `(cell, seed)`, so sharing prepared state cannot leak
 //!    scheduling into results; and
-//! 4. detector training is a pure function of the detector spec.
+//! 4. detector training is a pure function of the detector spec's
+//!    training corpus.
 
 use crate::aggregate::{aggregate_cells, psychometric_curves};
 use crate::error::{ExperimentError, Result};
-use crate::grid::{BandSummarySpec, CampaignSpec, DetectorSpec};
+use crate::grid::{BandSummarySpec, CampaignSpec};
 use crate::report::CampaignReport;
-use ivc_core::prepare_cache::{self, ProductKind};
-use ivc_core::{telemetry, PrepareContext, PreparedCell, TrialScratch};
-use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
-use ivc_defense::dataset::Dataset;
+use ivc_core::prepare_cache::{self, DefaultRecognizer};
+use ivc_core::{telemetry, PreparedCell, TrialScratch};
+use ivc_defense::classifier::LogisticRegression;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::stft::{spectrogram, StftConfig};
 use ivc_speech::commands::corpus;
@@ -102,28 +102,6 @@ struct CellSlot {
 /// the entry is `None`).
 type SharedDetector = std::result::Result<Option<Arc<LogisticRegression>>, String>;
 
-/// Trains the logistic-regression detector a detector-axis entry stands
-/// for.  Pure: the same spec always yields the same weights.
-///
-/// Its three phases record the `campaign.detector_train.corpus`,
-/// `.features` and `.fit` spans.
-pub fn train_detector_model(spec: &DetectorSpec) -> Result<LogisticRegression> {
-    let dataset = {
-        let _span = telemetry::span("campaign.detector_train.corpus");
-        Dataset::generate(&spec.dataset_config())
-            .map_err(|e| ExperimentError::Setup(format!("detector corpus: {e}")))?
-    };
-    let samples = {
-        let _span = telemetry::span("campaign.detector_train.features");
-        dataset
-            .to_feature_samples()
-            .map_err(|e| ExperimentError::Setup(format!("detector features: {e}")))?
-    };
-    let _span = telemetry::span("campaign.detector_train.fit");
-    LogisticRegression::train(&samples, &TrainingConfig::default())
-        .map_err(|e| ExperimentError::Setup(format!("detector training: {e}")))
-}
-
 /// Runs every trial of `spec` on a pool of `workers` threads and returns
 /// the aggregated, archivable report.
 ///
@@ -175,18 +153,12 @@ pub(crate) fn execute_jobs(
         return Ok(Vec::new());
     }
     let setup_span = telemetry::span("campaign.setup");
-    let recognizer = prepare_cache::get_or_build(
-        ProductKind::Recognizer,
-        &prepare_cache::default_recognizer_key(),
-        || Ok(Recognizer::with_default_corpus()?),
-    )
-    .map_err(|e| ExperimentError::Setup(format!("recogniser: {e}")))?;
+    let recognizer = prepare_cache::get(&DefaultRecognizer)
+        .map_err(|e| ExperimentError::Setup(format!("recogniser: {e}")))?;
     let recognizer = recognizer.as_ref();
     let commands = corpus();
     let cells = spec.cells();
     let workers = workers.clamp(1, num_jobs);
-    let ctx = PrepareContext::new()
-        .map_err(|e| ExperimentError::Setup(format!("prepare context: {e}")))?;
     drop(setup_span);
 
     // A contiguous job range covers a contiguous run of cells; the first
@@ -256,14 +228,9 @@ pub(crate) fn execute_jobs(
                 let entry = &spec.detectors[detector_index];
                 let handle = scope.spawn(move || match entry {
                     None => Ok(None),
-                    Some(detector_spec) => {
-                        let key = prepare_cache::detector_key(&detector_spec.dataset_config());
-                        prepare_cache::get_or_build(ProductKind::Detector, &key, || {
-                            Ok(train_detector_model(detector_spec)?)
-                        })
+                    Some(detector_spec) => prepare_cache::get(&detector_spec.dataset_config())
                         .map(Some)
-                        .map_err(|e| e.to_string())
-                    }
+                        .map_err(|e| e.to_string()),
                 });
                 (detector_index, handle)
             })
@@ -318,7 +285,7 @@ pub(crate) fn execute_jobs(
                                 let trial_seeds: Vec<u64> = (jobs.trial_start..jobs.trial_end)
                                     .map(|t| spec.trial_seed(t))
                                     .collect();
-                                PreparedCell::prepare(&ctx, command, &scenario, &trial_seeds)
+                                PreparedCell::prepare(command, &scenario, &trial_seeds)
                                     .map(Arc::new)
                                     .map_err(|e| e.to_string())
                             })
@@ -441,7 +408,7 @@ fn run_one_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::DeliverySpec;
+    use crate::grid::{DeliverySpec, DetectorSpec};
     use ivc_defense::features::DefenseFeatures;
 
     /// A deliberately tiny campaign: 2 deliveries × 2 distances, truncated

@@ -70,7 +70,7 @@ pub mod shard;
 pub use aggregate::{CellAccumulator, CellReport, CellStats, PsychometricCurve};
 pub use columns::COLUMNS_FORMAT;
 pub use error::{ExperimentError, Result};
-pub use executor::{default_workers, run_campaign, train_detector_model, TrialRecord};
+pub use executor::{default_workers, run_campaign, TrialRecord};
 pub use grid::{
     detector_token, room_from_token, room_token, BandSummarySpec, CampaignSpec, CellCoords,
     CellSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::aggregate::{CellAccumulator, CellReport, CellStats, PsychometricCurve};
     pub use crate::columns::COLUMNS_FORMAT;
     pub use crate::error::{ExperimentError, Result};
-    pub use crate::executor::{default_workers, run_campaign, train_detector_model, TrialRecord};
+    pub use crate::executor::{default_workers, run_campaign, TrialRecord};
     pub use crate::grid::{
         detector_token, room_from_token, room_token, BandSummarySpec, CampaignSpec, CellCoords,
         CellSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,

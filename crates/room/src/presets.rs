@@ -4,7 +4,9 @@
 //! order; [`RoomPreset::instantiate`] then places the source, target
 //! microphone and bystander for a concrete scenario (source-to-target
 //! distance, source-to-bystander distance) and validates that everything
-//! fits inside the box.
+//! fits inside the box; [`RoomPreset::target_rir`] and
+//! [`RoomPreset::bystander_rir`] place only the listener their response
+//! reaches, at the same position.
 //!
 //! Layout convention: the room's long axis is `x`; the source sits near
 //! the `x = 0` wall at `(source_x, W/2, 1.2)`, the target `distance_m`
@@ -169,20 +171,63 @@ impl RoomPreset {
     /// Places source, target and bystander for a concrete scenario and
     /// validates the geometry.
     pub fn instantiate(&self, distance_m: f64, bystander_distance_m: f64) -> Result<RoomInstance> {
+        let (room, source, target) = self.place_target(distance_m)?;
+        let bystander = self.place_bystander(&room, &source, bystander_distance_m)?;
+        Ok(RoomInstance {
+            preset: *self,
+            room,
+            source,
+            target,
+            bystander,
+            occluders: self.occluders(),
+            max_order: self.max_order(),
+        })
+    }
+
+    /// Impulse response from the source to a target microphone
+    /// `distance_m` down the room's axis, for a source of physical
+    /// aperture `aperture_m` (the array's length; 0 for a point source).
+    /// Only the target is placed and validated.
+    pub fn target_rir(&self, distance_m: f64, aperture_m: f64) -> Result<RoomImpulseResponse> {
+        let (room, source, target) = self.place_target(distance_m)?;
+        RoomImpulseResponse::image_source(
+            &room,
+            &source,
+            &target,
+            self.max_order(),
+            &self.occluders(),
+            aperture_m,
+        )
+    }
+
+    /// Impulse response from the source to the ear of a bystander
+    /// `bystander_distance_m` from it (off-axis, so the source is a point
+    /// source here).  Only the bystander is placed and validated.
+    pub fn bystander_rir(&self, bystander_distance_m: f64) -> Result<RoomImpulseResponse> {
+        let room = self.room();
+        let source = source_position(&room);
+        let bystander = self.place_bystander(&room, &source, bystander_distance_m)?;
+        RoomImpulseResponse::image_source(
+            &room,
+            &source,
+            &bystander,
+            self.max_order(),
+            &self.occluders(),
+            0.0,
+        )
+    }
+
+    /// The room, the source and the target `distance_m` down the room's
+    /// axis, validated.
+    fn place_target(&self, distance_m: f64) -> Result<(Shoebox, Point3, Point3)> {
         if !(distance_m > 0.0) || !distance_m.is_finite() {
             return Err(RoomError::invalid(
                 "distance_m",
                 format!("{distance_m} must be positive and finite"),
             ));
         }
-        if !(bystander_distance_m > 0.0) || !bystander_distance_m.is_finite() {
-            return Err(RoomError::invalid(
-                "bystander_distance_m",
-                format!("{bystander_distance_m} must be positive and finite"),
-            ));
-        }
         let room = self.room();
-        let source = Point3::new(1.0, room.width_m / 2.0, DEVICE_HEIGHT_M);
+        let source = source_position(&room);
         let target = Point3::new(source.x + distance_m, source.y, DEVICE_HEIGHT_M);
         if !room.contains(&target, TARGET_MARGIN_M) {
             return Err(RoomError::invalid(
@@ -197,25 +242,40 @@ impl RoomPreset {
         }
         // The doorway layout additionally requires the target past the
         // partition: the scenario is "through" the doorway, not in front
-        // of it.  The bystander walks diagonally through the partition
-        // (direction (0.8, 0.6)); elsewhere they stand beside the source.
+        // of it.
+        if *self == RoomPreset::ThroughDoorway && target.x <= 1.8 {
+            return Err(RoomError::invalid(
+                "distance_m",
+                format!(
+                    "{distance_m} m leaves the target in front of the doorway \
+                     partition at x = 1.6 (need at least 1.0 m)"
+                ),
+            ));
+        }
+        Ok((room, source, target))
+    }
+
+    /// The bystander `bystander_distance_m` from `source`, validated.  In
+    /// the doorway layout they walk diagonally through the partition
+    /// (direction (0.8, 0.6)); elsewhere they stand beside the source.
+    fn place_bystander(
+        &self,
+        room: &Shoebox,
+        source: &Point3,
+        bystander_distance_m: f64,
+    ) -> Result<Point3> {
+        if !(bystander_distance_m > 0.0) || !bystander_distance_m.is_finite() {
+            return Err(RoomError::invalid(
+                "bystander_distance_m",
+                format!("{bystander_distance_m} must be positive and finite"),
+            ));
+        }
         let bystander = match self {
-            RoomPreset::ThroughDoorway => {
-                if target.x <= 1.8 {
-                    return Err(RoomError::invalid(
-                        "distance_m",
-                        format!(
-                            "{distance_m} m leaves the target in front of the doorway \
-                             partition at x = 1.6 (need at least 1.0 m)"
-                        ),
-                    ));
-                }
-                Point3::new(
-                    source.x + 0.8 * bystander_distance_m,
-                    source.y + 0.6 * bystander_distance_m,
-                    DEVICE_HEIGHT_M,
-                )
-            }
+            RoomPreset::ThroughDoorway => Point3::new(
+                source.x + 0.8 * bystander_distance_m,
+                source.y + 0.6 * bystander_distance_m,
+                DEVICE_HEIGHT_M,
+            ),
             _ => Point3::new(source.x, source.y + bystander_distance_m, DEVICE_HEIGHT_M),
         };
         if !room.contains(&bystander, BYSTANDER_MARGIN_M) {
@@ -227,16 +287,13 @@ impl RoomPreset {
                 ),
             ));
         }
-        Ok(RoomInstance {
-            preset: *self,
-            room,
-            source,
-            target,
-            bystander,
-            occluders: self.occluders(),
-            max_order: self.max_order(),
-        })
+        Ok(bystander)
     }
+}
+
+/// Where every layout puts the source: near the `x = 0` wall, centred.
+fn source_position(room: &Shoebox) -> Point3 {
+    Point3::new(1.0, room.width_m / 2.0, DEVICE_HEIGHT_M)
 }
 
 /// A preset placed for one concrete scenario: the room plus the three
@@ -257,35 +314,6 @@ pub struct RoomInstance {
     pub occluders: Vec<Occluder>,
     /// Image-source reflection order.
     pub max_order: usize,
-}
-
-impl RoomInstance {
-    /// Impulse response from the source to the target microphone, for a
-    /// source of physical aperture `aperture_m` (the array's length; 0
-    /// for a point source).
-    pub fn target_rir(&self, aperture_m: f64) -> Result<RoomImpulseResponse> {
-        RoomImpulseResponse::image_source(
-            &self.room,
-            &self.source,
-            &self.target,
-            self.max_order,
-            &self.occluders,
-            aperture_m,
-        )
-    }
-
-    /// Impulse response from the source to the bystander's ear (the
-    /// bystander stands off-axis, so the source is a point source here).
-    pub fn bystander_rir(&self) -> Result<RoomImpulseResponse> {
-        RoomImpulseResponse::image_source(
-            &self.room,
-            &self.source,
-            &self.bystander,
-            self.max_order,
-            &self.occluders,
-            0.0,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -333,9 +361,8 @@ mod tests {
 
     #[test]
     fn doorway_occludes_the_bystander_but_not_the_target() {
-        let instance = RoomPreset::ThroughDoorway.instantiate(3.0, 1.0).unwrap();
-        let target = instance.target_rir(0.3).unwrap();
-        let bystander = instance.bystander_rir().unwrap();
+        let target = RoomPreset::ThroughDoorway.target_rir(3.0, 0.3).unwrap();
+        let bystander = RoomPreset::ThroughDoorway.bystander_rir(1.0).unwrap();
         // Target path goes through the doorway gap: unity direct curve.
         assert!(target.direct().gain_curve.is_empty());
         // Bystander path crosses the partition: attenuated direct curve.
@@ -345,10 +372,21 @@ mod tests {
     }
 
     #[test]
+    fn each_response_validates_only_its_own_listener() {
+        // The corridor is 2.2 m wide: a 2 m bystander offset hits the wall,
+        // while a target 2 m down the axis fits.
+        assert!(RoomPreset::Corridor.target_rir(2.0, 0.0).is_ok());
+        assert!(RoomPreset::Corridor.bystander_rir(2.0).is_err());
+        // The doorway layout constrains its target, not its bystander.
+        assert!(RoomPreset::ThroughDoorway.target_rir(0.5, 0.0).is_err());
+        assert!(RoomPreset::ThroughDoorway.bystander_rir(1.0).is_ok());
+    }
+
+    #[test]
     fn anechoic_instance_has_no_reflections() {
-        let instance = RoomPreset::Anechoic.instantiate(5.0, 1.0).unwrap();
-        assert_eq!(instance.target_rir(1.8).unwrap().num_taps(), 1);
-        assert_eq!(instance.bystander_rir().unwrap().num_taps(), 1);
+        let anechoic = RoomPreset::Anechoic;
+        assert_eq!(anechoic.target_rir(5.0, 1.8).unwrap().num_taps(), 1);
+        assert_eq!(anechoic.bystander_rir(1.0).unwrap().num_taps(), 1);
     }
 
     #[test]

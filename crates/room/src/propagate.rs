@@ -314,9 +314,7 @@ mod tests {
         }
         let source = Signal::new(samples, fs).unwrap();
         let rir = crate::presets::RoomPreset::Office
-            .instantiate(3.0, 1.0)
-            .unwrap()
-            .target_rir(0.0)
+            .target_rir(3.0, 0.0)
             .unwrap();
         assert!(rir.reflected().len() > 20);
         let out = propagate_in_room(&source, &rir, &env).unwrap();

@@ -28,7 +28,6 @@ pub mod commands;
 pub mod dtw;
 pub mod error;
 pub mod formant;
-pub mod metrics;
 pub mod mfcc;
 pub mod phoneme;
 pub mod prosody;

@@ -21,9 +21,7 @@
 
 use inaudible_voice_commands::acoustics::microphone::DevicePreset;
 use inaudible_voice_commands::core::scenario::{Delivery, Scenario};
-use inaudible_voice_commands::core::{
-    run_trial, PrepareContext, PreparedCell, TrialOutcome, TrialScratch,
-};
+use inaudible_voice_commands::core::{run_trial, PreparedCell, TrialOutcome, TrialScratch};
 use inaudible_voice_commands::dsp::signal::Signal;
 use inaudible_voice_commands::room::RoomPreset;
 use inaudible_voice_commands::speech::commands::corpus;
@@ -177,8 +175,7 @@ fn golden_lines(recognizer: &Recognizer) -> Vec<String> {
         Some(RoomPreset::Office),
         SHARED_SEEDS[0],
     );
-    let ctx = PrepareContext::new().unwrap();
-    let prepared = PreparedCell::prepare(&ctx, command, &scenario, &SHARED_SEEDS).unwrap();
+    let prepared = PreparedCell::prepare(command, &scenario, &SHARED_SEEDS).unwrap();
     let mut scratch = TrialScratch::new();
     for seed in SHARED_SEEDS {
         let outcome = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
@@ -233,8 +230,7 @@ fn assert_shared_cell_matches_run_trial(
     recognizer: &Recognizer,
 ) {
     let command = &corpus()[command_index];
-    let ctx = PrepareContext::new().unwrap();
-    let prepared = PreparedCell::prepare(&ctx, command, scenario, seeds).unwrap();
+    let prepared = PreparedCell::prepare(command, scenario, seeds).unwrap();
     let mut scratch = TrialScratch::new();
     for &seed in seeds {
         let shared = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
