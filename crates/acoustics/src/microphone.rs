@@ -304,22 +304,6 @@ impl Microphone {
         self.nonlinearity.apply_in_place(&mut work);
         Ok(Signal::new(work, sample_rate_hz)?)
     }
-
-    /// The demodulation efficiency of the microphone for an AM ultrasound
-    /// signal: the ratio (in dB) between the recovered baseband amplitude
-    /// and what a perfectly linear microphone would record (nothing), given
-    /// the received carrier SPL.  Used by the attack planner's link budget.
-    pub fn demodulation_gain_db(&self, carrier_spl_db: f64, carrier_hz: f64) -> f64 {
-        // Received carrier, normalised to full scale, after the front end.
-        let carrier_pa = spl_db_to_pressure(carrier_spl_db) * std::f64::consts::SQRT_2;
-        let fs_pressure_peak =
-            spl_db_to_pressure(self.acoustic_overload_point_db_spl) * std::f64::consts::SQRT_2;
-        let a = carrier_pa / fs_pressure_peak * self.front_end_gain(carrier_hz);
-        // Second-order product amplitude for a fully modulated AM pair is
-        // g2 * a^2 (sideband x carrier), relative to full scale.
-        let product = self.nonlinearity.g2.abs() * a * a;
-        20.0 * product.max(1e-15).log10()
-    }
 }
 
 #[cfg(test)]
@@ -439,20 +423,6 @@ mod tests {
         assert!(echo.front_end_gain(40_000.0) < phone.front_end_gain(40_000.0));
         // Audible band gains are comparable.
         assert!((echo.front_end_gain(1_000.0) - phone.front_end_gain(1_000.0)).abs() < 0.2);
-        // And the link-budget view agrees.
-        assert!(
-            echo.demodulation_gain_db(100.0, 40_000.0)
-                < phone.demodulation_gain_db(100.0, 40_000.0)
-        );
-    }
-
-    #[test]
-    fn demodulation_gain_rises_with_received_level() {
-        let mic = DevicePreset::AndroidPhone.microphone();
-        let quiet = mic.demodulation_gain_db(80.0, 40_000.0);
-        let loud = mic.demodulation_gain_db(100.0, 40_000.0);
-        // +20 dB carrier -> +40 dB product (square law).
-        assert!((loud - quiet - 40.0).abs() < 0.5, "{quiet} -> {loud}");
     }
 
     #[test]

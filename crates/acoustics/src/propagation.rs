@@ -174,37 +174,17 @@ pub fn propagation_delay_samples(distance_m: f64, fs: f64, env: &AirEnvironment)
     (distance_m / env.speed_of_sound_m_per_s() * fs).round() as usize
 }
 
-/// Propagation loss (in dB) for a single frequency over `distance_m`:
-/// spreading plus absorption.  Useful for link-budget style calculations in
-/// the attack planner without synthesising a waveform.
+/// Propagation loss (in dB) for a single frequency over `distance_m` from
+/// a point source: spherical spreading beyond the 1 m reference plus
+/// absorption — the single-frequency view of [`propagate`].
 pub fn path_loss_db(frequency_hz: f64, distance_m: f64, env: &AirEnvironment) -> Result<f64> {
-    path_loss_from_aperture_db(frequency_hz, distance_m, 0.0, env)
-}
-
-/// [`path_loss_db`] for a source of physical aperture `aperture_m`: the
-/// single-frequency view of [`propagate_from_aperture`], with spreading
-/// starting at the frequency's [`rayleigh_distance_m`] instead of at 1 m.
-/// Keeps planner predictions consistent with the waveform simulation.
-pub fn path_loss_from_aperture_db(
-    frequency_hz: f64,
-    distance_m: f64,
-    aperture_m: f64,
-    env: &AirEnvironment,
-) -> Result<f64> {
     if !(distance_m > 0.0) || !distance_m.is_finite() {
         return Err(AcousticsError::invalid(
             "distance_m",
             format!("{distance_m} must be positive and finite"),
         ));
     }
-    if !(0.0..=10.0).contains(&aperture_m) {
-        return Err(AcousticsError::invalid(
-            "aperture_m",
-            format!("{aperture_m} must be within [0, 10] metres"),
-        ));
-    }
-    let collimated_to_m = rayleigh_distance_m(aperture_m, frequency_hz, env).max(1.0);
-    let spreading_db = 20.0 * (distance_m / collimated_to_m).max(1.0).log10();
+    let spreading_db = 20.0 * distance_m.max(1.0).log10();
     let absorption_db = crate::absorption::absorption_db(frequency_hz, distance_m, env)?;
     Ok(spreading_db + absorption_db)
 }

@@ -5,7 +5,7 @@ use std::fmt;
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, AttackError>;
 
-/// Errors produced while constructing or planning an attack.
+/// Errors produced while constructing an attack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttackError {
     /// A parameter was outside its valid range.
@@ -14,12 +14,6 @@ pub enum AttackError {
         name: &'static str,
         /// Description of the violation.
         message: String,
-    },
-    /// The planner could not satisfy the inaudibility constraint at any
-    /// power level that still reaches the target.
-    Infeasible {
-        /// Human-readable explanation.
-        reason: String,
     },
     /// An error bubbled up from the DSP layer.
     Dsp(ivc_dsp::DspError),
@@ -35,7 +29,6 @@ impl fmt::Display for AttackError {
             AttackError::InvalidParameter { name, message } => {
                 write!(f, "invalid attack parameter `{name}`: {message}")
             }
-            AttackError::Infeasible { reason } => write!(f, "attack is infeasible: {reason}"),
             AttackError::Dsp(e) => write!(f, "dsp error: {e}"),
             AttackError::Acoustics(e) => write!(f, "acoustics error: {e}"),
             AttackError::Speech(e) => write!(f, "speech error: {e}"),
@@ -91,9 +84,6 @@ mod tests {
         assert!(AttackError::invalid("carrier", "too low")
             .to_string()
             .contains("carrier"));
-        assert!(AttackError::Infeasible { reason: "x".into() }
-            .to_string()
-            .contains("infeasible"));
         let e: AttackError = ivc_dsp::DspError::EmptyInput { operation: "f" }.into();
         assert!(std::error::Error::source(&e).is_some());
         let e: AttackError = ivc_acoustics::AcousticsError::invalid("d", "m").into();

@@ -16,9 +16,7 @@
 //!   sideband slice.  Each element's self-intermodulation then produces only
 //!   weak, narrow, unintelligible low-frequency residue, while the full
 //!   command still reassembles inside the victim microphone, because only
-//!   there do carrier and sidebands meet a non-linearity.  The
-//!   [`planner`] chooses per-element power subject to an audibility
-//!   constraint at a bystander's position.
+//!   there do carrier and sidebands meet a non-linearity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,13 +25,11 @@ pub mod baseband;
 pub mod error;
 pub mod leakage;
 pub mod multispeaker;
-pub mod planner;
 pub mod segmentation;
 pub mod single;
 
 pub use error::{AttackError, Result};
 pub use multispeaker::MultiSpeakerAttack;
-pub use planner::AttackPlanner;
 pub use single::SingleSpeakerAttack;
 
 /// Commonly used items, re-exported for glob import.
@@ -42,6 +38,5 @@ pub mod prelude {
     pub use crate::error::{AttackError, Result};
     pub use crate::leakage::{estimate_leakage, LeakageReport};
     pub use crate::multispeaker::MultiSpeakerAttack;
-    pub use crate::planner::AttackPlanner;
     pub use crate::single::SingleSpeakerAttack;
 }

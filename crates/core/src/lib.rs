@@ -16,6 +16,8 @@
 //!   Evaluate**): the cell-invariant work is packaged once as an immutable
 //!   [`stages::PreparedCell`] and shared across all trials of a campaign
 //!   cell.
+//! * [`dataset`] — the detector's training corpus, built and captured by
+//!   the same stages trials run.
 //! * [`pipeline`] — the compose-all wrapper: [`pipeline::run_trial`] runs
 //!   the three stages for one `(scenario, seed)` and reports whether the
 //!   command was accepted, its word accuracy, the speaker-side leakage and
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod columns;
+pub mod dataset;
 pub mod json;
 pub mod pipeline;
 pub mod prepare_cache;
@@ -44,6 +47,7 @@ pub mod scenario;
 pub mod stages;
 pub mod telemetry;
 
+pub use dataset::DatasetConfig;
 pub use json::JsonValue;
 pub use pipeline::{run_trial, TrialOutcome};
 pub use results::{Series, Table};

@@ -5,8 +5,8 @@
 //! power allocation, the array's emitted near field) and both propagation
 //! runs.  Each of those is a pure function of a *sub-tuple* of the cell's
 //! axes, and each product names that sub-tuple as a plain inputs struct
-//! (`UtteranceInputs`, `AttackInputs`, `PathInputs` and `LeakageInputs` in
-//! [`crate::stages`], plus the detector's [`DatasetConfig`] and
+//! (`UtteranceInputs`, `AttackInputs`, `PathInputs`, `LeakageInputs` and
+//! the detector's `DatasetConfig` in [`crate::stages`], plus
 //! [`DefaultRecognizer`]) implementing [`Product`].  The struct holds
 //! exactly the fields its [`Product::build`] reads, and the cache key is
 //! the struct's derived `Debug` rendering (range-vector-hashing style: the
@@ -58,8 +58,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use crate::telemetry;
 use crate::Result;
-use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
-use ivc_defense::dataset::{Dataset, DatasetConfig};
 use ivc_speech::recognizer::Recognizer;
 
 /// Default capacity: generous for workstation campaigns, far below the
@@ -95,38 +93,6 @@ impl Product for DefaultRecognizer {
 
     fn build(&self) -> Result<Recognizer> {
         Ok(Recognizer::with_default_corpus()?)
-    }
-}
-
-/// A trained detector is a pure function of its training corpus
-/// configuration (training always runs with the constant
-/// `TrainingConfig::default()`).  Its three phases record the
-/// `campaign.detector_train.corpus`, `.features` and `.fit` spans.
-impl Product for DatasetConfig {
-    type Output = LogisticRegression;
-    const REUSED_COUNTER: &'static str = "prepare.detector_reused";
-
-    // Weights plus the per-feature means and deviations.
-    fn byte_estimate(model: &LogisticRegression) -> usize {
-        model.weights().len() * 3 * 8 + 128
-    }
-
-    fn build(&self) -> Result<LogisticRegression> {
-        let dataset = {
-            let _span = telemetry::span("campaign.detector_train.corpus");
-            Dataset::generate(self).map_err(|e| format!("detector corpus: {e}"))?
-        };
-        let samples = {
-            let _span = telemetry::span("campaign.detector_train.features");
-            dataset
-                .to_feature_samples()
-                .map_err(|e| format!("detector features: {e}"))?
-        };
-        let _span = telemetry::span("campaign.detector_train.fit");
-        Ok(
-            LogisticRegression::train(&samples, &TrainingConfig::default())
-                .map_err(|e| format!("detector training: {e}"))?,
-        )
     }
 }
 

@@ -24,6 +24,12 @@
 //! [`LeakageInputs`]); [`CellInputs::project`] is the one place a
 //! scenario is projected onto them, and no build sees a [`Scenario`].
 //!
+//! The detector's training corpus ([`crate::dataset`]) is one more
+//! caller of the same stages: its cells are projected by
+//! [`CellInputs::project`], their paths built by [`Product::build`] and
+//! captured by the one Perturb body, so the detector trains on exactly
+//! the recordings trials score.
+//!
 //! [`crate::pipeline::run_trial`] survives as the compose-all wrapper; the
 //! staged outputs are pinned per delivery kind × room axis by the trial
 //! digests in `tests/staged_pipeline.rs`.
@@ -67,8 +73,7 @@ use std::sync::Arc;
 pub const NUM_TALKER_VARIANTS: usize = 8;
 
 /// The talker variant a legitimate delivery uses at `seed` (the `seed % 8`
-/// semantics campaigns rely on; the defense dataset draws its own,
-/// `variant + seed % 3`).
+/// semantics campaigns and the detector corpus rely on).
 pub fn talker_variant(seed: u64) -> usize {
     seed as usize % NUM_TALKER_VARIANTS
 }
@@ -496,7 +501,6 @@ impl PreparedCell {
     /// re-allocating them per call.  The output is bit-identical with a
     /// fresh or a reused scratch.
     pub fn perturb(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
-        let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
         let clean: &Signal = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
             PreparedPaths::Legitimate(variants) => {
@@ -513,40 +517,13 @@ impl PreparedCell {
                     .1
             }
         };
-        let mut pressure = std::mem::take(&mut scratch.pressure);
-        pressure.clear();
-        pressure.extend_from_slice(clean.samples());
-        let mut pressure_at_port = Signal::new(pressure, clean.sample_rate_hz())?;
-        {
-            let _span = telemetry::span("perturb.ambient_noise");
-            let noise = room_noise_pa(
-                self.scenario.ambient_noise_spl_db,
-                pressure_at_port.duration_s(),
-                pressure_at_port.sample_rate_hz(),
-                seed ^ 0xDEAD_BEEF,
-            )?;
-            pressure_at_port.mix(&noise)?;
-        }
-        // `Microphone::capture_with_scratch`, split so each half of the
-        // capture chain gets its own span.
-        let _span = telemetry::span("perturb.mic_capture");
-        let analog = {
-            let _span = telemetry::span("perturb.mic_capture.front_end");
-            let shaped = {
-                let _span = telemetry::span("perturb.mic_capture.front_end.shaping");
-                self.microphone
-                    .front_end_shaping(&pressure_at_port, &mut scratch.capture)?
-            };
-            let _span = telemetry::span("perturb.mic_capture.front_end.self_noise");
-            self.microphone.front_end_self_noise(shaped, seed)?
-        };
-        let recording = {
-            let _span = telemetry::span("perturb.mic_capture.adc");
-            digitize(&analog, &self.microphone.adc, seed)
-        };
-        scratch.capture.recycle(analog);
-        scratch.pressure = pressure_at_port.into_samples();
-        Ok(recording?)
+        perturb_path(
+            clean,
+            &self.microphone,
+            self.scenario.ambient_noise_spl_db,
+            seed,
+            scratch,
+        )
     }
 
     /// Stage 3: recognition, defense features and the optional trained
@@ -610,6 +587,52 @@ impl PreparedCell {
         let recording = self.perturb(seed, scratch)?;
         self.evaluate(recording, seed, recognizer, detector)
     }
+}
+
+/// The Perturb stage's body: trial `seed`'s ambient-noise draw added to a
+/// clean pressure path, captured by `microphone` (front end and ADC).
+/// [`PreparedCell::perturb`] and the detector corpus both run it.
+pub(crate) fn perturb_path(
+    clean: &Signal,
+    microphone: &Microphone,
+    ambient_noise_spl_db: f64,
+    seed: u64,
+    scratch: &mut TrialScratch,
+) -> Result<Signal> {
+    let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
+    let mut pressure = std::mem::take(&mut scratch.pressure);
+    pressure.clear();
+    pressure.extend_from_slice(clean.samples());
+    let mut pressure_at_port = Signal::new(pressure, clean.sample_rate_hz())?;
+    {
+        let _span = telemetry::span("perturb.ambient_noise");
+        let noise = room_noise_pa(
+            ambient_noise_spl_db,
+            pressure_at_port.duration_s(),
+            pressure_at_port.sample_rate_hz(),
+            seed ^ 0xDEAD_BEEF,
+        )?;
+        pressure_at_port.mix(&noise)?;
+    }
+    // `Microphone::capture_with_scratch`, split so each half of the
+    // capture chain gets its own span.
+    let _span = telemetry::span("perturb.mic_capture");
+    let analog = {
+        let _span = telemetry::span("perturb.mic_capture.front_end");
+        let shaped = {
+            let _span = telemetry::span("perturb.mic_capture.front_end.shaping");
+            microphone.front_end_shaping(&pressure_at_port, &mut scratch.capture)?
+        };
+        let _span = telemetry::span("perturb.mic_capture.front_end.self_noise");
+        microphone.front_end_self_noise(shaped, seed)?
+    };
+    let recording = {
+        let _span = telemetry::span("perturb.mic_capture.adc");
+        digitize(&analog, &microphone.adc, seed)
+    };
+    scratch.capture.recycle(analog);
+    scratch.pressure = pressure_at_port.into_samples();
+    Ok(recording?)
 }
 
 /// Per-worker scratch buffers threaded through the Perturb stage so the

@@ -22,12 +22,6 @@ pub enum DefenseError {
     },
     /// An error bubbled up from the DSP layer.
     Dsp(ivc_dsp::DspError),
-    /// An error bubbled up from the acoustics layer.
-    Acoustics(ivc_acoustics::AcousticsError),
-    /// An error bubbled up from the speech layer.
-    Speech(ivc_speech::SpeechError),
-    /// An error bubbled up from the attack crate (dataset generation).
-    Attack(ivc_attack::AttackError),
 }
 
 impl fmt::Display for DefenseError {
@@ -40,9 +34,6 @@ impl fmt::Display for DefenseError {
                 write!(f, "degenerate dataset: {message}")
             }
             DefenseError::Dsp(e) => write!(f, "dsp error: {e}"),
-            DefenseError::Acoustics(e) => write!(f, "acoustics error: {e}"),
-            DefenseError::Speech(e) => write!(f, "speech error: {e}"),
-            DefenseError::Attack(e) => write!(f, "attack error: {e}"),
         }
     }
 }
@@ -52,21 +43,6 @@ impl std::error::Error for DefenseError {}
 impl From<ivc_dsp::DspError> for DefenseError {
     fn from(e: ivc_dsp::DspError) -> Self {
         DefenseError::Dsp(e)
-    }
-}
-impl From<ivc_acoustics::AcousticsError> for DefenseError {
-    fn from(e: ivc_acoustics::AcousticsError) -> Self {
-        DefenseError::Acoustics(e)
-    }
-}
-impl From<ivc_speech::SpeechError> for DefenseError {
-    fn from(e: ivc_speech::SpeechError) -> Self {
-        DefenseError::Speech(e)
-    }
-}
-impl From<ivc_attack::AttackError> for DefenseError {
-    fn from(e: ivc_attack::AttackError) -> Self {
-        DefenseError::Attack(e)
     }
 }
 
@@ -94,11 +70,5 @@ mod tests {
         .contains("empty"));
         let e: DefenseError = ivc_dsp::DspError::EmptyInput { operation: "f" }.into();
         assert!(e.to_string().contains("dsp"));
-        let e: DefenseError = ivc_speech::SpeechError::NoTemplates.into();
-        assert!(e.to_string().contains("speech"));
-        let e: DefenseError = ivc_attack::AttackError::invalid("p", "m").into();
-        assert!(e.to_string().contains("attack"));
-        let e: DefenseError = ivc_acoustics::AcousticsError::invalid("d", "m").into();
-        assert!(e.to_string().contains("acoustics"));
     }
 }

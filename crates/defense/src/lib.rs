@@ -17,8 +17,6 @@
 //!   spectral tilt).
 //! * [`classifier`] — a small logistic-regression classifier with
 //!   standardisation and gradient-descent training.
-//! * [`dataset`] — seeded generation of labelled corpora of legitimate and
-//!   attack recordings across speakers, commands, devices and distances.
 //! * [`evaluation`] — ROC/AUC, confusion matrices and cross-validation.
 //! * [`countermeasures`] — the adaptive attacker who tries to suppress the
 //!   shadow, and what that costs them.
@@ -28,7 +26,6 @@
 
 pub mod classifier;
 pub mod countermeasures;
-pub mod dataset;
 pub mod error;
 pub mod evaluation;
 pub mod features;
@@ -40,7 +37,6 @@ pub use features::{DefenseFeatures, FeatureVector};
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::classifier::LogisticRegression;
-    pub use crate::dataset::{Dataset, DatasetConfig, LabeledRecording};
     pub use crate::error::{DefenseError, Result};
     pub use crate::evaluation::{ConfusionMatrix, RocCurve};
     pub use crate::features::{DefenseFeatures, FeatureVector};

@@ -228,7 +228,7 @@ pub(crate) fn execute_jobs(
                 let entry = &spec.detectors[detector_index];
                 let handle = scope.spawn(move || match entry {
                     None => Ok(None),
-                    Some(detector_spec) => prepare_cache::get(&detector_spec.dataset_config())
+                    Some(detector_spec) => prepare_cache::get(&detector_spec.corpus)
                         .map(Some)
                         .map_err(|e| e.to_string()),
                 });
@@ -409,6 +409,7 @@ fn run_one_trial(
 mod tests {
     use super::*;
     use crate::grid::{DeliverySpec, DetectorSpec};
+    use ivc_core::dataset::DatasetConfig;
     use ivc_defense::features::DefenseFeatures;
 
     /// A deliberately tiny campaign: 2 deliveries × 2 distances, truncated
@@ -506,12 +507,15 @@ mod tests {
     fn detector_axis_scores_every_trial_and_band_summary_is_recorded() {
         let spec = CampaignSpec {
             detectors: vec![Some(DetectorSpec {
-                // The smallest corpus that still trains (the classifier
-                // wants >= 4 samples): 3 legitimate variants + 1 attack.
-                distances_m: vec![1.5],
-                num_speaker_variants: 3,
-                command_indices: vec![0],
-                max_voice_duration_s: 0.8,
+                corpus: DatasetConfig {
+                    // The smallest corpus that still trains (the classifier
+                    // wants >= 4 samples): 3 legitimate variants + 1 attack.
+                    distances_m: vec![1.5],
+                    num_speaker_variants: 3,
+                    command_indices: vec![0],
+                    max_voice_duration_s: 0.8,
+                    ..DetectorSpec::standard(true).corpus
+                },
                 ..DetectorSpec::standard(true)
             })],
             deliveries: vec![

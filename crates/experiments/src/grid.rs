@@ -15,8 +15,8 @@
 use crate::error::{ExperimentError, Result};
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
+use ivc_core::dataset::DatasetConfig;
 use ivc_core::scenario::{Delivery, Scenario};
-use ivc_defense::dataset::DatasetConfig;
 use ivc_room::RoomPreset;
 use ivc_speech::commands::corpus;
 
@@ -160,36 +160,16 @@ impl DeliverySpec {
     }
 }
 
-/// One point on the detector-training axis: the labelled corpus the
-/// campaign trains a logistic-regression detector on before running
-/// trials.  Mirrors [`DatasetConfig`] so training is fully reproducible
-/// from the archived spec.
+/// One point on the detector-training axis: a label and the labelled
+/// corpus the campaign trains a logistic-regression detector on before
+/// running trials.  The corpus is archived with the spec, so training is
+/// fully reproducible from the archive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorSpec {
     /// Label used in tables and archives.
     pub label: String,
-    /// Device the training recordings are captured on.
-    pub device: DevicePreset,
-    /// Source–device distances the corpus covers, in metres.
-    pub distances_m: Vec<f64>,
-    /// Legitimate speaker variants per (command, distance).
-    pub num_speaker_variants: usize,
-    /// Corpus command indices the training set speaks.
-    pub command_indices: Vec<usize>,
-    /// Array elements of the training attacks.
-    pub attack_elements: usize,
-    /// Total electrical power of the training attacks, in watt.
-    pub attack_total_power_w: f64,
-    /// Carrier frequency of the training attacks, in Hz.
-    pub carrier_hz: f64,
-    /// Legitimate talker level (SPL at 1 m), in dB.
-    pub talker_spl_db: f64,
-    /// Ambient noise of the training recordings, in dB SPL.
-    pub ambient_noise_spl_db: f64,
-    /// Voice-duration cap of the training corpus, in seconds.
-    pub max_voice_duration_s: f64,
-    /// Master seed of the training corpus.
-    pub seed: u64,
+    /// The training corpus (also the trained detector's cache key).
+    pub corpus: DatasetConfig,
 }
 
 impl DetectorSpec {
@@ -199,38 +179,23 @@ impl DetectorSpec {
     pub fn standard(quick: bool) -> Self {
         DetectorSpec {
             label: "standard detector".to_string(),
-            device: DevicePreset::AndroidPhone,
-            distances_m: if quick {
-                vec![1.5, 3.0]
-            } else {
-                vec![1.0, 2.0, 3.0, 5.0]
+            corpus: DatasetConfig {
+                device: DevicePreset::AndroidPhone,
+                distances_m: if quick {
+                    vec![1.5, 3.0]
+                } else {
+                    vec![1.0, 2.0, 3.0, 5.0]
+                },
+                num_speaker_variants: if quick { 2 } else { 4 },
+                command_indices: if quick { vec![0] } else { vec![0, 1, 2, 3] },
+                attack_elements: 8,
+                attack_total_power_w: 40.0,
+                carrier_hz: 40_000.0,
+                talker_spl_db: 65.0,
+                ambient_noise_spl_db: 40.0,
+                max_voice_duration_s: if quick { 1.1 } else { f64::INFINITY },
+                seed: 7,
             },
-            num_speaker_variants: if quick { 2 } else { 4 },
-            command_indices: if quick { vec![0] } else { vec![0, 1, 2, 3] },
-            attack_elements: 8,
-            attack_total_power_w: 40.0,
-            carrier_hz: 40_000.0,
-            talker_spl_db: 65.0,
-            ambient_noise_spl_db: 40.0,
-            max_voice_duration_s: if quick { 1.1 } else { f64::INFINITY },
-            seed: 7,
-        }
-    }
-
-    /// The [`DatasetConfig`] this spec stands for.
-    pub fn dataset_config(&self) -> DatasetConfig {
-        DatasetConfig {
-            device: self.device,
-            distances_m: self.distances_m.clone(),
-            num_speaker_variants: self.num_speaker_variants,
-            command_indices: self.command_indices.clone(),
-            attack_elements: self.attack_elements,
-            attack_total_power_w: self.attack_total_power_w,
-            carrier_hz: self.carrier_hz,
-            talker_spl_db: self.talker_spl_db,
-            ambient_noise_spl_db: self.ambient_noise_spl_db,
-            max_voice_duration_s: self.max_voice_duration_s,
-            seed: self.seed,
         }
     }
 
@@ -241,40 +206,9 @@ impl DetectorSpec {
                 "detector label must not be empty",
             ));
         }
-        if self.distances_m.is_empty() || self.command_indices.is_empty() {
-            return Err(ExperimentError::invalid(
-                "detectors",
-                "training needs at least one distance and one command",
-            ));
-        }
-        let corpus_len = corpus().len();
-        for &index in &self.command_indices {
-            if index >= corpus_len {
-                return Err(ExperimentError::invalid(
-                    "detectors",
-                    format!("training command index {index} outside the corpus"),
-                ));
-            }
-        }
-        if self.num_speaker_variants == 0 || self.attack_elements == 0 {
-            return Err(ExperimentError::invalid(
-                "detectors",
-                "need at least one speaker variant and one attack element",
-            ));
-        }
-        if !(self.attack_total_power_w > 0.0) || !(self.carrier_hz > 0.0) {
-            return Err(ExperimentError::invalid(
-                "detectors",
-                "attack power and carrier must be positive",
-            ));
-        }
-        if !(self.max_voice_duration_s > 0.0) {
-            return Err(ExperimentError::invalid(
-                "detectors",
-                "max_voice_duration_s must be positive",
-            ));
-        }
-        Ok(())
+        self.corpus
+            .validate()
+            .map_err(|e| ExperimentError::invalid("detectors", e.to_string()))
     }
 }
 
@@ -1026,9 +960,16 @@ mod tests {
         assert!(bad_suppression.validate().is_err());
         let bad_detector = CampaignSpec {
             detectors: vec![Some(DetectorSpec {
-                distances_m: vec![],
+                label: String::new(),
                 ..DetectorSpec::standard(true)
             })],
+            ..sweep_spec()
+        };
+        assert!(bad_detector.validate().is_err());
+        let mut empty_corpus = DetectorSpec::standard(true);
+        empty_corpus.corpus.distances_m.clear();
+        let bad_detector = CampaignSpec {
+            detectors: vec![Some(empty_corpus)],
             ..sweep_spec()
         };
         assert!(bad_detector.validate().is_err());
@@ -1064,21 +1005,5 @@ mod tests {
             assert!((-50.0..=60.0).contains(&air.temperature_c));
         }
         assert_eq!(EnvironmentPreset::from_token("underwater"), None);
-    }
-
-    #[test]
-    fn detector_spec_mirrors_its_dataset_config() {
-        let spec = DetectorSpec::standard(true);
-        let config = spec.dataset_config();
-        assert_eq!(config.distances_m, spec.distances_m);
-        assert_eq!(config.num_speaker_variants, spec.num_speaker_variants);
-        assert_eq!(config.command_indices, spec.command_indices);
-        assert_eq!(config.seed, spec.seed);
-        assert_eq!(detector_token(Some(&spec)), "standard detector");
-        assert_eq!(detector_token(None), "no detector");
-        // Full fidelity covers more of the corpus than quick.
-        let full = DetectorSpec::standard(false);
-        assert!(full.distances_m.len() > spec.distances_m.len());
-        assert!(full.command_indices.len() > spec.command_indices.len());
     }
 }

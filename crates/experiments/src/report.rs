@@ -14,6 +14,7 @@ use crate::grid::{
     DetectorSpec, EnvironmentPreset,
 };
 use ivc_acoustics::microphone::DevicePreset;
+use ivc_core::dataset::DatasetConfig;
 use ivc_core::json::{u64_to_json, JsonValue};
 use ivc_core::results::{fmt, Table};
 use ivc_core::scenario::Delivery;
@@ -217,21 +218,19 @@ fn delivery_from_json(value: &JsonValue) -> Result<Delivery> {
 }
 
 fn detector_to_json(detector: &DetectorSpec) -> JsonValue {
+    let corpus = &detector.corpus;
     obj(vec![
         ("label", JsonValue::string(&detector.label)),
-        ("device", JsonValue::string(device_token(detector.device))),
-        (
-            "distances_m",
-            JsonValue::number_array(&detector.distances_m),
-        ),
+        ("device", JsonValue::string(device_token(corpus.device))),
+        ("distances_m", JsonValue::number_array(&corpus.distances_m)),
         (
             "num_speaker_variants",
-            JsonValue::number(detector.num_speaker_variants as f64),
+            JsonValue::number(corpus.num_speaker_variants as f64),
         ),
         (
             "command_indices",
             JsonValue::Array(
-                detector
+                corpus
                     .command_indices
                     .iter()
                     .map(|&i| JsonValue::number(i as f64))
@@ -240,24 +239,24 @@ fn detector_to_json(detector: &DetectorSpec) -> JsonValue {
         ),
         (
             "attack_elements",
-            JsonValue::number(detector.attack_elements as f64),
+            JsonValue::number(corpus.attack_elements as f64),
         ),
         (
             "attack_total_power_w",
-            JsonValue::number(detector.attack_total_power_w),
+            JsonValue::number(corpus.attack_total_power_w),
         ),
-        ("carrier_hz", JsonValue::number(detector.carrier_hz)),
-        ("talker_spl_db", JsonValue::number(detector.talker_spl_db)),
+        ("carrier_hz", JsonValue::number(corpus.carrier_hz)),
+        ("talker_spl_db", JsonValue::number(corpus.talker_spl_db)),
         (
             "ambient_noise_spl_db",
-            JsonValue::number(detector.ambient_noise_spl_db),
+            JsonValue::number(corpus.ambient_noise_spl_db),
         ),
         (
             // INFINITY (no cap) has no JSON number; archived as null.
             "max_voice_duration_s",
-            JsonValue::number(detector.max_voice_duration_s),
+            JsonValue::number(corpus.max_voice_duration_s),
         ),
-        ("seed", u64_to_json(detector.seed)),
+        ("seed", u64_to_json(corpus.seed)),
     ])
 }
 
@@ -265,24 +264,26 @@ fn detector_from_json(value: &JsonValue) -> Result<DetectorSpec> {
     let device_token_str = req_str(value, "device")?;
     Ok(DetectorSpec {
         label: req_str(value, "label")?.to_string(),
-        device: device_from_token(device_token_str).ok_or_else(|| {
-            ExperimentError::decode(format!("unknown device '{device_token_str}'"))
-        })?,
-        distances_m: req_f64_array(value, "distances_m")?,
-        num_speaker_variants: req_usize(value, "num_speaker_variants")?,
-        command_indices: req_array(value, "command_indices")?
-            .iter()
-            .map(|v| as_usize(v, "command_indices[]"))
-            .collect::<Result<Vec<_>>>()?,
-        attack_elements: req_usize(value, "attack_elements")?,
-        attack_total_power_w: req_f64(value, "attack_total_power_w")?,
-        carrier_hz: req_f64(value, "carrier_hz")?,
-        talker_spl_db: req_f64(value, "talker_spl_db")?,
-        ambient_noise_spl_db: req_f64(value, "ambient_noise_spl_db")?,
-        max_voice_duration_s: opt_f64(value, "max_voice_duration_s")?.unwrap_or(f64::INFINITY),
-        seed: req(value, "seed")?
-            .as_u64()
-            .ok_or_else(|| ExperimentError::decode("detector seed is not a u64".to_string()))?,
+        corpus: DatasetConfig {
+            device: device_from_token(device_token_str).ok_or_else(|| {
+                ExperimentError::decode(format!("unknown device '{device_token_str}'"))
+            })?,
+            distances_m: req_f64_array(value, "distances_m")?,
+            num_speaker_variants: req_usize(value, "num_speaker_variants")?,
+            command_indices: req_array(value, "command_indices")?
+                .iter()
+                .map(|v| as_usize(v, "command_indices[]"))
+                .collect::<Result<Vec<_>>>()?,
+            attack_elements: req_usize(value, "attack_elements")?,
+            attack_total_power_w: req_f64(value, "attack_total_power_w")?,
+            carrier_hz: req_f64(value, "carrier_hz")?,
+            talker_spl_db: req_f64(value, "talker_spl_db")?,
+            ambient_noise_spl_db: req_f64(value, "ambient_noise_spl_db")?,
+            max_voice_duration_s: opt_f64(value, "max_voice_duration_s")?.unwrap_or(f64::INFINITY),
+            seed: req(value, "seed")?
+                .as_u64()
+                .ok_or_else(|| ExperimentError::decode("detector seed is not a u64".to_string()))?,
+        },
     })
 }
 

@@ -5,6 +5,7 @@
 //! property-checked in `prepare_keys.rs`, a binary of its own so its
 //! builds never race this file's exact counter assertions.)
 
+use ivc_core::dataset::DatasetConfig;
 use ivc_core::prepare_cache;
 use ivc_experiments::grid::{CampaignSpec, DeliverySpec, DetectorSpec};
 use ivc_experiments::run_campaign;
@@ -17,12 +18,15 @@ use ivc_room::RoomPreset;
 fn multi_axis_spec() -> CampaignSpec {
     CampaignSpec {
         detectors: vec![Some(DetectorSpec {
-            // The smallest corpus that still trains (the classifier wants
-            // >= 4 samples): 3 legitimate variants + 1 attack.
-            distances_m: vec![1.5],
-            num_speaker_variants: 3,
-            command_indices: vec![0],
-            max_voice_duration_s: 0.8,
+            corpus: DatasetConfig {
+                // The smallest corpus that still trains (the classifier wants
+                // >= 4 samples): 3 legitimate variants + 1 attack.
+                distances_m: vec![1.5],
+                num_speaker_variants: 3,
+                command_indices: vec![0],
+                max_voice_duration_s: 0.8,
+                ..DetectorSpec::standard(true).corpus
+            },
             ..DetectorSpec::standard(true)
         })],
         deliveries: vec![

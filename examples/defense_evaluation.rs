@@ -1,38 +1,40 @@
 //! Train the software defense on simulated recordings and evaluate it:
-//! corpus generation → feature extraction → logistic regression → confusion
-//! matrix and ROC.
+//! the detector corpus runs through the trial stages → logistic regression
+//! → confusion matrix and ROC on a held-out corpus.
 //!
 //! Run with: `cargo run --release --example defense_evaluation`
 
+use inaudible_voice_commands::core::DatasetConfig;
 use inaudible_voice_commands::defense::classifier::{LogisticRegression, TrainingConfig};
-use inaudible_voice_commands::defense::dataset::{Dataset, DatasetConfig};
 use inaudible_voice_commands::defense::evaluation::{evaluate, RocCurve};
 use inaudible_voice_commands::defense::features::DefenseFeatures;
+use inaudible_voice_commands::experiments::DetectorSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let config = DatasetConfig {
-        distances_m: vec![1.5, 3.0],
+    let train_config = DatasetConfig {
         num_speaker_variants: 3,
         command_indices: vec![0, 1],
-        attack_elements: 8,
         max_voice_duration_s: 1.2,
-        ..DatasetConfig::default()
+        ..DetectorSpec::standard(true).corpus
     };
-    println!("generating the labelled corpus (this runs the full acoustic simulation)...");
-    let dataset = Dataset::generate(&config)?;
-    println!(
-        "  {} recordings ({} attacks, {} legitimate)",
-        dataset.len(),
-        dataset.num_attacks(),
-        dataset.len() - dataset.num_attacks()
-    );
-
-    let (train, test) = dataset.split_features(3)?;
-    println!(
-        "  train: {} samples, test: {} samples",
-        train.len(),
-        test.len()
-    );
+    // Held out: a fresh seed (other talkers and noise draws) and two
+    // commands the detector never trained on.
+    let test_config = DatasetConfig {
+        seed: 99,
+        command_indices: vec![2, 3],
+        ..train_config.clone()
+    };
+    println!("running the labelled corpora through the trial stages...");
+    let train = train_config.labelled_features()?;
+    let test = test_config.labelled_features()?;
+    for (name, set) in [("train", &train), ("test", &test)] {
+        let attacks = set.iter().filter(|(_, is_attack)| *is_attack).count();
+        println!(
+            "  {name}: {} samples ({attacks} attacks, {} legitimate)",
+            set.len(),
+            set.len() - attacks
+        );
+    }
 
     let model = LogisticRegression::train(&train, &TrainingConfig::default())?;
     println!("\ntrained detector weights (standardised feature space):");

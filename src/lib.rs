@@ -39,7 +39,7 @@ pub use ivc_speech as speech;
 pub mod prelude {
     pub use ivc_acoustics::prelude::*;
     pub use ivc_attack::prelude::*;
-    pub use ivc_core::{run_trial, Delivery, PreparedCell, Scenario, TrialOutcome};
+    pub use ivc_core::{run_trial, DatasetConfig, Delivery, PreparedCell, Scenario, TrialOutcome};
     pub use ivc_defense::prelude::*;
     pub use ivc_dsp::prelude::*;
     pub use ivc_experiments::{

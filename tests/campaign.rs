@@ -2,6 +2,7 @@
 //! worker-count invariance of the archived bytes, and archive round-trips
 //! via the filesystem.
 
+use inaudible_voice_commands::core::DatasetConfig;
 use inaudible_voice_commands::experiments::presets;
 use inaudible_voice_commands::experiments::{
     run_campaign, CampaignReport, CampaignSpec, DeliverySpec, DetectorSpec,
@@ -98,10 +99,13 @@ fn shared_contexts_and_new_axes_are_worker_count_invariant() {
         detectors: vec![
             None,
             Some(DetectorSpec {
-                distances_m: vec![1.5],
-                num_speaker_variants: 3,
-                command_indices: vec![0],
-                max_voice_duration_s: 0.7,
+                corpus: DatasetConfig {
+                    distances_m: vec![1.5],
+                    num_speaker_variants: 3,
+                    command_indices: vec![0],
+                    max_voice_duration_s: 0.7,
+                    ..DetectorSpec::standard(true).corpus
+                },
                 ..DetectorSpec::standard(true)
             }),
         ],

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: the full attack and defense loop through
 //! the public umbrella API.
 
-use inaudible_voice_commands::core::{run_trial, Delivery, Scenario};
+use inaudible_voice_commands::core::{run_trial, DatasetConfig, Delivery, Scenario};
 use inaudible_voice_commands::defense::classifier::{LogisticRegression, TrainingConfig};
-use inaudible_voice_commands::defense::dataset::{Dataset, DatasetConfig};
 use inaudible_voice_commands::defense::evaluation::evaluate;
+use inaudible_voice_commands::experiments::DetectorSpec;
 use inaudible_voice_commands::speech::commands::corpus;
 use inaudible_voice_commands::speech::recognizer::Recognizer;
 
@@ -115,30 +115,22 @@ fn array_attack_outranges_the_inaudibility_constrained_single_speaker() {
 
 #[test]
 fn trained_detector_separates_attacks_from_legitimate_recordings() {
+    // Train on the standard quick corpus with a 6-element attack...
     let config = DatasetConfig {
-        distances_m: vec![1.5, 3.0],
-        num_speaker_variants: 2,
-        command_indices: vec![0],
         attack_elements: 6,
         max_voice_duration_s: 0.9,
-        ..DatasetConfig::default()
+        ..DetectorSpec::standard(true).corpus
     };
-    let train_set = Dataset::generate(&config)
-        .unwrap()
-        .to_feature_samples()
-        .unwrap();
+    let train_set = config.labelled_features().unwrap();
     let model = LogisticRegression::train(&train_set, &TrainingConfig::default()).unwrap();
 
-    // A fresh, differently-seeded corpus as the held-out test set.
+    // ...and test on a held-out corpus: another seed, another command.
     let test_config = DatasetConfig {
         seed: 99,
         command_indices: vec![1],
         ..config
     };
-    let test_set = Dataset::generate(&test_config)
-        .unwrap()
-        .to_feature_samples()
-        .unwrap();
+    let test_set = test_config.labelled_features().unwrap();
     let matrix = evaluate(&model, &test_set).unwrap();
     assert!(
         matrix.accuracy() >= 0.75,
