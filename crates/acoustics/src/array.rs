@@ -75,16 +75,6 @@ impl SpeakerArray {
         })
     }
 
-    /// Number of elements in the array.
-    pub fn num_elements(&self) -> usize {
-        self.num_elements
-    }
-
-    /// The speaker model used for every element.
-    pub fn element(&self) -> &UltrasonicSpeaker {
-        &self.element
-    }
-
     /// Physical aperture (length) of the array in metres.
     pub fn aperture_m(&self) -> f64 {
         self.element_spacing_m * (self.num_elements.saturating_sub(1)) as f64
@@ -161,11 +151,6 @@ impl SpeakerArray {
         let near = self.emitted_field_at_1m(drives)?;
         propagate(&near, distance_m, env)
     }
-
-    /// Total electrical power across all drives, in watt.
-    pub fn total_power_w(drives: &[ElementDrive]) -> f64 {
-        drives.iter().map(|d| d.power_w).sum()
-    }
 }
 
 #[cfg(test)]
@@ -202,9 +187,7 @@ mod tests {
     #[test]
     fn geometry_helpers() {
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 61, 0.03).unwrap();
-        assert_eq!(array.num_elements(), 61);
         assert!((array.aperture_m() - 1.8).abs() < 1e-9);
-        assert_eq!(array.element().max_power_w, 30.0);
     }
 
     #[test]
@@ -229,7 +212,6 @@ mod tests {
         let f2 = array.emitted_field_at_1m(&two).unwrap();
         let gain = waveform_spl_db(f2.samples()) - waveform_spl_db(f1.samples());
         assert!((gain - 6.02).abs() < 0.3, "gain {gain}");
-        assert!((SpeakerArray::total_power_w(&two) - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`nonlinearity`] — memoryless polynomial transfer functions
 //!   (`g1·s + g2·s² + g3·s³`) and helpers to measure the intermodulation
 //!   products they create.
-//! * [`speaker`] and [`array`] — an ultrasonic emitter with its own
-//!   non-linearity (the source of the audible leakage that limits the naive
-//!   attack) and an array of such emitters playing different signals.
+//! * [`speaker`] and [`array`](mod@array) — an ultrasonic emitter with its
+//!   own non-linearity (the source of the audible leakage that limits the
+//!   naive attack) and an array of such emitters playing different signals.
 //! * [`microphone`] and [`adc`] — the victim's capture chain: acoustic
 //!   front-end, non-linear transducer/amplifier, anti-alias filter,
 //!   resampling, quantisation and noise floor.
@@ -55,7 +55,5 @@ pub mod prelude {
     pub use crate::error::{AcousticsError, Result};
     pub use crate::microphone::{DevicePreset, Microphone};
     pub use crate::nonlinearity::Polynomial;
-    pub use crate::propagation::propagate;
     pub use crate::speaker::UltrasonicSpeaker;
-    pub use crate::spl::{pressure_to_spl_db, spl_db_to_pressure};
 }

@@ -40,9 +40,10 @@ impl CaptureScratch {
     }
 }
 
-/// [`Microphone::front_end_gain`] with its per-capture invariants — both
-/// grille losses as linear gains and the mechanical roll-off's reference
-/// at 20 kHz — computed once instead of at every spectrum bin.
+/// The acoustic front-end's gain (grille + transducer response) with its
+/// per-capture invariants — both grille losses as linear gains and the
+/// mechanical roll-off's reference at 20 kHz — computed once instead of at
+/// every spectrum bin.
 struct FrontEndResponse {
     grille_audible: f64,
     grille_ultrasonic: f64,
@@ -60,7 +61,9 @@ impl FrontEndResponse {
         }
     }
 
-    /// Bit-equal to [`Microphone::front_end_gain`] at every frequency.
+    /// Linear gain at `frequency_hz`.  The grille loss switches to its
+    /// ultrasonic value at 20 kHz; the transducer is flat through the
+    /// audio band and rolls off above its mechanical corner.
     fn gain(&self, frequency_hz: f64) -> f64 {
         let grille = if frequency_hz >= 20_000.0 {
             self.grille_ultrasonic
@@ -188,26 +191,6 @@ pub struct Microphone {
 }
 
 impl Microphone {
-    /// Gain of the acoustic front-end (grille + transducer response) at
-    /// `frequency_hz`, linear.
-    pub fn front_end_gain(&self, frequency_hz: f64) -> f64 {
-        let grille_db = if frequency_hz >= 20_000.0 {
-            self.grille_loss_ultrasonic_db
-        } else {
-            self.grille_loss_audible_db
-        };
-        let grille = 10f64.powf(-grille_db / 20.0);
-        // The transducer is flat through the audio band and rolls off above
-        // its mechanical corner.
-        let mechanical = if frequency_hz <= 20_000.0 {
-            1.0
-        } else {
-            one_pole_low_pass_gain(frequency_hz, self.transducer_corner_hz)
-                / one_pole_low_pass_gain(20_000.0, self.transducer_corner_hz)
-        };
-        grille * mechanical
-    }
-
     /// Converts a pressure waveform at the microphone port (pascal) into the
     /// digital recording the device's software receives.
     ///
@@ -322,8 +305,9 @@ mod tests {
         let echo = DevicePreset::AmazonEcho.microphone();
         let linear = DevicePreset::LinearReference.microphone();
         assert!(echo.grille_loss_ultrasonic_db > phone.grille_loss_ultrasonic_db);
-        assert!(linear.nonlinearity.is_linear());
-        assert!(!phone.nonlinearity.is_linear());
+        let is_linear = |p: Polynomial| p.g2 == 0.0 && p.g3 == 0.0;
+        assert!(is_linear(linear.nonlinearity));
+        assert!(!is_linear(phone.nonlinearity));
         assert_eq!(DevicePreset::AndroidPhone.name(), "Android phone");
         assert_eq!(DevicePreset::ALL.len(), 3);
     }
@@ -420,9 +404,32 @@ mod tests {
     fn echo_grille_attenuates_ultrasound_more_than_phone() {
         let phone = DevicePreset::AndroidPhone.microphone();
         let echo = DevicePreset::AmazonEcho.microphone();
-        assert!(echo.front_end_gain(40_000.0) < phone.front_end_gain(40_000.0));
+        let (phone, echo) = (FrontEndResponse::new(&phone), FrontEndResponse::new(&echo));
+        assert!(echo.gain(40_000.0) < phone.gain(40_000.0));
         // Audible band gains are comparable.
-        assert!((echo.front_end_gain(1_000.0) - phone.front_end_gain(1_000.0)).abs() < 0.2);
+        assert!((echo.gain(1_000.0) - phone.gain(1_000.0)).abs() < 0.2);
+    }
+
+    impl Microphone {
+        /// The front-end gain computed from the microphone's fields at every
+        /// call: the reference [`FrontEndResponse::gain`] is checked against.
+        fn front_end_gain(&self, frequency_hz: f64) -> f64 {
+            let grille_db = if frequency_hz >= 20_000.0 {
+                self.grille_loss_ultrasonic_db
+            } else {
+                self.grille_loss_audible_db
+            };
+            let grille = 10f64.powf(-grille_db / 20.0);
+            // The transducer is flat through the audio band and rolls off above
+            // its mechanical corner.
+            let mechanical = if frequency_hz <= 20_000.0 {
+                1.0
+            } else {
+                one_pole_low_pass_gain(frequency_hz, self.transducer_corner_hz)
+                    / one_pole_low_pass_gain(20_000.0, self.transducer_corner_hz)
+            };
+            grille * mechanical
+        }
     }
 
     #[test]

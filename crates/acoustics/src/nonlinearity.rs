@@ -53,32 +53,12 @@ impl Polynomial {
         input.map(|s| self.apply_sample(s))
     }
 
-    /// Applies the transfer function to a raw slice.
-    pub fn apply_slice(&self, input: &[f64]) -> Vec<f64> {
-        input.iter().map(|&s| self.apply_sample(s)).collect()
-    }
-
     /// Applies the transfer function in place (the function is memoryless,
     /// so in-place application is exact).
     pub fn apply_in_place(&self, samples: &mut [f64]) {
         for s in samples.iter_mut() {
             *s = self.apply_sample(*s);
         }
-    }
-
-    /// Second-order intercept-style figure: the input amplitude at which the
-    /// quadratic term equals the linear term.  Larger means more linear.
-    pub fn second_order_knee(&self) -> f64 {
-        if self.g2 == 0.0 {
-            f64::INFINITY
-        } else {
-            (self.g1 / self.g2).abs()
-        }
-    }
-
-    /// `true` if the device is exactly linear.
-    pub fn is_linear(&self) -> bool {
-        self.g2 == 0.0 && self.g3 == 0.0
     }
 }
 
@@ -154,8 +134,6 @@ mod tests {
     #[test]
     fn linear_device_adds_no_products() {
         let p = Polynomial::LINEAR;
-        assert!(p.is_linear());
-        assert_eq!(p.second_order_knee(), f64::INFINITY);
         let prod = measure_two_tone_products(&p, 25_000.0, 30_000.0, 0.5, 192_000.0).unwrap();
         assert!(prod.difference < 1e-6);
         assert!(prod.sum < 1e-6);
@@ -199,13 +177,5 @@ mod tests {
         for (o, e) in out.samples().iter().zip(expect.iter()) {
             assert!((o - e).abs() < 1e-12);
         }
-        assert_eq!(p.apply_slice(s.samples()), out.samples());
-    }
-
-    #[test]
-    fn knee_reflects_linearity() {
-        let mild = Polynomial::new(1.0, 0.05, 0.0).unwrap();
-        let strong = Polynomial::new(1.0, 0.5, 0.0).unwrap();
-        assert!(mild.second_order_knee() > strong.second_order_knee());
     }
 }

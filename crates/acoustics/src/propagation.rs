@@ -189,17 +189,6 @@ pub fn path_loss_db(frequency_hz: f64, distance_m: f64, env: &AirEnvironment) ->
     Ok(spreading_db + absorption_db)
 }
 
-/// Delay in seconds over `distance_m`.
-pub fn propagation_delay_s(distance_m: f64, env: &AirEnvironment) -> Result<f64> {
-    if distance_m < 0.0 || !distance_m.is_finite() {
-        return Err(AcousticsError::invalid(
-            "distance_m",
-            format!("{distance_m} must be non-negative and finite"),
-        ));
-    }
-    Ok(distance_m / env.speed_of_sound_m_per_s())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +207,6 @@ mod tests {
         assert!(propagate(&s, f64::NAN, &env).is_err());
         assert!(propagate(&Signal::new(vec![], 192_000.0).unwrap(), 1.0, &env).is_err());
         assert!(path_loss_db(1_000.0, -1.0, &env).is_err());
-        assert!(propagation_delay_s(-1.0, &env).is_err());
     }
 
     #[test]
@@ -288,7 +276,6 @@ mod tests {
             .0;
         let expected = (d / c * fs).round() as usize;
         assert_eq!(peak_index, expected);
-        assert!((propagation_delay_s(d, &env).unwrap() - d / c).abs() < 1e-12);
     }
 
     #[test]

@@ -150,18 +150,6 @@ impl UltrasonicSpeaker {
         let distorted = self.distorted_excursion(drive, power_w)?;
         self.excursion_to_pressure_at_1m(&distorted)
     }
-
-    /// SPL at 1 m of a full-scale sine at `power_w`, in dB — the link-budget
-    /// view of [`UltrasonicSpeaker::emit_at_1m`].
-    pub fn spl_at_1m_db(&self, power_w: f64) -> Result<f64> {
-        if !(power_w > 0.0) || power_w > self.max_power_w * (1.0 + 1e-9) {
-            return Err(AcousticsError::invalid(
-                "power_w",
-                "must be positive and within the speaker rating",
-            ));
-        }
-        Ok(self.sensitivity_db_spl_1w_1m + 10.0 * power_w.log10())
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +173,6 @@ mod tests {
             .is_err());
         let hot = drive.scaled(2.0);
         assert!(spk.emit_at_1m(&hot, 1.0).is_err());
-        assert!(spk.spl_at_1m_db(0.0).is_err());
     }
 
     #[test]
@@ -202,7 +189,6 @@ mod tests {
         let loud = spk.emit_at_1m(&drive, 16.0).unwrap();
         let spl_loud = waveform_spl_db(loud.samples());
         assert!((spl_loud - spl - 12.0).abs() < 1.0, "{spl} -> {spl_loud}");
-        assert!((spk.spl_at_1m_db(16.0).unwrap() - 96.0 - 12.04).abs() < 0.1);
     }
 
     #[test]

@@ -145,9 +145,10 @@ mod tests {
         )
         .unwrap();
 
-        let multi = MultiSpeakerAttack::build(&voice, 40_000.0, 6, &cfg).unwrap();
+        let multi =
+            MultiSpeakerAttack::build(&voice, 40_000.0, 6, total_power, 0.3, 30.0, &cfg).unwrap();
         let multi_array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-        let drives = multi.element_drives(total_power, 0.3, 30.0).unwrap();
+        let drives = multi.allocate_power(total_power, 0.3, 30.0).unwrap().drives;
         let multi_leak = estimate_leakage(&multi_array, &drives, 1.0, &env, 0.0).unwrap();
 
         // The headline claim: at the same total power, splitting the

@@ -34,9 +34,9 @@ pub use single::SingleSpeakerAttack;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::baseband::{prepare_baseband, BasebandConfig};
+    pub use crate::baseband::BasebandConfig;
     pub use crate::error::{AttackError, Result};
-    pub use crate::leakage::{estimate_leakage, LeakageReport};
+    pub use crate::leakage::LeakageReport;
     pub use crate::multispeaker::MultiSpeakerAttack;
     pub use crate::single::SingleSpeakerAttack;
 }

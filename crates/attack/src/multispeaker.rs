@@ -18,7 +18,7 @@ pub struct MultiSpeakerAttack {
     /// carrier's power share exceeds a single element's rating: identical
     /// carrier elements add coherently and produce no intermodulation of
     /// their own, so this is how a big array keeps its carrier-to-sideband
-    /// balance (see [`MultiSpeakerAttack::build_balanced`]).
+    /// balance (see [`MultiSpeakerAttack::build`]).
     pub carrier_elements: usize,
     /// Carrier frequency in Hz.
     pub carrier_hz: f64,
@@ -28,10 +28,8 @@ pub struct MultiSpeakerAttack {
 
 /// How a total electrical budget was split across the elements — including
 /// what could **not** be allocated because the per-element rating bound.
-///
-/// `element_drives` used to cap silently; sweeps over large arrays (the
-/// E-A2 61-element anomaly) showed that the dropped budget matters, so the
-/// allocation now reports it.
+/// Sweeps over large arrays (the E-A2 61-element anomaly) showed that the
+/// dropped budget matters, so the allocation reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerAllocation {
     /// One drive per element: carrier element(s) first, then sidebands.
@@ -50,40 +48,31 @@ pub struct PowerAllocation {
 }
 
 impl MultiSpeakerAttack {
-    /// Builds a multi-speaker attack for `voice` using `num_elements` array
-    /// elements (1 carrier element + `num_elements - 1` sideband elements).
+    /// Builds a multi-speaker attack for `voice` on `num_elements` array
+    /// elements, balancing the carrier/sideband element split against the
+    /// power budget it will be driven with.
     ///
     /// `num_elements` must be at least 2; for a single element use
     /// [`SingleSpeakerAttack`] instead — the whole point of the multi-speaker
     /// construction is that carrier and sidebands never share an element.
+    ///
+    /// The number of carrier elements grows with the carrier's power share
+    /// (`ceil(total · fraction / max_element_power)`, at least 1 and at
+    /// most `num_elements - 1`); the rest carry the spectrum slices.  With
+    /// a single carrier element, a large array at high power silently
+    /// breaks the attack: the carrier element saturates at
+    /// `max_element_power_w` while the sideband budget keeps growing, and
+    /// inside the victim microphone the `sideband × sideband` self-products
+    /// (baseband-squared distortion) swamp the `carrier × sideband` voice
+    /// product.  That was the root cause of the E-A2 anomaly where a
+    /// 61-element / 400 W array *underperformed* a 16-element / 120 W one.
+    /// Pure-tone carrier elements add coherently and create no
+    /// intermodulation of their own, so the extra elements cost nothing
+    /// acoustically.
+    ///
+    /// The budget only sizes the split; [`MultiSpeakerAttack::allocate_power`]
+    /// assigns the watts.
     pub fn build(
-        voice: &Signal,
-        carrier_hz: f64,
-        num_elements: usize,
-        config: &BasebandConfig,
-    ) -> Result<Self> {
-        Self::build_with_carriers(voice, carrier_hz, num_elements, 1, config)
-    }
-
-    /// Builds a multi-speaker attack whose carrier/sideband element split is
-    /// balanced against the power budget it will actually be driven with.
-    ///
-    /// [`MultiSpeakerAttack::build`] always dedicates exactly one element to
-    /// the carrier.  For large arrays at high power that silently breaks the
-    /// attack: the carrier element saturates at `max_element_power_w` while
-    /// the sideband budget keeps growing, and inside the victim microphone
-    /// the `sideband × sideband` self-products (baseband-squared distortion)
-    /// swamp the `carrier × sideband` voice product.  This was the root
-    /// cause of the E-A2 anomaly where a 61-element / 400 W array
-    /// *underperformed* a 16-element / 120 W one.
-    ///
-    /// Here the number of carrier elements grows with the carrier's power
-    /// share (`ceil(total · fraction / max_element_power)`, at most
-    /// `num_elements - 1`), which keeps the demodulated voice product
-    /// dominant at any scale.  Pure-tone carrier elements add coherently and
-    /// create no intermodulation of their own, so the extra elements cost
-    /// nothing acoustically.
-    pub fn build_balanced(
         voice: &Signal,
         carrier_hz: f64,
         num_elements: usize,
@@ -99,28 +88,6 @@ impl MultiSpeakerAttack {
                 "need at least 2 elements (1 carrier + 1 sideband); use SingleSpeakerAttack for 1",
             ));
         }
-        let carrier_share_w = total_power_w * carrier_power_fraction;
-        let carrier_elements =
-            ((carrier_share_w / max_element_power_w).ceil() as usize).clamp(1, num_elements - 1);
-        Self::build_with_carriers(voice, carrier_hz, num_elements, carrier_elements, config)
-    }
-
-    /// The shared constructor: `carrier_elements` elements play the bare
-    /// carrier, the rest carry the spectrum slices.
-    fn build_with_carriers(
-        voice: &Signal,
-        carrier_hz: f64,
-        num_elements: usize,
-        carrier_elements: usize,
-        config: &BasebandConfig,
-    ) -> Result<Self> {
-        if num_elements < 2 {
-            return Err(AttackError::invalid(
-                "num_elements",
-                "need at least 2 elements (1 carrier + 1 sideband); use SingleSpeakerAttack for 1",
-            ));
-        }
-        debug_assert!((1..num_elements).contains(&carrier_elements));
         config.validate()?;
         if carrier_hz < config.minimum_carrier_hz() || carrier_hz > config.maximum_carrier_hz() {
             return Err(AttackError::invalid(
@@ -132,6 +99,9 @@ impl MultiSpeakerAttack {
                 ),
             ));
         }
+        let carrier_share_w = total_power_w * carrier_power_fraction;
+        let carrier_elements =
+            ((carrier_share_w / max_element_power_w).ceil() as usize).clamp(1, num_elements - 1);
         let baseband = prepare_baseband(voice, config)?;
         let drives = segment_baseband(
             &baseband,
@@ -146,29 +116,6 @@ impl MultiSpeakerAttack {
             drives,
             baseband,
         })
-    }
-
-    /// Converts the attack into per-element [`ElementDrive`]s for a speaker
-    /// array, splitting `total_power_w` across the elements.
-    ///
-    /// The carrier element(s) receive `carrier_power_fraction` of the total
-    /// (the carrier is what every sideband multiplies against inside the
-    /// microphone, so it deserves a healthy share); the remainder is divided
-    /// equally among the sideband elements.
-    ///
-    /// Convenience wrapper around [`MultiSpeakerAttack::allocate_power`]
-    /// that discards the budget accounting; sweeps that care about capped
-    /// budget (any experiment at serious power) should call
-    /// `allocate_power` and look at [`PowerAllocation::shortfall_w`].
-    pub fn element_drives(
-        &self,
-        total_power_w: f64,
-        carrier_power_fraction: f64,
-        max_element_power_w: f64,
-    ) -> Result<Vec<ElementDrive>> {
-        Ok(self
-            .allocate_power(total_power_w, carrier_power_fraction, max_element_power_w)?
-            .drives)
     }
 
     /// Splits `total_power_w` across the elements and reports exactly where
@@ -232,11 +179,6 @@ impl MultiSpeakerAttack {
             sideband_total_w: sideband_total,
             shortfall_w: shortfall,
         })
-    }
-
-    /// Duration of the attack in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.drives.carrier_drive.duration_s()
     }
 }
 
@@ -304,27 +246,41 @@ mod tests {
     fn validation() {
         let voice = synthetic_voice(48_000.0);
         let cfg = BasebandConfig::default();
-        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, &cfg).is_err());
-        assert!(MultiSpeakerAttack::build(&voice, 20_000.0, 4, &cfg).is_err());
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 4, &cfg).unwrap();
+        let build = |carrier_hz, n, total_w, fraction| {
+            MultiSpeakerAttack::build(&voice, carrier_hz, n, total_w, fraction, 30.0, &cfg)
+        };
+        assert!(build(40_000.0, 1, 10.0, 0.3).is_err());
+        assert!(build(20_000.0, 4, 10.0, 0.3).is_err());
+        assert!(build(40_000.0, 4, 0.0, 0.3).is_err());
+        assert!(build(40_000.0, 4, 10.0, 0.99).is_err());
+        let attack = build(40_000.0, 4, 10.0, 0.3).unwrap();
         assert_eq!(attack.num_elements, 4);
-        assert!(attack.element_drives(0.0, 0.3, 30.0).is_err());
-        assert!(attack.element_drives(10.0, 0.99, 30.0).is_err());
+        assert!(attack.allocate_power(0.0, 0.3, 30.0).is_err());
+        assert!(attack.allocate_power(10.0, 0.99, 30.0).is_err());
     }
 
     #[test]
     fn element_power_allocation_adds_up() {
         let voice = synthetic_voice(48_000.0);
-        let attack =
-            MultiSpeakerAttack::build(&voice, 40_000.0, 5, &BasebandConfig::default()).unwrap();
-        let drives = attack.element_drives(20.0, 0.25, 30.0).unwrap();
+        let attack = MultiSpeakerAttack::build(
+            &voice,
+            40_000.0,
+            5,
+            20.0,
+            0.25,
+            30.0,
+            &BasebandConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(attack.carrier_elements, 1);
+        let drives = attack.allocate_power(20.0, 0.25, 30.0).unwrap().drives;
         assert_eq!(drives.len(), 5);
         let total: f64 = drives.iter().map(|d| d.power_w).sum();
         assert!((total - 20.0).abs() < 1e-9);
         // Carrier element gets its requested fraction.
         assert!((drives[0].power_w - 5.0).abs() < 1e-9);
         // Per-element cap is respected.
-        let capped = attack.element_drives(200.0, 0.25, 30.0).unwrap();
+        let capped = attack.allocate_power(200.0, 0.25, 30.0).unwrap().drives;
         assert!(capped.iter().all(|d| d.power_w <= 30.0 + 1e-9));
     }
 
@@ -332,23 +288,21 @@ mod tests {
     fn balanced_build_scales_carrier_elements_with_the_budget() {
         let voice = synthetic_voice(48_000.0);
         let cfg = BasebandConfig::default();
-        // Small budget: one carrier element, same as `build`.
-        let small =
-            MultiSpeakerAttack::build_balanced(&voice, 40_000.0, 8, 60.0, 0.3, 30.0, &cfg).unwrap();
+        // Small budget: one carrier element.
+        let small = MultiSpeakerAttack::build(&voice, 40_000.0, 8, 60.0, 0.3, 30.0, &cfg).unwrap();
         assert_eq!(small.carrier_elements, 1);
         assert_eq!(small.num_elements, 8);
         assert_eq!(small.drives.sideband_drives.len(), 7);
         // The E-A2 anomaly configuration: 400 W * 0.3 = 120 W of carrier
         // needs four 30 W elements.
-        let big = MultiSpeakerAttack::build_balanced(&voice, 40_000.0, 61, 400.0, 0.3, 30.0, &cfg)
-            .unwrap();
+        let big = MultiSpeakerAttack::build(&voice, 40_000.0, 61, 400.0, 0.3, 30.0, &cfg).unwrap();
         assert_eq!(big.carrier_elements, 4);
         assert_eq!(big.num_elements, 61);
         assert_eq!(big.drives.sideband_drives.len(), 57);
         let allocation = big.allocate_power(400.0, 0.3, 30.0).unwrap();
         assert_eq!(allocation.drives.len(), 61);
-        // The full carrier share is now placed (the single-carrier build
-        // could only place 30 of the 120 W).
+        // The full carrier share is placed (one carrier element could take
+        // only 30 of the 120 W).
         assert!((allocation.carrier_total_w - 120.0).abs() < 1e-9);
         assert!((allocation.shortfall_w).abs() < 1e-12);
         let total: f64 = allocation.drives.iter().map(|d| d.power_w).sum();
@@ -356,27 +310,35 @@ mod tests {
         // Even a huge budget never allocates more than one carrier short of
         // the array to the carrier.
         let capped =
-            MultiSpeakerAttack::build_balanced(&voice, 40_000.0, 4, 900.0, 0.9, 30.0, &cfg)
-                .unwrap();
+            MultiSpeakerAttack::build(&voice, 40_000.0, 4, 900.0, 0.9, 30.0, &cfg).unwrap();
         assert_eq!(capped.carrier_elements, 3);
-        assert!(
-            MultiSpeakerAttack::build_balanced(&voice, 40_000.0, 1, 60.0, 0.3, 30.0, &cfg).is_err()
-        );
+        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, 60.0, 0.3, 30.0, &cfg).is_err());
     }
 
     #[test]
     fn allocation_reports_shortfall_instead_of_dropping_budget() {
         let voice = synthetic_voice(48_000.0);
-        let attack =
-            MultiSpeakerAttack::build(&voice, 40_000.0, 4, &BasebandConfig::default()).unwrap();
+        // 200 W * 0.25 = 50 W of carrier takes two 30 W elements.
+        let attack = MultiSpeakerAttack::build(
+            &voice,
+            40_000.0,
+            4,
+            200.0,
+            0.25,
+            30.0,
+            &BasebandConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(attack.carrier_elements, 2);
         // 4 elements rated 30 W each can place at most 120 W.
         let allocation = attack.allocate_power(200.0, 0.25, 30.0).unwrap();
         assert!((allocation.allocated_total_w - 120.0).abs() < 1e-9);
         assert!((allocation.shortfall_w - 80.0).abs() < 1e-9);
         assert!(allocation.drives.iter().all(|d| d.power_w <= 30.0 + 1e-9));
-        // The carrier is topped up to its rating before budget is declared
-        // lost.
-        assert!((allocation.carrier_total_w - 30.0).abs() < 1e-9);
+        // The carriers' 50 W share is topped up by 10 W to their rating
+        // before budget is declared lost.
+        assert!((allocation.carrier_total_w - 60.0).abs() < 1e-9);
+        assert!((allocation.sideband_total_w - 60.0).abs() < 1e-9);
         // Within the placeable range nothing is lost and the report matches
         // the request.
         let fits = attack.allocate_power(20.0, 0.25, 30.0).unwrap();
@@ -404,10 +366,18 @@ mod tests {
         // audible voice, yet the non-linear microphone's recording does.
         let fs = 192_000.0;
         let voice = synthetic_voice(48_000.0);
-        let attack =
-            MultiSpeakerAttack::build(&voice, 40_000.0, 5, &BasebandConfig::default()).unwrap();
+        let attack = MultiSpeakerAttack::build(
+            &voice,
+            40_000.0,
+            5,
+            60.0,
+            0.3,
+            30.0,
+            &BasebandConfig::default(),
+        )
+        .unwrap();
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 8, 0.03).unwrap();
-        let drives = attack.element_drives(60.0, 0.3, 30.0).unwrap();
+        let drives = attack.allocate_power(60.0, 0.3, 30.0).unwrap().drives;
         let env = ivc_acoustics::environment::AirEnvironment::default();
         let field = array.field_at_target(&drives, 2.0, &env).unwrap();
 

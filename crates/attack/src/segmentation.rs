@@ -30,34 +30,8 @@ pub struct SpectrumSlice {
     pub high_hz: f64,
 }
 
-impl SpectrumSlice {
-    /// Bandwidth of the slice in Hz.
-    pub fn bandwidth_hz(&self) -> f64 {
-        self.high_hz - self.low_hz
-    }
-}
-
 /// Number of taps of the per-slice band-pass FIR filters.
 pub const SLICE_FILTER_TAPS: usize = 511;
-
-/// The narrowest passband a `taps`-tap windowed-sinc filter at `fs` can
-/// actually realise (its Hamming main-lobe width, `≈ 2·fs/taps`).  Slices
-/// below this width still *work* — adjacent filters overlap and the slice
-/// energy is radiated from neighbouring elements too — but the per-element
-/// band isolation the segmentation promises degrades gracefully rather than
-/// holding exactly.
-///
-/// This limit was audited while chasing the E-A2 61-element anomaly: at
-/// 192 kHz, 60 slices of ~132 Hz sit far below the 511-tap limit of
-/// ~750 Hz, yet the *radiated* sideband energy stays intact (the overlap
-/// redistributes, not destroys, slice energy) — the anomaly's root cause
-/// was the carrier power cap, fixed in
-/// [`crate::multispeaker::MultiSpeakerAttack::build_balanced`].  The limit
-/// is exposed (and flagged via [`SegmentedDrives::resolution_limited`]) so
-/// that future sweeps can tell the two regimes apart.
-pub fn minimum_resolvable_bandwidth_hz(sample_rate_hz: f64, taps: usize) -> f64 {
-    2.0 * sample_rate_hz / taps.max(1) as f64
-}
 
 /// The full segmentation plan: which slice goes to which element.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,36 +77,6 @@ pub struct SegmentedDrives {
     pub plan: SegmentationPlan,
     /// Carrier frequency in Hz.
     pub carrier_hz: f64,
-}
-
-impl SegmentedDrives {
-    /// Total number of element drives (carrier + sidebands).
-    pub fn num_drives(&self) -> usize {
-        1 + self.sideband_drives.len()
-    }
-
-    /// All drives in element order (carrier first).
-    pub fn all_drives(&self) -> Vec<&Signal> {
-        let mut v = Vec::with_capacity(self.num_drives());
-        v.push(&self.carrier_drive);
-        v.extend(self.sideband_drives.iter());
-        v
-    }
-
-    /// `true` when the plan's slices are narrower than the slice filters
-    /// can resolve (see [`minimum_resolvable_bandwidth_hz`]): per-element
-    /// band isolation is then approximate, with adjacent elements sharing
-    /// overlapping skirts.
-    pub fn resolution_limited(&self) -> bool {
-        let fs = self.carrier_drive.sample_rate_hz();
-        let limit = minimum_resolvable_bandwidth_hz(fs, SLICE_FILTER_TAPS);
-        self.sideband_drives.len() > 1
-            && self
-                .plan
-                .slices
-                .iter()
-                .any(|slice| slice.bandwidth_hz() < limit)
-    }
 }
 
 /// Builds the per-element drives for a prepared baseband.
@@ -239,7 +183,7 @@ mod tests {
         for w in plan.slices.windows(2) {
             assert!((w[0].high_hz - w[1].low_hz).abs() < 1e-9);
         }
-        let total: f64 = plan.slices.iter().map(|s| s.bandwidth_hz()).sum();
+        let total: f64 = plan.slices.iter().map(|s| s.high_hz - s.low_hz).sum();
         assert!((total - 7_950.0).abs() < 1e-6);
     }
 
@@ -258,7 +202,7 @@ mod tests {
         let fs = 192_000.0;
         let baseband = synthetic_baseband(fs);
         let seg = segment_baseband(&baseband, 40_000.0, 8_000.0, 4).unwrap();
-        assert_eq!(seg.num_drives(), 5);
+        assert_eq!(seg.sideband_drives.len(), 4);
         let carrier_power =
             band_power(seg.carrier_drive.samples(), fs, 39_500.0, 40_500.0).unwrap();
         let elsewhere = band_power(seg.carrier_drive.samples(), fs, 30_000.0, 38_000.0).unwrap();
@@ -313,7 +257,7 @@ mod tests {
         let fs = 192_000.0;
         let baseband = synthetic_baseband(fs);
         let seg = segment_baseband(&baseband, 40_000.0, 8_000.0, 8).unwrap();
-        for d in seg.all_drives() {
+        for d in std::iter::once(&seg.carrier_drive).chain(&seg.sideband_drives) {
             let audible = band_power(d.samples(), fs, 50.0, 18_000.0).unwrap();
             let ultra = band_power(d.samples(), fs, 28_000.0, 52_000.0).unwrap();
             assert!(ultra / audible.max(1e-18) > 1e3);
@@ -324,14 +268,10 @@ mod tests {
     fn narrow_slices_are_flagged_but_do_not_lose_radiated_energy() {
         let fs = 192_000.0;
         let baseband = synthetic_baseband(fs);
-        let limit = minimum_resolvable_bandwidth_hz(fs, SLICE_FILTER_TAPS);
-        assert!((700.0..800.0).contains(&limit), "limit {limit}");
         // 7 slices of ~1.1 kHz resolve cleanly; 60 slices of ~132 Hz are
-        // below the filter's main-lobe width.
+        // below the 511-tap filters' main-lobe width (`≈ 2·fs/taps`).
         let wide = segment_baseband(&baseband, 40_000.0, 8_000.0, 7).unwrap();
-        assert!(!wide.resolution_limited());
         let narrow = segment_baseband(&baseband, 40_000.0, 8_000.0, 60).unwrap();
-        assert!(narrow.resolution_limited());
         // The E-A2 audit's finding, pinned as a regression test: even far
         // below the resolution limit, the *total* radiated sideband energy
         // is preserved (overlapping skirts redistribute slice energy to

@@ -64,11 +64,6 @@ impl SingleSpeakerAttack {
             baseband,
         })
     }
-
-    /// Duration of the attack signal in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.drive.duration_s()
-    }
 }
 
 #[cfg(test)]

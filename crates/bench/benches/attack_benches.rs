@@ -33,7 +33,10 @@ fn bench_attack(c: &mut Criterion) {
         })
     });
     group.bench_function("multispeaker_attack_8el_0p5s", |b| {
-        b.iter(|| MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, &cfg).unwrap())
+        b.iter(|| {
+            MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, 56.0, 0.3, 30.0, &cfg)
+                .unwrap()
+        })
     });
     group.finish();
 }

@@ -568,7 +568,7 @@ pub enum Runner {
         /// Worker threads.
         workers: usize,
     },
-    /// Under [`ivc_experiments::orchestrate`], the one multi-process shard
+    /// Under [`ivc_experiments::orchestrate()`], the one multi-process shard
     /// runner: `repro shard-worker` child processes launched from
     /// `worker_exe`, failed shards retried up to `config.max_retries`,
     /// stragglers re-issued, finished partials checkpointed into

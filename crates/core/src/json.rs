@@ -167,25 +167,12 @@ impl JsonValue {
         }
     }
 
-    /// `self` as an object association list, if it is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(o) => Some(o.as_slice()),
-            _ => None,
-        }
-    }
-
     /// Member lookup on objects (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// `true` for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
     }
 
     /// Serialises the value as compact JSON (no whitespace).
@@ -684,8 +671,6 @@ mod tests {
         assert_eq!(value.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(value.get("a").unwrap().as_array().unwrap().len(), 1);
         assert!(value.get("missing").is_none());
-        assert!(value.as_object().is_some());
-        assert!(JsonValue::Null.is_null());
         assert_eq!(JsonValue::Number(-1.0).as_usize(), None);
         assert_eq!(JsonValue::Number(1.5).as_usize(), None);
         // Raw numbers beyond f64's exact-integer range are rejected, not

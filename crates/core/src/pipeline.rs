@@ -157,7 +157,10 @@ mod tests {
             },
         ] {
             let free_field = quick_scenario(delivery);
-            let anechoic = free_field.in_room(Some(ivc_room::RoomPreset::Anechoic));
+            let anechoic = Scenario {
+                room: Some(ivc_room::RoomPreset::Anechoic),
+                ..free_field.clone()
+            };
             let a = run_trial(command, &free_field, &recognizer, None).unwrap();
             let b = run_trial(command, &anechoic, &recognizer, None).unwrap();
             assert_eq!(
@@ -182,7 +185,10 @@ mod tests {
         let free = run_trial(command, &base, &recognizer, None).unwrap();
         let office = run_trial(
             command,
-            &base.in_room(Some(ivc_room::RoomPreset::Office)),
+            &Scenario {
+                room: Some(ivc_room::RoomPreset::Office),
+                ..base.clone()
+            },
             &recognizer,
             None,
         )
@@ -195,7 +201,10 @@ mod tests {
         // Behind the doorway partition the bystander hears far less.
         let doorway = run_trial(
             command,
-            &base.in_room(Some(ivc_room::RoomPreset::ThroughDoorway)),
+            &Scenario {
+                room: Some(ivc_room::RoomPreset::ThroughDoorway),
+                ..base.clone()
+            },
             &recognizer,
             None,
         )
@@ -212,11 +221,13 @@ mod tests {
     fn room_that_cannot_host_the_scenario_is_rejected() {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
-        let scenario = quick_scenario(Delivery::Legitimate {
-            talker_spl_db: 68.0,
-        })
-        .in_room(Some(ivc_room::RoomPreset::Office))
-        .at_distance(7.0);
+        let scenario = Scenario {
+            room: Some(ivc_room::RoomPreset::Office),
+            distance_m: 7.0,
+            ..quick_scenario(Delivery::Legitimate {
+                talker_spl_db: 68.0,
+            })
+        };
         assert!(run_trial(command, &scenario, &recognizer, None).is_err());
     }
 

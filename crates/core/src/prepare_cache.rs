@@ -41,7 +41,8 @@
 //! `IVC_PREPARE_CACHE_MB` overrides).  `IVC_PREPARE_CACHE=off` (or `0`)
 //! disables the cache entirely, recognizer and detectors included;
 //! [`set_enabled`] does the same from code (the byte-identity suite runs
-//! both ways and compares archives).
+//! both ways and compares archives).  A value of either variable that
+//! does not parse prints one warning line and keeps the default.
 //!
 //! Telemetry: every lookup increments `executor.prepare_cache_hit` or
 //! `executor.prepare_cache_miss`, and hits additionally count the
@@ -130,27 +131,61 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Reads a setting from the environment once: a value `parse` does not
+/// recognise costs one stderr line, and the value `parse` fell back to.
+fn from_env<T>(name: &str, parse: fn(Option<&str>) -> (T, Option<String>)) -> T {
+    let raw = std::env::var(name).ok();
+    let (value, warning) = parse(raw.as_deref());
+    if let Some(warning) = warning {
+        eprintln!("warning: {warning}");
+    }
+    value
+}
+
+/// `IVC_PREPARE_CACHE`: unset, `1`, `on` or `true` turn the cache on, and
+/// `0`, `off` or `false` turn it off.  Any other value leaves it on and
+/// comes with the warning that says so.
+fn parse_enabled(value: Option<&str>) -> (bool, Option<String>) {
+    match value {
+        None | Some("1" | "on" | "true") => (true, None),
+        Some("0" | "off" | "false") => (false, None),
+        Some(other) => (
+            true,
+            Some(format!(
+                "IVC_PREPARE_CACHE={other:?} is not one of 0, off, false, 1, on, true; \
+                 the prepare cache stays on"
+            )),
+        ),
+    }
+}
+
+/// `IVC_PREPARE_CACHE_MB`: the capacity as a whole number of MiB (at
+/// least 1).  Unset, or any value that is not such a number, gives the
+/// default 512 MiB, the latter with the warning that says so.
+fn parse_capacity(value: Option<&str>) -> (usize, Option<String>) {
+    const MIB: usize = 1024 * 1024;
+    match value.map(|v| (v, v.parse::<usize>())) {
+        None => (DEFAULT_CAPACITY_BYTES, None),
+        Some((_, Ok(mb))) => (mb.saturating_mul(MIB).max(MIB), None),
+        Some((other, Err(_))) => (
+            DEFAULT_CAPACITY_BYTES,
+            Some(format!(
+                "IVC_PREPARE_CACHE_MB={other:?} is not a whole number of MiB; \
+                 the prepare cache keeps its default {} MiB",
+                DEFAULT_CAPACITY_BYTES / MIB
+            )),
+        ),
+    }
+}
+
 fn enabled_flag() -> &'static AtomicBool {
     static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| {
-        let on = !matches!(
-            std::env::var("IVC_PREPARE_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        AtomicBool::new(on)
-    })
+    ENABLED.get_or_init(|| AtomicBool::new(from_env("IVC_PREPARE_CACHE", parse_enabled)))
 }
 
 fn capacity_bytes() -> usize {
     static CAPACITY: OnceLock<usize> = OnceLock::new();
-    *CAPACITY.get_or_init(|| {
-        std::env::var("IVC_PREPARE_CACHE_MB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|mb| mb.saturating_mul(1024 * 1024))
-            .unwrap_or(DEFAULT_CAPACITY_BYTES)
-            .max(1024 * 1024)
-    })
+    *CAPACITY.get_or_init(|| from_env("IVC_PREPARE_CACHE_MB", parse_capacity))
 }
 
 /// `true` when products are being reused.
@@ -343,6 +378,45 @@ mod tests {
 
     fn contains(key: &str) -> bool {
         lock(state()).entries.contains_key(key)
+    }
+
+    #[test]
+    fn the_cache_switch_parses_loudly() {
+        for (value, on) in [
+            (None, true),
+            (Some("1"), true),
+            (Some("on"), true),
+            (Some("true"), true),
+            (Some("0"), false),
+            (Some("off"), false),
+            (Some("false"), false),
+        ] {
+            assert_eq!(parse_enabled(value), (on, None), "{value:?}");
+        }
+        for value in ["no", "OFF", ""] {
+            let (on, warning) = parse_enabled(Some(value));
+            assert!(on, "{value:?}");
+            let warning = warning.expect("an unrecognised value warns");
+            assert!(warning.contains("IVC_PREPARE_CACHE="), "{warning}");
+            assert!(warning.contains(&format!("{value:?}")), "{warning}");
+            assert!(warning.contains("stays on"), "{warning}");
+        }
+    }
+
+    #[test]
+    fn the_capacity_parses_loudly() {
+        const MIB: usize = 1024 * 1024;
+        assert_eq!(parse_capacity(None), (DEFAULT_CAPACITY_BYTES, None));
+        assert_eq!(parse_capacity(Some("64")), (64 * MIB, None));
+        assert_eq!(parse_capacity(Some("0")), (MIB, None));
+        for value in ["1G", "-5", "1.5", ""] {
+            let (bytes, warning) = parse_capacity(Some(value));
+            assert_eq!(bytes, DEFAULT_CAPACITY_BYTES, "{value:?}");
+            let warning = warning.expect("an unrecognised value warns");
+            assert!(warning.contains("IVC_PREPARE_CACHE_MB="), "{warning}");
+            assert!(warning.contains(&format!("{value:?}")), "{warning}");
+            assert!(warning.contains("512 MiB"), "{warning}");
+        }
     }
 
     #[test]

@@ -25,16 +25,6 @@ impl Series {
         }
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// `true` if the series holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
     /// The largest x whose y meets or exceeds `threshold` (e.g. "attack
     /// range at ≥ 80 % accuracy"); `None` if no point qualifies.
     pub fn last_x_with_y_at_least(&self, threshold: f64) -> Option<f64> {
@@ -128,16 +118,13 @@ mod tests {
     #[test]
     fn series_construction_and_threshold_lookup() {
         let s = Series::new("array", vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 0.9, 0.7, 0.4]);
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
+        assert_eq!(s.x.len(), 4);
         assert_eq!(s.last_x_with_y_at_least(0.8), Some(2.0));
         assert_eq!(s.last_x_with_y_at_least(0.95), Some(1.0));
         assert_eq!(s.last_x_with_y_at_least(1.5), None);
         // Mismatched lengths truncate.
         let t = Series::new("x", vec![1.0, 2.0, 3.0], vec![0.5]);
-        assert_eq!(t.len(), 1);
-        let empty = Series::new("e", vec![], vec![]);
-        assert!(empty.is_empty());
+        assert_eq!((t.x.len(), t.y.len()), (1, 1));
     }
 
     #[test]

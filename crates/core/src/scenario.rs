@@ -112,16 +112,6 @@ impl Scenario {
         }
     }
 
-    /// A legitimate-use counterpart of [`Scenario::default_attack`].
-    pub fn default_legitimate() -> Self {
-        Scenario {
-            delivery: Delivery::Legitimate {
-                talker_spl_db: 65.0,
-            },
-            ..Scenario::default_attack()
-        }
-    }
-
     /// Returns a copy with a different distance.
     pub fn at_distance(&self, distance_m: f64) -> Self {
         Scenario {
@@ -134,14 +124,6 @@ impl Scenario {
     pub fn with_seed(&self, seed: u64) -> Self {
         Scenario {
             seed,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy placed in a different room (`None` = free field).
-    pub fn in_room(&self, room: Option<RoomPreset>) -> Self {
-        Scenario {
-            room,
             ..self.clone()
         }
     }
@@ -186,18 +168,12 @@ mod tests {
     fn scenario_builders() {
         let attack = Scenario::default_attack();
         assert!(attack.delivery.is_attack());
-        let legit = Scenario::default_legitimate();
-        assert!(!legit.delivery.is_attack());
-        assert_eq!(legit.distance_m, attack.distance_m);
         let far = attack.at_distance(7.6);
         assert_eq!(far.distance_m, 7.6);
         assert_eq!(far.device, attack.device);
         let reseeded = attack.with_seed(99);
         assert_eq!(reseeded.seed, 99);
         assert_eq!(attack.room, None);
-        let roomed = attack.in_room(Some(RoomPreset::Office));
-        assert_eq!(roomed.room, Some(RoomPreset::Office));
-        assert_eq!(roomed.distance_m, attack.distance_m);
     }
 
     #[test]

@@ -173,11 +173,11 @@ impl Product for AttackInputs {
                 total_power_w - placed_w,
             )
         } else {
-            // `build_balanced` sizes the carrier element group against the
-            // budget, so big arrays keep their carrier-to-sideband balance
-            // instead of starving the carrier at one element's rating (the
-            // old E-A2 61-element anomaly).
-            let attack = MultiSpeakerAttack::build_balanced(
+            // `build` sizes the carrier element group against the budget, so
+            // big arrays keep their carrier-to-sideband balance instead of
+            // starving the carrier at one element's rating (the old E-A2
+            // 61-element anomaly).
+            let attack = MultiSpeakerAttack::build(
                 &voice,
                 self.carrier_hz,
                 num_elements,
@@ -479,17 +479,6 @@ impl PreparedCell {
             leakage,
             power_shortfall_w,
         })
-    }
-
-    /// The scenario this cell was prepared for (its `seed` field is the
-    /// template's and carries no per-trial meaning).
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The command this cell injects (or speaks).
-    pub fn command(&self) -> &VoiceCommand {
-        &self.command
     }
 
     /// Stage 2: the seed-dependent perturbation — ambient-noise draw,

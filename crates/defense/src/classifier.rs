@@ -155,11 +155,6 @@ impl LogisticRegression {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// The trained bias term.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -212,7 +207,6 @@ mod tests {
         assert!(model.predict_probability(&vec![-40.0, 0.05]).unwrap() < 0.1);
         assert!(model.predict_probability(&vec![-15.0, 0.75]).unwrap() > 0.9);
         assert_eq!(model.weights().len(), 2);
-        assert!(model.bias().is_finite());
     }
 
     #[test]

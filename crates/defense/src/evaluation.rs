@@ -1,6 +1,6 @@
-//! Detector evaluation: confusion matrices, ROC curves and cross-validation.
+//! Detector evaluation: confusion matrices and ROC curves.
 
-use crate::classifier::{LogisticRegression, TrainingConfig};
+use crate::classifier::LogisticRegression;
 use crate::error::{DefenseError, Result};
 use crate::features::FeatureVector;
 
@@ -48,16 +48,6 @@ impl ConfusionMatrix {
             0.0
         } else {
             self.false_positives as f64 / n as f64
-        }
-    }
-
-    /// Precision.
-    pub fn precision(&self) -> f64 {
-        let flagged = self.true_positives + self.false_positives;
-        if flagged == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / flagged as f64
         }
     }
 
@@ -184,50 +174,6 @@ impl RocCurve {
     }
 }
 
-/// K-fold cross-validation accuracy of the logistic-regression detector over
-/// a labelled feature set.  Returns per-fold confusion matrices.
-pub fn cross_validate(
-    samples: &[(FeatureVector, bool)],
-    folds: usize,
-    config: &TrainingConfig,
-) -> Result<Vec<ConfusionMatrix>> {
-    if folds < 2 || samples.len() < folds * 2 {
-        return Err(DefenseError::invalid(
-            "folds",
-            "need at least 2 folds and 2 samples per fold",
-        ));
-    }
-    let mut matrices = Vec::with_capacity(folds);
-    for fold in 0..folds {
-        let test: Vec<(FeatureVector, bool)> = samples
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % folds == fold)
-            .map(|(_, s)| s.clone())
-            .collect();
-        let train: Vec<(FeatureVector, bool)> = samples
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % folds != fold)
-            .map(|(_, s)| s.clone())
-            .collect();
-        let has_both = |set: &[(FeatureVector, bool)]| {
-            set.iter().any(|(_, y)| *y) && set.iter().any(|(_, y)| !*y)
-        };
-        if !has_both(&train) || test.is_empty() {
-            continue;
-        }
-        let model = LogisticRegression::train(&train, config)?;
-        matrices.push(evaluate(&model, &test)?);
-    }
-    if matrices.is_empty() {
-        return Err(DefenseError::DegenerateDataset {
-            message: "no fold had both classes in its training split".into(),
-        });
-    }
-    Ok(matrices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +202,6 @@ mod tests {
         assert!((m.accuracy() - 0.6).abs() < 1e-12);
         assert!((m.true_positive_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.false_positive_rate() - 0.5).abs() < 1e-12);
-        assert!((m.precision() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -314,16 +259,5 @@ mod tests {
         assert!(matrix.accuracy() > 0.99);
         let roc = RocCurve::from_model(&model, &samples).unwrap();
         assert!(roc.auc > 0.99);
-    }
-
-    #[test]
-    fn cross_validation_on_a_separable_problem() {
-        let samples = separable_samples(20);
-        assert!(cross_validate(&samples, 1, &TrainingConfig::default()).is_err());
-        let matrices = cross_validate(&samples, 4, &TrainingConfig::default()).unwrap();
-        assert_eq!(matrices.len(), 4);
-        for m in matrices {
-            assert!(m.accuracy() > 0.9, "fold accuracy {}", m.accuracy());
-        }
     }
 }

@@ -17,7 +17,7 @@
 //!   spectral tilt).
 //! * [`classifier`] — a small logistic-regression classifier with
 //!   standardisation and gradient-descent training.
-//! * [`evaluation`] — ROC/AUC, confusion matrices and cross-validation.
+//! * [`evaluation`] — ROC/AUC and confusion matrices.
 //! * [`countermeasures`] — the adaptive attacker who tries to suppress the
 //!   shadow, and what that costs them.
 

@@ -73,12 +73,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase angle) in radians, in `(-pi, pi]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, factor: f64) -> Self {
@@ -86,22 +80,6 @@ impl Complex {
             re: self.re * factor,
             im: self.im * factor,
         }
-    }
-
-    /// Complex exponential `exp(self)`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Complex {
-            re: r * self.im.cos(),
-            im: r * self.im.sin(),
-        }
-    }
-
-    /// Returns `true` when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -233,7 +211,7 @@ mod tests {
     fn polar_roundtrip() {
         let c = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_3);
         assert!(close(c.abs(), 2.0));
-        assert!(close(c.arg(), std::f64::consts::FRAC_PI_3));
+        assert!(close(c.im.atan2(c.re), std::f64::consts::FRAC_PI_3));
     }
 
     #[test]
@@ -269,7 +247,7 @@ mod tests {
     #[test]
     fn exponential_matches_euler() {
         let theta = 0.7_f64;
-        let e = Complex::new(0.0, theta).exp();
+        let e = Complex::cis(theta);
         assert!(close(e.re, theta.cos()));
         assert!(close(e.im, theta.sin()));
         assert_eq!(Complex::cis(theta), Complex::from_polar(1.0, theta));
@@ -284,12 +262,5 @@ mod tests {
         assert_eq!(a, Complex::new(1.5, -1.5));
         a *= Complex::new(2.0, 0.0);
         assert_eq!(a, Complex::new(3.0, -3.0));
-    }
-
-    #[test]
-    fn finiteness() {
-        assert!(Complex::new(1.0, 2.0).is_finite());
-        assert!(!Complex::new(f64::NAN, 0.0).is_finite());
-        assert!(!Complex::new(0.0, f64::INFINITY).is_finite());
     }
 }

@@ -104,34 +104,6 @@ pub fn autocorrelation(a: &[f64], max_lag: usize) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Estimates the fundamental period of a quasi-periodic signal by finding
-/// the first strong autocorrelation peak between `min_lag` and `max_lag`.
-/// Returns `None` when no peak exceeds `threshold`.
-pub fn fundamental_period(
-    a: &[f64],
-    min_lag: usize,
-    max_lag: usize,
-    threshold: f64,
-) -> Result<Option<usize>> {
-    if min_lag == 0 || min_lag >= max_lag {
-        return Err(DspError::invalid_parameter(
-            "lag range",
-            "need 0 < min_lag < max_lag",
-        ));
-    }
-    let ac = autocorrelation(a, max_lag)?;
-    let mut best: Option<(usize, f64)> = None;
-    for (lag, &v) in ac.iter().enumerate().skip(min_lag) {
-        if v >= threshold {
-            match best {
-                Some((_, bv)) if v <= bv => {}
-                _ => best = Some((lag, v)),
-            }
-        }
-    }
-    Ok(best.map(|(lag, _)| lag))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,8 +113,6 @@ mod tests {
         assert!(pearson_correlation(&[], &[1.0]).is_err());
         assert!(cross_correlation(&[], &[1.0], 4).is_err());
         assert!(autocorrelation(&[], 4).is_err());
-        assert!(fundamental_period(&[1.0; 32], 0, 10, 0.5).is_err());
-        assert!(fundamental_period(&[1.0; 32], 10, 10, 0.5).is_err());
     }
 
     #[test]
@@ -198,24 +168,6 @@ mod tests {
         assert!((ac[0] - 1.0).abs() < 1e-12);
         assert!(ac[period] > 0.9);
         assert!(ac[period / 2] < -0.8);
-    }
-
-    #[test]
-    fn fundamental_period_estimation() {
-        let period = 80usize;
-        // A pulse train with the given period.
-        let mut a = vec![0.0; 2_000];
-        for i in (0..2_000).step_by(period) {
-            a[i] = 1.0;
-        }
-        let est = fundamental_period(&a, 20, 400, 0.5).unwrap();
-        assert_eq!(est, Some(period));
-        // A single impulse has no periodicity: autocorrelation is zero for
-        // every non-zero lag, so no confident period is found.
-        let mut b = vec![0.0; 2_000];
-        b[0] = 1.0;
-        let est_b = fundamental_period(&b, 20, 400, 0.9).unwrap();
-        assert!(est_b.is_none());
     }
 
     #[test]

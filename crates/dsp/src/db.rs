@@ -1,26 +1,9 @@
-//! Decibel conversions.
-//!
-//! Amplitude quantities (sample values, sound pressure) use the 20·log10
-//! convention, power quantities (PSD bins, band power) use 10·log10.  A small
-//! floor avoids `-inf` when converting silence.
+//! Decibel conversion of power quantities (PSD bins, band power), using
+//! the 10·log10 convention.  A small floor avoids `-inf` when converting
+//! silence.
 
 /// Smallest ratio considered distinguishable from zero when converting to dB.
 pub const DB_FLOOR_RATIO: f64 = 1e-12;
-
-/// Converts an amplitude ratio to decibels (`20 log10`).
-///
-/// Values at or below zero are clamped to [`DB_FLOOR_RATIO`], yielding
-/// −240 dB rather than negative infinity.
-#[inline]
-pub fn amplitude_to_db(amplitude_ratio: f64) -> f64 {
-    20.0 * amplitude_ratio.max(DB_FLOOR_RATIO).log10()
-}
-
-/// Converts decibels to an amplitude ratio (`10^(dB/20)`).
-#[inline]
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
 
 /// Converts a power ratio to decibels (`10 log10`).
 #[inline]
@@ -28,58 +11,27 @@ pub fn power_to_db(power_ratio: f64) -> f64 {
     10.0 * power_ratio.max(DB_FLOOR_RATIO * DB_FLOOR_RATIO).log10()
 }
 
-/// Converts decibels to a power ratio (`10^(dB/10)`).
-#[inline]
-pub fn db_to_power(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a linear amplitude ratio between two signals into the dB
-/// difference, guarding against division by zero.
-#[inline]
-pub fn ratio_db(numerator: f64, denominator: f64) -> f64 {
-    amplitude_to_db(numerator.abs().max(DB_FLOOR_RATIO) / denominator.abs().max(DB_FLOOR_RATIO))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn amplitude_roundtrip() {
-        for db in [-60.0, -20.0, -6.0, 0.0, 6.0, 20.0, 94.0] {
-            let a = db_to_amplitude(db);
-            assert!((amplitude_to_db(a) - db).abs() < 1e-9, "db={db}");
-        }
-    }
-
-    #[test]
     fn power_roundtrip() {
         for db in [-30.0, -10.0, 0.0, 3.0, 10.0, 40.0] {
-            let p = db_to_power(db);
+            let p = 10f64.powf(db / 10.0);
             assert!((power_to_db(p) - db).abs() < 1e-9, "db={db}");
         }
     }
 
     #[test]
     fn known_values() {
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-9);
-        assert!((amplitude_to_db(2.0) - 6.0206).abs() < 1e-3);
+        assert!((power_to_db(10.0) - 10.0).abs() < 1e-9);
         assert!((power_to_db(2.0) - 3.0103).abs() < 1e-3);
-        assert!((db_to_amplitude(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn silence_does_not_produce_infinity() {
-        assert!(amplitude_to_db(0.0).is_finite());
         assert!(power_to_db(0.0).is_finite());
-        assert!(amplitude_to_db(-1.0).is_finite());
-    }
-
-    #[test]
-    fn ratio_db_is_symmetric_in_sign() {
-        assert!((ratio_db(2.0, 1.0) - 6.0206).abs() < 1e-3);
-        assert!((ratio_db(-2.0, 1.0) - 6.0206).abs() < 1e-3);
-        assert!(ratio_db(0.0, 0.0).abs() < 1e-9);
+        assert!(power_to_db(-1.0).is_finite());
     }
 }

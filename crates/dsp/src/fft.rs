@@ -378,43 +378,6 @@ pub fn bin_frequency(bin: usize, n: usize, sample_rate_hz: f64) -> f64 {
     }
 }
 
-/// FFT bin index closest to `frequency_hz` for a transform of length `n` at
-/// `sample_rate_hz`.
-#[inline]
-pub fn frequency_bin(frequency_hz: f64, n: usize, sample_rate_hz: f64) -> usize {
-    let bin = (frequency_hz / sample_rate_hz * n as f64).round() as isize;
-    bin.rem_euclid(n as isize) as usize
-}
-
-/// Linear (fast, FFT-based) convolution of two real sequences.
-///
-/// The output length is `a.len() + b.len() - 1`, matching direct
-/// convolution.
-pub fn fft_convolve(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput {
-            operation: "fft_convolve",
-        });
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_power_of_two(out_len);
-    let mut fa = vec![Complex::ZERO; n];
-    let mut fb = vec![Complex::ZERO; n];
-    for (slot, &x) in fa.iter_mut().zip(a.iter()) {
-        *slot = Complex::from_real(x);
-    }
-    for (slot, &x) in fb.iter_mut().zip(b.iter()) {
-        *slot = Complex::from_real(x);
-    }
-    fft_in_place(&mut fa, false)?;
-    fft_in_place(&mut fb, false)?;
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= *y;
-    }
-    fft_in_place(&mut fa, true)?;
-    Ok(fa.into_iter().take(out_len).map(|c| c.re).collect())
-}
-
 /// A precomputed kernel spectrum for overlap-save convolution.
 ///
 /// Transforming the kernel is the fixed cost of FFT convolution; when the
@@ -450,23 +413,6 @@ impl KernelSpectrum {
             kernel_len: kernel.len(),
             spectrum,
         })
-    }
-
-    /// Number of taps in the kernel this spectrum was built from.
-    pub fn kernel_len(&self) -> usize {
-        self.kernel_len
-    }
-
-    /// FFT block size used per overlap-save segment.
-    pub fn block_len(&self) -> usize {
-        self.block
-    }
-
-    /// Full linear convolution, output length `input.len() + kernel_len - 1`.
-    pub fn convolve(&self, input: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.convolve_into(input, &mut out)?;
-        Ok(out)
     }
 
     /// Full linear convolution written into `out` (cleared and resized),
@@ -578,8 +524,7 @@ mod tests {
             .map(|i| (2.0 * std::f64::consts::PI * f * i as f64 / fs).sin())
             .collect();
         let spec = fft_real_n(&samples, n).unwrap();
-        let k = frequency_bin(f, n, fs);
-        assert_eq!(k, 32);
+        let k = 32;
         let peak_mag = spec[k].abs();
         assert!(approx(peak_mag, n as f64 / 2.0, 1e-6));
         // All other positive-frequency bins are tiny.
@@ -638,6 +583,40 @@ mod tests {
         }
     }
 
+    /// Reference for [`KernelSpectrum`]: one full-size FFT convolution of
+    /// two real sequences, output length `a.len() + b.len() - 1`.
+    fn fft_convolve(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
+        if a.is_empty() || b.is_empty() {
+            return Err(DspError::EmptyInput {
+                operation: "fft_convolve",
+            });
+        }
+        let out_len = a.len() + b.len() - 1;
+        let n = next_power_of_two(out_len);
+        let mut fa = vec![Complex::ZERO; n];
+        let mut fb = vec![Complex::ZERO; n];
+        for (slot, &x) in fa.iter_mut().zip(a.iter()) {
+            *slot = Complex::from_real(x);
+        }
+        for (slot, &x) in fb.iter_mut().zip(b.iter()) {
+            *slot = Complex::from_real(x);
+        }
+        fft_in_place(&mut fa, false)?;
+        fft_in_place(&mut fb, false)?;
+        for (x, y) in fa.iter_mut().zip(fb.iter()) {
+            *x *= *y;
+        }
+        fft_in_place(&mut fa, true)?;
+        Ok(fa.into_iter().take(out_len).map(|c| c.re).collect())
+    }
+
+    /// Full linear convolution through [`KernelSpectrum::convolve_into`].
+    fn convolve(spec: &KernelSpectrum, input: &[f64]) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        spec.convolve_into(input, &mut out)?;
+        Ok(out)
+    }
+
     fn direct_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
         let mut direct = vec![0.0; a.len() + b.len() - 1];
         for (i, &x) in a.iter().enumerate() {
@@ -673,10 +652,10 @@ mod tests {
                 .map(|i| ((i * 7 % 5) as f64 - 2.0) / 4.0)
                 .collect();
             let spec = KernelSpectrum::new(&kernel).unwrap();
-            let valid_per_segment = spec.block_len() - kernel_len + 1;
+            let valid_per_segment = spec.block - kernel_len + 1;
             let segments = (signal_len + kernel_len - 1).div_ceil(valid_per_segment);
             parities[segments % 2] = true;
-            let fast = spec.convolve(&signal).unwrap();
+            let fast = convolve(&spec, &signal).unwrap();
             let direct = direct_convolve(&signal, &kernel);
             assert_eq!(fast.len(), direct.len());
             for (f, d) in fast.iter().zip(direct.iter()) {
@@ -709,7 +688,7 @@ mod tests {
     fn overlap_save_on_silence_is_silent() {
         let kernel = [0.25, 0.5, 0.25];
         let spec = KernelSpectrum::new(&kernel).unwrap();
-        let out = spec.convolve(&vec![0.0; 777]).unwrap();
+        let out = convolve(&spec, &vec![0.0; 777]).unwrap();
         assert_eq!(out.len(), 779);
         assert!(out.iter().all(|&x| x.abs() < 1e-12));
     }
@@ -719,7 +698,7 @@ mod tests {
         let signal = [1.0, -2.0, 0.5];
         let kernel: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() / 8.0).collect();
         let spec = KernelSpectrum::new(&kernel).unwrap();
-        let fast = spec.convolve(&signal).unwrap();
+        let fast = convolve(&spec, &signal).unwrap();
         let direct = direct_convolve(&signal, &kernel);
         assert_eq!(fast.len(), direct.len());
         for (f, d) in fast.iter().zip(direct.iter()) {
@@ -736,7 +715,7 @@ mod tests {
             .map(|i| ((i * 11 % 23) as f64 - 11.0) / 64.0)
             .collect();
         let spec = KernelSpectrum::new(&kernel).unwrap();
-        let blocked = spec.convolve(&signal).unwrap();
+        let blocked = convolve(&spec, &signal).unwrap();
         let full = fft_convolve(&signal, &kernel).unwrap();
         assert_eq!(blocked.len(), full.len());
         for (b, f) in blocked.iter().zip(full.iter()) {
@@ -754,7 +733,7 @@ mod tests {
         for (got, want) in out.iter().zip([1.0, 3.0, 5.0, 3.0].iter()) {
             assert!(approx(*got, *want, 1e-9));
         }
-        assert!(spec.convolve(&[]).is_err());
+        assert!(convolve(&spec, &[]).is_err());
         assert!(KernelSpectrum::new(&[]).is_err());
     }
 

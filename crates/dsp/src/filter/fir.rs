@@ -52,16 +52,6 @@ impl FirFilter {
         }
     }
 
-    /// Wraps raw coefficients as a filter.
-    pub fn from_coefficients(coefficients: Vec<f64>) -> Result<Self> {
-        if coefficients.is_empty() {
-            return Err(DspError::EmptyInput {
-                operation: "FirFilter::from_coefficients",
-            });
-        }
-        Ok(FirFilter::from_raw(coefficients))
-    }
-
     /// Designs a low-pass filter with the given cutoff.
     ///
     /// `taps` is forced odd so the filter has a symmetric (linear-phase)
@@ -86,26 +76,6 @@ impl FirFilter {
         let mut filter = FirFilter::from_raw(coefficients);
         filter.normalize_dc_gain();
         Ok(filter)
-    }
-
-    /// Designs a high-pass filter by spectral inversion of a low-pass.
-    pub fn high_pass(
-        cutoff_hz: f64,
-        sample_rate_hz: f64,
-        taps: usize,
-        window: WindowKind,
-    ) -> Result<Self> {
-        validate(cutoff_hz, sample_rate_hz, taps)?;
-        let taps = make_odd(taps);
-        let low = FirFilter::low_pass(cutoff_hz, sample_rate_hz, taps, window)?;
-        let mid = taps / 2;
-        let coefficients: Vec<f64> = low
-            .coefficients
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i == mid { 1.0 - c } else { -c })
-            .collect();
-        Ok(FirFilter::from_raw(coefficients))
     }
 
     /// Designs a band-pass filter between `low_hz` and `high_hz`.
@@ -170,11 +140,6 @@ impl FirFilter {
         let mut guard = memo();
         let entry = guard.entry(key).or_insert(designed);
         Ok(Arc::clone(entry))
-    }
-
-    /// Filter coefficients (impulse response).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
     }
 
     /// Number of taps.
@@ -280,18 +245,6 @@ impl FirFilter {
         Ok(reversed)
     }
 
-    /// Magnitude response at `frequency_hz` given `sample_rate_hz`.
-    pub fn magnitude_response(&self, frequency_hz: f64, sample_rate_hz: f64) -> f64 {
-        let w = 2.0 * std::f64::consts::PI * frequency_hz / sample_rate_hz;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (n, &c) in self.coefficients.iter().enumerate() {
-            re += c * (w * n as f64).cos();
-            im -= c * (w * n as f64).sin();
-        }
-        re.hypot(im)
-    }
-
     /// Scales the coefficients so the DC gain is exactly 1 (for low-pass
     /// prototypes).
     fn normalize_dc_gain(&mut self) {
@@ -352,11 +305,6 @@ impl FoldedDecimator {
             block,
             spectrum,
         })
-    }
-
-    /// The decimation factor.
-    pub fn factor(&self) -> usize {
-        self.factor
     }
 
     /// Filters `input` by both kernels and keeps samples `0, factor,
@@ -551,6 +499,32 @@ fn direct_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    impl FirFilter {
+        /// Wraps raw taps as a filter, so tests can build the even-length
+        /// kernels no design produces.
+        pub(crate) fn from_coefficients(coefficients: Vec<f64>) -> Self {
+            FirFilter::from_raw(coefficients)
+        }
+
+        /// Filter coefficients (impulse response).
+        pub(crate) fn coefficients(&self) -> &[f64] {
+            &self.coefficients
+        }
+
+        /// Magnitude response at `frequency_hz` given `sample_rate_hz`:
+        /// the reference the designs are checked against.
+        fn magnitude_response(&self, frequency_hz: f64, sample_rate_hz: f64) -> f64 {
+            let w = 2.0 * std::f64::consts::PI * frequency_hz / sample_rate_hz;
+            let mut re = 0.0;
+            let mut im = 0.0;
+            for (n, &c) in self.coefficients.iter().enumerate() {
+                re += c * (w * n as f64).cos();
+                im -= c * (w * n as f64).sin();
+            }
+            re.hypot(im)
+        }
+    }
+
     fn tone(freq: f64, fs: f64, n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * freq * i as f64 / fs).sin())
@@ -570,7 +544,6 @@ mod tests {
         assert!(
             FirFilter::band_pass(2_000.0, 1_000.0, 48_000.0, 101, WindowKind::Hamming).is_err()
         );
-        assert!(FirFilter::from_coefficients(vec![]).is_err());
     }
 
     #[test]
@@ -596,22 +569,6 @@ mod tests {
             "passband attenuation too high: {low_ratio}"
         );
         assert!(high_ratio < 0.01, "stopband leakage too high: {high_ratio}");
-    }
-
-    #[test]
-    fn high_pass_rejects_low_and_passes_high() {
-        let fs = 48_000.0;
-        let f = FirFilter::high_pass(4_000.0, fs, 201, WindowKind::Hamming).unwrap();
-        let low = tone(500.0, fs, 4_800);
-        let high = tone(10_000.0, fs, 4_800);
-        let mid = 1_000..3_800;
-        let low_ratio = rms(&f.filter(&low).unwrap()[mid.clone()]) / rms(&low[mid.clone()]);
-        let high_ratio = rms(&f.filter(&high).unwrap()[mid.clone()]) / rms(&high[mid]);
-        assert!(low_ratio < 0.02, "stopband leakage too high: {low_ratio}");
-        assert!(
-            high_ratio > 0.9,
-            "passband attenuation too high: {high_ratio}"
-        );
     }
 
     #[test]

@@ -44,18 +44,6 @@ pub fn tone_amplitude(samples: &[f64], sample_rate_hz: f64, frequency_hz: f64) -
     Ok(2.0 * mag / samples.len() as f64)
 }
 
-/// Evaluates [`tone_amplitude`] at several frequencies at once.
-pub fn tone_amplitudes(
-    samples: &[f64],
-    sample_rate_hz: f64,
-    frequencies_hz: &[f64],
-) -> Result<Vec<f64>> {
-    frequencies_hz
-        .iter()
-        .map(|&f| tone_amplitude(samples, sample_rate_hz, f))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +79,10 @@ mod tests {
         let mut s = Signal::tone(1_000.0, 0.5, 0.5, fs).unwrap();
         s.mix(&Signal::tone(3_000.0, 0.25, 0.5, fs).unwrap())
             .unwrap();
-        let amps = tone_amplitudes(s.samples(), fs, &[1_000.0, 3_000.0, 5_000.0]).unwrap();
+        let amps: Vec<f64> = [1_000.0, 3_000.0, 5_000.0]
+            .iter()
+            .map(|&f| tone_amplitude(s.samples(), fs, f).unwrap())
+            .collect();
         assert!((amps[0] - 0.5).abs() < 0.02);
         assert!((amps[1] - 0.25).abs() < 0.02);
         assert!(amps[2] < 0.02);

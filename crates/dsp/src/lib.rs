@@ -48,7 +48,6 @@ pub use signal::Signal;
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::complex::Complex;
-    pub use crate::db::{amplitude_to_db, db_to_amplitude, db_to_power, power_to_db};
     pub use crate::error::{DspError, Result};
     pub use crate::filter::biquad::{Biquad, BiquadCascade, SosFilter};
     pub use crate::filter::fir::FirFilter;

@@ -96,31 +96,6 @@ pub fn dsb_sc_modulate(baseband: &Signal, carrier_hz: f64) -> Result<Signal> {
     Signal::new(samples, fs)
 }
 
-/// Coherent (product) demodulation of an AM or DSB-SC signal: multiply by a
-/// locally generated carrier and low-pass filter at `baseband_cutoff_hz`.
-pub fn coherent_demodulate(
-    modulated: &Signal,
-    carrier_hz: f64,
-    baseband_cutoff_hz: f64,
-) -> Result<Signal> {
-    if modulated.is_empty() {
-        return Err(DspError::EmptyInput {
-            operation: "coherent_demodulate",
-        });
-    }
-    let fs = modulated.sample_rate_hz();
-    validate_carrier(carrier_hz, fs)?;
-    let w = 2.0 * std::f64::consts::PI * carrier_hz / fs;
-    let mixed: Vec<f64> = modulated
-        .samples()
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| 2.0 * x * (w * i as f64).cos())
-        .collect();
-    let lpf = BiquadCascade::butterworth_low_pass(baseband_cutoff_hz, 6, fs)?;
-    Signal::new(lpf.filtfilt(&mixed), fs)
-}
-
 /// Square-law demodulation: the signal is squared (the dominant term of a
 /// second-order non-linearity) and low-pass filtered.  This is exactly the
 /// mechanism by which a victim microphone recovers the attacker's baseband,
@@ -148,7 +123,6 @@ pub fn square_law_demodulate(modulated: &Signal, baseband_cutoff_hz: f64) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::pearson_correlation;
     use crate::resample::downsample;
     use crate::spectrum::band_power;
 
@@ -164,7 +138,6 @@ mod tests {
         assert!(am_modulate(&m, &AmConfig::new(100_000.0, 0.5)).is_err());
         assert!(am_modulate(&m, &AmConfig::new(40_000.0, 1.5)).is_err());
         assert!(dsb_sc_modulate(&m, 0.0).is_err());
-        assert!(coherent_demodulate(&m, 0.0, 8_000.0).is_err());
         assert!(square_law_demodulate(&m, 0.0).is_err());
         let empty = Signal::new(vec![], fs).unwrap();
         assert!(am_modulate(&empty, &AmConfig::new(40_000.0, 0.5)).is_err());
@@ -195,19 +168,6 @@ mod tests {
         let carrier = band_power(y.samples(), fs, 39_800.0, 40_200.0).unwrap();
         let sideband = band_power(y.samples(), fs, 41_500.0, 42_500.0).unwrap();
         assert!(sideband / carrier.max(1e-20) > 10.0);
-    }
-
-    #[test]
-    fn coherent_demodulation_recovers_baseband() {
-        let fs = 192_000.0;
-        let m = baseband_tone(1_500.0, fs, 0.2);
-        let y = dsb_sc_modulate(&m, 40_000.0).unwrap();
-        let d = coherent_demodulate(&y, 40_000.0, 8_000.0).unwrap();
-        // Compare against the original baseband (steady state).
-        let a = m.slice_seconds(0.05, 0.15);
-        let b = d.slice_seconds(0.05, 0.15);
-        let corr = pearson_correlation(a.samples(), b.samples()).unwrap();
-        assert!(corr > 0.99, "correlation {corr}");
     }
 
     #[test]

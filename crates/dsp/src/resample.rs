@@ -251,8 +251,7 @@ mod tests {
             let input_rate = 48_000.0 * factor as f64;
             let first = anti_alias(input_rate);
             let second = downsample_filter(input_rate, factor).unwrap();
-            let decimator = first.folded_decimator(&second, factor).unwrap();
-            assert_eq!(decimator.factor(), factor);
+            assert!(first.folded_decimator(&second, factor).is_some());
             // Outputs per overlap-save block, and the first interior output.
             let combined = first.len() + second.len() - 1;
             let lead = (combined - 1).div_ceil(factor) * factor;
@@ -290,7 +289,7 @@ mod tests {
         let input_rate = 192_000.0;
         let even = |filter: &FirFilter| {
             let taps = filter.coefficients();
-            FirFilter::from_coefficients(taps[..taps.len() - 1].to_vec()).unwrap()
+            FirFilter::from_coefficients(taps[..taps.len() - 1].to_vec())
         };
         let first = even(&anti_alias(input_rate));
         let second = even(&downsample_filter(input_rate, 4).unwrap());
@@ -335,8 +334,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         // Another factor is served, uncached.
         let other = downsample_filter(192_000.0, 2).unwrap();
-        let c = first.folded_decimator(&other, 2).unwrap();
-        assert_eq!(c.factor(), 2);
+        assert!(first.folded_decimator(&other, 2).is_some());
         assert!(Arc::ptr_eq(
             &a,
             &first.folded_decimator(&second, 4).unwrap()

@@ -6,7 +6,6 @@
 //! every layer needs (mixing, scaling, normalisation, RMS/peak measurement,
 //! slicing by time).
 
-use crate::db::amplitude_to_db;
 use crate::error::{DspError, Result};
 
 /// A sampled real-valued signal.
@@ -120,21 +119,6 @@ impl Signal {
         self.samples.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()))
     }
 
-    /// RMS level in dB relative to full scale (amplitude 1.0).
-    pub fn rms_dbfs(&self) -> f64 {
-        amplitude_to_db(self.rms())
-    }
-
-    /// Crest factor (peak / RMS); returns 0 when the signal is silent.
-    pub fn crest_factor(&self) -> f64 {
-        let rms = self.rms();
-        if rms == 0.0 {
-            0.0
-        } else {
-            self.peak() / rms
-        }
-    }
-
     /// Total energy (sum of squared samples).
     pub fn energy(&self) -> f64 {
         self.samples.iter().map(|x| x * x).sum()
@@ -240,26 +224,6 @@ impl Signal {
         self.samples.extend(std::iter::repeat(0.0).take(extra));
     }
 
-    /// Pads the signal with `duration_s` seconds of silence at the start.
-    pub fn pad_start(&mut self, duration_s: f64) {
-        let extra = (duration_s * self.sample_rate_hz).round().max(0.0) as usize;
-        let mut padded = vec![0.0; extra];
-        padded.extend_from_slice(&self.samples);
-        self.samples = padded;
-    }
-
-    /// Truncates or zero-pads to exactly `n` samples.
-    pub fn resize(&mut self, n: usize) {
-        self.samples.resize(n, 0.0);
-    }
-
-    /// Clamps every sample to `[-limit, limit]`, modelling hard clipping.
-    pub fn clip(&mut self, limit: f64) {
-        for x in &mut self.samples {
-            *x = x.clamp(-limit, limit);
-        }
-    }
-
     /// Removes the mean (DC component) in place.
     pub fn remove_dc(&mut self) {
         if self.samples.is_empty() {
@@ -307,7 +271,6 @@ mod tests {
         assert!(approx(s.duration_s(), 1.0, 1e-9));
         assert!(approx(s.rms(), 1.0 / 2f64.sqrt(), 1e-3));
         assert!(approx(s.peak(), 1.0, 1e-3));
-        assert!(approx(s.crest_factor(), 2f64.sqrt(), 1e-2));
     }
 
     #[test]
@@ -323,7 +286,6 @@ mod tests {
         assert_eq!(s.len(), 8_000);
         assert_eq!(s.rms(), 0.0);
         assert_eq!(s.peak(), 0.0);
-        assert_eq!(s.crest_factor(), 0.0);
     }
 
     #[test]
@@ -369,11 +331,7 @@ mod tests {
         let mut s = Signal::new(vec![1.0; 10], 10.0).unwrap();
         s.pad_end(0.5);
         assert_eq!(s.len(), 15);
-        s.pad_start(0.5);
-        assert_eq!(s.len(), 20);
-        assert_eq!(s.samples()[0], 0.0);
-        s.resize(5);
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.samples()[14], 0.0);
     }
 
     #[test]
@@ -381,9 +339,6 @@ mod tests {
         let mut s = Signal::new(vec![2.0, 3.0, 4.0], 10.0).unwrap();
         s.remove_dc();
         assert!(approx(s.samples().iter().sum::<f64>(), 0.0, 1e-12));
-        let mut c = Signal::new(vec![-2.0, 0.5, 2.0], 10.0).unwrap();
-        c.clip(1.0);
-        assert_eq!(c.samples(), &[-1.0, 0.5, 1.0]);
     }
 
     #[test]

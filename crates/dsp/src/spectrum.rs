@@ -1,5 +1,4 @@
-//! Spectrum estimation: periodograms, Welch PSD, band power and summary
-//! spectral statistics.
+//! Spectrum estimation: Welch PSD, band power and spectral tilt.
 //!
 //! These estimators drive the experiments' measurements: band power in the
 //! ultrasonic region versus the voice band (attack inaudibility), power
@@ -21,11 +20,6 @@ pub struct PowerSpectrum {
 }
 
 impl PowerSpectrum {
-    /// Total power integrated over all bins.
-    pub fn total_power(&self) -> f64 {
-        self.power.iter().sum::<f64>() * self.resolution_hz
-    }
-
     /// Power integrated between `low_hz` and `high_hz` (inclusive).
     pub fn band_power(&self, low_hz: f64, high_hz: f64) -> f64 {
         self.frequencies_hz
@@ -35,30 +29,6 @@ impl PowerSpectrum {
             .map(|(_, p)| p)
             .sum::<f64>()
             * self.resolution_hz
-    }
-
-    /// Frequency of the strongest bin.
-    pub fn peak_frequency_hz(&self) -> f64 {
-        self.frequencies_hz
-            .iter()
-            .zip(self.power.iter())
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(f, _)| *f)
-            .unwrap_or(0.0)
-    }
-
-    /// Spectral centroid (power-weighted mean frequency) in Hz.
-    pub fn centroid_hz(&self) -> f64 {
-        let total: f64 = self.power.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.frequencies_hz
-            .iter()
-            .zip(self.power.iter())
-            .map(|(f, p)| f * p)
-            .sum::<f64>()
-            / total
     }
 
     /// Spectral tilt: slope of a least-squares fit of power in dB against
@@ -92,17 +62,6 @@ fn linear_slope(points: &[(f64, f64)]) -> f64 {
     } else {
         (n * sum_xy - sum_x * sum_y) / denom
     }
-}
-
-/// Single-segment periodogram of `samples`.
-pub fn periodogram(samples: &[f64], sample_rate_hz: f64) -> Result<PowerSpectrum> {
-    welch_psd(
-        samples,
-        sample_rate_hz,
-        samples.len().max(16),
-        0.0,
-        WindowKind::Hann,
-    )
 }
 
 /// Welch PSD estimate with segments of `segment_len` samples and fractional
@@ -189,50 +148,6 @@ pub fn band_power(samples: &[f64], sample_rate_hz: f64, low_hz: f64, high_hz: f6
     Ok(psd.band_power(low_hz, high_hz))
 }
 
-/// Ratio (in dB) of power inside `[low_hz, high_hz]` to total power.
-pub fn band_power_ratio_db(
-    samples: &[f64],
-    sample_rate_hz: f64,
-    low_hz: f64,
-    high_hz: f64,
-) -> Result<f64> {
-    let seg = samples.len().clamp(64, 8_192);
-    let psd = welch_psd(samples, sample_rate_hz, seg, 0.5, WindowKind::Hann)?;
-    let band = psd.band_power(low_hz, high_hz);
-    let total = psd.total_power();
-    Ok(crate::db::power_to_db(band.max(1e-24) / total.max(1e-24)))
-}
-
-/// Total harmonic distortion of a tone at `fundamental_hz`, considering
-/// harmonics up to Nyquist.  Returns the ratio of harmonic power to
-/// fundamental power (linear, not dB).
-pub fn total_harmonic_distortion(
-    samples: &[f64],
-    sample_rate_hz: f64,
-    fundamental_hz: f64,
-) -> Result<f64> {
-    if fundamental_hz <= 0.0 || fundamental_hz >= sample_rate_hz / 2.0 {
-        return Err(DspError::InvalidFrequency {
-            frequency_hz: fundamental_hz,
-            nyquist_hz: sample_rate_hz / 2.0,
-        });
-    }
-    let seg = samples.len().clamp(256, 16_384);
-    let psd = welch_psd(samples, sample_rate_hz, seg, 0.5, WindowKind::Hann)?;
-    let half_width = fundamental_hz * 0.1;
-    let fundamental = psd.band_power(fundamental_hz - half_width, fundamental_hz + half_width);
-    let mut harmonic = 0.0;
-    let mut k = 2.0;
-    while k * fundamental_hz < sample_rate_hz / 2.0 {
-        harmonic += psd.band_power(
-            k * fundamental_hz - half_width,
-            k * fundamental_hz + half_width,
-        );
-        k += 1.0;
-    }
-    Ok(harmonic / fundamental.max(1e-24))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,16 +163,6 @@ mod tests {
         assert!(welch_psd(&[1.0; 64], 0.0, 32, 0.5, WindowKind::Hann).is_err());
         assert!(welch_psd(&[1.0; 64], 48_000.0, 32, 1.0, WindowKind::Hann).is_err());
         assert!(band_power(&[1.0; 64], 48_000.0, 2_000.0, 1_000.0).is_err());
-        assert!(total_harmonic_distortion(&[1.0; 64], 48_000.0, 30_000.0).is_err());
-    }
-
-    #[test]
-    fn psd_peak_is_at_tone_frequency() {
-        let fs = 48_000.0;
-        let x = tone(5_000.0, 1.0, fs, 0.5);
-        let psd = welch_psd(&x, fs, 2_048, 0.5, WindowKind::Hann).unwrap();
-        let peak = psd.peak_frequency_hz();
-        assert!((peak - 5_000.0).abs() < 50.0, "peak at {peak}");
     }
 
     #[test]
@@ -268,11 +173,37 @@ mod tests {
         let psd = welch_psd(&x, fs, 4_096, 0.5, WindowKind::Hann).unwrap();
         // Mean-square of a sine of amplitude a is a^2/2.
         let expected = amp * amp / 2.0;
-        let total = psd.total_power();
+        let total = psd.band_power(0.0, fs / 2.0);
         assert!(
             (total - expected).abs() / expected < 0.05,
             "total {total} vs {expected}"
         );
+    }
+
+    #[test]
+    fn psd_peak_is_at_tone_frequency() {
+        let fs = 48_000.0;
+        let x = tone(5_000.0, 1.0, fs, 0.5);
+        let psd = welch_psd(&x, fs, 2_048, 0.5, WindowKind::Hann).unwrap();
+        let (peak, _) = psd
+            .frequencies_hz
+            .iter()
+            .zip(&psd.power)
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
+        assert!((peak - 5_000.0).abs() < 50.0, "peak at {peak}");
+    }
+
+    #[test]
+    fn band_power_ratio_db_for_pure_tone_is_near_zero() {
+        let fs = 48_000.0;
+        let x = tone(2_000.0, 1.0, fs, 0.5);
+        let psd = welch_psd(&x, fs, 8_192, 0.5, WindowKind::Hann).unwrap();
+        let total = psd.band_power(0.0, fs / 2.0);
+        let ratio_db = |low, high| crate::db::power_to_db(psd.band_power(low, high) / total);
+        let r = ratio_db(1_500.0, 2_500.0);
+        assert!(r > -1.0 && r <= 0.01, "ratio {r} dB");
+        assert!(ratio_db(10_000.0, 12_000.0) < -40.0);
     }
 
     #[test]
@@ -290,27 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn band_power_ratio_db_for_pure_tone_is_near_zero() {
-        let fs = 48_000.0;
-        let x = tone(2_000.0, 1.0, fs, 0.5);
-        let r = band_power_ratio_db(&x, fs, 1_500.0, 2_500.0).unwrap();
-        assert!(r > -1.0 && r <= 0.01, "ratio {r} dB");
-        let empty_band = band_power_ratio_db(&x, fs, 10_000.0, 12_000.0).unwrap();
-        assert!(empty_band < -40.0);
-    }
-
-    #[test]
-    fn centroid_sits_between_two_equal_tones() {
-        let fs = 48_000.0;
-        let mut sig = Signal::tone(1_000.0, 1.0, 0.5, fs).unwrap();
-        sig.mix(&Signal::tone(3_000.0, 1.0, 0.5, fs).unwrap())
-            .unwrap();
-        let psd = welch_psd(sig.samples(), fs, 4_096, 0.5, WindowKind::Hann).unwrap();
-        let c = psd.centroid_hz();
-        assert!(c > 1_500.0 && c < 2_500.0, "centroid {c}");
-    }
-
-    #[test]
     fn tilt_is_negative_for_low_frequency_weighted_signal() {
         let fs = 8_000.0;
         let mut sig = Signal::tone(200.0, 1.0, 1.0, fs).unwrap();
@@ -321,22 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn thd_detects_distortion() {
-        let fs = 48_000.0;
-        let clean = tone(1_000.0, 0.5, fs, 0.5);
-        // Clip hard to introduce odd harmonics.
-        let distorted: Vec<f64> = clean.iter().map(|x| x.clamp(-0.25, 0.25)).collect();
-        let thd_clean = total_harmonic_distortion(&clean, fs, 1_000.0).unwrap();
-        let thd_dirty = total_harmonic_distortion(&distorted, fs, 1_000.0).unwrap();
-        assert!(thd_clean < 1e-4, "clean THD {thd_clean}");
-        assert!(thd_dirty > 0.01, "distorted THD {thd_dirty}");
-    }
-
-    #[test]
     fn short_signals_still_produce_a_spectrum() {
         let x = tone(1_000.0, 1.0, 8_000.0, 0.004); // 32 samples
         let psd = welch_psd(&x, 8_000.0, 256, 0.5, WindowKind::Hann).unwrap();
         assert!(!psd.power.is_empty());
-        assert!(psd.total_power() > 0.0);
+        assert!(psd.band_power(0.0, 4_000.0) > 0.0);
     }
 }

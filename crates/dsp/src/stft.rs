@@ -45,28 +45,6 @@ impl Default for StftConfig {
     }
 }
 
-impl StftConfig {
-    /// A configuration with frame/hop expressed in seconds at a given rate.
-    pub fn from_durations(frame_s: f64, hop_s: f64, sample_rate_hz: f64) -> Result<Self> {
-        if !(sample_rate_hz > 0.0) {
-            return Err(DspError::InvalidSampleRate { sample_rate_hz });
-        }
-        let frame_len = (frame_s * sample_rate_hz).round() as usize;
-        let hop = (hop_s * sample_rate_hz).round() as usize;
-        if frame_len < 8 || hop == 0 {
-            return Err(DspError::invalid_parameter(
-                "frame/hop",
-                "frame must be >= 8 samples and hop >= 1 sample",
-            ));
-        }
-        Ok(StftConfig {
-            frame_len,
-            hop,
-            window: WindowKind::Hann,
-        })
-    }
-}
-
 /// Computes the power spectrogram of `samples`.
 pub fn spectrogram(
     samples: &[f64],
@@ -138,21 +116,6 @@ pub fn spectrogram(
 }
 
 impl Spectrogram {
-    /// Number of analysis frames.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Number of frequency bins per frame.
-    pub fn num_bins(&self) -> usize {
-        self.frequencies_hz.len()
-    }
-
-    /// Energy of each frame summed over all bins.
-    pub fn frame_energies(&self) -> Vec<f64> {
-        self.frames.iter().map(|f| f.iter().sum()).collect()
-    }
-
     /// Mean power in a frequency band, averaged over all frames.
     pub fn mean_band_power(&self, low_hz: f64, high_hz: f64) -> f64 {
         if self.frames.is_empty() {
@@ -206,7 +169,6 @@ mod tests {
             window: WindowKind::Hann,
         };
         assert!(spectrogram(&[1.0; 64], 48_000.0, &bad).is_err());
-        assert!(StftConfig::from_durations(0.0001, 0.0, 8_000.0).is_err());
     }
 
     #[test]
@@ -220,13 +182,10 @@ mod tests {
         };
         let sg = spectrogram(&x, fs, &cfg).unwrap();
         // Roughly len / hop frames.
-        assert!(
-            sg.num_frames() >= 60 && sg.num_frames() <= 63,
-            "{}",
-            sg.num_frames()
-        );
-        assert_eq!(sg.num_bins(), 129);
-        assert_eq!(sg.times_s.len(), sg.num_frames());
+        let frames = sg.frames.len();
+        assert!((60..=63).contains(&frames), "{frames}");
+        assert_eq!(sg.frequencies_hz.len(), 129);
+        assert_eq!(sg.times_s.len(), frames);
     }
 
     #[test]
@@ -244,7 +203,7 @@ mod tests {
         let fs = 8_000.0;
         let x = vec![0.5; 100];
         let sg = spectrogram(&x, fs, &StftConfig::default()).unwrap();
-        assert_eq!(sg.num_frames(), 1);
+        assert_eq!(sg.frames.len(), 1);
     }
 
     #[test]
@@ -271,7 +230,7 @@ mod tests {
         let loud = Signal::tone(1_000.0, 1.0, 0.25, fs).unwrap();
         x.append(&loud).unwrap();
         let sg = spectrogram(x.samples(), fs, &StftConfig::default()).unwrap();
-        let energies = sg.frame_energies();
+        let energies: Vec<f64> = sg.frames.iter().map(|f| f.iter().sum()).collect();
         let first = energies[1];
         let last = energies[energies.len() - 2];
         assert!(last > first * 10.0);

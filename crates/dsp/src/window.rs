@@ -62,38 +62,6 @@ impl WindowKind {
             }
         }
     }
-
-    /// Coherent gain: mean of the window samples.  Dividing a tone's
-    /// spectral peak by this compensates the window's amplitude loss.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let w = self.symmetric(n);
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter().sum::<f64>() / n as f64
-    }
-
-    /// Equivalent noise bandwidth in bins, used to normalise PSD estimates.
-    pub fn enbw_bins(self, n: usize) -> f64 {
-        let w = self.symmetric(n);
-        let sum: f64 = w.iter().sum();
-        let sum_sq: f64 = w.iter().map(|x| x * x).sum();
-        if sum == 0.0 {
-            return 0.0;
-        }
-        n as f64 * sum_sq / (sum * sum)
-    }
-}
-
-/// Multiplies `samples` by `window` element-wise, returning a new vector.
-///
-/// The shorter of the two lengths is used.
-pub fn apply_window(samples: &[f64], window: &[f64]) -> Vec<f64> {
-    samples
-        .iter()
-        .zip(window.iter())
-        .map(|(s, w)| s * w)
-        .collect()
 }
 
 #[cfg(test)]
@@ -130,8 +98,6 @@ mod tests {
     fn rectangular_is_all_ones() {
         let w = WindowKind::Rectangular.symmetric(10);
         assert!(w.iter().all(|&x| (x - 1.0).abs() < 1e-15));
-        assert!((WindowKind::Rectangular.coherent_gain(10) - 1.0).abs() < 1e-12);
-        assert!((WindowKind::Rectangular.enbw_bins(10) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -144,13 +110,17 @@ mod tests {
     #[test]
     fn coherent_gain_of_hann_is_half() {
         // For large N the mean of a Hann window approaches 0.5.
-        let g = WindowKind::Hann.coherent_gain(4096);
+        let w = WindowKind::Hann.symmetric(4096);
+        let g = w.iter().sum::<f64>() / w.len() as f64;
         assert!((g - 0.5).abs() < 1e-3);
     }
 
     #[test]
     fn enbw_of_hann_is_one_and_a_half_bins() {
-        let enbw = WindowKind::Hann.enbw_bins(4096);
+        // Equivalent noise bandwidth in bins: N·Σw² / (Σw)².
+        let w = WindowKind::Hann.symmetric(4096);
+        let sum: f64 = w.iter().sum();
+        let enbw = w.len() as f64 * w.iter().map(|x| x * x).sum::<f64>() / (sum * sum);
         assert!((enbw - 1.5).abs() < 2e-3, "enbw = {enbw}");
     }
 
@@ -167,14 +137,5 @@ mod tests {
                 assert!((-1e-12..=1.0 + 1e-12).contains(&v), "{kind:?} produced {v}");
             }
         }
-    }
-
-    #[test]
-    fn apply_window_multiplies_elementwise() {
-        let s = [2.0, 2.0, 2.0];
-        let w = [0.0, 0.5, 1.0];
-        assert_eq!(apply_window(&s, &w), vec![0.0, 1.0, 2.0]);
-        // Mismatched lengths truncate to the shorter.
-        assert_eq!(apply_window(&s[..2], &w).len(), 2);
     }
 }

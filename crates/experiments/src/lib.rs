@@ -29,11 +29,11 @@
 //!   (`ivc-trial-columns-v1`): one length-prefixed column per
 //!   [`TrialRecord`] field, deterministic bytes, loud versioned
 //!   rejection of foreign or truncated archives.
-//! * [`orchestrate`] — the self-driving control plane over [`shard`]:
-//!   [`orchestrate::orchestrate`] supervises a fleet of shard workers
-//!   with bounded retries, straggler re-issue (first completed result
-//!   wins), per-shard checkpoints and crash resume — the final report is
-//!   still byte-identical to the in-process run.
+//! * [`orchestrate`](mod@orchestrate) — the self-driving control plane
+//!   over [`shard`]: [`orchestrate::orchestrate`] supervises a fleet of
+//!   shard workers with bounded retries, straggler re-issue (first
+//!   completed result wins), per-shard checkpoints and crash resume — the
+//!   final report is still byte-identical to the in-process run.
 //! * [`presets`] — built-in campaigns: every paper sweep (`a1`–`a6`,
 //!   `b1`–`b3`, `d1`–`d6`), a defense acceptance sweep, the room sweep,
 //!   and the CI smoke grid.

@@ -11,10 +11,9 @@
 //! partial archive ([`ShardArchive`], format [`SHARD_FORMAT`]).
 //!
 //! [`merge_shards`] reassembles the partials in slot order and streams
-//! them through a [`ShardMerger`] — per-cell
-//! [`CellAccumulator`](crate::aggregate::CellAccumulator)s fold each
-//! record once as its shard is absorbed, records move (never clone) into
-//! their cell's report, and the aggregation state stays O(cells) — then
+//! them through a [`ShardMerger`] — per-cell [`CellAccumulator`]s fold
+//! each record once as its shard is absorbed, records move (never clone)
+//! into their cell's report, and the aggregation state stays O(cells) — then
 //! returns a [`CampaignReport`] that is **byte-identical** to the
 //! single-process [`crate::run_campaign`] run of the same spec, at any
 //! shard count and any per-shard worker count.  The contract holds
@@ -63,12 +62,6 @@ impl ShardRange {
     /// Number of trials this shard runs.
     pub fn num_jobs(&self) -> usize {
         self.end_job - self.start_job
-    }
-
-    /// Whether the shard runs no trials (plans with more shards than jobs
-    /// produce empty tail shards; they merge as no-ops).
-    pub fn is_empty(&self) -> bool {
-        self.start_job == self.end_job
     }
 
     /// The `(cell_index, trial_index)` jobs of this shard, in slot order.
@@ -363,9 +356,8 @@ pub fn run_shard(job: &ShardJob, workers: usize) -> Result<ShardArchive> {
 }
 
 /// Streaming shard merge: absorbs partials one at a time — in slot order
-/// — folding every record into its cell's
-/// [`CellAccumulator`](crate::aggregate::CellAccumulator) and moving it
-/// (never cloning) into the cell's trial list, then finishes into the
+/// — folding every record into its cell's [`CellAccumulator`] and moving
+/// it (never cloning) into the cell's trial list, then finishes into the
 /// full [`CampaignReport`].
 ///
 /// Aggregation state is O(cells): one accumulator of running sums per
@@ -599,7 +591,7 @@ mod tests {
         let spec = spec_with(1, 1);
         let plan = ShardPlan::partition(&spec, 7).unwrap();
         assert_eq!(plan.shards[0].num_jobs(), 1);
-        assert!(plan.shards[1..].iter().all(|s| s.is_empty()));
+        assert!(plan.shards[1..].iter().all(|s| s.num_jobs() == 0));
         let jobs: Vec<(usize, usize)> = plan
             .shards
             .iter()

@@ -6,8 +6,7 @@
 //! audible leakage at all.  This crate replaces the free-field-only
 //! channel with a physical room model:
 //!
-//! * [`shoebox`] — a rectangular room with one [`material`] per surface
-//!   and Sabine/Eyring RT60 estimates.
+//! * [`shoebox`] — a rectangular room with one [`material`] per surface.
 //! * [`image_source`] — the Allen–Berkley image-source engine: every
 //!   specular reflection path up to a configurable bounce order, with
 //!   per-surface bounce counts.
@@ -66,7 +65,6 @@ pub mod prelude {
     pub use crate::material::{PartitionMaterial, SurfaceMaterial};
     pub use crate::occlusion::Occluder;
     pub use crate::presets::{RoomInstance, RoomPreset};
-    pub use crate::propagate::propagate_in_room;
     pub use crate::rir::{RirTap, RoomImpulseResponse};
     pub use crate::shoebox::Shoebox;
 }

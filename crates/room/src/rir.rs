@@ -101,11 +101,6 @@ impl RoomImpulseResponse {
         Ok(RoomImpulseResponse { aperture_m, taps })
     }
 
-    /// All taps, direct path first, in order of arrival.
-    pub fn taps(&self) -> &[RirTap] {
-        &self.taps
-    }
-
     /// The direct-path tap.
     pub fn direct(&self) -> &RirTap {
         &self.taps[0]
@@ -120,75 +115,77 @@ impl RoomImpulseResponse {
     pub fn num_taps(&self) -> usize {
         self.taps.len()
     }
-
-    /// Estimates the reverberation time at `frequency_hz` from the taps'
-    /// energy decay: a least-squares fit of the Schroeder backward
-    /// integral (in dB) against arrival time, extrapolated to −60 dB.
-    ///
-    /// Only surface losses and spreading enter the estimate (no air
-    /// absorption), matching what [`Shoebox::sabine_rt60_s`] and
-    /// [`Shoebox::eyring_rt60_s`] predict.  Returns `None` when there are
-    /// too few reflected taps to fit a slope, or the fit does not decay.
-    pub fn energy_decay_rt60_s(
-        &self,
-        frequency_hz: f64,
-        speed_of_sound_m_per_s: f64,
-    ) -> Option<f64> {
-        let reflected = self.reflected();
-        if reflected.len() < 8 {
-            return None;
-        }
-        let energies: Vec<(f64, f64)> = reflected
-            .iter()
-            .map(|tap| {
-                let g = ivc_acoustics::propagation::interpolate_gain_curve(
-                    &tap.gain_curve,
-                    frequency_hz,
-                ) / tap.distance_m.max(1.0);
-                (tap.distance_m / speed_of_sound_m_per_s, g * g)
-            })
-            .collect();
-        let total: f64 = energies.iter().map(|(_, e)| e).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        // Schroeder backward integration over the discrete taps.  The fit
-        // stops at −30 dB (a T30-style estimate): below that the truncated
-        // image order makes the integral decay artificially fast.
-        let mut remaining = total;
-        let mut points = Vec::with_capacity(energies.len());
-        for &(t, e) in &energies {
-            let level_db = 10.0 * (remaining / total).max(1e-30).log10();
-            if level_db >= -30.0 {
-                points.push((t, level_db));
-            }
-            remaining -= e;
-        }
-        if points.len() < 4 {
-            return None;
-        }
-        // Least-squares slope of decay (dB) vs time (s).
-        let n = points.len() as f64;
-        let sum_t: f64 = points.iter().map(|(t, _)| t).sum();
-        let sum_y: f64 = points.iter().map(|(_, y)| y).sum();
-        let sum_tt: f64 = points.iter().map(|(t, _)| t * t).sum();
-        let sum_ty: f64 = points.iter().map(|(t, y)| t * y).sum();
-        let denom = n * sum_tt - sum_t * sum_t;
-        if denom <= 0.0 {
-            return None;
-        }
-        let slope = (n * sum_ty - sum_t * sum_y) / denom;
-        if slope >= -1e-9 {
-            return None;
-        }
-        Some(-60.0 / slope)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::material::{PartitionMaterial, SurfaceMaterial};
+
+    impl RoomImpulseResponse {
+        /// Estimates the reverberation time at `frequency_hz` from the taps'
+        /// energy decay: a least-squares fit of the Schroeder backward
+        /// integral (in dB) against arrival time, extrapolated to −60 dB.
+        ///
+        /// Only surface losses and spreading enter the estimate (no air
+        /// absorption), matching what the Sabine and Eyring formulas
+        /// predict.  Returns `None` when there are too few reflected taps to
+        /// fit a slope, or the fit does not decay.
+        fn energy_decay_rt60_s(
+            &self,
+            frequency_hz: f64,
+            speed_of_sound_m_per_s: f64,
+        ) -> Option<f64> {
+            let reflected = self.reflected();
+            if reflected.len() < 8 {
+                return None;
+            }
+            let energies: Vec<(f64, f64)> = reflected
+                .iter()
+                .map(|tap| {
+                    let g = ivc_acoustics::propagation::interpolate_gain_curve(
+                        &tap.gain_curve,
+                        frequency_hz,
+                    ) / tap.distance_m.max(1.0);
+                    (tap.distance_m / speed_of_sound_m_per_s, g * g)
+                })
+                .collect();
+            let total: f64 = energies.iter().map(|(_, e)| e).sum();
+            if total <= 0.0 {
+                return None;
+            }
+            // Schroeder backward integration over the discrete taps.  The fit
+            // stops at −30 dB (a T30-style estimate): below that the truncated
+            // image order makes the integral decay artificially fast.
+            let mut remaining = total;
+            let mut points = Vec::with_capacity(energies.len());
+            for &(t, e) in &energies {
+                let level_db = 10.0 * (remaining / total).max(1e-30).log10();
+                if level_db >= -30.0 {
+                    points.push((t, level_db));
+                }
+                remaining -= e;
+            }
+            if points.len() < 4 {
+                return None;
+            }
+            // Least-squares slope of decay (dB) vs time (s).
+            let n = points.len() as f64;
+            let sum_t: f64 = points.iter().map(|(t, _)| t).sum();
+            let sum_y: f64 = points.iter().map(|(_, y)| y).sum();
+            let sum_tt: f64 = points.iter().map(|(t, _)| t * t).sum();
+            let sum_ty: f64 = points.iter().map(|(t, y)| t * y).sum();
+            let denom = n * sum_tt - sum_t * sum_t;
+            if denom <= 0.0 {
+                return None;
+            }
+            let slope = (n * sum_ty - sum_t * sum_y) / denom;
+            if slope >= -1e-9 {
+                return None;
+            }
+            Some(-60.0 / slope)
+        }
+    }
 
     fn positions() -> (Point3, Point3) {
         (Point3::new(1.0, 1.5, 1.2), Point3::new(5.0, 2.5, 1.4))
@@ -266,7 +263,7 @@ mod tests {
         let clear = RoomImpulseResponse::image_source(&room, &s, &r, 1, &[], 0.0).unwrap();
         let blocked = RoomImpulseResponse::image_source(&room, &s, &r, 1, &[wall], 0.0).unwrap();
         assert!(!blocked.direct().gain_curve.is_empty());
-        for (c, b) in clear.taps().iter().zip(blocked.taps().iter()) {
+        for (c, b) in clear.taps.iter().zip(blocked.taps.iter()) {
             let f = 1_000.0;
             let gc = ivc_acoustics::propagation::interpolate_gain_curve(&c.gain_curve, f);
             let gb = ivc_acoustics::propagation::interpolate_gain_curve(&b.gain_curve, f);
@@ -280,7 +277,7 @@ mod tests {
         // order-6 image set covers the whole T30 fit range; compare at
         // 1 kHz where air absorption (which the tap estimate deliberately
         // excludes) is negligible.
-        let half = SurfaceMaterial::new("half absorber", [0.5; NUM_ANCHORS]).unwrap();
+        let half = SurfaceMaterial::new("half absorber", [0.5; NUM_ANCHORS]);
         let room = Shoebox::uniform(6.0, 5.0, 3.0, half).unwrap();
         let (s, r) = (Point3::new(1.3, 1.9, 1.2), Point3::new(4.1, 3.2, 1.5));
         let rir = RoomImpulseResponse::image_source(&room, &s, &r, 6, &[], 0.0).unwrap();

@@ -80,59 +80,6 @@ impl Shoebox {
         Shoebox::new(length_m, width_m, height_m, [material; NUM_SURFACES])
     }
 
-    /// Room volume in m³.
-    pub fn volume_m3(&self) -> f64 {
-        self.length_m * self.width_m * self.height_m
-    }
-
-    /// Area of one surface in m².
-    pub fn surface_area_m2(&self, surface: usize) -> f64 {
-        match surface {
-            0 | 1 => self.width_m * self.height_m,
-            2 | 3 => self.length_m * self.height_m,
-            _ => self.length_m * self.width_m,
-        }
-    }
-
-    /// Total interior surface area in m².
-    pub fn total_surface_area_m2(&self) -> f64 {
-        (0..NUM_SURFACES).map(|i| self.surface_area_m2(i)).sum()
-    }
-
-    /// Area-weighted mean absorption coefficient at `frequency_hz`.
-    pub fn mean_absorption_at(&self, frequency_hz: f64) -> f64 {
-        let total: f64 = (0..NUM_SURFACES)
-            .map(|i| self.surface_area_m2(i) * self.surfaces[i].absorption_at(frequency_hz))
-            .sum();
-        total / self.total_surface_area_m2()
-    }
-
-    /// Sabine reverberation time `T60 = 0.161 · V / (S·ᾱ)` at
-    /// `frequency_hz`, in seconds.  Surface losses only; atmospheric
-    /// absorption (which dominates in the ultrasonic band) is applied
-    /// per-path by the propagation layer instead.
-    pub fn sabine_rt60_s(&self, frequency_hz: f64) -> f64 {
-        let a = self.total_surface_area_m2() * self.mean_absorption_at(frequency_hz);
-        if a <= 0.0 {
-            return f64::INFINITY;
-        }
-        0.161 * self.volume_m3() / a
-    }
-
-    /// Eyring reverberation time `T60 = 0.161 · V / (−S·ln(1 − ᾱ))` at
-    /// `frequency_hz`, in seconds.  More accurate than Sabine in absorbent
-    /// rooms; 0 for a perfectly absorbent room.
-    pub fn eyring_rt60_s(&self, frequency_hz: f64) -> f64 {
-        let mean = self.mean_absorption_at(frequency_hz);
-        if mean >= 1.0 {
-            return 0.0;
-        }
-        if mean <= 0.0 {
-            return f64::INFINITY;
-        }
-        0.161 * self.volume_m3() / (-self.total_surface_area_m2() * (1.0 - mean).ln())
-    }
-
     /// `true` when `point` lies inside the room with at least `margin_m`
     /// clearance from every surface.
     pub fn contains(&self, point: &Point3, margin_m: f64) -> bool {
@@ -148,6 +95,63 @@ impl Shoebox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classical reverberation formulas: the references the
+    /// image-source decay and the presets' liveliness are checked against.
+    impl Shoebox {
+        /// Room volume in m³.
+        pub(crate) fn volume_m3(&self) -> f64 {
+            self.length_m * self.width_m * self.height_m
+        }
+
+        /// Area of one surface in m².
+        pub(crate) fn surface_area_m2(&self, surface: usize) -> f64 {
+            match surface {
+                0 | 1 => self.width_m * self.height_m,
+                2 | 3 => self.length_m * self.height_m,
+                _ => self.length_m * self.width_m,
+            }
+        }
+
+        /// Total interior surface area in m².
+        pub(crate) fn total_surface_area_m2(&self) -> f64 {
+            (0..NUM_SURFACES).map(|i| self.surface_area_m2(i)).sum()
+        }
+
+        /// Area-weighted mean absorption coefficient at `frequency_hz`.
+        pub(crate) fn mean_absorption_at(&self, frequency_hz: f64) -> f64 {
+            let total: f64 = (0..NUM_SURFACES)
+                .map(|i| self.surface_area_m2(i) * self.surfaces[i].absorption_at(frequency_hz))
+                .sum();
+            total / self.total_surface_area_m2()
+        }
+
+        /// Sabine reverberation time `T60 = 0.161 · V / (S·ᾱ)` at
+        /// `frequency_hz`, in seconds.  Surface losses only; atmospheric
+        /// absorption (which dominates in the ultrasonic band) is applied
+        /// per-path by the propagation layer instead.
+        pub(crate) fn sabine_rt60_s(&self, frequency_hz: f64) -> f64 {
+            let a = self.total_surface_area_m2() * self.mean_absorption_at(frequency_hz);
+            if a <= 0.0 {
+                return f64::INFINITY;
+            }
+            0.161 * self.volume_m3() / a
+        }
+
+        /// Eyring reverberation time `T60 = 0.161 · V / (−S·ln(1 − ᾱ))` at
+        /// `frequency_hz`, in seconds.  More accurate than Sabine in absorbent
+        /// rooms; 0 for a perfectly absorbent room.
+        pub(crate) fn eyring_rt60_s(&self, frequency_hz: f64) -> f64 {
+            let mean = self.mean_absorption_at(frequency_hz);
+            if mean >= 1.0 {
+                return 0.0;
+            }
+            if mean <= 0.0 {
+                return f64::INFINITY;
+            }
+            0.161 * self.volume_m3() / (-self.total_surface_area_m2() * (1.0 - mean).ln())
+        }
+    }
 
     fn office() -> Shoebox {
         Shoebox::new(
@@ -201,13 +205,8 @@ mod tests {
         assert!(room.eyring_rt60_s(f) < room.sabine_rt60_s(f));
         let anechoic = Shoebox::uniform(8.0, 4.0, 2.7, SurfaceMaterial::anechoic()).unwrap();
         assert_eq!(anechoic.eyring_rt60_s(f), 0.0);
-        let lossless = Shoebox::uniform(
-            8.0,
-            4.0,
-            2.7,
-            SurfaceMaterial::new("none", [0.0; 12]).unwrap(),
-        )
-        .unwrap();
+        let lossless =
+            Shoebox::uniform(8.0, 4.0, 2.7, SurfaceMaterial::new("none", [0.0; 12])).unwrap();
         assert_eq!(lossless.sabine_rt60_s(f), f64::INFINITY);
         assert_eq!(lossless.eyring_rt60_s(f), f64::INFINITY);
     }

@@ -20,15 +20,6 @@ pub struct DtwAlignment {
 }
 
 impl DtwAlignment {
-    /// Query indices aligned to template index `i` (empty if none).
-    pub fn query_indices_for_template(&self, template_index: usize) -> Vec<usize> {
-        self.path
-            .iter()
-            .filter(|(t, _)| *t == template_index)
-            .map(|(_, q)| *q)
-            .collect()
-    }
-
     /// Mean per-step distance over the path cells whose template index lies
     /// in `[start, end)` — the per-word match quality used by the
     /// recogniser.  Returns `None` if the range is empty on the path.
@@ -66,19 +57,6 @@ pub fn cost_matrix(template: &[Vec<f64>], query: &[Vec<f64>]) -> Vec<Vec<f64>> {
         .iter()
         .map(|t| query.iter().map(|q| euclidean(t, q)).collect())
         .collect()
-}
-
-/// Aligns `query` against `template` with classic DTW (step pattern:
-/// match / insertion / deletion, no slope constraint).
-pub fn align(template: &[Vec<f64>], query: &[Vec<f64>]) -> Result<DtwAlignment> {
-    if template.is_empty() || query.is_empty() {
-        return Err(SpeechError::invalid(
-            "dtw",
-            "both sequences must be non-empty",
-        ));
-    }
-    let costs = cost_matrix(template, query);
-    align_with_costs(&costs)
 }
 
 /// Aligns two sequences given a precomputed cost matrix
@@ -150,6 +128,11 @@ mod tests {
         values.iter().map(|&v| vec![v]).collect()
     }
 
+    /// Aligns two feature sequences through their full cost matrix.
+    fn align(template: &[Vec<f64>], query: &[Vec<f64>]) -> Result<DtwAlignment> {
+        align_with_costs(&cost_matrix(template, query))
+    }
+
     #[test]
     fn validation() {
         assert!(align(&[], &seq(&[1.0])).is_err());
@@ -217,16 +200,6 @@ mod tests {
         assert!(out
             .mean_distance_in_template_range(10, 20, &costs)
             .is_none());
-    }
-
-    #[test]
-    fn query_indices_lookup() {
-        let a = seq(&[0.0, 1.0, 2.0]);
-        let b = seq(&[0.0, 1.0, 1.0, 2.0]);
-        let out = align(&a, &b).unwrap();
-        let idx = out.query_indices_for_template(1);
-        assert!(!idx.is_empty());
-        assert!(idx.iter().all(|&q| q < 4));
     }
 
     #[test]

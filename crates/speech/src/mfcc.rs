@@ -89,21 +89,6 @@ pub struct MfccFrames {
 }
 
 impl MfccFrames {
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// `true` if no frames were produced.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Centre time of frame `i` in seconds.
-    pub fn frame_time_s(&self, i: usize) -> f64 {
-        self.first_frame_time_s + i as f64 * self.hop_s
-    }
-
     /// Index of the frame whose centre is closest to `time_s`.
     pub fn frame_at_time(&self, time_s: f64) -> usize {
         if self.frames.is_empty() {
@@ -302,13 +287,10 @@ mod tests {
         let cfg = MfccConfig::default();
         let frames = mfcc(&s, &cfg).unwrap();
         // (1.0 - 0.025) / 0.010 + 1 ~ 98-99 frames.
-        assert!(
-            frames.len() >= 96 && frames.len() <= 100,
-            "frames {}",
-            frames.len()
-        );
+        let n = frames.frames.len();
+        assert!((96..=100).contains(&n), "frames {n}");
         assert_eq!(frames.frames[0].len(), cfg.frame_dimension());
-        assert!((frames.frame_time_s(1) - frames.frame_time_s(0) - 0.01).abs() < 1e-12);
+        assert!((frames.hop_s - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -318,8 +300,8 @@ mod tests {
         // Two tones at very different frequencies act as crude vowel stand-ins.
         let a = mfcc(&tone(300.0, fs, 0.3), &cfg).unwrap();
         let b = mfcc(&tone(2_500.0, fs, 0.3), &cfg).unwrap();
-        let mid_a = &a.frames[a.len() / 2];
-        let mid_b = &b.frames[b.len() / 2];
+        let mid_a = &a.frames[a.frames.len() / 2];
+        let mid_b = &b.frames[b.frames.len() / 2];
         let dist: f64 = mid_a
             .iter()
             .zip(mid_b.iter())
@@ -344,8 +326,8 @@ mod tests {
         let quiet = mfcc(&tone(500.0, fs, 0.3).scaled(0.1), &cfg).unwrap();
         let loud = mfcc(&tone(500.0, fs, 0.3), &cfg).unwrap();
         let dim = cfg.frame_dimension();
-        let e_quiet = quiet.frames[quiet.len() / 2][dim - 1];
-        let e_loud = loud.frames[loud.len() / 2][dim - 1];
+        let e_quiet = quiet.frames[quiet.frames.len() / 2][dim - 1];
+        let e_loud = loud.frames[loud.frames.len() / 2][dim - 1];
         assert!(e_loud > e_quiet + 2.0);
     }
 
@@ -354,9 +336,9 @@ mod tests {
         let fs = 16_000.0;
         let frames = mfcc(&tone(500.0, fs, 0.5), &MfccConfig::default()).unwrap();
         assert_eq!(frames.frame_at_time(-1.0), 0);
-        assert_eq!(frames.frame_at_time(100.0), frames.len() - 1);
+        assert_eq!(frames.frame_at_time(100.0), frames.frames.len() - 1);
         let mid = frames.frame_at_time(0.25);
-        assert!(mid > 10 && mid < frames.len() - 10);
+        assert!(mid > 10 && mid < frames.frames.len() - 10);
     }
 
     #[test]
@@ -370,7 +352,7 @@ mod tests {
             .map(|f| f[cfg.frame_dimension() - 1])
             .collect();
         frames.apply_mean_normalization(cfg.num_coefficients);
-        let n = frames.len() as f64;
+        let n = frames.frames.len() as f64;
         for k in 0..cfg.num_coefficients {
             let mean: f64 = frames.frames.iter().map(|f| f[k]).sum::<f64>() / n;
             assert!(mean.abs() < 1e-9, "dim {k} mean {mean}");
@@ -410,7 +392,7 @@ mod tests {
                         .sqrt()
                 })
                 .sum::<f64>()
-                / x.len() as f64
+                / x.frames.len() as f64
         };
         let before = dist(&a, &b);
         a.apply_mean_normalization(cfg.num_coefficients);
@@ -424,6 +406,6 @@ mod tests {
         let fs = 16_000.0;
         let s = tone(500.0, fs, 0.01);
         let frames = mfcc(&s, &MfccConfig::default()).unwrap();
-        assert_eq!(frames.len(), 1);
+        assert_eq!(frames.frames.len(), 1);
     }
 }

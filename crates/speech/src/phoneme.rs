@@ -116,11 +116,6 @@ impl Phoneme {
     pub fn lookup(symbol: &str) -> Option<Phoneme> {
         INVENTORY.iter().copied().find(|p| p.symbol == symbol)
     }
-
-    /// The full inventory.
-    pub fn inventory() -> &'static [Phoneme] {
-        INVENTORY
-    }
 }
 
 /// The synthesiser's phoneme inventory.  Formant targets follow the classic
@@ -178,12 +173,12 @@ mod tests {
         assert_eq!(aa.manner, Manner::Vowel);
         assert!(aa.voiced);
         assert!(Phoneme::lookup("ZZ").is_none());
-        assert!(Phoneme::inventory().len() > 30);
+        assert!(INVENTORY.len() > 30);
     }
 
     #[test]
     fn symbols_are_unique() {
-        let inv = Phoneme::inventory();
+        let inv = INVENTORY;
         for (i, a) in inv.iter().enumerate() {
             for b in &inv[i + 1..] {
                 assert_ne!(a.symbol, b.symbol, "duplicate symbol {}", a.symbol);
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn vowels_have_ordered_formants() {
-        for p in Phoneme::inventory() {
+        for p in INVENTORY {
             if p.manner == Manner::Vowel {
                 assert!(p.formants_hz[0] < p.formants_hz[1]);
                 assert!(p.formants_hz[1] < p.formants_hz[2]);
@@ -204,7 +199,7 @@ mod tests {
 
     #[test]
     fn obstruents_have_valid_noise_bands() {
-        for p in Phoneme::inventory() {
+        for p in INVENTORY {
             match p.manner {
                 Manner::Fricative | Manner::Stop => {
                     assert!(p.noise_band_hz.0 < p.noise_band_hz.1, "{}", p.symbol);
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn durations_are_reasonable() {
-        for p in Phoneme::inventory() {
+        for p in INVENTORY {
             assert!(p.duration_s > 0.02 && p.duration_s < 0.3, "{}", p.symbol);
         }
         assert_eq!(Phoneme::PAUSE.amplitude, 0.0);

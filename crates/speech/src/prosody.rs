@@ -59,11 +59,6 @@ impl PitchContour {
         PitchContour::new(115.0, 0.15, 0.06, 2.3).expect("valid constants")
     }
 
-    /// A typical adult female contour.
-    pub fn female() -> Self {
-        PitchContour::new(210.0, 0.15, 0.07, 2.7).expect("valid constants")
-    }
-
     /// Instantaneous F0 at normalised utterance position `x` in `[0, 1]`.
     pub fn f0_at(&self, x: f64) -> f64 {
         let x = x.clamp(0.0, 1.0);
@@ -90,9 +85,7 @@ mod tests {
     #[test]
     fn presets_sit_in_expected_ranges() {
         let m = PitchContour::male();
-        let f = PitchContour::female();
         assert!(m.base_f0_hz > 85.0 && m.base_f0_hz < 155.0);
-        assert!(f.base_f0_hz > 165.0 && f.base_f0_hz < 255.0);
     }
 
     #[test]
@@ -107,11 +100,10 @@ mod tests {
 
     #[test]
     fn f0_stays_within_voice_range() {
-        for contour in [PitchContour::male(), PitchContour::female()] {
-            for i in 0..=20 {
-                let f0 = contour.f0_at(i as f64 / 20.0);
-                assert!(f0 > 70.0 && f0 < 260.0, "f0 {f0}");
-            }
+        let contour = PitchContour::male();
+        for i in 0..=20 {
+            let f0 = contour.f0_at(i as f64 / 20.0);
+            assert!(f0 > 70.0 && f0 < 260.0, "f0 {f0}");
         }
     }
 }

@@ -82,14 +82,6 @@ pub struct RecognitionOutcome {
     pub word_accuracy: f64,
 }
 
-impl RecognitionOutcome {
-    /// Margin between the best and runner-up distances (larger = more
-    /// confident).
-    pub fn margin(&self) -> f64 {
-        self.second_distance - self.best_distance
-    }
-}
-
 /// Everything a trial needs from the recogniser about one recording,
 /// measured against one expected command — computed from a single prepared
 /// query (see [`Recognizer::evaluate`]).
@@ -104,7 +96,7 @@ pub struct TrialEvaluation {
     pub word_accuracy: f64,
     /// The end-to-end acceptance verdict — **the** acceptance rule (the
     /// expected command must win recognition and enough of its words must
-    /// be intelligible); [`Recognizer::command_accepted`] delegates here.
+    /// be intelligible).
     pub accepted: bool,
 }
 
@@ -134,11 +126,6 @@ impl Recognizer {
             recognizer.enroll(&utterance, command)?;
         }
         Ok(recognizer)
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &RecognizerConfig {
-        &self.config
     }
 
     /// Number of enrolled templates.
@@ -178,11 +165,6 @@ impl Recognizer {
         Ok(())
     }
 
-    /// Recognises a recording against all enrolled templates.
-    pub fn recognize(&self, recording: &Signal) -> Result<RecognitionOutcome> {
-        Ok(self.recognize_with_flags(recording, None)?.0)
-    }
-
     /// Shared scoring pass: one prepared query aligned against every
     /// template, optionally also extracting the per-word verdicts for
     /// `expected` from the same alignments.
@@ -220,35 +202,6 @@ impl Recognizer {
         Ok((outcome, expected_flags))
     }
 
-    /// Word accuracy of `recording` measured against the template for
-    /// `expected`, regardless of which command the recogniser would pick.
-    pub fn word_accuracy(&self, recording: &Signal, expected: CommandId) -> Result<f64> {
-        let flags = self.word_recognition(recording, expected)?;
-        Ok(Self::fraction_recognized(&flags))
-    }
-
-    /// Per-word recognition verdicts of `recording` against the template
-    /// for `expected`: one `(word, recognised)` pair per template word, in
-    /// word order.  [`Recognizer::word_accuracy`] is the recognised
-    /// fraction of this list; result aggregation (campaign reports) archives
-    /// the list itself.
-    pub fn word_recognition(
-        &self,
-        recording: &Signal,
-        expected: CommandId,
-    ) -> Result<Vec<(String, bool)>> {
-        let template = self
-            .templates
-            .iter()
-            .find(|t| t.command.id == expected)
-            .ok_or(SpeechError::NoTemplates)?;
-        let prepared = self.prepare(recording)?;
-        let query = self.features(&prepared)?;
-        let costs = cost_matrix(&template.frames.frames, &query.frames);
-        let alignment = align_with_costs(&costs)?;
-        Ok(self.per_word_recognition(template, &alignment, &costs))
-    }
-
     fn fraction_recognized(flags: &[(String, bool)]) -> f64 {
         if flags.is_empty() {
             return 0.0;
@@ -256,23 +209,13 @@ impl Recognizer {
         flags.iter().filter(|(_, recognized)| *recognized).count() as f64 / flags.len() as f64
     }
 
-    /// End-to-end acceptance: would the voice assistant act on this
-    /// recording as the expected command?  Requires the expected command to
-    /// win recognition and enough of its words to be intelligible.
-    pub fn command_accepted(&self, recording: &Signal, expected: CommandId) -> Result<bool> {
-        Ok(self.evaluate(recording, expected)?.accepted)
-    }
-
     /// Recognition, per-word verdicts and the acceptance rule from **one**
     /// prepared query: the recording is resampled/trimmed/featurised once
-    /// and every template aligned once, instead of the separate
-    /// [`Recognizer::recognize`] + [`Recognizer::word_recognition`] passes.
-    /// This is what the trial pipeline (and therefore every campaign
-    /// trial) runs.
+    /// and every template aligned once.  This is what the trial pipeline
+    /// (and therefore every campaign trial) runs.
     pub fn evaluate(&self, recording: &Signal, expected: CommandId) -> Result<TrialEvaluation> {
         let (outcome, expected_flags) = self.recognize_with_flags(recording, Some(expected))?;
-        // `None` here means `expected` is not enrolled — the same condition
-        // `word_accuracy` reports as NoTemplates.
+        // `None` here means `expected` is not enrolled.
         let word_recognition = expected_flags.ok_or(SpeechError::NoTemplates)?;
         let word_accuracy = Self::fraction_recognized(&word_recognition);
         let accepted = outcome.command == Some(expected)
@@ -377,6 +320,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    impl Recognizer {
+        /// Per-word recognition verdicts of `recording` against the template
+        /// for `expected`, from a pass of its own: the reference
+        /// [`Recognizer::evaluate`]'s shared pass is checked against.
+        fn word_recognition(
+            &self,
+            recording: &Signal,
+            expected: CommandId,
+        ) -> Result<Vec<(String, bool)>> {
+            let template = self
+                .templates
+                .iter()
+                .find(|t| t.command.id == expected)
+                .ok_or(SpeechError::NoTemplates)?;
+            let prepared = self.prepare(recording)?;
+            let query = self.features(&prepared)?;
+            let costs = cost_matrix(&template.frames.frames, &query.frames);
+            let alignment = align_with_costs(&costs)?;
+            Ok(self.per_word_recognition(template, &alignment, &costs))
+        }
+    }
+
     fn noisy(signal: &Signal, rms: f64, seed: u64) -> Signal {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise: Vec<f64> = (0..signal.len())
@@ -393,7 +358,10 @@ mod tests {
     fn empty_recogniser_rejects_queries() {
         let r = Recognizer::new(RecognizerConfig::default());
         let s = Signal::tone(440.0, 0.5, 0.5, 16_000.0).unwrap();
-        assert!(matches!(r.recognize(&s), Err(SpeechError::NoTemplates)));
+        assert!(matches!(
+            r.evaluate(&s, CommandId(0)),
+            Err(SpeechError::NoTemplates)
+        ));
         assert_eq!(r.num_templates(), 0);
     }
 
@@ -404,7 +372,8 @@ mod tests {
         let synth = Synthesizer::new(48_000.0).unwrap();
         for command in corpus().iter().take(3) {
             let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
-            let outcome = r.recognize(&utt.signal).unwrap();
+            let evaluation = r.evaluate(&utt.signal, command.id).unwrap();
+            let outcome = &evaluation.outcome;
             assert_eq!(
                 outcome.command,
                 Some(command.id),
@@ -416,7 +385,7 @@ mod tests {
                 "accuracy {}",
                 outcome.word_accuracy
             );
-            assert!(r.command_accepted(&utt.signal, command.id).unwrap());
+            assert!(evaluation.accepted);
         }
     }
 
@@ -430,7 +399,7 @@ mod tests {
             .unwrap();
         // The Alexa shopping-list command must not be accepted as the
         // camera command.
-        assert!(!r.command_accepted(&utt.signal, commands[0].id).unwrap());
+        assert!(!r.evaluate(&utt.signal, commands[0].id).unwrap().accepted);
     }
 
     #[test]
@@ -440,8 +409,11 @@ mod tests {
         let command = &corpus()[0];
         let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
         let slightly_noisy = noisy(&utt.signal, 0.01, 1);
-        let acc_clean = r.word_accuracy(&utt.signal, command.id).unwrap();
-        let acc_noisy = r.word_accuracy(&slightly_noisy, command.id).unwrap();
+        let acc_clean = r.evaluate(&utt.signal, command.id).unwrap().word_accuracy;
+        let acc_noisy = r
+            .evaluate(&slightly_noisy, command.id)
+            .unwrap()
+            .word_accuracy;
         assert!(acc_clean >= acc_noisy - 1e-9);
         assert!(acc_noisy > 0.5, "accuracy {acc_noisy}");
     }
@@ -452,9 +424,10 @@ mod tests {
         let command = &corpus()[0];
         // Pure noise, no speech at all.
         let noise = noisy(&Signal::silence(2.0, 48_000.0).unwrap(), 0.3, 2);
-        let acc = r.word_accuracy(&noise, command.id).unwrap();
+        let evaluation = r.evaluate(&noise, command.id).unwrap();
+        let acc = evaluation.word_accuracy;
         assert!(acc < 0.4, "accuracy {acc}");
-        assert!(!r.command_accepted(&noise, command.id).unwrap());
+        assert!(!evaluation.accepted);
     }
 
     #[test]
@@ -467,7 +440,7 @@ mod tests {
         let command = &corpus()[2];
         let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
         let quiet = utt.signal.scaled(0.002);
-        assert!(r.command_accepted(&quiet, command.id).unwrap());
+        assert!(r.evaluate(&quiet, command.id).unwrap().accepted);
     }
 
     #[test]
@@ -488,7 +461,7 @@ mod tests {
         }
         let command = &corpus()[0];
         let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
-        let outcome = r.recognize(&utt.signal).unwrap();
+        let outcome = r.evaluate(&utt.signal, command.id).unwrap().outcome;
         assert_eq!(outcome.command, Some(command.id));
         assert!(
             outcome.best_distance < 1.0,
@@ -504,7 +477,8 @@ mod tests {
         let synth = Synthesizer::new(48_000.0).unwrap();
         let command = &corpus()[0];
         let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
-        let flags = r.word_recognition(&utt.signal, command.id).unwrap();
+        let evaluation = r.evaluate(&utt.signal, command.id).unwrap();
+        let flags = &evaluation.word_recognition;
         assert_eq!(flags.len(), command.num_words());
         // The words come back in command order.
         for (flag, (word, _)) in flags.iter().zip(command.words.iter()) {
@@ -513,12 +487,12 @@ mod tests {
         // A clean rendition recognises every word, and the accuracy is
         // exactly the recognised fraction.
         assert!(flags.iter().all(|(_, ok)| *ok));
-        let accuracy = r.word_accuracy(&utt.signal, command.id).unwrap();
+        let accuracy = evaluation.word_accuracy;
         let fraction = flags.iter().filter(|(_, ok)| *ok).count() as f64 / flags.len() as f64;
         assert_eq!(accuracy, fraction);
         // Pure noise recognises (essentially) nothing.
         let noise = noisy(&Signal::silence(1.5, 48_000.0).unwrap(), 0.3, 7);
-        let noise_flags = r.word_recognition(&noise, command.id).unwrap();
+        let noise_flags = r.evaluate(&noise, command.id).unwrap().word_recognition;
         assert!(noise_flags.iter().filter(|(_, ok)| *ok).count() <= 1);
     }
 
@@ -529,18 +503,11 @@ mod tests {
         let command = &corpus()[1];
         let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
         let evaluation = r.evaluate(&utt.signal, command.id).unwrap();
-        assert_eq!(evaluation.outcome, r.recognize(&utt.signal).unwrap());
-        assert_eq!(
-            evaluation.word_recognition,
-            r.word_recognition(&utt.signal, command.id).unwrap()
-        );
+        let flags = r.word_recognition(&utt.signal, command.id).unwrap();
+        assert_eq!(evaluation.word_recognition, flags);
         assert_eq!(
             evaluation.word_accuracy,
-            r.word_accuracy(&utt.signal, command.id).unwrap()
-        );
-        assert_eq!(
-            evaluation.accepted,
-            r.command_accepted(&utt.signal, command.id).unwrap()
+            Recognizer::fraction_recognized(&flags)
         );
         assert!(evaluation.accepted);
         // Evaluating against a different expected command flips acceptance
@@ -548,7 +515,7 @@ mod tests {
         let other = r.evaluate(&utt.signal, corpus()[0].id).unwrap();
         assert!(!other.accepted);
         assert_eq!(other.outcome, evaluation.outcome);
-        // An unenrolled command id is an error, matching word_accuracy.
+        // An unenrolled command id is an error.
         assert!(r.evaluate(&utt.signal, CommandId(999)).is_err());
     }
 

@@ -37,16 +37,6 @@ impl SpeakerProfile {
         }
     }
 
-    /// A female profile.
-    pub fn female(seed: u64) -> Self {
-        SpeakerProfile {
-            pitch: PitchContour::female(),
-            formant_shift: 1.12,
-            rate: 1.05,
-            seed,
-        }
-    }
-
     /// A deterministic family of profiles indexed by `index`, spanning a
     /// plausible range of pitch, vocal-tract length and speaking rate.  Used
     /// to build multi-speaker datasets for the defense.
@@ -119,11 +109,6 @@ impl Synthesizer {
             ));
         }
         Ok(Synthesizer { sample_rate_hz })
-    }
-
-    /// Output sample rate in Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
     }
 
     /// Renders `command` with the given speaker profile.
@@ -263,7 +248,7 @@ mod tests {
         let synth = Synthesizer::new(48_000.0).unwrap();
         let c = &corpus()[0];
         let a = synth.render(c, &SpeakerProfile::canonical()).unwrap();
-        let b = synth.render(c, &SpeakerProfile::female(3)).unwrap();
+        let b = synth.render(c, &SpeakerProfile::variant(3)).unwrap();
         assert_ne!(a.signal.samples(), b.signal.samples());
         // Variants are all valid.
         for i in 0..12 {

@@ -114,13 +114,6 @@ fn push_region(
     }
 }
 
-/// Fraction of the signal's duration judged to be speech.
-pub fn speech_fraction(signal: &Signal, config: &VadConfig) -> Result<f64> {
-    let regions = detect_speech(signal, config)?;
-    let speech: f64 = regions.iter().map(|r| r.duration_s()).sum();
-    Ok(speech / signal.duration_s().max(1e-12))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +142,6 @@ mod tests {
         let r = regions[0];
         assert!((r.start_s - 0.5).abs() < 0.06, "start {}", r.start_s);
         assert!((r.end_s - 0.8).abs() < 0.06, "end {}", r.end_s);
-        assert!((speech_fraction(&s, &VadConfig::default()).unwrap() - 0.23).abs() < 0.08);
     }
 
     #[test]
@@ -183,6 +175,5 @@ mod tests {
         let s = Signal::silence(1.0, fs).unwrap();
         let regions = detect_speech(&s, &VadConfig::default()).unwrap();
         assert!(regions.is_empty());
-        assert_eq!(speech_fraction(&s, &VadConfig::default()).unwrap(), 0.0);
     }
 }

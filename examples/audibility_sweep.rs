@@ -50,10 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         "elements", "power (W)", "leak SPL (dB)", "voice-band (dB)", "audible"
     );
     for n in [2usize, 4, 8, 16] {
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, &cfg)?;
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), n, 0.03)?;
         let total_power = 7.0 * n as f64;
-        let drives = attack.element_drives(total_power, 0.3, 30.0)?;
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, total_power, 0.3, 30.0, &cfg)?;
+        let array = SpeakerArray::new(UltrasonicSpeaker::default(), n, 0.03)?;
+        let drives = attack.allocate_power(total_power, 0.3, 30.0)?.drives;
         let leak = estimate_leakage(&array, &drives, 1.0, &env, 0.0)?;
         println!(
             "{n:>10}  {total_power:>10.1}  {:>16.1}  {:>18.1}  {:>8}",

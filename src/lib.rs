@@ -43,11 +43,10 @@ pub mod prelude {
     pub use ivc_defense::prelude::*;
     pub use ivc_dsp::prelude::*;
     pub use ivc_experiments::{
-        merge_shards, run_campaign, run_shard, CampaignReport, CampaignSpec, CellCoords,
-        DeliverySpec, DetectorSpec, EnvironmentPreset, ShardArchive, ShardJob, ShardPlan,
-        ShardRange,
+        run_campaign, CampaignReport, CampaignSpec, CellCoords, DeliverySpec, DetectorSpec,
+        EnvironmentPreset, ShardArchive, ShardJob, ShardPlan, ShardRange,
     };
-    pub use ivc_room::{propagate_in_room, RoomInstance, RoomPreset};
+    pub use ivc_room::{RoomInstance, RoomPreset};
     pub use ivc_speech::prelude::*;
 
     // Every substrate prelude exports its own `Result` alias; pick the

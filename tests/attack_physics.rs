@@ -32,10 +32,18 @@ fn syllabic_voice() -> Signal {
 #[test]
 fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
     let voice = syllabic_voice();
-    let attack =
-        MultiSpeakerAttack::build(&voice, 40_000.0, 6, &BasebandConfig::default()).unwrap();
+    let attack = MultiSpeakerAttack::build(
+        &voice,
+        40_000.0,
+        6,
+        50.0,
+        0.3,
+        30.0,
+        &BasebandConfig::default(),
+    )
+    .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.element_drives(50.0, 0.3, 30.0).unwrap();
+    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
     let env = AirEnvironment::default();
 
     // The segmented field carries far less *intelligible* (voice-band)
@@ -91,10 +99,18 @@ fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
 #[test]
 fn a_linear_microphone_is_immune() {
     let voice = syllabic_voice();
-    let attack =
-        MultiSpeakerAttack::build(&voice, 40_000.0, 6, &BasebandConfig::default()).unwrap();
+    let attack = MultiSpeakerAttack::build(
+        &voice,
+        40_000.0,
+        6,
+        50.0,
+        0.3,
+        30.0,
+        &BasebandConfig::default(),
+    )
+    .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.element_drives(50.0, 0.3, 30.0).unwrap();
+    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 2.0, &env).unwrap();
 
@@ -121,10 +137,18 @@ fn echo_needs_the_attacker_closer_than_the_phone() {
     // The plastic-grille device attenuates ultrasound more, so at the same
     // distance its demodulated voice is weaker.
     let voice = syllabic_voice();
-    let attack =
-        MultiSpeakerAttack::build(&voice, 40_000.0, 6, &BasebandConfig::default()).unwrap();
+    let attack = MultiSpeakerAttack::build(
+        &voice,
+        40_000.0,
+        6,
+        50.0,
+        0.3,
+        30.0,
+        &BasebandConfig::default(),
+    )
+    .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.element_drives(50.0, 0.3, 30.0).unwrap();
+    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 3.0, &env).unwrap();
 
