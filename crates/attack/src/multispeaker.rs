@@ -24,6 +24,13 @@ pub struct MultiSpeakerAttack {
     pub carrier_hz: f64,
     /// The prepared baseband (for analysis and defense experiments).
     pub baseband: Signal,
+    /// The electrical budget the split was sized for, in watt; what
+    /// [`MultiSpeakerAttack::allocate_power`] places.
+    pub total_power_w: f64,
+    /// Share of the budget the carrier element(s) take, in `[0.05, 0.9]`.
+    pub carrier_power_fraction: f64,
+    /// Rating of one element, in watt.
+    pub max_element_power_w: f64,
 }
 
 /// How a total electrical budget was split across the elements — including
@@ -70,8 +77,8 @@ impl MultiSpeakerAttack {
     /// intermodulation of their own, so the extra elements cost nothing
     /// acoustically.
     ///
-    /// The budget only sizes the split; [`MultiSpeakerAttack::allocate_power`]
-    /// assigns the watts.
+    /// The attack keeps the budget: it sizes the split here, and
+    /// [`MultiSpeakerAttack::allocate_power`] assigns the same watts.
     pub fn build(
         voice: &Signal,
         carrier_hz: f64,
@@ -115,10 +122,13 @@ impl MultiSpeakerAttack {
             carrier_hz,
             drives,
             baseband,
+            total_power_w,
+            carrier_power_fraction,
+            max_element_power_w,
         })
     }
 
-    /// Splits `total_power_w` across the elements and reports exactly where
+    /// Splits the build's `total_power_w` across the elements and reports exactly where
     /// every watt went — including the watts that went nowhere.
     ///
     /// The carrier share (`total · fraction`) is spread equally over the
@@ -128,13 +138,12 @@ impl MultiSpeakerAttack {
     /// remainder is offered back to the carrier element(s) up to their
     /// rating.  Budget that still cannot be placed is **reported** as
     /// [`PowerAllocation::shortfall_w`] instead of being silently dropped.
-    pub fn allocate_power(
-        &self,
-        total_power_w: f64,
-        carrier_power_fraction: f64,
-        max_element_power_w: f64,
-    ) -> Result<PowerAllocation> {
-        validate_power_split(total_power_w, carrier_power_fraction, max_element_power_w)?;
+    pub fn allocate_power(&self) -> Result<PowerAllocation> {
+        let (total_power_w, carrier_power_fraction, max_element_power_w) = (
+            self.total_power_w,
+            self.carrier_power_fraction,
+            self.max_element_power_w,
+        );
         let n_carriers = self.carrier_elements as f64;
         let n_sidebands = self.drives.sideband_drives.len() as f64;
         // Carrier share, spread over the carrier element(s) and clamped.
@@ -255,8 +264,7 @@ mod tests {
         assert!(build(40_000.0, 4, 10.0, 0.99).is_err());
         let attack = build(40_000.0, 4, 10.0, 0.3).unwrap();
         assert_eq!(attack.num_elements, 4);
-        assert!(attack.allocate_power(0.0, 0.3, 30.0).is_err());
-        assert!(attack.allocate_power(10.0, 0.99, 30.0).is_err());
+        assert!(attack.allocate_power().is_ok());
     }
 
     #[test]
@@ -273,14 +281,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(attack.carrier_elements, 1);
-        let drives = attack.allocate_power(20.0, 0.25, 30.0).unwrap().drives;
+        let drives = attack.allocate_power().unwrap().drives;
         assert_eq!(drives.len(), 5);
         let total: f64 = drives.iter().map(|d| d.power_w).sum();
         assert!((total - 20.0).abs() < 1e-9);
         // Carrier element gets its requested fraction.
         assert!((drives[0].power_w - 5.0).abs() < 1e-9);
-        // Per-element cap is respected.
-        let capped = attack.allocate_power(200.0, 0.25, 30.0).unwrap().drives;
+        // Per-element cap is respected: the same array sized for 200 W.
+        let capped = MultiSpeakerAttack::build(
+            &voice,
+            40_000.0,
+            5,
+            200.0,
+            0.25,
+            30.0,
+            &BasebandConfig::default(),
+        )
+        .unwrap()
+        .allocate_power()
+        .unwrap()
+        .drives;
         assert!(capped.iter().all(|d| d.power_w <= 30.0 + 1e-9));
     }
 
@@ -299,7 +319,7 @@ mod tests {
         assert_eq!(big.carrier_elements, 4);
         assert_eq!(big.num_elements, 61);
         assert_eq!(big.drives.sideband_drives.len(), 57);
-        let allocation = big.allocate_power(400.0, 0.3, 30.0).unwrap();
+        let allocation = big.allocate_power().unwrap();
         assert_eq!(allocation.drives.len(), 61);
         // The full carrier share is placed (one carrier element could take
         // only 30 of the 120 W).
@@ -331,7 +351,7 @@ mod tests {
         .unwrap();
         assert_eq!(attack.carrier_elements, 2);
         // 4 elements rated 30 W each can place at most 120 W.
-        let allocation = attack.allocate_power(200.0, 0.25, 30.0).unwrap();
+        let allocation = attack.allocate_power().unwrap();
         assert!((allocation.allocated_total_w - 120.0).abs() < 1e-9);
         assert!((allocation.shortfall_w - 80.0).abs() < 1e-9);
         assert!(allocation.drives.iter().all(|d| d.power_w <= 30.0 + 1e-9));
@@ -340,8 +360,19 @@ mod tests {
         assert!((allocation.carrier_total_w - 60.0).abs() < 1e-9);
         assert!((allocation.sideband_total_w - 60.0).abs() < 1e-9);
         // Within the placeable range nothing is lost and the report matches
-        // the request.
-        let fits = attack.allocate_power(20.0, 0.25, 30.0).unwrap();
+        // the request: the same voice on 4 elements sized for 20 W.
+        let fits = MultiSpeakerAttack::build(
+            &voice,
+            40_000.0,
+            4,
+            20.0,
+            0.25,
+            30.0,
+            &BasebandConfig::default(),
+        )
+        .unwrap()
+        .allocate_power()
+        .unwrap();
         assert!(fits.shortfall_w.abs() < 1e-12);
         assert!((fits.allocated_total_w - 20.0).abs() < 1e-9);
         assert!((fits.requested_total_w - 20.0).abs() < 1e-9);
@@ -377,7 +408,7 @@ mod tests {
         )
         .unwrap();
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 8, 0.03).unwrap();
-        let drives = attack.allocate_power(60.0, 0.3, 30.0).unwrap().drives;
+        let drives = attack.allocate_power().unwrap().drives;
         let env = ivc_acoustics::environment::AirEnvironment::default();
         let field = array.field_at_target(&drives, 2.0, &env).unwrap();
 

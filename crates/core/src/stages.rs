@@ -186,7 +186,7 @@ impl Product for AttackInputs {
                 speaker.max_power_w,
                 &baseband,
             )?;
-            let allocation = attack.allocate_power(total_power_w, 0.3, speaker.max_power_w)?;
+            let allocation = attack.allocate_power()?;
             (allocation.drives, allocation.shortfall_w)
         };
         Ok(AttackBuild {

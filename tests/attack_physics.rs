@@ -43,7 +43,7 @@ fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
     )
     .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
+    let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
 
     // The segmented field carries far less *intelligible* (voice-band)
@@ -110,7 +110,7 @@ fn a_linear_microphone_is_immune() {
     )
     .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
+    let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 2.0, &env).unwrap();
 
@@ -148,7 +148,7 @@ fn echo_needs_the_attacker_closer_than_the_phone() {
     )
     .unwrap();
     let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
-    let drives = attack.allocate_power(50.0, 0.3, 30.0).unwrap().drives;
+    let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 3.0, &env).unwrap();
 
