@@ -2,12 +2,11 @@
 //! device's output rate, quantisation and the converter's noise floor.
 
 use crate::error::{AcousticsError, Result};
+use crate::noise::NormalSampler;
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::resample::{filter_and_resample, resample};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of an ADC stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,12 +81,11 @@ pub fn digitize(analog_full_scale: &Signal, config: &AdcConfig, seed: u64) -> Re
 /// The converter's noise floor, then quantisation and clipping to full
 /// scale.
 fn add_noise_and_quantize(mut resampled: Signal, config: &AdcConfig, seed: u64) -> Signal {
-    // Converter noise.
+    // Converter noise: one standard-normal draw per output sample.
     let noise_rms = 10f64.powf(config.noise_floor_dbfs / 20.0);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sampler = NormalSampler::new(seed);
     for x in resampled.samples_mut() {
-        let n: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
-        *x += n * noise_rms;
+        *x += sampler.sample() * noise_rms;
     }
 
     // Quantise and clip.
@@ -208,7 +206,12 @@ mod tests {
                     })
                     .collect();
                 let pressure = Signal::new(samples, fs).unwrap();
-                let analog = mic.analog_front_end(&pressure, seed, &mut scratch).unwrap();
+                let path = mic.shape_path(&pressure).unwrap();
+                let noise = mic
+                    .noise_shape(path.transform_len(), fs, Some(40.0))
+                    .unwrap();
+                noise.draw(seed, &mut scratch);
+                let analog = mic.analog_front_end(&path, &mut scratch).unwrap();
                 let folded = digitize(&analog, &mic.adc, seed).unwrap();
                 let reference = two_pass_digitize(&analog, &mic.adc, seed);
                 assert_eq!(folded, reference, "{device:?}, seed {seed}");

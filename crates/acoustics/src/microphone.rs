@@ -7,20 +7,42 @@
 //! filtering happens; the quadratic term therefore demodulates AM ultrasound
 //! into the audible band, where it sails through the anti-alias filter and
 //! into the speech recogniser.
+//!
+//! Everything before the non-linearity is linear, so the chain runs there
+//! in the frequency domain.  The grille/transducer response `H(f)` is a
+//! zero-phase gain, and ambient noise and capsule self noise both enter
+//! before the non-linearity, so `shape(clean + ambient) + self` is equal in
+//! distribution to `H·X + G`: `X` is the clean pressure's spectrum and `G`
+//! one Gaussian process with power spectrum `|H|²·S_ambient + σ²_self`.
+//! A capture therefore splits into what is fixed per path and what is
+//! drawn per seed:
+//!
+//! * [`Microphone::shape_path`] — `H·X`, once per clean path
+//!   ([`ShapedPath`]);
+//! * [`Microphone::noise_shape`] — `√PSD` per bin, once per transform
+//!   length and ambient level ([`NoiseShape`]);
+//! * per capture: one Gaussian draw of the noise bins
+//!   ([`NoiseShape::draw`]), the sum with `H·X` and one inverse FFT
+//!   ([`Microphone::front_end_synthesis`]), the non-linearity
+//!   ([`Microphone::front_end_nonlinearity`]) and the ADC
+//!   ([`digitize`]).
+//!
+//! [`Microphone::capture`] runs all of it for one pressure waveform.
 
 use crate::adc::{digitize, AdcConfig};
 use crate::error::{AcousticsError, Result};
-use crate::noise::add_white_noise;
+use crate::noise::{ambient_psd, NormalSampler};
 use crate::nonlinearity::Polynomial;
-use crate::shaping::{one_pole_low_pass_gain, shape_spectrum_into};
+use crate::shaping::one_pole_low_pass_gain;
 use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
+use ivc_dsp::fft::{irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 
-/// Reusable buffers for [`Microphone::capture_with_scratch`]: the
-/// half-spectrum workspace of the front-end shaping stage and the
-/// analog-chain work buffer.  One arena per worker thread removes the
-/// per-trial allocations of the capture path.
+/// Reusable buffers for [`Microphone::capture_shaped`]: the half spectrum
+/// the noise is drawn into and the analog-chain work buffer.  One arena
+/// per worker thread removes the per-trial allocations of the capture
+/// path.
 #[derive(Debug, Default)]
 pub struct CaptureScratch {
     spectrum: Vec<Complex>,
@@ -34,10 +56,103 @@ impl CaptureScratch {
     }
 
     /// Returns the buffer of an analog signal from
-    /// [`Microphone::analog_front_end`] to the arena for the next capture.
+    /// [`Microphone::front_end_synthesis`] to the arena for the next
+    /// capture.
     pub fn recycle(&mut self, analog: Signal) {
         self.work = analog.into_samples();
     }
+}
+
+/// A clean pressure path at the device port, through the front end: the
+/// half spectrum `H·X` of its `transform_len`-point transform, scaled to
+/// digital full scale.  Fixed per path, so every capture of it shares one.
+///
+/// It is computed in double precision and held in single precision
+/// (`[re, im]` per bin), which halves what a prepared cell keeps: the
+/// rounding, about −150 dB relative to each bin, is far below the 16-bit
+/// converter's quantisation step (−98 dBFS).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShapedPath {
+    spectrum: Vec<[f32; 2]>,
+    len: usize,
+    sample_rate_hz: f64,
+}
+
+impl ShapedPath {
+    /// Length of the transform, a power of two no shorter than the path.
+    pub fn transform_len(&self) -> usize {
+        2 * (self.spectrum.len() - 1)
+    }
+
+    /// Sample rate of the path, in Hz.
+    pub fn sample_rate_hz(&self) -> f64 {
+        self.sample_rate_hz
+    }
+
+    /// Bytes the spectrum holds.
+    pub fn byte_size(&self) -> usize {
+        self.spectrum.len() * std::mem::size_of::<[f32; 2]>()
+    }
+}
+
+/// The noise at the non-linearity's input — ambient room noise through the
+/// front end plus capsule self noise — as the standard deviation of each
+/// real component of each bin of a `transform_len`-point half spectrum,
+/// scaled to digital full scale.  Held in single precision, like
+/// [`ShapedPath`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoiseShape {
+    deviation: Vec<f32>,
+    sample_rate_hz: f64,
+}
+
+impl NoiseShape {
+    /// Length of the transform the shape is drawn for.
+    pub fn transform_len(&self) -> usize {
+        2 * (self.deviation.len() - 1)
+    }
+
+    /// Sample rate the shape is drawn at, in Hz.
+    pub fn sample_rate_hz(&self) -> f64 {
+        self.sample_rate_hz
+    }
+
+    /// Whether captures of `path` draw their noise from this shape.
+    pub fn fits(&self, path: &ShapedPath) -> bool {
+        self.transform_len() == path.transform_len() && self.sample_rate_hz == path.sample_rate_hz
+    }
+
+    /// Bytes the table holds.
+    pub fn byte_size(&self) -> usize {
+        self.deviation.len() * std::mem::size_of::<f32>()
+    }
+
+    /// Draws capture `seed`'s noise bins into the arena's spectrum: one
+    /// complex Gaussian per bin (real at DC and Nyquist), scaled by the
+    /// shape.  The stream is the seed's front-end stream; the ADC's noise
+    /// floor draws from the seed itself.
+    pub fn draw(&self, seed: u64, scratch: &mut CaptureScratch) {
+        let mut sampler = NormalSampler::new(seed ^ 0xDEAD_BEEF);
+        let bins = &mut scratch.spectrum;
+        bins.clear();
+        bins.reserve_exact(self.deviation.len());
+        let (&dc, rest) = self.deviation.split_first().expect("at least two bins");
+        let (&nyquist, interior) = rest.split_last().expect("at least two bins");
+        bins.push(Complex::from_real(f64::from(dc) * sampler.sample()));
+        for &deviation in interior {
+            let deviation = f64::from(deviation);
+            let re = deviation * sampler.sample();
+            bins.push(Complex::new(re, deviation * sampler.sample()));
+        }
+        bins.push(Complex::from_real(f64::from(nyquist) * sampler.sample()));
+    }
+}
+
+/// [`ivc_dsp::fft::bin_frequency`] for the half spectrum's bins `0..=n/2`,
+/// bit for bit, without its wrap-around for negative frequencies.
+#[inline]
+fn half_bin_frequency(bin: usize, n: usize, sample_rate_hz: f64) -> f64 {
+    bin as f64 * sample_rate_hz / n as f64
 }
 
 /// The acoustic front-end's gain (grille + transducer response) with its
@@ -192,100 +307,167 @@ pub struct Microphone {
 
 impl Microphone {
     /// Converts a pressure waveform at the microphone port (pascal) into the
-    /// digital recording the device's software receives.
+    /// digital recording the device's software receives, with capsule self
+    /// noise and no ambient noise.
     ///
-    /// The stages, in order: grille/transducer response → capsule self noise
-    /// → normalisation against the acoustic overload point → polynomial
-    /// non-linearity → anti-alias filter + resampling + quantisation.
+    /// The stages, in order: grille/transducer response and capsule self
+    /// noise (one frequency-domain synthesis) → normalisation against the
+    /// acoustic overload point → polynomial non-linearity → anti-alias
+    /// filter + resampling + quantisation.
     pub fn capture(&self, pressure_at_port: &Signal, seed: u64) -> Result<Signal> {
-        self.capture_with_scratch(pressure_at_port, seed, &mut CaptureScratch::new())
+        let path = self.shape_path(pressure_at_port)?;
+        let noise = self.noise_shape(path.transform_len(), path.sample_rate_hz(), None)?;
+        self.capture_shaped(&path, &noise, seed, &mut CaptureScratch::new())
     }
 
-    /// [`Microphone::capture`] reusing a caller-owned scratch arena for the
-    /// intermediate buffers (front-end shaping workspace and the analog
-    /// chain), bit-identical to the allocating path.
-    pub fn capture_with_scratch(
+    /// Captures `path` with noise drawn from `noise` for `seed`, reusing a
+    /// caller-owned scratch arena: [`NoiseShape::draw`],
+    /// [`front_end_synthesis`](Self::front_end_synthesis),
+    /// [`front_end_nonlinearity`](Self::front_end_nonlinearity) and
+    /// [`digitize`] in turn.  The result does not depend on the arena's
+    /// history.
+    pub fn capture_shaped(
         &self,
-        pressure_at_port: &Signal,
+        path: &ShapedPath,
+        noise: &NoiseShape,
         seed: u64,
         scratch: &mut CaptureScratch,
     ) -> Result<Signal> {
-        let analog = self.analog_front_end(pressure_at_port, seed, scratch)?;
+        noise.draw(seed, scratch);
+        let analog = self.analog_front_end(path, scratch)?;
         let digital = digitize(&analog, &self.adc, seed);
         scratch.recycle(analog);
         digital
     }
 
-    /// The analog half of [`Microphone::capture`]: grille/transducer
-    /// response, capsule self noise, normalisation against the acoustic
-    /// overload point and the non-linearity.  The result, at the input
-    /// rate and relative to full scale, is what [`digitize`] with this
-    /// microphone's `adc` turns into the recording.
-    ///
-    /// It is [`Microphone::front_end_shaping`] followed by
-    /// [`Microphone::front_end_self_noise`]; callers that time the two
-    /// halves separately call them in turn.
-    ///
-    /// The returned signal owns the arena's work buffer; hand it back with
-    /// [`CaptureScratch::recycle`] once digitised.
-    pub fn analog_front_end(
-        &self,
-        pressure_at_port: &Signal,
-        seed: u64,
-        scratch: &mut CaptureScratch,
-    ) -> Result<Signal> {
-        let shaped = self.front_end_shaping(pressure_at_port, scratch)?;
-        self.front_end_self_noise(shaped, seed)
+    /// Full-scale gain: the pressure peak at the acoustic overload point
+    /// maps to 1.
+    fn full_scale_gain(&self) -> f64 {
+        1.0 / (spl_db_to_pressure(self.acoustic_overload_point_db_spl) * std::f64::consts::SQRT_2)
     }
 
-    /// The first half of [`Microphone::analog_front_end`]: the
-    /// grille/transducer response applied in the frequency domain, in
-    /// pascal, written into the arena's work buffer.
-    pub fn front_end_shaping(
-        &self,
-        pressure_at_port: &Signal,
-        scratch: &mut CaptureScratch,
-    ) -> Result<Signal> {
+    /// The clean part of a capture: the grille/transducer response applied
+    /// to the spectrum of `pressure_at_port` (pascal), normalised to full
+    /// scale.
+    pub fn shape_path(&self, pressure_at_port: &Signal) -> Result<ShapedPath> {
         if pressure_at_port.is_empty() {
             return Err(AcousticsError::invalid("pressure_at_port", "empty signal"));
         }
-        let mut work = std::mem::take(&mut scratch.work);
+        let fs = pressure_at_port.sample_rate_hz();
+        let n = next_power_of_two(pressure_at_port.len()).max(2);
+        let mut spectrum = Vec::new();
+        rfft_into(pressure_at_port.samples(), n, &mut spectrum)?;
         let response = FrontEndResponse::new(self);
-        shape_spectrum_into(
-            pressure_at_port,
-            |f| response.gain(f),
-            &mut scratch.spectrum,
-            &mut work,
-        )?;
-        Ok(Signal::new(work, pressure_at_port.sample_rate_hz())?)
+        let full_scale = self.full_scale_gain();
+        let spectrum = spectrum
+            .iter()
+            .enumerate()
+            .map(|(k, value)| {
+                let shaped = value.scale(response.gain(half_bin_frequency(k, n, fs)) * full_scale);
+                [shaped.re as f32, shaped.im as f32]
+            })
+            .collect();
+        Ok(ShapedPath {
+            spectrum,
+            len: pressure_at_port.len(),
+            sample_rate_hz: fs,
+        })
     }
 
-    /// The second half of [`Microphone::analog_front_end`]: capsule self
-    /// noise, normalisation to full scale and the non-linearity, in place
-    /// on the output of [`Microphone::front_end_shaping`].
-    pub fn front_end_self_noise(&self, shaped: Signal, seed: u64) -> Result<Signal> {
-        let sample_rate_hz = shaped.sample_rate_hz();
-        let mut work = shaped.into_samples();
-        // Capsule self noise (pressure-equivalent, added before the
-        // non-linearity like the real thermal-acoustic noise is).
-        let noise_rms_pa = spl_db_to_pressure(self.self_noise_db_spl);
-        add_white_noise(
-            &mut work,
-            noise_rms_pa,
-            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )?;
-
-        // Normalise to full scale at the acoustic overload point.
-        let fs_pressure_peak =
-            spl_db_to_pressure(self.acoustic_overload_point_db_spl) * std::f64::consts::SQRT_2;
-        let gain = 1.0 / fs_pressure_peak;
-        for s in work.iter_mut() {
-            *s *= gain;
+    /// The noise part of a capture for a `transform_len`-point transform at
+    /// `sample_rate_hz`: ambient room noise at `ambient_spl_db` (none for
+    /// `None`; see [`ambient_psd`]) through the front-end response, plus
+    /// white capsule self noise at `self_noise_db_spl`.  Each bin's
+    /// deviation makes the inverse transform's samples carry exactly that
+    /// power spectrum.
+    pub fn noise_shape(
+        &self,
+        transform_len: usize,
+        sample_rate_hz: f64,
+        ambient_spl_db: Option<f64>,
+    ) -> Result<NoiseShape> {
+        let n = transform_len;
+        if n < 2 || !n.is_power_of_two() {
+            return Err(AcousticsError::invalid(
+                "transform_len",
+                "must be a power of two, at least 2",
+            ));
         }
+        let ambient = match ambient_spl_db {
+            Some(spl_db) => ambient_psd(spl_db, n, sample_rate_hz)?,
+            None => vec![0.0; n / 2 + 1],
+        };
+        let self_noise = spl_db_to_pressure(self.self_noise_db_spl).powi(2);
+        let response = FrontEndResponse::new(self);
+        let full_scale = self.full_scale_gain();
+        // An inverse transform scaled by 1/n turns bins of mean power
+        // n·P(k) into samples of spectrum P; the interior bins split that
+        // power between their real and imaginary parts.
+        let deviation = ambient
+            .iter()
+            .enumerate()
+            .map(|(k, ambient)| {
+                let gain = response.gain(half_bin_frequency(k, n, sample_rate_hz));
+                let psd = gain * gain * ambient + self_noise;
+                let components = if k == 0 || k == n / 2 { 1.0 } else { 2.0 };
+                (full_scale * (n as f64 * psd / components).sqrt()) as f32
+            })
+            .collect();
+        Ok(NoiseShape {
+            deviation,
+            sample_rate_hz,
+        })
+    }
 
-        // Transducer/amplifier non-linearity (memoryless).
-        self.nonlinearity.apply_in_place(&mut work);
-        Ok(Signal::new(work, sample_rate_hz)?)
+    /// The analog half of a capture, after [`NoiseShape::draw`]:
+    /// [`front_end_synthesis`](Self::front_end_synthesis) then
+    /// [`front_end_nonlinearity`](Self::front_end_nonlinearity).  The
+    /// result, at the path's rate and relative to full scale, is what
+    /// [`digitize`] with this microphone's `adc` turns into the recording.
+    pub fn analog_front_end(
+        &self,
+        path: &ShapedPath,
+        scratch: &mut CaptureScratch,
+    ) -> Result<Signal> {
+        let synthesized = self.front_end_synthesis(path, scratch)?;
+        Ok(self.front_end_nonlinearity(synthesized))
+    }
+
+    /// The signal at the non-linearity's input: the noise bins drawn into
+    /// the arena plus `path`'s spectrum, through one inverse transform and
+    /// truncated to the path's length.  It is written into the arena's
+    /// work buffer; hand it back with [`CaptureScratch::recycle`].
+    pub fn front_end_synthesis(
+        &self,
+        path: &ShapedPath,
+        scratch: &mut CaptureScratch,
+    ) -> Result<Signal> {
+        let bins = &mut scratch.spectrum;
+        if bins.len() != path.spectrum.len() {
+            return Err(AcousticsError::invalid(
+                "path",
+                format!(
+                    "a {}-point path needs noise drawn for that transform length, not {}",
+                    path.transform_len(),
+                    2 * bins.len().saturating_sub(1)
+                ),
+            ));
+        }
+        for (bin, &[re, im]) in bins.iter_mut().zip(&path.spectrum) {
+            *bin += Complex::new(f64::from(re), f64::from(im));
+        }
+        let mut work = std::mem::take(&mut scratch.work);
+        irfft_into(bins, &mut work)?;
+        work.truncate(path.len);
+        Ok(Signal::new(work, path.sample_rate_hz)?)
+    }
+
+    /// Transducer/amplifier non-linearity (memoryless), in place on the
+    /// output of [`front_end_synthesis`](Self::front_end_synthesis).
+    pub fn front_end_nonlinearity(&self, synthesized: Signal) -> Signal {
+        let mut analog = synthesized;
+        self.nonlinearity.apply_in_place(analog.samples_mut());
+        analog
     }
 }
 
@@ -441,6 +623,7 @@ mod tests {
             for (n, fs) in [(1usize << 15, 48_000.0), (1 << 17, 192_000.0)] {
                 for k in 0..=n / 2 {
                     let f = bin_frequency(k, n, fs);
+                    assert_eq!(half_bin_frequency(k, n, fs).to_bits(), f.to_bits());
                     assert_eq!(
                         response.gain(f).to_bits(),
                         mic.front_end_gain(f).to_bits(),
@@ -459,13 +642,173 @@ mod tests {
     fn front_end_halves_compose_to_the_whole() {
         let mic = DevicePreset::AmazonEcho.microphone();
         let p = pressure_tone(40_000.0, 100.0, 0.05, 192_000.0);
-        let mut scratch = CaptureScratch::new();
-        let whole = mic.analog_front_end(&p, 5, &mut scratch).unwrap();
-        let shaped = mic
-            .front_end_shaping(&p, &mut CaptureScratch::new())
+        let path = mic.shape_path(&p).unwrap();
+        let noise = mic
+            .noise_shape(path.transform_len(), 192_000.0, Some(45.0))
             .unwrap();
-        let halves = mic.front_end_self_noise(shaped, 5).unwrap();
-        assert_eq!(whole, halves);
+        let mut scratch = CaptureScratch::new();
+        let whole = mic.capture_shaped(&path, &noise, 5, &mut scratch).unwrap();
+        // The steps one by one, with a fresh arena.
+        let mut fresh = CaptureScratch::new();
+        noise.draw(5, &mut fresh);
+        let synthesized = mic.front_end_synthesis(&path, &mut fresh).unwrap();
+        let analog = mic.front_end_nonlinearity(synthesized);
+        assert_eq!(analog.len(), p.len());
+        assert_eq!(digitize(&analog, &mic.adc, 5).unwrap(), whole);
+        // A reused arena gives the same capture.
+        assert_eq!(
+            mic.capture_shaped(&path, &noise, 5, &mut scratch).unwrap(),
+            whole
+        );
+    }
+
+    #[test]
+    fn noise_must_be_drawn_for_the_paths_transform() {
+        let mic = DevicePreset::AndroidPhone.microphone();
+        let path = mic
+            .shape_path(&pressure_tone(1_000.0, 70.0, 0.05, 48_000.0))
+            .unwrap();
+        let other = mic.noise_shape(1 << 10, 48_000.0, None).unwrap();
+        assert!(!other.fits(&path));
+        let mut scratch = CaptureScratch::new();
+        assert!(mic.capture_shaped(&path, &other, 1, &mut scratch).is_err());
+        assert!(mic.noise_shape(1000, 48_000.0, None).is_err());
+        assert!(mic.noise_shape(1 << 10, 48_000.0, Some(130.0)).is_err());
+    }
+
+    #[test]
+    fn noise_free_synthesis_is_the_time_domain_shaping() {
+        // With no noise, the synthesis is the front-end response applied by
+        // the shaping pass, scaled to full scale.
+        let mut mic = DevicePreset::AmazonEcho.microphone();
+        mic.self_noise_db_spl = f64::NEG_INFINITY;
+        let fs = 192_000.0;
+        let mut p = pressure_tone(40_000.0, 100.0, 0.05, fs);
+        p.mix(&pressure_tone(1_000.0, 80.0, 0.05, fs)).unwrap();
+        let path = mic.shape_path(&p).unwrap();
+        let noise = mic.noise_shape(path.transform_len(), fs, None).unwrap();
+        let mut scratch = CaptureScratch::new();
+        noise.draw(3, &mut scratch);
+        let synthesized = mic.front_end_synthesis(&path, &mut scratch).unwrap();
+        let response = FrontEndResponse::new(&mic);
+        let reference = crate::shaping::shape_spectrum(&p, |f| response.gain(f)).unwrap();
+        let full_scale = mic.full_scale_gain();
+        let peak = reference.peak() * full_scale;
+        for (a, b) in synthesized.samples().iter().zip(reference.samples()) {
+            // Within the single-precision rounding of the held spectrum.
+            assert!(
+                (a - b * full_scale).abs() < 1e-6 * peak,
+                "{a} vs {}",
+                b * full_scale
+            );
+        }
+    }
+
+    /// The noise at the non-linearity's input, averaged as a Welch PSD over
+    /// `seeds` and integrated over each 1/3-octave band from 20 Hz to
+    /// 0.47·fs: by the time-domain reference chain (pink ambient noise at
+    /// the port, the front-end shaping pass, white self noise, full-scale
+    /// normalisation) and by the frequency-domain synthesis.
+    fn pre_nonlinearity_band_powers(
+        device: DevicePreset,
+        fs: f64,
+        len: usize,
+        seeds: std::ops::Range<u64>,
+    ) -> Vec<(f64, f64, f64)> {
+        use crate::noise::reference::{add_white_noise, room_noise_pa};
+        use ivc_dsp::spectrum::welch_psd;
+        use ivc_dsp::window::WindowKind;
+        let mic = device.microphone();
+        let ambient_spl_db = 40.0;
+        let response = FrontEndResponse::new(&mic);
+        let full_scale = mic.full_scale_gain();
+        let self_noise_rms = spl_db_to_pressure(mic.self_noise_db_spl);
+        let path = mic
+            .shape_path(&Signal::new(vec![0.0; len], fs).unwrap())
+            .unwrap();
+        let noise = mic
+            .noise_shape(path.transform_len(), fs, Some(ambient_spl_db))
+            .unwrap();
+        // 1.5 Hz bins: the 20 Hz band (4.6 Hz wide) spans three.
+        let segment = (fs / 1.5).log2().ceil().exp2() as usize;
+        let welch =
+            |samples: &[f64]| welch_psd(samples, fs, segment, 0.5, WindowKind::Hann).unwrap();
+        let mut scratch = CaptureScratch::new();
+        let (mut old, mut new) = (None::<Vec<f64>>, None::<Vec<f64>>);
+        let accumulate = |sum: &mut Option<Vec<f64>>, psd: Vec<f64>| match sum {
+            Some(sum) => sum.iter_mut().zip(psd).for_each(|(s, p)| *s += p),
+            None => *sum = Some(psd),
+        };
+        let mut frequencies = Vec::new();
+        for seed in seeds {
+            let ambient = room_noise_pa(ambient_spl_db, len as f64 / fs, fs, seed).unwrap();
+            let mut chain = crate::shaping::shape_spectrum(&ambient, |f| response.gain(f))
+                .unwrap()
+                .into_samples();
+            add_white_noise(
+                &mut chain,
+                self_noise_rms,
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            chain.iter_mut().for_each(|x| *x *= full_scale);
+            accumulate(&mut old, welch(&chain).power);
+
+            noise.draw(seed, &mut scratch);
+            let synthesized = mic.front_end_synthesis(&path, &mut scratch).unwrap();
+            let psd = welch(synthesized.samples());
+            frequencies = psd.frequencies_hz;
+            accumulate(&mut new, psd.power);
+            scratch.recycle(synthesized);
+        }
+        let (old, new) = (old.unwrap(), new.unwrap());
+        let band = |psd: &[f64], low: f64, high: f64| -> f64 {
+            frequencies
+                .iter()
+                .zip(psd)
+                .filter(|(f, _)| (low..=high).contains(*f))
+                .map(|(_, p)| p)
+                .sum()
+        };
+        let edge = 2f64.powf(1.0 / 6.0);
+        (0..)
+            .map(|i| 20.0 * 2f64.powf(i as f64 / 3.0))
+            .take_while(|centre| centre * edge <= 0.47 * fs)
+            .map(|centre| {
+                let (low, high) = (centre / edge, centre * edge);
+                (centre, band(&old, low, high), band(&new, low, high))
+            })
+            .collect()
+    }
+
+    fn assert_pre_nonlinearity_psd_matches(device: DevicePreset, fs: f64, len: usize) {
+        let bands = pre_nonlinearity_band_powers(device, fs, len, 0..64);
+        for (centre, old, new) in bands {
+            let delta_db = 10.0 * (new / old).log10();
+            assert!(
+                delta_db.abs() <= 0.5,
+                "{device:?} at {fs} Hz: the {centre:.0} Hz band is {delta_db:+.2} dB off"
+            );
+        }
+    }
+
+    #[test]
+    fn synthesized_noise_matches_the_time_domain_chain_phone_48k() {
+        assert_pre_nonlinearity_psd_matches(DevicePreset::AndroidPhone, 48_000.0, 1 << 17);
+    }
+
+    #[test]
+    fn synthesized_noise_matches_the_time_domain_chain_echo_48k() {
+        assert_pre_nonlinearity_psd_matches(DevicePreset::AmazonEcho, 48_000.0, 1 << 17);
+    }
+
+    #[test]
+    fn synthesized_noise_matches_the_time_domain_chain_phone_192k() {
+        assert_pre_nonlinearity_psd_matches(DevicePreset::AndroidPhone, 192_000.0, 1 << 19);
+    }
+
+    #[test]
+    fn synthesized_noise_matches_the_time_domain_chain_echo_192k() {
+        assert_pre_nonlinearity_psd_matches(DevicePreset::AmazonEcho, 192_000.0, 1 << 19);
     }
 
     #[test]

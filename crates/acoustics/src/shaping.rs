@@ -7,7 +7,6 @@
 //! because only magnitudes matter for the effects being studied.
 
 use crate::error::Result;
-use ivc_dsp::complex::Complex;
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 
@@ -19,29 +18,10 @@ pub fn shape_spectrum(input: &Signal, gain_at: impl Fn(f64) -> f64) -> Result<Si
     if input.is_empty() {
         return Ok(input.clone());
     }
-    let mut spectrum = Vec::new();
-    let mut out = Vec::new();
-    shape_spectrum_into(input, gain_at, &mut spectrum, &mut out)?;
-    Ok(Signal::new(out, input.sample_rate_hz())?)
-}
-
-/// [`shape_spectrum`] writing into caller-owned buffers: `spectrum` is the
-/// half-spectrum workspace of the real transform and `out` receives the
-/// shaped samples (both are cleared and resized).  Hot paths reuse the
-/// allocations across calls.
-pub fn shape_spectrum_into(
-    input: &Signal,
-    gain_at: impl Fn(f64) -> f64,
-    spectrum: &mut Vec<Complex>,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    if input.is_empty() {
-        out.clear();
-        return Ok(());
-    }
     let fs = input.sample_rate_hz();
     let n = next_power_of_two(input.len());
-    rfft_into(input.samples(), n, spectrum)?;
+    let mut spectrum = Vec::new();
+    rfft_into(input.samples(), n, &mut spectrum)?;
     // The half spectrum holds bins 0..=n/2, all at non-negative
     // frequencies; their mirror images get the same gain.
     for (k, value) in spectrum.iter_mut().enumerate() {
@@ -49,9 +29,10 @@ pub fn shape_spectrum_into(
         let g = gain_at(f).max(0.0);
         *value = value.scale(g);
     }
-    irfft_into(spectrum, out)?;
+    let mut out = Vec::new();
+    irfft_into(&mut spectrum, &mut out)?;
     out.truncate(input.len());
-    Ok(())
+    Ok(Signal::new(out, fs)?)
 }
 
 /// First-order low-pass magnitude response with corner `corner_hz`.

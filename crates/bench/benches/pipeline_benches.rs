@@ -1,11 +1,15 @@
 //! Criterion benches for the end-to-end trial pipeline (the unit of work
-//! behind every accuracy-vs-distance point in the reproduction), a whole
-//! quick campaign, the shard merge and the columnar wire format.  These
-//! are local layer timings; the end-to-end perf ledger is `perfbench/`.
+//! behind every accuracy-vs-distance point in the reproduction), the
+//! microphone capture's steps, a whole quick campaign, the shard merge
+//! and the columnar wire format.  These are local layer timings; the
+//! end-to-end perf ledger is `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ivc_acoustics::adc::digitize;
+use ivc_acoustics::microphone::{CaptureScratch, DevicePreset};
 use ivc_core::run_trial;
 use ivc_core::scenario::{Delivery, Scenario};
+use ivc_dsp::signal::Signal;
 use ivc_experiments::shard::{merge_shards, ShardArchive, ShardPlan};
 use ivc_experiments::{CampaignSpec, DeliverySpec, TrialRecord};
 use ivc_speech::commands::corpus;
@@ -41,6 +45,45 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| run_trial(command, &attack, &recognizer, None).unwrap())
     });
 
+    group.finish();
+}
+
+/// The capture of a 0.6 s attack at 192 kHz (a 131 072-point transform):
+/// Prepare's two per-cell products, then Perturb's per-trial steps.
+fn bench_capture(c: &mut Criterion) {
+    let mut group = c.benchmark_group("capture");
+    group.sample_size(20);
+    let mic = DevicePreset::AndroidPhone.microphone();
+    let pressure = Signal::tone(40_000.0, 2.0, 0.6, 192_000.0).unwrap();
+    group.bench_function("shape_path_192k_0p6s", |b| {
+        b.iter(|| mic.shape_path(std::hint::black_box(&pressure)).unwrap())
+    });
+    let path = mic.shape_path(&pressure).unwrap();
+    group.bench_function("noise_shape_131072", |b| {
+        b.iter(|| {
+            mic.noise_shape(std::hint::black_box(131_072), 192_000.0, Some(40.0))
+                .unwrap()
+        })
+    });
+    let noise = mic
+        .noise_shape(path.transform_len(), 192_000.0, Some(40.0))
+        .unwrap();
+    let mut scratch = CaptureScratch::new();
+    group.bench_function("noise_draw_131072", |b| {
+        b.iter(|| noise.draw(std::hint::black_box(7), &mut scratch))
+    });
+    group.bench_function("front_end_synthesis_192k_0p6s", |b| {
+        b.iter(|| {
+            noise.draw(7, &mut scratch);
+            let synthesized = mic.front_end_synthesis(&path, &mut scratch).unwrap();
+            scratch.recycle(synthesized);
+        })
+    });
+    noise.draw(7, &mut scratch);
+    let analog = mic.analog_front_end(&path, &mut scratch).unwrap();
+    group.bench_function("adc_192k_0p6s", |b| {
+        b.iter(|| digitize(std::hint::black_box(&analog), &mic.adc, 7).unwrap())
+    });
     group.finish();
 }
 
@@ -119,5 +162,11 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_campaign, bench_merge);
+criterion_group!(
+    benches,
+    bench_pipeline,
+    bench_capture,
+    bench_campaign,
+    bench_merge
+);
 criterion_main!(benches);

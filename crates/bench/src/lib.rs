@@ -738,6 +738,9 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
             "prepare.rir_build",
             "prepare.convolution",
             "prepare.leakage",
+            "prepare.capture_spectra",
+            "prepare.capture_spectrum_bytes",
+            "prepare.noise_table_bytes",
             "prepare.cache_wait",
             "prepare_cache.wait",
         ],
@@ -748,8 +751,8 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
             "perturb.ambient_noise",
             "perturb.mic_capture",
             "perturb.mic_capture.front_end",
-            "perturb.mic_capture.front_end.shaping",
-            "perturb.mic_capture.front_end.self_noise",
+            "perturb.mic_capture.front_end.synthesis",
+            "perturb.mic_capture.front_end.nonlinearity",
             "perturb.mic_capture.adc",
         ],
     ),

@@ -7,7 +7,7 @@
 
 use crate::prepare_cache::Product;
 use crate::scenario::{Delivery, Scenario};
-use crate::stages::{perturb_path, CellInputs, TrialScratch};
+use crate::stages::{noise_for, perturb_path, shape_for_capture, CellInputs, TrialScratch};
 use crate::telemetry;
 use crate::Result;
 use ivc_acoustics::microphone::DevicePreset;
@@ -132,6 +132,10 @@ impl DatasetConfig {
     pub fn labelled_features(&self) -> Result<Vec<(FeatureVector, bool)>> {
         let microphone = self.device.microphone();
         let mut scratch = TrialScratch::new();
+        // Noise shapes depend on the transform length alone (one device,
+        // one ambient level), so the corpus's few are shared by all its
+        // recordings.
+        let mut noise = Vec::new();
         let mut samples = Vec::new();
         for cell in self.cells()? {
             for &seed in &cell.seeds {
@@ -149,12 +153,14 @@ impl DatasetConfig {
                     // process, a quarter more peak RSS on a `repeat`-shaped
                     // run.  The attack build and the renders the path
                     // reads still come through the cache.
-                    let clean = {
+                    let shaped = {
                         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
-                        path.build()?
+                        let clean = path.build()?;
+                        let noise_spl_db = self.ambient_noise_spl_db;
+                        shape_for_capture(&microphone, &clean, noise_spl_db, &mut noise)?
                     };
-                    let noise_spl_db = self.ambient_noise_spl_db;
-                    perturb_path(&clean, &microphone, noise_spl_db, seed, &mut scratch)?
+                    let shape = noise_for(&noise, &shaped)?;
+                    perturb_path(&shaped, shape, &microphone, seed, &mut scratch)?
                 };
                 let _span = telemetry::span("campaign.detector_train.features");
                 let features = DefenseFeatures::extract(&recording)?.to_vector();

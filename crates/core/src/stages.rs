@@ -9,11 +9,20 @@
 //!
 //! * **Prepare** ([`PreparedCell::prepare`]) — everything cell-invariant,
 //!   packaged as an immutable [`PreparedCell`]: the clean (noise-free)
-//!   pressure waveform at the device port per talker, the leakage report
-//!   and the power shortfall.  Prepared once per cell and shared by
-//!   reference across worker threads.
-//! * **Perturb** ([`PreparedCell::perturb`]) — the seed-dependent part:
-//!   ambient-noise draw, microphone capture and ADC.
+//!   pressure at the device port per talker, through the microphone's
+//!   front end as a spectrum ([`ShapedPath`]); one noise shape
+//!   ([`NoiseShape`], the per-bin deviation of ambient plus self noise)
+//!   per transform length those paths need; the leakage report and the
+//!   power shortfall.  Prepared once per cell and shared by reference
+//!   across worker threads.
+//! * **Perturb** ([`PreparedCell::perturb`]) — the seed-dependent part,
+//!   synthesised in the frequency domain: one Gaussian draw of the noise
+//!   bins, their sum with the path's spectrum through one inverse FFT,
+//!   the microphone's non-linearity and the ADC.  Noise only has to reach
+//!   the non-linearity together with the ultrasound, and everything before
+//!   it is linear, so this equals in distribution adding pink ambient
+//!   noise at the port and white self noise after the front end (see
+//!   [`ivc_acoustics::microphone`]).
 //! * **Evaluate** ([`PreparedCell::evaluate`]) — recognition, defense
 //!   feature extraction and the optional trained detector.
 //!
@@ -26,9 +35,9 @@
 //!
 //! The detector's training corpus ([`crate::dataset`]) is one more
 //! caller of the same stages: its cells are projected by
-//! [`CellInputs::project`], their paths built by [`Product::build`] and
-//! captured by the one Perturb body, so the detector trains on exactly
-//! the recordings trials score.
+//! [`CellInputs::project`], their paths built by [`Product::build`],
+//! shaped for capture like a cell's and captured by the one Perturb body,
+//! so the detector trains on exactly the recordings trials score.
 //!
 //! [`crate::pipeline::run_trial`] survives as the compose-all wrapper; the
 //! staged outputs are pinned per delivery kind × room axis by the trial
@@ -48,8 +57,7 @@ use crate::Result;
 use ivc_acoustics::adc::digitize;
 use ivc_acoustics::array::SpeakerArray;
 use ivc_acoustics::environment::AirEnvironment;
-use ivc_acoustics::microphone::{CaptureScratch, Microphone};
-use ivc_acoustics::noise::room_noise_pa;
+use ivc_acoustics::microphone::{CaptureScratch, Microphone, NoiseShape, ShapedPath};
 use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
 use ivc_acoustics::speaker::UltrasonicSpeaker;
 use ivc_acoustics::spl::spl_db_to_pressure;
@@ -407,17 +415,52 @@ impl CellInputs {
     }
 }
 
-/// The clean (noise-free) pressure at the device port, per talker path.
+/// The clean (noise-free) pressure at the device port through the
+/// microphone's front end, per talker path.
 ///
-/// Paths are `Arc`-shared with the process-wide Prepare cache: cells that
-/// agree on the propagation sub-tuple hold the same allocation.
+/// The spectra belong to the cell and are dropped with it: the clean
+/// waveforms they are computed from stay in the process-wide Prepare
+/// cache, which would pin the spectra for the life of the process.
 #[derive(Debug, Clone)]
 enum PreparedPaths {
     /// Attack deliveries: the canonical TTS voice — one path.
-    Attack(Arc<Signal>),
+    Attack(ShapedPath),
     /// Legitimate deliveries: one path per prepared talker variant
-    /// (`(variant, clean pressure at port)`, sorted by variant).
-    Legitimate(Vec<(usize, Arc<Signal>)>),
+    /// (`(variant, shaped path)`, sorted by variant).
+    Legitimate(Vec<(usize, ShapedPath)>),
+}
+
+/// Prepare's capture products for one clean path: the path through
+/// `microphone`'s front end, and — unless one in `noise` already fits its
+/// transform — the noise shape at `ambient_noise_spl_db` its captures
+/// draw from, appended to `noise`.
+pub(crate) fn shape_for_capture(
+    microphone: &Microphone,
+    clean: &Signal,
+    ambient_noise_spl_db: f64,
+    noise: &mut Vec<NoiseShape>,
+) -> Result<ShapedPath> {
+    let _span = telemetry::span("prepare.capture_spectra");
+    let path = microphone.shape_path(clean)?;
+    telemetry::add_count("prepare.capture_spectrum_bytes", path.byte_size() as u64);
+    if !noise.iter().any(|shape| shape.fits(&path)) {
+        let shape = microphone.noise_shape(
+            path.transform_len(),
+            path.sample_rate_hz(),
+            Some(ambient_noise_spl_db),
+        )?;
+        telemetry::add_count("prepare.noise_table_bytes", shape.byte_size() as u64);
+        noise.push(shape);
+    }
+    Ok(path)
+}
+
+/// The noise shape in `noise` that captures of `path` draw from.
+pub(crate) fn noise_for<'a>(noise: &'a [NoiseShape], path: &ShapedPath) -> Result<&'a NoiseShape> {
+    Ok(noise
+        .iter()
+        .find(|shape| shape.fits(path))
+        .ok_or("no noise shape was prepared for the path's transform")?)
 }
 
 /// Stage 1 of the trial pipeline: everything invariant across the trials
@@ -425,10 +468,11 @@ enum PreparedPaths {
 /// sharing contract).
 #[derive(Debug, Clone)]
 pub struct PreparedCell {
-    scenario: Scenario,
     command: VoiceCommand,
     microphone: Microphone,
     paths: PreparedPaths,
+    /// One noise shape per transform length (and rate) of `paths`.
+    noise: Vec<NoiseShape>,
     /// Speaker-side leakage report (attack deliveries only).
     pub leakage: Option<LeakageReport>,
     /// Electrical budget the delivery could not place (see
@@ -444,19 +488,31 @@ impl PreparedCell {
     /// so the `seed`-selects-the-talker semantics are preserved exactly.
     /// Attack deliveries always use the canonical TTS voice and prepare a
     /// single path.  Every product comes from (or lands in) the Prepare
-    /// cache under the inputs [`CellInputs::project`] names.
+    /// cache under the inputs [`CellInputs::project`] names; the capture
+    /// spectra and noise shapes computed from them belong to the cell
+    /// alone.
     pub fn prepare(
         command: &VoiceCommand,
         scenario: &Scenario,
         seeds: &[u64],
     ) -> Result<PreparedCell> {
         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
+        let microphone = scenario.device.microphone();
+        let mut noise = Vec::new();
+        let mut shape = |clean: Arc<Signal>| {
+            shape_for_capture(
+                &microphone,
+                &clean,
+                scenario.ambient_noise_spl_db,
+                &mut noise,
+            )
+        };
         let (paths, leakage, power_shortfall_w) =
             match CellInputs::project(command, scenario, seeds)? {
                 CellInputs::Legitimate(paths) => {
                     let paths = paths
                         .iter()
-                        .map(|(variant, path)| Ok((*variant, prepare_cache::get(path)?)))
+                        .map(|(variant, path)| Ok((*variant, shape(prepare_cache::get(path)?)?)))
                         .collect::<Result<_>>()?;
                     (PreparedPaths::Legitimate(paths), None, 0.0)
                 }
@@ -466,31 +522,31 @@ impl PreparedCell {
                     leakage,
                 } => {
                     let shortfall_w = prepare_cache::get(&build)?.power_shortfall_w;
-                    let at_port = prepare_cache::get(&path)?;
+                    let at_port = shape(prepare_cache::get(&path)?)?;
                     let leakage = (*prepare_cache::get(&leakage)?).clone();
                     (PreparedPaths::Attack(at_port), Some(leakage), shortfall_w)
                 }
             };
         Ok(PreparedCell {
-            scenario: scenario.clone(),
             command: command.clone(),
-            microphone: scenario.device.microphone(),
+            microphone,
             paths,
+            noise,
             leakage,
             power_shortfall_w,
         })
     }
 
-    /// Stage 2: the seed-dependent perturbation — ambient-noise draw,
-    /// microphone capture and ADC — returning the digital recording the
-    /// device's software receives for trial `seed`.
+    /// Stage 2: the seed-dependent perturbation — the noise draw, the
+    /// microphone capture and the ADC — returning the digital recording
+    /// the device's software receives for trial `seed`.
     ///
-    /// `scratch` holds the pressure and capture workspaces: a worker
+    /// `scratch` holds the capture workspaces: a worker
     /// looping over trials reuses one [`TrialScratch`] instead of
     /// re-allocating them per call.  The output is bit-identical with a
     /// fresh or a reused scratch.
     pub fn perturb(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
-        let clean: &Signal = match &self.paths {
+        let path = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
             PreparedPaths::Legitimate(variants) => {
                 let wanted = talker_variant(seed);
@@ -506,13 +562,8 @@ impl PreparedCell {
                     .1
             }
         };
-        perturb_path(
-            clean,
-            &self.microphone,
-            self.scenario.ambient_noise_spl_db,
-            seed,
-            scratch,
-        )
+        let noise = noise_for(&self.noise, path)?;
+        perturb_path(path, noise, &self.microphone, seed, scratch)
     }
 
     /// Stage 3: recognition, defense features and the optional trained
@@ -578,61 +629,49 @@ impl PreparedCell {
     }
 }
 
-/// The Perturb stage's body: trial `seed`'s ambient-noise draw added to a
-/// clean pressure path, captured by `microphone` (front end and ADC).
-/// [`PreparedCell::perturb`] and the detector corpus both run it.
+/// The Perturb stage's body: trial `seed`'s noise bins drawn from
+/// `noise`, added to `path`'s spectrum and captured by `microphone`
+/// (inverse FFT, non-linearity and ADC).  [`PreparedCell::perturb`] and
+/// the detector corpus both run it.
 pub(crate) fn perturb_path(
-    clean: &Signal,
+    path: &ShapedPath,
+    noise: &NoiseShape,
     microphone: &Microphone,
-    ambient_noise_spl_db: f64,
     seed: u64,
     scratch: &mut TrialScratch,
 ) -> Result<Signal> {
     let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
-    let mut pressure = std::mem::take(&mut scratch.pressure);
-    pressure.clear();
-    pressure.extend_from_slice(clean.samples());
-    let mut pressure_at_port = Signal::new(pressure, clean.sample_rate_hz())?;
     {
+        // Ambient and self noise in one draw of Gaussian bins.
         let _span = telemetry::span("perturb.ambient_noise");
-        let noise = room_noise_pa(
-            ambient_noise_spl_db,
-            pressure_at_port.duration_s(),
-            pressure_at_port.sample_rate_hz(),
-            seed ^ 0xDEAD_BEEF,
-        )?;
-        pressure_at_port.mix(&noise)?;
+        noise.draw(seed, &mut scratch.capture);
     }
-    // `Microphone::capture_with_scratch`, split so each half of the
-    // capture chain gets its own span.
+    // `Microphone::capture_shaped`, split so each step gets its own span.
     let _span = telemetry::span("perturb.mic_capture");
     let analog = {
         let _span = telemetry::span("perturb.mic_capture.front_end");
-        let shaped = {
-            let _span = telemetry::span("perturb.mic_capture.front_end.shaping");
-            microphone.front_end_shaping(&pressure_at_port, &mut scratch.capture)?
+        let synthesized = {
+            let _span = telemetry::span("perturb.mic_capture.front_end.synthesis");
+            microphone.front_end_synthesis(path, &mut scratch.capture)?
         };
-        let _span = telemetry::span("perturb.mic_capture.front_end.self_noise");
-        microphone.front_end_self_noise(shaped, seed)?
+        let _span = telemetry::span("perturb.mic_capture.front_end.nonlinearity");
+        microphone.front_end_nonlinearity(synthesized)
     };
     let recording = {
         let _span = telemetry::span("perturb.mic_capture.adc");
         digitize(&analog, &microphone.adc, seed)
     };
     scratch.capture.recycle(analog);
-    scratch.pressure = pressure_at_port.into_samples();
     Ok(recording?)
 }
 
 /// Per-worker scratch buffers threaded through the Perturb stage so the
 /// hot trial loop reuses its allocations instead of growing and dropping
-/// ~20 `Vec`s per trial.  Purely an allocation-reuse vehicle: results are
+/// them per trial.  Purely an allocation-reuse vehicle: results are
 /// bit-identical with a fresh or a reused scratch.
 #[derive(Debug, Default)]
 pub struct TrialScratch {
-    /// Pressure-waveform assembly buffer (clean path + ambient noise).
-    pressure: Vec<f64>,
-    /// Microphone front-end workspaces (spectrum + time-domain).
+    /// Microphone capture workspaces (noise spectrum + time-domain).
     capture: CaptureScratch,
 }
 

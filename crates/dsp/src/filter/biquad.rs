@@ -4,6 +4,7 @@
 //! FIR: the microphone model's anti-alias filter, the defense's sub-band
 //! isolators, and the envelope detector's smoothing stage.
 
+use crate::complex::Complex;
 use crate::error::{DspError, Result};
 use crate::signal::Signal;
 
@@ -106,6 +107,15 @@ impl Biquad {
         for (slot, &x) in out.iter_mut().zip(input.iter()) {
             *slot = self.step(&mut state, x);
         }
+    }
+
+    /// The section's complex frequency response at `z⁻¹ = z_inv`
+    /// (`e^{-iω}` on the unit circle, `ω` in radians per sample).
+    pub fn response(&self, z_inv: Complex) -> Complex {
+        let z_inv2 = z_inv * z_inv;
+        let numerator = Complex::from_real(self.b0) + z_inv * self.b1 + z_inv2 * self.b2;
+        let denominator = Complex::ONE + z_inv * self.a1 + z_inv2 * self.a2;
+        numerator / denominator
     }
 
     /// One sample through the section: returns `y[n]` for input `x[n]`
@@ -376,6 +386,24 @@ mod tests {
         );
         assert!((c.magnitude_response(10.0, 48_000.0) - 1.0).abs() < 1e-3);
         assert!(c.magnitude_response(10_000.0, 48_000.0) < 0.02);
+    }
+
+    #[test]
+    fn complex_response_has_the_reference_magnitude() {
+        let fs = 48_000.0;
+        let section = BiquadCascade::butterworth_low_pass(800.0, 2, fs)
+            .unwrap()
+            .sections()[0]
+            .clone();
+        for f in [0.0, 50.0, 800.0, 5_000.0, 23_000.0] {
+            let w = 2.0 * std::f64::consts::PI * f / fs;
+            let magnitude = section.response(Complex::cis(-w)).abs();
+            let reference = section.magnitude_response(f, fs);
+            assert!(
+                (magnitude - reference).abs() < 1e-12 * reference.max(1e-3),
+                "{f} Hz"
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   worker-pool execution, shard-parallel multi-process execution with
 //!   byte-identical merge, aggregate statistics, JSON report archival.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the reproduced tables and figures.
+//! See `README.md`: its "Quickstart" section builds and runs the
+//! reproduction, "Architecture: the staged trial pipeline" describes the
+//! trial stages, and "Campaigns" lists the presets behind the reproduced
+//! tables and figures (`repro a1` … `repro d6`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
