@@ -36,7 +36,7 @@ use crate::nonlinearity::Polynomial;
 use crate::shaping::one_pole_low_pass_gain;
 use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
-use ivc_dsp::fft::{irfft_into, next_power_of_two, rfft_into};
+use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 
 /// Reusable buffers for [`Microphone::capture_shaped`]: the half spectrum
@@ -69,7 +69,7 @@ impl CaptureScratch {
 ///
 /// It is computed in double precision and held in single precision
 /// (`[re, im]` per bin), which halves what a prepared cell keeps: the
-/// rounding, about −150 dB relative to each bin, is far below the 16-bit
+/// rounding, about −144 dB relative to each bin, is far below the 16-bit
 /// converter's quantisation step (−98 dBFS).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShapedPath {
@@ -107,19 +107,10 @@ pub struct NoiseShape {
 }
 
 impl NoiseShape {
-    /// Length of the transform the shape is drawn for.
-    pub fn transform_len(&self) -> usize {
-        2 * (self.deviation.len() - 1)
-    }
-
-    /// Sample rate the shape is drawn at, in Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
-    }
-
-    /// Whether captures of `path` draw their noise from this shape.
+    /// Whether captures of `path` draw their noise from this shape: the
+    /// same transform length and sample rate.
     pub fn fits(&self, path: &ShapedPath) -> bool {
-        self.transform_len() == path.transform_len() && self.sample_rate_hz == path.sample_rate_hz
+        self.deviation.len() == path.spectrum.len() && self.sample_rate_hz == path.sample_rate_hz
     }
 
     /// Bytes the table holds.
@@ -146,13 +137,6 @@ impl NoiseShape {
         }
         bins.push(Complex::from_real(f64::from(nyquist) * sampler.sample()));
     }
-}
-
-/// [`ivc_dsp::fft::bin_frequency`] for the half spectrum's bins `0..=n/2`,
-/// bit for bit, without its wrap-around for negative frequencies.
-#[inline]
-fn half_bin_frequency(bin: usize, n: usize, sample_rate_hz: f64) -> f64 {
-    bin as f64 * sample_rate_hz / n as f64
 }
 
 /// The acoustic front-end's gain (grille + transducer response) with its
@@ -363,7 +347,7 @@ impl Microphone {
             .iter()
             .enumerate()
             .map(|(k, value)| {
-                let shaped = value.scale(response.gain(half_bin_frequency(k, n, fs)) * full_scale);
+                let shaped = value.scale(response.gain(bin_frequency(k, n, fs)) * full_scale);
                 [shaped.re as f32, shaped.im as f32]
             })
             .collect();
@@ -407,7 +391,7 @@ impl Microphone {
             .iter()
             .enumerate()
             .map(|(k, ambient)| {
-                let gain = response.gain(half_bin_frequency(k, n, sample_rate_hz));
+                let gain = response.gain(bin_frequency(k, n, sample_rate_hz));
                 let psd = gain * gain * ambient + self_noise;
                 let components = if k == 0 || k == n / 2 { 1.0 } else { 2.0 };
                 (full_scale * (n as f64 * psd / components).sqrt()) as f32
@@ -435,8 +419,10 @@ impl Microphone {
 
     /// The signal at the non-linearity's input: the noise bins drawn into
     /// the arena plus `path`'s spectrum, through one inverse transform and
-    /// truncated to the path's length.  It is written into the arena's
-    /// work buffer; hand it back with [`CaptureScratch::recycle`].
+    /// truncated to the path's length.  The draw is used up: each
+    /// synthesis needs a fresh [`NoiseShape::draw`] for the path's
+    /// transform.  The signal is written into the arena's work buffer;
+    /// hand it back with [`CaptureScratch::recycle`].
     pub fn front_end_synthesis(
         &self,
         path: &ShapedPath,
@@ -447,9 +433,8 @@ impl Microphone {
             return Err(AcousticsError::invalid(
                 "path",
                 format!(
-                    "a {}-point path needs noise drawn for that transform length, not {}",
-                    path.transform_len(),
-                    2 * bins.len().saturating_sub(1)
+                    "no noise drawn for the path's {}-point transform",
+                    path.transform_len()
                 ),
             ));
         }
@@ -458,6 +443,8 @@ impl Microphone {
         }
         let mut work = std::mem::take(&mut scratch.work);
         irfft_into(bins, &mut work)?;
+        // The transform left its workspace behind, not a draw.
+        bins.clear();
         work.truncate(path.len);
         Ok(Signal::new(work, path.sample_rate_hz)?)
     }
@@ -616,14 +603,12 @@ mod tests {
 
     #[test]
     fn hoisted_front_end_response_is_bit_equal_at_every_bin() {
-        use ivc_dsp::fft::bin_frequency;
         for device in DevicePreset::ALL {
             let mic = device.microphone();
             let response = FrontEndResponse::new(&mic);
             for (n, fs) in [(1usize << 15, 48_000.0), (1 << 17, 192_000.0)] {
                 for k in 0..=n / 2 {
                     let f = bin_frequency(k, n, fs);
-                    assert_eq!(half_bin_frequency(k, n, fs).to_bits(), f.to_bits());
                     assert_eq!(
                         response.gain(f).to_bits(),
                         mic.front_end_gain(f).to_bits(),
@@ -672,6 +657,14 @@ mod tests {
         assert!(!other.fits(&path));
         let mut scratch = CaptureScratch::new();
         assert!(mic.capture_shaped(&path, &other, 1, &mut scratch).is_err());
+        // A draw serves one synthesis.
+        let noise = mic
+            .noise_shape(path.transform_len(), 48_000.0, None)
+            .unwrap();
+        noise.draw(1, &mut scratch);
+        let synthesized = mic.front_end_synthesis(&path, &mut scratch).unwrap();
+        scratch.recycle(synthesized);
+        assert!(mic.front_end_synthesis(&path, &mut scratch).is_err());
         assert!(mic.noise_shape(1000, 48_000.0, None).is_err());
         assert!(mic.noise_shape(1 << 10, 48_000.0, Some(130.0)).is_err());
     }

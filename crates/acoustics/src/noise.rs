@@ -11,7 +11,7 @@
 use crate::error::{AcousticsError, Result};
 use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
-use ivc_dsp::filter::biquad::BiquadCascade;
+use ivc_dsp::filter::biquad::{Biquad, BiquadCascade};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::OnceLock;
@@ -120,7 +120,7 @@ impl NormalSampler {
 /// The three branches of the pink ambient response: second-order
 /// Butterworth low-passes at `fs/300`, `fs/60` and `fs/12`, summed with
 /// gains 1, 1/2 and 1/3 (a Voss–McCartney-style −3 dB/octave slope).
-fn pink_branches(sample_rate_hz: f64) -> Result<Vec<(f64, ivc_dsp::filter::biquad::Biquad)>> {
+fn pink_branches(sample_rate_hz: f64) -> Result<Vec<(f64, Biquad)>> {
     [300.0, 60.0, 12.0]
         .iter()
         .enumerate()

@@ -7,7 +7,7 @@
 
 use crate::prepare_cache::Product;
 use crate::scenario::{Delivery, Scenario};
-use crate::stages::{noise_for, perturb_path, shape_for_capture, CellInputs, TrialScratch};
+use crate::stages::{perturb_path, shape_for_capture, CellInputs, TrialScratch};
 use crate::telemetry;
 use crate::Result;
 use ivc_acoustics::microphone::DevicePreset;
@@ -159,8 +159,7 @@ impl DatasetConfig {
                         let noise_spl_db = self.ambient_noise_spl_db;
                         shape_for_capture(&microphone, &clean, noise_spl_db, &mut noise)?
                     };
-                    let shape = noise_for(&noise, &shaped)?;
-                    perturb_path(&shaped, shape, &microphone, seed, &mut scratch)?
+                    perturb_path(&shaped, &noise, &microphone, seed, &mut scratch)?
                 };
                 let _span = telemetry::span("campaign.detector_train.features");
                 let features = DefenseFeatures::extract(&recording)?.to_vector();

@@ -455,14 +455,6 @@ pub(crate) fn shape_for_capture(
     Ok(path)
 }
 
-/// The noise shape in `noise` that captures of `path` draw from.
-pub(crate) fn noise_for<'a>(noise: &'a [NoiseShape], path: &ShapedPath) -> Result<&'a NoiseShape> {
-    Ok(noise
-        .iter()
-        .find(|shape| shape.fits(path))
-        .ok_or("no noise shape was prepared for the path's transform")?)
-}
-
 /// Stage 1 of the trial pipeline: everything invariant across the trials
 /// of one campaign cell, packaged immutably (see the module docs for the
 /// sharing contract).
@@ -541,10 +533,10 @@ impl PreparedCell {
     /// microphone capture and the ADC — returning the digital recording
     /// the device's software receives for trial `seed`.
     ///
-    /// `scratch` holds the capture workspaces: a worker
-    /// looping over trials reuses one [`TrialScratch`] instead of
-    /// re-allocating them per call.  The output is bit-identical with a
-    /// fresh or a reused scratch.
+    /// `scratch` holds the capture workspaces: a worker looping over
+    /// trials reuses one [`TrialScratch`] instead of re-allocating them
+    /// per call.  The output is bit-identical with a fresh or a reused
+    /// scratch.
     pub fn perturb(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
         let path = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
@@ -562,8 +554,7 @@ impl PreparedCell {
                     .1
             }
         };
-        let noise = noise_for(&self.noise, path)?;
-        perturb_path(path, noise, &self.microphone, seed, scratch)
+        perturb_path(path, &self.noise, &self.microphone, seed, scratch)
     }
 
     /// Stage 3: recognition, defense features and the optional trained
@@ -629,18 +620,22 @@ impl PreparedCell {
     }
 }
 
-/// The Perturb stage's body: trial `seed`'s noise bins drawn from
-/// `noise`, added to `path`'s spectrum and captured by `microphone`
-/// (inverse FFT, non-linearity and ADC).  [`PreparedCell::perturb`] and
-/// the detector corpus both run it.
+/// The Perturb stage's body: trial `seed`'s noise bins drawn from the
+/// shape in `noise` that fits `path`, added to `path`'s spectrum and
+/// captured by `microphone` (inverse FFT, non-linearity and ADC).
+/// [`PreparedCell::perturb`] and the detector corpus both run it.
 pub(crate) fn perturb_path(
     path: &ShapedPath,
-    noise: &NoiseShape,
+    noise: &[NoiseShape],
     microphone: &Microphone,
     seed: u64,
     scratch: &mut TrialScratch,
 ) -> Result<Signal> {
     let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
+    let noise = noise
+        .iter()
+        .find(|shape| shape.fits(path))
+        .ok_or("no noise shape was prepared for the path's transform")?;
     {
         // Ambient and self noise in one draw of Gaussian bins.
         let _span = telemetry::span("perturb.ambient_noise");
