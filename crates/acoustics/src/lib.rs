@@ -47,13 +47,3 @@ pub use error::{AcousticsError, Result};
 pub use microphone::{DevicePreset, Microphone};
 pub use nonlinearity::Polynomial;
 pub use speaker::UltrasonicSpeaker;
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::array::SpeakerArray;
-    pub use crate::environment::AirEnvironment;
-    pub use crate::error::{AcousticsError, Result};
-    pub use crate::microphone::{DevicePreset, Microphone};
-    pub use crate::nonlinearity::Polynomial;
-    pub use crate::speaker::UltrasonicSpeaker;
-}

@@ -12,78 +12,50 @@ use ivc_dsp::resample::resample;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
 
-/// Configuration for baseband preparation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BasebandConfig {
-    /// Low-pass cutoff applied to the voice command, in Hz.
-    pub cutoff_hz: f64,
-    /// Playback sample rate of the ultrasonic signal, in Hz.
-    pub playback_rate_hz: f64,
+/// Low-pass cutoff applied to the voice command, in Hz.
+pub const CUTOFF_HZ: f64 = 8_000.0;
+/// Playback sample rate of the ultrasonic signal, in Hz.
+pub const PLAYBACK_RATE_HZ: f64 = 192_000.0;
+/// Lowest carrier frequency that keeps the lower sideband above 20 kHz.
+pub const MIN_CARRIER_HZ: f64 = 20_000.0 + CUTOFF_HZ;
+/// Highest carrier frequency representable at the playback rate with the
+/// upper sideband intact.
+pub const MAX_CARRIER_HZ: f64 = PLAYBACK_RATE_HZ / 2.0 - CUTOFF_HZ;
+
+/// Checks that `carrier_hz` keeps both sidebands above 20 kHz and below
+/// the playback Nyquist: within [`MIN_CARRIER_HZ`, `MAX_CARRIER_HZ`].
+pub(crate) fn check_carrier(carrier_hz: f64) -> Result<()> {
+    if (MIN_CARRIER_HZ..=MAX_CARRIER_HZ).contains(&carrier_hz) {
+        return Ok(());
+    }
+    Err(AttackError::invalid(
+        "carrier_hz",
+        format!(
+            "{carrier_hz} Hz outside the inaudible range [{MIN_CARRIER_HZ:.0}, \
+             {MAX_CARRIER_HZ:.0}] Hz"
+        ),
+    ))
 }
 
-impl Default for BasebandConfig {
-    fn default() -> Self {
-        BasebandConfig {
-            cutoff_hz: 8_000.0,
-            playback_rate_hz: 192_000.0,
-        }
-    }
-}
-
-impl BasebandConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if !(1_000.0..=12_000.0).contains(&self.cutoff_hz) {
-            return Err(AttackError::invalid(
-                "cutoff_hz",
-                "must be within [1 kHz, 12 kHz]",
-            ));
-        }
-        if !(96_000.0..=768_000.0).contains(&self.playback_rate_hz) {
-            return Err(AttackError::invalid(
-                "playback_rate_hz",
-                "must be within [96 kHz, 768 kHz]",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Lowest carrier frequency that keeps the lower sideband above 20 kHz.
-    pub fn minimum_carrier_hz(&self) -> f64 {
-        20_000.0 + self.cutoff_hz
-    }
-
-    /// Highest carrier frequency representable at the playback rate with the
-    /// upper sideband intact.
-    pub fn maximum_carrier_hz(&self) -> f64 {
-        self.playback_rate_hz / 2.0 - self.cutoff_hz
-    }
-}
-
-/// Prepares a voice command for ultrasonic modulation: band-limit, remove
-/// DC, normalise the peak to 1.0 and resample to the playback rate.
-pub fn prepare_baseband(voice: &Signal, config: &BasebandConfig) -> Result<Signal> {
-    config.validate()?;
+/// Prepares a voice command for ultrasonic modulation: band-limit to
+/// [`CUTOFF_HZ`], remove DC, normalise the peak to 1.0 and resample to
+/// [`PLAYBACK_RATE_HZ`].
+pub fn prepare_baseband(voice: &Signal) -> Result<Signal> {
     if voice.is_empty() {
         return Err(AttackError::invalid("voice", "empty signal"));
     }
-    if voice.sample_rate_hz() < 2.0 * config.cutoff_hz {
+    if voice.sample_rate_hz() < 2.0 * CUTOFF_HZ {
         return Err(AttackError::invalid(
             "voice",
-            "sample rate too low for the requested cutoff",
+            "sample rate too low for the 8 kHz cutoff",
         ));
     }
     // Low-pass at the cutoff.
-    let lpf = FirFilter::low_pass(
-        config.cutoff_hz,
-        voice.sample_rate_hz(),
-        255,
-        WindowKind::Hamming,
-    )?;
+    let lpf = FirFilter::low_pass(CUTOFF_HZ, voice.sample_rate_hz(), 255, WindowKind::Hamming)?;
     let mut filtered = lpf.filter_signal(voice)?;
     filtered.remove_dc();
     // Upsample to the playback rate.
-    let mut upsampled = resample(&filtered, config.playback_rate_hz)?;
+    let mut upsampled = resample(&filtered, PLAYBACK_RATE_HZ)?;
     upsampled.normalize_peak(1.0);
     Ok(upsampled)
 }
@@ -97,27 +69,19 @@ mod tests {
 
     #[test]
     fn validation() {
-        let bad_cutoff = BasebandConfig {
-            cutoff_hz: 100.0,
-            ..BasebandConfig::default()
-        };
-        assert!(bad_cutoff.validate().is_err());
-        let bad_rate = BasebandConfig {
-            playback_rate_hz: 44_100.0,
-            ..BasebandConfig::default()
-        };
-        assert!(bad_rate.validate().is_err());
-        let cfg = BasebandConfig::default();
-        assert!(prepare_baseband(&Signal::new(vec![], 48_000.0).unwrap(), &cfg).is_err());
+        assert!(prepare_baseband(&Signal::new(vec![], 48_000.0).unwrap()).is_err());
         let too_slow = Signal::tone(1_000.0, 0.5, 0.1, 12_000.0).unwrap();
-        assert!(prepare_baseband(&too_slow, &cfg).is_err());
+        assert!(prepare_baseband(&too_slow).is_err());
     }
 
     #[test]
     fn carrier_bounds_follow_the_paper() {
-        let cfg = BasebandConfig::default();
-        assert!((cfg.minimum_carrier_hz() - 28_000.0).abs() < 1e-9);
-        assert!((cfg.maximum_carrier_hz() - 88_000.0).abs() < 1e-9);
+        assert!((MIN_CARRIER_HZ - 28_000.0).abs() < 1e-9);
+        assert!((MAX_CARRIER_HZ - 88_000.0).abs() < 1e-9);
+        assert!(check_carrier(MIN_CARRIER_HZ).is_ok());
+        assert!(check_carrier(MAX_CARRIER_HZ).is_ok());
+        assert!(check_carrier(27_999.0).is_err());
+        assert!(check_carrier(88_001.0).is_err());
     }
 
     #[test]
@@ -127,8 +91,7 @@ mod tests {
         voice
             .mix(&Signal::tone(14_000.0, 0.4, 0.4, fs).unwrap())
             .unwrap();
-        let cfg = BasebandConfig::default();
-        let baseband = prepare_baseband(&voice, &cfg).unwrap();
+        let baseband = prepare_baseband(&voice).unwrap();
         assert_eq!(baseband.sample_rate_hz(), 192_000.0);
         assert!((baseband.peak() - 1.0).abs() < 1e-9);
         let kept = band_power(baseband.samples(), 192_000.0, 800.0, 1_200.0).unwrap();
@@ -142,7 +105,7 @@ mod tests {
         let utt = synth
             .render(&corpus()[0], &SpeakerProfile::canonical())
             .unwrap();
-        let baseband = prepare_baseband(&utt.signal, &BasebandConfig::default()).unwrap();
+        let baseband = prepare_baseband(&utt.signal).unwrap();
         assert!((baseband.duration_s() - utt.signal.duration_s()).abs() < 0.02);
         // Voice-band energy dominates.
         let voice_band = band_power(baseband.samples(), 192_000.0, 80.0, 8_000.0).unwrap();

@@ -77,7 +77,6 @@ pub fn leakage_from_field(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseband::BasebandConfig;
     use crate::multispeaker::{single_speaker_element_drives, MultiSpeakerAttack};
     use crate::single::SingleSpeakerAttack;
     use ivc_acoustics::speaker::UltrasonicSpeaker;
@@ -97,8 +96,7 @@ mod tests {
     #[test]
     fn single_speaker_at_high_power_leaks_audibly() {
         let voice = synthetic_voice();
-        let cfg = BasebandConfig::default();
-        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9, &cfg).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
         let env = AirEnvironment::default();
         let quiet = estimate_leakage(
@@ -130,11 +128,10 @@ mod tests {
     #[test]
     fn segmented_attack_leaks_far_less_than_single_speaker_at_equal_power() {
         let voice = synthetic_voice();
-        let cfg = BasebandConfig::default();
         let total_power = 29.0;
         let env = AirEnvironment::default();
 
-        let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9, &cfg).unwrap();
+        let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
         let single_array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
         let single_leak = estimate_leakage(
             &single_array,
@@ -145,8 +142,7 @@ mod tests {
         )
         .unwrap();
 
-        let multi =
-            MultiSpeakerAttack::build(&voice, 40_000.0, 6, total_power, 0.3, 30.0, &cfg).unwrap();
+        let multi = MultiSpeakerAttack::build(&voice, 40_000.0, 6, total_power, 0.3, 30.0).unwrap();
         let multi_array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
         let drives = multi.allocate_power().unwrap().drives;
         let multi_leak = estimate_leakage(&multi_array, &drives, 1.0, &env, 0.0).unwrap();
@@ -165,8 +161,7 @@ mod tests {
     #[test]
     fn leakage_fades_with_bystander_distance() {
         let voice = synthetic_voice();
-        let cfg = BasebandConfig::default();
-        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9, &cfg).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
         let env = AirEnvironment::default();
         let drives = single_speaker_element_drives(&attack, 20.0).unwrap();

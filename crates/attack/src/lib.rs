@@ -31,12 +31,3 @@ pub mod single;
 pub use error::{AttackError, Result};
 pub use multispeaker::MultiSpeakerAttack;
 pub use single::SingleSpeakerAttack;
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::baseband::BasebandConfig;
-    pub use crate::error::{AttackError, Result};
-    pub use crate::leakage::LeakageReport;
-    pub use crate::multispeaker::MultiSpeakerAttack;
-    pub use crate::single::SingleSpeakerAttack;
-}

@@ -1,6 +1,6 @@
 //! The long-range multi-speaker attack: segmentation plus power allocation.
 
-use crate::baseband::{prepare_baseband, BasebandConfig};
+use crate::baseband::{check_carrier, prepare_baseband, CUTOFF_HZ};
 use crate::error::{AttackError, Result};
 use crate::segmentation::{segment_baseband, SegmentedDrives};
 use crate::single::SingleSpeakerAttack;
@@ -86,7 +86,6 @@ impl MultiSpeakerAttack {
         total_power_w: f64,
         carrier_power_fraction: f64,
         max_element_power_w: f64,
-        config: &BasebandConfig,
     ) -> Result<Self> {
         validate_power_split(total_power_w, carrier_power_fraction, max_element_power_w)?;
         if num_elements < 2 {
@@ -95,25 +94,15 @@ impl MultiSpeakerAttack {
                 "need at least 2 elements (1 carrier + 1 sideband); use SingleSpeakerAttack for 1",
             ));
         }
-        config.validate()?;
-        if carrier_hz < config.minimum_carrier_hz() || carrier_hz > config.maximum_carrier_hz() {
-            return Err(AttackError::invalid(
-                "carrier_hz",
-                format!(
-                    "{carrier_hz} Hz outside the inaudible range [{:.0}, {:.0}] Hz",
-                    config.minimum_carrier_hz(),
-                    config.maximum_carrier_hz()
-                ),
-            ));
-        }
+        check_carrier(carrier_hz)?;
         let carrier_share_w = total_power_w * carrier_power_fraction;
         let carrier_elements =
             ((carrier_share_w / max_element_power_w).ceil() as usize).clamp(1, num_elements - 1);
-        let baseband = prepare_baseband(voice, config)?;
+        let baseband = prepare_baseband(voice)?;
         let drives = segment_baseband(
             &baseband,
             carrier_hz,
-            config.cutoff_hz,
+            CUTOFF_HZ,
             num_elements - carrier_elements,
         )?;
         Ok(MultiSpeakerAttack {
@@ -254,9 +243,8 @@ mod tests {
     #[test]
     fn validation() {
         let voice = synthetic_voice(48_000.0);
-        let cfg = BasebandConfig::default();
         let build = |carrier_hz, n, total_w, fraction| {
-            MultiSpeakerAttack::build(&voice, carrier_hz, n, total_w, fraction, 30.0, &cfg)
+            MultiSpeakerAttack::build(&voice, carrier_hz, n, total_w, fraction, 30.0)
         };
         assert!(build(40_000.0, 1, 10.0, 0.3).is_err());
         assert!(build(20_000.0, 4, 10.0, 0.3).is_err());
@@ -270,16 +258,7 @@ mod tests {
     #[test]
     fn element_power_allocation_adds_up() {
         let voice = synthetic_voice(48_000.0);
-        let attack = MultiSpeakerAttack::build(
-            &voice,
-            40_000.0,
-            5,
-            20.0,
-            0.25,
-            30.0,
-            &BasebandConfig::default(),
-        )
-        .unwrap();
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 20.0, 0.25, 30.0).unwrap();
         assert_eq!(attack.carrier_elements, 1);
         let drives = attack.allocate_power().unwrap().drives;
         assert_eq!(drives.len(), 5);
@@ -288,34 +267,25 @@ mod tests {
         // Carrier element gets its requested fraction.
         assert!((drives[0].power_w - 5.0).abs() < 1e-9);
         // Per-element cap is respected: the same array sized for 200 W.
-        let capped = MultiSpeakerAttack::build(
-            &voice,
-            40_000.0,
-            5,
-            200.0,
-            0.25,
-            30.0,
-            &BasebandConfig::default(),
-        )
-        .unwrap()
-        .allocate_power()
-        .unwrap()
-        .drives;
+        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 200.0, 0.25, 30.0)
+            .unwrap()
+            .allocate_power()
+            .unwrap()
+            .drives;
         assert!(capped.iter().all(|d| d.power_w <= 30.0 + 1e-9));
     }
 
     #[test]
     fn balanced_build_scales_carrier_elements_with_the_budget() {
         let voice = synthetic_voice(48_000.0);
-        let cfg = BasebandConfig::default();
         // Small budget: one carrier element.
-        let small = MultiSpeakerAttack::build(&voice, 40_000.0, 8, 60.0, 0.3, 30.0, &cfg).unwrap();
+        let small = MultiSpeakerAttack::build(&voice, 40_000.0, 8, 60.0, 0.3, 30.0).unwrap();
         assert_eq!(small.carrier_elements, 1);
         assert_eq!(small.num_elements, 8);
         assert_eq!(small.drives.sideband_drives.len(), 7);
         // The E-A2 anomaly configuration: 400 W * 0.3 = 120 W of carrier
         // needs four 30 W elements.
-        let big = MultiSpeakerAttack::build(&voice, 40_000.0, 61, 400.0, 0.3, 30.0, &cfg).unwrap();
+        let big = MultiSpeakerAttack::build(&voice, 40_000.0, 61, 400.0, 0.3, 30.0).unwrap();
         assert_eq!(big.carrier_elements, 4);
         assert_eq!(big.num_elements, 61);
         assert_eq!(big.drives.sideband_drives.len(), 57);
@@ -329,26 +299,16 @@ mod tests {
         assert!((total - 400.0).abs() < 1e-9);
         // Even a huge budget never allocates more than one carrier short of
         // the array to the carrier.
-        let capped =
-            MultiSpeakerAttack::build(&voice, 40_000.0, 4, 900.0, 0.9, 30.0, &cfg).unwrap();
+        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 900.0, 0.9, 30.0).unwrap();
         assert_eq!(capped.carrier_elements, 3);
-        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, 60.0, 0.3, 30.0, &cfg).is_err());
+        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, 60.0, 0.3, 30.0).is_err());
     }
 
     #[test]
     fn allocation_reports_shortfall_instead_of_dropping_budget() {
         let voice = synthetic_voice(48_000.0);
         // 200 W * 0.25 = 50 W of carrier takes two 30 W elements.
-        let attack = MultiSpeakerAttack::build(
-            &voice,
-            40_000.0,
-            4,
-            200.0,
-            0.25,
-            30.0,
-            &BasebandConfig::default(),
-        )
-        .unwrap();
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 200.0, 0.25, 30.0).unwrap();
         assert_eq!(attack.carrier_elements, 2);
         // 4 elements rated 30 W each can place at most 120 W.
         let allocation = attack.allocate_power().unwrap();
@@ -361,18 +321,10 @@ mod tests {
         assert!((allocation.sideband_total_w - 60.0).abs() < 1e-9);
         // Within the placeable range nothing is lost and the report matches
         // the request: the same voice on 4 elements sized for 20 W.
-        let fits = MultiSpeakerAttack::build(
-            &voice,
-            40_000.0,
-            4,
-            20.0,
-            0.25,
-            30.0,
-            &BasebandConfig::default(),
-        )
-        .unwrap()
-        .allocate_power()
-        .unwrap();
+        let fits = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 20.0, 0.25, 30.0)
+            .unwrap()
+            .allocate_power()
+            .unwrap();
         assert!(fits.shortfall_w.abs() < 1e-12);
         assert!((fits.allocated_total_w - 20.0).abs() < 1e-9);
         assert!((fits.requested_total_w - 20.0).abs() < 1e-9);
@@ -383,8 +335,7 @@ mod tests {
     #[test]
     fn single_speaker_helper() {
         let voice = synthetic_voice(48_000.0);
-        let single =
-            SingleSpeakerAttack::build(&voice, 40_000.0, 0.8, &BasebandConfig::default()).unwrap();
+        let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.8).unwrap();
         let drives = single_speaker_element_drives(&single, 12.0).unwrap();
         assert_eq!(drives.len(), 1);
         assert!((drives[0].power_w - 12.0).abs() < 1e-12);
@@ -397,16 +348,7 @@ mod tests {
         // audible voice, yet the non-linear microphone's recording does.
         let fs = 192_000.0;
         let voice = synthetic_voice(48_000.0);
-        let attack = MultiSpeakerAttack::build(
-            &voice,
-            40_000.0,
-            5,
-            60.0,
-            0.3,
-            30.0,
-            &BasebandConfig::default(),
-        )
-        .unwrap();
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 60.0, 0.3, 30.0).unwrap();
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), 8, 0.03).unwrap();
         let drives = attack.allocate_power().unwrap().drives;
         let env = ivc_acoustics::environment::AirEnvironment::default();

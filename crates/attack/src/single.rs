@@ -7,7 +7,7 @@
 //! the long-range paper uses it as its baseline and shows why it cannot be
 //! pushed to long range without becoming audible at the source.
 
-use crate::baseband::{prepare_baseband, BasebandConfig};
+use crate::baseband::{check_carrier, prepare_baseband};
 use crate::error::{AttackError, Result};
 use ivc_dsp::modulation::{am_modulate, AmConfig};
 use ivc_dsp::signal::Signal;
@@ -29,32 +29,18 @@ impl SingleSpeakerAttack {
     /// Builds the attack signal for `voice` (any sample rate ≥ 16 kHz).
     ///
     /// `carrier_hz` must keep both sidebands above 20 kHz and below the
-    /// playback Nyquist; [`BasebandConfig::minimum_carrier_hz`] and
-    /// [`BasebandConfig::maximum_carrier_hz`] give the legal range.
-    pub fn build(
-        voice: &Signal,
-        carrier_hz: f64,
-        modulation_depth: f64,
-        config: &BasebandConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        if carrier_hz < config.minimum_carrier_hz() || carrier_hz > config.maximum_carrier_hz() {
-            return Err(AttackError::invalid(
-                "carrier_hz",
-                format!(
-                    "{carrier_hz} Hz outside the inaudible range [{:.0}, {:.0}] Hz",
-                    config.minimum_carrier_hz(),
-                    config.maximum_carrier_hz()
-                ),
-            ));
-        }
+    /// playback Nyquist; [`MIN_CARRIER_HZ`](crate::baseband::MIN_CARRIER_HZ)
+    /// and [`MAX_CARRIER_HZ`](crate::baseband::MAX_CARRIER_HZ) bound the
+    /// legal range.
+    pub fn build(voice: &Signal, carrier_hz: f64, modulation_depth: f64) -> Result<Self> {
+        check_carrier(carrier_hz)?;
         if !(0.1..=1.0).contains(&modulation_depth) {
             return Err(AttackError::invalid(
                 "modulation_depth",
                 "must be within [0.1, 1.0]",
             ));
         }
-        let baseband = prepare_baseband(voice, config)?;
+        let baseband = prepare_baseband(voice)?;
         // Full-carrier AM: (1 + depth*m(t)) * cos(w_c t), normalised.
         let drive = am_modulate(&baseband, &AmConfig::new(carrier_hz, modulation_depth))?;
         Ok(SingleSpeakerAttack {
@@ -85,18 +71,15 @@ mod tests {
     #[test]
     fn validation() {
         let v = voice();
-        let cfg = BasebandConfig::default();
-        assert!(SingleSpeakerAttack::build(&v, 20_000.0, 0.8, &cfg).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 95_000.0, 0.8, &cfg).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.0, &cfg).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.8, &cfg).is_ok());
+        assert!(SingleSpeakerAttack::build(&v, 20_000.0, 0.8).is_err());
+        assert!(SingleSpeakerAttack::build(&v, 95_000.0, 0.8).is_err());
+        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.0).is_err());
+        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.8).is_ok());
     }
 
     #[test]
     fn attack_signal_is_entirely_ultrasonic() {
-        let attack =
-            SingleSpeakerAttack::build(&voice(), 40_000.0, 0.8, &BasebandConfig::default())
-                .unwrap();
+        let attack = SingleSpeakerAttack::build(&voice(), 40_000.0, 0.8).unwrap();
         let fs = attack.drive.sample_rate_hz();
         assert_eq!(fs, 192_000.0);
         assert!((attack.drive.peak() - 1.0).abs() < 1e-6);
@@ -112,8 +95,7 @@ mod tests {
     #[test]
     fn square_law_demodulation_recovers_the_voice_spectrum() {
         let v = voice();
-        let attack =
-            SingleSpeakerAttack::build(&v, 40_000.0, 0.9, &BasebandConfig::default()).unwrap();
+        let attack = SingleSpeakerAttack::build(&v, 40_000.0, 0.9).unwrap();
         let demod = square_law_demodulate(&attack.drive, 8_000.0).unwrap();
         // The demodulated signal should correlate with the baseband's band
         // energy layout: strong voice band, nothing near 10-20 kHz.
@@ -126,9 +108,7 @@ mod tests {
     #[test]
     fn carrier_frequency_is_respected() {
         for carrier in [30_000.0, 40_000.0, 60_000.0] {
-            let attack =
-                SingleSpeakerAttack::build(&voice(), carrier, 0.8, &BasebandConfig::default())
-                    .unwrap();
+            let attack = SingleSpeakerAttack::build(&voice(), carrier, 0.8).unwrap();
             let fs = attack.drive.sample_rate_hz();
             let at_carrier =
                 band_power(attack.drive.samples(), fs, carrier - 500.0, carrier + 500.0).unwrap();

@@ -2,7 +2,7 @@
 //! single-speaker AM attack and the segmented multi-speaker attack.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ivc_attack::baseband::{prepare_baseband, BasebandConfig};
+use ivc_attack::baseband::prepare_baseband;
 use ivc_attack::multispeaker::MultiSpeakerAttack;
 use ivc_attack::single::SingleSpeakerAttack;
 use ivc_dsp::signal::Signal;
@@ -22,19 +22,16 @@ fn bench_attack(c: &mut Criterion) {
     let mut group = c.benchmark_group("attack");
     group.sample_size(10);
     let v = voice();
-    let cfg = BasebandConfig::default();
 
     group.bench_function("prepare_baseband_0p5s", |b| {
-        b.iter(|| prepare_baseband(std::hint::black_box(&v), &cfg).unwrap())
+        b.iter(|| prepare_baseband(std::hint::black_box(&v)).unwrap())
     });
     group.bench_function("single_speaker_attack_0p5s", |b| {
-        b.iter(|| {
-            SingleSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 0.9, &cfg).unwrap()
-        })
+        b.iter(|| SingleSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 0.9).unwrap())
     });
     group.bench_function("multispeaker_attack_8el_0p5s", |b| {
         b.iter(|| {
-            MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, 56.0, 0.3, 30.0, &cfg)
+            MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, 56.0, 0.3, 30.0)
                 .unwrap()
         })
     });

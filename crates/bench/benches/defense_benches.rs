@@ -2,7 +2,7 @@
 //! training, the per-recording costs a deployed detector would pay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
+use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::DefenseFeatures;
 use ivc_dsp::signal::Signal;
 
@@ -41,10 +41,7 @@ fn bench_defense(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("logistic_regression_training_60x3", |b| {
-        b.iter(|| {
-            LogisticRegression::train(std::hint::black_box(&samples), &TrainingConfig::default())
-                .unwrap()
-        })
+        b.iter(|| LogisticRegression::train(std::hint::black_box(&samples)).unwrap())
     });
     group.finish();
 }

@@ -424,7 +424,7 @@ pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
 /// analysis of the synthesiser and attack-construction outputs (no trial
 /// is run outside the engine).
 pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> {
-    use ivc_dsp::stft::{spectrogram, StftConfig};
+    use ivc_dsp::stft::spectrogram;
     let report = only(reports)?;
     let spec = &report.spec;
     let band_spec = spec
@@ -443,12 +443,7 @@ pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> 
     let Delivery::SingleSpeakerUltrasound { carrier_hz, .. } = spec.deliveries[0].delivery else {
         unreachable!("b2 is the single-speaker attack");
     };
-    let attack = ivc_attack::single::SingleSpeakerAttack::build(
-        &voice,
-        carrier_hz,
-        0.9,
-        &ivc_attack::baseband::BasebandConfig::default(),
-    )?;
+    let attack = ivc_attack::single::SingleSpeakerAttack::build(&voice, carrier_hz, 0.9)?;
 
     let mut table = Table::new(
         "E-B2: band-energy summaries (dB) of normal voice / attack ultrasound / recording",
@@ -459,16 +454,8 @@ pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> 
             "Recording (0-8 kHz)",
         ],
     );
-    let sg_voice = spectrogram(
-        voice.samples(),
-        voice.sample_rate_hz(),
-        &StftConfig::default(),
-    )?;
-    let sg_attack = spectrogram(
-        attack.drive.samples(),
-        attack.drive.sample_rate_hz(),
-        &StftConfig::default(),
-    )?;
+    let sg_voice = spectrogram(voice.samples(), voice.sample_rate_hz())?;
+    let sg_attack = spectrogram(attack.drive.samples(), attack.drive.sample_rate_hz())?;
     let voice_bands = sg_voice.band_summary_db(8_000.0, bands);
     let attack_bands = sg_attack.band_summary_db(96_000.0, bands);
     let rec_bands = report.cells[0].trials[0]

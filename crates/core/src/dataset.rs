@@ -7,11 +7,11 @@
 
 use crate::prepare_cache::Product;
 use crate::scenario::{Delivery, Scenario};
-use crate::stages::{perturb_path, shape_for_capture, CellInputs, TrialScratch};
+use crate::stages::{perturb_path, shape_for_capture, CellInputs};
 use crate::telemetry;
 use crate::Result;
-use ivc_acoustics::microphone::DevicePreset;
-use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
+use ivc_acoustics::microphone::{CaptureScratch, DevicePreset};
+use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::{DefenseFeatures, FeatureVector};
 use ivc_speech::commands::{corpus, VoiceCommand};
 
@@ -131,7 +131,7 @@ impl DatasetConfig {
     /// reduced to its features as soon as it is captured, so none is held.
     pub fn labelled_features(&self) -> Result<Vec<(FeatureVector, bool)>> {
         let microphone = self.device.microphone();
-        let mut scratch = TrialScratch::new();
+        let mut scratch = CaptureScratch::new();
         // Noise shapes depend on the transform length alone (one device,
         // one ambient level), so the corpus's few are shared by all its
         // recordings.
@@ -170,8 +170,8 @@ impl DatasetConfig {
     }
 }
 
-/// A trained detector is a pure function of its corpus (training always
-/// runs with the constant `TrainingConfig::default()`).  The corpus
+/// A trained detector is a pure function of its corpus (the training
+/// hyper-parameters are constants of [`LogisticRegression::train`]).  The corpus
 /// records `campaign.detector_train.corpus` and `.features` spans per
 /// sample, and the fit one `.fit` span.
 impl Product for DatasetConfig {
@@ -188,10 +188,7 @@ impl Product for DatasetConfig {
             .labelled_features()
             .map_err(|e| format!("detector corpus: {e}"))?;
         let _span = telemetry::span("campaign.detector_train.fit");
-        Ok(
-            LogisticRegression::train(&samples, &TrainingConfig::default())
-                .map_err(|e| format!("detector training: {e}"))?,
-        )
+        Ok(LogisticRegression::train(&samples).map_err(|e| format!("detector training: {e}"))?)
     }
 }
 

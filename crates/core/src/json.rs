@@ -1,8 +1,7 @@
 //! A dependency-free JSON data model, writer and parser.
 //!
-//! The vendored `serde` stand-in provides marker traits only (no data
-//! model), so result archival needs its own serialisation layer.  This
-//! module is that layer: a small [`JsonValue`] tree, a deterministic writer
+//! The workspace has no serialisation dependency, so result archival has
+//! its own layer: a small [`JsonValue`] tree, a deterministic writer
 //! and a recursive-descent parser, used by `ivc-experiments` to archive
 //! campaign reports.
 //!

@@ -23,10 +23,10 @@
 //!   command was accepted, its word accuracy, the speaker-side leakage and
 //!   the defense verdict.
 //! * [`results`] — small table/series containers used by the reproduction
-//!   harness to print paper-style outputs (serialisable with `serde`).
+//!   harness to print paper-style outputs.
 //! * [`json`] — a dependency-free JSON value model, writer and parser used
-//!   to archive experiment reports (the vendored `serde` stand-in has no
-//!   data model, so archival gets its own deterministic layer).
+//!   to archive experiment reports (the workspace has no serialisation
+//!   dependency, so archival gets its own deterministic layer).
 //! * [`columns`] — length-prefixed little-endian column primitives for
 //!   compact binary archives (the trial-record columnar format in
 //!   `ivc-experiments` is built on them).
@@ -52,7 +52,7 @@ pub use json::JsonValue;
 pub use pipeline::{run_trial, TrialOutcome};
 pub use results::{Series, Table};
 pub use scenario::{Delivery, Scenario};
-pub use stages::{PreparedCell, TrialScratch};
+pub use stages::PreparedCell;
 
 /// Convenience error alias: the pipeline surfaces whichever layer failed.
 pub type Error = Box<dyn std::error::Error + Send + Sync>;

@@ -7,8 +7,9 @@
 //! all trials of a cell.
 
 use crate::scenario::Scenario;
-use crate::stages::{PreparedCell, TrialScratch};
+use crate::stages::PreparedCell;
 use crate::Result;
+use ivc_acoustics::microphone::CaptureScratch;
 use ivc_attack::leakage::LeakageReport;
 use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::DefenseFeatures;
@@ -62,7 +63,7 @@ pub fn run_trial(
         scenario.seed,
         recognizer,
         detector,
-        &mut TrialScratch::new(),
+        &mut CaptureScratch::new(),
     )
 }
 

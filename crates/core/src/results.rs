@@ -1,10 +1,8 @@
 //! Result containers: tables and series, with plain-text rendering for the
-//! reproduction harness and `serde` derives for archival.
-
-use serde::{Deserialize, Serialize};
+//! reproduction harness.
 
 /// A labelled numeric series (one curve of a figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Name of the series (e.g. "61-speaker array").
     pub name: String,
@@ -38,7 +36,7 @@ impl Series {
 }
 
 /// A printable table: column headers plus rows of cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title.
     pub title: String,

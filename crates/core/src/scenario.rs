@@ -3,10 +3,9 @@
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_room::RoomPreset;
-use serde::{Deserialize, Serialize};
 
 /// How the voice command reaches the victim device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delivery {
     /// A person speaks the command normally.
     Legitimate {
@@ -174,18 +173,5 @@ mod tests {
         let reseeded = attack.with_seed(99);
         assert_eq!(reseeded.seed, 99);
         assert_eq!(attack.room, None);
-    }
-
-    #[test]
-    fn delivery_serialisation_roundtrip() {
-        let d = Delivery::ArrayUltrasound {
-            num_elements: 16,
-            total_power_w: 55.0,
-            carrier_hz: 40_000.0,
-        };
-        // serde_json is not a dependency; check that the serde derives exist
-        // by exercising the serializer-agnostic trait bounds.
-        fn assert_serde<T: serde::Serialize + for<'a> serde::Deserialize<'a>>(_: &T) {}
-        assert_serde(&d);
     }
 }

@@ -61,7 +61,6 @@ use ivc_acoustics::microphone::{CaptureScratch, Microphone, NoiseShape, ShapedPa
 use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
 use ivc_acoustics::speaker::UltrasonicSpeaker;
 use ivc_acoustics::spl::spl_db_to_pressure;
-use ivc_attack::baseband::BasebandConfig;
 use ivc_attack::leakage::{leakage_from_field, LeakageReport};
 use ivc_attack::multispeaker::{single_speaker_element_drives, MultiSpeakerAttack};
 use ivc_attack::single::SingleSpeakerAttack;
@@ -169,12 +168,11 @@ impl Product for AttackInputs {
             voice = precompensated_baseband(&voice, self.shadow_suppression)?;
         }
         let _span = telemetry::span("prepare.attack_build");
-        let baseband = BasebandConfig::default();
         let (num_elements, total_power_w) = (self.num_elements, self.total_power_w);
         let speaker = UltrasonicSpeaker::default();
         let array = SpeakerArray::new(speaker.clone(), num_elements, 0.03)?;
         let (drives, shortfall_w) = if num_elements == 1 {
-            let attack = SingleSpeakerAttack::build(&voice, self.carrier_hz, 0.9, &baseband)?;
+            let attack = SingleSpeakerAttack::build(&voice, self.carrier_hz, 0.9)?;
             let placed_w = total_power_w.min(speaker.max_power_w);
             (
                 single_speaker_element_drives(&attack, placed_w)?,
@@ -192,7 +190,6 @@ impl Product for AttackInputs {
                 total_power_w,
                 0.3,
                 speaker.max_power_w,
-                &baseband,
             )?;
             let allocation = attack.allocate_power()?;
             (allocation.drives, allocation.shortfall_w)
@@ -357,7 +354,7 @@ impl CellInputs {
             // Placing both listeners checks the geometry once; each product
             // then places only the listener it reads.
             let _span = telemetry::span("prepare.rir_build");
-            preset.instantiate(scenario.distance_m, scenario.bystander_distance_m)?;
+            preset.check_placement(scenario.distance_m, scenario.bystander_distance_m)?;
         }
         let path = |source| PathInputs {
             source,
@@ -534,10 +531,10 @@ impl PreparedCell {
     /// the device's software receives for trial `seed`.
     ///
     /// `scratch` holds the capture workspaces: a worker looping over
-    /// trials reuses one [`TrialScratch`] instead of re-allocating them
+    /// trials reuses one [`CaptureScratch`] instead of re-allocating them
     /// per call.  The output is bit-identical with a fresh or a reused
     /// scratch.
-    pub fn perturb(&self, seed: u64, scratch: &mut TrialScratch) -> Result<Signal> {
+    pub fn perturb(&self, seed: u64, scratch: &mut CaptureScratch) -> Result<Signal> {
         let path = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
             PreparedPaths::Legitimate(variants) => {
@@ -613,7 +610,7 @@ impl PreparedCell {
         seed: u64,
         recognizer: &Recognizer,
         detector: Option<&LogisticRegression>,
-        scratch: &mut TrialScratch,
+        scratch: &mut CaptureScratch,
     ) -> Result<TrialOutcome> {
         let recording = self.perturb(seed, scratch)?;
         self.evaluate(recording, seed, recognizer, detector)
@@ -629,7 +626,7 @@ pub(crate) fn perturb_path(
     noise: &[NoiseShape],
     microphone: &Microphone,
     seed: u64,
-    scratch: &mut TrialScratch,
+    scratch: &mut CaptureScratch,
 ) -> Result<Signal> {
     let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
     let noise = noise
@@ -639,7 +636,7 @@ pub(crate) fn perturb_path(
     {
         // Ambient and self noise in one draw of Gaussian bins.
         let _span = telemetry::span("perturb.ambient_noise");
-        noise.draw(seed, &mut scratch.capture);
+        noise.draw(seed, scratch);
     }
     // `Microphone::capture_shaped`, split so each step gets its own span.
     let _span = telemetry::span("perturb.mic_capture");
@@ -647,7 +644,7 @@ pub(crate) fn perturb_path(
         let _span = telemetry::span("perturb.mic_capture.front_end");
         let synthesized = {
             let _span = telemetry::span("perturb.mic_capture.front_end.synthesis");
-            microphone.front_end_synthesis(path, &mut scratch.capture)?
+            microphone.front_end_synthesis(path, scratch)?
         };
         let _span = telemetry::span("perturb.mic_capture.front_end.nonlinearity");
         microphone.front_end_nonlinearity(synthesized)
@@ -656,25 +653,8 @@ pub(crate) fn perturb_path(
         let _span = telemetry::span("perturb.mic_capture.adc");
         digitize(&analog, &microphone.adc, seed)
     };
-    scratch.capture.recycle(analog);
+    scratch.recycle(analog);
     Ok(recording?)
-}
-
-/// Per-worker scratch buffers threaded through the Perturb stage so the
-/// hot trial loop reuses its allocations instead of growing and dropping
-/// them per trial.  Purely an allocation-reuse vehicle: results are
-/// bit-identical with a fresh or a reused scratch.
-#[derive(Debug, Default)]
-pub struct TrialScratch {
-    /// Microphone capture workspaces (noise spectrum + time-domain).
-    capture: CaptureScratch,
-}
-
-impl TrialScratch {
-    /// Creates an empty scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 #[cfg(test)]
@@ -702,7 +682,7 @@ mod tests {
         let prepared = PreparedCell::prepare(command, &scenario, &[1, 2]).unwrap();
         // The same prepared cell serves multiple seeds; each equals the
         // one-shot wrapper for that seed, bit for bit.
-        let mut scratch = TrialScratch::new();
+        let mut scratch = CaptureScratch::new();
         for seed in [1u64, 2] {
             let staged = prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
             let monolithic =
@@ -721,7 +701,7 @@ mod tests {
     fn a_single_speaker_is_the_one_element_array() {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
-        let mut scratch = TrialScratch::new();
+        let mut scratch = CaptureScratch::new();
         let mut outcome = |delivery: Delivery| {
             let scenario = quick_scenario(delivery);
             PreparedCell::prepare(command, &scenario, &[7])
@@ -750,7 +730,7 @@ mod tests {
         });
         // Seeds 3 and 11 share variant 3: one rendered path serves both.
         let prepared = PreparedCell::prepare(command, &scenario, &[3, 11]).unwrap();
-        let mut scratch = TrialScratch::new();
+        let mut scratch = CaptureScratch::new();
         let a = prepared.run(3, &recognizer, None, &mut scratch).unwrap();
         let b = prepared
             .run(
@@ -789,7 +769,7 @@ mod tests {
     fn shadow_suppression_changes_the_attack_but_not_the_legit_path() {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
-        let mut scratch = TrialScratch::new();
+        let mut scratch = CaptureScratch::new();
         let oblivious = quick_scenario(Delivery::ArrayUltrasound {
             num_elements: 6,
             total_power_w: 60.0,

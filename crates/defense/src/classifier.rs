@@ -16,30 +16,16 @@ pub struct LogisticRegression {
     feature_stds: Vec<f64>,
 }
 
-/// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainingConfig {
-    /// Gradient-descent learning rate.
-    pub learning_rate: f64,
-    /// Number of full passes over the training set.
-    pub epochs: usize,
-    /// L2 regularisation strength.
-    pub l2: f64,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        TrainingConfig {
-            learning_rate: 0.2,
-            epochs: 400,
-            l2: 1e-3,
-        }
-    }
-}
+/// Gradient-descent learning rate.
+const LEARNING_RATE: f64 = 0.2;
+/// Number of full passes over the training set.
+const EPOCHS: usize = 400;
+/// L2 regularisation strength.
+const L2: f64 = 1e-3;
 
 impl LogisticRegression {
     /// Trains a model on `(feature_vector, is_attack)` pairs.
-    pub fn train(samples: &[(FeatureVector, bool)], config: &TrainingConfig) -> Result<Self> {
+    pub fn train(samples: &[(FeatureVector, bool)]) -> Result<Self> {
         if samples.len() < 4 {
             return Err(DefenseError::DegenerateDataset {
                 message: format!("need at least 4 samples, got {}", samples.len()),
@@ -56,12 +42,6 @@ impl LogisticRegression {
             return Err(DefenseError::DegenerateDataset {
                 message: "training set must contain both classes".into(),
             });
-        }
-        if config.learning_rate <= 0.0 || config.epochs == 0 {
-            return Err(DefenseError::invalid(
-                "TrainingConfig",
-                "learning_rate must be positive and epochs at least 1",
-            ));
         }
 
         // Standardise features.
@@ -92,7 +72,7 @@ impl LogisticRegression {
         // Batch gradient descent on the logistic loss.
         let mut weights = vec![0.0; dim];
         let mut bias = 0.0;
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
             let mut grad_w = vec![0.0; dim];
             let mut grad_b = 0.0;
             for (f, y) in samples {
@@ -111,9 +91,9 @@ impl LogisticRegression {
                 grad_b += err / n;
             }
             for (w, g) in weights.iter_mut().zip(grad_w.iter()) {
-                *w -= config.learning_rate * (g + config.l2 * *w);
+                *w -= LEARNING_RATE * (g + L2 * *w);
             }
-            bias -= config.learning_rate * grad_b;
+            bias -= LEARNING_RATE * grad_b;
         }
         Ok(LogisticRegression {
             weights,
@@ -178,28 +158,23 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(LogisticRegression::train(&[], &TrainingConfig::default()).is_err());
+        assert!(LogisticRegression::train(&[]).is_err());
         let one_class: Vec<(FeatureVector, bool)> =
             (0..8).map(|i| (vec![i as f64], false)).collect();
-        assert!(LogisticRegression::train(&one_class, &TrainingConfig::default()).is_err());
+        assert!(LogisticRegression::train(&one_class).is_err());
         let mixed_dims = vec![
             (vec![1.0], true),
             (vec![1.0, 2.0], false),
             (vec![1.0], true),
             (vec![1.0], false),
         ];
-        assert!(LogisticRegression::train(&mixed_dims, &TrainingConfig::default()).is_err());
-        let bad_config = TrainingConfig {
-            learning_rate: 0.0,
-            ..TrainingConfig::default()
-        };
-        assert!(LogisticRegression::train(&toy_dataset(4), &bad_config).is_err());
+        assert!(LogisticRegression::train(&mixed_dims).is_err());
     }
 
     #[test]
     fn learns_a_separable_problem() {
         let data = toy_dataset(20);
-        let model = LogisticRegression::train(&data, &TrainingConfig::default()).unwrap();
+        let model = LogisticRegression::train(&data).unwrap();
         for (f, y) in &data {
             assert_eq!(model.predict(f).unwrap(), *y);
         }
@@ -212,7 +187,7 @@ mod tests {
     #[test]
     fn probability_is_monotonic_along_the_attack_direction() {
         let data = toy_dataset(20);
-        let model = LogisticRegression::train(&data, &TrainingConfig::default()).unwrap();
+        let model = LogisticRegression::train(&data).unwrap();
         let mut last = 0.0;
         for step in 0..=10 {
             let x = -40.0 + 25.0 * step as f64 / 10.0;
@@ -225,8 +200,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_dimensions_at_prediction_time() {
-        let model =
-            LogisticRegression::train(&toy_dataset(10), &TrainingConfig::default()).unwrap();
+        let model = LogisticRegression::train(&toy_dataset(10)).unwrap();
         assert!(model.predict_probability(&vec![1.0]).is_err());
         assert!(model.predict(&vec![1.0, 2.0, 3.0]).is_err());
     }
@@ -234,8 +208,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let data = toy_dataset(12);
-        let a = LogisticRegression::train(&data, &TrainingConfig::default()).unwrap();
-        let b = LogisticRegression::train(&data, &TrainingConfig::default()).unwrap();
+        let a = LogisticRegression::train(&data).unwrap();
+        let b = LogisticRegression::train(&data).unwrap();
         assert_eq!(a, b);
     }
 }

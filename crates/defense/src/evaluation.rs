@@ -177,7 +177,6 @@ impl RocCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::TrainingConfig;
 
     fn separable_samples(n: usize) -> Vec<(FeatureVector, bool)> {
         let mut out = Vec::new();
@@ -253,7 +252,7 @@ mod tests {
     #[test]
     fn evaluate_and_roc_from_trained_model() {
         let samples = separable_samples(20);
-        let model = LogisticRegression::train(&samples, &TrainingConfig::default()).unwrap();
+        let model = LogisticRegression::train(&samples).unwrap();
         let matrix = evaluate(&model, &samples).unwrap();
         assert_eq!(matrix.total(), samples.len());
         assert!(matrix.accuracy() > 0.99);

@@ -133,7 +133,6 @@ mod tests {
     use ivc_acoustics::propagation::propagate;
     use ivc_acoustics::speaker::UltrasonicSpeaker;
     use ivc_acoustics::spl::spl_db_to_pressure;
-    use ivc_attack::baseband::BasebandConfig;
     use ivc_attack::single::SingleSpeakerAttack;
 
     fn synthetic_voice() -> Signal {
@@ -172,8 +171,7 @@ mod tests {
 
     fn attack_recording() -> Signal {
         let voice = synthetic_voice();
-        let attack =
-            SingleSpeakerAttack::build(&voice, 40_000.0, 0.9, &BasebandConfig::default()).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
         let speaker = UltrasonicSpeaker::default();
         let emitted = speaker.emit_at_1m(&attack.drive, 25.0).unwrap();
         let env = AirEnvironment::default();

@@ -33,11 +33,3 @@ pub mod features;
 pub use classifier::LogisticRegression;
 pub use error::{DefenseError, Result};
 pub use features::{DefenseFeatures, FeatureVector};
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::classifier::LogisticRegression;
-    pub use crate::error::{DefenseError, Result};
-    pub use crate::evaluation::{ConfusionMatrix, RocCurve};
-    pub use crate::features::{DefenseFeatures, FeatureVector};
-}

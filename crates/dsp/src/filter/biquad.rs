@@ -161,10 +161,6 @@ pub struct BiquadCascade {
     sections: Vec<Biquad>,
 }
 
-/// Conventional name for a second-order-sections filter: a
-/// [`BiquadCascade`] under the alias most DSP literature uses.
-pub type SosFilter = BiquadCascade;
-
 impl BiquadCascade {
     /// Builds a cascade from explicit sections.
     pub fn new(sections: Vec<Biquad>) -> Result<Self> {
@@ -466,7 +462,7 @@ mod tests {
     fn in_place_and_into_variants_match_the_allocating_path() {
         let fs = 8_000.0;
         let x = tone(700.0, fs, 512);
-        let cascade: SosFilter = BiquadCascade::butterworth_low_pass(1_000.0, 4, fs).unwrap();
+        let cascade = BiquadCascade::butterworth_low_pass(1_000.0, 4, fs).unwrap();
         let cascade_baseline = cascade.filter(&x);
         let mut reused = vec![42.0; 3];
         cascade.filter_into(&x, &mut reused);

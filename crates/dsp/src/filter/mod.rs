@@ -11,5 +11,5 @@
 pub mod biquad;
 pub mod fir;
 
-pub use biquad::{Biquad, BiquadCascade, BiquadState, SosFilter};
+pub use biquad::{Biquad, BiquadCascade, BiquadState};
 pub use fir::FirFilter;

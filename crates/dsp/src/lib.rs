@@ -44,13 +44,3 @@ pub mod window;
 pub use complex::Complex;
 pub use error::{DspError, Result};
 pub use signal::Signal;
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::complex::Complex;
-    pub use crate::error::{DspError, Result};
-    pub use crate::filter::biquad::{Biquad, BiquadCascade, SosFilter};
-    pub use crate::filter::fir::FirFilter;
-    pub use crate::signal::Signal;
-    pub use crate::window::WindowKind;
-}

@@ -18,39 +18,18 @@ pub struct Spectrogram {
     pub times_s: Vec<f64>,
     /// Frequency of each bin in Hz.
     pub frequencies_hz: Vec<f64>,
-    /// Hop between frames in samples.
-    pub hop_samples: usize,
     /// Sample rate of the analysed signal.
     pub sample_rate_hz: f64,
 }
 
-/// Configuration for STFT analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StftConfig {
-    /// Analysis frame length in samples.
-    pub frame_len: usize,
-    /// Hop between frames in samples.
-    pub hop: usize,
-    /// Window applied to each frame.
-    pub window: WindowKind,
-}
+/// Analysis frame length in samples.
+const FRAME_LEN: usize = 1_024;
+/// Hop between frames in samples.
+const HOP: usize = 256;
 
-impl Default for StftConfig {
-    fn default() -> Self {
-        StftConfig {
-            frame_len: 1_024,
-            hop: 256,
-            window: WindowKind::Hann,
-        }
-    }
-}
-
-/// Computes the power spectrogram of `samples`.
-pub fn spectrogram(
-    samples: &[f64],
-    sample_rate_hz: f64,
-    config: &StftConfig,
-) -> Result<Spectrogram> {
+/// Computes the power spectrogram of `samples`: Hann-windowed frames of
+/// 1024 samples every 256.
+pub fn spectrogram(samples: &[f64], sample_rate_hz: f64) -> Result<Spectrogram> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput {
             operation: "spectrogram",
@@ -59,15 +38,9 @@ pub fn spectrogram(
     if !(sample_rate_hz > 0.0) {
         return Err(DspError::InvalidSampleRate { sample_rate_hz });
     }
-    if config.frame_len < 8 || config.hop == 0 {
-        return Err(DspError::invalid_parameter(
-            "StftConfig",
-            "frame_len must be >= 8 and hop >= 1",
-        ));
-    }
-    let nfft = next_power_of_two(config.frame_len);
+    let nfft = next_power_of_two(FRAME_LEN);
     let n_bins = nfft / 2 + 1;
-    let win = config.window.periodic(config.frame_len);
+    let win = WindowKind::Hann.periodic(FRAME_LEN);
     let win_power: f64 = win.iter().map(|w| w * w).sum::<f64>().max(1e-300);
 
     let mut frames = Vec::new();
@@ -76,7 +49,7 @@ pub fn spectrogram(
     let mut start = 0usize;
     // Always emit at least one frame, zero-padding if the signal is short.
     loop {
-        let end = (start + config.frame_len).min(samples.len());
+        let end = (start + FRAME_LEN).min(samples.len());
         if start >= samples.len() && !frames.is_empty() {
             break;
         }
@@ -94,9 +67,9 @@ pub fn spectrogram(
             })
             .collect();
         frames.push(power);
-        times_s.push((start as f64 + config.frame_len as f64 / 2.0) / sample_rate_hz);
-        start += config.hop;
-        if start + config.frame_len > samples.len() + config.frame_len {
+        times_s.push((start as f64 + FRAME_LEN as f64 / 2.0) / sample_rate_hz);
+        start += HOP;
+        if start + FRAME_LEN > samples.len() + FRAME_LEN {
             break;
         }
         if start >= samples.len() {
@@ -110,7 +83,6 @@ pub fn spectrogram(
         frames,
         times_s,
         frequencies_hz,
-        hop_samples: config.hop,
         sample_rate_hz,
     })
 }
@@ -161,30 +133,19 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(spectrogram(&[], 48_000.0, &StftConfig::default()).is_err());
-        assert!(spectrogram(&[1.0; 64], 0.0, &StftConfig::default()).is_err());
-        let bad = StftConfig {
-            frame_len: 4,
-            hop: 0,
-            window: WindowKind::Hann,
-        };
-        assert!(spectrogram(&[1.0; 64], 48_000.0, &bad).is_err());
+        assert!(spectrogram(&[], 48_000.0).is_err());
+        assert!(spectrogram(&[1.0; 64], 0.0).is_err());
     }
 
     #[test]
     fn frame_count_matches_hop() {
         let fs = 8_000.0;
         let x = vec![0.1; 8_000];
-        let cfg = StftConfig {
-            frame_len: 256,
-            hop: 128,
-            window: WindowKind::Hann,
-        };
-        let sg = spectrogram(&x, fs, &cfg).unwrap();
+        let sg = spectrogram(&x, fs).unwrap();
         // Roughly len / hop frames.
         let frames = sg.frames.len();
-        assert!((60..=63).contains(&frames), "{frames}");
-        assert_eq!(sg.frequencies_hz.len(), 129);
+        assert!((29..=32).contains(&frames), "{frames}");
+        assert_eq!(sg.frequencies_hz.len(), 513);
         assert_eq!(sg.times_s.len(), frames);
     }
 
@@ -192,7 +153,7 @@ mod tests {
     fn tone_energy_lands_in_correct_band() {
         let fs = 48_000.0;
         let sig = Signal::tone(5_000.0, 1.0, 0.5, fs).unwrap();
-        let sg = spectrogram(sig.samples(), fs, &StftConfig::default()).unwrap();
+        let sg = spectrogram(sig.samples(), fs).unwrap();
         let in_band = sg.mean_band_power(4_500.0, 5_500.0);
         let out_band = sg.mean_band_power(10_000.0, 15_000.0);
         assert!(in_band / out_band.max(1e-20) > 1e4);
@@ -202,7 +163,7 @@ mod tests {
     fn short_signal_still_produces_one_frame() {
         let fs = 8_000.0;
         let x = vec![0.5; 100];
-        let sg = spectrogram(&x, fs, &StftConfig::default()).unwrap();
+        let sg = spectrogram(&x, fs).unwrap();
         assert_eq!(sg.frames.len(), 1);
     }
 
@@ -210,7 +171,7 @@ mod tests {
     fn band_summary_has_requested_length_and_orders_energy() {
         let fs = 48_000.0;
         let sig = Signal::tone(2_000.0, 1.0, 0.5, fs).unwrap();
-        let sg = spectrogram(sig.samples(), fs, &StftConfig::default()).unwrap();
+        let sg = spectrogram(sig.samples(), fs).unwrap();
         let summary = sg.band_summary_db(24_000.0, 12);
         assert_eq!(summary.len(), 12);
         // The band containing 2 kHz (band 1: 2k-4k) should be the maximum.
@@ -229,7 +190,7 @@ mod tests {
         let mut x = Signal::tone(1_000.0, 0.1, 0.25, fs).unwrap();
         let loud = Signal::tone(1_000.0, 1.0, 0.25, fs).unwrap();
         x.append(&loud).unwrap();
-        let sg = spectrogram(x.samples(), fs, &StftConfig::default()).unwrap();
+        let sg = spectrogram(x.samples(), fs).unwrap();
         let energies: Vec<f64> = sg.frames.iter().map(|f| f.iter().sum()).collect();
         let first = energies[1];
         let last = energies[energies.len() - 2];

@@ -31,11 +31,12 @@ use crate::aggregate::{aggregate_cells, psychometric_curves};
 use crate::error::{ExperimentError, Result};
 use crate::grid::{BandSummarySpec, CampaignSpec};
 use crate::report::CampaignReport;
+use ivc_acoustics::microphone::CaptureScratch;
 use ivc_core::prepare_cache::{self, DefaultRecognizer};
-use ivc_core::{telemetry, PreparedCell, TrialScratch};
+use ivc_core::{telemetry, PreparedCell};
 use ivc_defense::classifier::LogisticRegression;
 use ivc_dsp::signal::Signal;
-use ivc_dsp::stft::{spectrogram, StftConfig};
+use ivc_dsp::stft::spectrogram;
 use ivc_speech::commands::corpus;
 use ivc_speech::recognizer::Recognizer;
 use std::collections::HashMap;
@@ -254,7 +255,7 @@ pub(crate) fn execute_jobs(
             // scratch-independent, so worker count still never reaches
             // the archive).
             scope.spawn(|| {
-                let mut scratch = TrialScratch::new();
+                let mut scratch = CaptureScratch::new();
                 loop {
                     let job = next_job.fetch_add(1, Ordering::Relaxed);
                     if job >= num_jobs {
@@ -358,12 +359,8 @@ fn band_summary(
     spec: &BandSummarySpec,
 ) -> std::result::Result<Vec<f64>, String> {
     let _span = telemetry::span("executor.band_summary");
-    let sg = spectrogram(
-        recording.samples(),
-        recording.sample_rate_hz(),
-        &StftConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let sg =
+        spectrogram(recording.samples(), recording.sample_rate_hz()).map_err(|e| e.to_string())?;
     Ok(sg.band_summary_db(spec.max_hz, spec.bands))
 }
 
@@ -375,7 +372,7 @@ fn run_one_trial(
     prepared: SharedPrepared,
     detector: SharedDetector,
     recognizer: &Recognizer,
-    scratch: &mut TrialScratch,
+    scratch: &mut CaptureScratch,
 ) -> std::result::Result<TrialRecord, String> {
     let prepared = prepared?;
     let detector = detector?;

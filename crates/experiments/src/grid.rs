@@ -416,7 +416,7 @@ impl CampaignSpec {
         for &room in &self.rooms {
             if let Some(preset) = room {
                 for &d in &self.distances_m {
-                    if let Err(e) = preset.instantiate(d, self.bystander_distance_m) {
+                    if let Err(e) = preset.check_placement(d, self.bystander_distance_m) {
                         return Err(ExperimentError::invalid(
                             "rooms",
                             format!("{} at {d} m: {e}", preset.token()),

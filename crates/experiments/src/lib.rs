@@ -39,7 +39,7 @@
 //!   and the CI smoke grid.
 //!
 //! ```no_run
-//! use ivc_experiments::prelude::*;
+//! use ivc_experiments::{default_workers, run_campaign, CampaignSpec, DeliverySpec};
 //!
 //! let spec = CampaignSpec {
 //!     deliveries: (1..=4)
@@ -84,24 +84,3 @@ pub use shard::{
     merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name,
     ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
 };
-
-/// The commonly used items, in one import.
-pub mod prelude {
-    pub use crate::aggregate::{CellAccumulator, CellReport, CellStats, PsychometricCurve};
-    pub use crate::columns::COLUMNS_FORMAT;
-    pub use crate::error::{ExperimentError, Result};
-    pub use crate::executor::{default_workers, run_campaign, TrialRecord};
-    pub use crate::grid::{
-        detector_token, room_from_token, room_token, BandSummarySpec, CampaignSpec, CellCoords,
-        CellSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,
-    };
-    pub use crate::orchestrate::{
-        manifest_file_name, orchestrate, OrchestratorConfig, OrchestratorRun, OrchestratorStats,
-        ProcessLauncher, RunEvent, ShardLauncher, ThreadLauncher, MANIFEST_FORMAT,
-    };
-    pub use crate::report::CampaignReport;
-    pub use crate::shard::{
-        merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name,
-        ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
-    };
-}

@@ -3,8 +3,9 @@
 //! the same cells and seeds.  (Its counts, labels, reproducibility and
 //! validation are unit-tested in `ivc_core::dataset`.)
 
+use ivc_acoustics::microphone::CaptureScratch;
 use ivc_core::prepare_cache::{self, DefaultRecognizer};
-use ivc_core::{PreparedCell, TrialScratch};
+use ivc_core::PreparedCell;
 use ivc_defense::features::FeatureVector;
 use ivc_experiments::DetectorSpec;
 
@@ -19,7 +20,7 @@ fn bits(samples: &[(FeatureVector, bool)]) -> Vec<(Vec<u64>, bool)> {
 fn corpus_features_equal_the_trial_stages() {
     let corpus = DetectorSpec::standard(true).corpus;
     let recognizer = prepare_cache::get(&DefaultRecognizer).unwrap();
-    let mut scratch = TrialScratch::new();
+    let mut scratch = CaptureScratch::new();
     let mut expected = Vec::new();
     for cell in corpus.cells().unwrap() {
         let prepared = PreparedCell::prepare(&cell.command, &cell.scenario, &cell.seeds).unwrap();

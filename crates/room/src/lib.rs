@@ -54,17 +54,7 @@ pub mod shoebox;
 
 pub use error::{Result, RoomError};
 pub use material::{PartitionMaterial, SurfaceMaterial};
-pub use presets::{RoomInstance, RoomPreset};
+pub use presets::RoomPreset;
 pub use propagate::propagate_in_room;
 pub use rir::{RirTap, RoomImpulseResponse};
 pub use shoebox::Shoebox;
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::error::{Result, RoomError};
-    pub use crate::material::{PartitionMaterial, SurfaceMaterial};
-    pub use crate::occlusion::Occluder;
-    pub use crate::presets::{RoomInstance, RoomPreset};
-    pub use crate::rir::{RirTap, RoomImpulseResponse};
-    pub use crate::shoebox::Shoebox;
-}

@@ -1,12 +1,11 @@
-//! Named room presets and their scenario-ready instantiation.
+//! Named room presets and their placement checks.
 //!
 //! A preset fixes a room's dimensions, materials, occluders and reflection
-//! order; [`RoomPreset::instantiate`] then places the source, target
-//! microphone and bystander for a concrete scenario (source-to-target
-//! distance, source-to-bystander distance) and validates that everything
-//! fits inside the box; [`RoomPreset::target_rir`] and
-//! [`RoomPreset::bystander_rir`] place only the listener their response
-//! reaches, at the same position.
+//! order; [`RoomPreset::check_placement`] checks that the source, target
+//! microphone and bystander of a concrete scenario (source-to-target
+//! distance, source-to-bystander distance) all fit inside the box;
+//! [`RoomPreset::target_rir`] and [`RoomPreset::bystander_rir`] place only
+//! the listener their response reaches, at the same position.
 //!
 //! Layout convention: the room's long axis is `x`; the source sits near
 //! the `x = 0` wall at `(source_x, W/2, 1.2)`, the target `distance_m`
@@ -93,7 +92,7 @@ impl RoomPreset {
             // Oversized so that every room-scale scenario fits (targets
             // out to 58.5 m given the 1 m source offset and 0.5 m wall
             // clearance); the walls never reflect anyway.  Past that
-            // bound `instantiate` errors even though the free-field
+            // bound `check_placement` errors even though the free-field
             // (`room: None`) channel would still accept the distance —
             // the documented geometry checks apply to every preset.
             RoomPreset::Anechoic => Shoebox::uniform(60.0, 20.0, 20.0, SurfaceMaterial::anechoic()),
@@ -168,20 +167,12 @@ impl RoomPreset {
         }
     }
 
-    /// Places source, target and bystander for a concrete scenario and
-    /// validates the geometry.
-    pub fn instantiate(&self, distance_m: f64, bystander_distance_m: f64) -> Result<RoomInstance> {
-        let (room, source, target) = self.place_target(distance_m)?;
-        let bystander = self.place_bystander(&room, &source, bystander_distance_m)?;
-        Ok(RoomInstance {
-            preset: *self,
-            room,
-            source,
-            target,
-            bystander,
-            occluders: self.occluders(),
-            max_order: self.max_order(),
-        })
+    /// Checks that a target `distance_m` down the room's axis and a
+    /// bystander `bystander_distance_m` from the source both fit the room.
+    pub fn check_placement(&self, distance_m: f64, bystander_distance_m: f64) -> Result<()> {
+        let (room, source, _) = self.place_target(distance_m)?;
+        self.place_bystander(&room, &source, bystander_distance_m)?;
+        Ok(())
     }
 
     /// Impulse response from the source to a target microphone
@@ -296,26 +287,6 @@ fn source_position(room: &Shoebox) -> Point3 {
     Point3::new(1.0, room.width_m / 2.0, DEVICE_HEIGHT_M)
 }
 
-/// A preset placed for one concrete scenario: the room plus the three
-/// positions every trial needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoomInstance {
-    /// The preset this instance came from.
-    pub preset: RoomPreset,
-    /// The room box.
-    pub room: Shoebox,
-    /// The attacking array / talker position.
-    pub source: Point3,
-    /// The victim microphone position.
-    pub target: Point3,
-    /// The bystander's ear position.
-    pub bystander: Point3,
-    /// Partitions on the floor plan.
-    pub occluders: Vec<Occluder>,
-    /// Image-source reflection order.
-    pub max_order: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,31 +303,35 @@ mod tests {
     fn presets_instantiate_at_standard_distances() {
         for preset in RoomPreset::ALL {
             for distance in [1.0, 2.0, 4.0, 6.0] {
-                let instance = preset
-                    .instantiate(distance, 1.0)
+                preset
+                    .check_placement(distance, 1.0)
                     .unwrap_or_else(|e| panic!("{} at {distance} m: {e}", preset.token()));
-                assert!((instance.source.distance_to(&instance.target) - distance).abs() < 1e-9);
-                assert!(
-                    (instance.source.distance_to(&instance.bystander) - 1.0).abs() < 1e-9,
-                    "{}: bystander distance",
-                    preset.token()
-                );
+                let target = preset.target_rir(distance, 0.0).unwrap();
+                assert!((target.direct().distance_m - distance).abs() < 1e-9);
             }
+            let bystander = preset.bystander_rir(1.0).unwrap();
+            assert!(
+                (bystander.direct().distance_m - 1.0).abs() < 1e-9,
+                "{}: bystander distance",
+                preset.token()
+            );
         }
     }
 
     #[test]
     fn geometry_violations_are_rejected() {
-        assert!(RoomPreset::Office.instantiate(0.0, 1.0).is_err());
-        assert!(RoomPreset::Office.instantiate(2.0, -1.0).is_err());
+        assert!(RoomPreset::Office.check_placement(0.0, 1.0).is_err());
+        assert!(RoomPreset::Office.check_placement(2.0, -1.0).is_err());
         // Office is 8 m long: a 7 m throw cannot keep its wall clearance.
-        assert!(RoomPreset::Office.instantiate(7.0, 1.0).is_err());
-        assert!(RoomPreset::Corridor.instantiate(7.0, 1.0).is_ok());
+        assert!(RoomPreset::Office.check_placement(7.0, 1.0).is_err());
+        assert!(RoomPreset::Corridor.check_placement(7.0, 1.0).is_ok());
         // The corridor is 2.2 m wide: a 2 m bystander offset hits the wall.
-        assert!(RoomPreset::Corridor.instantiate(2.0, 2.0).is_err());
+        assert!(RoomPreset::Corridor.check_placement(2.0, 2.0).is_err());
         // The doorway preset needs the target past the partition.
-        assert!(RoomPreset::ThroughDoorway.instantiate(0.5, 1.0).is_err());
-        assert!(RoomPreset::ThroughDoorway.instantiate(3.0, 1.0).is_ok());
+        assert!(RoomPreset::ThroughDoorway
+            .check_placement(0.5, 1.0)
+            .is_err());
+        assert!(RoomPreset::ThroughDoorway.check_placement(3.0, 1.0).is_ok());
     }
 
     #[test]

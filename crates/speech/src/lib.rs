@@ -38,14 +38,5 @@ pub mod vad;
 pub use cache::TalkerKey;
 pub use commands::{CommandId, VoiceCommand};
 pub use error::{Result, SpeechError};
-pub use recognizer::{RecognitionOutcome, Recognizer, RecognizerConfig};
+pub use recognizer::{RecognitionOutcome, Recognizer};
 pub use synthesis::{SpeakerProfile, Synthesizer};
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::commands::{CommandId, VoiceCommand};
-    pub use crate::error::{Result, SpeechError};
-    pub use crate::mfcc::MfccConfig;
-    pub use crate::recognizer::{RecognitionOutcome, Recognizer, RecognizerConfig};
-    pub use crate::synthesis::{SpeakerProfile, Synthesizer};
-}

@@ -13,51 +13,23 @@
 use crate::commands::{corpus, CommandId, VoiceCommand};
 use crate::dtw::{align_with_costs, cost_matrix};
 use crate::error::{Result, SpeechError};
-use crate::mfcc::{mfcc, MfccConfig, MfccFrames};
+use crate::mfcc::{mfcc, MfccFrames};
 use crate::synthesis::{SpeakerProfile, Synthesizer, Utterance};
-use crate::vad::{detect_speech, VadConfig};
+use crate::vad::detect_speech;
 use ivc_dsp::resample::resample;
 use ivc_dsp::signal::Signal;
 
-/// Configuration of the recogniser.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecognizerConfig {
-    /// MFCC front-end configuration (shared by templates and queries).
-    pub mfcc: MfccConfig,
-    /// Internal analysis rate; recordings are resampled to this before
-    /// feature extraction.
-    pub analysis_rate_hz: f64,
-    /// Mean per-frame DTW distance below which a word counts as recognised.
-    pub word_distance_threshold: f64,
-    /// Overall normalised distance above which a recording is rejected
-    /// outright (treated as "not a known command").
-    pub rejection_distance: f64,
-    /// Minimum fraction of words that must be recognised for the command to
-    /// count as accepted end-to-end (the wake word plus most of the payload).
-    pub acceptance_word_fraction: f64,
-    /// Apply per-utterance cepstral mean normalisation to templates and
-    /// queries.  This removes linear-channel mismatch (microphone roll-off,
-    /// the demodulation path's spectral tilt) and helps when templates and
-    /// recordings come from different recording chains.  Off by default:
-    /// `word_distance_threshold` and `rejection_distance` are calibrated for
-    /// un-normalised cepstra, and CMN also shrinks the distance gap between
-    /// speech and non-speech recordings, so enabling it calls for re-tuned
-    /// thresholds.
-    pub cepstral_mean_normalization: bool,
-}
-
-impl Default for RecognizerConfig {
-    fn default() -> Self {
-        RecognizerConfig {
-            mfcc: MfccConfig::default(),
-            analysis_rate_hz: 16_000.0,
-            word_distance_threshold: 11.0,
-            rejection_distance: 14.0,
-            acceptance_word_fraction: 0.6,
-            cepstral_mean_normalization: false,
-        }
-    }
-}
+/// Internal analysis rate; recordings are resampled to this before
+/// feature extraction.
+const ANALYSIS_RATE_HZ: f64 = 16_000.0;
+/// Mean per-frame DTW distance below which a word counts as recognised.
+const WORD_DISTANCE_THRESHOLD: f64 = 11.0;
+/// Overall normalised distance above which a recording is rejected
+/// outright (treated as "not a known command").
+const REJECTION_DISTANCE: f64 = 14.0;
+/// Minimum fraction of words that must be recognised for the command to
+/// count as accepted end-to-end (the wake word plus most of the payload).
+const ACCEPTANCE_WORD_FRACTION: f64 = 0.6;
 
 /// A command template: features plus per-word frame ranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,25 +73,21 @@ pub struct TrialEvaluation {
 }
 
 /// The template-matching recogniser.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recognizer {
-    config: RecognizerConfig,
     templates: Vec<CommandTemplate>,
 }
 
 impl Recognizer {
-    /// Creates an empty recogniser with the given configuration.
-    pub fn new(config: RecognizerConfig) -> Self {
-        Recognizer {
-            config,
-            templates: Vec::new(),
-        }
+    /// Creates an empty recogniser.
+    pub fn new() -> Self {
+        Recognizer::default()
     }
 
     /// Creates a recogniser pre-enrolled with the full command corpus,
     /// rendered by the canonical speaker.
     pub fn with_default_corpus() -> Result<Self> {
-        let mut recognizer = Recognizer::new(RecognizerConfig::default());
+        let mut recognizer = Recognizer::new();
         let synth = Synthesizer::new(48_000.0)?;
         for command in corpus() {
             let utterance = synth.render(&command, &SpeakerProfile::canonical())?;
@@ -141,8 +109,7 @@ impl Recognizer {
                 "word boundary count does not match the command's word count",
             ));
         }
-        let prepared = self.prepare(&utterance.signal)?;
-        let frames = self.features(&prepared)?;
+        let frames = mfcc(&self.prepare(&utterance.signal)?)?;
         // Word boundaries are expressed in the original signal's time base;
         // preparation trims leading silence, so shift accordingly.
         let trim_offset = self.leading_trim_s(&utterance.signal)?;
@@ -176,8 +143,7 @@ impl Recognizer {
         if self.templates.is_empty() {
             return Err(SpeechError::NoTemplates);
         }
-        let prepared = self.prepare(recording)?;
-        let query = self.features(&prepared)?;
+        let query = mfcc(&self.prepare(recording)?)?;
         let mut scored: Vec<(usize, f64, f64)> = Vec::new(); // (template idx, distance, word accuracy)
         let mut expected_flags: Option<Vec<(String, bool)>> = None;
         for (idx, template) in self.templates.iter().enumerate() {
@@ -192,7 +158,7 @@ impl Recognizer {
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let best = scored[0];
         let second_distance = scored.get(1).map(|s| s.1).unwrap_or(f64::INFINITY);
-        let accepted = best.1 <= self.config.rejection_distance;
+        let accepted = best.1 <= REJECTION_DISTANCE;
         let outcome = RecognitionOutcome {
             command: accepted.then(|| self.templates[best.0].command.id),
             best_distance: best.1,
@@ -218,8 +184,8 @@ impl Recognizer {
         // `None` here means `expected` is not enrolled.
         let word_recognition = expected_flags.ok_or(SpeechError::NoTemplates)?;
         let word_accuracy = Self::fraction_recognized(&word_recognition);
-        let accepted = outcome.command == Some(expected)
-            && word_accuracy >= self.config.acceptance_word_fraction;
+        let accepted =
+            outcome.command == Some(expected) && word_accuracy >= ACCEPTANCE_WORD_FRACTION;
         Ok(TrialEvaluation {
             outcome,
             word_recognition,
@@ -250,22 +216,11 @@ impl Recognizer {
             .map(|((start, end), (word, _))| {
                 let recognized = alignment
                     .mean_distance_in_template_range(*start, *end, costs)
-                    .map(|d| d <= self.config.word_distance_threshold)
+                    .map(|d| d <= WORD_DISTANCE_THRESHOLD)
                     .unwrap_or(false);
                 (word.to_string(), recognized)
             })
             .collect()
-    }
-
-    /// MFCC extraction plus (optional) cepstral mean normalisation — the
-    /// shared front-end for templates and queries.
-    fn features(&self, prepared: &Signal) -> Result<crate::mfcc::MfccFrames> {
-        let mut frames = mfcc(prepared, &self.config.mfcc)?;
-        if self.config.cepstral_mean_normalization {
-            // Normalise the cepstra but leave the appended log-energy term.
-            frames.apply_mean_normalization(self.config.mfcc.num_coefficients);
-        }
-        Ok(frames)
     }
 
     /// Resamples to the analysis rate, trims silence around the detected
@@ -275,12 +230,7 @@ impl Recognizer {
         if signal.is_empty() {
             return Err(SpeechError::invalid("recording", "empty signal"));
         }
-        let resampled = if (signal.sample_rate_hz() - self.config.analysis_rate_hz).abs() > 1e-6 {
-            resample(signal, self.config.analysis_rate_hz)?
-        } else {
-            signal.clone()
-        };
-        let trimmed = self.trim_to_speech(&resampled)?;
+        let trimmed = self.trim_to_speech(&to_analysis_rate(signal)?)?;
         let mut normalised = trimmed;
         normalised.remove_dc();
         normalised.normalize_peak(0.5);
@@ -288,7 +238,7 @@ impl Recognizer {
     }
 
     fn trim_to_speech(&self, signal: &Signal) -> Result<Signal> {
-        let regions = detect_speech(signal, &VadConfig::default())?;
+        let regions = detect_speech(signal)?;
         if regions.is_empty() {
             return Ok(signal.clone());
         }
@@ -301,16 +251,20 @@ impl Recognizer {
     }
 
     fn leading_trim_s(&self, signal: &Signal) -> Result<f64> {
-        let resampled = if (signal.sample_rate_hz() - self.config.analysis_rate_hz).abs() > 1e-6 {
-            resample(signal, self.config.analysis_rate_hz)?
-        } else {
-            signal.clone()
-        };
-        let regions = detect_speech(&resampled, &VadConfig::default())?;
+        let regions = detect_speech(&to_analysis_rate(signal)?)?;
         Ok(regions
             .first()
             .map(|r| (r.start_s - 0.05).max(0.0))
             .unwrap_or(0.0))
+    }
+}
+
+/// `signal` at [`ANALYSIS_RATE_HZ`], resampled only if it is not already.
+fn to_analysis_rate(signal: &Signal) -> Result<Signal> {
+    if (signal.sample_rate_hz() - ANALYSIS_RATE_HZ).abs() > 1e-6 {
+        Ok(resample(signal, ANALYSIS_RATE_HZ)?)
+    } else {
+        Ok(signal.clone())
     }
 }
 
@@ -334,8 +288,7 @@ mod tests {
                 .iter()
                 .find(|t| t.command.id == expected)
                 .ok_or(SpeechError::NoTemplates)?;
-            let prepared = self.prepare(recording)?;
-            let query = self.features(&prepared)?;
+            let query = mfcc(&self.prepare(recording)?)?;
             let costs = cost_matrix(&template.frames.frames, &query.frames);
             let alignment = align_with_costs(&costs)?;
             Ok(self.per_word_recognition(template, &alignment, &costs))
@@ -356,7 +309,7 @@ mod tests {
 
     #[test]
     fn empty_recogniser_rejects_queries() {
-        let r = Recognizer::new(RecognizerConfig::default());
+        let r = Recognizer::new();
         let s = Signal::tone(440.0, 0.5, 0.5, 16_000.0).unwrap();
         assert!(matches!(
             r.evaluate(&s, CommandId(0)),
@@ -444,34 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn cmn_recognizer_still_recognises_clean_speech() {
-        // CMN changes the distance scale, so it is opt-in; with it enabled a
-        // clean rendering of an enrolled command must still match its own
-        // template essentially perfectly (distance ~ 0).
-        let mut r = Recognizer::new(RecognizerConfig {
-            cepstral_mean_normalization: true,
-            ..RecognizerConfig::default()
-        });
-        let synth = Synthesizer::new(48_000.0).unwrap();
-        for command in corpus() {
-            let utt = synth
-                .render(&command, &SpeakerProfile::canonical())
-                .unwrap();
-            r.enroll(&utt, command).unwrap();
-        }
-        let command = &corpus()[0];
-        let utt = synth.render(command, &SpeakerProfile::canonical()).unwrap();
-        let outcome = r.evaluate(&utt.signal, command.id).unwrap().outcome;
-        assert_eq!(outcome.command, Some(command.id));
-        assert!(
-            outcome.best_distance < 1.0,
-            "distance {}",
-            outcome.best_distance
-        );
-        assert!(outcome.word_accuracy > 0.99);
-    }
-
-    #[test]
     fn word_recognition_lists_words_and_matches_accuracy() {
         let r = Recognizer::with_default_corpus().unwrap();
         let synth = Synthesizer::new(48_000.0).unwrap();
@@ -521,7 +446,7 @@ mod tests {
 
     #[test]
     fn enrollment_validates_word_boundaries() {
-        let mut r = Recognizer::new(RecognizerConfig::default());
+        let mut r = Recognizer::new();
         let synth = Synthesizer::new(48_000.0).unwrap();
         let commands = corpus();
         let utt = synth

@@ -7,26 +7,12 @@
 use crate::error::{Result, SpeechError};
 use ivc_dsp::signal::Signal;
 
-/// Configuration of the energy-based VAD.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VadConfig {
-    /// Analysis frame length in seconds.
-    pub frame_s: f64,
-    /// Threshold above the noise floor, in dB, for a frame to count as speech.
-    pub threshold_db: f64,
-    /// Minimum speech duration in seconds for a region to be kept.
-    pub min_region_s: f64,
-}
-
-impl Default for VadConfig {
-    fn default() -> Self {
-        VadConfig {
-            frame_s: 0.02,
-            threshold_db: 9.0,
-            min_region_s: 0.05,
-        }
-    }
-}
+/// Analysis frame length in seconds.
+const FRAME_S: f64 = 0.02;
+/// Threshold above the noise floor, in dB, for a frame to count as speech.
+const THRESHOLD_DB: f64 = 9.0;
+/// Minimum speech duration in seconds for a region to be kept.
+const MIN_REGION_S: f64 = 0.05;
 
 /// A detected speech region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,18 +31,12 @@ impl SpeechRegion {
 }
 
 /// Detects speech regions in `signal`.
-pub fn detect_speech(signal: &Signal, config: &VadConfig) -> Result<Vec<SpeechRegion>> {
+pub fn detect_speech(signal: &Signal) -> Result<Vec<SpeechRegion>> {
     if signal.is_empty() {
         return Err(SpeechError::invalid("signal", "empty input"));
     }
-    if config.frame_s <= 0.0 || config.min_region_s < 0.0 {
-        return Err(SpeechError::invalid(
-            "VadConfig",
-            "frame_s must be positive",
-        ));
-    }
     let fs = signal.sample_rate_hz();
-    let frame_len = ((config.frame_s * fs).round() as usize).max(1);
+    let frame_len = ((FRAME_S * fs).round() as usize).max(1);
     let samples = signal.samples();
     let n_frames = samples.len().div_ceil(frame_len);
     let energies: Vec<f64> = (0..n_frames)
@@ -71,7 +51,7 @@ pub fn detect_speech(signal: &Signal, config: &VadConfig) -> Result<Vec<SpeechRe
     let mut sorted = energies.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let floor = sorted[(sorted.len() as f64 * 0.2) as usize].max(1e-20);
-    let threshold = floor * 10f64.powf(config.threshold_db / 10.0);
+    let threshold = floor * 10f64.powf(THRESHOLD_DB / 10.0);
 
     let mut regions = Vec::new();
     let mut start: Option<usize> = None;
@@ -81,18 +61,11 @@ pub fn detect_speech(signal: &Signal, config: &VadConfig) -> Result<Vec<SpeechRe
                 start = Some(i);
             }
         } else if let Some(s) = start.take() {
-            push_region(&mut regions, s, i, frame_len, fs, config.min_region_s);
+            push_region(&mut regions, s, i, frame_len, fs);
         }
     }
     if let Some(s) = start {
-        push_region(
-            &mut regions,
-            s,
-            energies.len(),
-            frame_len,
-            fs,
-            config.min_region_s,
-        );
+        push_region(&mut regions, s, energies.len(), frame_len, fs);
     }
     Ok(regions)
 }
@@ -103,13 +76,12 @@ fn push_region(
     end_frame: usize,
     frame_len: usize,
     fs: f64,
-    min_region_s: f64,
 ) {
     let region = SpeechRegion {
         start_s: start_frame as f64 * frame_len as f64 / fs,
         end_s: end_frame as f64 * frame_len as f64 / fs,
     };
-    if region.duration_s() >= min_region_s {
+    if region.duration_s() >= MIN_REGION_S {
         regions.push(region);
     }
 }
@@ -121,13 +93,7 @@ mod tests {
     #[test]
     fn validation() {
         let empty = Signal::new(vec![], 16_000.0).unwrap();
-        assert!(detect_speech(&empty, &VadConfig::default()).is_err());
-        let s = Signal::tone(440.0, 0.5, 0.2, 16_000.0).unwrap();
-        let bad = VadConfig {
-            frame_s: 0.0,
-            ..VadConfig::default()
-        };
-        assert!(detect_speech(&s, &bad).is_err());
+        assert!(detect_speech(&empty).is_err());
     }
 
     #[test]
@@ -137,7 +103,7 @@ mod tests {
         let burst = Signal::tone(800.0, 0.5, 0.3, fs).unwrap();
         s.append(&burst).unwrap();
         s.append(&Signal::silence(0.5, fs).unwrap()).unwrap();
-        let regions = detect_speech(&s, &VadConfig::default()).unwrap();
+        let regions = detect_speech(&s).unwrap();
         assert_eq!(regions.len(), 1);
         let r = regions[0];
         assert!((r.start_s - 0.5).abs() < 0.06, "start {}", r.start_s);
@@ -154,7 +120,7 @@ mod tests {
         s.append(&Signal::tone(600.0, 0.5, 0.2, fs).unwrap())
             .unwrap();
         s.append(&Signal::silence(0.3, fs).unwrap()).unwrap();
-        let regions = detect_speech(&s, &VadConfig::default()).unwrap();
+        let regions = detect_speech(&s).unwrap();
         assert_eq!(regions.len(), 2);
     }
 
@@ -165,7 +131,7 @@ mod tests {
         s.append(&Signal::tone(600.0, 0.5, 0.01, fs).unwrap())
             .unwrap();
         s.append(&Signal::silence(0.5, fs).unwrap()).unwrap();
-        let regions = detect_speech(&s, &VadConfig::default()).unwrap();
+        let regions = detect_speech(&s).unwrap();
         assert!(regions.is_empty());
     }
 
@@ -173,7 +139,7 @@ mod tests {
     fn pure_silence_has_no_regions() {
         let fs = 16_000.0;
         let s = Signal::silence(1.0, fs).unwrap();
-        let regions = detect_speech(&s, &VadConfig::default()).unwrap();
+        let regions = detect_speech(&s).unwrap();
         assert!(regions.is_empty());
     }
 }

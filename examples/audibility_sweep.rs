@@ -7,7 +7,6 @@
 use inaudible_voice_commands::acoustics::array::SpeakerArray;
 use inaudible_voice_commands::acoustics::environment::AirEnvironment;
 use inaudible_voice_commands::acoustics::speaker::UltrasonicSpeaker;
-use inaudible_voice_commands::attack::baseband::BasebandConfig;
 use inaudible_voice_commands::attack::leakage::estimate_leakage;
 use inaudible_voice_commands::attack::multispeaker::{
     single_speaker_element_drives, MultiSpeakerAttack,
@@ -22,12 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         .render(&corpus()[0], &SpeakerProfile::canonical())?
         .signal;
     let voice = voice_full.slice_seconds(0.0, 1.2);
-    let cfg = BasebandConfig::default();
     let env = AirEnvironment::default();
 
     println!("bystander standing 1 m from the transmitter\n");
     println!("--- single speaker (carrier + sidebands on one tweeter) ---");
-    let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9, &cfg)?;
+    let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9)?;
     let single_array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03)?;
     println!(
         "{:>10}  {:>16}  {:>18}  {:>8}",
@@ -51,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
     for n in [2usize, 4, 8, 16] {
         let total_power = 7.0 * n as f64;
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, total_power, 0.3, 30.0, &cfg)?;
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, total_power, 0.3, 30.0)?;
         let array = SpeakerArray::new(UltrasonicSpeaker::default(), n, 0.03)?;
         let drives = attack.allocate_power()?.drives;
         let leak = estimate_leakage(&array, &drives, 1.0, &env, 0.0)?;

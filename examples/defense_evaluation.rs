@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example defense_evaluation`
 
 use inaudible_voice_commands::core::DatasetConfig;
-use inaudible_voice_commands::defense::classifier::{LogisticRegression, TrainingConfig};
+use inaudible_voice_commands::defense::classifier::LogisticRegression;
 use inaudible_voice_commands::defense::evaluation::{evaluate, RocCurve};
 use inaudible_voice_commands::defense::features::DefenseFeatures;
 use inaudible_voice_commands::experiments::DetectorSpec;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         );
     }
 
-    let model = LogisticRegression::train(&train, &TrainingConfig::default())?;
+    let model = LogisticRegression::train(&train)?;
     println!("\ntrained detector weights (standardised feature space):");
     for (name, w) in DefenseFeatures::NAMES.iter().zip(model.weights()) {
         println!("  {name:>26}: {w:+.3}");

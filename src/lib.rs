@@ -39,22 +39,29 @@ pub use ivc_speech as speech;
 
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
-    pub use ivc_acoustics::prelude::*;
-    pub use ivc_attack::prelude::*;
-    pub use ivc_core::{run_trial, DatasetConfig, Delivery, PreparedCell, Scenario, TrialOutcome};
-    pub use ivc_defense::prelude::*;
-    pub use ivc_dsp::prelude::*;
+    pub use ivc_acoustics::array::SpeakerArray;
+    pub use ivc_acoustics::{
+        AcousticsError, AirEnvironment, DevicePreset, Microphone, Polynomial, UltrasonicSpeaker,
+    };
+    pub use ivc_attack::leakage::LeakageReport;
+    pub use ivc_attack::{AttackError, MultiSpeakerAttack, SingleSpeakerAttack};
+    pub use ivc_core::{
+        run_trial, DatasetConfig, Delivery, PreparedCell, Result, Scenario, TrialOutcome,
+    };
+    pub use ivc_defense::evaluation::{ConfusionMatrix, RocCurve};
+    pub use ivc_defense::{DefenseError, DefenseFeatures, FeatureVector, LogisticRegression};
+    pub use ivc_dsp::filter::{Biquad, BiquadCascade, FirFilter};
+    pub use ivc_dsp::window::WindowKind;
+    pub use ivc_dsp::{Complex, DspError, Signal};
     pub use ivc_experiments::{
         run_campaign, CampaignReport, CampaignSpec, CellCoords, DeliverySpec, DetectorSpec,
         EnvironmentPreset, ShardArchive, ShardJob, ShardPlan, ShardRange,
     };
-    pub use ivc_room::{RoomInstance, RoomPreset};
-    pub use ivc_speech::prelude::*;
-
-    // Every substrate prelude exports its own `Result` alias; pick the
-    // end-to-end pipeline's boxed-error alias for the umbrella prelude so
-    // the glob re-exports above stay unambiguous.
-    pub use ivc_core::Result;
+    pub use ivc_room::RoomPreset;
+    pub use ivc_speech::{
+        CommandId, RecognitionOutcome, Recognizer, SpeakerProfile, SpeechError, Synthesizer,
+        VoiceCommand,
+    };
 }
 
 #[cfg(test)]
@@ -65,7 +72,7 @@ mod tests {
         let _ = crate::dsp::window::WindowKind::Hann.symmetric(8);
         let _ = crate::acoustics::environment::AirEnvironment::default();
         let _ = crate::speech::commands::corpus();
-        let _ = crate::attack::baseband::BasebandConfig::default();
+        let _ = crate::attack::baseband::CUTOFF_HZ;
         let _ = crate::defense::features::DefenseFeatures::DIMENSION;
         let _ = crate::core::Scenario::default_attack();
         let _ = crate::experiments::CampaignSpec::new("wired");

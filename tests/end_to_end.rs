@@ -2,7 +2,7 @@
 //! the public umbrella API.
 
 use inaudible_voice_commands::core::{run_trial, DatasetConfig, Delivery, Scenario};
-use inaudible_voice_commands::defense::classifier::{LogisticRegression, TrainingConfig};
+use inaudible_voice_commands::defense::classifier::LogisticRegression;
 use inaudible_voice_commands::defense::evaluation::evaluate;
 use inaudible_voice_commands::experiments::DetectorSpec;
 use inaudible_voice_commands::speech::commands::corpus;
@@ -122,7 +122,7 @@ fn trained_detector_separates_attacks_from_legitimate_recordings() {
         ..DetectorSpec::standard(true).corpus
     };
     let train_set = config.labelled_features().unwrap();
-    let model = LogisticRegression::train(&train_set, &TrainingConfig::default()).unwrap();
+    let model = LogisticRegression::train(&train_set).unwrap();
 
     // ...and test on a held-out corpus: another seed, another command.
     let test_config = DatasetConfig {

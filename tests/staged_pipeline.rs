@@ -19,9 +19,9 @@
 //! IVC_REGEN_FIXTURES=1 cargo test -p inaudible-voice-commands --test staged_pipeline
 //! ```
 
-use inaudible_voice_commands::acoustics::microphone::DevicePreset;
+use inaudible_voice_commands::acoustics::microphone::{CaptureScratch, DevicePreset};
 use inaudible_voice_commands::core::scenario::{Delivery, Scenario};
-use inaudible_voice_commands::core::{run_trial, PreparedCell, TrialOutcome, TrialScratch};
+use inaudible_voice_commands::core::{run_trial, PreparedCell, TrialOutcome};
 use inaudible_voice_commands::dsp::signal::Signal;
 use inaudible_voice_commands::room::RoomPreset;
 use inaudible_voice_commands::speech::commands::corpus;
@@ -176,7 +176,7 @@ fn golden_lines(recognizer: &Recognizer) -> Vec<String> {
         SHARED_SEEDS[0],
     );
     let prepared = PreparedCell::prepare(command, &scenario, &SHARED_SEEDS).unwrap();
-    let mut scratch = TrialScratch::new();
+    let mut scratch = CaptureScratch::new();
     for seed in SHARED_SEEDS {
         let outcome = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
         lines.push(digest_line(&format!("shared/Office/seed{seed}"), &outcome));
@@ -231,7 +231,7 @@ fn assert_shared_cell_matches_run_trial(
 ) {
     let command = &corpus()[command_index];
     let prepared = PreparedCell::prepare(command, scenario, seeds).unwrap();
-    let mut scratch = TrialScratch::new();
+    let mut scratch = CaptureScratch::new();
     for &seed in seeds {
         let shared = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
         let alone = run_trial(command, &scenario.with_seed(seed), recognizer, None).unwrap();
