@@ -6,7 +6,7 @@
 //! defense features build on.
 
 use crate::error::{DspError, Result};
-use crate::fft::{next_power_of_two, rfft_into};
+use crate::fft::rfft_into;
 use crate::window::WindowKind;
 
 /// Magnitude/power spectrogram of a signal.
@@ -22,7 +22,7 @@ pub struct Spectrogram {
     pub sample_rate_hz: f64,
 }
 
-/// Analysis frame length in samples.
+/// Analysis frame length in samples (a power of two: the transform length).
 const FRAME_LEN: usize = 1_024;
 /// Hop between frames in samples.
 const HOP: usize = 256;
@@ -38,46 +38,35 @@ pub fn spectrogram(samples: &[f64], sample_rate_hz: f64) -> Result<Spectrogram> 
     if !(sample_rate_hz > 0.0) {
         return Err(DspError::InvalidSampleRate { sample_rate_hz });
     }
-    let nfft = next_power_of_two(FRAME_LEN);
-    let n_bins = nfft / 2 + 1;
+    let n_bins = FRAME_LEN / 2 + 1;
     let win = WindowKind::Hann.periodic(FRAME_LEN);
     let win_power: f64 = win.iter().map(|w| w * w).sum::<f64>().max(1e-300);
 
     let mut frames = Vec::new();
     let mut times_s = Vec::new();
     let mut spec = Vec::with_capacity(n_bins);
-    let mut start = 0usize;
-    // Always emit at least one frame, zero-padding if the signal is short.
-    loop {
+    // One frame per hop that starts inside the signal, zero-padded where it
+    // runs past the end (so a short signal still gets one frame).
+    for start in (0..samples.len()).step_by(HOP) {
         let end = (start + FRAME_LEN).min(samples.len());
-        if start >= samples.len() && !frames.is_empty() {
-            break;
-        }
         let mut frame: Vec<f64> = samples[start..end]
             .iter()
             .zip(win.iter())
             .map(|(s, w)| s * w)
             .collect();
-        frame.resize(nfft, 0.0);
-        rfft_into(&frame, nfft, &mut spec)?;
+        frame.resize(FRAME_LEN, 0.0);
+        rfft_into(&frame, FRAME_LEN, &mut spec)?;
         let power: Vec<f64> = (0..n_bins)
             .map(|k| {
-                let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
+                let scale = if k == 0 || k == n_bins - 1 { 1.0 } else { 2.0 };
                 scale * spec[k].norm_sqr() / win_power
             })
             .collect();
         frames.push(power);
         times_s.push((start as f64 + FRAME_LEN as f64 / 2.0) / sample_rate_hz);
-        start += HOP;
-        if start + FRAME_LEN > samples.len() + FRAME_LEN {
-            break;
-        }
-        if start >= samples.len() {
-            break;
-        }
     }
     let frequencies_hz: Vec<f64> = (0..n_bins)
-        .map(|k| k as f64 * sample_rate_hz / nfft as f64)
+        .map(|k| k as f64 * sample_rate_hz / FRAME_LEN as f64)
         .collect();
     Ok(Spectrogram {
         frames,

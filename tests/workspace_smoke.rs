@@ -4,7 +4,8 @@
 //! manifests declare actually line up.
 
 // Every item the umbrella prelude exports, by name: dropping one from the
-// prelude fails this import.
+// prelude fails this import, used or not.
+#[allow(unused_imports)]
 use inaudible_voice_commands::prelude::{
     run_campaign, run_trial, AcousticsError, AirEnvironment, AttackError, Biquad, BiquadCascade,
     CampaignReport, CampaignSpec, CellCoords, CommandId, Complex, ConfusionMatrix, DatasetConfig,
@@ -16,7 +17,6 @@ use inaudible_voice_commands::prelude::{
     UltrasonicSpeaker, VoiceCommand, WindowKind,
 };
 use inaudible_voice_commands::speech::commands::corpus;
-use std::any::type_name;
 
 #[test]
 fn prelude_reexports_cover_every_layer() {
@@ -25,55 +25,6 @@ fn prelude_reexports_cover_every_layer() {
     let _features_dim = DefenseFeatures::DIMENSION;
     let scenario = Scenario::default_attack();
     assert!(scenario.delivery.is_attack());
-    // The functions and types the prelude names, each resolved once.
-    let _functions = (run_campaign, run_trial);
-    let types = [
-        type_name::<AcousticsError>(),
-        type_name::<AirEnvironment>(),
-        type_name::<AttackError>(),
-        type_name::<Biquad>(),
-        type_name::<BiquadCascade>(),
-        type_name::<CampaignReport>(),
-        type_name::<CampaignSpec>(),
-        type_name::<CellCoords>(),
-        type_name::<CommandId>(),
-        type_name::<Complex>(),
-        type_name::<ConfusionMatrix>(),
-        type_name::<DatasetConfig>(),
-        type_name::<DefenseError>(),
-        type_name::<Delivery>(),
-        type_name::<DeliverySpec>(),
-        type_name::<DetectorSpec>(),
-        type_name::<DevicePreset>(),
-        type_name::<DspError>(),
-        type_name::<EnvironmentPreset>(),
-        type_name::<FeatureVector>(),
-        type_name::<FirFilter>(),
-        type_name::<LeakageReport>(),
-        type_name::<LogisticRegression>(),
-        type_name::<Microphone>(),
-        type_name::<MultiSpeakerAttack>(),
-        type_name::<Polynomial>(),
-        type_name::<PreparedCell>(),
-        type_name::<RecognitionOutcome>(),
-        type_name::<Recognizer>(),
-        type_name::<Result<()>>(),
-        type_name::<RocCurve>(),
-        type_name::<RoomPreset>(),
-        type_name::<ShardArchive>(),
-        type_name::<ShardJob>(),
-        type_name::<ShardPlan>(),
-        type_name::<ShardRange>(),
-        type_name::<SingleSpeakerAttack>(),
-        type_name::<SpeakerArray>(),
-        type_name::<SpeakerProfile>(),
-        type_name::<SpeechError>(),
-        type_name::<Synthesizer>(),
-        type_name::<TrialOutcome>(),
-        type_name::<UltrasonicSpeaker>(),
-        type_name::<VoiceCommand>(),
-    ];
-    assert!(types.iter().all(|name| !name.is_empty()));
 }
 
 #[test]
