@@ -256,6 +256,28 @@ mod tests {
     }
 
     #[test]
+    fn both_builders_accept_the_same_closed_carrier_range() {
+        use crate::baseband::{MAX_CARRIER_HZ, MIN_CARRIER_HZ};
+        let voice = synthetic_voice(48_000.0);
+        for (carrier_hz, inside) in [
+            (MIN_CARRIER_HZ, true),
+            (MAX_CARRIER_HZ, true),
+            (MIN_CARRIER_HZ - 1.0, false),
+            (MAX_CARRIER_HZ + 1.0, false),
+        ] {
+            let single = SingleSpeakerAttack::build(&voice, carrier_hz, 0.8);
+            assert_eq!(single.is_ok(), inside, "single speaker at {carrier_hz} Hz");
+            let multi = MultiSpeakerAttack::build(&voice, carrier_hz, 4, 10.0, 0.3, 30.0);
+            assert_eq!(
+                multi.is_ok(),
+                inside,
+                "multi-speaker array at {carrier_hz} Hz: {:?}",
+                multi.err()
+            );
+        }
+    }
+
+    #[test]
     fn element_power_allocation_adds_up() {
         let voice = synthetic_voice(48_000.0);
         let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 20.0, 0.25, 30.0).unwrap();

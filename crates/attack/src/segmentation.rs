@@ -100,8 +100,9 @@ pub fn segment_baseband(
         ));
     }
     let fs = baseband.sample_rate_hz();
-    if carrier_hz <= 20_000.0 + baseband_bandwidth_hz
-        || carrier_hz >= fs / 2.0 - baseband_bandwidth_hz
+    // The closed range, as `baseband::check_carrier` has it: a sideband
+    // edge may sit exactly at 20 kHz or at Nyquist.
+    if !(20_000.0 + baseband_bandwidth_hz..=fs / 2.0 - baseband_bandwidth_hz).contains(&carrier_hz)
     {
         return Err(AttackError::invalid(
             "carrier_hz",
@@ -194,6 +195,12 @@ mod tests {
         assert!(segment_baseband(&baseband, 40_000.0, 8_000.0, 0).is_err());
         assert!(segment_baseband(&baseband, 25_000.0, 8_000.0, 4).is_err());
         assert!(segment_baseband(&baseband, 95_000.0, 8_000.0, 4).is_err());
+        // The carrier range is closed: 28 and 88 kHz keep both sidebands
+        // within [20 kHz, Nyquist], 1 Hz further does not.
+        assert!(segment_baseband(&baseband, 28_000.0, 8_000.0, 4).is_ok());
+        assert!(segment_baseband(&baseband, 88_000.0, 8_000.0, 4).is_ok());
+        assert!(segment_baseband(&baseband, 27_999.0, 8_000.0, 4).is_err());
+        assert!(segment_baseband(&baseband, 88_001.0, 8_000.0, 4).is_err());
         assert!(segment_baseband(&Signal::new(vec![], fs).unwrap(), 40_000.0, 8_000.0, 4).is_err());
     }
 

@@ -4,12 +4,15 @@
 //!
 //! There is one run path.  Every preset-running mode is
 //! [`run_preset`] plus a printer: paper experiments (no subcommand) look
-//! each id up in [`EXPERIMENTS`] and print its paper table, `campaign` and
-//! `orchestrate` print each report's summary, and `profile` prints the
-//! per-stage attribution table.  The runner is in-process with `--workers`
-//! threads, or, with `--shards N`, the orchestrator over `shard-worker`
-//! processes.  Telemetry collection, the fleet merge of worker sidecars
-//! and the `--metrics`/`--trace` files live once, in [`Telemetry`].  The
+//! each id up in [`EXPERIMENTS`] and print its paper table, `campaign`
+//! prints each report's summary, and `profile` prints the per-stage
+//! attribution table.  The runner is in-process with `--workers`
+//! threads, or, with `--shards N` (`campaign` and `profile`), the one
+//! sharded mode: the supervising orchestrator over `shard-worker`
+//! processes, with [`OrchestratorConfig::new`]'s retry policy unless
+//! `--max-retries` says otherwise.  Telemetry collection, the fleet
+//! merge of worker sidecars and the `--metrics`/`--trace` files live
+//! once, in [`Telemetry`].  The
 //! `shard-plan`, `shard-worker`, `shard-merge` and `export-json`
 //! subcommands are the file-based spelling of the shard contract.
 //!
@@ -21,9 +24,11 @@
 //! IVC_FULL=1 cargo run --release -p ivc-bench --bin repro -- all   # full-fidelity sweeps
 //!
 //! # Campaign presets (smoke, a1-a6, b1-b3, defense, rooms, d1-d6)
-//! # through the engine:
+//! # through the engine, in-process or sharded across supervised worker
+//! # processes (retries, straggler re-issue, checkpoint/resume):
 //! cargo run --release -p ivc-bench --bin repro -- campaign smoke --workers 2
 //! cargo run --release -p ivc-bench --bin repro -- campaign a6 --shards 4 --workers 2
+//! cargo run --release -p ivc-bench --bin repro -- campaign smoke --shards 2 --resume DIR
 //!
 //! # The same shard contract as standalone steps (file transfer is the
 //! # only coupling, so the three can run on different machines).  Partials
@@ -37,10 +42,6 @@
 //! # nothing reads the JSON back):
 //! cargo run --release -p ivc-bench --bin repro -- export-json parts/part0.bin --out part0.json
 //!
-//! # Supervised sharding: retries, straggler re-issue, checkpoint/resume.
-//! cargo run --release -p ivc-bench --bin repro -- orchestrate smoke --shards 2 --workers 2
-//! cargo run --release -p ivc-bench --bin repro -- orchestrate smoke --shards 2 --resume DIR
-//!
 //! # Per-stage time attribution for a preset (telemetry-instrumented run;
 //! # with --shards the table covers the merged fleet of worker processes):
 //! cargo run --release -p ivc-bench --bin repro -- profile a1
@@ -50,13 +51,14 @@
 //! #   --workers N             worker threads per process (default: all cores;
 //! #                           cores / shards when sharded; 1 for profile)
 //! #   --shards N              split each campaign into N shards: shard-plan writes N job
-//! #                           files; campaign, orchestrate and profile run N supervised
-//! #                           shard-worker processes (campaign and profile retry nothing)
+//! #                           files; campaign and profile run N supervised shard-worker
+//! #                           processes
 //! #   --archive DIR           write each campaign's JSON report into DIR (and, when
 //! #                           sharded, its run manifest)
-//! #   --max-retries N         extra attempts per failed shard (orchestrate; default 2)
-//! #   --straggler-timeout S   re-issue attempts running longer than S seconds (orchestrate)
-//! #   --resume DIR            resume from the checkpoints in DIR (orchestrate); DIR is
+//! #   --max-retries N         extra attempts per failed shard (needs --shards; default 2)
+//! #   --straggler-timeout S   re-issue attempts running longer than S seconds (needs
+//! #                           --shards)
+//! #   --resume DIR            resume from the checkpoints in DIR (needs --shards); DIR is
 //! #                           left in place, checkpoints included
 //! #   --metrics FILE          write span/counter metrics JSON (ivc-metrics-v1; one
 //! #                           document per invocation, fleet-merged across workers
@@ -101,12 +103,8 @@ enum RunKind {
     /// `all` = every experiment).
     Experiments,
     /// Each report's summary (in-process, or with `--shards N` under the
-    /// orchestrator with no retries).
+    /// supervising orchestrator).
     Campaign,
-    /// Each report's summary, under the supervising orchestrator
-    /// (`--shards`, optional `--max-retries`/`--straggler-timeout`/
-    /// `--resume`).
-    Orchestrate,
     /// The per-stage time-attribution table of each preset, run with
     /// telemetry enabled (default `--workers 1`, so stage totals track
     /// wall clock; with `--shards N` the table is the merged fleet of
@@ -120,18 +118,18 @@ enum RunKind {
 #[rustfmt::skip]
 const ACCEPTED_FLAGS: &[(&str, &[&str])] = &[
     ("experiments", &["--workers", "--archive", "--metrics", "--trace"]),
-    ("campaign", &["--workers", "--shards", "--archive", "--metrics", "--trace"]),
+    ("campaign", &["--workers", "--shards", "--archive", "--max-retries",
+                   "--straggler-timeout", "--resume", "--metrics", "--trace"]),
     ("shard-plan", &["--shards", "--out-dir"]),
     ("shard-worker", &["--workers", "--job", "--out"]),
     ("shard-merge", &["--out"]),
     ("export-json", &["--out"]),
-    ("orchestrate", &["--workers", "--shards", "--archive", "--max-retries",
-                      "--straggler-timeout", "--resume", "--metrics", "--trace"]),
-    ("profile", &["--workers", "--shards", "--metrics", "--trace"]),
+    ("profile", &["--workers", "--shards", "--max-retries", "--straggler-timeout",
+                  "--resume", "--metrics", "--trace"]),
 ];
 
-/// "experiment runs and the campaign and orchestrate subcommands": the
-/// modes that accept `flag`, in words.
+/// "experiment runs and the campaign and profile subcommands": the modes
+/// that accept `flag`, in words.
 fn applies_to(flag: &str) -> String {
     let modes: Vec<&str> = ACCEPTED_FLAGS
         .iter()
@@ -254,7 +252,7 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             name @ ("campaign" | "shard-plan" | "shard-worker" | "shard-merge" | "export-json"
-            | "orchestrate" | "profile")
+            | "profile")
                 if subcommand.is_none() =>
             {
                 // A subcommand after positionals would silently demote
@@ -279,16 +277,19 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
         .iter()
         .find(|(mode, _)| *mode == mode_name)
         .expect("every mode has a row in ACCEPTED_FLAGS");
-    for flag in given {
+    for &flag in &given {
         if !accepted.contains(&flag) {
             return Err(format!("{flag} applies to {} only", applies_to(flag)));
         }
+        // Supervision flags tune the orchestrator, which only `--shards`
+        // starts.
+        if matches!(flag, "--max-retries" | "--straggler-timeout" | "--resume")
+            && options.shards.is_none()
+        {
+            return Err(format!("{flag} needs --shards N"));
+        }
     }
-    if matches!(
-        subcommand,
-        Some("campaign" | "shard-plan" | "orchestrate" | "profile")
-    ) && positionals.is_empty()
-    {
+    if matches!(subcommand, Some("campaign" | "shard-plan" | "profile")) && positionals.is_empty() {
         return Err(format!(
             "{mode_name} needs a preset name (available: {})",
             presets::PRESET_NAMES.join(", ")
@@ -342,12 +343,6 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
             }
             Mode::ExportJson(PathBuf::from(positionals.into_iter().next().expect("one")))
         }
-        Some("orchestrate") => {
-            if options.shards.is_none() {
-                return Err("orchestrate needs --shards N".to_string());
-            }
-            Mode::Run(RunKind::Orchestrate, positionals)
-        }
         Some("profile") => {
             // Trace events are process-local and do not merge, so one
             // trace file holds one profiled preset.
@@ -395,7 +390,7 @@ fn archive_all(reports: &[CampaignReport], archive: &Option<PathBuf>) -> bool {
 }
 
 /// Each report's summary table and per-curve attack ranges: what
-/// `campaign` and `orchestrate` print for a preset, whichever runner ran it.
+/// `campaign` prints for a preset, whichever runner ran it.
 fn campaign_summary(reports: &[CampaignReport]) -> ivc_core::Result<String> {
     let blocks: Vec<String> = reports
         .iter()
@@ -437,14 +432,13 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
     let runner = match options.shards {
         None => Runner::InProcess { workers },
         Some(num_shards) => Runner::Orchestrated {
-            // `campaign --shards` and `profile --shards` retry nothing: the
-            // first worker failure fails the run.
-            config: OrchestratorConfig {
-                max_retries: options
-                    .max_retries
-                    .unwrap_or(if kind == RunKind::Orchestrate { 2 } else { 0 }),
-                straggler_timeout: options.straggler_timeout.map(Duration::from_secs_f64),
-                ..OrchestratorConfig::new(num_shards)
+            config: {
+                let policy = OrchestratorConfig::new(num_shards);
+                OrchestratorConfig {
+                    max_retries: options.max_retries.unwrap_or(policy.max_retries),
+                    straggler_timeout: options.straggler_timeout.map(Duration::from_secs_f64),
+                    ..policy
+                }
             },
             workers,
             worker_exe: std::env::current_exe()
@@ -469,10 +463,10 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
             .shards
             .map(|n| format!("; shards: {n}"))
             .unwrap_or_default(),
-        match kind {
-            RunKind::Orchestrate => " (orchestrated)",
-            RunKind::Profile => " (profiling)",
-            _ => "",
+        if kind == RunKind::Profile {
+            " (profiling)"
+        } else {
+            ""
         },
     );
     let names = match kind {
@@ -518,17 +512,12 @@ fn run(kind: RunKind, names: Vec<String>, fidelity: Fidelity, options: &Options)
                         config,
                         scratch_dir,
                         ..
-                    } if scratch_dir.exists() => {
-                        let dir = scratch_dir.display();
-                        match kind {
-                            RunKind::Profile => format!(" (checkpoints kept in {dir})"),
-                            _ => format!(
-                                " (checkpoints kept in {dir}; pick up where it stopped with \
-                                 `orchestrate {name} --shards {} --resume {dir}`)",
-                                config.num_shards
-                            ),
-                        }
-                    }
+                    } if scratch_dir.exists() => format!(
+                        " (checkpoints kept in {dir}; pick up where it stopped with \
+                         `{noun} {name} --shards {} --resume {dir}`)",
+                        config.num_shards,
+                        dir = scratch_dir.display(),
+                    ),
                     _ => String::new(),
                 };
                 eprintln!("{noun} {name} failed: {e}{kept}");

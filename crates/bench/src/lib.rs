@@ -556,11 +556,13 @@ pub enum Runner {
         workers: usize,
     },
     /// Under [`ivc_experiments::orchestrate()`], the one multi-process shard
-    /// runner: `repro shard-worker` child processes launched from
-    /// `worker_exe`, failed shards retried up to `config.max_retries`,
-    /// stragglers re-issued, finished partials checkpointed into
-    /// `scratch_dir` and surviving checkpoints resumed.  Shard file names
-    /// carry the spec name, so one scratch directory serves every preset.
+    /// runner (what `repro campaign --shards N` and `repro profile
+    /// --shards N` select) with its one launcher, [`ProcessLauncher`]:
+    /// `repro shard-worker` child processes launched from `worker_exe`,
+    /// failed shards retried up to `config.max_retries`, stragglers
+    /// re-issued, finished partials checkpointed into `scratch_dir` and
+    /// surviving checkpoints resumed.  Shard file names carry the spec
+    /// name, so one scratch directory serves every preset.
     Orchestrated {
         /// The supervision policy.
         config: OrchestratorConfig,

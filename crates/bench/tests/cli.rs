@@ -59,6 +59,10 @@ fn unknown_experiment_id_is_a_one_line_error() {
             &["bench-diff", "a", "b"][..],
             "unknown experiment id 'bench-diff'",
         ),
+        (
+            &["orchestrate", "smoke"][..],
+            "unknown experiment id 'orchestrate'",
+        ),
     ] {
         let output = repro(args);
         assert!(!output.status.success(), "`repro {}`", args.join(" "));
@@ -144,23 +148,29 @@ fn malformed_flag_values_are_one_line_errors() {
             "at least one partial",
         ),
         (&["shard-merge", "a.json"][..], "shard-merge needs --out"),
-        (&["orchestrate"][..], "orchestrate needs a preset name"),
-        (&["orchestrate", "smoke"][..], "orchestrate needs --shards"),
         (
             &["campaign", "smoke", "--max-retries", "2"][..],
-            "--max-retries applies to",
+            "--max-retries needs --shards N",
         ),
         (
             &["campaign", "smoke", "--straggler-timeout", "5"][..],
-            "--straggler-timeout applies to",
+            "--straggler-timeout needs --shards N",
         ),
         (
             &["campaign", "smoke", "--resume", "ckpt"][..],
-            "--resume applies to",
+            "--resume needs --shards N",
+        ),
+        (
+            &["profile", "smoke", "--resume", "ckpt"][..],
+            "--resume needs --shards N",
+        ),
+        (
+            &["a1", "--max-retries", "2"][..],
+            "--max-retries applies to",
         ),
         (
             &[
-                "orchestrate",
+                "campaign",
                 "smoke",
                 "--shards",
                 "2",
@@ -171,7 +181,7 @@ fn malformed_flag_values_are_one_line_errors() {
         ),
         (
             &[
-                "orchestrate",
+                "campaign",
                 "smoke",
                 "--shards",
                 "2",
@@ -182,7 +192,7 @@ fn malformed_flag_values_are_one_line_errors() {
         ),
         (
             &[
-                "orchestrate",
+                "campaign",
                 "smoke",
                 "--shards",
                 "2",
@@ -192,7 +202,7 @@ fn malformed_flag_values_are_one_line_errors() {
             "invalid --straggler-timeout value '0'",
         ),
         (
-            &["orchestrate", "smoke", "--shards", "2", "--resume"][..],
+            &["campaign", "smoke", "--shards", "2", "--resume"][..],
             "--resume needs a checkpoint directory",
         ),
         (&["profile"][..], "profile needs a preset name"),
@@ -257,11 +267,11 @@ fn malformed_flag_values_are_one_line_errors() {
 }
 
 /// More shards than trials cannot be satisfied — every shard must own at
-/// least one trial.  Both executing subcommands refuse with a one-line
+/// least one trial.  Both sharded subcommands refuse with a one-line
 /// error before running anything (smoke has 4 trials).
 #[test]
 fn oversharded_runs_are_refused_with_one_line_errors() {
-    for subcommand in ["campaign", "orchestrate"] {
+    for subcommand in ["campaign", "profile"] {
         let output = repro(&[subcommand, "smoke", "--shards", "64"]);
         let line = one_line_error(&output, &format!("{subcommand} oversharded"));
         assert!(
@@ -665,7 +675,7 @@ fn profile_prints_stage_attribution_covering_the_wall_clock() {
 
 /// The acceptance path end to end, through real processes and real files:
 /// `campaign smoke` in-process == `campaign smoke --shards 2` (the
-/// orchestrator with no retries) == shard-plan → 2x shard-worker →
+/// supervising orchestrator) == shard-plan → 2x shard-worker →
 /// shard-merge.  All three archives must be byte-identical.
 #[test]
 fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {

@@ -1,14 +1,14 @@
 //! Orchestrator integration tests at the library level: supervising a
-//! campaign through [`orchestrate`] with in-process thread workers must
-//! reproduce the plain [`run_campaign`] archive byte for byte — on a
+//! campaign through [`orchestrate`] with `repro shard-worker` processes
+//! must reproduce the plain [`run_campaign`] archive byte for byte — on a
 //! healthy run, and on a resume from surviving checkpoints.
 
-use inaudible_voice_commands::core::json::JsonValue;
-use inaudible_voice_commands::experiments::orchestrate::{
-    manifest_file_name, orchestrate, OrchestratorConfig, ThreadLauncher, MANIFEST_FORMAT,
+use ivc_core::json::JsonValue;
+use ivc_experiments::orchestrate::{
+    manifest_file_name, orchestrate, OrchestratorConfig, ProcessLauncher, MANIFEST_FORMAT,
 };
-use inaudible_voice_commands::experiments::shard::{run_shard, shard_archive_file_name, ShardPlan};
-use inaudible_voice_commands::experiments::{run_campaign, CampaignSpec, DeliverySpec};
+use ivc_experiments::shard::{run_shard, shard_archive_file_name, ShardPlan};
+use ivc_experiments::{run_campaign, CampaignSpec, DeliverySpec};
 
 /// 2 cells x 2 trials: small enough to supervise quickly, large enough
 /// that 2 shards each own a whole cell.
@@ -33,11 +33,11 @@ fn test_scratch(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn thread_orchestration_reproduces_the_in_process_bytes() {
+fn process_orchestration_reproduces_the_in_process_bytes() {
     let spec = tiny_spec();
     let baseline = run_campaign(&spec, 2).unwrap().to_json_string();
     let scratch = test_scratch("healthy");
-    let mut launcher = ThreadLauncher::new(2);
+    let mut launcher = ProcessLauncher::new(env!("CARGO_BIN_EXE_repro"), 2);
     let mut status = Vec::new();
     let run = orchestrate(
         &spec,
@@ -93,7 +93,7 @@ fn thread_orchestration_reproduces_the_in_process_bytes() {
 fn manifest_progress_stream_is_monotone_and_ends_complete() {
     let spec = tiny_spec();
     let scratch = test_scratch("progress");
-    let mut launcher = ThreadLauncher::new(2);
+    let mut launcher = ProcessLauncher::new(env!("CARGO_BIN_EXE_repro"), 2);
     let mut status = Vec::new();
     orchestrate(
         &spec,
@@ -173,7 +173,7 @@ fn resume_reuses_surviving_checkpoints_and_reproduces_the_bytes() {
         .save(&scratch.join(shard_archive_file_name(&spec.name, &job.shard)))
         .unwrap();
 
-    let mut launcher = ThreadLauncher::new(2);
+    let mut launcher = ProcessLauncher::new(env!("CARGO_BIN_EXE_repro"), 2);
     let mut status = Vec::new();
     let run = orchestrate(
         &spec,

@@ -1,4 +1,4 @@
-//! Process-level tests of `repro orchestrate`: real forked shard
+//! Process-level tests of `repro campaign --shards`: real forked shard
 //! workers, real failures.  Whatever the orchestrator survives — an
 //! injected worker fault, a SIGKILLed worker, a SIGKILLed orchestrator
 //! resumed from its checkpoints — the archive must stay byte-identical
@@ -49,7 +49,7 @@ fn fault_injected_worker_failure_is_retried_to_identical_bytes() {
     let scratch = scratch_dir("fault");
     let archive = scratch.join("archive");
     let output = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "2", "--workers", "2"])
+        .args(["campaign", "smoke", "--shards", "2", "--workers", "2"])
         .args(["--archive", &archive.to_string_lossy()])
         .env(ENV_FAULT_SHARD, "1")
         .output()
@@ -57,7 +57,7 @@ fn fault_injected_worker_failure_is_retried_to_identical_bytes() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "faulted orchestrate run failed:\n{stderr}"
+        "faulted sharded campaign failed:\n{stderr}"
     );
     // Worker stderr interleaves with orchestrator status lines at
     // format-arg boundaries, so match only a single literal segment.
@@ -107,6 +107,56 @@ fn fault_injected_worker_failure_is_retried_to_identical_bytes() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
+/// The one sharded mode's retry policy, the other side of the test above
+/// (where the default policy retries the same injected fault to the
+/// in-process bytes): `--max-retries 0` fails fast, keeps its checkpoint
+/// directory and names the command that resumes it, which then finishes
+/// to the in-process bytes.
+#[test]
+fn max_retries_0_fails_fast_and_names_its_resume_command() {
+    let scratch = scratch_dir("retry-policy");
+    let sharded = ["campaign", "smoke", "--shards", "2", "--workers", "1"];
+    let output = repro_cmd()
+        .args(sharded)
+        .args(["--max-retries", "0"])
+        .env(ENV_FAULT_SHARD, "1")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success() && !stderr.contains("retry 1/"),
+        "--max-retries 0 retried:\n{stderr}"
+    );
+    let hint = "`campaign smoke --shards 2 --resume ";
+    let kept = stderr
+        .split(hint)
+        .nth(1)
+        .and_then(|rest| rest.split('`').next())
+        .map(PathBuf::from)
+        .unwrap_or_else(|| panic!("the error does not name {hint}<dir>`:\n{stderr}"));
+    assert!(
+        kept.is_dir(),
+        "the checkpoint directory {} is gone",
+        kept.display()
+    );
+
+    let resumed = scratch.join("resumed");
+    let output = repro_cmd()
+        .args(sharded)
+        .args(["--resume", &kept.to_string_lossy()])
+        .args(["--archive", &resumed.to_string_lossy()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "the named resume failed:\n{stderr}"
+    );
+    assert_eq!(read_archive(&resumed), smoke_baseline());
+    std::fs::remove_dir_all(&kept).ok();
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
 /// The tentpole acceptance path: an orchestrated run with `--metrics`
 /// produces ONE fleet-wide `ivc-metrics-v1` document whose stage spans
 /// aggregate every worker (provenance names them all), while the archive
@@ -118,7 +168,7 @@ fn orchestrated_metrics_cover_the_whole_fleet_without_touching_bytes() {
     let archive = scratch.join("archive");
     let metrics = scratch.join("fleet.json");
     let output = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "2", "--workers", "2"])
+        .args(["campaign", "smoke", "--shards", "2", "--workers", "2"])
         .args(["--archive", &archive.to_string_lossy()])
         .args(["--metrics", &metrics.to_string_lossy()])
         .output()
@@ -126,7 +176,7 @@ fn orchestrated_metrics_cover_the_whole_fleet_without_touching_bytes() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "orchestrate --metrics failed:\n{stderr}"
+        "campaign --shards --metrics failed:\n{stderr}"
     );
     assert_eq!(
         read_archive(&archive),
@@ -208,7 +258,7 @@ fn killed_worker_is_retried_to_identical_bytes() {
     let archive = scratch.join("archive");
     let ckpt_str = ckpt.to_string_lossy().into_owned();
     let mut child = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "2", "--workers", "1"])
+        .args(["campaign", "smoke", "--shards", "2", "--workers", "1"])
         .args(["--resume", &ckpt_str])
         .args(["--archive", &archive.to_string_lossy()])
         .stdout(Stdio::null())
@@ -239,7 +289,7 @@ fn killed_worker_is_retried_to_identical_bytes() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "orchestrate run failed (worker killed: {killed}):\n{stderr}"
+        "sharded campaign failed (worker killed: {killed}):\n{stderr}"
     );
     if killed {
         assert!(
@@ -269,7 +319,7 @@ fn killed_orchestrator_resumes_to_identical_bytes() {
     // finishes first, the resume below simply re-runs nothing and the
     // byte-identity assertion still stands).
     let mut child = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "4", "--workers", "1"])
+        .args(["campaign", "smoke", "--shards", "4", "--workers", "1"])
         .args(["--resume", &ckpt_str])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -294,7 +344,7 @@ fn killed_orchestrator_resumes_to_identical_bytes() {
     child.wait().unwrap();
 
     let output = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "4", "--workers", "1"])
+        .args(["campaign", "smoke", "--shards", "4", "--workers", "1"])
         .args(["--resume", &ckpt_str])
         .args(["--archive", &archive.to_string_lossy()])
         .output()
@@ -402,7 +452,7 @@ fn resume_dir_survives_a_successful_run() {
     let sentinel = ckpt.join("keep.txt");
     std::fs::write(&sentinel, "not the run's").unwrap();
     let output = repro_cmd()
-        .args(["orchestrate", "smoke", "--shards", "2", "--workers", "1"])
+        .args(["campaign", "smoke", "--shards", "2", "--workers", "1"])
         .args(["--resume", &ckpt.to_string_lossy()])
         .args(["--archive", &archive.to_string_lossy()])
         .output()
@@ -410,7 +460,7 @@ fn resume_dir_survives_a_successful_run() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "orchestrate --resume failed:\n{stderr}"
+        "campaign --shards --resume failed:\n{stderr}"
     );
     assert_eq!(
         std::fs::read_to_string(&sentinel).ok().as_deref(),

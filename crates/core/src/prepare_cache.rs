@@ -37,12 +37,12 @@
 //! half-written value.
 //!
 //! Memory is bounded: finished entries are evicted least-recently-used by
-//! byte estimate once the cache exceeds its capacity (default 512 MiB,
-//! `IVC_PREPARE_CACHE_MB` overrides).  `IVC_PREPARE_CACHE=off` (or `0`)
-//! disables the cache entirely, recognizer and detectors included;
-//! [`set_enabled`] does the same from code (the byte-identity suite runs
-//! both ways and compares archives).  A value of either variable that
-//! does not parse prints one warning line and keeps the default.
+//! byte estimate once the cache exceeds its capacity, a constant 512 MiB.
+//! `IVC_PREPARE_CACHE=off` (or `0`) disables the cache entirely,
+//! recognizer and detectors included; [`set_enabled`] does the same from
+//! code (the byte-identity suite runs both ways and compares archives).
+//! A value of the variable that does not parse prints one warning line
+//! and keeps the cache on.
 //!
 //! Telemetry: every lookup increments `executor.prepare_cache_hit` or
 //! `executor.prepare_cache_miss`, and hits additionally count the
@@ -61,9 +61,9 @@ use crate::telemetry;
 use crate::Result;
 use ivc_speech::recognizer::Recognizer;
 
-/// Default capacity: generous for workstation campaigns, far below the
+/// The byte bound: generous for workstation campaigns, far below the
 /// size at which an orchestrator shard would notice.
-const DEFAULT_CAPACITY_BYTES: usize = 512 * 1024 * 1024;
+const CAPACITY_BYTES: usize = 512 * 1024 * 1024;
 
 /// The inputs of one cacheable product.  The implementing struct holds
 /// exactly the fields [`build`](Product::build) reads, and its derived
@@ -131,17 +131,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Reads a setting from the environment once: a value `parse` does not
-/// recognise costs one stderr line, and the value `parse` fell back to.
-fn from_env<T>(name: &str, parse: fn(Option<&str>) -> (T, Option<String>)) -> T {
-    let raw = std::env::var(name).ok();
-    let (value, warning) = parse(raw.as_deref());
-    if let Some(warning) = warning {
-        eprintln!("warning: {warning}");
-    }
-    value
-}
-
 /// `IVC_PREPARE_CACHE`: unset, `1`, `on` or `true` turn the cache on, and
 /// `0`, `off` or `false` turn it off.  Any other value leaves it on and
 /// comes with the warning that says so.
@@ -159,33 +148,18 @@ fn parse_enabled(value: Option<&str>) -> (bool, Option<String>) {
     }
 }
 
-/// `IVC_PREPARE_CACHE_MB`: the capacity as a whole number of MiB (at
-/// least 1).  Unset, or any value that is not such a number, gives the
-/// default 512 MiB, the latter with the warning that says so.
-fn parse_capacity(value: Option<&str>) -> (usize, Option<String>) {
-    const MIB: usize = 1024 * 1024;
-    match value.map(|v| (v, v.parse::<usize>())) {
-        None => (DEFAULT_CAPACITY_BYTES, None),
-        Some((_, Ok(mb))) => (mb.saturating_mul(MIB).max(MIB), None),
-        Some((other, Err(_))) => (
-            DEFAULT_CAPACITY_BYTES,
-            Some(format!(
-                "IVC_PREPARE_CACHE_MB={other:?} is not a whole number of MiB; \
-                 the prepare cache keeps its default {} MiB",
-                DEFAULT_CAPACITY_BYTES / MIB
-            )),
-        ),
-    }
-}
-
+/// The on/off switch, read from `IVC_PREPARE_CACHE` on first use: a
+/// value `parse_enabled` does not recognise costs one stderr line.
 fn enabled_flag() -> &'static AtomicBool {
     static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| AtomicBool::new(from_env("IVC_PREPARE_CACHE", parse_enabled)))
-}
-
-fn capacity_bytes() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
-    *CAPACITY.get_or_init(|| from_env("IVC_PREPARE_CACHE_MB", parse_capacity))
+    ENABLED.get_or_init(|| {
+        let raw = std::env::var("IVC_PREPARE_CACHE").ok();
+        let (enabled, warning) = parse_enabled(raw.as_deref());
+        if let Some(warning) = warning {
+            eprintln!("warning: {warning}");
+        }
+        AtomicBool::new(enabled)
+    })
 }
 
 /// `true` when products are being reused.
@@ -246,8 +220,7 @@ pub fn stats() -> CacheStats {
 /// fits its bound.  `keep` (the entry just stored) always survives, even
 /// when it alone exceeds the bound.
 fn evict_if_needed(state: &mut CacheState, keep: &str) {
-    let cap = capacity_bytes();
-    while state.total_bytes > cap {
+    while state.total_bytes > CAPACITY_BYTES {
         let victim = state
             .entries
             .iter()
@@ -404,25 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn the_capacity_parses_loudly() {
-        const MIB: usize = 1024 * 1024;
-        assert_eq!(parse_capacity(None), (DEFAULT_CAPACITY_BYTES, None));
-        assert_eq!(parse_capacity(Some("64")), (64 * MIB, None));
-        assert_eq!(parse_capacity(Some("0")), (MIB, None));
-        for value in ["1G", "-5", "1.5", ""] {
-            let (bytes, warning) = parse_capacity(Some(value));
-            assert_eq!(bytes, DEFAULT_CAPACITY_BYTES, "{value:?}");
-            let warning = warning.expect("an unrecognised value warns");
-            assert!(warning.contains("IVC_PREPARE_CACHE_MB="), "{warning}");
-            assert!(warning.contains(&format!("{value:?}")), "{warning}");
-            assert!(warning.contains("512 MiB"), "{warning}");
-        }
-    }
-
-    #[test]
     fn lru_eviction_respects_the_byte_bound() {
-        // Capacity is process-wide (env-configured); exercise the eviction
-        // helper directly so the test is independent of the environment.
+        // Exercise the eviction helper directly, so the test does not
+        // depend on what else this binary has cached.
         let mut state = CacheState::default();
         for i in 0..4 {
             state.tick += 1;
@@ -430,19 +387,19 @@ mod tests {
             state.entries.insert(
                 format!("k{i}"),
                 Entry {
-                    bytes: Some(capacity_bytes() / 2),
+                    bytes: Some(CAPACITY_BYTES / 2),
                     tick,
                     ..Entry::default()
                 },
             );
-            state.total_bytes += capacity_bytes() / 2;
+            state.total_bytes += CAPACITY_BYTES / 2;
         }
         // An in-flight entry is never a victim.
         state
             .entries
             .insert("pending".to_string(), Entry::default());
         evict_if_needed(&mut state, "k3");
-        assert!(state.total_bytes <= capacity_bytes());
+        assert!(state.total_bytes <= CAPACITY_BYTES);
         // The entry just stored always survives.
         assert!(state.entries.contains_key("k3"));
         assert!(state.entries.contains_key("pending"));

@@ -145,9 +145,9 @@ impl MeanAccumulator {
 /// O(1) state per cell instead of a materialized record vector.
 ///
 /// Records must be folded in slot (trial) order: floating-point addition
-/// is order-sensitive, and the byte-identity contract between the merged
-/// and the in-process report depends on the sums folding left to right
-/// exactly as [`aggregate_cells`] walks them.
+/// is order-sensitive, and the byte-identity contract between reports
+/// merged from different shard tilings depends on the sums folding left to
+/// right in slot order, as [`crate::shard::ShardMerger`] absorbs them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellAccumulator {
     trials: usize,
@@ -220,41 +220,13 @@ impl CellAccumulator {
     }
 }
 
-/// Computes each cell's statistics from the flat, job-ordered record
-/// list, consuming it: records are moved — never cloned — into their
-/// cell's report, and the statistics come from a [`CellAccumulator`] per
-/// cell.
-pub fn aggregate_cells(
-    spec: &CampaignSpec,
-    cells: &[CellSpec],
-    records: Vec<TrialRecord>,
-) -> Vec<CellReport> {
-    let mut records = records.into_iter();
-    cells
-        .iter()
-        .map(|cell| {
-            let mut accumulator = CellAccumulator::new();
-            let trials: Vec<TrialRecord> = records
-                .by_ref()
-                .take(spec.trials_per_cell)
-                .inspect(|t| accumulator.fold(t))
-                .collect();
-            debug_assert!(trials.iter().all(|t| t.cell_index == cell.cell_index));
-            debug_assert_eq!(trials.len(), spec.trials_per_cell);
-            CellReport {
-                cell: *cell,
-                label: spec.cell_label(cell),
-                stats: accumulator.stats(),
-                trials,
-            }
-        })
-        .collect()
-}
-
 /// Builds one success-vs-distance curve per combination of the
 /// non-distance axes.  Relies on distance being the innermost expansion
 /// axis: each curve is a contiguous run of cells.
-pub fn psychometric_curves(spec: &CampaignSpec, cells: &[CellReport]) -> Vec<PsychometricCurve> {
+pub(crate) fn psychometric_curves(
+    spec: &CampaignSpec,
+    cells: &[CellReport],
+) -> Vec<PsychometricCurve> {
     let per_curve = spec.distances_m.len();
     cells
         .chunks(per_curve)
@@ -280,6 +252,19 @@ pub fn psychometric_curves(spec: &CampaignSpec, cells: &[CellReport]) -> Vec<Psy
 mod tests {
     use super::*;
     use crate::grid::DeliverySpec;
+    use crate::report::CampaignReport;
+    use crate::shard::{merge_shards, ShardArchive, ShardPlan};
+
+    /// The report of one whole-range partial holding `records`.
+    fn aggregate(spec: &CampaignSpec, records: Vec<TrialRecord>) -> CampaignReport {
+        let shard = ShardPlan::partition(spec, 1).unwrap().shards[0];
+        merge_shards(vec![ShardArchive {
+            spec: spec.clone(),
+            shard,
+            records,
+        }])
+        .unwrap()
+    }
 
     fn record(cell_index: usize, trial_index: usize, accepted: bool, accuracy: f64) -> TrialRecord {
         TrialRecord {
@@ -348,7 +333,8 @@ mod tests {
                 ));
             }
         }
-        let reports = aggregate_cells(&spec, &cells, records);
+        let report = aggregate(&spec, records);
+        let reports = &report.cells;
         assert_eq!(reports.len(), 4);
         assert_eq!(reports[0].stats.successes, 2);
         assert_eq!(reports[0].stats.success_rate, 1.0);
@@ -362,7 +348,7 @@ mod tests {
         // Detection probabilities aggregate like the other optional means.
         assert_eq!(reports[0].stats.mean_detection_probability, Some(0.1));
 
-        let curves = psychometric_curves(&spec, &reports);
+        let curves = &report.curves;
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].label, "a");
         assert_eq!(curves[0].distances_m, vec![1.0, 4.0]);
@@ -380,7 +366,6 @@ mod tests {
             trials_per_cell: 2,
             ..CampaignSpec::new("legit")
         };
-        let cells = spec.cells();
         let records: Vec<TrialRecord> = (0..2)
             .map(|t| TrialRecord {
                 bystander_spl_db: None,
@@ -390,7 +375,7 @@ mod tests {
                 ..record(0, t, true, 1.0)
             })
             .collect();
-        let reports = aggregate_cells(&spec, &cells, records);
+        let reports = aggregate(&spec, records).cells;
         assert_eq!(reports[0].stats.mean_bystander_spl_db, None);
         assert_eq!(reports[0].stats.leak_audible_fraction, None);
     }

@@ -27,10 +27,10 @@
 //! 4. detector training is a pure function of the detector spec's
 //!    training corpus.
 
-use crate::aggregate::{aggregate_cells, psychometric_curves};
 use crate::error::{ExperimentError, Result};
 use crate::grid::{BandSummarySpec, CampaignSpec};
 use crate::report::CampaignReport;
+use crate::shard::{merge_shards, run_shard, ShardPlan};
 use ivc_acoustics::microphone::CaptureScratch;
 use ivc_core::prepare_cache::{self, DefaultRecognizer};
 use ivc_core::{telemetry, PreparedCell};
@@ -104,22 +104,16 @@ struct CellSlot {
 type SharedDetector = std::result::Result<Option<Arc<LogisticRegression>>, String>;
 
 /// Runs every trial of `spec` on a pool of `workers` threads and returns
-/// the aggregated, archivable report.
+/// the aggregated, archivable report: [`run_shard`] on the one-shard plan,
+/// then [`merge_shards`], the report assembly every sharded run uses.
 ///
 /// `workers` is clamped to `[1, number of trials]`.  The report is
 /// byte-identical across worker counts (see the module docs).
 pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignReport> {
-    spec.validate()?;
-    let records = execute_jobs(spec, 0, spec.num_trials(), workers)?;
+    let job = ShardPlan::partition(spec, 1)?.jobs().remove(0);
+    let shard = run_shard(&job, workers)?;
     let _span = telemetry::span("campaign.aggregate");
-    let cells = spec.cells();
-    let cell_reports = aggregate_cells(spec, &cells, records);
-    let curves = psychometric_curves(spec, &cell_reports);
-    Ok(CampaignReport {
-        spec: spec.clone(),
-        cells: cell_reports,
-        curves,
-    })
+    merge_shards(vec![shard])
 }
 
 /// The trials one cell contributes to a job range: boundary cells of a
@@ -134,9 +128,9 @@ struct CellJobs {
 /// `spec` on a pool of `workers` threads and returns the trial records in
 /// slot order.
 ///
-/// This is the shared core of [`run_campaign`] (the full range) and
-/// [`crate::shard::run_shard`] (one shard's slice): every property that
-/// makes the full run deterministic — spec-derived seeds, slot-addressed
+/// This is the core of [`run_shard`], and through it of
+/// [`run_campaign`] (the one-shard range): every property that makes the
+/// full run deterministic — spec-derived seeds, slot-addressed
 /// collection, immutable shared [`PreparedCell`]s, pure detector training
 /// — holds per range, so splitting a campaign into ranges and
 /// concatenating the records reproduces the single-run records exactly.

@@ -12,28 +12,30 @@
 //!   staged pipeline (one shared [`ivc_core::PreparedCell`] per cell, one
 //!   trained detector per axis entry) with deterministic per-trial
 //!   seeding: the same spec produces the **byte-identical** archived
-//!   report at any worker count.
+//!   report at any worker count.  [`run_campaign`] is the in-process
+//!   run: [`run_shard`] on the one-shard plan, then [`merge_shards`].
 //! * [`aggregate`] — per-cell success rates with Wilson confidence
 //!   intervals, mean word accuracy, bystander SPL and detector
 //!   probability, and success-vs-distance psychometric curves.
 //! * [`report`] — the archivable [`CampaignReport`] with its JSON
 //!   encoding (via the dependency-free [`ivc_core::json`] layer).
-//! * [`shard`] — multi-process/multi-machine scaling: a [`ShardPlan`]
-//!   partitions the job space into contiguous `(cell, trial)` ranges,
-//!   [`run_shard`] executes one range anywhere from the pure spec, and
-//!   [`merge_shards`] / [`merge_shard_files`] reassemble a report
-//!   **byte-identical** to the single-process run by streaming each
-//!   partial through per-cell accumulators — merge memory is O(cells),
-//!   not O(trials held twice).
+//! * [`shard`] — the one report assembly: a [`ShardPlan`] partitions the
+//!   job space into contiguous `(cell, trial)` ranges, [`run_shard`]
+//!   executes one range anywhere from the pure spec, and [`merge_shards`]
+//!   / [`merge_shard_files`] stream the partials through per-cell
+//!   accumulators into the report — merge memory is O(cells), not
+//!   O(trials held twice).  Every tiling merges to the bytes of the
+//!   one-shard tiling, which is what [`run_campaign`] returns.
 //! * [`columns`] — the compact binary wire format for shard partials
 //!   (`ivc-trial-columns-v1`): one length-prefixed column per
 //!   [`TrialRecord`] field, deterministic bytes, loud versioned
 //!   rejection of foreign or truncated archives.
-//! * [`orchestrate`](mod@orchestrate) — the self-driving control plane
-//!   over [`shard`]: [`orchestrate::orchestrate`] supervises a fleet of
-//!   shard workers with bounded retries, straggler re-issue (first
-//!   completed result wins), per-shard checkpoints and crash resume — the
-//!   final report is still byte-identical to the in-process run.
+//! * [`orchestrate`](mod@orchestrate) — the one multi-process shard
+//!   runner: [`orchestrate::orchestrate`] supervises `repro shard-worker`
+//!   processes ([`ProcessLauncher`]) with bounded retries, straggler
+//!   re-issue (first completed result wins), per-shard checkpoints and
+//!   crash resume — the final report is still byte-identical to the
+//!   in-process run.
 //! * [`presets`] — built-in campaigns: every paper sweep (`a1`–`a6`,
 //!   `b1`–`b3`, `d1`–`d6`), a defense acceptance sweep, the room sweep,
 //!   and the CI smoke grid.
@@ -77,7 +79,7 @@ pub use grid::{
 };
 pub use orchestrate::{
     manifest_file_name, orchestrate, OrchestratorConfig, OrchestratorRun, OrchestratorStats,
-    ProcessLauncher, RunEvent, ShardLauncher, ThreadLauncher, MANIFEST_FORMAT,
+    ProcessLauncher, RunEvent, ShardLauncher, MANIFEST_FORMAT,
 };
 pub use report::CampaignReport;
 pub use shard::{

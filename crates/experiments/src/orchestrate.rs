@@ -1,10 +1,15 @@
 //! The self-driving shard orchestrator: supervision, retry, straggler
 //! re-issue and checkpoint/resume on top of the [`crate::shard`] contract.
 //!
-//! [`orchestrate`] owns a [`ShardPlan`], hands each shard to a worker
-//! through a [`ShardLauncher`], and supervises the fleet with a small
-//! per-shard state machine (`Pending → Issued → Retrying → Done`, see
-//! [`ShardState`]):
+//! [`orchestrate`] owns a [`ShardPlan`], hands each shard to a
+//! `repro shard-worker` process through the one production launcher,
+//! [`ProcessLauncher`] (the [`ShardLauncher`] trait is the seam the unit
+//! tests mock), and supervises the fleet with a small per-shard state
+//! machine (`Pending → Issued → Retrying → Done`, see [`ShardState`]).
+//! It is the one multi-process shard runner: `repro campaign --shards N`
+//! and `repro profile --shards N` run it with
+//! [`OrchestratorConfig::new`]'s policy unless told otherwise.  What it
+//! supervises:
 //!
 //! * **Retry** — a failed attempt is retried up to a bounded budget
 //!   ([`OrchestratorConfig::max_retries`]) with exponential backoff.
@@ -41,8 +46,10 @@
 //! and *derived* from the same events by [`RunEvent::render`];
 //! [`OrchestratorStats`] and the `orchestrate.*` counters are counted
 //! from them in one place.  The final report is
-//! [`crate::shard::merge_shard_files`] streaming the checkpoints, so it
-//! is **byte-identical** to [`crate::run_campaign`] whatever happened.
+//! [`crate::shard::merge_shard_files`] streaming the checkpoints through
+//! the same [`crate::shard::ShardMerger`] that [`crate::run_campaign`]
+//! feeds its one shard to, so it is **byte-identical** to the in-process
+//! run whatever happened.
 //!
 //! Everything lives flat in one scratch directory, named by the spec;
 //! partials are columnar ([`crate::columns::COLUMNS_FORMAT`]):
@@ -67,8 +74,8 @@ use crate::error::{ExperimentError, Result};
 use crate::grid::CampaignSpec;
 use crate::report::CampaignReport;
 use crate::shard::{
-    merge_shard_files, metrics_sidecar_path, run_shard, shard_archive_file_name,
-    shard_job_file_name, ShardArchive, ShardJob, ShardPlan,
+    merge_shard_files, metrics_sidecar_path, shard_archive_file_name, shard_job_file_name,
+    ShardArchive, ShardJob, ShardPlan,
 };
 use ivc_core::json::{u64_to_json, JsonValue};
 use ivc_core::telemetry;
@@ -158,11 +165,11 @@ pub trait ShardAttempt {
     fn kill(&mut self);
 }
 
-/// Launches attempts at shards.  The orchestrator is agnostic about what
-/// a worker is — a forked `repro shard-worker` process
-/// ([`ProcessLauncher`]), an in-process thread ([`ThreadLauncher`]), or a
-/// test mock — as long as a successful attempt leaves a loadable
-/// [`ShardArchive`] at `out_path`.
+/// Launches attempts at shards.  Production runs use one launcher,
+/// [`ProcessLauncher`]: a forked `repro shard-worker` process per
+/// attempt.  The trait is the seam the supervision tests substitute a mock
+/// through; any launcher works as long as a successful attempt leaves a
+/// loadable [`ShardArchive`] at `out_path`.
 pub trait ShardLauncher {
     /// Starts attempt number `attempt` (0-based) at `job`, whose job file
     /// has been written to `job_path`; the partial must be written to
@@ -245,68 +252,6 @@ impl ShardLauncher for ProcessLauncher {
                 ))
             })?;
         Ok(Box::new(ProcessAttempt { child }))
-    }
-}
-
-/// Runs each attempt as an in-process thread calling
-/// [`crate::shard::run_shard`].  Threads cannot be killed, so a
-/// "killed" attempt is merely abandoned (it finishes in the background
-/// and its output file is ignored) — fine for tests and single-machine
-/// runs without process isolation.
-pub struct ThreadLauncher {
-    workers_per_shard: usize,
-}
-
-impl ThreadLauncher {
-    /// A launcher running shards on `workers_per_shard` executor threads.
-    pub fn new(workers_per_shard: usize) -> Self {
-        ThreadLauncher {
-            workers_per_shard: workers_per_shard.max(1),
-        }
-    }
-}
-
-struct ThreadAttempt {
-    rx: std::sync::mpsc::Receiver<std::result::Result<(), String>>,
-    outcome: Option<std::result::Result<(), String>>,
-}
-
-impl ShardAttempt for ThreadAttempt {
-    fn poll(&mut self) -> AttemptStatus {
-        if self.outcome.is_none() {
-            match self.rx.try_recv() {
-                Ok(result) => self.outcome = Some(result),
-                Err(std::sync::mpsc::TryRecvError::Empty) => return AttemptStatus::Running,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    self.outcome = Some(Err("worker thread died".to_string()))
-                }
-            }
-        }
-        AttemptStatus::Exited(self.outcome.clone().expect("outcome set above"))
-    }
-
-    fn kill(&mut self) {}
-}
-
-impl ShardLauncher for ThreadLauncher {
-    fn launch(
-        &mut self,
-        job: &ShardJob,
-        _job_path: &Path,
-        _attempt: usize,
-        out_path: &Path,
-    ) -> Result<Box<dyn ShardAttempt>> {
-        let job = job.clone();
-        let out_path = out_path.to_path_buf();
-        let workers = self.workers_per_shard;
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let result = run_shard(&job, workers)
-                .and_then(|archive| archive.save(&out_path))
-                .map_err(|e| e.to_string());
-            let _ = tx.send(result);
-        });
-        Ok(Box::new(ThreadAttempt { rx, outcome: None }))
     }
 }
 

@@ -818,8 +818,8 @@ fn opt_number(value: Option<f64>) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{aggregate_cells, psychometric_curves};
     use crate::grid::DeliverySpec;
+    use crate::shard::{merge_shards, ShardArchive, ShardPlan};
 
     fn synthetic_report() -> CampaignReport {
         let spec = CampaignSpec {
@@ -874,13 +874,13 @@ mod tests {
                 });
             }
         }
-        let cell_reports = aggregate_cells(&spec, &cells, records);
-        let curves = psychometric_curves(&spec, &cell_reports);
-        CampaignReport {
+        let shard = ShardPlan::partition(&spec, 1).unwrap().shards[0];
+        merge_shards(vec![ShardArchive {
             spec,
-            cells: cell_reports,
-            curves,
-        }
+            shard,
+            records,
+        }])
+        .unwrap()
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! them through a [`ShardMerger`] — per-cell [`CellAccumulator`]s fold
 //! each record once as its shard is absorbed, records move (never clone)
 //! into their cell's report, and the aggregation state stays O(cells) — then
-//! returns a [`CampaignReport`] that is **byte-identical** to the
-//! single-process [`crate::run_campaign`] run of the same spec, at any
-//! shard count and any per-shard worker count.  The contract holds
-//! because every trial is a pure function of `(spec, cell, seed)` and
-//! both the record order and the aggregation are functions of the spec
-//! alone — scheduling, sharding and process boundaries never reach the
-//! bytes.
+//! returns the [`CampaignReport`].  This is the one report assembly:
+//! [`crate::run_campaign`] is [`run_shard`] on the one-shard plan plus
+//! this merge, so every tiling, at any shard count and any per-shard
+//! worker count, merges to the **byte-identical** in-process report.  The
+//! contract holds because every trial is a pure function of
+//! `(spec, cell, seed)` and both the record order and the aggregation are
+//! functions of the spec alone — scheduling, sharding and process
+//! boundaries never reach the bytes.
 //!
 //! Partials travel in one wire format, the compact columnar encoding
 //! ([`crate::columns`], tag `ivc-trial-columns-v1`).  The JSON form

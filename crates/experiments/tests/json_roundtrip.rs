@@ -2,7 +2,7 @@
 //! serialise → parse → serialise byte-for-byte.
 
 use ivc_core::json::{u64_to_json, JsonValue};
-use ivc_experiments::aggregate::{aggregate_cells, psychometric_curves};
+use ivc_experiments::shard::{merge_shards, ShardArchive, ShardPlan};
 use ivc_experiments::{CampaignReport, CampaignSpec, DeliverySpec, EnvironmentPreset, TrialRecord};
 use proptest::prelude::*;
 
@@ -70,13 +70,13 @@ fn build_report(
             pick += 1;
         }
     }
-    let cell_reports = aggregate_cells(&spec, &cells, records);
-    let curves = psychometric_curves(&spec, &cell_reports);
-    CampaignReport {
+    let shard = ShardPlan::partition(&spec, 1).unwrap().shards[0];
+    merge_shards(vec![ShardArchive {
         spec,
-        cells: cell_reports,
-        curves,
-    }
+        shard,
+        records,
+    }])
+    .unwrap()
 }
 
 proptest! {

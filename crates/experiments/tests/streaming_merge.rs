@@ -1,10 +1,10 @@
 //! Streaming-aggregation regression tests: the per-cell accumulator must
-//! reproduce the batch statistics bit for bit, the shard merger must
+//! reproduce the batch means bit for bit, the shard merger must
 //! stream arbitrarily fine shard tilings to the same report as a bulk
 //! merge, and the accumulator state must stay O(cells) — no per-trial
 //! growth — which is the memory contract this PR exists to protect.
 
-use ivc_experiments::aggregate::aggregate_cells;
+use ivc_experiments::aggregate::wilson_interval;
 use ivc_experiments::shard::{merge_shards, ShardArchive, ShardMerger, ShardRange};
 use ivc_experiments::{CampaignSpec, CellAccumulator, DeliverySpec, TrialRecord};
 
@@ -53,38 +53,85 @@ fn whole_campaign_records(spec: &CampaignSpec) -> Vec<TrialRecord> {
 }
 
 /// The accumulator's statistics must be **bit**-identical to the batch
-/// aggregation over the same records in the same order — f64 equality is
-/// not enough, the byte-identity contract needs the exact bit patterns.
+/// means over the same records in the same order — f64 equality is not
+/// enough, the byte-identity contract needs the exact bit patterns.
 #[test]
 fn accumulator_matches_batch_aggregation_bit_for_bit() {
+    /// The batch reference: the present values summed left to right, over
+    /// their count.
+    fn batch_mean(values: impl Iterator<Item = Option<f64>>) -> Option<f64> {
+        let (mut sum, mut count) = (0.0, 0usize);
+        for value in values.flatten() {
+            sum += value;
+            count += 1;
+        }
+        (count > 0).then(|| sum / count as f64)
+    }
     let spec = spec_with(9);
-    let cells = spec.cells();
     let records = whole_campaign_records(&spec);
-
-    let mut streamed = Vec::new();
-    for cell in &cells {
+    for (cell, trials) in records.chunks(spec.trials_per_cell).enumerate() {
         let mut accumulator = CellAccumulator::new();
-        for trial in 0..spec.trials_per_cell {
-            accumulator.fold(&records[cell.cell_index * spec.trials_per_cell + trial]);
+        for record in trials {
+            accumulator.fold(record);
         }
         assert_eq!(accumulator.trials(), spec.trials_per_cell);
-        streamed.push(accumulator.stats());
-    }
-
-    let batch = aggregate_cells(&spec, &cells, records);
-    for (cell, (streamed, batch)) in streamed.iter().zip(&batch).enumerate() {
-        assert_eq!(streamed, &batch.stats, "cell {cell} stats diverged");
-        let bits = |v: f64| v.to_bits();
+        let stats = accumulator.stats();
+        let successes = trials.iter().filter(|r| r.accepted).count();
+        assert_eq!(stats.successes, successes, "cell {cell}");
         assert_eq!(
-            bits(streamed.mean_word_accuracy),
-            bits(batch.stats.mean_word_accuracy),
-            "cell {cell}: mean word accuracy must match in bits, not just value"
+            (stats.success_ci_low, stats.success_ci_high),
+            wilson_interval(successes, trials.len()),
+            "cell {cell}"
         );
-        assert_eq!(
-            streamed.mean_bystander_spl_db.map(bits),
-            batch.stats.mean_bystander_spl_db.map(bits),
-            "cell {cell}: mean bystander SPL must match in bits"
-        );
+        let mean = |value: fn(&TrialRecord) -> Option<f64>| batch_mean(trials.iter().map(value));
+        for (name, streamed, batch) in [
+            (
+                "success rate",
+                Some(stats.success_rate),
+                mean(|r| Some(f64::from(u8::from(r.accepted)))),
+            ),
+            (
+                "mean word accuracy",
+                Some(stats.mean_word_accuracy),
+                mean(|r| Some(r.word_accuracy)),
+            ),
+            (
+                "mean power shortfall",
+                Some(stats.mean_power_shortfall_w),
+                mean(|r| Some(r.power_shortfall_w)),
+            ),
+            (
+                "mean bystander SPL",
+                stats.mean_bystander_spl_db,
+                mean(|r| r.bystander_spl_db),
+            ),
+            (
+                "mean bystander dB(A)",
+                stats.mean_bystander_spl_dba,
+                mean(|r| r.bystander_spl_dba),
+            ),
+            (
+                "mean bystander voice SPL",
+                stats.mean_bystander_voice_spl_db,
+                mean(|r| r.bystander_voice_spl_db),
+            ),
+            (
+                "leak-audible fraction",
+                stats.leak_audible_fraction,
+                mean(|r| r.leak_audible.map(|a| f64::from(u8::from(a)))),
+            ),
+            (
+                "mean detection probability",
+                stats.mean_detection_probability,
+                mean(|r| r.detection_probability),
+            ),
+        ] {
+            assert_eq!(
+                streamed.map(f64::to_bits),
+                batch.map(f64::to_bits),
+                "cell {cell}: {name} must match in bits, not just value"
+            );
+        }
     }
 }
 

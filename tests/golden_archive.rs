@@ -12,9 +12,10 @@
 //! IVC_REGEN_FIXTURES=1 cargo test -p inaudible-voice-commands --test golden_archive
 //! ```
 
-use inaudible_voice_commands::experiments::aggregate::{aggregate_cells, psychometric_curves};
 use inaudible_voice_commands::experiments::columns::COLUMNS_FORMAT;
-use inaudible_voice_commands::experiments::shard::{ShardArchive, ShardRange};
+use inaudible_voice_commands::experiments::shard::{
+    merge_shards, ShardArchive, ShardPlan, ShardRange,
+};
 use inaudible_voice_commands::experiments::{
     BandSummarySpec, CampaignReport, CampaignSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,
     TrialRecord,
@@ -88,13 +89,13 @@ fn fixture_report() -> CampaignReport {
             records.push(fixture_record(&spec, cell.cell_index, trial));
         }
     }
-    let cell_reports = aggregate_cells(&spec, &cells, records);
-    let curves = psychometric_curves(&spec, &cell_reports);
-    CampaignReport {
+    let shard = ShardPlan::partition(&spec, 1).unwrap().shards[0];
+    merge_shards(vec![ShardArchive {
         spec,
-        cells: cell_reports,
-        curves,
-    }
+        shard,
+        records,
+    }])
+    .unwrap()
 }
 
 fn fixture_shard() -> ShardArchive {
