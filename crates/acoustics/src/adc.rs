@@ -1,5 +1,7 @@
 //! Analog-to-digital conversion: anti-alias filtering, resampling to the
-//! device's output rate, quantisation and the converter's noise floor.
+//! output rate, quantisation and the converter's noise floor.  Every
+//! device converts at the same rate and resolution; only the noise floor
+//! is the device's own (`Microphone::adc_noise_floor_dbfs`).
 
 use crate::error::{AcousticsError, Result};
 use crate::noise::NormalSampler;
@@ -8,88 +10,51 @@ use ivc_dsp::resample::{filter_and_resample, resample};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
 
-/// Configuration of an ADC stage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdcConfig {
-    /// Output sampling rate in Hz (44.1 k, 48 k or 16 k for typical devices).
-    pub output_rate_hz: f64,
-    /// Resolution in bits.
-    pub bits: u32,
-    /// Equivalent input noise expressed in dB relative to full scale.
-    pub noise_floor_dbfs: f64,
-    /// Cut-off of the anti-alias filter as a fraction of the output Nyquist.
-    pub anti_alias_fraction: f64,
-}
+/// Output sampling rate of every device's converter, in Hz.
+pub const OUTPUT_RATE_HZ: f64 = 48_000.0;
 
-impl Default for AdcConfig {
-    fn default() -> Self {
-        AdcConfig {
-            output_rate_hz: 48_000.0,
-            bits: 16,
-            noise_floor_dbfs: -90.0,
-            anti_alias_fraction: 0.9,
-        }
-    }
-}
+/// Converter resolution, in bits.
+pub const BITS: u32 = 16;
 
-impl AdcConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.output_rate_hz > 0.0) {
-            return Err(AcousticsError::invalid(
-                "output_rate_hz",
-                "must be positive",
-            ));
-        }
-        if self.bits < 4 || self.bits > 32 {
-            return Err(AcousticsError::invalid("bits", "must be within [4, 32]"));
-        }
-        if !(0.1..=1.0).contains(&self.anti_alias_fraction) {
-            return Err(AcousticsError::invalid(
-                "anti_alias_fraction",
-                "must be within [0.1, 1.0]",
-            ));
-        }
-        Ok(())
-    }
-}
+/// Cut-off of the anti-alias filter as a fraction of the output Nyquist.
+pub const ANTI_ALIAS_FRACTION: f64 = 0.9;
 
 /// Converts an analog (high-rate, full-scale-normalised) signal into the
-/// digital recording a device would store: anti-alias filter, resample,
-/// add converter noise, quantise, clip to full scale.
-pub fn digitize(analog_full_scale: &Signal, config: &AdcConfig, seed: u64) -> Result<Signal> {
-    config.validate()?;
+/// digital recording a device would store: anti-alias filter, resample to
+/// [`OUTPUT_RATE_HZ`], add converter noise at `noise_floor_dbfs` (the
+/// equivalent input noise in dB relative to full scale), quantise to
+/// [`BITS`], clip to full scale.
+pub fn digitize(analog_full_scale: &Signal, noise_floor_dbfs: f64, seed: u64) -> Result<Signal> {
     if analog_full_scale.is_empty() {
         return Err(AcousticsError::invalid("analog_full_scale", "empty signal"));
     }
     let input_rate = analog_full_scale.sample_rate_hz();
-    let cutoff =
-        (config.output_rate_hz / 2.0 * config.anti_alias_fraction).min(input_rate / 2.0 * 0.98);
+    let cutoff = (OUTPUT_RATE_HZ / 2.0 * ANTI_ALIAS_FRACTION).min(input_rate / 2.0 * 0.98);
 
     // Anti-alias low-pass at the output Nyquist (applied at the input
     // rate), then resampling to the output rate.  An integer
     // power-of-two ratio runs both as one folded decimator.
     let resampled = if cutoff < input_rate / 2.0 * 0.98 {
         let lpf = FirFilter::low_pass_cached(cutoff, input_rate, 255, WindowKind::Blackman)?;
-        filter_and_resample(&lpf, analog_full_scale, config.output_rate_hz)?
+        filter_and_resample(&lpf, analog_full_scale, OUTPUT_RATE_HZ)?
     } else {
-        resample(analog_full_scale, config.output_rate_hz)?
+        resample(analog_full_scale, OUTPUT_RATE_HZ)?
     };
-    Ok(add_noise_and_quantize(resampled, config, seed))
+    Ok(add_noise_and_quantize(resampled, noise_floor_dbfs, seed))
 }
 
 /// The converter's noise floor, then quantisation and clipping to full
 /// scale.
-fn add_noise_and_quantize(mut resampled: Signal, config: &AdcConfig, seed: u64) -> Signal {
+fn add_noise_and_quantize(mut resampled: Signal, noise_floor_dbfs: f64, seed: u64) -> Signal {
     // Converter noise: one standard-normal draw per output sample.
-    let noise_rms = 10f64.powf(config.noise_floor_dbfs / 20.0);
+    let noise_rms = 10f64.powf(noise_floor_dbfs / 20.0);
     let mut sampler = NormalSampler::new(seed);
     for x in resampled.samples_mut() {
         *x += sampler.sample() * noise_rms;
     }
 
     // Quantise and clip.
-    let levels = 2f64.powi(config.bits as i32 - 1);
+    let levels = 2f64.powi(BITS as i32 - 1);
     for x in resampled.samples_mut() {
         let clipped = x.clamp(-1.0, 1.0);
         *x = (clipped * levels).round() / levels;
@@ -102,31 +67,19 @@ mod tests {
     use super::*;
     use ivc_dsp::spectrum::band_power;
 
+    /// The noise floor the tests convert at.
+    const FLOOR_DBFS: f64 = -90.0;
+
     #[test]
     fn validation() {
-        let bad_rate = AdcConfig {
-            output_rate_hz: 0.0,
-            ..AdcConfig::default()
-        };
-        assert!(bad_rate.validate().is_err());
-        let bad_bits = AdcConfig {
-            bits: 2,
-            ..AdcConfig::default()
-        };
-        assert!(bad_bits.validate().is_err());
-        let bad_fraction = AdcConfig {
-            anti_alias_fraction: 1.5,
-            ..AdcConfig::default()
-        };
-        assert!(bad_fraction.validate().is_err());
         let empty = Signal::new(vec![], 192_000.0).unwrap();
-        assert!(digitize(&empty, &AdcConfig::default(), 0).is_err());
+        assert!(digitize(&empty, FLOOR_DBFS, 0).is_err());
     }
 
     #[test]
     fn output_rate_and_duration_are_respected() {
         let s = Signal::tone(1_000.0, 0.5, 0.25, 192_000.0).unwrap();
-        let out = digitize(&s, &AdcConfig::default(), 1).unwrap();
+        let out = digitize(&s, FLOOR_DBFS, 1).unwrap();
         assert_eq!(out.sample_rate_hz(), 48_000.0);
         assert!((out.duration_s() - 0.25).abs() < 0.01);
     }
@@ -134,7 +87,7 @@ mod tests {
     #[test]
     fn in_band_tone_survives_conversion() {
         let s = Signal::tone(1_000.0, 0.5, 0.25, 192_000.0).unwrap();
-        let out = digitize(&s, &AdcConfig::default(), 1).unwrap();
+        let out = digitize(&s, FLOOR_DBFS, 1).unwrap();
         let p = band_power(out.samples(), 48_000.0, 800.0, 1_200.0).unwrap();
         let total = band_power(out.samples(), 48_000.0, 20.0, 23_000.0).unwrap();
         assert!(p / total > 0.95, "tone fraction {}", p / total);
@@ -145,7 +98,7 @@ mod tests {
         let mut s = Signal::tone(1_000.0, 0.2, 0.25, 192_000.0).unwrap();
         s.mix(&Signal::tone(40_000.0, 0.8, 0.25, 192_000.0).unwrap())
             .unwrap();
-        let out = digitize(&s, &AdcConfig::default(), 1).unwrap();
+        let out = digitize(&s, FLOOR_DBFS, 1).unwrap();
         // Nothing above 20 kHz can exist at 48 kHz output, and nothing
         // should have aliased into 2-20 kHz either.
         let alias = band_power(out.samples(), 48_000.0, 2_000.0, 20_000.0).unwrap();
@@ -156,13 +109,8 @@ mod tests {
     #[test]
     fn quantisation_limits_dynamic_range() {
         let quiet = Signal::tone(1_000.0, 1e-6, 0.25, 192_000.0).unwrap();
-        let coarse = AdcConfig {
-            bits: 8,
-            noise_floor_dbfs: -120.0,
-            ..AdcConfig::default()
-        };
-        let out = digitize(&quiet, &coarse, 1).unwrap();
-        // A signal far below half an LSB of an 8-bit converter quantises to
+        let out = digitize(&quiet, -120.0, 1).unwrap();
+        // A signal below half an LSB of the 16-bit converter quantises to
         // silence (plus negligible noise).
         assert!(out.rms() < 1e-3);
     }
@@ -170,20 +118,20 @@ mod tests {
     #[test]
     fn full_scale_input_is_clipped_not_wrapped() {
         let loud = Signal::tone(1_000.0, 2.0, 0.1, 192_000.0).unwrap();
-        let out = digitize(&loud, &AdcConfig::default(), 1).unwrap();
+        let out = digitize(&loud, FLOOR_DBFS, 1).unwrap();
         assert!(out.peak() <= 1.0 + 1e-9);
     }
 
     /// The two full-rate passes `digitize` ran before the folded
     /// decimator: the 255-tap anti-alias filter, then `resample`.
-    fn two_pass_digitize(analog: &Signal, config: &AdcConfig, seed: u64) -> Signal {
+    fn two_pass_digitize(analog: &Signal, noise_floor_dbfs: f64, seed: u64) -> Signal {
         let input_rate = analog.sample_rate_hz();
-        let cutoff = config.output_rate_hz / 2.0 * config.anti_alias_fraction;
+        let cutoff = OUTPUT_RATE_HZ / 2.0 * ANTI_ALIAS_FRACTION;
         let lpf =
             FirFilter::low_pass_cached(cutoff, input_rate, 255, WindowKind::Blackman).unwrap();
         let filtered = lpf.filter_signal(analog).unwrap();
-        let resampled = resample(&filtered, config.output_rate_hz).unwrap();
-        add_noise_and_quantize(resampled, config, seed)
+        let resampled = resample(&filtered, OUTPUT_RATE_HZ).unwrap();
+        add_noise_and_quantize(resampled, noise_floor_dbfs, seed)
     }
 
     #[test]
@@ -212,8 +160,8 @@ mod tests {
                     .unwrap();
                 noise.draw(seed, &mut scratch);
                 let analog = mic.analog_front_end(&path, &mut scratch).unwrap();
-                let folded = digitize(&analog, &mic.adc, seed).unwrap();
-                let reference = two_pass_digitize(&analog, &mic.adc, seed);
+                let folded = digitize(&analog, mic.adc_noise_floor_dbfs, seed).unwrap();
+                let reference = two_pass_digitize(&analog, mic.adc_noise_floor_dbfs, seed);
                 assert_eq!(folded, reference, "{device:?}, seed {seed}");
                 scratch.recycle(analog);
             }
@@ -223,8 +171,8 @@ mod tests {
     #[test]
     fn conversion_is_deterministic_per_seed() {
         let s = Signal::tone(1_000.0, 0.5, 0.1, 192_000.0).unwrap();
-        let a = digitize(&s, &AdcConfig::default(), 9).unwrap();
-        let b = digitize(&s, &AdcConfig::default(), 9).unwrap();
+        let a = digitize(&s, FLOOR_DBFS, 9).unwrap();
+        let b = digitize(&s, FLOOR_DBFS, 9).unwrap();
         assert_eq!(a.samples(), b.samples());
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! [`Microphone::capture`] runs all of it for one pressure waveform.
 
-use crate::adc::{digitize, AdcConfig};
+use crate::adc::digitize;
 use crate::error::{AcousticsError, Result};
 use crate::noise::{ambient_psd, NormalSampler};
 use crate::nonlinearity::Polynomial;
@@ -222,12 +222,7 @@ impl DevicePreset {
                     g3: 0.08,
                 },
                 self_noise_db_spl: 29.0,
-                adc: AdcConfig {
-                    output_rate_hz: 48_000.0,
-                    bits: 16,
-                    noise_floor_dbfs: -92.0,
-                    anti_alias_fraction: 0.9,
-                },
+                adc_noise_floor_dbfs: -92.0,
             },
             DevicePreset::AmazonEcho => Microphone {
                 acoustic_overload_point_db_spl: 120.0,
@@ -240,12 +235,7 @@ impl DevicePreset {
                     g3: 0.07,
                 },
                 self_noise_db_spl: 31.0,
-                adc: AdcConfig {
-                    output_rate_hz: 48_000.0,
-                    bits: 16,
-                    noise_floor_dbfs: -90.0,
-                    anti_alias_fraction: 0.9,
-                },
+                adc_noise_floor_dbfs: -90.0,
             },
             DevicePreset::LinearReference => Microphone {
                 acoustic_overload_point_db_spl: 120.0,
@@ -254,12 +244,7 @@ impl DevicePreset {
                 transducer_corner_hz: 35_000.0,
                 nonlinearity: Polynomial::LINEAR,
                 self_noise_db_spl: 25.0,
-                adc: AdcConfig {
-                    output_rate_hz: 48_000.0,
-                    bits: 16,
-                    noise_floor_dbfs: -95.0,
-                    anti_alias_fraction: 0.9,
-                },
+                adc_noise_floor_dbfs: -95.0,
             },
         }
     }
@@ -285,8 +270,10 @@ pub struct Microphone {
     pub nonlinearity: Polynomial,
     /// Equivalent self-noise of the capsule, as an SPL in dB.
     pub self_noise_db_spl: f64,
-    /// ADC stage configuration.
-    pub adc: AdcConfig,
+    /// The ADC's equivalent input noise, in dB relative to full scale
+    /// (the converter's other settings are the constants of
+    /// [`crate::adc`]).
+    pub adc_noise_floor_dbfs: f64,
 }
 
 impl Microphone {
@@ -319,7 +306,7 @@ impl Microphone {
     ) -> Result<Signal> {
         noise.draw(seed, scratch);
         let analog = self.analog_front_end(path, scratch)?;
-        let digital = digitize(&analog, &self.adc, seed);
+        let digital = digitize(&analog, self.adc_noise_floor_dbfs, seed);
         scratch.recycle(analog);
         digital
     }
@@ -407,7 +394,8 @@ impl Microphone {
     /// [`front_end_synthesis`](Self::front_end_synthesis) then
     /// [`front_end_nonlinearity`](Self::front_end_nonlinearity).  The
     /// result, at the path's rate and relative to full scale, is what
-    /// [`digitize`] with this microphone's `adc` turns into the recording.
+    /// [`digitize`] at this microphone's `adc_noise_floor_dbfs` turns into
+    /// the recording.
     pub fn analog_front_end(
         &self,
         path: &ShapedPath,
@@ -639,7 +627,10 @@ mod tests {
         let synthesized = mic.front_end_synthesis(&path, &mut fresh).unwrap();
         let analog = mic.front_end_nonlinearity(synthesized);
         assert_eq!(analog.len(), p.len());
-        assert_eq!(digitize(&analog, &mic.adc, 5).unwrap(), whole);
+        assert_eq!(
+            digitize(&analog, mic.adc_noise_floor_dbfs, 5).unwrap(),
+            whole
+        );
         // A reused arena gives the same capture.
         assert_eq!(
             mic.capture_shaped(&path, &noise, 5, &mut scratch).unwrap(),

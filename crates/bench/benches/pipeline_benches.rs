@@ -82,7 +82,7 @@ fn bench_capture(c: &mut Criterion) {
     noise.draw(7, &mut scratch);
     let analog = mic.analog_front_end(&path, &mut scratch).unwrap();
     group.bench_function("adc_192k_0p6s", |b| {
-        b.iter(|| digitize(std::hint::black_box(&analog), &mic.adc, 7).unwrap())
+        b.iter(|| digitize(std::hint::black_box(&analog), mic.adc_noise_floor_dbfs, 7).unwrap())
     });
     group.finish();
 }

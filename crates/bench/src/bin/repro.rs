@@ -587,12 +587,10 @@ fn run_one(
         _ => (name, campaign_summary),
     };
     let start = Instant::now();
-    let reports = run_preset(preset, fidelity, runner)?;
+    let (reports, sidecars) = run_preset(preset, fidelity, runner)?;
     let wall_s = start.elapsed().as_secs_f64();
     if telemetry.on {
-        telemetry
-            .workers
-            .extend(runner.worker_metrics(preset, fidelity)?);
+        telemetry.workers.extend(worker_metrics(&sidecars)?);
     }
     let text = match kind {
         RunKind::Profile => attribution_report(preset, runner, &telemetry.end()?, wall_s),

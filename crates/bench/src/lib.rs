@@ -26,7 +26,7 @@ use ivc_core::Result;
 use ivc_defense::evaluation::{ConfusionMatrix, RocCurve};
 use ivc_defense::features::DefenseFeatures;
 use ivc_experiments::orchestrate::{orchestrate, OrchestratorConfig, ProcessLauncher};
-use ivc_experiments::shard::{metrics_sidecar_path, shard_archive_file_name, ShardPlan};
+use ivc_experiments::shard::metrics_sidecar_path;
 use ivc_experiments::{
     presets, run_campaign, CampaignReport, CampaignSpec, CellCoords, TrialRecord,
 };
@@ -356,10 +356,8 @@ pub fn tab_a5_range_per_device(reports: &[CampaignReport]) -> Result<String> {
     Ok(table.render())
 }
 
-/// E-A6 — demodulated quality versus carrier frequency.
-///
-/// From the `a6` preset's report, swept over the engine's
-/// carrier-frequency axis.
+/// E-A6 — demodulated quality versus carrier frequency, from the `a6`
+/// preset's report (one single-speaker delivery per carrier).
 pub fn fig_a6_carrier_frequency(reports: &[CampaignReport]) -> Result<String> {
     let report = only(reports)?;
     let spec = &report.spec;
@@ -367,16 +365,18 @@ pub fn fig_a6_carrier_frequency(reports: &[CampaignReport]) -> Result<String> {
         "E-A6: word accuracy vs carrier frequency (single speaker, 10 W, 1.5 m)",
         &["Carrier (kHz)", "Word accuracy"],
     );
-    for (ci, carrier) in spec.carriers_hz.iter().enumerate() {
-        let fc = carrier.expect("a6's carrier axis is fully specified");
+    for (i, delivery) in spec.deliveries.iter().enumerate() {
+        let Delivery::SingleSpeakerUltrasound { carrier_hz, .. } = delivery.delivery else {
+            unreachable!("a6 sweeps single-speaker carriers");
+        };
         let cell = report
             .find_cell(&CellCoords {
-                carrier_index: ci,
+                delivery_index: i,
                 ..CellCoords::default()
             })
             .expect("a6 grid covers every carrier");
         table.push_row(vec![
-            fmt(fc / 1_000.0, 0),
+            fmt(carrier_hz / 1_000.0, 0),
             fmt(cell.stats.mean_word_accuracy, 2),
         ]);
     }
@@ -385,7 +385,7 @@ pub fn fig_a6_carrier_frequency(reports: &[CampaignReport]) -> Result<String> {
 
 /// E-B1 — Song–Mittal Table 1: attack range versus speaker input power.
 ///
-/// From the `b1` preset's report, swept over the engine's power axis;
+/// From the `b1` preset's report (one single-speaker delivery per power);
 /// ranges are read off the per-(device, power) accuracy curves.
 pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
     let report = only(reports)?;
@@ -394,14 +394,16 @@ pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
         "E-B1: attack range vs speaker input power (single speaker)",
         &["Power (W)", "Phone range (cm)", "Echo range (cm)"],
     );
-    for (pi, power) in spec.powers_w.iter().enumerate() {
-        let p = power.expect("b1's power axis is fully specified");
+    for (i, delivery) in spec.deliveries.iter().enumerate() {
+        let Delivery::SingleSpeakerUltrasound { power_w, .. } = delivery.delivery else {
+            unreachable!("b1 sweeps single-speaker powers");
+        };
         let mut ranges = Vec::new();
         for (device_index, device) in spec.devices.iter().enumerate() {
             let curve = report
                 .curves
                 .iter()
-                .find(|c| c.coords.device_index == device_index && c.coords.power_index == pi)
+                .find(|c| c.coords.device_index == device_index && c.coords.delivery_index == i)
                 .expect("b1 produces one curve per (device, power)");
             let range_m = Series::new(
                 device.name(),
@@ -412,7 +414,7 @@ pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
             .unwrap_or(0.0);
             ranges.push(range_m * 100.0);
         }
-        table.push_row(vec![fmt(p, 1), fmt(ranges[0], 0), fmt(ranges[1], 0)]);
+        table.push_row(vec![fmt(power_w, 1), fmt(ranges[0], 0), fmt(ranges[1], 0)]);
     }
     Ok(table.render())
 }
@@ -575,51 +577,6 @@ pub enum Runner {
     },
 }
 
-impl Runner {
-    /// The telemetry sidecars the workers of an orchestrated run of preset
-    /// `name` left next to their checkpoints: one `ivc-metrics-v1`
-    /// snapshot per shard of each spec, and none for an in-process run.
-    ///
-    /// A missing or unparseable sidecar is a **loud error**, never an
-    /// under-reported fleet document: a silently dropped worker is exactly
-    /// the failure mode fleet telemetry exists to prevent.
-    pub fn worker_metrics(
-        &self,
-        name: &str,
-        fidelity: Fidelity,
-    ) -> Result<Vec<telemetry::Snapshot>> {
-        let Runner::Orchestrated {
-            config,
-            scratch_dir,
-            ..
-        } = self
-        else {
-            return Ok(Vec::new());
-        };
-        let mut snapshots = Vec::new();
-        for spec in preset_specs(name, fidelity)? {
-            for shard in ShardPlan::partition(&spec, config.num_shards)?.shards {
-                let partial = scratch_dir.join(shard_archive_file_name(&spec.name, &shard));
-                let sidecar = metrics_sidecar_path(&partial);
-                let text = std::fs::read_to_string(&sidecar).map_err(|e| {
-                    format!(
-                        "shard {} of campaign '{}' left no telemetry sidecar at {} ({e}); \
-                         refusing to emit under-reported fleet metrics",
-                        shard.shard_index,
-                        spec.name,
-                        sidecar.display()
-                    )
-                })?;
-                snapshots.push(
-                    telemetry::Snapshot::parse_metrics(&text)
-                        .map_err(|e| format!("parsing {}: {e}", sidecar.display()))?,
-                );
-            }
-        }
-        Ok(snapshots)
-    }
-}
-
 /// "4 worker(s)", or "2 shard(s) x 2 worker(s)" when orchestrated.
 impl std::fmt::Display for Runner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -632,16 +589,23 @@ impl std::fmt::Display for Runner {
     }
 }
 
-/// Runs campaign preset `name` on `runner`: one report per expanded spec.
-/// This is the one way from a preset name to reports; the orchestrator's
-/// status lines go to stderr.
-pub fn run_preset(name: &str, fidelity: Fidelity, runner: &Runner) -> Result<Vec<CampaignReport>> {
+/// Runs campaign preset `name` on `runner`: one report per expanded spec,
+/// and the telemetry sidecars this run's shard workers wrote (none in
+/// process, and none for a shard resumed from an earlier run's
+/// checkpoint).  This is the one way from a preset name to reports; the
+/// orchestrator's status lines go to stderr.
+pub fn run_preset(
+    name: &str,
+    fidelity: Fidelity,
+    runner: &Runner,
+) -> Result<(Vec<CampaignReport>, Vec<PathBuf>)> {
     let specs = preset_specs(name, fidelity)?;
-    match runner {
+    let mut sidecars = Vec::new();
+    let reports = match runner {
         Runner::InProcess { workers } => specs
             .iter()
             .map(|spec| Ok(run_campaign(spec, *workers)?))
-            .collect(),
+            .collect::<Result<_>>()?,
         Runner::Orchestrated {
             config,
             workers,
@@ -650,14 +614,43 @@ pub fn run_preset(name: &str, fidelity: Fidelity, runner: &Runner) -> Result<Vec
         } => {
             let mut launcher = ProcessLauncher::new(worker_exe, *workers);
             let mut status = std::io::stderr();
-            specs
-                .iter()
-                .map(|spec| {
-                    Ok(orchestrate(spec, config, scratch_dir, &mut launcher, &mut status)?.report)
-                })
-                .collect()
+            let mut reports = Vec::new();
+            for spec in &specs {
+                let run = orchestrate(spec, config, scratch_dir, &mut launcher, &mut status)?;
+                sidecars.extend(
+                    run.fresh_checkpoints
+                        .iter()
+                        .map(|c| metrics_sidecar_path(c)),
+                );
+                reports.push(run.report);
+            }
+            reports
         }
-    }
+    };
+    Ok((reports, sidecars))
+}
+
+/// Reads the worker telemetry sidecars [`run_preset`] returned, one
+/// `ivc-metrics-v1` snapshot each.
+///
+/// A missing or unparseable sidecar is a **loud error**, never an
+/// under-reported fleet document: a silently dropped worker is exactly
+/// the failure mode fleet telemetry exists to prevent.
+pub fn worker_metrics(sidecars: &[PathBuf]) -> Result<Vec<telemetry::Snapshot>> {
+    sidecars
+        .iter()
+        .map(|sidecar| {
+            let text = std::fs::read_to_string(sidecar).map_err(|e| {
+                format!(
+                    "a shard worker left no telemetry sidecar at {} ({e}); \
+                     refusing to emit under-reported fleet metrics",
+                    sidecar.display()
+                )
+            })?;
+            Ok(telemetry::Snapshot::parse_metrics(&text)
+                .map_err(|e| format!("parsing {}: {e}", sidecar.display()))?)
+        })
+        .collect()
 }
 
 /// Total `stage.*` time of a snapshot, in nanoseconds.

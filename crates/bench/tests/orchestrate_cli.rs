@@ -229,6 +229,56 @@ fn orchestrated_metrics_cover_the_whole_fleet_without_touching_bytes() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
+/// A resumed run's fleet document holds the telemetry of the workers it
+/// ran, not of the earlier run whose checkpoints (and sidecars) it found:
+/// run twice on one `--resume` directory, the second run resumes every
+/// shard and reports no worker at all.
+#[test]
+fn resumed_runs_do_not_count_earlier_worker_telemetry() {
+    let scratch = scratch_dir("resume-metrics");
+    let resume = scratch.join("resume");
+    let run = |metrics: &Path| {
+        let output = repro_cmd()
+            .args(["campaign", "smoke", "--shards", "2", "--workers", "1"])
+            .args(["--resume", &resume.to_string_lossy()])
+            .args(["--metrics", &metrics.to_string_lossy()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success(),
+            "campaign --resume failed:\n{stderr}"
+        );
+        JsonValue::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap()
+    };
+    let names = |doc: &JsonValue, member: &str| -> Vec<String> {
+        (doc.get(member).and_then(JsonValue::as_array).unwrap_or(&[]))
+            .iter()
+            .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
+            .map(str::to_string)
+            .collect()
+    };
+    let first = run(&scratch.join("first.json"));
+    assert!(
+        names(&first, "sources")
+            .iter()
+            .any(|s| s.starts_with("shard-")),
+        "the first run reported no worker"
+    );
+    assert!(names(&first, "counters").contains(&"executor.trials_completed".to_string()));
+    let second = run(&scratch.join("second.json"));
+    let sources = names(&second, "sources");
+    assert!(
+        !sources.iter().any(|s| s.starts_with("shard-")),
+        "the resumed run counted the earlier run's workers: {sources:?}"
+    );
+    assert!(
+        !names(&second, "counters").contains(&"executor.trials_completed".to_string()),
+        "the resumed run counted the earlier run's trials"
+    );
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
 /// Scans `/proc` for a live `shard-worker` process whose command line
 /// mentions `marker`, returning its pid.
 fn find_worker_pid(marker: &str) -> Option<u32> {

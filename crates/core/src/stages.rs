@@ -651,7 +651,7 @@ pub(crate) fn perturb_path(
     };
     let recording = {
         let _span = telemetry::span("perturb.mic_capture.adc");
-        digitize(&analog, &microphone.adc, seed)
+        digitize(&analog, microphone.adc_noise_floor_dbfs, seed)
     };
     scratch.recycle(analog);
     Ok(recording?)

@@ -1,16 +1,15 @@
 //! The parameter-grid DSL: a [`CampaignSpec`] declares axes (detector,
-//! device, delivery configuration, carrier frequency, power, room,
-//! environment, command, distance) plus shared scalars, and expands into
-//! the full cross product of concrete [`Scenario`]s.
+//! device, delivery, room, environment, command, distance) plus shared
+//! scalars, and expands into the full cross product of concrete
+//! [`Scenario`]s.  A swept carrier frequency or power is a delivery axis:
+//! one [`DeliverySpec`] per point.
 //!
 //! Expansion order is part of the engine's contract: cells are enumerated
-//! detectors → devices → deliveries → carriers → powers → rooms →
-//! environments → commands → distances (distance innermost), so
-//! success-vs-distance curves read off contiguous cell ranges, and the
-//! same spec always produces the same cell indices.  The detector, carrier
-//! and power axes were added in report format v3 (the room axis in v2);
-//! specs that leave the new axes at their single-entry defaults reproduce
-//! the v2 expansion order.
+//! detectors → devices → deliveries → rooms → environments → commands →
+//! distances (distance innermost), so success-vs-distance curves read off
+//! contiguous cell ranges, and the same spec always produces the same cell
+//! indices.  [`CampaignSpec::cell_index_of`] encodes coordinates in that
+//! mixed radix and [`CampaignSpec::cells`] decodes it.
 
 use crate::error::{ExperimentError, Result};
 use ivc_acoustics::environment::AirEnvironment;
@@ -245,14 +244,6 @@ pub struct CampaignSpec {
     /// Delivery-configuration axis (element counts, powers, carriers —
     /// anything [`Delivery`] expresses, plus shadow suppression).
     pub deliveries: Vec<DeliverySpec>,
-    /// Carrier-frequency axis: `None` keeps each delivery's own carrier,
-    /// `Some(hz)` overrides it for attack deliveries (legitimate
-    /// deliveries have no carrier and are unaffected).
-    pub carriers_hz: Vec<Option<f64>>,
-    /// Power axis: `None` keeps each delivery's own electrical power,
-    /// `Some(w)` overrides it (single-speaker `power_w`, array
-    /// `total_power_w`; legitimate deliveries are unaffected).
-    pub powers_w: Vec<Option<f64>>,
     /// Room axis: `None` is the free-field channel, `Some(preset)` runs
     /// the trial inside that room's image-source model.
     pub rooms: Vec<Option<RoomPreset>>,
@@ -294,8 +285,6 @@ impl CampaignSpec {
                 40.0,
                 40_000.0,
             )],
-            carriers_hz: vec![None],
-            powers_w: vec![None],
             rooms: vec![None],
             environments: vec![EnvironmentPreset::MeetingRoom],
             command_indices: vec![0],
@@ -335,45 +324,6 @@ impl CampaignSpec {
                         delivery.label
                     ),
                 ));
-            }
-        }
-        let any_attack = self.deliveries.iter().any(|d| d.delivery.is_attack());
-        if self.carriers_hz.is_empty() {
-            return Err(ExperimentError::invalid("carriers_hz", "axis is empty"));
-        }
-        for &carrier in self.carriers_hz.iter() {
-            if let Some(hz) = carrier {
-                if !(hz > 0.0) || !hz.is_finite() {
-                    return Err(ExperimentError::invalid(
-                        "carriers_hz",
-                        format!("{hz} must be positive and finite"),
-                    ));
-                }
-                if !any_attack {
-                    return Err(ExperimentError::invalid(
-                        "carriers_hz",
-                        "carrier overrides need at least one attack delivery",
-                    ));
-                }
-            }
-        }
-        if self.powers_w.is_empty() {
-            return Err(ExperimentError::invalid("powers_w", "axis is empty"));
-        }
-        for &power in self.powers_w.iter() {
-            if let Some(w) = power {
-                if !(w > 0.0) || !w.is_finite() {
-                    return Err(ExperimentError::invalid(
-                        "powers_w",
-                        format!("{w} must be positive and finite"),
-                    ));
-                }
-                if !any_attack {
-                    return Err(ExperimentError::invalid(
-                        "powers_w",
-                        "power overrides need at least one attack delivery",
-                    ));
-                }
             }
         }
         if self.rooms.is_empty() {
@@ -465,8 +415,6 @@ impl CampaignSpec {
         self.detectors.len()
             * self.devices.len()
             * self.deliveries.len()
-            * self.carriers_hz.len()
-            * self.powers_w.len()
             * self.rooms.len()
             * self.environments.len()
             * self.command_indices.len()
@@ -478,58 +426,40 @@ impl CampaignSpec {
         self.num_cells() * self.trials_per_cell
     }
 
-    /// Expands the grid into cells, in the documented order (detectors →
-    /// devices → deliveries → carriers → powers → rooms → environments →
-    /// commands → distances).
+    /// Expands the grid into cells, in the documented order: cell `i` has
+    /// the coordinates whose [`CampaignSpec::cell_index_of`] is `i`.
     pub fn cells(&self) -> Vec<CellSpec> {
-        let mut cells = Vec::with_capacity(self.num_cells());
-        let mut cell_index = 0;
-        for detector_index in 0..self.detectors.len() {
-            for device_index in 0..self.devices.len() {
-                for delivery_index in 0..self.deliveries.len() {
-                    for carrier_index in 0..self.carriers_hz.len() {
-                        for power_index in 0..self.powers_w.len() {
-                            for room_index in 0..self.rooms.len() {
-                                for environment_index in 0..self.environments.len() {
-                                    for command_position in 0..self.command_indices.len() {
-                                        for distance_index in 0..self.distances_m.len() {
-                                            cells.push(CellSpec {
-                                                cell_index,
-                                                coords: CellCoords {
-                                                    detector_index,
-                                                    device_index,
-                                                    delivery_index,
-                                                    carrier_index,
-                                                    power_index,
-                                                    room_index,
-                                                    environment_index,
-                                                    command_position,
-                                                    distance_index,
-                                                },
-                                            });
-                                            cell_index += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
+        (0..self.num_cells())
+            .map(|cell_index| {
+                let mut rest = cell_index;
+                let mut digit = |len: usize| {
+                    let d = rest % len;
+                    rest /= len;
+                    d
+                };
+                // Fields evaluate in the order written: least significant
+                // digit first.
+                let coords = CellCoords {
+                    distance_index: digit(self.distances_m.len()),
+                    command_position: digit(self.command_indices.len()),
+                    environment_index: digit(self.environments.len()),
+                    room_index: digit(self.rooms.len()),
+                    delivery_index: digit(self.deliveries.len()),
+                    device_index: digit(self.devices.len()),
+                    detector_index: digit(self.detectors.len()),
+                };
+                CellSpec { cell_index, coords }
+            })
+            .collect()
     }
 
-    /// The cell index at the given axis coordinates — the closed form of
-    /// the [`CampaignSpec::cells`] expansion order, kept next to it so the
-    /// ordering contract has exactly one owner.  `None` when any
-    /// coordinate is outside its axis.
+    /// The cell index at the given axis coordinates: the expansion order
+    /// as a mixed radix, distance the least significant digit.  `None`
+    /// when any coordinate is outside its axis.
     pub fn cell_index_of(&self, coords: &CellCoords) -> Option<usize> {
         if coords.detector_index >= self.detectors.len()
             || coords.device_index >= self.devices.len()
             || coords.delivery_index >= self.deliveries.len()
-            || coords.carrier_index >= self.carriers_hz.len()
-            || coords.power_index >= self.powers_w.len()
             || coords.room_index >= self.rooms.len()
             || coords.environment_index >= self.environments.len()
             || coords.command_position >= self.command_indices.len()
@@ -540,8 +470,6 @@ impl CampaignSpec {
         let mut index = coords.detector_index;
         index = index * self.devices.len() + coords.device_index;
         index = index * self.deliveries.len() + coords.delivery_index;
-        index = index * self.carriers_hz.len() + coords.carrier_index;
-        index = index * self.powers_w.len() + coords.power_index;
         index = index * self.rooms.len() + coords.room_index;
         index = index * self.environments.len() + coords.environment_index;
         index = index * self.command_indices.len() + coords.command_position;
@@ -556,40 +484,20 @@ impl CampaignSpec {
         self.base_seed.wrapping_add(trial_index as u64)
     }
 
-    /// The delivery a cell runs, with the carrier- and power-axis
-    /// overrides applied (legitimate deliveries pass through untouched).
-    pub fn resolved_delivery(&self, cell: &CellSpec) -> Delivery {
-        let mut delivery = self.deliveries[cell.coords.delivery_index].delivery;
-        if let Some(hz) = self.carriers_hz[cell.coords.carrier_index] {
-            match &mut delivery {
-                Delivery::SingleSpeakerUltrasound { carrier_hz, .. }
-                | Delivery::ArrayUltrasound { carrier_hz, .. } => *carrier_hz = hz,
-                Delivery::Legitimate { .. } => {}
-            }
-        }
-        if let Some(w) = self.powers_w[cell.coords.power_index] {
-            match &mut delivery {
-                Delivery::SingleSpeakerUltrasound { power_w, .. } => *power_w = w,
-                Delivery::ArrayUltrasound { total_power_w, .. } => *total_power_w = w,
-                Delivery::Legitimate { .. } => {}
-            }
-        }
-        delivery
-    }
-
     /// The concrete scenario of one trial of one cell.
     pub fn scenario(&self, cell: &CellSpec, trial_index: usize) -> Scenario {
+        let delivery = &self.deliveries[cell.coords.delivery_index];
         Scenario {
             device: self.devices[cell.coords.device_index],
             distance_m: self.distances_m[cell.coords.distance_index],
-            delivery: self.resolved_delivery(cell),
+            delivery: delivery.delivery,
             ambient_noise_spl_db: self.ambient_noise_spl_db,
             bystander_distance_m: self.bystander_distance_m,
             env: self.environments[cell.coords.environment_index].air(),
             room: self.rooms[cell.coords.room_index],
             seed: self.trial_seed(trial_index),
             max_voice_duration_s: self.max_voice_duration_s,
-            shadow_suppression: self.deliveries[cell.coords.delivery_index].shadow_suppression,
+            shadow_suppression: delivery.shadow_suppression,
         }
     }
 
@@ -598,29 +506,12 @@ impl CampaignSpec {
         self.command_indices[cell.coords.command_position]
     }
 
-    /// The delivery label of a cell with any swept carrier/power override
-    /// appended — the "delivery point" the cell stands for.
-    pub fn delivery_point_label(&self, cell: &CellSpec) -> String {
-        let mut label = self.deliveries[cell.coords.delivery_index].label.clone();
-        if self.carriers_hz.len() > 1 {
-            if let Some(hz) = self.carriers_hz[cell.coords.carrier_index] {
-                label.push_str(&format!(" @ {} kHz", hz / 1_000.0));
-            }
-        }
-        if self.powers_w.len() > 1 {
-            if let Some(w) = self.powers_w[cell.coords.power_index] {
-                label.push_str(&format!(" @ {w} W"));
-            }
-        }
-        label
-    }
-
     /// Human-readable cell label used in summaries and archives.
     pub fn cell_label(&self, cell: &CellSpec) -> String {
         let mut label = format!(
             "{} | {} | {} | {} | cmd {} | {} m",
             self.devices[cell.coords.device_index].name(),
-            self.delivery_point_label(cell),
+            self.deliveries[cell.coords.delivery_index].label,
             room_token(self.rooms[cell.coords.room_index]),
             self.environments[cell.coords.environment_index].token(),
             self.command_index(cell),
@@ -635,12 +526,12 @@ impl CampaignSpec {
         label
     }
 
-    /// Label of the curve a cell belongs to: the delivery-point label alone
+    /// Label of the curve a cell belongs to: the delivery label alone
     /// when the other non-distance axes are singletons, joined with the
     /// room when only the room axis is swept, the full combination
     /// otherwise.
     pub fn curve_label(&self, cell: &CellSpec) -> String {
-        let delivery = self.delivery_point_label(cell);
+        let delivery = &self.deliveries[cell.coords.delivery_index].label;
         let room = room_token(self.rooms[cell.coords.room_index]);
         if self.detectors.len() == 1
             && self.devices.len() == 1
@@ -648,11 +539,8 @@ impl CampaignSpec {
             && self.command_indices.len() == 1
         {
             if self.rooms.len() == 1 {
-                delivery
-            } else if self.deliveries.len() == 1
-                && self.carriers_hz.len() == 1
-                && self.powers_w.len() == 1
-            {
+                delivery.clone()
+            } else if self.deliveries.len() == 1 {
                 room.to_string()
             } else {
                 format!("{delivery} | {room}")
@@ -696,10 +584,6 @@ pub struct CellCoords {
     pub device_index: usize,
     /// Index into [`CampaignSpec::deliveries`].
     pub delivery_index: usize,
-    /// Index into [`CampaignSpec::carriers_hz`].
-    pub carrier_index: usize,
-    /// Index into [`CampaignSpec::powers_w`].
-    pub power_index: usize,
     /// Index into [`CampaignSpec::rooms`].
     pub room_index: usize,
     /// Index into [`CampaignSpec::environments`].
@@ -762,7 +646,7 @@ mod tests {
         assert_eq!(cells[3].coords.distance_index, 0);
         assert_eq!(cells[3].coords.command_position, 1);
         assert_eq!(cells.last().unwrap().coords.device_index, 1);
-        // The room axis sits between powers and environments.
+        // The room axis sits between deliveries and environments.
         let cells_per_room = 2 * 2 * 3;
         assert_eq!(cells[cells_per_room - 1].coords.room_index, 0);
         assert_eq!(cells[cells_per_room].coords.room_index, 1);
@@ -790,14 +674,6 @@ mod tests {
                 detector_index: 1,
                 ..CellCoords::default()
             },
-            CellCoords {
-                carrier_index: 1,
-                ..CellCoords::default()
-            },
-            CellCoords {
-                power_index: 1,
-                ..CellCoords::default()
-            },
         ] {
             assert_eq!(spec.cell_index_of(&bad), None);
         }
@@ -806,55 +682,37 @@ mod tests {
     }
 
     #[test]
-    fn new_axes_expand_between_deliveries_and_rooms() {
+    fn detectors_expand_outermost_and_label_their_cells() {
         let spec = CampaignSpec {
             detectors: vec![None, Some(DetectorSpec::standard(true))],
-            deliveries: vec![
-                DeliverySpec::single_speaker("single 10 W", 10.0, 40_000.0),
-                DeliverySpec::legitimate("talker", 65.0),
-            ],
-            carriers_hz: vec![Some(30_000.0), Some(40_000.0), Some(60_000.0)],
-            powers_w: vec![None, Some(20.0)],
+            deliveries: [30_000.0, 40_000.0, 60_000.0]
+                .map(|hz| DeliverySpec::single_speaker(format!("single @ {hz} Hz"), 10.0, hz))
+                .into(),
             distances_m: vec![1.0, 2.0],
             ..CampaignSpec::new("axes")
         };
-        assert_eq!(spec.num_cells(), 2 * 2 * 3 * 2 * 2);
+        assert_eq!(spec.num_cells(), 2 * 3 * 2);
         let cells = spec.cells();
-        // Powers vary faster than carriers, carriers faster than
-        // deliveries, detectors outermost.
-        assert_eq!(cells[0].coords.power_index, 0);
-        assert_eq!(cells[2].coords.power_index, 1);
-        assert_eq!(cells[4].coords.carrier_index, 1);
-        assert_eq!(cells[12].coords.delivery_index, 1);
-        assert_eq!(cells[24].coords.detector_index, 1);
+        // Deliveries vary faster than detectors, distances fastest.
+        assert_eq!(cells[1].coords.distance_index, 1);
+        assert_eq!(cells[2].coords.delivery_index, 1);
+        assert_eq!(cells[6].coords.detector_index, 1);
+        assert_eq!(cells[6].coords.delivery_index, 0);
         for cell in &cells {
             assert_eq!(spec.cell_index_of(&cell.coords), Some(cell.cell_index));
         }
-        // Overrides resolve into the scenario's delivery for attacks and
-        // leave the legitimate delivery untouched.
-        let attack_cell = &cells[2]; // delivery 0, carrier 0, power 1
+        // Each point of a carrier sweep is its own delivery, read as is.
         assert_eq!(
-            spec.resolved_delivery(attack_cell),
+            spec.scenario(&cells[4], 0).delivery,
             Delivery::SingleSpeakerUltrasound {
-                power_w: 20.0,
-                carrier_hz: 30_000.0,
+                power_w: 10.0,
+                carrier_hz: 60_000.0,
             }
         );
-        let legit_cell = cells.iter().find(|c| c.coords.delivery_index == 1).unwrap();
-        assert_eq!(
-            spec.resolved_delivery(legit_cell),
-            Delivery::Legitimate {
-                talker_spl_db: 65.0
-            }
-        );
-        // Swept overrides surface in the labels.
-        let label = spec.cell_label(attack_cell);
-        assert!(
-            label.contains("30 kHz") && label.contains("20 W"),
-            "{label}"
-        );
+        let label = spec.cell_label(&cells[4]);
+        assert!(label.contains("single @ 60000 Hz"), "{label}");
         assert!(label.contains("no detector"), "{label}");
-        let trained = spec.cell_label(&cells[24]);
+        let trained = spec.cell_label(&cells[6]);
         assert!(trained.contains("standard detector"), "{trained}");
     }
 
@@ -932,25 +790,7 @@ mod tests {
         };
         let err = oversize.validate().unwrap_err();
         assert!(err.to_string().contains("office"), "{err}");
-        // New-axis validation: bad carrier/power values, overrides without
-        // any attack delivery, out-of-range suppression, bad detector and
-        // band-summary configs.
-        let bad_carrier = CampaignSpec {
-            carriers_hz: vec![Some(-1.0)],
-            ..sweep_spec()
-        };
-        assert!(bad_carrier.validate().is_err());
-        let bad_power = CampaignSpec {
-            powers_w: vec![Some(f64::NAN)],
-            ..sweep_spec()
-        };
-        assert!(bad_power.validate().is_err());
-        let legit_only_override = CampaignSpec {
-            deliveries: vec![DeliverySpec::legitimate("talker", 65.0)],
-            carriers_hz: vec![Some(40_000.0)],
-            ..sweep_spec()
-        };
-        assert!(legit_only_override.validate().is_err());
+        // Out-of-range suppression, bad detector and band-summary configs.
         let bad_suppression = CampaignSpec {
             deliveries: vec![
                 DeliverySpec::array("array", 8, 60.0, 40_000.0).with_shadow_suppression(1.5)

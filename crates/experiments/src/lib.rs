@@ -5,9 +5,9 @@
 //! one-off `run_trial` calls into reproducible campaigns:
 //!
 //! * [`grid`] — the parameter-grid DSL: a [`CampaignSpec`] declares axes
-//!   (detector training, device, delivery, carrier frequency, power,
-//!   room, environment, command, distance) and expands into the concrete
-//!   [`ivc_core::Scenario`] cross product.
+//!   (detector training, device, delivery, room, environment, command,
+//!   distance) and expands into the concrete [`ivc_core::Scenario`] cross
+//!   product.
 //! * [`executor`] — a bounded `std::thread` worker pool running the
 //!   staged pipeline (one shared [`ivc_core::PreparedCell`] per cell, one
 //!   trained detector per axis entry) with deterministic per-trial

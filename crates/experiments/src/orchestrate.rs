@@ -284,6 +284,9 @@ pub struct OrchestratorRun {
     pub report: crate::report::CampaignReport,
     /// What supervision did to get there.
     pub stats: OrchestratorStats,
+    /// The checkpoints this run's own attempts wrote, in shard order:
+    /// every shard's but those resumed from an earlier run.
+    pub fresh_checkpoints: Vec<PathBuf>,
 }
 
 /// Format tag of the per-run JSONL manifest (carried by the `run_start`
@@ -868,6 +871,8 @@ struct Driver<'a> {
     launcher: &'a mut dyn ShardLauncher,
     /// Each shard's job, job file and checkpoint path.
     shards: Vec<(ShardJob, PathBuf, PathBuf)>,
+    /// Which shards a checkpoint found on startup satisfied.
+    resumed: Vec<bool>,
     nonce: u32,
     running: Vec<(Id, Box<dyn ShardAttempt>)>,
     /// Whether this sweep saw an exit or a launch.
@@ -902,6 +907,7 @@ impl Driver<'_> {
             job.save(job_path)?;
             if checkpoint.exists() {
                 let flags = Self::validated(checkpoint, job).map_err(|e| e.to_string());
+                self.resumed[shard] = flags.is_ok();
                 let actions = supervisor.step(Event::Scanned(shard, flags));
                 self.perform(supervisor, actions)?;
             }
@@ -1094,6 +1100,7 @@ pub fn orchestrate(
             stats,
         },
         launcher,
+        resumed: vec![false; plan.shards.len()],
         shards,
         nonce: std::process::id(),
         running: Vec::new(),
@@ -1104,6 +1111,10 @@ pub fn orchestrate(
         Ok(report) => Ok(OrchestratorRun {
             report,
             stats: driver.log.stats,
+            fresh_checkpoints: (driver.shards.iter().zip(&driver.resumed))
+                .filter(|(_, &resumed)| !resumed)
+                .map(|((_, _, checkpoint), _)| checkpoint.clone())
+                .collect(),
         }),
         Err(e) => {
             driver.abort();
@@ -1311,6 +1322,11 @@ mod tests {
             &*launcher.launches.borrow(),
             &[(1, 0)],
             "only the shard without a valid checkpoint may run"
+        );
+        // The quarantined shard re-ran, so its checkpoint is this run's.
+        assert_eq!(
+            run.fresh_checkpoints,
+            vec![scratch.join(shard_archive_file_name(&spec.name, &plan.shards[1]))]
         );
         let text = String::from_utf8(status).unwrap();
         assert!(text.contains("resumed from checkpoint"), "{text}");

@@ -128,8 +128,8 @@ pub fn a5(quick: bool) -> CampaignSpec {
     }
 }
 
-/// E-A6 — demodulated quality vs carrier frequency: the carrier-frequency
-/// axis over a fixed 10 W single speaker at 1.5 m.
+/// E-A6 — demodulated quality vs carrier frequency: one 10 W single
+/// speaker per carrier, at 1.5 m.
 pub fn a6(quick: bool) -> CampaignSpec {
     let carriers: &[f64] = if quick {
         &[30_000.0, 40_000.0, 60_000.0]
@@ -139,30 +139,28 @@ pub fn a6(quick: bool) -> CampaignSpec {
         ]
     };
     CampaignSpec {
-        deliveries: vec![DeliverySpec::single_speaker(
-            "single speaker, 10 W",
-            10.0,
-            40_000.0,
-        )],
-        carriers_hz: carriers.iter().map(|&hz| Some(hz)).collect(),
+        deliveries: carriers
+            .iter()
+            .map(|&hz| {
+                let label = format!("single speaker, 10 W @ {} kHz", hz / 1_000.0);
+                DeliverySpec::single_speaker(label, 10.0, hz)
+            })
+            .collect(),
         distances_m: vec![1.5],
         max_voice_duration_s: voice_cap_s(quick),
         ..CampaignSpec::new("a6-carrier-frequency")
     }
 }
 
-/// E-B1 — Song–Mittal Table 1: attack range vs speaker input power — the
-/// power axis × devices × a fine distance grid (30 kHz carrier).
+/// E-B1 — Song–Mittal Table 1: attack range vs speaker input power — one
+/// 30 kHz single speaker per power × devices × a fine distance grid.
 pub fn b1(quick: bool) -> CampaignSpec {
     let powers = [9.2, 11.8, 14.8, 18.7, 23.7];
     CampaignSpec {
         devices: vec![DevicePreset::AndroidPhone, DevicePreset::AmazonEcho],
-        deliveries: vec![DeliverySpec::single_speaker(
-            "single speaker",
-            18.7,
-            30_000.0,
-        )],
-        powers_w: powers.iter().map(|&w| Some(w)).collect(),
+        deliveries: powers
+            .map(|w| DeliverySpec::single_speaker(format!("single speaker @ {w} W"), w, 30_000.0))
+            .into(),
         distances_m: if quick {
             vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
         } else {
@@ -447,6 +445,7 @@ pub fn by_name(name: &str, quick: bool) -> Option<Vec<CampaignSpec>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivc_core::scenario::Delivery;
 
     #[test]
     fn presets_validate_and_have_the_documented_shapes() {
@@ -517,6 +516,58 @@ mod tests {
         // The smoke campaign must stay tiny: it runs on every CI push.
         assert!(smoke.num_trials() <= 4);
         assert!(smoke.max_voice_duration_s <= 1.0);
+    }
+
+    /// Every cell of `spec` in order: its label and the single-speaker
+    /// delivery its scenario runs, as `(label, carrier_hz, power_w)`.
+    fn single_speaker_cells(spec: &CampaignSpec) -> Vec<(String, f64, f64)> {
+        spec.cells()
+            .iter()
+            .map(|cell| match spec.scenario(cell, 0).delivery {
+                Delivery::SingleSpeakerUltrasound {
+                    power_w,
+                    carrier_hz,
+                } => (spec.cell_label(cell), carrier_hz, power_w),
+                other => panic!("{}: {other:?} is not a single speaker", spec.name),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a6_and_b1_sweep_one_delivery_per_point() {
+        for (quick, khz) in [
+            (true, &["30", "40", "60"][..]),
+            (false, &["28", "32", "36", "40", "48", "56", "64"][..]),
+        ] {
+            let expected: Vec<_> = khz
+                .iter()
+                .map(|k| {
+                    let label = format!(
+                        "Android phone | single speaker, 10 W @ {k} kHz | free_field | \
+                         meeting_room | cmd 0 | 1.5 m"
+                    );
+                    (label, k.parse::<f64>().unwrap() * 1_000.0, 10.0)
+                })
+                .collect();
+            assert_eq!(single_speaker_cells(&a6(quick)), expected);
+        }
+        let watts = ["9.2", "11.8", "14.8", "18.7", "23.7"];
+        for quick in [true, false] {
+            let spec = b1(quick);
+            let mut expected = Vec::new();
+            for device in ["Android phone", "Amazon Echo"] {
+                for w in watts {
+                    for d in &spec.distances_m {
+                        let label = format!(
+                            "{device} | single speaker @ {w} W | free_field | meeting_room | \
+                             cmd 0 | {d} m"
+                        );
+                        expected.push((label, 30_000.0, w.parse::<f64>().unwrap()));
+                    }
+                }
+            }
+            assert_eq!(single_speaker_cells(&spec), expected);
+        }
     }
 
     #[test]

@@ -22,13 +22,14 @@ use ivc_core::scenario::Delivery;
 /// Format tag written into every archive, so readers can reject files from
 /// a different schema generation.
 ///
-/// v3 added the detector-training, carrier-frequency and power axes (spec
-/// `detectors`/`carriers_hz`/`powers_w`, the matching cell/curve indices),
-/// per-delivery shadow suppression, per-trial defense features, detector
-/// probabilities and optional recording band summaries, and the per-cell
-/// mean detection probability.  v2 added the room axis and the A-weighted
-/// bystander SPL.
-pub const REPORT_FORMAT: &str = "ivc-campaign-report-v3";
+/// v4 removed the carrier-frequency and power axes (spec `carriers_hz`/
+/// `powers_w`, cell/curve `carrier_index`/`power_index`): a swept carrier
+/// or power is one delivery per point.  v3 added the detector-training
+/// axis, per-delivery shadow suppression, per-trial defense features,
+/// detector probabilities and optional recording band summaries, and the
+/// per-cell mean detection probability.  v2 added the room axis and the
+/// A-weighted bystander SPL.
+pub const REPORT_FORMAT: &str = "ivc-campaign-report-v4";
 
 /// A finished campaign: spec, per-cell results, curves.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,14 +331,6 @@ pub(crate) fn spec_to_json(spec: &CampaignSpec) -> JsonValue {
             ),
         ),
         (
-            "carriers_hz",
-            JsonValue::Array(spec.carriers_hz.iter().map(|&c| opt_number(c)).collect()),
-        ),
-        (
-            "powers_w",
-            JsonValue::Array(spec.powers_w.iter().map(|&p| opt_number(p)).collect()),
-        ),
-        (
             "rooms",
             JsonValue::Array(
                 spec.rooms
@@ -422,14 +415,6 @@ pub(crate) fn spec_from_json(value: &JsonValue) -> Result<CampaignSpec> {
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let carriers_hz = req_array(value, "carriers_hz")?
-        .iter()
-        .map(|v| opt_number_value(v, "carriers_hz[]"))
-        .collect::<Result<Vec<_>>>()?;
-    let powers_w = req_array(value, "powers_w")?
-        .iter()
-        .map(|v| opt_number_value(v, "powers_w[]"))
-        .collect::<Result<Vec<_>>>()?;
     let rooms = req_array(value, "rooms")?
         .iter()
         .map(|v| {
@@ -458,13 +443,11 @@ pub(crate) fn spec_from_json(value: &JsonValue) -> Result<CampaignSpec> {
             max_hz: req_f64(summary, "max_hz")?,
         }),
     };
-    Ok(CampaignSpec {
+    let spec = CampaignSpec {
         name: req_str(value, "name")?.to_string(),
         detectors,
         devices,
         deliveries,
-        carriers_hz,
-        powers_w,
         rooms,
         environments,
         command_indices,
@@ -477,7 +460,18 @@ pub(crate) fn spec_from_json(value: &JsonValue) -> Result<CampaignSpec> {
             .ok_or_else(|| ExperimentError::decode("base_seed is not a u64".to_string()))?,
         max_voice_duration_s: opt_f64(value, "max_voice_duration_s")?.unwrap_or(f64::INFINITY),
         recording_band_summary,
-    })
+    };
+    // A member the encoder does not write (an axis an older format had)
+    // is refused, so an old spec never decodes to a different grid.
+    let known = spec_to_json(&spec);
+    if let JsonValue::Object(members) = value {
+        if let Some((key, _)) = members.iter().find(|(key, _)| known.get(key).is_none()) {
+            return Err(ExperimentError::decode(format!(
+                "unknown spec member '{key}'"
+            )));
+        }
+    }
+    Ok(spec)
 }
 
 fn coords_members(coords: &CellCoords) -> Vec<(&'static str, JsonValue)> {
@@ -494,11 +488,6 @@ fn coords_members(coords: &CellCoords) -> Vec<(&'static str, JsonValue)> {
             "delivery_index",
             JsonValue::number(coords.delivery_index as f64),
         ),
-        (
-            "carrier_index",
-            JsonValue::number(coords.carrier_index as f64),
-        ),
-        ("power_index", JsonValue::number(coords.power_index as f64)),
         ("room_index", JsonValue::number(coords.room_index as f64)),
         (
             "environment_index",
@@ -520,8 +509,6 @@ fn coords_from_json(value: &JsonValue) -> Result<CellCoords> {
         detector_index: req_usize(value, "detector_index")?,
         device_index: req_usize(value, "device_index")?,
         delivery_index: req_usize(value, "delivery_index")?,
-        carrier_index: req_usize(value, "carrier_index")?,
-        power_index: req_usize(value, "power_index")?,
         room_index: req_usize(value, "room_index")?,
         environment_index: req_usize(value, "environment_index")?,
         command_position: req_usize(value, "command_position")?,
@@ -774,15 +761,6 @@ fn opt_f64(value: &JsonValue, key: &str) -> Result<Option<f64>> {
     }
 }
 
-fn opt_number_value(value: &JsonValue, context: &str) -> Result<Option<f64>> {
-    match value {
-        JsonValue::Null => Ok(None),
-        v => Ok(Some(v.as_f64().ok_or_else(|| {
-            ExperimentError::decode(format!("'{context}' is neither number nor null"))
-        })?)),
-    }
-}
-
 pub(crate) fn req_usize(value: &JsonValue, key: &str) -> Result<usize> {
     req(value, key)?
         .as_usize()
@@ -828,10 +806,9 @@ mod tests {
             deliveries: vec![
                 DeliverySpec::legitimate("talker", 65.0),
                 DeliverySpec::single_speaker("single 3 W", 3.0, 40_000.0),
+                DeliverySpec::single_speaker("single 23.7 W @ 30 kHz", 23.7, 30_000.0),
                 DeliverySpec::array("array 61", 61, 400.0, 40_000.0).with_shadow_suppression(0.25),
             ],
-            carriers_hz: vec![None, Some(30_000.0)],
-            powers_w: vec![None, Some(23.7)],
             rooms: vec![None, Some(ivc_room::RoomPreset::Corridor)],
             environments: vec![
                 EnvironmentPreset::MeetingRoom,
@@ -899,9 +876,7 @@ mod tests {
         let coords = CellCoords {
             detector_index: 1,
             device_index: 1,
-            delivery_index: 2,
-            carrier_index: 1,
-            power_index: 0,
+            delivery_index: 3,
             room_index: 1,
             environment_index: 0,
             command_position: 1,
@@ -938,9 +913,11 @@ mod tests {
     fn wrong_format_and_malformed_documents_are_rejected() {
         assert!(CampaignReport::from_json_str("{}").is_err());
         assert!(CampaignReport::from_json_str("not json").is_err());
-        let wrong_format = "{\"format\": \"ivc-campaign-report-v2\"}";
-        let err = CampaignReport::from_json_str(wrong_format).unwrap_err();
-        assert!(err.to_string().contains("unsupported format"));
+        for old in ["ivc-campaign-report-v2", "ivc-campaign-report-v3"] {
+            let wrong_format = format!("{{\"format\": \"{old}\"}}");
+            let err = CampaignReport::from_json_str(&wrong_format).unwrap_err();
+            assert!(err.to_string().contains("unsupported format"));
+        }
         // A valid report with one member clobbered decodes to an error, not
         // a panic.
         let text = synthetic_report()
@@ -963,8 +940,6 @@ mod tests {
         let text = synthetic_report().to_json_string();
         for member in [
             "\"detectors\"",
-            "\"carriers_hz\"",
-            "\"powers_w\"",
             "\"shadow_suppression\"",
             "\"defense_features\"",
             "\"detection_probability\"",
@@ -975,5 +950,9 @@ mod tests {
             assert!(text.contains(member), "archive missing {member}");
         }
         assert!(text.contains(REPORT_FORMAT));
+        // v4 archives no carrier or power axis.
+        for member in ["carriers_hz", "powers_w", "carrier_index", "power_index"] {
+            assert!(!text.contains(member), "archive still has {member}");
+        }
     }
 }

@@ -648,6 +648,23 @@ mod tests {
     }
 
     #[test]
+    fn a_job_with_a_removed_axis_fails_loudly() {
+        // A job file written before the carrier/power axes went carries
+        // `carriers_hz`; it must never decode to a different grid.
+        let job = &ShardPlan::partition(&spec_with(2, 2), 2).unwrap().jobs()[0];
+        let old = job.to_json_string().replacen(
+            "\"rooms\":",
+            "\"carriers_hz\": [null],\n    \"rooms\":",
+            1,
+        );
+        let err = ShardJob::from_json_str(&old).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "report decode error: unknown spec member 'carriers_hz'"
+        );
+    }
+
+    #[test]
     fn merge_rejects_gaps_overlaps_and_foreign_shards() {
         let spec = spec_with(2, 2); // 4 jobs
         let archive = |start: usize, end: usize| ShardArchive {

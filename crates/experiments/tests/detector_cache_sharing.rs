@@ -19,7 +19,11 @@ fn training_the_standard_detector_builds_d1s_attack() {
     let cell = spec
         .cells()
         .into_iter()
-        .find(|cell| spec.resolved_delivery(cell).is_attack())
+        .find(|cell| {
+            spec.deliveries[cell.coords.delivery_index]
+                .delivery
+                .is_attack()
+        })
         .expect("d1 has an attack cell");
     let counts = || {
         let snapshot = telemetry::snapshot();

@@ -94,7 +94,8 @@ fn shared_contexts_and_new_axes_are_worker_count_invariant() {
     // talker-variant renders across legitimate trials, and one trained
     // detector across an axis entry's cells.  None of that sharing may
     // leak scheduling into the archive: the bytes must match at any
-    // worker count, with every v3 axis in play at once.
+    // worker count, with the detector axis, shadow suppression and a
+    // power sweep over deliveries in play at once.
     let spec = CampaignSpec {
         detectors: vec![
             None,
@@ -111,11 +112,11 @@ fn shared_contexts_and_new_axes_are_worker_count_invariant() {
         ],
         deliveries: vec![
             DeliverySpec::legitimate("talker 68 dB", 68.0),
-            DeliverySpec::single_speaker("single speaker", 18.7, 40_000.0)
+            DeliverySpec::single_speaker("single speaker, 18.7 W @ 30 kHz", 18.7, 30_000.0)
+                .with_shadow_suppression(0.5),
+            DeliverySpec::single_speaker("single speaker, 10 W @ 30 kHz", 10.0, 30_000.0)
                 .with_shadow_suppression(0.5),
         ],
-        carriers_hz: vec![Some(30_000.0)],
-        powers_w: vec![None, Some(10.0)],
         distances_m: vec![1.5],
         trials_per_cell: 3,
         base_seed: 6, // variants 6, 7, 0 across the three trials

@@ -1,5 +1,5 @@
 //! Golden-archive tests: committed fixture files lock the on-disk
-//! contracts (`ivc-campaign-report-v3`, the `ivc-trial-columns-v1` wire
+//! contracts (`ivc-campaign-report-v4`, the `ivc-trial-columns-v1` wire
 //! format and its one-way `ivc-campaign-shard-v1` JSON dump) so a change
 //! to the serialisers cannot silently reshape the bytes that ship between
 //! machines.  The fixtures
@@ -27,18 +27,19 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// The fixture campaign: every optional member of the format exercised —
-/// detector axis, carrier/power overrides, a room, an infinite voice cap
-/// (archived as null), a band summary and a large u64 seed.
+/// detector axis, a carrier sweep over deliveries, a room, an infinite
+/// voice cap (archived as null), a band summary and a large u64 seed.
 fn fixture_spec() -> CampaignSpec {
     CampaignSpec {
         detectors: vec![None, Some(DetectorSpec::standard(true))],
         deliveries: vec![
             DeliverySpec::legitimate("talker 65 dB", 65.0),
-            DeliverySpec::array("array (8 elements, 40 W)", 8, 40.0, 40_000.0)
+            DeliverySpec::legitimate("talker 60 dB", 60.0),
+            DeliverySpec::array("array (8 elements, 23.7 W)", 8, 23.7, 40_000.0)
+                .with_shadow_suppression(0.25),
+            DeliverySpec::array("array (8 elements, 23.7 W) @ 30 kHz", 8, 23.7, 30_000.0)
                 .with_shadow_suppression(0.25),
         ],
-        carriers_hz: vec![None, Some(30_000.0)],
-        powers_w: vec![Some(23.7)],
         rooms: vec![Some(ivc_room::RoomPreset::Office)],
         environments: vec![EnvironmentPreset::WinterIndoor],
         command_indices: vec![0, 2],
@@ -145,10 +146,10 @@ fn assert_matches_fixture(name: &str, bytes: &str) {
 #[test]
 fn report_fixture_is_locked_and_round_trips_byte_exactly() {
     let report = fixture_report();
-    assert_matches_fixture("campaign-report-v3.json", &report.to_json_string());
+    assert_matches_fixture("campaign-report-v4.json", &report.to_json_string());
 
     // load → save round-trips the committed file byte-exactly.
-    let path = fixture_path("campaign-report-v3.json");
+    let path = fixture_path("campaign-report-v4.json");
     let committed = std::fs::read_to_string(&path).unwrap();
     let loaded = CampaignReport::load(&path).unwrap();
     assert_eq!(loaded, report);
@@ -230,13 +231,17 @@ fn truncated_columnar_archives_are_rejected_loudly() {
 #[test]
 fn older_format_tags_fail_with_a_versioned_error() {
     let report_text = fixture_report().to_json_string();
-    for old_tag in ["ivc-campaign-report-v1", "ivc-campaign-report-v2"] {
-        let aged = report_text.replace("ivc-campaign-report-v3", old_tag);
+    for old_tag in [
+        "ivc-campaign-report-v1",
+        "ivc-campaign-report-v2",
+        "ivc-campaign-report-v3",
+    ] {
+        let aged = report_text.replace("ivc-campaign-report-v4", old_tag);
         let err = CampaignReport::from_json_str(&aged)
             .unwrap_err()
             .to_string();
         assert!(
-            err.contains(old_tag) && err.contains("ivc-campaign-report-v3"),
+            err.contains(old_tag) && err.contains("ivc-campaign-report-v4"),
             "error must name both the found and the expected version: {err}"
         );
     }
