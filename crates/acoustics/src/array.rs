@@ -15,18 +15,17 @@
 use crate::environment::AirEnvironment;
 use crate::error::{AcousticsError, Result};
 use crate::propagation::{propagate, propagate_from_aperture};
-use crate::speaker::UltrasonicSpeaker;
+use crate::speaker;
 use ivc_dsp::signal::Signal;
 
-/// An array of identical ultrasonic speakers.
+/// Spacing between adjacent elements in metres: the tweeters sit side by
+/// side.  It sets the aperture, and through it the beam's collimation.
+pub const ELEMENT_SPACING_M: f64 = 0.03;
+
+/// An array of identical [`speaker`] elements, [`ELEMENT_SPACING_M`] apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeakerArray {
-    element: UltrasonicSpeaker,
     num_elements: usize,
-    /// Spacing between adjacent elements in metres (used only to sanity-check
-    /// the far-field assumption; the array is small compared to the target
-    /// distance in every experiment).
-    element_spacing_m: f64,
 }
 
 /// What each element of the array should play and at what power.
@@ -39,45 +38,31 @@ pub struct ElementDrive {
 }
 
 impl SpeakerArray {
-    /// Creates an array of `num_elements` copies of `element`.
-    pub fn new(
-        element: UltrasonicSpeaker,
-        num_elements: usize,
-        element_spacing_m: f64,
-    ) -> Result<Self> {
+    /// Creates an array of `num_elements` tweeters.
+    pub fn new(num_elements: usize) -> Result<Self> {
         if num_elements == 0 {
             return Err(AcousticsError::invalid(
                 "num_elements",
                 "must be at least 1",
             ));
         }
-        if !(element_spacing_m > 0.0) || element_spacing_m > 1.0 {
-            return Err(AcousticsError::invalid(
-                "element_spacing_m",
-                "must be in (0, 1] metres",
-            ));
-        }
+        let array = SpeakerArray { num_elements };
         // Propagation models apertures up to 10 m; enforce the bound here so
         // that any array that can be constructed can also be propagated
-        // (`field_at_target` would otherwise fail late on a parameter the
-        // caller never passed).
-        let aperture_m = element_spacing_m * (num_elements.saturating_sub(1)) as f64;
+        // (`field_at_target` would otherwise fail late).
+        let aperture_m = array.aperture_m();
         if aperture_m > 10.0 {
             return Err(AcousticsError::invalid(
-                "(num_elements - 1) * element_spacing_m",
+                "num_elements",
                 format!("aperture {aperture_m:.2} m exceeds the supported 10 m"),
             ));
         }
-        Ok(SpeakerArray {
-            element,
-            num_elements,
-            element_spacing_m,
-        })
+        Ok(array)
     }
 
     /// Physical aperture (length) of the array in metres.
     pub fn aperture_m(&self) -> f64 {
-        self.element_spacing_m * (self.num_elements.saturating_sub(1)) as f64
+        ELEMENT_SPACING_M * (self.num_elements - 1) as f64
     }
 
     /// Combined pressure waveform at 1 m on-axis: the per-element emissions
@@ -108,14 +93,13 @@ impl SpeakerArray {
         // one FFT instead of one per element).
         let mut total: Option<Signal> = None;
         for d in drives {
-            let distorted = self.element.distorted_excursion(&d.drive, d.power_w)?;
+            let distorted = speaker::distorted_excursion(&d.drive, d.power_w)?;
             match &mut total {
                 None => total = Some(distorted),
                 Some(t) => t.mix(&distorted)?,
             }
         }
-        self.element
-            .excursion_to_pressure_at_1m(&total.expect("at least one drive"))
+        speaker::excursion_to_pressure_at_1m(&total.expect("at least one drive"))
     }
 
     /// Pressure waveform arriving at a target `distance_m` away on-axis.
@@ -165,15 +149,13 @@ mod tests {
 
     #[test]
     fn validation() {
-        let spk = UltrasonicSpeaker::default();
-        assert!(SpeakerArray::new(spk.clone(), 0, 0.03).is_err());
-        assert!(SpeakerArray::new(spk.clone(), 4, 0.0).is_err());
-        assert!(SpeakerArray::new(spk.clone(), 4, 2.0).is_err());
+        assert!(SpeakerArray::new(0).is_err());
         // Aperture (spacing x (n-1)) beyond the propagation model's 10 m
-        // bound is rejected at construction, not at field_at_target time.
-        assert!(SpeakerArray::new(spk.clone(), 12, 1.0).is_err());
-        assert!(SpeakerArray::new(spk.clone(), 11, 1.0).is_ok());
-        let array = SpeakerArray::new(spk, 2, 0.03).unwrap();
+        // bound is rejected at construction, not at field_at_target time:
+        // 334 elements span 9.99 m, 335 span 10.02 m.
+        assert!(SpeakerArray::new(335).is_err());
+        assert!(SpeakerArray::new(334).is_ok());
+        let array = SpeakerArray::new(2).unwrap();
         assert!(array.emitted_field_at_1m(&[]).is_err());
         let too_many: Vec<ElementDrive> = (0..3)
             .map(|_| ElementDrive {
@@ -186,14 +168,14 @@ mod tests {
 
     #[test]
     fn geometry_helpers() {
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 61, 0.03).unwrap();
+        let array = SpeakerArray::new(61).unwrap();
         assert!((array.aperture_m() - 1.8).abs() < 1e-9);
     }
 
     #[test]
     fn two_identical_elements_add_six_db() {
         let fs = 192_000.0;
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 2, 0.03).unwrap();
+        let array = SpeakerArray::new(2).unwrap();
         let one = vec![ElementDrive {
             drive: drive_tone(30_000.0, fs),
             power_w: 4.0,
@@ -221,7 +203,7 @@ mod tests {
         // difference product must NOT appear in the summed field — unlike
         // the single-speaker case tested in `speaker.rs`.
         let fs = 192_000.0;
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 2, 0.03).unwrap();
+        let array = SpeakerArray::new(2).unwrap();
         let drives = vec![
             ElementDrive {
                 drive: drive_tone(30_000.0, fs),
@@ -263,7 +245,7 @@ mod tests {
     fn field_at_target_attenuates_with_distance() {
         let fs = 192_000.0;
         let env = AirEnvironment::default();
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 4, 0.03).unwrap();
+        let array = SpeakerArray::new(4).unwrap();
         let drives: Vec<ElementDrive> = (0..4)
             .map(|_| ElementDrive {
                 drive: drive_tone(40_000.0, fs),

@@ -46,4 +46,3 @@ pub use environment::AirEnvironment;
 pub use error::{AcousticsError, Result};
 pub use microphone::{DevicePreset, Microphone};
 pub use nonlinearity::Polynomial;
-pub use speaker::UltrasonicSpeaker;

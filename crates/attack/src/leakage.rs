@@ -79,7 +79,6 @@ mod tests {
     use super::*;
     use crate::multispeaker::{single_speaker_element_drives, MultiSpeakerAttack};
     use crate::single::SingleSpeakerAttack;
-    use ivc_acoustics::speaker::UltrasonicSpeaker;
     use ivc_dsp::signal::Signal;
 
     fn synthetic_voice() -> Signal {
@@ -96,8 +95,8 @@ mod tests {
     #[test]
     fn single_speaker_at_high_power_leaks_audibly() {
         let voice = synthetic_voice();
-        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
+        let array = SpeakerArray::new(1).unwrap();
         let env = AirEnvironment::default();
         let quiet = estimate_leakage(
             &array,
@@ -131,8 +130,8 @@ mod tests {
         let total_power = 29.0;
         let env = AirEnvironment::default();
 
-        let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
-        let single_array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
+        let single = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
+        let single_array = SpeakerArray::new(1).unwrap();
         let single_leak = estimate_leakage(
             &single_array,
             &single_speaker_element_drives(&single, total_power).unwrap(),
@@ -142,8 +141,8 @@ mod tests {
         )
         .unwrap();
 
-        let multi = MultiSpeakerAttack::build(&voice, 40_000.0, 6, total_power, 0.3, 30.0).unwrap();
-        let multi_array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
+        let multi = MultiSpeakerAttack::build(&voice, 40_000.0, 6, total_power).unwrap();
+        let multi_array = SpeakerArray::new(6).unwrap();
         let drives = multi.allocate_power().unwrap().drives;
         let multi_leak = estimate_leakage(&multi_array, &drives, 1.0, &env, 0.0).unwrap();
 
@@ -161,8 +160,8 @@ mod tests {
     #[test]
     fn leakage_fades_with_bystander_distance() {
         let voice = synthetic_voice();
-        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
+        let array = SpeakerArray::new(1).unwrap();
         let env = AirEnvironment::default();
         let drives = single_speaker_element_drives(&attack, 20.0).unwrap();
         let near = estimate_leakage(&array, &drives, 1.0, &env, 0.0).unwrap();

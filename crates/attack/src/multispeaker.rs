@@ -5,7 +5,12 @@ use crate::error::{AttackError, Result};
 use crate::segmentation::{segment_baseband, SegmentedDrives};
 use crate::single::SingleSpeakerAttack;
 use ivc_acoustics::array::ElementDrive;
+use ivc_acoustics::speaker::MAX_POWER_W;
 use ivc_dsp::signal::Signal;
+
+/// Share of the electrical budget the carrier element(s) take; the
+/// sideband elements split the rest.
+pub const CARRIER_POWER_FRACTION: f64 = 0.3;
 
 /// A fully constructed multi-speaker attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,10 +32,6 @@ pub struct MultiSpeakerAttack {
     /// The electrical budget the split was sized for, in watt; what
     /// [`MultiSpeakerAttack::allocate_power`] places.
     pub total_power_w: f64,
-    /// Share of the budget the carrier element(s) take, in `[0.05, 0.9]`.
-    pub carrier_power_fraction: f64,
-    /// Rating of one element, in watt.
-    pub max_element_power_w: f64,
 }
 
 /// How a total electrical budget was split across the elements — including
@@ -50,7 +51,7 @@ pub struct PowerAllocation {
     /// Total power across the sideband elements, in watt.
     pub sideband_total_w: f64,
     /// Budget that could not be placed on any element because every element
-    /// hit its `max_element_power_w` rating, in watt.
+    /// hit its [`MAX_POWER_W`] rating, in watt.
     pub shortfall_w: f64,
 }
 
@@ -64,11 +65,11 @@ impl MultiSpeakerAttack {
     /// construction is that carrier and sidebands never share an element.
     ///
     /// The number of carrier elements grows with the carrier's power share
-    /// (`ceil(total · fraction / max_element_power)`, at least 1 and at
-    /// most `num_elements - 1`); the rest carry the spectrum slices.  With
-    /// a single carrier element, a large array at high power silently
-    /// breaks the attack: the carrier element saturates at
-    /// `max_element_power_w` while the sideband budget keeps growing, and
+    /// (`ceil(total · CARRIER_POWER_FRACTION / MAX_POWER_W)`, at least 1
+    /// and at most `num_elements - 1`); the rest carry the spectrum slices.
+    /// With a single carrier element, a large array at high power silently
+    /// breaks the attack: the carrier element saturates at its
+    /// [`MAX_POWER_W`] rating while the sideband budget keeps growing, and
     /// inside the victim microphone the `sideband × sideband` self-products
     /// (baseband-squared distortion) swamp the `carrier × sideband` voice
     /// product.  That was the root cause of the E-A2 anomaly where a
@@ -84,10 +85,10 @@ impl MultiSpeakerAttack {
         carrier_hz: f64,
         num_elements: usize,
         total_power_w: f64,
-        carrier_power_fraction: f64,
-        max_element_power_w: f64,
     ) -> Result<Self> {
-        validate_power_split(total_power_w, carrier_power_fraction, max_element_power_w)?;
+        if !(total_power_w > 0.0) || !total_power_w.is_finite() {
+            return Err(AttackError::invalid("total_power_w", "must be positive"));
+        }
         if num_elements < 2 {
             return Err(AttackError::invalid(
                 "num_elements",
@@ -95,9 +96,9 @@ impl MultiSpeakerAttack {
             ));
         }
         check_carrier(carrier_hz)?;
-        let carrier_share_w = total_power_w * carrier_power_fraction;
+        let carrier_share_w = total_power_w * CARRIER_POWER_FRACTION;
         let carrier_elements =
-            ((carrier_share_w / max_element_power_w).ceil() as usize).clamp(1, num_elements - 1);
+            ((carrier_share_w / MAX_POWER_W).ceil() as usize).clamp(1, num_elements - 1);
         let baseband = prepare_baseband(voice)?;
         let drives = segment_baseband(
             &baseband,
@@ -112,40 +113,34 @@ impl MultiSpeakerAttack {
             drives,
             baseband,
             total_power_w,
-            carrier_power_fraction,
-            max_element_power_w,
         })
     }
 
     /// Splits the build's `total_power_w` across the elements and reports exactly where
     /// every watt went — including the watts that went nowhere.
     ///
-    /// The carrier share (`total · fraction`) is spread equally over the
-    /// carrier element(s), clamped to `max_element_power_w` each; whatever
-    /// the carrier cannot take is returned to the sideband pool.  Sideband
+    /// The carrier share (`total · CARRIER_POWER_FRACTION`) is spread
+    /// equally over the carrier element(s), clamped to [`MAX_POWER_W`]
+    /// each; whatever the carrier cannot take is returned to the sideband
+    /// pool.  Sideband
     /// elements split that pool equally, again clamped per element; any
     /// remainder is offered back to the carrier element(s) up to their
     /// rating.  Budget that still cannot be placed is **reported** as
     /// [`PowerAllocation::shortfall_w`] instead of being silently dropped.
     pub fn allocate_power(&self) -> Result<PowerAllocation> {
-        let (total_power_w, carrier_power_fraction, max_element_power_w) = (
-            self.total_power_w,
-            self.carrier_power_fraction,
-            self.max_element_power_w,
-        );
+        let total_power_w = self.total_power_w;
         let n_carriers = self.carrier_elements as f64;
         let n_sidebands = self.drives.sideband_drives.len() as f64;
         // Carrier share, spread over the carrier element(s) and clamped.
-        let per_carrier =
-            (total_power_w * carrier_power_fraction / n_carriers).min(max_element_power_w);
+        let per_carrier = (total_power_w * CARRIER_POWER_FRACTION / n_carriers).min(MAX_POWER_W);
         let mut carrier_total = per_carrier * n_carriers;
         // Sidebands split the remainder equally, clamped per element.
-        let per_sideband = ((total_power_w - carrier_total) / n_sidebands).min(max_element_power_w);
+        let per_sideband = ((total_power_w - carrier_total) / n_sidebands).min(MAX_POWER_W);
         let sideband_total = per_sideband * n_sidebands;
         // Overflow the sidebands could not take goes back to the carrier(s)
         // up to their rating; what is left after that is a true shortfall.
         let unplaced = total_power_w - carrier_total - sideband_total;
-        let carrier_headroom = max_element_power_w * n_carriers - carrier_total;
+        let carrier_headroom = MAX_POWER_W * n_carriers - carrier_total;
         let topped_up = unplaced.min(carrier_headroom).max(0.0);
         carrier_total += topped_up;
         let per_carrier = carrier_total / n_carriers;
@@ -180,29 +175,6 @@ impl MultiSpeakerAttack {
     }
 }
 
-fn validate_power_split(
-    total_power_w: f64,
-    carrier_power_fraction: f64,
-    max_element_power_w: f64,
-) -> Result<()> {
-    if !(total_power_w > 0.0) || !total_power_w.is_finite() {
-        return Err(AttackError::invalid("total_power_w", "must be positive"));
-    }
-    if !(0.05..=0.9).contains(&carrier_power_fraction) {
-        return Err(AttackError::invalid(
-            "carrier_power_fraction",
-            "must be within [0.05, 0.9]",
-        ));
-    }
-    if !(max_element_power_w > 0.0) || !max_element_power_w.is_finite() {
-        return Err(AttackError::invalid(
-            "max_element_power_w",
-            "must be positive",
-        ));
-    }
-    Ok(())
-}
-
 /// Convenience: the drive list for a *single-speaker* attack, so callers can
 /// treat both attack flavours uniformly as "a list of element drives".
 pub fn single_speaker_element_drives(
@@ -223,7 +195,6 @@ mod tests {
     use super::*;
     use ivc_acoustics::array::SpeakerArray;
     use ivc_acoustics::microphone::DevicePreset;
-    use ivc_acoustics::speaker::UltrasonicSpeaker;
     use ivc_acoustics::spl::spl_db_to_pressure;
     use ivc_dsp::correlation::pearson_correlation;
     use ivc_dsp::filter::biquad::BiquadCascade;
@@ -243,14 +214,12 @@ mod tests {
     #[test]
     fn validation() {
         let voice = synthetic_voice(48_000.0);
-        let build = |carrier_hz, n, total_w, fraction| {
-            MultiSpeakerAttack::build(&voice, carrier_hz, n, total_w, fraction, 30.0)
-        };
-        assert!(build(40_000.0, 1, 10.0, 0.3).is_err());
-        assert!(build(20_000.0, 4, 10.0, 0.3).is_err());
-        assert!(build(40_000.0, 4, 0.0, 0.3).is_err());
-        assert!(build(40_000.0, 4, 10.0, 0.99).is_err());
-        let attack = build(40_000.0, 4, 10.0, 0.3).unwrap();
+        let build =
+            |carrier_hz, n, total_w| MultiSpeakerAttack::build(&voice, carrier_hz, n, total_w);
+        assert!(build(40_000.0, 1, 10.0).is_err());
+        assert!(build(20_000.0, 4, 10.0).is_err());
+        assert!(build(40_000.0, 4, 0.0).is_err());
+        let attack = build(40_000.0, 4, 10.0).unwrap();
         assert_eq!(attack.num_elements, 4);
         assert!(attack.allocate_power().is_ok());
     }
@@ -265,9 +234,9 @@ mod tests {
             (MIN_CARRIER_HZ - 1.0, false),
             (MAX_CARRIER_HZ + 1.0, false),
         ] {
-            let single = SingleSpeakerAttack::build(&voice, carrier_hz, 0.8);
+            let single = SingleSpeakerAttack::build(&voice, carrier_hz);
             assert_eq!(single.is_ok(), inside, "single speaker at {carrier_hz} Hz");
-            let multi = MultiSpeakerAttack::build(&voice, carrier_hz, 4, 10.0, 0.3, 30.0);
+            let multi = MultiSpeakerAttack::build(&voice, carrier_hz, 4, 10.0);
             assert_eq!(
                 multi.is_ok(),
                 inside,
@@ -280,34 +249,34 @@ mod tests {
     #[test]
     fn element_power_allocation_adds_up() {
         let voice = synthetic_voice(48_000.0);
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 20.0, 0.25, 30.0).unwrap();
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 20.0).unwrap();
         assert_eq!(attack.carrier_elements, 1);
         let drives = attack.allocate_power().unwrap().drives;
         assert_eq!(drives.len(), 5);
         let total: f64 = drives.iter().map(|d| d.power_w).sum();
         assert!((total - 20.0).abs() < 1e-9);
-        // Carrier element gets its requested fraction.
-        assert!((drives[0].power_w - 5.0).abs() < 1e-9);
+        // Carrier element gets its fraction of the budget.
+        assert!((drives[0].power_w - 20.0 * CARRIER_POWER_FRACTION).abs() < 1e-9);
         // Per-element cap is respected: the same array sized for 200 W.
-        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 200.0, 0.25, 30.0)
+        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 200.0)
             .unwrap()
             .allocate_power()
             .unwrap()
             .drives;
-        assert!(capped.iter().all(|d| d.power_w <= 30.0 + 1e-9));
+        assert!(capped.iter().all(|d| d.power_w <= MAX_POWER_W + 1e-9));
     }
 
     #[test]
     fn balanced_build_scales_carrier_elements_with_the_budget() {
         let voice = synthetic_voice(48_000.0);
         // Small budget: one carrier element.
-        let small = MultiSpeakerAttack::build(&voice, 40_000.0, 8, 60.0, 0.3, 30.0).unwrap();
+        let small = MultiSpeakerAttack::build(&voice, 40_000.0, 8, 60.0).unwrap();
         assert_eq!(small.carrier_elements, 1);
         assert_eq!(small.num_elements, 8);
         assert_eq!(small.drives.sideband_drives.len(), 7);
         // The E-A2 anomaly configuration: 400 W * 0.3 = 120 W of carrier
         // needs four 30 W elements.
-        let big = MultiSpeakerAttack::build(&voice, 40_000.0, 61, 400.0, 0.3, 30.0).unwrap();
+        let big = MultiSpeakerAttack::build(&voice, 40_000.0, 61, 400.0).unwrap();
         assert_eq!(big.carrier_elements, 4);
         assert_eq!(big.num_elements, 61);
         assert_eq!(big.drives.sideband_drives.len(), 57);
@@ -321,43 +290,46 @@ mod tests {
         assert!((total - 400.0).abs() < 1e-9);
         // Even a huge budget never allocates more than one carrier short of
         // the array to the carrier.
-        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 900.0, 0.9, 30.0).unwrap();
+        let capped = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 900.0).unwrap();
         assert_eq!(capped.carrier_elements, 3);
-        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, 60.0, 0.3, 30.0).is_err());
+        assert!(MultiSpeakerAttack::build(&voice, 40_000.0, 1, 60.0).is_err());
     }
 
     #[test]
     fn allocation_reports_shortfall_instead_of_dropping_budget() {
         let voice = synthetic_voice(48_000.0);
-        // 200 W * 0.25 = 50 W of carrier takes two 30 W elements.
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 200.0, 0.25, 30.0).unwrap();
+        // 150 W * 0.3 = 45 W of carrier takes two 30 W elements.
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 150.0).unwrap();
         assert_eq!(attack.carrier_elements, 2);
         // 4 elements rated 30 W each can place at most 120 W.
         let allocation = attack.allocate_power().unwrap();
         assert!((allocation.allocated_total_w - 120.0).abs() < 1e-9);
-        assert!((allocation.shortfall_w - 80.0).abs() < 1e-9);
-        assert!(allocation.drives.iter().all(|d| d.power_w <= 30.0 + 1e-9));
-        // The carriers' 50 W share is topped up by 10 W to their rating
+        assert!((allocation.shortfall_w - 30.0).abs() < 1e-9);
+        assert!(allocation
+            .drives
+            .iter()
+            .all(|d| d.power_w <= MAX_POWER_W + 1e-9));
+        // The carriers' 45 W share is topped up by 15 W to their rating
         // before budget is declared lost.
         assert!((allocation.carrier_total_w - 60.0).abs() < 1e-9);
         assert!((allocation.sideband_total_w - 60.0).abs() < 1e-9);
         // Within the placeable range nothing is lost and the report matches
         // the request: the same voice on 4 elements sized for 20 W.
-        let fits = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 20.0, 0.25, 30.0)
+        let fits = MultiSpeakerAttack::build(&voice, 40_000.0, 4, 20.0)
             .unwrap()
             .allocate_power()
             .unwrap();
         assert!(fits.shortfall_w.abs() < 1e-12);
         assert!((fits.allocated_total_w - 20.0).abs() < 1e-9);
         assert!((fits.requested_total_w - 20.0).abs() < 1e-9);
-        assert!((fits.carrier_total_w - 5.0).abs() < 1e-9);
-        assert!((fits.sideband_total_w - 15.0).abs() < 1e-9);
+        assert!((fits.carrier_total_w - 6.0).abs() < 1e-9);
+        assert!((fits.sideband_total_w - 14.0).abs() < 1e-9);
     }
 
     #[test]
     fn single_speaker_helper() {
         let voice = synthetic_voice(48_000.0);
-        let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.8).unwrap();
+        let single = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
         let drives = single_speaker_element_drives(&single, 12.0).unwrap();
         assert_eq!(drives.len(), 1);
         assert!((drives[0].power_w - 12.0).abs() < 1e-12);
@@ -370,8 +342,8 @@ mod tests {
         // audible voice, yet the non-linear microphone's recording does.
         let fs = 192_000.0;
         let voice = synthetic_voice(48_000.0);
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 60.0, 0.3, 30.0).unwrap();
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), 8, 0.03).unwrap();
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 5, 60.0).unwrap();
+        let array = SpeakerArray::new(8).unwrap();
         let drives = attack.allocate_power().unwrap().drives;
         let env = ivc_acoustics::environment::AirEnvironment::default();
         let field = array.field_at_target(&drives, 2.0, &env).unwrap();

@@ -8,9 +8,13 @@
 //! pushed to long range without becoming audible at the source.
 
 use crate::baseband::{check_carrier, prepare_baseband};
-use crate::error::{AttackError, Result};
+use crate::error::Result;
 use ivc_dsp::modulation::{am_modulate, AmConfig};
 use ivc_dsp::signal::Signal;
+
+/// AM depth of the single-speaker drive: deep enough for a strong
+/// demodulated voice, short of over-modulation.
+pub const MODULATION_DEPTH: f64 = 0.9;
 
 /// A fully constructed single-speaker attack signal.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +23,6 @@ pub struct SingleSpeakerAttack {
     pub drive: Signal,
     /// Carrier frequency in Hz.
     pub carrier_hz: f64,
-    /// Modulation depth used.
-    pub modulation_depth: f64,
     /// The prepared baseband (useful for defense-side analysis and tests).
     pub baseband: Signal,
 }
@@ -31,22 +33,15 @@ impl SingleSpeakerAttack {
     /// `carrier_hz` must keep both sidebands above 20 kHz and below the
     /// playback Nyquist; [`MIN_CARRIER_HZ`](crate::baseband::MIN_CARRIER_HZ)
     /// and [`MAX_CARRIER_HZ`](crate::baseband::MAX_CARRIER_HZ) bound the
-    /// legal range.
-    pub fn build(voice: &Signal, carrier_hz: f64, modulation_depth: f64) -> Result<Self> {
+    /// legal range.  The depth is [`MODULATION_DEPTH`].
+    pub fn build(voice: &Signal, carrier_hz: f64) -> Result<Self> {
         check_carrier(carrier_hz)?;
-        if !(0.1..=1.0).contains(&modulation_depth) {
-            return Err(AttackError::invalid(
-                "modulation_depth",
-                "must be within [0.1, 1.0]",
-            ));
-        }
         let baseband = prepare_baseband(voice)?;
         // Full-carrier AM: (1 + depth*m(t)) * cos(w_c t), normalised.
-        let drive = am_modulate(&baseband, &AmConfig::new(carrier_hz, modulation_depth))?;
+        let drive = am_modulate(&baseband, &AmConfig::new(carrier_hz, MODULATION_DEPTH))?;
         Ok(SingleSpeakerAttack {
             drive,
             carrier_hz,
-            modulation_depth,
             baseband,
         })
     }
@@ -71,15 +66,14 @@ mod tests {
     #[test]
     fn validation() {
         let v = voice();
-        assert!(SingleSpeakerAttack::build(&v, 20_000.0, 0.8).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 95_000.0, 0.8).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.0).is_err());
-        assert!(SingleSpeakerAttack::build(&v, 40_000.0, 0.8).is_ok());
+        assert!(SingleSpeakerAttack::build(&v, 20_000.0).is_err());
+        assert!(SingleSpeakerAttack::build(&v, 95_000.0).is_err());
+        assert!(SingleSpeakerAttack::build(&v, 40_000.0).is_ok());
     }
 
     #[test]
     fn attack_signal_is_entirely_ultrasonic() {
-        let attack = SingleSpeakerAttack::build(&voice(), 40_000.0, 0.8).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice(), 40_000.0).unwrap();
         let fs = attack.drive.sample_rate_hz();
         assert_eq!(fs, 192_000.0);
         assert!((attack.drive.peak() - 1.0).abs() < 1e-6);
@@ -95,7 +89,7 @@ mod tests {
     #[test]
     fn square_law_demodulation_recovers_the_voice_spectrum() {
         let v = voice();
-        let attack = SingleSpeakerAttack::build(&v, 40_000.0, 0.9).unwrap();
+        let attack = SingleSpeakerAttack::build(&v, 40_000.0).unwrap();
         let demod = square_law_demodulate(&attack.drive, 8_000.0).unwrap();
         // The demodulated signal should correlate with the baseband's band
         // energy layout: strong voice band, nothing near 10-20 kHz.
@@ -108,7 +102,7 @@ mod tests {
     #[test]
     fn carrier_frequency_is_respected() {
         for carrier in [30_000.0, 40_000.0, 60_000.0] {
-            let attack = SingleSpeakerAttack::build(&voice(), carrier, 0.8).unwrap();
+            let attack = SingleSpeakerAttack::build(&voice(), carrier).unwrap();
             let fs = attack.drive.sample_rate_hz();
             let at_carrier =
                 band_power(attack.drive.samples(), fs, carrier - 500.0, carrier + 500.0).unwrap();

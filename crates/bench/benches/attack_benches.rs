@@ -27,13 +27,10 @@ fn bench_attack(c: &mut Criterion) {
         b.iter(|| prepare_baseband(std::hint::black_box(&v)).unwrap())
     });
     group.bench_function("single_speaker_attack_0p5s", |b| {
-        b.iter(|| SingleSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 0.9).unwrap())
+        b.iter(|| SingleSpeakerAttack::build(std::hint::black_box(&v), 40_000.0).unwrap())
     });
     group.bench_function("multispeaker_attack_8el_0p5s", |b| {
-        b.iter(|| {
-            MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, 56.0, 0.3, 30.0)
-                .unwrap()
-        })
+        b.iter(|| MultiSpeakerAttack::build(std::hint::black_box(&v), 40_000.0, 8, 56.0).unwrap())
     });
     group.finish();
 }

@@ -397,7 +397,7 @@ fn campaign_summary(reports: &[CampaignReport]) -> ivc_core::Result<String> {
         .map(|report| {
             let mut text = format!("{}\n", report.summary_table().render());
             for curve in &report.curves {
-                let range = curve.range_at_success_rate(0.8);
+                let range = curve.range_at_least(&curve.success_rates, 0.8);
                 text += &format!(
                     "range at >= 0.8 success [{}]: {} m\n",
                     curve.label,

@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ivc_core::results::{fmt, Series, Table};
+use ivc_core::results::{fmt, Table};
 use ivc_core::scenario::Delivery;
 use ivc_core::telemetry;
 use ivc_core::Result;
@@ -178,15 +178,12 @@ pub fn fig_a2_accuracy_vs_distance(reports: &[CampaignReport]) -> Result<String>
     }
     let mut out = table.render();
     for curve in &report.curves {
-        let series = Series::new(
-            curve.label.clone(),
-            curve.distances_m.clone(),
-            curve.mean_word_accuracy.clone(),
-        );
         out.push_str(&format!(
             "range at >= 0.8 accuracy [{}]: {:.1} m\n",
-            series.name,
-            series.last_x_with_y_at_least(0.8).unwrap_or(0.0)
+            curve.label,
+            curve
+                .range_at_least(&curve.mean_word_accuracy, 0.8)
+                .unwrap_or(0.0)
         ));
     }
     Ok(out)
@@ -345,12 +342,9 @@ pub fn tab_a5_range_per_device(reports: &[CampaignReport]) -> Result<String> {
             .iter()
             .find(|c| c.coords.device_index == device_index)
             .expect("a5 produces one curve per device");
-        let series = Series::new(
-            device.name(),
-            curve.distances_m.clone(),
-            curve.mean_word_accuracy.clone(),
-        );
-        let range = series.last_x_with_y_at_least(0.6).unwrap_or(0.0);
+        let range = curve
+            .range_at_least(&curve.mean_word_accuracy, 0.6)
+            .unwrap_or(0.0);
         table.push_row(vec![device.name().to_string(), fmt(range, 1)]);
     }
     Ok(table.render())
@@ -399,19 +393,15 @@ pub fn tab_b1_range_vs_power(reports: &[CampaignReport]) -> Result<String> {
             unreachable!("b1 sweeps single-speaker powers");
         };
         let mut ranges = Vec::new();
-        for (device_index, device) in spec.devices.iter().enumerate() {
+        for device_index in 0..spec.devices.len() {
             let curve = report
                 .curves
                 .iter()
                 .find(|c| c.coords.device_index == device_index && c.coords.delivery_index == i)
                 .expect("b1 produces one curve per (device, power)");
-            let range_m = Series::new(
-                device.name(),
-                curve.distances_m.clone(),
-                curve.mean_word_accuracy.clone(),
-            )
-            .last_x_with_y_at_least(0.6)
-            .unwrap_or(0.0);
+            let range_m = curve
+                .range_at_least(&curve.mean_word_accuracy, 0.6)
+                .unwrap_or(0.0);
             ranges.push(range_m * 100.0);
         }
         table.push_row(vec![fmt(power_w, 1), fmt(ranges[0], 0), fmt(ranges[1], 0)]);
@@ -429,10 +419,7 @@ pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> 
     use ivc_dsp::stft::spectrogram;
     let report = only(reports)?;
     let spec = &report.spec;
-    let band_spec = spec
-        .recording_band_summary
-        .expect("b2 archives the recording band summary");
-    let bands = band_spec.bands;
+    let bands = ivc_experiments::executor::BAND_SUMMARY_BANDS;
 
     // Normal voice (the full render — the triplet compares signal
     // classes, not the trial's truncation).
@@ -445,7 +432,7 @@ pub fn fig_b2_spectrogram_triplet(reports: &[CampaignReport]) -> Result<String> 
     let Delivery::SingleSpeakerUltrasound { carrier_hz, .. } = spec.deliveries[0].delivery else {
         unreachable!("b2 is the single-speaker attack");
     };
-    let attack = ivc_attack::single::SingleSpeakerAttack::build(&voice, carrier_hz, 0.9)?;
+    let attack = ivc_attack::single::SingleSpeakerAttack::build(&voice, carrier_hz)?;
 
     let mut table = Table::new(
         "E-B2: band-energy summaries (dB) of normal voice / attack ultrasound / recording",

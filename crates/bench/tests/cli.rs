@@ -305,6 +305,49 @@ fn unreadable_shard_job_file_is_a_one_line_error() {
     assert!(line.contains("decode"), "{line}");
 }
 
+/// A hand-edited job file is checked like a spec: an array of no
+/// elements is refused, and so is a member an older format had (the
+/// bystander distance is a constant).
+#[test]
+fn edited_shard_job_files_are_refused_with_one_line_errors() {
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-edited-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).unwrap();
+    let dir = scratch.to_string_lossy().into_owned();
+    let plan = repro(&["shard-plan", "smoke", "--shards", "1", "--out-dir", &dir]);
+    assert!(plan.status.success(), "shard-plan failed: {plan:?}");
+    let job = scratch.join("smoke.shard-0-of-1.job.json");
+    let text = std::fs::read_to_string(&job).unwrap();
+    for (from, to, expected) in [
+        (
+            "\"num_elements\": 6",
+            "\"num_elements\": 0",
+            "'array (6 elements, 60 W)': an array needs at least one element",
+        ),
+        (
+            "\"distances_m\":",
+            "\"bystander_distance_m\": 1,\n    \"distances_m\":",
+            "unknown spec member 'bystander_distance_m'",
+        ),
+    ] {
+        assert!(text.contains(from), "{from}");
+        let edited = scratch.join("edited.job.json");
+        std::fs::write(&edited, text.replacen(from, to, 1)).unwrap();
+        let out = scratch.join("edited.part.bin");
+        let output = repro(&[
+            "shard-worker",
+            "--job",
+            &edited.to_string_lossy(),
+            "--out",
+            &out.to_string_lossy(),
+        ]);
+        let line = one_line_error(&output, expected);
+        assert!(line.contains(expected), "{line}");
+        assert!(!out.exists(), "a refused job wrote a partial");
+    }
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
 #[test]
 fn shard_merge_rejects_unreadable_partials() {
     let missing =

@@ -4,6 +4,10 @@
 //! Its cells are projected by [`CellInputs::project`], their paths built
 //! by [`Product::build`] and captured by the one Perturb body the trials
 //! run, so the detector trains on exactly the recordings trials score.
+//!
+//! Every corpus records the same two deliveries on the same device in the
+//! same quiet room: the constants below.  A corpus differs only in how
+//! much it records (distances, talkers, commands, voice cap).
 
 use crate::prepare_cache::Product;
 use crate::scenario::{Delivery, Scenario};
@@ -15,16 +19,36 @@ use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::{DefenseFeatures, FeatureVector};
 use ivc_speech::commands::{corpus, VoiceCommand};
 
+/// Device capturing the corpus recordings.
+pub const DEVICE: DevicePreset = DevicePreset::AndroidPhone;
+
+/// The corpus's attack recordings: an 8-element array at 40 W total on a
+/// 40 kHz carrier.
+pub const ATTACK: Delivery = Delivery::ArrayUltrasound {
+    num_elements: 8,
+    total_power_w: 40.0,
+    carrier_hz: 40_000.0,
+};
+
+/// The corpus's legitimate recordings: a talker at 65 dB SPL (1 m).
+pub const TALKER: Delivery = Delivery::Legitimate {
+    talker_spl_db: 65.0,
+};
+
+/// Ambient room noise of every corpus recording, in dB SPL.
+pub const AMBIENT_NOISE_SPL_DB: f64 = 40.0;
+
+/// First trial seed of a trained detector's corpus.  Another first seed
+/// gives a held-out corpus: other talkers and other noise draws.
+pub const FIRST_SEED: u64 = 7;
+
 /// Inputs of a trained detector: the labelled corpus it fits on.  For
 /// every command × distance the corpus runs two free-field cells through
-/// the trial stages — a legitimate talker over `num_speaker_variants`
-/// consecutive trial seeds, and an `attack_elements`-element array (one
-/// element is the single speaker) over the next seed — and labels each
-/// recording's [`DefenseFeatures`] by its delivery.
+/// the trial stages — a [`TALKER`] over `num_speaker_variants`
+/// consecutive trial seeds, and the [`ATTACK`] over the next seed — and
+/// labels each recording's [`DefenseFeatures`] by its delivery.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
-    /// Device capturing the recordings.
-    pub device: DevicePreset,
     /// Source–device distances to cover, in metres.
     pub distances_m: Vec<f64>,
     /// Legitimate trials per (command, distance); their consecutive seeds
@@ -33,20 +57,8 @@ pub struct DatasetConfig {
     pub num_speaker_variants: usize,
     /// Indices into the speech corpus to use.
     pub command_indices: Vec<usize>,
-    /// Array elements of the attack recordings (1 = single speaker).
-    pub attack_elements: usize,
-    /// Total electrical power of the attack, in watt.
-    pub attack_total_power_w: f64,
-    /// Carrier frequency of the attack, in Hz.
-    pub carrier_hz: f64,
-    /// Level of the legitimate talker, as SPL at 1 m, in dB.
-    pub talker_spl_db: f64,
-    /// Ambient room noise level, in dB SPL.
-    pub ambient_noise_spl_db: f64,
     /// Voice-duration cap, in seconds (`f64::INFINITY` keeps it all).
     pub max_voice_duration_s: f64,
-    /// First trial seed of the corpus.
-    pub seed: u64,
 }
 
 /// One cell of a detector corpus, as
@@ -71,11 +83,8 @@ impl DatasetConfig {
         if let Some(index) = self.command_indices.iter().find(|&&i| i >= corpus_len) {
             return Err(format!("training command index {index} outside the corpus").into());
         }
-        if self.num_speaker_variants == 0 || self.attack_elements == 0 {
-            return Err("need at least one speaker variant and one attack element".into());
-        }
-        if !(self.attack_total_power_w > 0.0) || !(self.carrier_hz > 0.0) {
-            return Err("attack power and carrier must be positive".into());
+        if self.num_speaker_variants == 0 {
+            return Err("need at least one speaker variant".into());
         }
         if !(self.max_voice_duration_s > 0.0) {
             return Err("max_voice_duration_s must be positive".into());
@@ -84,26 +93,19 @@ impl DatasetConfig {
     }
 
     /// The corpus's cells: per command (outer) and distance (inner), the
-    /// legitimate cell, then the attack cell.  Seeds walk on from `seed`:
-    /// each pair takes the next `num_speaker_variants` for its legitimate
-    /// trials and one more for its attack, so no two recordings share a
-    /// noise draw and the talkers cycle through every variant.
-    pub fn cells(&self) -> Result<Vec<CorpusCell>> {
+    /// legitimate cell, then the attack cell.  Seeds walk on from
+    /// `first_seed` ([`FIRST_SEED`] for a trained detector): each pair
+    /// takes the next `num_speaker_variants` for its legitimate trials and
+    /// one more for its attack, so no two recordings share a noise draw
+    /// and the talkers cycle through every variant.
+    pub fn cells(&self, first_seed: u64) -> Result<Vec<CorpusCell>> {
         self.validate()?;
         let commands = corpus();
-        let attack = Delivery::ArrayUltrasound {
-            num_elements: self.attack_elements,
-            total_power_w: self.attack_total_power_w,
-            carrier_hz: self.carrier_hz,
-        };
-        let legitimate = Delivery::Legitimate {
-            talker_spl_db: self.talker_spl_db,
-        };
-        let mut next_seed = self.seed;
+        let mut next_seed = first_seed;
         let mut cells = Vec::new();
         for &index in &self.command_indices {
             for &distance_m in &self.distances_m {
-                for (delivery, trials) in [(legitimate, self.num_speaker_variants), (attack, 1)] {
+                for (delivery, trials) in [(TALKER, self.num_speaker_variants), (ATTACK, 1)] {
                     let seeds = (0..trials as u64)
                         .map(|t| next_seed.wrapping_add(t))
                         .collect();
@@ -111,10 +113,10 @@ impl DatasetConfig {
                     cells.push(CorpusCell {
                         command: commands[index].clone(),
                         scenario: Scenario {
-                            device: self.device,
+                            device: DEVICE,
                             distance_m,
                             delivery,
-                            ambient_noise_spl_db: self.ambient_noise_spl_db,
+                            ambient_noise_spl_db: AMBIENT_NOISE_SPL_DB,
                             max_voice_duration_s: self.max_voice_duration_s,
                             ..Scenario::default_attack()
                         },
@@ -127,17 +129,18 @@ impl DatasetConfig {
     }
 
     /// The corpus as labelled feature vectors (`true` = attack), one per
-    /// trial of [`cells`](Self::cells), in order.  Each recording is
-    /// reduced to its features as soon as it is captured, so none is held.
-    pub fn labelled_features(&self) -> Result<Vec<(FeatureVector, bool)>> {
-        let microphone = self.device.microphone();
+    /// trial of [`cells`](Self::cells) from `first_seed`, in order.  Each
+    /// recording is reduced to its features as soon as it is captured, so
+    /// none is held.
+    pub fn labelled_features(&self, first_seed: u64) -> Result<Vec<(FeatureVector, bool)>> {
+        let microphone = DEVICE.microphone();
         let mut scratch = CaptureScratch::new();
         // Noise shapes depend on the transform length alone (one device,
         // one ambient level), so the corpus's few are shared by all its
         // recordings.
         let mut noise = Vec::new();
         let mut samples = Vec::new();
-        for cell in self.cells()? {
+        for cell in self.cells(first_seed)? {
             for &seed in &cell.seeds {
                 let path = match CellInputs::project(&cell.command, &cell.scenario, &[seed])? {
                     // One seed projects exactly one talker path.
@@ -156,8 +159,7 @@ impl DatasetConfig {
                     let shaped = {
                         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
                         let clean = path.build()?;
-                        let noise_spl_db = self.ambient_noise_spl_db;
-                        shape_for_capture(&microphone, &clean, noise_spl_db, &mut noise)?
+                        shape_for_capture(&microphone, &clean, AMBIENT_NOISE_SPL_DB, &mut noise)?
                     };
                     perturb_path(&shaped, &noise, &microphone, seed, &mut scratch)?
                 };
@@ -170,8 +172,9 @@ impl DatasetConfig {
     }
 }
 
-/// A trained detector is a pure function of its corpus (the training
-/// hyper-parameters are constants of [`LogisticRegression::train`]).  The corpus
+/// A trained detector is a pure function of its corpus, drawn from
+/// [`FIRST_SEED`] (the training hyper-parameters are constants of
+/// [`LogisticRegression::train`]).  The corpus
 /// records `campaign.detector_train.corpus` and `.features` spans per
 /// sample, and the fit one `.fit` span.
 impl Product for DatasetConfig {
@@ -185,7 +188,7 @@ impl Product for DatasetConfig {
 
     fn build(&self) -> Result<LogisticRegression> {
         let samples = self
-            .labelled_features()
+            .labelled_features(FIRST_SEED)
             .map_err(|e| format!("detector corpus: {e}"))?;
         let _span = telemetry::span("campaign.detector_train.fit");
         Ok(LogisticRegression::train(&samples).map_err(|e| format!("detector training: {e}"))?)
@@ -197,20 +200,13 @@ mod tests {
     use super::*;
 
     /// A corpus small enough for a unit test: one command at 1.5 m, two
-    /// legitimate talkers and one 4-element attack.
+    /// legitimate talkers and one attack.
     fn tiny_config() -> DatasetConfig {
         DatasetConfig {
-            device: DevicePreset::AndroidPhone,
             distances_m: vec![1.5],
             num_speaker_variants: 2,
             command_indices: vec![0],
-            attack_elements: 4,
-            attack_total_power_w: 30.0,
-            carrier_hz: 40_000.0,
-            talker_spl_db: 65.0,
-            ambient_noise_spl_db: 40.0,
             max_voice_duration_s: 0.3,
-            seed: 7,
         }
     }
 
@@ -242,15 +238,11 @@ mod tests {
                 command_indices: vec![0, 99],
                 ..tiny.clone()
             },
-            DatasetConfig {
-                attack_elements: 0,
-                ..tiny.clone()
-            },
         ];
         for config in refused {
             assert!(config.validate().is_err(), "{config:?}");
-            assert!(config.cells().is_err(), "{config:?}");
-            assert!(config.labelled_features().is_err(), "{config:?}");
+            assert!(config.cells(FIRST_SEED).is_err(), "{config:?}");
+            assert!(config.labelled_features(FIRST_SEED).is_err(), "{config:?}");
         }
     }
 
@@ -262,24 +254,25 @@ mod tests {
             command_indices: vec![0, 2],
             ..tiny_config()
         };
-        let cells = cfg.cells().unwrap();
+        let cells = cfg.cells(FIRST_SEED).unwrap();
         // Per command (outer) and distance (inner): the legitimate cell,
-        // then the attack cell, on the configured device.
+        // then the attack cell, on the corpus device.
         assert_eq!(cells.len(), 2 * 2 * 2);
         let commands = corpus();
         for (k, cell) in cells.iter().enumerate() {
             let pair = k / 2;
             assert_eq!(cell.command, commands[cfg.command_indices[pair / 2]]);
             assert_eq!(cell.scenario.distance_m, cfg.distances_m[pair % 2]);
-            assert_eq!(cell.scenario.device, cfg.device);
-            assert_eq!(cell.scenario.delivery.is_attack(), k % 2 == 1);
+            assert_eq!(cell.scenario.device, DEVICE);
+            let delivery = if k % 2 == 1 { ATTACK } else { TALKER };
+            assert_eq!(cell.scenario.delivery, delivery);
             assert_eq!(cell.seeds.len(), if k % 2 == 1 { 1 } else { 3 });
         }
-        // Every recording draws its own seed: they run on from `seed`.
+        // Every recording draws its own seed: they run on from the first.
         let seeds: Vec<u64> = cells.into_iter().flat_map(|cell| cell.seeds).collect();
-        assert_eq!(seeds, (cfg.seed..cfg.seed + 16).collect::<Vec<_>>());
+        assert_eq!(seeds, (FIRST_SEED..FIRST_SEED + 16).collect::<Vec<_>>());
         // 2 commands × 2 distances × (3 legitimate + 1 attack).
-        let samples = cfg.labelled_features().unwrap();
+        let samples = cfg.labelled_features(FIRST_SEED).unwrap();
         assert_eq!(samples.len(), 16);
         let labels: Vec<bool> = samples.iter().map(|(_, label)| *label).collect();
         assert_eq!(labels, [false, false, false, true].repeat(4));
@@ -288,8 +281,13 @@ mod tests {
     #[test]
     fn feature_samples_align_with_labels() {
         let cfg = tiny_config();
-        let trials: usize = cfg.cells().unwrap().iter().map(|c| c.seeds.len()).sum();
-        let samples = cfg.labelled_features().unwrap();
+        let trials: usize = cfg
+            .cells(FIRST_SEED)
+            .unwrap()
+            .iter()
+            .map(|c| c.seeds.len())
+            .sum();
+        let samples = cfg.labelled_features(FIRST_SEED).unwrap();
         assert_eq!(samples.len(), trials);
         assert_eq!(samples.iter().filter(|(_, y)| *y).count(), 1);
         for (f, _) in &samples {
@@ -301,13 +299,13 @@ mod tests {
     #[test]
     fn generation_is_reproducible() {
         let cfg = tiny_config();
-        let first = cfg.labelled_features().unwrap();
-        assert_eq!(bits(&first), bits(&cfg.labelled_features().unwrap()));
+        let first = cfg.labelled_features(FIRST_SEED).unwrap();
+        assert_eq!(
+            bits(&first),
+            bits(&cfg.labelled_features(FIRST_SEED).unwrap())
+        );
         // A different first seed draws different noise.
-        let reseeded = DatasetConfig {
-            seed: cfg.seed + 100,
-            ..cfg.clone()
-        };
-        assert_ne!(bits(&first), bits(&reseeded.labelled_features().unwrap()));
+        let reseeded = cfg.labelled_features(FIRST_SEED + 100).unwrap();
+        assert_ne!(bits(&first), bits(&reseeded));
     }
 }

@@ -22,8 +22,8 @@
 //!   the three stages for one `(scenario, seed)` and reports whether the
 //!   command was accepted, its word accuracy, the speaker-side leakage and
 //!   the defense verdict.
-//! * [`results`] — small table/series containers used by the reproduction
-//!   harness to print paper-style outputs.
+//! * [`results`] — the table container the reproduction harness prints
+//!   paper-style outputs with.
 //! * [`json`] — a dependency-free JSON value model, writer and parser used
 //!   to archive experiment reports (the workspace has no serialisation
 //!   dependency, so archival gets its own deterministic layer).
@@ -50,7 +50,7 @@ pub mod telemetry;
 pub use dataset::DatasetConfig;
 pub use json::JsonValue;
 pub use pipeline::{run_trial, TrialOutcome};
-pub use results::{Series, Table};
+pub use results::Table;
 pub use scenario::{Delivery, Scenario};
 pub use stages::PreparedCell;
 

@@ -1,39 +1,4 @@
-//! Result containers: tables and series, with plain-text rendering for the
-//! reproduction harness.
-
-/// A labelled numeric series (one curve of a figure).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Series {
-    /// Name of the series (e.g. "61-speaker array").
-    pub name: String,
-    /// X values (e.g. distance in metres).
-    pub x: Vec<f64>,
-    /// Y values (e.g. word accuracy).
-    pub y: Vec<f64>,
-}
-
-impl Series {
-    /// Creates a series, truncating to the shorter of the two vectors.
-    pub fn new(name: impl Into<String>, x: Vec<f64>, y: Vec<f64>) -> Self {
-        let n = x.len().min(y.len());
-        Series {
-            name: name.into(),
-            x: x.into_iter().take(n).collect(),
-            y: y.into_iter().take(n).collect(),
-        }
-    }
-
-    /// The largest x whose y meets or exceeds `threshold` (e.g. "attack
-    /// range at ≥ 80 % accuracy"); `None` if no point qualifies.
-    pub fn last_x_with_y_at_least(&self, threshold: f64) -> Option<f64> {
-        self.x
-            .iter()
-            .zip(self.y.iter())
-            .filter(|(_, y)| **y >= threshold)
-            .map(|(x, _)| *x)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-}
+//! Result tables, with plain-text rendering for the reproduction harness.
 
 /// A printable table: column headers plus rows of cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,18 +77,6 @@ pub fn fmt(value: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_construction_and_threshold_lookup() {
-        let s = Series::new("array", vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 0.9, 0.7, 0.4]);
-        assert_eq!(s.x.len(), 4);
-        assert_eq!(s.last_x_with_y_at_least(0.8), Some(2.0));
-        assert_eq!(s.last_x_with_y_at_least(0.95), Some(1.0));
-        assert_eq!(s.last_x_with_y_at_least(1.5), None);
-        // Mismatched lengths truncate.
-        let t = Series::new("x", vec![1.0, 2.0, 3.0], vec![0.5]);
-        assert_eq!((t.x.len(), t.y.len()), (1, 1));
-    }
 
     #[test]
     fn table_rendering_is_aligned_and_complete() {

@@ -4,6 +4,11 @@ use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_room::RoomPreset;
 
+/// Distance of the bystander from the attack source, in metres: someone
+/// standing next to the rig, listening for audible leakage.  The leakage
+/// of every attack delivery is measured there.
+pub const BYSTANDER_DISTANCE_M: f64 = 1.0;
+
 /// How the voice command reaches the victim device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delivery {
@@ -65,9 +70,6 @@ pub struct Scenario {
     pub delivery: Delivery,
     /// Ambient room noise, in dB SPL.
     pub ambient_noise_spl_db: f64,
-    /// Distance of the nearest bystander to the source, for leakage
-    /// estimation (only meaningful for attack deliveries).
-    pub bystander_distance_m: f64,
     /// Air conditions.
     pub env: AirEnvironment,
     /// The room the trial takes place in.  `None` keeps the historical
@@ -102,7 +104,6 @@ impl Scenario {
                 carrier_hz: 40_000.0,
             },
             ambient_noise_spl_db: 40.0,
-            bystander_distance_m: 1.0,
             env: AirEnvironment::default(),
             room: None,
             seed: 1,

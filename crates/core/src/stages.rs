@@ -51,7 +51,7 @@
 
 use crate::pipeline::TrialOutcome;
 use crate::prepare_cache::{self, Product};
-use crate::scenario::{Delivery, Scenario};
+use crate::scenario::{Delivery, Scenario, BYSTANDER_DISTANCE_M};
 use crate::telemetry;
 use crate::Result;
 use ivc_acoustics::adc::digitize;
@@ -59,7 +59,7 @@ use ivc_acoustics::array::SpeakerArray;
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::{CaptureScratch, Microphone, NoiseShape, ShapedPath};
 use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
-use ivc_acoustics::speaker::UltrasonicSpeaker;
+use ivc_acoustics::speaker::MAX_POWER_W;
 use ivc_acoustics::spl::spl_db_to_pressure;
 use ivc_attack::leakage::{leakage_from_field, LeakageReport};
 use ivc_attack::multispeaker::{single_speaker_element_drives, MultiSpeakerAttack};
@@ -169,11 +169,10 @@ impl Product for AttackInputs {
         }
         let _span = telemetry::span("prepare.attack_build");
         let (num_elements, total_power_w) = (self.num_elements, self.total_power_w);
-        let speaker = UltrasonicSpeaker::default();
-        let array = SpeakerArray::new(speaker.clone(), num_elements, 0.03)?;
+        let array = SpeakerArray::new(num_elements)?;
         let (drives, shortfall_w) = if num_elements == 1 {
-            let attack = SingleSpeakerAttack::build(&voice, self.carrier_hz, 0.9)?;
-            let placed_w = total_power_w.min(speaker.max_power_w);
+            let attack = SingleSpeakerAttack::build(&voice, self.carrier_hz)?;
+            let placed_w = total_power_w.min(MAX_POWER_W);
             (
                 single_speaker_element_drives(&attack, placed_w)?,
                 total_power_w - placed_w,
@@ -183,14 +182,8 @@ impl Product for AttackInputs {
             // big arrays keep their carrier-to-sideband balance instead of
             // starving the carrier at one element's rating (the old E-A2
             // 61-element anomaly).
-            let attack = MultiSpeakerAttack::build(
-                &voice,
-                self.carrier_hz,
-                num_elements,
-                total_power_w,
-                0.3,
-                speaker.max_power_w,
-            )?;
+            let attack =
+                MultiSpeakerAttack::build(&voice, self.carrier_hz, num_elements, total_power_w)?;
             let allocation = attack.allocate_power()?;
             (allocation.drives, allocation.shortfall_w)
         };
@@ -278,15 +271,14 @@ impl PathInputs {
 }
 
 /// Inputs of the bystander's leakage report: the attack build and the
-/// channel to the bystander.  The target distance is not here: the
-/// bystander's path depends only on the room, the source and the
-/// bystander, so every target distance shares one leakage build.
+/// channel to the bystander, who stands [`BYSTANDER_DISTANCE_M`] from the
+/// source.  The target distance is not here: the bystander's path depends
+/// only on the room and the source, so every target distance shares one
+/// leakage build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeakageInputs {
     /// The emitting attack build (a point source towards the bystander).
     pub source: AttackInputs,
-    /// Source-to-bystander distance, in metres.
-    pub bystander_distance_m: f64,
     /// The room (`None` = free field).
     pub room: Option<RoomPreset>,
     /// Air conditions.
@@ -305,7 +297,7 @@ impl Product for LeakageInputs {
         let build = prepare_cache::get(&self.source)?;
         let _span = telemetry::span("prepare.leakage");
         let near = &build.near_field_at_1m;
-        let (distance_m, env) = (self.bystander_distance_m, &self.env);
+        let (distance_m, env) = (BYSTANDER_DISTANCE_M, &self.env);
         let field = match self.room {
             None => propagate(near, distance_m, env)?,
             Some(preset) => propagate_in_room(near, &preset.bystander_rir(distance_m)?, env)?,
@@ -354,7 +346,7 @@ impl CellInputs {
             // Placing both listeners checks the geometry once; each product
             // then places only the listener it reads.
             let _span = telemetry::span("prepare.rir_build");
-            preset.check_placement(scenario.distance_m, scenario.bystander_distance_m)?;
+            preset.check_placement(scenario.distance_m, BYSTANDER_DISTANCE_M)?;
         }
         let path = |source| PathInputs {
             source,
@@ -386,10 +378,15 @@ impl CellInputs {
                 carrier_hz,
             } => (1, power_w, carrier_hz),
             Delivery::ArrayUltrasound {
+                num_elements: 0, ..
+            } => {
+                return Err("an array delivery needs at least one element".into());
+            }
+            Delivery::ArrayUltrasound {
                 num_elements,
                 total_power_w,
                 carrier_hz,
-            } => (num_elements.max(1), total_power_w, carrier_hz),
+            } => (num_elements, total_power_w, carrier_hz),
         };
         let build = AttackInputs {
             voice: voice(TalkerKey::Canonical),
@@ -403,7 +400,6 @@ impl CellInputs {
             path: path(Source::Attack(build.clone())),
             leakage: LeakageInputs {
                 source: build.clone(),
-                bystander_distance_m: scenario.bystander_distance_m,
                 room: scenario.room,
                 env: scenario.env,
             },
@@ -763,6 +759,14 @@ mod tests {
             })
         };
         assert!(PreparedCell::prepare(command, &bad, &[1]).is_err());
+        // An array of no elements is refused.
+        let empty_array = quick_scenario(Delivery::ArrayUltrasound {
+            num_elements: 0,
+            total_power_w: 60.0,
+            carrier_hz: 40_000.0,
+        });
+        let err = PreparedCell::prepare(command, &empty_array, &[1]).unwrap_err();
+        assert!(err.to_string().contains("at least one element"), "{err}");
     }
 
     #[test]

@@ -131,7 +131,7 @@ mod tests {
     use ivc_acoustics::environment::AirEnvironment;
     use ivc_acoustics::microphone::DevicePreset;
     use ivc_acoustics::propagation::propagate;
-    use ivc_acoustics::speaker::UltrasonicSpeaker;
+    use ivc_acoustics::speaker;
     use ivc_acoustics::spl::spl_db_to_pressure;
     use ivc_attack::single::SingleSpeakerAttack;
 
@@ -171,9 +171,8 @@ mod tests {
 
     fn attack_recording() -> Signal {
         let voice = synthetic_voice();
-        let attack = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9).unwrap();
-        let speaker = UltrasonicSpeaker::default();
-        let emitted = speaker.emit_at_1m(&attack.drive, 25.0).unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
+        let emitted = speaker::emit_at_1m(&attack.drive, 25.0).unwrap();
         let env = AirEnvironment::default();
         let at_mic = propagate(&emitted, 1.5, &env).unwrap();
         DevicePreset::AndroidPhone

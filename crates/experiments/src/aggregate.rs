@@ -73,13 +73,15 @@ pub struct PsychometricCurve {
 }
 
 impl PsychometricCurve {
-    /// The farthest distance whose success rate meets `threshold` — the
-    /// curve's "attack range"; `None` if no point qualifies.
-    pub fn range_at_success_rate(&self, threshold: f64) -> Option<f64> {
+    /// The farthest distance whose entry of `values` — one per distance:
+    /// the curve's `success_rates` or `mean_word_accuracy` — meets
+    /// `threshold`: the curve's "attack range"; `None` if no point
+    /// qualifies.
+    pub fn range_at_least(&self, values: &[f64], threshold: f64) -> Option<f64> {
         self.distances_m
             .iter()
-            .zip(self.success_rates.iter())
-            .filter(|(_, rate)| **rate >= threshold)
+            .zip(values)
+            .filter(|(_, value)| **value >= threshold)
             .map(|(d, _)| *d)
             .fold(None, |acc: Option<f64>, d| {
                 Some(acc.map_or(d, |a| a.max(d)))
@@ -354,9 +356,17 @@ mod tests {
         assert_eq!(curves[0].distances_m, vec![1.0, 4.0]);
         assert_eq!(curves[0].success_rates, vec![1.0, 0.5]);
         assert_eq!(curves[1].success_rates, vec![0.0, 0.0]);
-        assert_eq!(curves[0].range_at_success_rate(0.6), Some(1.0));
-        assert_eq!(curves[0].range_at_success_rate(0.5), Some(4.0));
-        assert_eq!(curves[1].range_at_success_rate(0.6), None);
+        let range = |curve: &PsychometricCurve, threshold| {
+            curve.range_at_least(&curve.success_rates, threshold)
+        };
+        assert_eq!(range(&curves[0], 0.6), Some(1.0));
+        assert_eq!(range(&curves[0], 0.5), Some(4.0));
+        assert_eq!(range(&curves[1], 0.6), None);
+        // The same fold reads an accuracy range off the accuracy curve.
+        let accuracy = &curves[0].mean_word_accuracy;
+        assert_eq!(curves[0].range_at_least(accuracy, 0.9), Some(1.0));
+        assert_eq!(curves[0].range_at_least(accuracy, 0.75), Some(4.0));
+        assert_eq!(curves[0].range_at_least(accuracy, 1.5), None);
     }
 
     #[test]

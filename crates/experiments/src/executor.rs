@@ -28,7 +28,7 @@
 //!    training corpus.
 
 use crate::error::{ExperimentError, Result};
-use crate::grid::{BandSummarySpec, CampaignSpec};
+use crate::grid::CampaignSpec;
 use crate::report::CampaignReport;
 use crate::shard::{merge_shards, run_shard, ShardPlan};
 use ivc_acoustics::microphone::CaptureScratch;
@@ -42,6 +42,13 @@ use ivc_speech::recognizer::Recognizer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Number of equal-width bands in a recording's band-energy summary.
+pub const BAND_SUMMARY_BANDS: usize = 8;
+
+/// Upper edge of the summarised range, in Hz: the voice band a recogniser
+/// reads.
+pub const BAND_SUMMARY_MAX_HZ: f64 = 8_000.0;
 
 /// What one trial contributed to its cell — the archived unit of raw data.
 #[derive(Debug, Clone, PartialEq)]
@@ -347,15 +354,13 @@ pub(crate) fn execute_jobs(
     Ok(records)
 }
 
-/// Band-energy summary of a recording (the archived E-B2 column).
-fn band_summary(
-    recording: &Signal,
-    spec: &BandSummarySpec,
-) -> std::result::Result<Vec<f64>, String> {
+/// Band-energy summary of a recording (the archived E-B2 column):
+/// [`BAND_SUMMARY_BANDS`] bands up to [`BAND_SUMMARY_MAX_HZ`].
+fn band_summary(recording: &Signal) -> std::result::Result<Vec<f64>, String> {
     let _span = telemetry::span("executor.band_summary");
     let sg =
         spectrogram(recording.samples(), recording.sample_rate_hz()).map_err(|e| e.to_string())?;
-    Ok(sg.band_summary_db(spec.max_hz, spec.bands))
+    Ok(sg.band_summary_db(BAND_SUMMARY_MAX_HZ, BAND_SUMMARY_BANDS))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -374,9 +379,10 @@ fn run_one_trial(
     let outcome = prepared
         .run(seed, recognizer, detector.as_deref(), scratch)
         .map_err(|e| e.to_string())?;
-    let recording_band_summary_db = match &spec.recording_band_summary {
-        None => None,
-        Some(band_spec) => Some(band_summary(&outcome.recording, band_spec)?),
+    let recording_band_summary_db = if spec.recording_band_summary {
+        Some(band_summary(&outcome.recording)?)
+    } else {
+        None
     };
     Ok(TrialRecord {
         cell_index,
@@ -505,7 +511,6 @@ mod tests {
                     num_speaker_variants: 3,
                     command_indices: vec![0],
                     max_voice_duration_s: 0.8,
-                    ..DetectorSpec::standard(true).corpus
                 },
                 ..DetectorSpec::standard(true)
             })],
@@ -515,10 +520,7 @@ mod tests {
             ],
             distances_m: vec![1.5],
             max_voice_duration_s: 0.8,
-            recording_band_summary: Some(BandSummarySpec {
-                bands: 8,
-                max_hz: 8_000.0,
-            }),
+            recording_band_summary: true,
             ..CampaignSpec::new("detector")
         };
         let report = run_campaign(&spec, 2).unwrap();
@@ -532,7 +534,7 @@ mod tests {
                     .recording_band_summary_db
                     .as_ref()
                     .expect("band summary requested");
-                assert_eq!(bands.len(), 8);
+                assert_eq!(bands.len(), BAND_SUMMARY_BANDS);
             }
             assert!(cell_report.stats.mean_detection_probability.is_some());
         }

@@ -15,7 +15,7 @@ use crate::error::{ExperimentError, Result};
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_core::dataset::DatasetConfig;
-use ivc_core::scenario::{Delivery, Scenario};
+use ivc_core::scenario::{Delivery, Scenario, BYSTANDER_DISTANCE_M};
 use ivc_room::RoomPreset;
 use ivc_speech::commands::corpus;
 
@@ -161,7 +161,8 @@ impl DeliverySpec {
 
 /// One point on the detector-training axis: a label and the labelled
 /// corpus the campaign trains a logistic-regression detector on before
-/// running trials.  The corpus is archived with the spec, so training is
+/// running trials.  The corpus is archived with the spec and everything
+/// else it records is a constant of [`ivc_core::dataset`], so training is
 /// fully reproducible from the archive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorSpec {
@@ -179,7 +180,6 @@ impl DetectorSpec {
         DetectorSpec {
             label: "standard detector".to_string(),
             corpus: DatasetConfig {
-                device: DevicePreset::AndroidPhone,
                 distances_m: if quick {
                     vec![1.5, 3.0]
                 } else {
@@ -187,13 +187,7 @@ impl DetectorSpec {
                 },
                 num_speaker_variants: if quick { 2 } else { 4 },
                 command_indices: if quick { vec![0] } else { vec![0, 1, 2, 3] },
-                attack_elements: 8,
-                attack_total_power_w: 40.0,
-                carrier_hz: 40_000.0,
-                talker_spl_db: 65.0,
-                ambient_noise_spl_db: 40.0,
                 max_voice_duration_s: if quick { 1.1 } else { f64::INFINITY },
-                seed: 7,
             },
         }
     }
@@ -217,17 +211,6 @@ pub fn detector_token(detector: Option<&DetectorSpec>) -> String {
         None => "no detector".to_string(),
         Some(spec) => spec.label.clone(),
     }
-}
-
-/// Per-trial band-energy capture: when set on a spec, every trial record
-/// carries a band-energy summary of its recording (the E-B2 spectrogram
-/// column, archived instead of the waveform itself).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandSummarySpec {
-    /// Number of equal-width bands.
-    pub bands: usize,
-    /// Upper edge of the summarised range, in Hz.
-    pub max_hz: f64,
 }
 
 /// A full campaign: the grid axes plus everything shared by all cells.
@@ -255,8 +238,6 @@ pub struct CampaignSpec {
     pub distances_m: Vec<f64>,
     /// Ambient room noise for every cell, in dB SPL.
     pub ambient_noise_spl_db: f64,
-    /// Bystander distance for leakage estimation, in metres.
-    pub bystander_distance_m: f64,
     /// Trials per cell; trial `t` everywhere uses seed `base_seed + t`
     /// (common random numbers across cells, so cross-cell comparisons are
     /// paired).
@@ -266,8 +247,9 @@ pub struct CampaignSpec {
     /// Voice-duration cap per trial, `f64::INFINITY` for whole commands.
     pub max_voice_duration_s: f64,
     /// When set, each trial record carries a band-energy summary of its
-    /// recording (see [`BandSummarySpec`]).
-    pub recording_band_summary: Option<BandSummarySpec>,
+    /// recording (the E-B2 spectrogram column, archived instead of the
+    /// waveform; see [`crate::executor::BAND_SUMMARY_BANDS`]).
+    pub recording_band_summary: bool,
 }
 
 impl CampaignSpec {
@@ -290,11 +272,10 @@ impl CampaignSpec {
             command_indices: vec![0],
             distances_m: vec![2.0],
             ambient_noise_spl_db: 40.0,
-            bystander_distance_m: 1.0,
             trials_per_cell: 1,
             base_seed: 1,
             max_voice_duration_s: f64::INFINITY,
-            recording_band_summary: None,
+            recording_band_summary: false,
         }
     }
 
@@ -316,15 +297,20 @@ impl CampaignSpec {
             return Err(ExperimentError::invalid("deliveries", "axis is empty"));
         }
         for delivery in &self.deliveries {
-            if !(0.0..=1.0).contains(&delivery.shadow_suppression) {
-                return Err(ExperimentError::invalid(
-                    "deliveries",
-                    format!(
-                        "'{}': shadow_suppression must be within [0, 1]",
-                        delivery.label
-                    ),
-                ));
-            }
+            let problem = if !(0.0..=1.0).contains(&delivery.shadow_suppression) {
+                "shadow_suppression must be within [0, 1]"
+            } else if let Delivery::ArrayUltrasound {
+                num_elements: 0, ..
+            } = delivery.delivery
+            {
+                "an array needs at least one element"
+            } else {
+                continue;
+            };
+            return Err(ExperimentError::invalid(
+                "deliveries",
+                format!("'{}': {problem}", delivery.label),
+            ));
         }
         if self.rooms.is_empty() {
             return Err(ExperimentError::invalid("rooms", "axis is empty"));
@@ -355,18 +341,12 @@ impl CampaignSpec {
                 ));
             }
         }
-        if !(self.bystander_distance_m > 0.0) || !self.bystander_distance_m.is_finite() {
-            return Err(ExperimentError::invalid(
-                "bystander_distance_m",
-                "must be positive and finite",
-            ));
-        }
         // Every room must host every distance (and the bystander), so a
         // mis-sized sweep fails at validation instead of mid-campaign.
         for &room in &self.rooms {
             if let Some(preset) = room {
                 for &d in &self.distances_m {
-                    if let Err(e) = preset.check_placement(d, self.bystander_distance_m) {
+                    if let Err(e) = preset.check_placement(d, BYSTANDER_DISTANCE_M) {
                         return Err(ExperimentError::invalid(
                             "rooms",
                             format!("{} at {d} m: {e}", preset.token()),
@@ -392,20 +372,6 @@ impl CampaignSpec {
                 "max_voice_duration_s",
                 "must be positive (use f64::INFINITY for whole commands)",
             ));
-        }
-        if let Some(summary) = self.recording_band_summary {
-            if summary.bands == 0 {
-                return Err(ExperimentError::invalid(
-                    "recording_band_summary",
-                    "needs at least one band",
-                ));
-            }
-            if !(summary.max_hz > 0.0) || !summary.max_hz.is_finite() {
-                return Err(ExperimentError::invalid(
-                    "recording_band_summary",
-                    "max_hz must be positive and finite",
-                ));
-            }
         }
         Ok(())
     }
@@ -492,7 +458,6 @@ impl CampaignSpec {
             distance_m: self.distances_m[cell.coords.distance_index],
             delivery: delivery.delivery,
             ambient_noise_spl_db: self.ambient_noise_spl_db,
-            bystander_distance_m: self.bystander_distance_m,
             env: self.environments[cell.coords.environment_index].air(),
             room: self.rooms[cell.coords.room_index],
             seed: self.trial_seed(trial_index),
@@ -790,7 +755,8 @@ mod tests {
         };
         let err = oversize.validate().unwrap_err();
         assert!(err.to_string().contains("office"), "{err}");
-        // Out-of-range suppression, bad detector and band-summary configs.
+        // Out-of-range suppression, an array of no elements and a bad
+        // detector.
         let bad_suppression = CampaignSpec {
             deliveries: vec![
                 DeliverySpec::array("array", 8, 60.0, 40_000.0).with_shadow_suppression(1.5)
@@ -798,6 +764,15 @@ mod tests {
             ..sweep_spec()
         };
         assert!(bad_suppression.validate().is_err());
+        let empty_array = CampaignSpec {
+            deliveries: vec![DeliverySpec::array("no elements", 0, 60.0, 40_000.0)],
+            ..sweep_spec()
+        };
+        let err = empty_array.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("'no elements': an array needs at least one element"),
+            "{err}"
+        );
         let bad_detector = CampaignSpec {
             detectors: vec![Some(DetectorSpec {
                 label: String::new(),
@@ -813,14 +788,6 @@ mod tests {
             ..sweep_spec()
         };
         assert!(bad_detector.validate().is_err());
-        let bad_summary = CampaignSpec {
-            recording_band_summary: Some(BandSummarySpec {
-                bands: 0,
-                max_hz: 8_000.0,
-            }),
-            ..sweep_spec()
-        };
-        assert!(bad_summary.validate().is_err());
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub use columns::COLUMNS_FORMAT;
 pub use error::{ExperimentError, Result};
 pub use executor::{default_workers, run_campaign, TrialRecord};
 pub use grid::{
-    detector_token, room_from_token, room_token, BandSummarySpec, CampaignSpec, CellCoords,
-    CellSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,
+    detector_token, room_from_token, room_token, CampaignSpec, CellCoords, CellSpec, DeliverySpec,
+    DetectorSpec, EnvironmentPreset,
 };
 pub use orchestrate::{
     manifest_file_name, orchestrate, OrchestratorConfig, OrchestratorRun, OrchestratorStats,

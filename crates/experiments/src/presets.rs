@@ -6,7 +6,7 @@
 //! commands the way the repro harness's `Fidelity::Quick` does, `false`
 //! runs the full paper grids.
 
-use crate::grid::{BandSummarySpec, CampaignSpec, DeliverySpec, DetectorSpec, EnvironmentPreset};
+use crate::grid::{CampaignSpec, DeliverySpec, DetectorSpec, EnvironmentPreset};
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_room::RoomPreset;
 
@@ -181,10 +181,7 @@ pub fn b2(quick: bool) -> CampaignSpec {
             18.7,
             30_000.0,
         )],
-        recording_band_summary: Some(BandSummarySpec {
-            bands: 8,
-            max_hz: 8_000.0,
-        }),
+        recording_band_summary: true,
         max_voice_duration_s: voice_cap_s(quick),
         ..CampaignSpec::new("b2-spectrogram-recording")
     }
@@ -503,13 +500,7 @@ mod tests {
         assert_eq!(d6_spec.deliveries.len(), 3);
         assert_eq!(d6_spec.deliveries[0].shadow_suppression, 0.0);
         assert_eq!(d6_spec.deliveries[2].shadow_suppression, 1.0);
-        assert_eq!(
-            b2(true).recording_band_summary,
-            Some(BandSummarySpec {
-                bands: 8,
-                max_hz: 8_000.0
-            })
-        );
+        assert!(b2(true).recording_band_summary);
         let smoke = smoke();
         assert_eq!(smoke.num_cells(), 4);
         assert_eq!(smoke.trials_per_cell, 1);

@@ -4,15 +4,18 @@
 //! per-cell aggregates with raw trial records, and the psychometric
 //! curves.  `to_json_string` is deterministic — same report, same bytes —
 //! which is what makes the executor's worker-count-invariance promise
-//! checkable at the archive level.
+//! checkable at the archive level.  Decoding reads only the spec and the
+//! records; the rest of the document is derived from them and is rebuilt,
+//! not decoded.
 
 use crate::aggregate::{CellReport, CellStats, PsychometricCurve};
 use crate::error::{ExperimentError, Result};
 use crate::executor::TrialRecord;
 use crate::grid::{
-    room_from_token, room_token, BandSummarySpec, CampaignSpec, CellCoords, CellSpec, DeliverySpec,
-    DetectorSpec, EnvironmentPreset,
+    room_from_token, room_token, CampaignSpec, CellCoords, CellSpec, DeliverySpec, DetectorSpec,
+    EnvironmentPreset,
 };
+use crate::shard::{merge_shards, ShardArchive, ShardRange};
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_core::dataset::DatasetConfig;
 use ivc_core::json::{u64_to_json, JsonValue};
@@ -22,6 +25,10 @@ use ivc_core::scenario::Delivery;
 /// Format tag written into every archive, so readers can reject files from
 /// a different schema generation.
 ///
+/// v5 removed the spec's `bystander_distance_m` (the bystander stands
+/// [`ivc_core::scenario::BYSTANDER_DISTANCE_M`] away), the detector
+/// corpus members every corpus shares (they are constants of
+/// [`ivc_core::dataset`]), and made `recording_band_summary` a boolean.
 /// v4 removed the carrier-frequency and power axes (spec `carriers_hz`/
 /// `powers_w`, cell/curve `carrier_index`/`power_index`): a swept carrier
 /// or power is one delivery per point.  v3 added the detector-training
@@ -29,7 +36,7 @@ use ivc_core::scenario::Delivery;
 /// detector probabilities and optional recording band summaries, and the
 /// per-cell mean detection probability.  v2 added the room axis and the
 /// A-weighted bystander SPL.
-pub const REPORT_FORMAT: &str = "ivc-campaign-report-v4";
+pub const REPORT_FORMAT: &str = "ivc-campaign-report-v5";
 
 /// A finished campaign: spec, per-cell results, curves.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +115,13 @@ impl CampaignReport {
     }
 
     /// Parses an archived report.
+    ///
+    /// Only the spec and the trial records are decoded.  The cells'
+    /// coordinates, labels and stats and the curves are functions of
+    /// them, so the report is rebuilt by [`merge_shards`] of one
+    /// whole-range shard — the one report assembly — and a document whose
+    /// stored cells or curves differ from the rebuild is refused, as is
+    /// one whose records do not fill the spec's slots in order.
     pub fn from_json_str(text: &str) -> Result<CampaignReport> {
         let root = JsonValue::parse(text).map_err(|e| ExperimentError::decode(e.to_string()))?;
         let format = req_str(&root, "format")?;
@@ -117,19 +131,55 @@ impl CampaignReport {
             )));
         }
         let spec = spec_from_json(req(&root, "spec")?)?;
-        let cells = req_array(&root, "cells")?
-            .iter()
-            .map(cell_report_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        let curves = req_array(&root, "curves")?
-            .iter()
-            .map(curve_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(CampaignReport {
+        let mut records = Vec::new();
+        for cell in req_array(&root, "cells")? {
+            for trial in req_array(cell, "trials")? {
+                records.push(trial_from_json(trial)?);
+            }
+        }
+        if records.len() != spec.num_trials() {
+            return Err(ExperimentError::decode(format!(
+                "{} records stored for the spec's {} trials",
+                records.len(),
+                spec.num_trials()
+            )));
+        }
+        // One shard holding every record: the merge refuses it unless each
+        // record sits in its own (cell, trial) slot.
+        let shard = ShardRange {
+            shard_index: 0,
+            num_shards: 1,
+            start_job: 0,
+            end_job: records.len(),
+        };
+        let report = merge_shards(vec![ShardArchive {
             spec,
-            cells,
-            curves,
-        })
+            shard,
+            records,
+        }])
+        .map_err(|e| match e {
+            ExperimentError::Merge(reason) => ExperimentError::decode(format!(
+                "the records do not fill the spec's slots: {reason}"
+            )),
+            other => other,
+        })?;
+        let rebuilt = report.to_json();
+        for member in ["cells", "curves"] {
+            let (stored, derived) = (req_array(&root, member)?, req_array(&rebuilt, member)?);
+            if stored.len() != derived.len() {
+                return Err(ExperimentError::decode(format!(
+                    "{} {member} stored, the spec gives {}",
+                    stored.len(),
+                    derived.len()
+                )));
+            }
+            if let Some(i) = (0..stored.len()).find(|&i| stored[i] != derived[i]) {
+                return Err(ExperimentError::decode(format!(
+                    "{member}[{i}] differs from the one its spec and records rebuild"
+                )));
+            }
+        }
+        Ok(report)
     }
 
     /// Writes the archival JSON to `path`.
@@ -222,7 +272,6 @@ fn detector_to_json(detector: &DetectorSpec) -> JsonValue {
     let corpus = &detector.corpus;
     obj(vec![
         ("label", JsonValue::string(&detector.label)),
-        ("device", JsonValue::string(device_token(corpus.device))),
         ("distances_m", JsonValue::number_array(&corpus.distances_m)),
         (
             "num_speaker_variants",
@@ -239,51 +288,24 @@ fn detector_to_json(detector: &DetectorSpec) -> JsonValue {
             ),
         ),
         (
-            "attack_elements",
-            JsonValue::number(corpus.attack_elements as f64),
-        ),
-        (
-            "attack_total_power_w",
-            JsonValue::number(corpus.attack_total_power_w),
-        ),
-        ("carrier_hz", JsonValue::number(corpus.carrier_hz)),
-        ("talker_spl_db", JsonValue::number(corpus.talker_spl_db)),
-        (
-            "ambient_noise_spl_db",
-            JsonValue::number(corpus.ambient_noise_spl_db),
-        ),
-        (
             // INFINITY (no cap) has no JSON number; archived as null.
             "max_voice_duration_s",
             JsonValue::number(corpus.max_voice_duration_s),
         ),
-        ("seed", u64_to_json(corpus.seed)),
     ])
 }
 
 fn detector_from_json(value: &JsonValue) -> Result<DetectorSpec> {
-    let device_token_str = req_str(value, "device")?;
     Ok(DetectorSpec {
         label: req_str(value, "label")?.to_string(),
         corpus: DatasetConfig {
-            device: device_from_token(device_token_str).ok_or_else(|| {
-                ExperimentError::decode(format!("unknown device '{device_token_str}'"))
-            })?,
             distances_m: req_f64_array(value, "distances_m")?,
             num_speaker_variants: req_usize(value, "num_speaker_variants")?,
             command_indices: req_array(value, "command_indices")?
                 .iter()
                 .map(|v| as_usize(v, "command_indices[]"))
                 .collect::<Result<Vec<_>>>()?,
-            attack_elements: req_usize(value, "attack_elements")?,
-            attack_total_power_w: req_f64(value, "attack_total_power_w")?,
-            carrier_hz: req_f64(value, "carrier_hz")?,
-            talker_spl_db: req_f64(value, "talker_spl_db")?,
-            ambient_noise_spl_db: req_f64(value, "ambient_noise_spl_db")?,
             max_voice_duration_s: opt_f64(value, "max_voice_duration_s")?.unwrap_or(f64::INFINITY),
-            seed: req(value, "seed")?
-                .as_u64()
-                .ok_or_else(|| ExperimentError::decode("detector seed is not a u64".to_string()))?,
         },
     })
 }
@@ -363,10 +385,6 @@ pub(crate) fn spec_to_json(spec: &CampaignSpec) -> JsonValue {
             JsonValue::number(spec.ambient_noise_spl_db),
         ),
         (
-            "bystander_distance_m",
-            JsonValue::number(spec.bystander_distance_m),
-        ),
-        (
             "trials_per_cell",
             JsonValue::number(spec.trials_per_cell as f64),
         ),
@@ -378,13 +396,7 @@ pub(crate) fn spec_to_json(spec: &CampaignSpec) -> JsonValue {
         ),
         (
             "recording_band_summary",
-            match spec.recording_band_summary {
-                None => JsonValue::Null,
-                Some(summary) => obj(vec![
-                    ("bands", JsonValue::number(summary.bands as f64)),
-                    ("max_hz", JsonValue::number(summary.max_hz)),
-                ]),
-            },
+            JsonValue::Bool(spec.recording_band_summary),
         ),
     ])
 }
@@ -436,13 +448,6 @@ pub(crate) fn spec_from_json(value: &JsonValue) -> Result<CampaignSpec> {
         .map(|v| as_usize(v, "command_indices[]"))
         .collect::<Result<Vec<_>>>()?;
     let distances_m = req_f64_array(value, "distances_m")?;
-    let recording_band_summary = match req(value, "recording_band_summary")? {
-        JsonValue::Null => None,
-        summary => Some(BandSummarySpec {
-            bands: req_usize(summary, "bands")?,
-            max_hz: req_f64(summary, "max_hz")?,
-        }),
-    };
     let spec = CampaignSpec {
         name: req_str(value, "name")?.to_string(),
         detectors,
@@ -453,25 +458,47 @@ pub(crate) fn spec_from_json(value: &JsonValue) -> Result<CampaignSpec> {
         command_indices,
         distances_m,
         ambient_noise_spl_db: req_f64(value, "ambient_noise_spl_db")?,
-        bystander_distance_m: req_f64(value, "bystander_distance_m")?,
         trials_per_cell: req_usize(value, "trials_per_cell")?,
         base_seed: req(value, "base_seed")?
             .as_u64()
             .ok_or_else(|| ExperimentError::decode("base_seed is not a u64".to_string()))?,
         max_voice_duration_s: opt_f64(value, "max_voice_duration_s")?.unwrap_or(f64::INFINITY),
-        recording_band_summary,
+        recording_band_summary: req_bool(value, "recording_band_summary")?,
     };
-    // A member the encoder does not write (an axis an older format had)
-    // is refused, so an old spec never decodes to a different grid.
-    let known = spec_to_json(&spec);
-    if let JsonValue::Object(members) = value {
-        if let Some((key, _)) = members.iter().find(|(key, _)| known.get(key).is_none()) {
-            return Err(ExperimentError::decode(format!(
-                "unknown spec member '{key}'"
-            )));
-        }
+    // A member the encoder does not write (an axis or setting an older
+    // format had), at any depth, is refused, so an old spec never decodes
+    // to a different campaign.
+    if let Some(path) = unknown_member(value, &spec_to_json(&spec)) {
+        return Err(ExperimentError::decode(format!(
+            "unknown spec member '{path}'"
+        )));
     }
     Ok(spec)
+}
+
+/// The path of the first member of `value` that `known` (its
+/// re-encoding) lacks, searching objects and arrays alike.
+fn unknown_member(value: &JsonValue, known: &JsonValue) -> Option<String> {
+    match (value, known) {
+        (JsonValue::Object(members), JsonValue::Object(_)) => {
+            members
+                .iter()
+                .find_map(|(key, member)| match known.get(key) {
+                    None => Some(key.clone()),
+                    Some(known) => {
+                        unknown_member(member, known).map(|path| format!("{key}.{path}"))
+                    }
+                })
+        }
+        (JsonValue::Array(items), JsonValue::Array(known)) => items
+            .iter()
+            .zip(known)
+            .enumerate()
+            .find_map(|(i, (item, known))| {
+                unknown_member(item, known).map(|path| format!("[{i}].{path}"))
+            }),
+        _ => None,
+    }
 }
 
 fn coords_members(coords: &CellCoords) -> Vec<(&'static str, JsonValue)> {
@@ -504,29 +531,10 @@ fn coords_members(coords: &CellCoords) -> Vec<(&'static str, JsonValue)> {
     ]
 }
 
-fn coords_from_json(value: &JsonValue) -> Result<CellCoords> {
-    Ok(CellCoords {
-        detector_index: req_usize(value, "detector_index")?,
-        device_index: req_usize(value, "device_index")?,
-        delivery_index: req_usize(value, "delivery_index")?,
-        room_index: req_usize(value, "room_index")?,
-        environment_index: req_usize(value, "environment_index")?,
-        command_position: req_usize(value, "command_position")?,
-        distance_index: req_usize(value, "distance_index")?,
-    })
-}
-
 fn cell_spec_to_json(cell: &CellSpec) -> JsonValue {
     let mut members = vec![("cell_index", JsonValue::number(cell.cell_index as f64))];
     members.extend(coords_members(&cell.coords));
     obj(members)
-}
-
-fn cell_spec_from_json(value: &JsonValue) -> Result<CellSpec> {
-    Ok(CellSpec {
-        cell_index: req_usize(value, "cell_index")?,
-        coords: coords_from_json(value)?,
-    })
 }
 
 fn stats_to_json(stats: &CellStats) -> JsonValue {
@@ -565,23 +573,6 @@ fn stats_to_json(stats: &CellStats) -> JsonValue {
             opt_number(stats.mean_detection_probability),
         ),
     ])
-}
-
-fn stats_from_json(value: &JsonValue) -> Result<CellStats> {
-    Ok(CellStats {
-        trials: req_usize(value, "trials")?,
-        successes: req_usize(value, "successes")?,
-        success_rate: req_f64(value, "success_rate")?,
-        success_ci_low: req_f64(value, "success_ci_low")?,
-        success_ci_high: req_f64(value, "success_ci_high")?,
-        mean_word_accuracy: req_f64(value, "mean_word_accuracy")?,
-        mean_bystander_spl_db: opt_f64(value, "mean_bystander_spl_db")?,
-        mean_bystander_spl_dba: opt_f64(value, "mean_bystander_spl_dba")?,
-        mean_bystander_voice_spl_db: opt_f64(value, "mean_bystander_voice_spl_db")?,
-        leak_audible_fraction: opt_f64(value, "leak_audible_fraction")?,
-        mean_power_shortfall_w: req_f64(value, "mean_power_shortfall_w")?,
-        mean_detection_probability: opt_f64(value, "mean_detection_probability")?,
-    })
 }
 
 pub(crate) fn trial_to_json(trial: &TrialRecord) -> JsonValue {
@@ -679,18 +670,6 @@ fn cell_report_to_json(cell: &CellReport) -> JsonValue {
     ])
 }
 
-fn cell_report_from_json(value: &JsonValue) -> Result<CellReport> {
-    Ok(CellReport {
-        cell: cell_spec_from_json(req(value, "cell")?)?,
-        label: req_str(value, "label")?.to_string(),
-        stats: stats_from_json(req(value, "stats")?)?,
-        trials: req_array(value, "trials")?
-            .iter()
-            .map(trial_from_json)
-            .collect::<Result<Vec<_>>>()?,
-    })
-}
-
 fn curve_to_json(curve: &PsychometricCurve) -> JsonValue {
     let mut members = vec![("label", JsonValue::string(&curve.label))];
     members.extend(coords_members(&curve.coords));
@@ -708,18 +687,6 @@ fn curve_to_json(curve: &PsychometricCurve) -> JsonValue {
         ),
     ]);
     obj(members)
-}
-
-fn curve_from_json(value: &JsonValue) -> Result<PsychometricCurve> {
-    Ok(PsychometricCurve {
-        label: req_str(value, "label")?.to_string(),
-        coords: coords_from_json(value)?,
-        distances_m: req_f64_array(value, "distances_m")?,
-        success_rates: req_f64_array(value, "success_rates")?,
-        ci_low: req_f64_array(value, "ci_low")?,
-        ci_high: req_f64_array(value, "ci_high")?,
-        mean_word_accuracy: req_f64_array(value, "mean_word_accuracy")?,
-    })
 }
 
 // --- decoding helpers -----------------------------------------------------
@@ -819,10 +786,7 @@ mod tests {
             trials_per_cell: 2,
             base_seed: u64::MAX - 5,
             max_voice_duration_s: f64::INFINITY,
-            recording_band_summary: Some(BandSummarySpec {
-                bands: 4,
-                max_hz: 8_000.0,
-            }),
+            recording_band_summary: true,
             ..CampaignSpec::new("synthetic")
         };
         let cells = spec.cells();
@@ -913,7 +877,11 @@ mod tests {
     fn wrong_format_and_malformed_documents_are_rejected() {
         assert!(CampaignReport::from_json_str("{}").is_err());
         assert!(CampaignReport::from_json_str("not json").is_err());
-        for old in ["ivc-campaign-report-v2", "ivc-campaign-report-v3"] {
+        for old in [
+            "ivc-campaign-report-v2",
+            "ivc-campaign-report-v3",
+            "ivc-campaign-report-v4",
+        ] {
             let wrong_format = format!("{{\"format\": \"{old}\"}}");
             let err = CampaignReport::from_json_str(&wrong_format).unwrap_err();
             assert!(err.to_string().contains("unsupported format"));
@@ -950,9 +918,118 @@ mod tests {
             assert!(text.contains(member), "archive missing {member}");
         }
         assert!(text.contains(REPORT_FORMAT));
-        // v4 archives no carrier or power axis.
-        for member in ["carriers_hz", "powers_w", "carrier_index", "power_index"] {
+        // v4 archives no carrier or power axis; v5 no bystander distance
+        // and no corpus constants.
+        for member in [
+            "carriers_hz",
+            "powers_w",
+            "carrier_index",
+            "power_index",
+            "bystander_distance_m",
+            "attack_elements",
+            "\"seed\": 18446744073709551615",
+        ] {
             assert!(!text.contains(member), "archive still has {member}");
+        }
+        assert!(text.contains("\"recording_band_summary\": true"));
+    }
+
+    /// The report's JSON tree with `edit` applied, re-serialised.
+    fn edited(edit: impl FnOnce(&mut JsonValue)) -> String {
+        let mut root = synthetic_report().to_json();
+        edit(&mut root);
+        root.to_json_string_pretty()
+    }
+
+    /// The member `key` of an object node, mutably.
+    fn member<'a>(value: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+        let JsonValue::Object(members) = value else {
+            panic!("not an object");
+        };
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// Element `i` of an array node, mutably.
+    fn item(value: &mut JsonValue, i: usize) -> &mut JsonValue {
+        let JsonValue::Array(items) = value else {
+            panic!("not an array");
+        };
+        &mut items[i]
+    }
+
+    #[test]
+    fn derived_members_are_rebuilt_and_checked_not_decoded() {
+        // An edited success rate disagrees with the records it summarises.
+        let text = edited(|root| {
+            let stats = member(item(member(root, "cells"), 3), "stats");
+            *member(stats, "success_rate") = JsonValue::Number(0.123);
+        });
+        let err = CampaignReport::from_json_str(&text)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("cells[3] differs"), "{err}");
+        // So does an edited curve.
+        let text = edited(|root| {
+            let curve = item(member(root, "curves"), 0);
+            *member(curve, "label") = JsonValue::string("renamed");
+        });
+        let err = CampaignReport::from_json_str(&text)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("curves[0] differs"), "{err}");
+        // A record moved to another cell's slot is refused too.
+        let text = edited(|root| {
+            let cells = member(root, "cells");
+            let moved =
+                std::mem::replace(item(member(item(cells, 0), "trials"), 0), JsonValue::Null);
+            let displaced = std::mem::replace(item(member(item(cells, 1), "trials"), 0), moved);
+            *item(member(item(cells, 0), "trials"), 0) = displaced;
+        });
+        let err = CampaignReport::from_json_str(&text)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("do not fill the spec's slots"), "{err}");
+        // And so is a missing one.
+        let text = edited(|root| {
+            let JsonValue::Array(trials) = member(item(member(root, "cells"), 5), "trials") else {
+                unreachable!()
+            };
+            trials.pop();
+        });
+        let err = CampaignReport::from_json_str(&text)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("records stored for the spec's"), "{err}");
+    }
+
+    #[test]
+    fn removed_spec_members_are_refused_at_any_depth() {
+        for (path, edit) in [
+            (
+                "bystander_distance_m",
+                (|spec: &mut JsonValue| {
+                    let JsonValue::Object(members) = spec else {
+                        unreachable!()
+                    };
+                    members.push(("bystander_distance_m".into(), JsonValue::Number(1.0)));
+                }) as fn(&mut JsonValue),
+            ),
+            ("detectors.[1].carrier_hz", |spec| {
+                let JsonValue::Object(members) = item(member(spec, "detectors"), 1) else {
+                    unreachable!()
+                };
+                members.push(("carrier_hz".into(), JsonValue::Number(40_000.0)));
+            }),
+        ] {
+            let text = edited(|root| edit(member(root, "spec")));
+            let err = CampaignReport::from_json_str(&text)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("unknown spec member '{path}'")),
+                "{err}"
+            );
+            assert_eq!(err.lines().count(), 1, "{err}");
         }
     }
 }

@@ -4,6 +4,7 @@
 //! validation are unit-tested in `ivc_core::dataset`.)
 
 use ivc_acoustics::microphone::CaptureScratch;
+use ivc_core::dataset::FIRST_SEED;
 use ivc_core::prepare_cache::{self, DefaultRecognizer};
 use ivc_core::PreparedCell;
 use ivc_defense::features::FeatureVector;
@@ -22,7 +23,7 @@ fn corpus_features_equal_the_trial_stages() {
     let recognizer = prepare_cache::get(&DefaultRecognizer).unwrap();
     let mut scratch = CaptureScratch::new();
     let mut expected = Vec::new();
-    for cell in corpus.cells().unwrap() {
+    for cell in corpus.cells(FIRST_SEED).unwrap() {
         let prepared = PreparedCell::prepare(&cell.command, &cell.scenario, &cell.seeds).unwrap();
         for &seed in &cell.seeds {
             let outcome = prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
@@ -30,6 +31,6 @@ fn corpus_features_equal_the_trial_stages() {
             expected.push((outcome.defense_features.to_vector(), label));
         }
     }
-    let actual = corpus.labelled_features().unwrap();
+    let actual = corpus.labelled_features(FIRST_SEED).unwrap();
     assert_eq!(bits(&actual), bits(&expected));
 }

@@ -25,7 +25,6 @@ fn multi_axis_spec() -> CampaignSpec {
                 num_speaker_variants: 3,
                 command_indices: vec![0],
                 max_voice_duration_s: 0.8,
-                ..DetectorSpec::standard(true).corpus
             },
             ..DetectorSpec::standard(true)
         })],

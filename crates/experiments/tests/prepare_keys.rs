@@ -59,7 +59,6 @@ fn draw(rng: &mut TestRng, kind: usize) -> Draw {
             distance_m: pick(rng, &[1.0, 2.0, 3.0]),
             delivery,
             ambient_noise_spl_db: pick(rng, &[40.0, 50.0]),
-            bystander_distance_m: pick(rng, &[0.5, 1.0]),
             env,
             room: pick(
                 rng,
@@ -167,10 +166,6 @@ const PERTURBATIONS: &[Perturbation] = &[
     ("single speaker as array", respell_single_speaker),
     ("distance", |d| {
         d.scenario.distance_m += 0.5;
-        true
-    }),
-    ("bystander distance", |d| {
-        d.scenario.bystander_distance_m += 0.25;
         true
     }),
     ("room", |d| {
@@ -379,7 +374,7 @@ fn projected_inputs_are_sound_and_minimal() {
             CellInputs::Attack { leakage, .. } => Some(leakage.clone()),
             CellInputs::Legitimate(_) => None,
         },
-        fields: fields!(source, bystander_distance_m, room, env),
+        fields: fields!(source, room, env),
         bits: debug_bits,
     };
 
@@ -414,5 +409,5 @@ fn projected_inputs_are_sound_and_minimal() {
         "perturbations that changed a key but never its product: {over_keyed:?}"
     );
     // Every kind was built on both sides of the comparison.
-    assert_eq!(tally.fields.len(), 2 + 6 + 4 + 4);
+    assert_eq!(tally.fields.len(), 2 + 6 + 4 + 3);
 }

@@ -6,7 +6,6 @@
 
 use inaudible_voice_commands::acoustics::array::SpeakerArray;
 use inaudible_voice_commands::acoustics::environment::AirEnvironment;
-use inaudible_voice_commands::acoustics::speaker::UltrasonicSpeaker;
 use inaudible_voice_commands::attack::leakage::estimate_leakage;
 use inaudible_voice_commands::attack::multispeaker::{
     single_speaker_element_drives, MultiSpeakerAttack,
@@ -25,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     println!("bystander standing 1 m from the transmitter\n");
     println!("--- single speaker (carrier + sidebands on one tweeter) ---");
-    let single = SingleSpeakerAttack::build(&voice, 40_000.0, 0.9)?;
-    let single_array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03)?;
+    let single = SingleSpeakerAttack::build(&voice, 40_000.0)?;
+    let single_array = SpeakerArray::new(1)?;
     println!(
         "{:>10}  {:>16}  {:>18}  {:>8}",
         "power (W)", "leak SPL (dB)", "voice-band (dB)", "audible"
@@ -49,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
     for n in [2usize, 4, 8, 16] {
         let total_power = 7.0 * n as f64;
-        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, total_power, 0.3, 30.0)?;
-        let array = SpeakerArray::new(UltrasonicSpeaker::default(), n, 0.03)?;
+        let attack = MultiSpeakerAttack::build(&voice, 40_000.0, n, total_power)?;
+        let array = SpeakerArray::new(n)?;
         let drives = attack.allocate_power()?.drives;
         let leak = estimate_leakage(&array, &drives, 1.0, &env, 0.0)?;
         println!(

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example defense_evaluation`
 
+use inaudible_voice_commands::core::dataset::FIRST_SEED;
 use inaudible_voice_commands::core::DatasetConfig;
 use inaudible_voice_commands::defense::classifier::LogisticRegression;
 use inaudible_voice_commands::defense::evaluation::{evaluate, RocCurve};
@@ -17,16 +18,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         max_voice_duration_s: 1.2,
         ..DetectorSpec::standard(true).corpus
     };
-    // Held out: a fresh seed (other talkers and noise draws) and two
-    // commands the detector never trained on.
+    // Held out: a fresh first seed (other talkers and noise draws) and
+    // two commands the detector never trained on.
     let test_config = DatasetConfig {
-        seed: 99,
         command_indices: vec![2, 3],
         ..train_config.clone()
     };
     println!("running the labelled corpora through the trial stages...");
-    let train = train_config.labelled_features()?;
-    let test = test_config.labelled_features()?;
+    let train = train_config.labelled_features(FIRST_SEED)?;
+    let test = test_config.labelled_features(99)?;
     for (name, set) in [("train", &train), ("test", &test)] {
         let attacks = set.iter().filter(|(_, is_attack)| *is_attack).count();
         println!(

@@ -40,9 +40,7 @@ pub use ivc_speech as speech;
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
     pub use ivc_acoustics::array::SpeakerArray;
-    pub use ivc_acoustics::{
-        AcousticsError, AirEnvironment, DevicePreset, Microphone, Polynomial, UltrasonicSpeaker,
-    };
+    pub use ivc_acoustics::{AcousticsError, AirEnvironment, DevicePreset, Microphone, Polynomial};
     pub use ivc_attack::leakage::LeakageReport;
     pub use ivc_attack::{AttackError, MultiSpeakerAttack, SingleSpeakerAttack};
     pub use ivc_core::{

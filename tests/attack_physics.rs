@@ -5,7 +5,6 @@ use inaudible_voice_commands::acoustics::array::SpeakerArray;
 use inaudible_voice_commands::acoustics::environment::AirEnvironment;
 use inaudible_voice_commands::acoustics::microphone::DevicePreset;
 use inaudible_voice_commands::acoustics::psychoacoustics::audibility;
-use inaudible_voice_commands::acoustics::speaker::UltrasonicSpeaker;
 use inaudible_voice_commands::attack::multispeaker::MultiSpeakerAttack;
 use inaudible_voice_commands::dsp::signal::Signal;
 use inaudible_voice_commands::dsp::spectrum::band_power;
@@ -31,8 +30,8 @@ fn syllabic_voice() -> Signal {
 #[test]
 fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
     let voice = syllabic_voice();
-    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0, 0.3, 30.0).unwrap();
-    let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
+    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0).unwrap();
+    let array = SpeakerArray::new(6).unwrap();
     let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
 
@@ -42,9 +41,9 @@ fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
     let field = array.field_at_target(&drives, 2.0, &env).unwrap();
     let fs_field = field.sample_rate_hz();
     let single_attack =
-        inaudible_voice_commands::attack::single::SingleSpeakerAttack::build(&voice, 40_000.0, 0.9)
+        inaudible_voice_commands::attack::single::SingleSpeakerAttack::build(&voice, 40_000.0)
             .unwrap();
-    let single_array = SpeakerArray::new(UltrasonicSpeaker::default(), 1, 0.03).unwrap();
+    let single_array = SpeakerArray::new(1).unwrap();
     let single_drives =
         inaudible_voice_commands::attack::multispeaker::single_speaker_element_drives(
             &single_attack,
@@ -85,8 +84,8 @@ fn the_attack_field_is_inaudible_but_the_recording_contains_voice() {
 #[test]
 fn a_linear_microphone_is_immune() {
     let voice = syllabic_voice();
-    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0, 0.3, 30.0).unwrap();
-    let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
+    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0).unwrap();
+    let array = SpeakerArray::new(6).unwrap();
     let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 2.0, &env).unwrap();
@@ -114,8 +113,8 @@ fn echo_needs_the_attacker_closer_than_the_phone() {
     // The plastic-grille device attenuates ultrasound more, so at the same
     // distance its demodulated voice is weaker.
     let voice = syllabic_voice();
-    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0, 0.3, 30.0).unwrap();
-    let array = SpeakerArray::new(UltrasonicSpeaker::default(), 6, 0.03).unwrap();
+    let attack = MultiSpeakerAttack::build(&voice, 40_000.0, 6, 50.0).unwrap();
+    let array = SpeakerArray::new(6).unwrap();
     let drives = attack.allocate_power().unwrap().drives;
     let env = AirEnvironment::default();
     let field = array.field_at_target(&drives, 3.0, &env).unwrap();

@@ -105,7 +105,6 @@ fn shared_contexts_and_new_axes_are_worker_count_invariant() {
                     num_speaker_variants: 3,
                     command_indices: vec![0],
                     max_voice_duration_s: 0.7,
-                    ..DetectorSpec::standard(true).corpus
                 },
                 ..DetectorSpec::standard(true)
             }),

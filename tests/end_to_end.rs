@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full attack and defense loop through
 //! the public umbrella API.
 
+use inaudible_voice_commands::core::dataset::FIRST_SEED;
 use inaudible_voice_commands::core::{run_trial, DatasetConfig, Delivery, Scenario};
 use inaudible_voice_commands::defense::classifier::LogisticRegression;
 use inaudible_voice_commands::defense::evaluation::evaluate;
@@ -115,22 +116,20 @@ fn array_attack_outranges_the_inaudibility_constrained_single_speaker() {
 
 #[test]
 fn trained_detector_separates_attacks_from_legitimate_recordings() {
-    // Train on the standard quick corpus with a 6-element attack...
+    // Train on the standard quick corpus with shorter commands...
     let config = DatasetConfig {
-        attack_elements: 6,
         max_voice_duration_s: 0.9,
         ..DetectorSpec::standard(true).corpus
     };
-    let train_set = config.labelled_features().unwrap();
+    let train_set = config.labelled_features(FIRST_SEED).unwrap();
     let model = LogisticRegression::train(&train_set).unwrap();
 
     // ...and test on a held-out corpus: another seed, another command.
     let test_config = DatasetConfig {
-        seed: 99,
         command_indices: vec![1],
         ..config
     };
-    let test_set = test_config.labelled_features().unwrap();
+    let test_set = test_config.labelled_features(99).unwrap();
     let matrix = evaluate(&model, &test_set).unwrap();
     assert!(
         matrix.accuracy() >= 0.75,

@@ -1,5 +1,5 @@
 //! Golden-archive tests: committed fixture files lock the on-disk
-//! contracts (`ivc-campaign-report-v4`, the `ivc-trial-columns-v1` wire
+//! contracts (`ivc-campaign-report-v5`, the `ivc-trial-columns-v1` wire
 //! format and its one-way `ivc-campaign-shard-v1` JSON dump) so a change
 //! to the serialisers cannot silently reshape the bytes that ship between
 //! machines.  The fixtures
@@ -17,8 +17,7 @@ use inaudible_voice_commands::experiments::shard::{
     merge_shards, ShardArchive, ShardPlan, ShardRange,
 };
 use inaudible_voice_commands::experiments::{
-    BandSummarySpec, CampaignReport, CampaignSpec, DeliverySpec, DetectorSpec, EnvironmentPreset,
-    TrialRecord,
+    CampaignReport, CampaignSpec, DeliverySpec, DetectorSpec, EnvironmentPreset, TrialRecord,
 };
 use std::path::{Path, PathBuf};
 
@@ -47,10 +46,7 @@ fn fixture_spec() -> CampaignSpec {
         trials_per_cell: 2,
         base_seed: u64::MAX - 7,
         max_voice_duration_s: f64::INFINITY,
-        recording_band_summary: Some(BandSummarySpec {
-            bands: 3,
-            max_hz: 8_000.0,
-        }),
+        recording_band_summary: true,
         ..CampaignSpec::new("golden-fixture")
     }
 }
@@ -146,10 +142,10 @@ fn assert_matches_fixture(name: &str, bytes: &str) {
 #[test]
 fn report_fixture_is_locked_and_round_trips_byte_exactly() {
     let report = fixture_report();
-    assert_matches_fixture("campaign-report-v4.json", &report.to_json_string());
+    assert_matches_fixture("campaign-report-v5.json", &report.to_json_string());
 
     // load → save round-trips the committed file byte-exactly.
-    let path = fixture_path("campaign-report-v4.json");
+    let path = fixture_path("campaign-report-v5.json");
     let committed = std::fs::read_to_string(&path).unwrap();
     let loaded = CampaignReport::load(&path).unwrap();
     assert_eq!(loaded, report);
@@ -235,13 +231,14 @@ fn older_format_tags_fail_with_a_versioned_error() {
         "ivc-campaign-report-v1",
         "ivc-campaign-report-v2",
         "ivc-campaign-report-v3",
+        "ivc-campaign-report-v4",
     ] {
-        let aged = report_text.replace("ivc-campaign-report-v4", old_tag);
+        let aged = report_text.replace("ivc-campaign-report-v5", old_tag);
         let err = CampaignReport::from_json_str(&aged)
             .unwrap_err()
             .to_string();
         assert!(
-            err.contains(old_tag) && err.contains("ivc-campaign-report-v4"),
+            err.contains(old_tag) && err.contains("ivc-campaign-report-v5"),
             "error must name both the found and the expected version: {err}"
         );
     }

@@ -14,7 +14,7 @@ use inaudible_voice_commands::prelude::{
     MultiSpeakerAttack, Polynomial, PreparedCell, RecognitionOutcome, Recognizer, Result, RocCurve,
     RoomPreset, Scenario, ShardArchive, ShardJob, ShardPlan, ShardRange, Signal,
     SingleSpeakerAttack, SpeakerArray, SpeakerProfile, SpeechError, Synthesizer, TrialOutcome,
-    UltrasonicSpeaker, VoiceCommand, WindowKind,
+    VoiceCommand, WindowKind,
 };
 use inaudible_voice_commands::speech::commands::corpus;
 
