@@ -1,4 +1,16 @@
-//! Result tables, with plain-text rendering for the reproduction harness.
+//! Result tables, with plain-text rendering for the reproduction harness,
+//! and the threshold lookup on a numeric series.
+
+/// The largest `x` whose paired `y` meets or exceeds `threshold` (e.g.
+/// "attack range at ≥ 80 % accuracy"); `None` if no point qualifies. The
+/// pairing stops at the shorter of the two slices.
+pub fn last_x_with_y_at_least(x: &[f64], y: &[f64], threshold: f64) -> Option<f64> {
+    x.iter()
+        .zip(y)
+        .filter(|(_, y)| **y >= threshold)
+        .map(|(x, _)| *x)
+        .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
+}
 
 /// A printable table: column headers plus rows of cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +89,25 @@ pub fn fmt(value: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn series_construction_and_threshold_lookup() {
+        let (x, y) = ([1.0, 2.0, 3.0, 4.0], [1.0, 0.9, 0.7, 0.4]);
+        assert_eq!(last_x_with_y_at_least(&x, &y, 0.8), Some(2.0));
+        assert_eq!(last_x_with_y_at_least(&x, &y, 0.95), Some(1.0));
+        assert_eq!(last_x_with_y_at_least(&x, &y, 1.5), None);
+        // Out-of-order x: the farthest qualifying point wins, not the last.
+        assert_eq!(
+            last_x_with_y_at_least(&[4.0, 1.0], &[0.9, 0.9], 0.8),
+            Some(4.0)
+        );
+        // Mismatched lengths truncate to the shorter slice.
+        assert_eq!(
+            last_x_with_y_at_least(&[1.0, 2.0, 3.0], &[0.5], 0.0),
+            Some(1.0)
+        );
+        assert_eq!(last_x_with_y_at_least(&[1.0], &[0.1, 0.9], 0.5), None);
+    }
 
     #[test]
     fn table_rendering_is_aligned_and_complete() {

@@ -78,14 +78,7 @@ impl PsychometricCurve {
     /// `threshold`: the curve's "attack range"; `None` if no point
     /// qualifies.
     pub fn range_at_least(&self, values: &[f64], threshold: f64) -> Option<f64> {
-        self.distances_m
-            .iter()
-            .zip(values)
-            .filter(|(_, value)| **value >= threshold)
-            .map(|(d, _)| *d)
-            .fold(None, |acc: Option<f64>, d| {
-                Some(acc.map_or(d, |a| a.max(d)))
-            })
+        ivc_core::results::last_x_with_y_at_least(&self.distances_m, values, threshold)
     }
 }
 
