@@ -7,7 +7,7 @@
 //! the received ultrasound pressure, so absorption is paid twice.
 
 use crate::environment::AirEnvironment;
-use crate::error::{AcousticsError, Result};
+use ivc_dsp::{DspError, Result};
 
 /// ISO 9613-1 absorption under one environment, with every term that
 /// depends only on the air (relaxation frequencies, the classical and
@@ -52,7 +52,7 @@ impl AirAbsorption {
     /// Absorption coefficient in dB per metre at `frequency_hz`.
     pub fn db_per_m(&self, frequency_hz: f64) -> Result<f64> {
         if frequency_hz < 0.0 || !frequency_hz.is_finite() {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "frequency_hz",
                 format!("{frequency_hz} must be finite and non-negative"),
             ));
@@ -83,7 +83,7 @@ pub fn absorption_db_per_m(frequency_hz: f64, env: &AirEnvironment) -> Result<f6
 
 fn check_distance(distance_m: f64) -> Result<()> {
     if distance_m < 0.0 || !distance_m.is_finite() {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "distance_m",
             format!("{distance_m} must be finite and non-negative"),
         ));

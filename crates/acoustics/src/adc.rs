@@ -3,12 +3,12 @@
 //! device converts at the same rate and resolution; only the noise floor
 //! is the device's own (`Microphone::adc_noise_floor_dbfs`).
 
-use crate::error::{AcousticsError, Result};
 use crate::noise::NormalSampler;
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::resample::{filter_and_resample, resample};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// Output sampling rate of every device's converter, in Hz.
 pub const OUTPUT_RATE_HZ: f64 = 48_000.0;
@@ -26,7 +26,7 @@ pub const ANTI_ALIAS_FRACTION: f64 = 0.9;
 /// [`BITS`], clip to full scale.
 pub fn digitize(analog_full_scale: &Signal, noise_floor_dbfs: f64, seed: u64) -> Result<Signal> {
     if analog_full_scale.is_empty() {
-        return Err(AcousticsError::invalid("analog_full_scale", "empty signal"));
+        return Err(DspError::invalid("analog_full_scale", "empty signal"));
     }
     let input_rate = analog_full_scale.sample_rate_hz();
     let cutoff = (OUTPUT_RATE_HZ / 2.0 * ANTI_ALIAS_FRACTION).min(input_rate / 2.0 * 0.98);

@@ -13,10 +13,10 @@
 //!   audible leakage created by the elements' own non-linearities.
 
 use crate::environment::AirEnvironment;
-use crate::error::{AcousticsError, Result};
 use crate::propagation::{propagate, propagate_from_aperture};
 use crate::speaker;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Spacing between adjacent elements in metres: the tweeters sit side by
 /// side.  It sets the aperture, and through it the beam's collimation.
@@ -41,10 +41,7 @@ impl SpeakerArray {
     /// Creates an array of `num_elements` tweeters.
     pub fn new(num_elements: usize) -> Result<Self> {
         if num_elements == 0 {
-            return Err(AcousticsError::invalid(
-                "num_elements",
-                "must be at least 1",
-            ));
+            return Err(DspError::invalid("num_elements", "must be at least 1"));
         }
         let array = SpeakerArray { num_elements };
         // Propagation models apertures up to 10 m; enforce the bound here so
@@ -52,7 +49,7 @@ impl SpeakerArray {
         // (`field_at_target` would otherwise fail late).
         let aperture_m = array.aperture_m();
         if aperture_m > 10.0 {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "num_elements",
                 format!("aperture {aperture_m:.2} m exceeds the supported 10 m"),
             ));
@@ -72,13 +69,10 @@ impl SpeakerArray {
     /// elements stay silent.
     pub fn emitted_field_at_1m(&self, drives: &[ElementDrive]) -> Result<Signal> {
         if drives.is_empty() {
-            return Err(AcousticsError::invalid(
-                "drives",
-                "no element drives provided",
-            ));
+            return Err(DspError::invalid("drives", "no element drives provided"));
         }
         if drives.len() > self.num_elements {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "drives",
                 format!(
                     "{} drives for an array of {} elements",

@@ -1,7 +1,7 @@
 //! Air environment: temperature, humidity, pressure and the derived speed
 //! of sound.
 
-use crate::error::{AcousticsError, Result};
+use ivc_dsp::{DspError, Result};
 
 /// Ambient air conditions used by propagation and absorption models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,19 +33,19 @@ impl AirEnvironment {
         pressure_kpa: f64,
     ) -> Result<Self> {
         if !(-50.0..=60.0).contains(&temperature_c) {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "temperature_c",
                 format!("{temperature_c} outside [-50, 60]"),
             ));
         }
         if !(0.0..=100.0).contains(&relative_humidity_percent) {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "relative_humidity_percent",
                 format!("{relative_humidity_percent} outside [0, 100]"),
             ));
         }
         if !(50.0..=120.0).contains(&pressure_kpa) {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "pressure_kpa",
                 format!("{pressure_kpa} outside [50, 120]"),
             ));

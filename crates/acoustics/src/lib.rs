@@ -32,7 +32,6 @@ pub mod absorption;
 pub mod adc;
 pub mod array;
 pub mod environment;
-pub mod error;
 pub mod microphone;
 pub mod noise;
 pub mod nonlinearity;
@@ -43,6 +42,5 @@ pub mod speaker;
 pub mod spl;
 
 pub use environment::AirEnvironment;
-pub use error::{AcousticsError, Result};
 pub use microphone::{DevicePreset, Microphone};
 pub use nonlinearity::Polynomial;

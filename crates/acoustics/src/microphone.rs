@@ -30,7 +30,6 @@
 //! [`Microphone::capture`] runs all of it for one pressure waveform.
 
 use crate::adc::digitize;
-use crate::error::{AcousticsError, Result};
 use crate::noise::{ambient_psd, NormalSampler};
 use crate::nonlinearity::Polynomial;
 use crate::shaping::one_pole_low_pass_gain;
@@ -38,6 +37,7 @@ use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Reusable buffers for [`Microphone::capture_shaped`]: the half spectrum
 /// the noise is drawn into and the analog-chain work buffer.  One arena
@@ -322,7 +322,7 @@ impl Microphone {
     /// scale.
     pub fn shape_path(&self, pressure_at_port: &Signal) -> Result<ShapedPath> {
         if pressure_at_port.is_empty() {
-            return Err(AcousticsError::invalid("pressure_at_port", "empty signal"));
+            return Err(DspError::invalid("pressure_at_port", "empty signal"));
         }
         let fs = pressure_at_port.sample_rate_hz();
         let n = next_power_of_two(pressure_at_port.len()).max(2);
@@ -359,7 +359,7 @@ impl Microphone {
     ) -> Result<NoiseShape> {
         let n = transform_len;
         if n < 2 || !n.is_power_of_two() {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "transform_len",
                 "must be a power of two, at least 2",
             ));
@@ -418,7 +418,7 @@ impl Microphone {
     ) -> Result<Signal> {
         let bins = &mut scratch.spectrum;
         if bins.len() != path.spectrum.len() {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "path",
                 format!(
                     "no noise drawn for the path's {}-point transform",
@@ -434,7 +434,7 @@ impl Microphone {
         // The transform left its workspace behind, not a draw.
         bins.clear();
         work.truncate(path.len);
-        Ok(Signal::new(work, path.sample_rate_hz)?)
+        Signal::new(work, path.sample_rate_hz)
     }
 
     /// Transducer/amplifier non-linearity (memoryless), in place on the

@@ -8,10 +8,10 @@
 //! seed, so the same scenario with the same seed produces bit-identical
 //! recordings.
 
-use crate::error::{AcousticsError, Result};
 use crate::spl::spl_db_to_pressure;
 use ivc_dsp::complex::Complex;
 use ivc_dsp::filter::biquad::{Biquad, BiquadCascade};
+use ivc_dsp::{DspError, Result};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::OnceLock;
@@ -128,8 +128,7 @@ fn pink_branches(sample_rate_hz: f64) -> Result<Vec<(f64, Biquad)>> {
             let cutoff = (sample_rate_hz / divisor)
                 .min(sample_rate_hz * 0.45)
                 .max(10.0);
-            let lpf = BiquadCascade::butterworth_low_pass(cutoff, 2, sample_rate_hz)
-                .map_err(AcousticsError::from)?;
+            let lpf = BiquadCascade::butterworth_low_pass(cutoff, 2, sample_rate_hz)?;
             Ok((1.0 / (stage as f64 + 1.0), lpf.sections()[0].clone()))
         })
         .collect()
@@ -146,16 +145,13 @@ fn pink_branches(sample_rate_hz: f64) -> Result<Vec<(f64, Biquad)>> {
 /// target RMS pressure.
 pub fn ambient_psd(spl_db: f64, n: usize, sample_rate_hz: f64) -> Result<Vec<f64>> {
     if !(0.0..=120.0).contains(&spl_db) {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "spl_db",
             format!("{spl_db} outside [0, 120]"),
         ));
     }
     if n < 2 || !n.is_power_of_two() {
-        return Err(AcousticsError::invalid(
-            "n",
-            "must be a power of two, at least 2",
-        ));
+        return Err(DspError::invalid("n", "must be a power of two, at least 2"));
     }
     let branches = pink_branches(sample_rate_hz)?;
     let half = n / 2;
@@ -191,10 +187,10 @@ pub fn ambient_psd(spl_db: f64, n: usize, sample_rate_hz: f64) -> Result<Vec<f64
 #[cfg(test)]
 pub(crate) mod reference {
     use super::pink_branches;
-    use crate::error::{AcousticsError, Result};
     use crate::spl::spl_db_to_pressure;
     use ivc_dsp::filter::biquad::BiquadState;
     use ivc_dsp::signal::Signal;
+    use ivc_dsp::{DspError, Result};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -207,15 +203,12 @@ pub(crate) mod reference {
         seed: u64,
     ) -> Result<Signal> {
         if rms < 0.0 || !rms.is_finite() {
-            return Err(AcousticsError::invalid(
-                "rms",
-                "must be non-negative and finite",
-            ));
+            return Err(DspError::invalid("rms", "must be non-negative and finite"));
         }
         let n = (duration_s * sample_rate_hz).round().max(0.0) as usize;
         let mut samples = vec![0.0; n];
         add_white_noise(&mut samples, rms, seed);
-        Ok(Signal::new(samples, sample_rate_hz)?)
+        Signal::new(samples, sample_rate_hz)
     }
 
     /// Adds [`white_noise`]'s draw for `seed` onto `samples`.
@@ -267,7 +260,7 @@ pub(crate) mod reference {
         seed: u64,
     ) -> Result<Signal> {
         if !(0.0..=120.0).contains(&spl_db) {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "spl_db",
                 format!("{spl_db} outside [0, 120]"),
             ));

@@ -8,8 +8,8 @@
 //! stamps a characteristic low-frequency shadow onto the recording — the
 //! defense's evidence.
 
-use crate::error::{AcousticsError, Result};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// A truncated power-series transfer function `g1·s + g2·s² + g3·s³`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,7 @@ impl Polynomial {
     /// that passes no linear signal is not a transducer).
     pub fn new(g1: f64, g2: f64, g3: f64) -> Result<Self> {
         if g1 == 0.0 || !g1.is_finite() || !g2.is_finite() || !g3.is_finite() {
-            return Err(AcousticsError::invalid(
+            return Err(DspError::invalid(
                 "polynomial",
                 "g1 must be non-zero and all coefficients finite",
             ));
@@ -87,7 +87,7 @@ pub fn measure_two_tone_products(
     sample_rate_hz: f64,
 ) -> Result<TwoToneProducts> {
     if f1_hz <= 0.0 || f2_hz <= f1_hz || f2_hz >= sample_rate_hz / 2.0 {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "two-tone frequencies",
             "need 0 < f1 < f2 < nyquist",
         ));
@@ -97,8 +97,7 @@ pub fn measure_two_tone_products(
     input.mix(&Signal::tone(f2_hz, amplitude, duration_s, sample_rate_hz)?)?;
     let output = poly.apply(&input);
     let fs = sample_rate_hz;
-    let measure =
-        |f: f64| -> Result<f64> { Ok(ivc_dsp::goertzel::tone_amplitude(output.samples(), fs, f)?) };
+    let measure = |f: f64| ivc_dsp::goertzel::tone_amplitude(output.samples(), fs, f);
     Ok(TwoToneProducts {
         difference: measure(f2_hz - f1_hz)?,
         sum: if f1_hz + f2_hz < fs / 2.0 {

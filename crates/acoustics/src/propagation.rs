@@ -17,9 +17,9 @@
 
 use crate::absorption::AirAbsorption;
 use crate::environment::AirEnvironment;
-use crate::error::{AcousticsError, Result};
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Propagates `source_at_1m` (a pressure waveform in pascal referenced to
 /// 1 m from the source) to a receiver `distance_m` away.
@@ -115,19 +115,19 @@ pub fn propagate_with_gain_curve(
     env: &AirEnvironment,
 ) -> Result<Signal> {
     if !(distance_m > 0.0) || !distance_m.is_finite() {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "distance_m",
             format!("{distance_m} must be positive and finite"),
         ));
     }
     if !(0.0..=10.0).contains(&aperture_m) {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "aperture_m",
             format!("{aperture_m} must be within [0, 10] metres"),
         ));
     }
     if source_at_1m.is_empty() {
-        return Err(AcousticsError::invalid("source_at_1m", "empty signal"));
+        return Err(DspError::invalid("source_at_1m", "empty signal"));
     }
     let fs = source_at_1m.sample_rate_hz();
 
@@ -163,7 +163,7 @@ pub fn propagate_with_gain_curve(
         delayed.extend_from_slice(&samples);
         samples = delayed;
     }
-    Ok(Signal::new(samples, fs)?)
+    Signal::new(samples, fs)
 }
 
 /// The whole-sample delay of a path of `distance_m` at sample rate `fs` —
@@ -179,7 +179,7 @@ pub fn propagation_delay_samples(distance_m: f64, fs: f64, env: &AirEnvironment)
 /// absorption — the single-frequency view of [`propagate`].
 pub fn path_loss_db(frequency_hz: f64, distance_m: f64, env: &AirEnvironment) -> Result<f64> {
     if !(distance_m > 0.0) || !distance_m.is_finite() {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "distance_m",
             format!("{distance_m} must be positive and finite"),
         ));

@@ -8,10 +8,10 @@
 //! range exceeds the threshold at that band's centre frequency by a safety
 //! margin.
 
-use crate::error::{AcousticsError, Result};
 use crate::spl::pressure_to_spl_db;
 use ivc_dsp::spectrum::welch_psd;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// Upper edge of human hearing used by the audibility analysis, in Hz.
 pub const AUDIBLE_UPPER_HZ: f64 = 18_000.0;
@@ -52,16 +52,10 @@ pub fn audibility(
     margin_db: f64,
 ) -> Result<AudibilityReport> {
     if pressure_samples.is_empty() {
-        return Err(AcousticsError::invalid(
-            "pressure_samples",
-            "empty waveform",
-        ));
+        return Err(DspError::invalid("pressure_samples", "empty waveform"));
     }
     if !(sample_rate_hz > 0.0) {
-        return Err(AcousticsError::invalid(
-            "sample_rate_hz",
-            "must be positive",
-        ));
+        return Err(DspError::invalid("sample_rate_hz", "must be positive"));
     }
     let seg = pressure_samples.len().clamp(512, 8_192);
     let psd = welch_psd(pressure_samples, sample_rate_hz, seg, 0.5, WindowKind::Hann)?;

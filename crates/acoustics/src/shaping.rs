@@ -6,9 +6,9 @@
 //! back.  Phase is left untouched (zero-phase shaping), which is appropriate
 //! because only magnitudes matter for the effects being studied.
 
-use crate::error::Result;
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::Result;
 
 /// Applies the magnitude response `gain_at(frequency_hz)` to `input`.
 ///
@@ -32,7 +32,7 @@ pub fn shape_spectrum(input: &Signal, gain_at: impl Fn(f64) -> f64) -> Result<Si
     let mut out = Vec::new();
     irfft_into(&mut spectrum, &mut out)?;
     out.truncate(input.len());
-    Ok(Signal::new(out, fs)?)
+    Signal::new(out, fs)
 }
 
 /// First-order low-pass magnitude response with corner `corner_hz`.

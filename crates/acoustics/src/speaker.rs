@@ -12,11 +12,11 @@
 //! parameters are the constants below and the emitter is a set of free
 //! functions over them.
 
-use crate::error::{AcousticsError, Result};
 use crate::nonlinearity::Polynomial;
 use crate::shaping::{one_pole_high_pass_gain, one_pole_low_pass_gain, shape_spectrum};
 use crate::spl::REFERENCE_PRESSURE_PA;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// On-axis sensitivity: SPL at 1 m for 1 W of drive, in dB.
 pub const SENSITIVITY_DB_SPL_1W_1M: f64 = 96.0;
@@ -64,19 +64,19 @@ pub fn response_gain(frequency_hz: f64) -> f64 {
 /// identical output, far less FFT work for large arrays.
 pub fn distorted_excursion(drive: &Signal, power_w: f64) -> Result<Signal> {
     if drive.is_empty() {
-        return Err(AcousticsError::invalid("drive", "empty signal"));
+        return Err(DspError::invalid("drive", "empty signal"));
     }
     if !(power_w > 0.0) || !power_w.is_finite() {
-        return Err(AcousticsError::invalid("power_w", "must be positive"));
+        return Err(DspError::invalid("power_w", "must be positive"));
     }
     if power_w > MAX_POWER_W * (1.0 + 1e-9) {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "power_w",
             format!("{power_w} W exceeds the speaker's rated {MAX_POWER_W} W"),
         ));
     }
     if drive.peak() > 1.0 + 1e-9 {
-        return Err(AcousticsError::invalid(
+        return Err(DspError::invalid(
             "drive",
             format!("peak {peak} exceeds full scale", peak = drive.peak()),
         ));

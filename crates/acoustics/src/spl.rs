@@ -3,7 +3,7 @@
 //! Pressure signals throughout the workspace are expressed in pascal.  The
 //! reference pressure for SPL is the standard 20 µPa.
 
-use crate::error::{AcousticsError, Result};
+use ivc_dsp::{DspError, Result};
 
 /// Reference RMS pressure for 0 dB SPL, in pascal.
 pub const REFERENCE_PRESSURE_PA: f64 = 20e-6;
@@ -51,10 +51,7 @@ pub fn waveform_spl_db(pressure_samples: &[f64]) -> f64 {
 /// A-weighted SPL of a pressure waveform, computed from its power spectrum.
 pub fn waveform_spl_dba(pressure_samples: &[f64], sample_rate_hz: f64) -> Result<f64> {
     if pressure_samples.is_empty() {
-        return Err(AcousticsError::invalid(
-            "pressure_samples",
-            "empty waveform",
-        ));
+        return Err(DspError::invalid("pressure_samples", "empty waveform"));
     }
     let seg = pressure_samples.len().clamp(256, 8_192);
     let psd = ivc_dsp::spectrum::welch_psd(

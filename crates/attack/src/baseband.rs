@@ -6,11 +6,11 @@
 //! playback rate high enough to represent the carrier and both sidebands
 //! (192 kHz or 384 kHz).
 
-use crate::error::{AttackError, Result};
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::resample::resample;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// Low-pass cutoff applied to the voice command, in Hz.
 pub const CUTOFF_HZ: f64 = 8_000.0;
@@ -28,7 +28,7 @@ pub(crate) fn check_carrier(carrier_hz: f64) -> Result<()> {
     if (MIN_CARRIER_HZ..=MAX_CARRIER_HZ).contains(&carrier_hz) {
         return Ok(());
     }
-    Err(AttackError::invalid(
+    Err(DspError::invalid(
         "carrier_hz",
         format!(
             "{carrier_hz} Hz outside the inaudible range [{MIN_CARRIER_HZ:.0}, \
@@ -42,10 +42,10 @@ pub(crate) fn check_carrier(carrier_hz: f64) -> Result<()> {
 /// [`PLAYBACK_RATE_HZ`].
 pub fn prepare_baseband(voice: &Signal) -> Result<Signal> {
     if voice.is_empty() {
-        return Err(AttackError::invalid("voice", "empty signal"));
+        return Err(DspError::invalid("voice", "empty signal"));
     }
     if voice.sample_rate_hz() < 2.0 * CUTOFF_HZ {
-        return Err(AttackError::invalid(
+        return Err(DspError::invalid(
             "voice",
             "sample rate too low for the 8 kHz cutoff",
         ));

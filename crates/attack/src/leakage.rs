@@ -7,12 +7,12 @@
 //! inaudibility evaluation is reproduced by estimating the leakage a
 //! bystander standing near the array would hear.
 
-use crate::error::Result;
 use ivc_acoustics::array::{ElementDrive, SpeakerArray};
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::psychoacoustics::{audibility, AudibilityReport};
 use ivc_acoustics::spl::{pressure_to_spl_db, waveform_spl_dba};
 use ivc_dsp::spectrum::band_power;
+use ivc_dsp::Result;
 
 /// Result of a leakage analysis at a bystander's position.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,12 +22,10 @@
 #![warn(missing_docs)]
 
 pub mod baseband;
-pub mod error;
 pub mod leakage;
 pub mod multispeaker;
 pub mod segmentation;
 pub mod single;
 
-pub use error::{AttackError, Result};
 pub use multispeaker::MultiSpeakerAttack;
 pub use single::SingleSpeakerAttack;

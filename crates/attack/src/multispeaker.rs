@@ -1,12 +1,12 @@
 //! The long-range multi-speaker attack: segmentation plus power allocation.
 
 use crate::baseband::{check_carrier, prepare_baseband, CUTOFF_HZ};
-use crate::error::{AttackError, Result};
 use crate::segmentation::{segment_baseband, SegmentedDrives};
 use crate::single::SingleSpeakerAttack;
 use ivc_acoustics::array::ElementDrive;
 use ivc_acoustics::speaker::MAX_POWER_W;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Share of the electrical budget the carrier element(s) take; the
 /// sideband elements split the rest.
@@ -87,10 +87,10 @@ impl MultiSpeakerAttack {
         total_power_w: f64,
     ) -> Result<Self> {
         if !(total_power_w > 0.0) || !total_power_w.is_finite() {
-            return Err(AttackError::invalid("total_power_w", "must be positive"));
+            return Err(DspError::invalid("total_power_w", "must be positive"));
         }
         if num_elements < 2 {
-            return Err(AttackError::invalid(
+            return Err(DspError::invalid(
                 "num_elements",
                 "need at least 2 elements (1 carrier + 1 sideband); use SingleSpeakerAttack for 1",
             ));
@@ -146,7 +146,7 @@ impl MultiSpeakerAttack {
         let per_carrier = carrier_total / n_carriers;
         let shortfall = (unplaced - topped_up).max(0.0);
         if per_carrier <= 0.0 || per_sideband <= 0.0 {
-            return Err(AttackError::invalid(
+            return Err(DspError::invalid(
                 "total_power_w",
                 "too little power to drive every element",
             ));
@@ -182,7 +182,7 @@ pub fn single_speaker_element_drives(
     power_w: f64,
 ) -> Result<Vec<ElementDrive>> {
     if !(power_w > 0.0) || !power_w.is_finite() {
-        return Err(AttackError::invalid("power_w", "must be positive"));
+        return Err(DspError::invalid("power_w", "must be positive"));
     }
     Ok(vec![ElementDrive {
         drive: attack.drive.clone(),

@@ -15,11 +15,11 @@
 //! `carrier × slice` voice reconstruction happens only where all elements'
 //! sound waves meet a shared non-linearity: inside the victim microphone.
 
-use crate::error::{AttackError, Result};
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::modulation::dsb_sc_modulate;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// One frequency slice of the baseband.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,10 +46,10 @@ pub struct SegmentationPlan {
 /// Splits `[low_hz, high_hz]` into `num_slices` contiguous slices.
 pub fn plan_segmentation(low_hz: f64, high_hz: f64, num_slices: usize) -> Result<SegmentationPlan> {
     if num_slices == 0 {
-        return Err(AttackError::invalid("num_slices", "must be at least 1"));
+        return Err(DspError::invalid("num_slices", "must be at least 1"));
     }
     if !(low_hz >= 0.0) || high_hz <= low_hz {
-        return Err(AttackError::invalid("band", "need 0 <= low_hz < high_hz"));
+        return Err(DspError::invalid("band", "need 0 <= low_hz < high_hz"));
     }
     let width = (high_hz - low_hz) / num_slices as f64;
     let slices = (0..num_slices)
@@ -91,10 +91,10 @@ pub fn segment_baseband(
     num_sideband_elements: usize,
 ) -> Result<SegmentedDrives> {
     if baseband.is_empty() {
-        return Err(AttackError::invalid("baseband", "empty signal"));
+        return Err(DspError::invalid("baseband", "empty signal"));
     }
     if num_sideband_elements == 0 {
-        return Err(AttackError::invalid(
+        return Err(DspError::invalid(
             "num_sideband_elements",
             "must be at least 1",
         ));
@@ -104,7 +104,7 @@ pub fn segment_baseband(
     // edge may sit exactly at 20 kHz or at Nyquist.
     if !(20_000.0 + baseband_bandwidth_hz..=fs / 2.0 - baseband_bandwidth_hz).contains(&carrier_hz)
     {
-        return Err(AttackError::invalid(
+        return Err(DspError::invalid(
             "carrier_hz",
             "carrier must keep both sidebands ultrasonic and below Nyquist",
         ));

@@ -8,9 +8,9 @@
 //! pushed to long range without becoming audible at the source.
 
 use crate::baseband::{check_carrier, prepare_baseband};
-use crate::error::Result;
 use ivc_dsp::modulation::{am_modulate, AmConfig};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::Result;
 
 /// AM depth of the single-speaker drive: deep enough for a strong
 /// demodulated voice, short of over-modulation.

@@ -83,6 +83,13 @@ impl DatasetConfig {
         if let Some(index) = self.command_indices.iter().find(|&&i| i >= corpus_len) {
             return Err(format!("training command index {index} outside the corpus").into());
         }
+        if let Some(d) = self
+            .distances_m
+            .iter()
+            .find(|d| !(d.is_finite() && **d > 0.0))
+        {
+            return Err(format!("training distance {d} m must be positive and finite").into());
+        }
         if self.num_speaker_variants == 0 {
             return Err("need at least one speaker variant".into());
         }
@@ -236,6 +243,22 @@ mod tests {
             },
             DatasetConfig {
                 command_indices: vec![0, 99],
+                ..tiny.clone()
+            },
+            DatasetConfig {
+                distances_m: vec![1.0, -1.0],
+                ..tiny.clone()
+            },
+            DatasetConfig {
+                distances_m: vec![0.0],
+                ..tiny.clone()
+            },
+            DatasetConfig {
+                distances_m: vec![f64::NAN],
+                ..tiny.clone()
+            },
+            DatasetConfig {
+                distances_m: vec![f64::INFINITY],
                 ..tiny.clone()
             },
         ];

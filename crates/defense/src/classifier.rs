@@ -4,8 +4,8 @@
 //! linearly, and a transparent model keeps the experiments interpretable
 //! (weights can be read as "how much each trace contributes").
 
-use crate::error::{DefenseError, Result};
 use crate::features::FeatureVector;
+use ivc_dsp::{DspError, Result};
 
 /// Logistic-regression model for attack detection.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,21 +27,24 @@ impl LogisticRegression {
     /// Trains a model on `(feature_vector, is_attack)` pairs.
     pub fn train(samples: &[(FeatureVector, bool)]) -> Result<Self> {
         if samples.len() < 4 {
-            return Err(DefenseError::DegenerateDataset {
-                message: format!("need at least 4 samples, got {}", samples.len()),
-            });
+            return Err(DspError::invalid(
+                "samples",
+                format!("need at least 4 samples, got {}", samples.len()),
+            ));
         }
         let dim = samples[0].0.len();
         if dim == 0 || samples.iter().any(|(f, _)| f.len() != dim) {
-            return Err(DefenseError::DegenerateDataset {
-                message: "inconsistent feature dimensions".into(),
-            });
+            return Err(DspError::invalid(
+                "samples",
+                "inconsistent feature dimensions",
+            ));
         }
         let positives = samples.iter().filter(|(_, y)| *y).count();
         if positives == 0 || positives == samples.len() {
-            return Err(DefenseError::DegenerateDataset {
-                message: "training set must contain both classes".into(),
-            });
+            return Err(DspError::invalid(
+                "samples",
+                "training set must contain both classes",
+            ));
         }
 
         // Standardise features.
@@ -106,7 +109,7 @@ impl LogisticRegression {
     /// Probability that `features` describe an attack recording.
     pub fn predict_probability(&self, features: &FeatureVector) -> Result<f64> {
         if features.len() != self.weights.len() {
-            return Err(DefenseError::invalid(
+            return Err(DspError::invalid(
                 "features",
                 format!(
                     "dimension {} does not match the model's {}",

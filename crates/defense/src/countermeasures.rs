@@ -10,10 +10,10 @@
 //! (the compensation signal eats into the modulation budget and adds
 //! audible-band rumble at the victim that the recogniser must tolerate).
 
-use crate::error::{DefenseError, Result};
 use ivc_dsp::envelope::hilbert_envelope;
 use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Builds the pre-compensated baseband an adaptive attacker would transmit.
 ///
@@ -21,13 +21,10 @@ use ivc_dsp::signal::Signal;
 /// attacker, 1 subtracts the full predicted shadow.
 pub fn precompensated_baseband(voice: &Signal, suppression: f64) -> Result<Signal> {
     if voice.is_empty() {
-        return Err(DefenseError::invalid("voice", "empty signal"));
+        return Err(DspError::invalid("voice", "empty signal"));
     }
     if !(0.0..=1.0).contains(&suppression) {
-        return Err(DefenseError::invalid(
-            "suppression",
-            "must be within [0, 1]",
-        ));
+        return Err(DspError::invalid("suppression", "must be within [0, 1]"));
     }
     if suppression == 0.0 {
         return Ok(voice.clone());

@@ -1,8 +1,8 @@
 //! Detector evaluation: confusion matrices and ROC curves.
 
 use crate::classifier::LogisticRegression;
-use crate::error::{DefenseError, Result};
 use crate::features::FeatureVector;
+use ivc_dsp::{DspError, Result};
 
 /// Binary confusion matrix for attack detection ("positive" = attack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,9 +113,7 @@ impl RocCurve {
         let positives = scored.iter().filter(|(_, y)| *y).count();
         let negatives = scored.len() - positives;
         if positives == 0 || negatives == 0 {
-            return Err(DefenseError::DegenerateDataset {
-                message: "ROC needs both classes".into(),
-            });
+            return Err(DspError::invalid("samples", "ROC needs both classes"));
         }
         // Sweep thresholds over the observed scores (plus sentinels).
         let mut thresholds: Vec<f64> = scored.iter().map(|(s, _)| *s).collect();

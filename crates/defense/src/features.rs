@@ -18,7 +18,6 @@
 //!    spectrum down harder than natural speech recorded through the same
 //!    microphone.
 
-use crate::error::{DefenseError, Result};
 use ivc_dsp::correlation::pearson_correlation;
 use ivc_dsp::db::power_to_db;
 use ivc_dsp::envelope::hilbert_envelope;
@@ -26,6 +25,7 @@ use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::spectrum::welch_psd;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// The shadow band searched for the non-linearity trace, in Hz.
 pub const SHADOW_BAND_HZ: (f64, f64) = (5.0, 80.0);
@@ -60,11 +60,11 @@ impl DefenseFeatures {
     /// Extracts the features from a digital recording (any rate ≥ 8 kHz).
     pub fn extract(recording: &Signal) -> Result<Self> {
         if recording.is_empty() {
-            return Err(DefenseError::invalid("recording", "empty signal"));
+            return Err(DspError::invalid("recording", "empty signal"));
         }
         let fs = recording.sample_rate_hz();
         if fs < 8_000.0 {
-            return Err(DefenseError::invalid(
+            return Err(DspError::invalid(
                 "recording",
                 "sample rate must be at least 8 kHz",
             ));

@@ -26,10 +26,8 @@
 
 pub mod classifier;
 pub mod countermeasures;
-pub mod error;
 pub mod evaluation;
 pub mod features;
 
 pub use classifier::LogisticRegression;
-pub use error::{DefenseError, Result};
 pub use features::{DefenseFeatures, FeatureVector};

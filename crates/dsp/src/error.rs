@@ -1,16 +1,19 @@
-//! Error type shared by all DSP routines.
+//! The one error type of the numeric crates: the DSP routines here and the
+//! acoustics, speech, attack, defense and room crates built on them all
+//! return [`Result`] / [`DspError`].
 
 use std::fmt;
 
-/// Convenience alias used across the crate.
+/// Result alias of the numeric crates.
 pub type Result<T> = std::result::Result<T, DspError>;
 
-/// Errors produced by DSP primitives.
+/// Errors produced by the DSP primitives and the physical, speech and
+/// defense models built on them.
 ///
-/// The crate prefers returning errors over panicking for conditions that a
-/// caller can plausibly trigger with run-time data (empty inputs, mismatched
-/// sample rates, invalid cutoff frequencies).  Programming errors (e.g. a
-/// zero-length FFT requested internally) still panic.
+/// The numeric crates prefer returning errors over panicking for conditions
+/// that a caller can plausibly trigger with run-time data (empty inputs,
+/// mismatched sample rates, invalid cutoff frequencies).  Programming
+/// errors (e.g. a zero-length FFT requested internally) still panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DspError {
     /// The input slice was empty but the operation requires samples.
@@ -37,7 +40,8 @@ pub enum DspError {
         /// Second rate in Hz.
         right_hz: f64,
     },
-    /// A length or factor parameter was invalid (zero, negative, too large).
+    /// A parameter was outside its valid range (a zero length, a negative
+    /// distance, an empty template set or training corpus, ...).
     InvalidParameter {
         /// Name of the parameter.
         name: &'static str,
@@ -75,8 +79,8 @@ impl fmt::Display for DspError {
 impl std::error::Error for DspError {}
 
 impl DspError {
-    /// Helper to build an [`DspError::InvalidParameter`].
-    pub fn invalid_parameter(name: &'static str, message: impl Into<String>) -> Self {
+    /// Helper to build a [`DspError::InvalidParameter`].
+    pub fn invalid(name: &'static str, message: impl Into<String>) -> Self {
         DspError::InvalidParameter {
             name,
             message: message.into(),
@@ -106,7 +110,7 @@ mod tests {
             right_hz: 192_000.0,
         };
         assert!(e.to_string().contains("48000"));
-        let e = DspError::invalid_parameter("order", "must be even");
+        let e = DspError::invalid("order", "must be even");
         assert!(e.to_string().contains("order"));
     }
 

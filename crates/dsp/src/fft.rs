@@ -220,7 +220,7 @@ fn check_length(n: usize, what: &'static str) -> Result<()> {
     if is_power_of_two(n) {
         Ok(())
     } else {
-        Err(DspError::invalid_parameter(
+        Err(DspError::invalid(
             what,
             format!("{n} is not a power of two"),
         ))

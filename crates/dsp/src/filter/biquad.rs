@@ -34,10 +34,7 @@ impl Biquad {
     /// Creates a section from raw coefficients (`a0` is used to normalise).
     pub fn new(b0: f64, b1: f64, b2: f64, a0: f64, a1: f64, a2: f64) -> Result<Self> {
         if a0 == 0.0 || !a0.is_finite() {
-            return Err(DspError::invalid_parameter(
-                "a0",
-                "must be finite and non-zero",
-            ));
+            return Err(DspError::invalid("a0", "must be finite and non-zero"));
         }
         Ok(Biquad {
             b0: b0 / a0,
@@ -148,7 +145,7 @@ fn omega_alpha(frequency_hz: f64, q: f64, sample_rate_hz: f64) -> Result<(f64, f
         });
     }
     if q <= 0.0 {
-        return Err(DspError::invalid_parameter("q", "must be positive"));
+        return Err(DspError::invalid("q", "must be positive"));
     }
     let w0 = 2.0 * std::f64::consts::PI * frequency_hz / sample_rate_hz;
     let alpha = w0.sin() / (2.0 * q);
@@ -204,7 +201,7 @@ impl BiquadCascade {
         sample_rate_hz: f64,
     ) -> Result<Self> {
         if low_hz >= high_hz {
-            return Err(DspError::invalid_parameter(
+            return Err(DspError::invalid(
                 "band edges",
                 format!("low {low_hz} Hz must be below high {high_hz} Hz"),
             ));
@@ -300,7 +297,7 @@ fn run_group<const N: usize>(sections: [&Biquad; N], buffer: &mut [f64], reverse
 /// filter (order is rounded up to the next even number).
 fn butterworth_qs(order: usize) -> Result<Vec<f64>> {
     if order == 0 {
-        return Err(DspError::invalid_parameter("order", "must be at least 1"));
+        return Err(DspError::invalid("order", "must be at least 1"));
     }
     let order = if order % 2 == 0 { order } else { order + 1 };
     let n_sections = order / 2;

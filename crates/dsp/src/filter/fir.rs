@@ -87,7 +87,7 @@ impl FirFilter {
         window: WindowKind,
     ) -> Result<Self> {
         if low_hz >= high_hz {
-            return Err(DspError::invalid_parameter(
+            return Err(DspError::invalid(
                 "band edges",
                 format!("low {low_hz} Hz must be below high {high_hz} Hz"),
             ));
@@ -477,7 +477,7 @@ fn validate(cutoff_hz: f64, sample_rate_hz: f64, taps: usize) -> Result<()> {
         });
     }
     if taps < 3 {
-        return Err(DspError::invalid_parameter(
+        return Err(DspError::invalid(
             "taps",
             format!("{taps} is too few; need at least 3"),
         ));

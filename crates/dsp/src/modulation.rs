@@ -56,10 +56,7 @@ pub fn am_modulate(baseband: &Signal, config: &AmConfig) -> Result<Signal> {
     let fs = baseband.sample_rate_hz();
     validate_carrier(config.carrier_hz, fs)?;
     if !(0.0..=1.0).contains(&config.modulation_depth) {
-        return Err(DspError::invalid_parameter(
-            "modulation_depth",
-            "must be in [0, 1]",
-        ));
+        return Err(DspError::invalid("modulation_depth", "must be in [0, 1]"));
     }
     let w = 2.0 * std::f64::consts::PI * config.carrier_hz / fs;
     let peak = baseband.peak().max(1e-12);

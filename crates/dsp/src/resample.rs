@@ -19,7 +19,7 @@ use crate::window::WindowKind;
 /// interpolation low-pass at the original Nyquist frequency.
 pub fn upsample(input: &Signal, factor: usize) -> Result<Signal> {
     if factor == 0 {
-        return Err(DspError::invalid_parameter("factor", "must be at least 1"));
+        return Err(DspError::invalid("factor", "must be at least 1"));
     }
     if input.is_empty() {
         return Err(DspError::EmptyInput {
@@ -45,7 +45,7 @@ pub fn upsample(input: &Signal, factor: usize) -> Result<Signal> {
 /// Downsamples by an integer `factor`: anti-alias low-pass then decimation.
 pub fn downsample(input: &Signal, factor: usize) -> Result<Signal> {
     if factor == 0 {
-        return Err(DspError::invalid_parameter("factor", "must be at least 1"));
+        return Err(DspError::invalid("factor", "must be at least 1"));
     }
     if input.is_empty() {
         return Err(DspError::EmptyInput {

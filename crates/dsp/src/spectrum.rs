@@ -82,7 +82,7 @@ pub fn welch_psd(
         return Err(DspError::InvalidSampleRate { sample_rate_hz });
     }
     if !(0.0..1.0).contains(&overlap) {
-        return Err(DspError::invalid_parameter("overlap", "must be in [0, 1)"));
+        return Err(DspError::invalid("overlap", "must be in [0, 1)"));
     }
     let segment_len = segment_len.min(samples.len()).max(16);
     let nfft = next_power_of_two(segment_len);
@@ -138,7 +138,7 @@ pub fn welch_psd(
 /// Convenience: power of `samples` in the band `[low_hz, high_hz]`.
 pub fn band_power(samples: &[f64], sample_rate_hz: f64, low_hz: f64, high_hz: f64) -> Result<f64> {
     if low_hz > high_hz {
-        return Err(DspError::invalid_parameter(
+        return Err(DspError::invalid(
             "band",
             format!("low {low_hz} must not exceed high {high_hz}"),
         ));

@@ -558,5 +558,25 @@ mod tests {
             run_campaign(&spec, 4),
             Err(ExperimentError::InvalidSpec { .. })
         ));
+        // A detector corpus distance that is not positive and finite is a
+        // spec error, not a trial failure while the detector trains.
+        for distance_m in [-1.0, 0.0, f64::NAN] {
+            let mut detector = DetectorSpec::standard(true);
+            detector.corpus.distances_m = vec![distance_m];
+            let spec = CampaignSpec {
+                detectors: vec![Some(detector)],
+                ..tiny_spec()
+            };
+            assert!(
+                matches!(
+                    run_campaign(&spec, 4),
+                    Err(ExperimentError::InvalidSpec {
+                        field: "detectors",
+                        ..
+                    })
+                ),
+                "{distance_m}"
+            );
+        }
     }
 }

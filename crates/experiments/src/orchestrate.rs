@@ -67,7 +67,10 @@
 //! ([`crate::shard::metrics_sidecar_path`]); it shares the attempt file's
 //! fate (renamed with the checkpoint, deleted with a failed or duplicate
 //! attempt).  Attempts write to their own file and are renamed into
-//! place, so a crash mid-write can never corrupt a checkpoint.
+//! place, so a crash mid-write can never corrupt a checkpoint.  Attempt
+//! files under another run's nonce (left by the workers of a killed
+//! orchestrator) are removed at the checkpoint scan and after the merge;
+//! such a worker, still running, can write one after the last sweep.
 
 use crate::aggregate::wilson_interval;
 use crate::error::{ExperimentError, Result};
@@ -869,6 +872,8 @@ impl EventLog<'_> {
 struct Driver<'a> {
     log: EventLog<'a>,
     launcher: &'a mut dyn ShardLauncher,
+    /// The scratch directory holding every file of the run.
+    scratch_dir: &'a Path,
     /// Each shard's job, job file and checkpoint path.
     shards: Vec<(ShardJob, PathBuf, PathBuf)>,
     /// Which shards a checkpoint found on startup satisfied.
@@ -891,6 +896,28 @@ impl Driver<'_> {
         checkpoint.with_file_name(format!("{stem}.attempt-{}-{attempt}.bin", self.nonce))
     }
 
+    /// Removes the attempt outputs, and their sidecars, that a run with
+    /// another nonce left behind (`<spec>.shard-*.part.attempt-*`): the
+    /// orphans of a killed orchestrator's workers.  Checkpoints and their
+    /// sidecars never match.  Run at the checkpoint scan and after the
+    /// merge; a worker that outlived a SIGKILLed orchestrator is not this
+    /// run's child, so it can still write after the second sweep.
+    fn sweep_foreign_attempts(&self) {
+        let Ok(entries) = std::fs::read_dir(self.scratch_dir) else {
+            return;
+        };
+        let prefix = format!("{}.shard-", self.shards[0].0.spec.name);
+        let own = format!(".part.attempt-{}-", self.nonce);
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with(&prefix) && name.contains(".part.attempt-") && !name.contains(&own)
+            {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
+
     /// A partial's acceptance flags, once it validates against its job.
     fn validated(path: &Path, job: &ShardJob) -> Result<Vec<bool>> {
         let partial = ShardArchive::load(path)?;
@@ -902,6 +929,7 @@ impl Driver<'_> {
     /// [`Driver::abort`] in [`orchestrate`].
     fn run(&mut self, supervisor: &mut Supervisor, start: Vec<Action>) -> Result<CampaignReport> {
         self.perform(supervisor, start)?;
+        self.sweep_foreign_attempts();
         for shard in 0..self.shards.len() {
             let (job, job_path, checkpoint) = &self.shards[shard];
             job.save(job_path)?;
@@ -1015,6 +1043,7 @@ impl Driver<'_> {
     fn merge(&mut self) -> Result<CampaignReport> {
         let checkpoints: Vec<PathBuf> = self.shards.iter().map(|(_, _, c)| c.clone()).collect();
         let report = merge_shard_files(&checkpoints)?;
+        self.sweep_foreign_attempts();
         let wall_s = self.log.start.elapsed().as_secs_f64();
         let trials = report.spec.num_trials();
         let trials_per_s = if wall_s > 0.0 {
@@ -1100,6 +1129,7 @@ pub fn orchestrate(
             stats,
         },
         launcher,
+        scratch_dir,
         resumed: vec![false; plan.shards.len()],
         shards,
         nonce: std::process::id(),
@@ -1310,11 +1340,27 @@ mod tests {
             "not a partial at all",
         )
         .unwrap();
+        // The attempt output and sidecar of a killed earlier run's worker,
+        // under a nonce that is not this run's, and a checkpoint sidecar.
+        let foreign = format!(
+            "{}.shard-1-of-2.part.attempt-{}-0",
+            spec.name,
+            std::process::id().wrapping_add(1)
+        );
+        for name in [format!("{foreign}.bin"), format!("{foreign}.metrics.json")] {
+            std::fs::write(scratch.join(name), "orphan").unwrap();
+        }
+        let sidecar = metrics_sidecar_path(
+            &scratch.join(shard_archive_file_name(&spec.name, &plan.shards[0])),
+        );
+        std::fs::write(&sidecar, "{}").unwrap();
         let mut launcher = MockLauncher::new(&spec, &[]);
         let mut status = Vec::new();
         let config = OrchestratorConfig::new(2);
         let run =
             orchestrate(&spec, &config, &scratch, &mut launcher, &mut status).expect("resumed run");
+        assert_eq!(attempt_files(&scratch), Vec::<String>::new());
+        assert!(sidecar.exists(), "a checkpoint's sidecar is never swept");
         assert_eq!(run.report.to_json_string(), expected_report(&spec, 2));
         assert_eq!(run.stats.resumed, 1);
         assert_eq!(run.stats.invalid_checkpoints, 1);

@@ -323,14 +323,9 @@ pub fn d1(quick: bool) -> CampaignSpec {
 /// trials, so the per-trial `(probability, label)` pairs trace a curve.
 pub fn d3(quick: bool) -> CampaignSpec {
     CampaignSpec {
-        distances_m: if quick {
-            vec![1.5, 3.0]
-        } else {
-            vec![1.0, 2.0, 3.0, 5.0]
-        },
-        command_indices: if quick { vec![0] } else { vec![0, 1, 2, 3] },
+        name: "d3-roc".into(),
         trials_per_cell: if quick { 3 } else { 6 },
-        ..d_series_base("d3-roc", quick)
+        ..d1(quick)
     }
 }
 
@@ -491,6 +486,21 @@ mod tests {
         // sweeps the adaptive attacker's suppression across deliveries.
         for spec in [d1(true), d3(true), d4(true), d6(true)] {
             assert!(spec.detectors[0].is_some(), "{}", spec.name);
+        }
+        // d3 is the d1 grid under its own name with more trials.
+        for quick in [true, false] {
+            let d3_spec = d3(quick);
+            assert_eq!(d3_spec.name, "d3-roc");
+            assert_eq!(d3_spec.trials_per_cell, if quick { 3 } else { 6 });
+            let d1_spec = d1(quick);
+            assert_eq!(
+                CampaignSpec {
+                    name: d1_spec.name.clone(),
+                    trials_per_cell: d1_spec.trials_per_cell,
+                    ..d3_spec
+                },
+                d1_spec
+            );
         }
         assert_eq!(d4(true).devices.len(), 2);
         assert_eq!(d5(true).len(), 2);

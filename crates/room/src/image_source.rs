@@ -23,9 +23,9 @@
 //! reflections that smear a demodulated baseband are captured, a full
 //! late-field reverb tail is not.
 
-use crate::error::{Result, RoomError};
 use crate::geometry::Point3;
 use crate::shoebox::{Shoebox, NUM_SURFACES};
+use ivc_dsp::{DspError, Result};
 
 /// One propagation path (direct or reflected) from source to receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,14 +67,14 @@ pub fn image_taps(
     max_order: usize,
 ) -> Result<Vec<ImageTap>> {
     if max_order > 12 {
-        return Err(RoomError::invalid(
+        return Err(DspError::invalid(
             "max_order",
             format!("{max_order} exceeds the supported maximum of 12"),
         ));
     }
     for (name, point) in [("source", source), ("receiver", receiver)] {
         if !room.contains(point, 0.0) {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "position",
                 format!("{name} {point:?} is outside the room"),
             ));

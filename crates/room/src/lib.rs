@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod geometry;
 pub mod image_source;
 pub mod material;
@@ -52,7 +51,6 @@ pub mod propagate;
 pub mod rir;
 pub mod shoebox;
 
-pub use error::{Result, RoomError};
 pub use material::{PartitionMaterial, SurfaceMaterial};
 pub use presets::RoomPreset;
 pub use propagate::propagate_in_room;

@@ -13,12 +13,12 @@
 //! beside the source (offset in `+y`, or through the partition for
 //! [`RoomPreset::ThroughDoorway`]).
 
-use crate::error::{Result, RoomError};
 use crate::geometry::Point3;
 use crate::material::{PartitionMaterial, SurfaceMaterial};
 use crate::occlusion::Occluder;
 use crate::rir::RoomImpulseResponse;
 use crate::shoebox::Shoebox;
+use ivc_dsp::{DspError, Result};
 
 /// Height (m) at which sources, microphones and bystander ears sit.
 const DEVICE_HEIGHT_M: f64 = 1.2;
@@ -212,7 +212,7 @@ impl RoomPreset {
     /// axis, validated.
     fn place_target(&self, distance_m: f64) -> Result<(Shoebox, Point3, Point3)> {
         if !(distance_m > 0.0) || !distance_m.is_finite() {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "distance_m",
                 format!("{distance_m} must be positive and finite"),
             ));
@@ -221,7 +221,7 @@ impl RoomPreset {
         let source = source_position(&room);
         let target = Point3::new(source.x + distance_m, source.y, DEVICE_HEIGHT_M);
         if !room.contains(&target, TARGET_MARGIN_M) {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "distance_m",
                 format!(
                     "target at {distance_m} m does not fit a {} m {} (needs {TARGET_MARGIN_M} m \
@@ -235,7 +235,7 @@ impl RoomPreset {
         // partition: the scenario is "through" the doorway, not in front
         // of it.
         if *self == RoomPreset::ThroughDoorway && target.x <= 1.8 {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "distance_m",
                 format!(
                     "{distance_m} m leaves the target in front of the doorway \
@@ -256,7 +256,7 @@ impl RoomPreset {
         bystander_distance_m: f64,
     ) -> Result<Point3> {
         if !(bystander_distance_m > 0.0) || !bystander_distance_m.is_finite() {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "bystander_distance_m",
                 format!("{bystander_distance_m} must be positive and finite"),
             ));
@@ -270,7 +270,7 @@ impl RoomPreset {
             _ => Point3::new(source.x, source.y + bystander_distance_m, DEVICE_HEIGHT_M),
         };
         if !room.contains(&bystander, BYSTANDER_MARGIN_M) {
-            return Err(RoomError::invalid(
+            return Err(DspError::invalid(
                 "bystander_distance_m",
                 format!(
                     "bystander at {bystander_distance_m} m does not fit the {} preset",

@@ -39,7 +39,6 @@
 //! that bounced off a wall has left the array's axis, so the `1/r` law
 //! over the full path length is the right spreading model.
 
-use crate::error::Result;
 use crate::material::{ANCHOR_FREQUENCIES_HZ, NUM_ANCHORS};
 use crate::rir::RoomImpulseResponse;
 use ivc_acoustics::absorption::AirAbsorption;
@@ -50,6 +49,7 @@ use ivc_acoustics::propagation::{
 use ivc_dsp::complex::Complex;
 use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::Result;
 use std::f64::consts::PI;
 
 /// Bins between exact re-evaluations of each tap's phase; in between, the
@@ -132,7 +132,7 @@ pub fn propagate_in_room(
     for (o, &x) in out.iter_mut().zip(&reflections[..out_len]) {
         *o += x;
     }
-    Ok(Signal::new(out, fs)?)
+    Signal::new(out, fs)
 }
 
 /// Multiplies the half spectrum (bins `0..=n/2` of an `n`-point transform

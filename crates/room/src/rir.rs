@@ -1,12 +1,12 @@
 //! The sparse room impulse response: image-source taps with
 //! frequency-dependent gains, ready for the propagation layer.
 
-use crate::error::Result;
 use crate::geometry::Point3;
 use crate::image_source::image_taps;
 use crate::material::{ANCHOR_FREQUENCIES_HZ, NUM_ANCHORS};
 use crate::occlusion::{crossed_occluders, occlusion_amplitude_at_anchors, Occluder};
 use crate::shoebox::{Shoebox, NUM_SURFACES};
+use ivc_dsp::Result;
 
 /// One tap of a room impulse response: a propagation path with its length
 /// and the amplitude gain it accumulated at walls and partitions.

@@ -1,9 +1,9 @@
 //! The shoebox room: a rectangular box with one material per surface, and
 //! the classical Sabine/Eyring reverberation-time estimates.
 
-use crate::error::{Result, RoomError};
 use crate::geometry::Point3;
 use crate::material::SurfaceMaterial;
+use ivc_dsp::{DspError, Result};
 
 /// Number of surfaces of a shoebox room.
 pub const NUM_SURFACES: usize = 6;
@@ -56,7 +56,7 @@ impl Shoebox {
             ("height_m", height_m),
         ] {
             if !(0.5..=100.0).contains(&value) {
-                return Err(RoomError::invalid(
+                return Err(DspError::invalid(
                     name,
                     format!("{value} outside [0.5, 100] metres"),
                 ));

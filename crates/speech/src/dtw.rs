@@ -5,7 +5,7 @@
 //! delay, and the per-cell costs along the optimal path provide per-word
 //! match quality for the accuracy metric.
 
-use crate::error::{Result, SpeechError};
+use ivc_dsp::{DspError, Result};
 
 /// Result of a DTW alignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +64,7 @@ pub fn cost_matrix(template: &[Vec<f64>], query: &[Vec<f64>]) -> Vec<Vec<f64>> {
 pub fn align_with_costs(costs: &[Vec<f64>]) -> Result<DtwAlignment> {
     let n = costs.len();
     if n == 0 || costs[0].is_empty() {
-        return Err(SpeechError::invalid("dtw", "empty cost matrix"));
+        return Err(DspError::invalid("dtw", "empty cost matrix"));
     }
     let m = costs[0].len();
     let mut acc = vec![vec![f64::INFINITY; m]; n];

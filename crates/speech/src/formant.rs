@@ -8,10 +8,10 @@
 //! of a low fundamental, formant structure in 300–3000 Hz, fricative energy
 //! up to 8 kHz and word-level amplitude modulation.
 
-use crate::error::{Result, SpeechError};
 use crate::phoneme::{Manner, Phoneme};
 use ivc_dsp::filter::biquad::{Biquad, BiquadCascade};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,19 +27,19 @@ pub fn render_phoneme(
     seed: u64,
 ) -> Result<Signal> {
     if !(sample_rate_hz > 8_000.0) {
-        return Err(SpeechError::invalid(
+        return Err(DspError::invalid(
             "sample_rate_hz",
             "must exceed 8 kHz for speech synthesis",
         ));
     }
     if !(50.0..=400.0).contains(&f0_hz) {
-        return Err(SpeechError::invalid(
+        return Err(DspError::invalid(
             "f0_hz",
             format!("{f0_hz} outside [50, 400]"),
         ));
     }
     if !(0.25..=4.0).contains(&duration_scale) {
-        return Err(SpeechError::invalid(
+        return Err(DspError::invalid(
             "duration_scale",
             "must be within [0.25, 4.0]",
         ));

@@ -26,7 +26,6 @@
 pub mod cache;
 pub mod commands;
 pub mod dtw;
-pub mod error;
 pub mod formant;
 pub mod mfcc;
 pub mod phoneme;
@@ -37,6 +36,5 @@ pub mod vad;
 
 pub use cache::TalkerKey;
 pub use commands::{CommandId, VoiceCommand};
-pub use error::{Result, SpeechError};
 pub use recognizer::{RecognitionOutcome, Recognizer};
 pub use synthesis::{SpeakerProfile, Synthesizer};

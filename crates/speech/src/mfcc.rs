@@ -4,10 +4,10 @@
 //! speech recognition; the DTW recogniser matches sequences of these
 //! vectors.  The implementation follows the standard HTK-style recipe.
 
-use crate::error::{Result, SpeechError};
 use ivc_dsp::fft::{next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// Analysis frame length in seconds.
 const FRAME_S: f64 = 0.025;
@@ -59,13 +59,13 @@ fn mel_to_hz(m: f64) -> f64 {
 /// Extracts MFCC frames from `signal`.
 pub fn mfcc(signal: &Signal) -> Result<MfccFrames> {
     if signal.is_empty() {
-        return Err(SpeechError::invalid("signal", "empty input"));
+        return Err(DspError::invalid("signal", "empty input"));
     }
     let fs = signal.sample_rate_hz();
     let frame_len = (FRAME_S * fs).round() as usize;
     let hop = (HOP_S * fs).round().max(1.0) as usize;
     if frame_len < 8 {
-        return Err(SpeechError::invalid(
+        return Err(DspError::invalid(
             "signal",
             "sample rate too low for a 25 ms analysis frame",
         ));

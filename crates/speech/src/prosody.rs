@@ -5,7 +5,7 @@
 //! fundamental-frequency range (85–255 Hz for adult speakers), some
 //! declination over an utterance, and speaker-to-speaker variation.
 
-use crate::error::{Result, SpeechError};
+use ivc_dsp::{DspError, Result};
 
 /// A pitch contour over an utterance.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,19 +29,19 @@ impl PitchContour {
         intonation_rate_hz: f64,
     ) -> Result<Self> {
         if !(50.0..=400.0).contains(&base_f0_hz) {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "base_f0_hz",
                 format!("{base_f0_hz} outside [50, 400]"),
             ));
         }
         if !(0.0..=0.5).contains(&declination) || !(0.0..=0.5).contains(&intonation_depth) {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "contour shape",
                 "declination and intonation depth must be within [0, 0.5]",
             ));
         }
         if !(0.0..=10.0).contains(&intonation_rate_hz) {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "intonation_rate_hz",
                 "must be within [0, 10] Hz",
             ));

@@ -12,12 +12,12 @@
 
 use crate::commands::{corpus, CommandId, VoiceCommand};
 use crate::dtw::{align_with_costs, cost_matrix};
-use crate::error::{Result, SpeechError};
 use crate::mfcc::{mfcc, MfccFrames};
 use crate::synthesis::{SpeakerProfile, Synthesizer, Utterance};
 use crate::vad::detect_speech;
 use ivc_dsp::resample::resample;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Internal analysis rate; recordings are resampled to this before
 /// feature extraction.
@@ -30,6 +30,11 @@ const REJECTION_DISTANCE: f64 = 14.0;
 /// Minimum fraction of words that must be recognised for the command to
 /// count as accepted end-to-end (the wake word plus most of the payload).
 const ACCEPTANCE_WORD_FRACTION: f64 = 0.6;
+
+/// The error of a query against a recogniser with no template for it.
+fn no_templates() -> DspError {
+    DspError::invalid("templates", "recogniser has no enrolled command templates")
+}
 
 /// A command template: features plus per-word frame ranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,7 +109,7 @@ impl Recognizer {
     /// Enrolls `utterance` as the template for `command`.
     pub fn enroll(&mut self, utterance: &Utterance, command: VoiceCommand) -> Result<()> {
         if utterance.word_boundaries.len() != command.num_words() {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "utterance",
                 "word boundary count does not match the command's word count",
             ));
@@ -141,7 +146,7 @@ impl Recognizer {
         expected: Option<CommandId>,
     ) -> Result<(RecognitionOutcome, Option<Vec<(String, bool)>>)> {
         if self.templates.is_empty() {
-            return Err(SpeechError::NoTemplates);
+            return Err(no_templates());
         }
         let query = mfcc(&self.prepare(recording)?)?;
         let mut scored: Vec<(usize, f64, f64)> = Vec::new(); // (template idx, distance, word accuracy)
@@ -182,7 +187,7 @@ impl Recognizer {
     pub fn evaluate(&self, recording: &Signal, expected: CommandId) -> Result<TrialEvaluation> {
         let (outcome, expected_flags) = self.recognize_with_flags(recording, Some(expected))?;
         // `None` here means `expected` is not enrolled.
-        let word_recognition = expected_flags.ok_or(SpeechError::NoTemplates)?;
+        let word_recognition = expected_flags.ok_or_else(no_templates)?;
         let word_accuracy = Self::fraction_recognized(&word_recognition);
         let accepted =
             outcome.command == Some(expected) && word_accuracy >= ACCEPTANCE_WORD_FRACTION;
@@ -228,7 +233,7 @@ impl Recognizer {
     /// and queries.
     fn prepare(&self, signal: &Signal) -> Result<Signal> {
         if signal.is_empty() {
-            return Err(SpeechError::invalid("recording", "empty signal"));
+            return Err(DspError::invalid("recording", "empty signal"));
         }
         let trimmed = self.trim_to_speech(&to_analysis_rate(signal)?)?;
         let mut normalised = trimmed;
@@ -287,7 +292,7 @@ mod tests {
                 .templates
                 .iter()
                 .find(|t| t.command.id == expected)
-                .ok_or(SpeechError::NoTemplates)?;
+                .ok_or_else(no_templates)?;
             let query = mfcc(&self.prepare(recording)?)?;
             let costs = cost_matrix(&template.frames.frames, &query.frames);
             let alignment = align_with_costs(&costs)?;
@@ -311,10 +316,8 @@ mod tests {
     fn empty_recogniser_rejects_queries() {
         let r = Recognizer::new();
         let s = Signal::tone(440.0, 0.5, 0.5, 16_000.0).unwrap();
-        assert!(matches!(
-            r.evaluate(&s, CommandId(0)),
-            Err(SpeechError::NoTemplates)
-        ));
+        let err = r.evaluate(&s, CommandId(0)).unwrap_err();
+        assert!(err.to_string().contains("templates"), "{err}");
         assert_eq!(r.num_templates(), 0);
     }
 

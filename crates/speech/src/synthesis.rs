@@ -6,11 +6,11 @@
 //! boundaries to score per-word accuracy.
 
 use crate::commands::VoiceCommand;
-use crate::error::{Result, SpeechError};
 use crate::formant::render_phoneme;
 use crate::phoneme::Phoneme;
 use crate::prosody::PitchContour;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// A speaker profile: what distinguishes one synthetic talker from another.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +59,13 @@ impl SpeakerProfile {
 
     fn validate(&self) -> Result<()> {
         if !(0.7..=1.4).contains(&self.formant_shift) {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "formant_shift",
                 "must be within [0.7, 1.4]",
             ));
         }
         if !(0.5..=2.0).contains(&self.rate) {
-            return Err(SpeechError::invalid("rate", "must be within [0.5, 2.0]"));
+            return Err(DspError::invalid("rate", "must be within [0.5, 2.0]"));
         }
         Ok(())
     }
@@ -103,7 +103,7 @@ impl Synthesizer {
     /// Creates a synthesiser producing waveforms at `sample_rate_hz`.
     pub fn new(sample_rate_hz: f64) -> Result<Self> {
         if !(16_000.0..=384_000.0).contains(&sample_rate_hz) {
-            return Err(SpeechError::invalid(
+            return Err(DspError::invalid(
                 "sample_rate_hz",
                 "must be within [16 kHz, 384 kHz]",
             ));
@@ -116,7 +116,7 @@ impl Synthesizer {
         profile.validate()?;
         let symbols = command.phoneme_symbols();
         if symbols.is_empty() {
-            return Err(SpeechError::invalid("command", "has no phonemes"));
+            return Err(DspError::invalid("command", "has no phonemes"));
         }
         // Total nominal duration for the pitch contour's normalised clock.
         let total_nominal: f64 = symbols

@@ -4,8 +4,8 @@
 //! contains the (real or injected) command, so that features are computed
 //! over speech rather than silence.
 
-use crate::error::{Result, SpeechError};
 use ivc_dsp::signal::Signal;
+use ivc_dsp::{DspError, Result};
 
 /// Analysis frame length in seconds.
 const FRAME_S: f64 = 0.02;
@@ -33,7 +33,7 @@ impl SpeechRegion {
 /// Detects speech regions in `signal`.
 pub fn detect_speech(signal: &Signal) -> Result<Vec<SpeechRegion>> {
     if signal.is_empty() {
-        return Err(SpeechError::invalid("signal", "empty input"));
+        return Err(DspError::invalid("signal", "empty input"));
     }
     let fs = signal.sample_rate_hz();
     let frame_len = ((FRAME_S * fs).round() as usize).max(1);

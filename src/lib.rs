@@ -40,14 +40,14 @@ pub use ivc_speech as speech;
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
     pub use ivc_acoustics::array::SpeakerArray;
-    pub use ivc_acoustics::{AcousticsError, AirEnvironment, DevicePreset, Microphone, Polynomial};
+    pub use ivc_acoustics::{AirEnvironment, DevicePreset, Microphone, Polynomial};
     pub use ivc_attack::leakage::LeakageReport;
-    pub use ivc_attack::{AttackError, MultiSpeakerAttack, SingleSpeakerAttack};
+    pub use ivc_attack::{MultiSpeakerAttack, SingleSpeakerAttack};
     pub use ivc_core::{
         run_trial, DatasetConfig, Delivery, PreparedCell, Result, Scenario, TrialOutcome,
     };
     pub use ivc_defense::evaluation::{ConfusionMatrix, RocCurve};
-    pub use ivc_defense::{DefenseError, DefenseFeatures, FeatureVector, LogisticRegression};
+    pub use ivc_defense::{DefenseFeatures, FeatureVector, LogisticRegression};
     pub use ivc_dsp::filter::{Biquad, BiquadCascade, FirFilter};
     pub use ivc_dsp::window::WindowKind;
     pub use ivc_dsp::{Complex, DspError, Signal};
@@ -57,8 +57,7 @@ pub mod prelude {
     };
     pub use ivc_room::RoomPreset;
     pub use ivc_speech::{
-        CommandId, RecognitionOutcome, Recognizer, SpeakerProfile, SpeechError, Synthesizer,
-        VoiceCommand,
+        CommandId, RecognitionOutcome, Recognizer, SpeakerProfile, Synthesizer, VoiceCommand,
     };
 }
 

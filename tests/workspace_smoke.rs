@@ -7,14 +7,13 @@
 // prelude fails this import, used or not.
 #[allow(unused_imports)]
 use inaudible_voice_commands::prelude::{
-    run_campaign, run_trial, AcousticsError, AirEnvironment, AttackError, Biquad, BiquadCascade,
-    CampaignReport, CampaignSpec, CellCoords, CommandId, Complex, ConfusionMatrix, DatasetConfig,
-    DefenseError, DefenseFeatures, Delivery, DeliverySpec, DetectorSpec, DevicePreset, DspError,
-    EnvironmentPreset, FeatureVector, FirFilter, LeakageReport, LogisticRegression, Microphone,
-    MultiSpeakerAttack, Polynomial, PreparedCell, RecognitionOutcome, Recognizer, Result, RocCurve,
-    RoomPreset, Scenario, ShardArchive, ShardJob, ShardPlan, ShardRange, Signal,
-    SingleSpeakerAttack, SpeakerArray, SpeakerProfile, SpeechError, Synthesizer, TrialOutcome,
-    VoiceCommand, WindowKind,
+    run_campaign, run_trial, AirEnvironment, Biquad, BiquadCascade, CampaignReport, CampaignSpec,
+    CellCoords, CommandId, Complex, ConfusionMatrix, DatasetConfig, DefenseFeatures, Delivery,
+    DeliverySpec, DetectorSpec, DevicePreset, DspError, EnvironmentPreset, FeatureVector,
+    FirFilter, LeakageReport, LogisticRegression, Microphone, MultiSpeakerAttack, Polynomial,
+    PreparedCell, RecognitionOutcome, Recognizer, Result, RocCurve, RoomPreset, Scenario,
+    ShardArchive, ShardJob, ShardPlan, ShardRange, Signal, SingleSpeakerAttack, SpeakerArray,
+    SpeakerProfile, Synthesizer, TrialOutcome, VoiceCommand, WindowKind,
 };
 use inaudible_voice_commands::speech::commands::corpus;
 
