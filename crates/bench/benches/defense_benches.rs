@@ -2,9 +2,13 @@
 //! training, the per-recording costs a deployed detector would pay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ivc_acoustics::microphone::CaptureScratch;
+use ivc_core::scenario::Scenario;
+use ivc_core::stages::PreparedCell;
 use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::DefenseFeatures;
 use ivc_dsp::signal::Signal;
+use ivc_speech::commands::corpus;
 
 fn synthetic_recording() -> Signal {
     let fs = 48_000.0;
@@ -21,12 +25,36 @@ fn synthetic_recording() -> Signal {
     Signal::new(samples, fs).unwrap()
 }
 
+/// A trial's recording in the shape the `repeat` benchmark workload
+/// scores: an 8-element 40 W array at 1.5 m, its voice capped at 0.6 s,
+/// through Prepare and Perturb (29 010 samples at 48 kHz).
+fn repeat_capture() -> Signal {
+    let scenario = Scenario {
+        distance_m: 1.5,
+        max_voice_duration_s: 0.6,
+        ..Scenario::default_attack()
+    };
+    let cell = PreparedCell::prepare(&corpus()[0], &scenario, &[1]).unwrap();
+    cell.perturb(1, &mut CaptureScratch::new()).unwrap()
+}
+
 fn bench_defense(c: &mut Criterion) {
     let mut group = c.benchmark_group("defense");
     group.sample_size(10);
     let rec = synthetic_recording();
     group.bench_function("feature_extraction_1s_recording", |b| {
         b.iter(|| DefenseFeatures::extract(std::hint::black_box(&rec)).unwrap())
+    });
+    let capture = repeat_capture();
+    group.bench_function("feature_extraction_0p6s_capture", |b| {
+        b.iter(|| DefenseFeatures::extract(std::hint::black_box(&capture)).unwrap())
+    });
+    let normalized = DefenseFeatures::normalize(&capture).unwrap();
+    group.bench_function("psd_half_0p6s_capture", |b| {
+        b.iter(|| DefenseFeatures::psd_half(std::hint::black_box(&normalized)).unwrap())
+    });
+    group.bench_function("shadow_half_0p6s_capture", |b| {
+        b.iter(|| DefenseFeatures::shadow_half(std::hint::black_box(&normalized)).unwrap())
     });
 
     let samples: Vec<(Vec<f64>, bool)> = (0..60)

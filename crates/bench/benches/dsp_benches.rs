@@ -76,8 +76,8 @@ fn bench_dsp(c: &mut Criterion) {
         })
     });
 
-    // The defense's voice-band isolator: four sections, forward and back,
-    // over a 0.6 s recording.
+    // A four-section Butterworth band-pass, forward and back, over a 0.6 s
+    // recording.
     let recording = Signal::tone(1_000.0, 0.5, 0.6, 48_000.0).unwrap();
     let voice_band = BiquadCascade::butterworth_band_pass(300.0, 4_000.0, 4, 48_000.0).unwrap();
     group.bench_function("filtfilt_bpf4_29k_samples", |b| {

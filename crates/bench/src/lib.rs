@@ -730,6 +730,8 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
         &[
             "evaluate.recognition",
             "evaluate.defense_features",
+            "evaluate.defense_features.psd",
+            "evaluate.defense_features.shadow",
             "evaluate.detector",
         ],
     ),

@@ -574,9 +574,23 @@ impl PreparedCell {
             .filter(|(_, ok)| *ok)
             .map(|(word, _)| word)
             .collect();
+        // `DefenseFeatures::extract`, split so each half gets its own span.
         let features_span = telemetry::span("evaluate.defense_features");
-        let defense_features = DefenseFeatures::extract(&recording)?;
+        let normalized = DefenseFeatures::normalize(&recording)?;
+        let (shadow_power_ratio_db, spectral_tilt_db_per_khz) = {
+            let _span = telemetry::span("evaluate.defense_features.psd");
+            DefenseFeatures::psd_half(&normalized)?
+        };
+        let shadow_correlation = {
+            let _span = telemetry::span("evaluate.defense_features.shadow");
+            DefenseFeatures::shadow_half(&normalized)?
+        };
         drop(features_span);
+        let defense_features = DefenseFeatures {
+            shadow_power_ratio_db,
+            shadow_correlation,
+            spectral_tilt_db_per_khz,
+        };
         let detection_probability = match detector {
             Some(model) => {
                 let _span = telemetry::span("evaluate.detector");
