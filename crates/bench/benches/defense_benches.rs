@@ -1,5 +1,6 @@
-//! Criterion benches for the defense: feature extraction and classifier
-//! training, the per-recording costs a deployed detector would pay.
+//! Criterion benches for the Evaluate stage: recognition of a trial's
+//! capture, the defense's feature extraction and classifier training — the
+//! per-recording costs a deployed assistant and detector would pay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivc_acoustics::microphone::CaptureScratch;
@@ -8,7 +9,9 @@ use ivc_core::stages::PreparedCell;
 use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::DefenseFeatures;
 use ivc_dsp::signal::Signal;
+use ivc_dsp::spectrum::WelchScratch;
 use ivc_speech::commands::corpus;
+use ivc_speech::recognizer::{EvalScratch, Recognizer};
 
 fn synthetic_recording() -> Signal {
     let fs = 48_000.0;
@@ -50,8 +53,9 @@ fn bench_defense(c: &mut Criterion) {
         b.iter(|| DefenseFeatures::extract(std::hint::black_box(&capture)).unwrap())
     });
     let normalized = DefenseFeatures::normalize(&capture).unwrap();
+    let mut welch = WelchScratch::new();
     group.bench_function("psd_half_0p6s_capture", |b| {
-        b.iter(|| DefenseFeatures::psd_half(std::hint::black_box(&normalized)).unwrap())
+        b.iter(|| DefenseFeatures::psd_half(std::hint::black_box(&normalized), &mut welch).unwrap())
     });
     group.bench_function("shadow_half_0p6s_capture", |b| {
         b.iter(|| DefenseFeatures::shadow_half(std::hint::black_box(&normalized)).unwrap())
@@ -74,5 +78,22 @@ fn bench_defense(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_defense);
+fn bench_speech(c: &mut Criterion) {
+    let mut group = c.benchmark_group("speech");
+    group.sample_size(20);
+    let recognizer = Recognizer::with_default_corpus().unwrap();
+    let capture = repeat_capture();
+    let expected = corpus()[0].id;
+    let mut scratch = EvalScratch::new();
+    group.bench_function("recognizer_evaluate_0p6s_capture", |b| {
+        b.iter(|| {
+            recognizer
+                .evaluate(std::hint::black_box(&capture), expected, &mut scratch)
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_defense, bench_speech);
 criterion_main!(benches);

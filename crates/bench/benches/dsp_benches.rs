@@ -9,7 +9,7 @@ use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::filter::fir::FirFilter;
 use ivc_dsp::resample::{filter_and_resample, resample, upsample};
 use ivc_dsp::signal::Signal;
-use ivc_dsp::spectrum::welch_psd;
+use ivc_dsp::spectrum::{welch_psd, welch_psd_into, WelchScratch};
 use ivc_dsp::window::WindowKind;
 
 fn bench_dsp(c: &mut Criterion) {
@@ -92,6 +92,25 @@ fn bench_dsp(c: &mut Criterion) {
                 2_048,
                 0.5,
                 WindowKind::Hann,
+            )
+            .unwrap()
+        })
+    });
+
+    // The defense features' PSD of a `repeat`-shaped capture: one
+    // 16 384-sample Hann segment hopped by half over 29 010 samples, with
+    // the window and frame reused from the previous call.
+    let capture = Signal::tone(1_000.0, 0.5, 29_010.0 / 48_000.0, 48_000.0).unwrap();
+    let mut scratch = WelchScratch::new();
+    group.bench_function("welch_psd_29k_samples_16k_segment", |b| {
+        b.iter(|| {
+            welch_psd_into(
+                std::hint::black_box(capture.samples()),
+                48_000.0,
+                16_384,
+                0.5,
+                WindowKind::Hann,
+                &mut scratch,
             )
             .unwrap()
         })

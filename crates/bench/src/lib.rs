@@ -729,6 +729,8 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
         telemetry::SPAN_STAGE_EVALUATE,
         &[
             "evaluate.recognition",
+            "evaluate.recognition.front_end",
+            "evaluate.recognition.dtw",
             "evaluate.defense_features",
             "evaluate.defense_features.psd",
             "evaluate.defense_features.shadow",

@@ -15,7 +15,7 @@ use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::features::DefenseFeatures;
 use ivc_dsp::signal::Signal;
 use ivc_speech::commands::VoiceCommand;
-use ivc_speech::recognizer::Recognizer;
+use ivc_speech::recognizer::{EvalScratch, Recognizer};
 
 /// Everything measured in one trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +64,7 @@ pub fn run_trial(
         recognizer,
         detector,
         &mut CaptureScratch::new(),
+        &mut EvalScratch::new(),
     )
 }
 

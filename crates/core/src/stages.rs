@@ -71,7 +71,7 @@ use ivc_dsp::signal::Signal;
 use ivc_room::{propagate_in_room, RoomPreset};
 use ivc_speech::cache::TalkerKey;
 use ivc_speech::commands::VoiceCommand;
-use ivc_speech::recognizer::Recognizer;
+use ivc_speech::recognizer::{EvalScratch, Recognizer};
 use ivc_speech::synthesis::{Synthesizer, Utterance};
 use std::sync::Arc;
 
@@ -555,16 +555,28 @@ impl PreparedCell {
     ///
     /// `recognizer` must have the command corpus enrolled; `seed` is
     /// echoed into [`TrialOutcome::seed`] so archives stay self-contained.
+    /// `scratch` holds the recogniser's and the Welch PSD's buffers, reused
+    /// across a worker's trials like [`CaptureScratch`]; the outcome is
+    /// bit-identical with a fresh or a reused one.
     pub fn evaluate(
         &self,
         recording: Signal,
         seed: u64,
         recognizer: &Recognizer,
         detector: Option<&LogisticRegression>,
+        scratch: &mut EvalScratch,
     ) -> Result<TrialOutcome> {
         let _stage = telemetry::span(telemetry::SPAN_STAGE_EVALUATE);
+        // `Recognizer::evaluate`, split so each half gets its own span.
         let recognition_span = telemetry::span("evaluate.recognition");
-        let evaluation = recognizer.evaluate(&recording, self.command.id)?;
+        {
+            let _span = telemetry::span("evaluate.recognition.front_end");
+            recognizer.front_end(&recording, scratch)?;
+        }
+        let evaluation = {
+            let _span = telemetry::span("evaluate.recognition.dtw");
+            recognizer.score(self.command.id, scratch)?
+        };
         drop(recognition_span);
         let word_accuracy = evaluation.word_accuracy;
         let accepted = evaluation.accepted;
@@ -579,7 +591,7 @@ impl PreparedCell {
         let normalized = DefenseFeatures::normalize(&recording)?;
         let (shadow_power_ratio_db, spectral_tilt_db_per_khz) = {
             let _span = telemetry::span("evaluate.defense_features.psd");
-            DefenseFeatures::psd_half(&normalized)?
+            DefenseFeatures::psd_half(&normalized, &mut scratch.welch)?
         };
         let shadow_correlation = {
             let _span = telemetry::span("evaluate.defense_features.shadow");
@@ -613,17 +625,19 @@ impl PreparedCell {
     }
 
     /// Perturb + Evaluate for one trial seed — the shape campaign workers
-    /// run after preparing (or being handed) the cell, reusing `scratch`
-    /// across trials (see [`perturb`](Self::perturb)).
+    /// run after preparing (or being handed) the cell, reusing both arenas
+    /// across trials (see [`perturb`](Self::perturb) and
+    /// [`evaluate`](Self::evaluate)).
     pub fn run(
         &self,
         seed: u64,
         recognizer: &Recognizer,
         detector: Option<&LogisticRegression>,
-        scratch: &mut CaptureScratch,
+        capture: &mut CaptureScratch,
+        eval: &mut EvalScratch,
     ) -> Result<TrialOutcome> {
-        let recording = self.perturb(seed, scratch)?;
-        self.evaluate(recording, seed, recognizer, detector)
+        let recording = self.perturb(seed, capture)?;
+        self.evaluate(recording, seed, recognizer, detector, eval)
     }
 }
 
@@ -693,8 +707,11 @@ mod tests {
         // The same prepared cell serves multiple seeds; each equals the
         // one-shot wrapper for that seed, bit for bit.
         let mut scratch = CaptureScratch::new();
+        let mut eval = EvalScratch::new();
         for seed in [1u64, 2] {
-            let staged = prepared.run(seed, &recognizer, None, &mut scratch).unwrap();
+            let staged = prepared
+                .run(seed, &recognizer, None, &mut scratch, &mut eval)
+                .unwrap();
             let monolithic =
                 crate::pipeline::run_trial(command, &scenario.with_seed(seed), &recognizer, None)
                     .unwrap();
@@ -712,11 +729,12 @@ mod tests {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
         let mut scratch = CaptureScratch::new();
+        let mut eval = EvalScratch::new();
         let mut outcome = |delivery: Delivery| {
             let scenario = quick_scenario(delivery);
             PreparedCell::prepare(command, &scenario, &[7])
                 .unwrap()
-                .run(7, &recognizer, None, &mut scratch)
+                .run(7, &recognizer, None, &mut scratch, &mut eval)
                 .unwrap()
         };
         let single = outcome(Delivery::SingleSpeakerUltrasound {
@@ -741,13 +759,17 @@ mod tests {
         // Seeds 3 and 11 share variant 3: one rendered path serves both.
         let prepared = PreparedCell::prepare(command, &scenario, &[3, 11]).unwrap();
         let mut scratch = CaptureScratch::new();
-        let a = prepared.run(3, &recognizer, None, &mut scratch).unwrap();
+        let mut eval = EvalScratch::new();
+        let a = prepared
+            .run(3, &recognizer, None, &mut scratch, &mut eval)
+            .unwrap();
         let b = prepared
             .run(
                 3 + NUM_TALKER_VARIANTS as u64,
                 &recognizer,
                 None,
                 &mut scratch,
+                &mut eval,
             )
             .unwrap();
         // Same talker, different noise draw.
@@ -788,6 +810,7 @@ mod tests {
         let recognizer = Recognizer::with_default_corpus().unwrap();
         let command = &corpus()[0];
         let mut scratch = CaptureScratch::new();
+        let mut eval = EvalScratch::new();
         let oblivious = quick_scenario(Delivery::ArrayUltrasound {
             num_elements: 6,
             total_power_w: 60.0,
@@ -799,11 +822,11 @@ mod tests {
         };
         let plain = PreparedCell::prepare(command, &oblivious, &[1])
             .unwrap()
-            .run(1, &recognizer, None, &mut scratch)
+            .run(1, &recognizer, None, &mut scratch, &mut eval)
             .unwrap();
         let suppressed = PreparedCell::prepare(command, &adaptive, &[1])
             .unwrap()
-            .run(1, &recognizer, None, &mut scratch)
+            .run(1, &recognizer, None, &mut scratch, &mut eval)
             .unwrap();
         assert_ne!(plain.recording.samples(), suppressed.recording.samples());
         // Suppression shrinks the shadow feature the detector keys on.

@@ -69,7 +69,7 @@ use ivc_dsp::db::power_to_db;
 use ivc_dsp::fft::{fft_in_place, irfft_into, next_power_of_two, rfft_into};
 use ivc_dsp::filter::biquad::BiquadCascade;
 use ivc_dsp::signal::Signal;
-use ivc_dsp::spectrum::welch_psd;
+use ivc_dsp::spectrum::{welch_psd_into, WelchScratch};
 use ivc_dsp::window::WindowKind;
 use ivc_dsp::{DspError, Result};
 
@@ -129,7 +129,8 @@ impl DefenseFeatures {
     /// [`psd_half`](Self::psd_half) and [`shadow_half`](Self::shadow_half).
     pub fn extract(recording: &Signal) -> Result<Self> {
         let normalized = Self::normalize(recording)?;
-        let (shadow_power_ratio_db, spectral_tilt_db_per_khz) = Self::psd_half(&normalized)?;
+        let (shadow_power_ratio_db, spectral_tilt_db_per_khz) =
+            Self::psd_half(&normalized, &mut WelchScratch::new())?;
         Ok(DefenseFeatures {
             shadow_power_ratio_db,
             shadow_correlation: Self::shadow_half(&normalized)?,
@@ -156,12 +157,24 @@ impl DefenseFeatures {
     }
 
     /// Features 1 and 3 from one Welch PSD:
-    /// `(shadow_power_ratio_db, spectral_tilt_db_per_khz)`.
-    pub fn psd_half(normalized: &NormalizedRecording) -> Result<(f64, f64)> {
+    /// `(shadow_power_ratio_db, spectral_tilt_db_per_khz)`.  `scratch`
+    /// holds the PSD's window and frame, so a worker reuses them across
+    /// trials; the features are the same with a fresh or a reused one.
+    pub fn psd_half(
+        normalized: &NormalizedRecording,
+        scratch: &mut WelchScratch,
+    ) -> Result<(f64, f64)> {
         let signal = &normalized.0;
         let samples = signal.samples();
         let seg = samples.len().clamp(1_024, 16_384);
-        let psd = welch_psd(samples, signal.sample_rate_hz(), seg, 0.5, WindowKind::Hann)?;
+        let psd = welch_psd_into(
+            samples,
+            signal.sample_rate_hz(),
+            seg,
+            0.5,
+            WindowKind::Hann,
+            scratch,
+        )?;
         let shadow_power = psd.band_power(SHADOW_BAND_HZ.0, SHADOW_BAND_HZ.1);
         let voice_power = psd.band_power(VOICE_BAND_HZ.0, VOICE_BAND_HZ.1);
         Ok((
@@ -350,7 +363,7 @@ impl LowBand {
 /// envelope.  Kept as the reference the mask path is checked against.
 #[cfg(test)]
 mod reference {
-    use super::{DefenseFeatures, SHADOW_BAND_HZ, VOICE_BAND_HZ};
+    use super::{DefenseFeatures, WelchScratch, SHADOW_BAND_HZ, VOICE_BAND_HZ};
     use ivc_dsp::correlation::pearson_correlation;
     use ivc_dsp::envelope::hilbert_envelope;
     use ivc_dsp::filter::biquad::BiquadCascade;
@@ -360,7 +373,7 @@ mod reference {
     pub(super) fn extract(recording: &Signal) -> Result<DefenseFeatures> {
         let normalized = DefenseFeatures::normalize(recording)?;
         let (shadow_power_ratio_db, spectral_tilt_db_per_khz) =
-            DefenseFeatures::psd_half(&normalized)?;
+            DefenseFeatures::psd_half(&normalized, &mut WelchScratch::new())?;
         let fs = recording.sample_rate_hz();
         let samples = normalized.0.samples();
         // Low band: everything below ~80 Hz.
@@ -533,7 +546,11 @@ mod tests {
     fn halves_compose_to_extract() {
         let rec = attack_recording();
         let normalized = DefenseFeatures::normalize(&rec).unwrap();
-        let (ratio, tilt) = DefenseFeatures::psd_half(&normalized).unwrap();
+        // A scratch that already served a shorter recording.
+        let mut scratch = WelchScratch::new();
+        let shorter = DefenseFeatures::normalize(&rec.slice_seconds(0.0, 0.1)).unwrap();
+        DefenseFeatures::psd_half(&shorter, &mut scratch).unwrap();
+        let (ratio, tilt) = DefenseFeatures::psd_half(&normalized, &mut scratch).unwrap();
         let correlation = DefenseFeatures::shadow_half(&normalized).unwrap();
         let whole = DefenseFeatures::extract(&rec).unwrap();
         assert_eq!(

@@ -192,17 +192,23 @@ impl Signal {
     /// Extracts the samples between `start_s` and `end_s` (clamped to the
     /// signal bounds) as a new signal.
     pub fn slice_seconds(&self, start_s: f64, end_s: f64) -> Signal {
+        Signal {
+            samples: self.samples[self.seconds_range(start_s, end_s)].to_vec(),
+            sample_rate_hz: self.sample_rate_hz,
+        }
+    }
+
+    /// The sample indices [`slice_seconds`](Self::slice_seconds) keeps:
+    /// both times rounded to the nearest sample and clamped to the signal,
+    /// in increasing order.
+    pub fn seconds_range(&self, start_s: f64, end_s: f64) -> std::ops::Range<usize> {
         let start =
             ((start_s * self.sample_rate_hz).round().max(0.0) as usize).min(self.samples.len());
         let end = ((end_s * self.sample_rate_hz).round().max(0.0) as usize).min(self.samples.len());
-        let (start, end) = if start <= end {
-            (start, end)
+        if start <= end {
+            start..end
         } else {
-            (end, start)
-        };
-        Signal {
-            samples: self.samples[start..end].to_vec(),
-            sample_rate_hz: self.sample_rate_hz,
+            end..start
         }
     }
 

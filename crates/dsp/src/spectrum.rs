@@ -4,6 +4,7 @@
 //! ultrasonic region versus the voice band (attack inaudibility), power
 //! below 50 Hz (defense shadow feature), and spectral tilt (defense).
 
+use crate::complex::Complex;
 use crate::error::{DspError, Result};
 use crate::fft::{next_power_of_two, rfft_into};
 use crate::window::WindowKind;
@@ -35,13 +36,15 @@ impl PowerSpectrum {
     /// frequency in kHz, over bins whose power is above the floor.  Negative
     /// values mean power falls with frequency (typical for voiced speech).
     pub fn tilt_db_per_khz(&self) -> f64 {
-        let points: Vec<(f64, f64)> = self
-            .frequencies_hz
-            .iter()
-            .zip(self.power.iter())
-            .filter(|(_, p)| **p > 0.0)
-            .map(|(f, p)| (f / 1_000.0, 10.0 * p.log10()))
-            .collect();
+        // Sized once: a filtered collect would regrow it a dozen times.
+        let mut points = Vec::with_capacity(self.power.len());
+        points.extend(
+            self.frequencies_hz
+                .iter()
+                .zip(self.power.iter())
+                .filter(|(_, p)| **p > 0.0)
+                .map(|(f, p)| (f / 1_000.0, 10.0 * p.log10())),
+        );
         linear_slope(&points)
     }
 }
@@ -64,14 +67,55 @@ fn linear_slope(points: &[(f64, f64)]) -> f64 {
     }
 }
 
+/// Reusable buffers for [`welch_psd_into`]: the analysis window with its
+/// power (rebuilt only when the window's kind or length changes), one
+/// windowed frame and its half spectrum.  A worker that estimates one PSD
+/// per trial keeps one of these instead of rebuilding a 16 384-point
+/// window and allocating a frame per segment on every call.
+#[derive(Debug, Default)]
+pub struct WelchScratch {
+    window: Vec<f64>,
+    window_kind: Option<WindowKind>,
+    window_power: f64,
+    frame: Vec<f64>,
+    spectrum: Vec<Complex>,
+}
+
+impl WelchScratch {
+    /// An empty arena; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        WelchScratch::default()
+    }
+}
+
 /// Welch PSD estimate with segments of `segment_len` samples and fractional
-/// `overlap` in `[0, 1)`.
+/// `overlap` in `[0, 1)`.  [`welch_psd_into`] with a fresh scratch.
 pub fn welch_psd(
     samples: &[f64],
     sample_rate_hz: f64,
     segment_len: usize,
     overlap: f64,
     window: WindowKind,
+) -> Result<PowerSpectrum> {
+    welch_psd_into(
+        samples,
+        sample_rate_hz,
+        segment_len,
+        overlap,
+        window,
+        &mut WelchScratch::new(),
+    )
+}
+
+/// [`welch_psd`] with its window, frame and spectrum in `scratch`; the
+/// estimate is bit-identical with a fresh or a reused scratch.
+pub fn welch_psd_into(
+    samples: &[f64],
+    sample_rate_hz: f64,
+    segment_len: usize,
+    overlap: f64,
+    window: WindowKind,
+    scratch: &mut WelchScratch,
 ) -> Result<PowerSpectrum> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput {
@@ -87,39 +131,46 @@ pub fn welch_psd(
     let segment_len = segment_len.min(samples.len()).max(16);
     let nfft = next_power_of_two(segment_len);
     let hop = ((segment_len as f64) * (1.0 - overlap)).max(1.0) as usize;
-    let win = window.symmetric(segment_len);
-    let win_power: f64 = win.iter().map(|w| w * w).sum();
+    if scratch.window_kind != Some(window) || scratch.window.len() != segment_len {
+        scratch.window = window.symmetric(segment_len);
+        scratch.window_kind = Some(window);
+        scratch.window_power = scratch.window.iter().map(|w| w * w).sum();
+    }
+    let WelchScratch {
+        window: win,
+        window_power,
+        frame,
+        spectrum,
+        ..
+    } = scratch;
+    let density = sample_rate_hz * *window_power;
 
     let n_bins = nfft / 2 + 1;
     let mut accumulated = vec![0.0; n_bins];
-    let mut spec = Vec::with_capacity(n_bins);
+    // One segment (or the whole signal, if shorter than one) windowed,
+    // zero-padded, transformed and added to the one-sided PSD: every bin
+    // but DC and Nyquist counts twice.
+    let mut add_segment = |segment: &[f64]| -> Result<()> {
+        frame.clear();
+        frame.extend(segment.iter().zip(win.iter()).map(|(s, w)| s * w));
+        frame.resize(nfft, 0.0);
+        rfft_into(frame, nfft, spectrum)?;
+        for (k, acc) in accumulated.iter_mut().enumerate() {
+            let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
+            *acc += scale * spectrum[k].norm_sqr() / density;
+        }
+        Ok(())
+    };
     let mut n_segments = 0usize;
     let mut start = 0usize;
     while start + segment_len <= samples.len() {
-        let mut frame: Vec<f64> = samples[start..start + segment_len]
-            .iter()
-            .zip(win.iter())
-            .map(|(s, w)| s * w)
-            .collect();
-        frame.resize(nfft, 0.0);
-        rfft_into(&frame, nfft, &mut spec)?;
-        for (k, acc) in accumulated.iter_mut().enumerate() {
-            // One-sided PSD: double everything except DC and Nyquist.
-            let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
-            *acc += scale * spec[k].norm_sqr() / (sample_rate_hz * win_power);
-        }
+        add_segment(&samples[start..start + segment_len])?;
         n_segments += 1;
         start += hop;
     }
     if n_segments == 0 {
         // Signal shorter than one segment: pad a single frame.
-        let mut frame: Vec<f64> = samples.iter().zip(win.iter()).map(|(s, w)| s * w).collect();
-        frame.resize(nfft, 0.0);
-        rfft_into(&frame, nfft, &mut spec)?;
-        for (k, acc) in accumulated.iter_mut().enumerate() {
-            let scale = if k == 0 || k == nfft / 2 { 1.0 } else { 2.0 };
-            *acc += scale * spec[k].norm_sqr() / (sample_rate_hz * win_power);
-        }
+        add_segment(samples)?;
         n_segments = 1;
     }
     let resolution_hz = sample_rate_hz / nfft as f64;
@@ -228,6 +279,28 @@ mod tests {
             .unwrap();
         let psd = welch_psd(sig.samples(), fs, 1_024, 0.5, WindowKind::Hann).unwrap();
         assert!(psd.tilt_db_per_khz() < 0.0);
+    }
+
+    #[test]
+    fn a_reused_scratch_gives_the_same_bits() {
+        let long = tone(3_000.0, 0.7, 48_000.0, 0.6);
+        let short = tone(500.0, 0.2, 16_000.0, 0.1);
+        let mut scratch = WelchScratch::new();
+        // Window lengths and kinds change from call to call, so the cached
+        // window must be rebuilt whenever either does.
+        for (samples, fs, segment, window) in [
+            (&long, 48_000.0, 16_384, WindowKind::Hann),
+            (&short, 16_000.0, 256, WindowKind::Hann),
+            (&short, 16_000.0, 256, WindowKind::Hamming),
+            (&long, 48_000.0, 16_384, WindowKind::Hann),
+            (&short, 16_000.0, 4_096, WindowKind::Hann),
+        ] {
+            let reused = welch_psd_into(samples, fs, segment, 0.5, window, &mut scratch).unwrap();
+            let fresh = welch_psd(samples, fs, segment, 0.5, window).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.power), bits(&fresh.power));
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use ivc_defense::classifier::LogisticRegression;
 use ivc_dsp::signal::Signal;
 use ivc_dsp::stft::spectrogram;
 use ivc_speech::commands::corpus;
-use ivc_speech::recognizer::Recognizer;
+use ivc_speech::recognizer::{EvalScratch, Recognizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -251,12 +251,13 @@ pub(crate) fn execute_jobs(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            // One scratch arena per worker: Perturb reuses its buffers
-            // across every trial the worker runs (results are
-            // scratch-independent, so worker count still never reaches
-            // the archive).
+            // One pair of scratch arenas per worker: Perturb and Evaluate
+            // reuse their buffers across every trial the worker runs
+            // (results are scratch-independent, so worker count still
+            // never reaches the archive).
             scope.spawn(|| {
                 let mut scratch = CaptureScratch::new();
+                let mut eval = EvalScratch::new();
                 loop {
                     let job = next_job.fetch_add(1, Ordering::Relaxed);
                     if job >= num_jobs {
@@ -308,6 +309,7 @@ pub(crate) fn execute_jobs(
                         detector,
                         recognizer,
                         &mut scratch,
+                        &mut eval,
                     );
                     slots.lock().expect("result mutex poisoned")
                         [jobs.cell_index * trials_per_cell + trial_index - start_job] =
@@ -371,13 +373,14 @@ fn run_one_trial(
     prepared: SharedPrepared,
     detector: SharedDetector,
     recognizer: &Recognizer,
-    scratch: &mut CaptureScratch,
+    capture: &mut CaptureScratch,
+    eval: &mut EvalScratch,
 ) -> std::result::Result<TrialRecord, String> {
     let prepared = prepared?;
     let detector = detector?;
     let seed = spec.trial_seed(trial_index);
     let outcome = prepared
-        .run(seed, recognizer, detector.as_deref(), scratch)
+        .run(seed, recognizer, detector.as_deref(), capture, eval)
         .map_err(|e| e.to_string())?;
     let recording_band_summary_db = if spec.recording_band_summary {
         Some(band_summary(&outcome.recording)?)

@@ -25,7 +25,7 @@ use inaudible_voice_commands::core::{run_trial, PreparedCell, TrialOutcome};
 use inaudible_voice_commands::dsp::signal::Signal;
 use inaudible_voice_commands::room::RoomPreset;
 use inaudible_voice_commands::speech::commands::corpus;
-use inaudible_voice_commands::speech::recognizer::Recognizer;
+use inaudible_voice_commands::speech::recognizer::{EvalScratch, Recognizer};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -177,8 +177,11 @@ fn golden_lines(recognizer: &Recognizer) -> Vec<String> {
     );
     let prepared = PreparedCell::prepare(command, &scenario, &SHARED_SEEDS).unwrap();
     let mut scratch = CaptureScratch::new();
+    let mut eval = EvalScratch::new();
     for seed in SHARED_SEEDS {
-        let outcome = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
+        let outcome = prepared
+            .run(seed, recognizer, None, &mut scratch, &mut eval)
+            .unwrap();
         lines.push(digest_line(&format!("shared/Office/seed{seed}"), &outcome));
     }
     lines
@@ -232,8 +235,11 @@ fn assert_shared_cell_matches_run_trial(
     let command = &corpus()[command_index];
     let prepared = PreparedCell::prepare(command, scenario, seeds).unwrap();
     let mut scratch = CaptureScratch::new();
+    let mut eval = EvalScratch::new();
     for &seed in seeds {
-        let shared = prepared.run(seed, recognizer, None, &mut scratch).unwrap();
+        let shared = prepared
+            .run(seed, recognizer, None, &mut scratch, &mut eval)
+            .unwrap();
         let alone = run_trial(command, &scenario.with_seed(seed), recognizer, None).unwrap();
         assert_eq!(
             shared, alone,
