@@ -19,8 +19,10 @@
 //!
 //! * [`Microphone::shape_path`] — `H·X`, once per clean path
 //!   ([`ShapedPath`]);
-//! * [`Microphone::noise_shape`] — `√PSD` per bin, once per transform
-//!   length and ambient level ([`NoiseShape`]);
+//! * [`Microphone::noise_shape`] — `√PSD` per bin ([`NoiseShape`]), a
+//!   pure function of the device, the transform length, the rate and the
+//!   ambient level, so every path of one device, length, rate and level
+//!   shares one table (the Prepare stage caches it under those four);
 //! * per capture: one Gaussian draw of the noise bins
 //!   ([`NoiseShape::draw`]), the sum with `H·X` and one inverse FFT
 //!   ([`Microphone::front_end_synthesis`]), the non-linearity
@@ -103,16 +105,9 @@ impl ShapedPath {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseShape {
     deviation: Vec<f32>,
-    sample_rate_hz: f64,
 }
 
 impl NoiseShape {
-    /// Whether captures of `path` draw their noise from this shape: the
-    /// same transform length and sample rate.
-    pub fn fits(&self, path: &ShapedPath) -> bool {
-        self.deviation.len() == path.spectrum.len() && self.sample_rate_hz == path.sample_rate_hz
-    }
-
     /// Bytes the table holds.
     pub fn byte_size(&self) -> usize {
         self.deviation.len() * std::mem::size_of::<f32>()
@@ -384,10 +379,7 @@ impl Microphone {
                 (full_scale * (n as f64 * psd / components).sqrt()) as f32
             })
             .collect();
-        Ok(NoiseShape {
-            deviation,
-            sample_rate_hz,
-        })
+        Ok(NoiseShape { deviation })
     }
 
     /// The analog half of a capture, after [`NoiseShape::draw`]:
@@ -645,7 +637,6 @@ mod tests {
             .shape_path(&pressure_tone(1_000.0, 70.0, 0.05, 48_000.0))
             .unwrap();
         let other = mic.noise_shape(1 << 10, 48_000.0, None).unwrap();
-        assert!(!other.fits(&path));
         let mut scratch = CaptureScratch::new();
         assert!(mic.capture_shaped(&path, &other, 1, &mut scratch).is_err());
         // A draw serves one synthesis.

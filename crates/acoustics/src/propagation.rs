@@ -14,10 +14,16 @@
 //! Reflections are intentionally ignored: the paper's experiments were run
 //! at line-of-sight in an ordinary room, where the direct path dominates the
 //! demodulated baseband; DESIGN.md records this as a simplification.
+//!
+//! The one body, [`propagate_spectrum_with_gain_curve`], reads the source
+//! as its half spectrum ([`SourceSpectrum`]), so a source propagated to
+//! many distances is transformed once; the signal-taking functions
+//! transform their source themselves and give the same bits.
 
 use crate::absorption::AirAbsorption;
 use crate::environment::AirEnvironment;
-use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
+use ivc_dsp::complex::Complex;
+use ivc_dsp::fft::{bin_frequency, irfft_into, is_power_of_two, next_power_of_two, rfft_into};
 use ivc_dsp::signal::Signal;
 use ivc_dsp::{DspError, Result};
 
@@ -97,23 +103,78 @@ pub fn interpolate_gain_curve(curve: &[(f64, f64)], frequency_hz: f64) -> f64 {
     }
 }
 
-/// The room-aware propagation primitive: [`propagate_from_aperture`] with
-/// an extra per-frequency amplitude gain (a sampled curve, see
-/// [`interpolate_gain_curve`]) folded into every bin.
+/// A source's half spectrum at one transform length: bins `0..=n/2` of
+/// the `n`-point real transform of a 1 m-referenced pressure waveform,
+/// with the waveform's length and rate.
 ///
-/// Room models use the curve for what air does not do: surface reflection
-/// losses accumulated along an image-source path, or the transmission loss
-/// of an occluding wall between source and receiver.  Spreading and
-/// atmospheric absorption stay exact per-bin computations over
-/// `distance_m`, so a path through a room pays the same physics as the
-/// free-field path of the same length.
-pub fn propagate_with_gain_curve(
-    source_at_1m: &Signal,
-    distance_m: f64,
-    aperture_m: f64,
-    gain_curve: &[(f64, f64)],
-    env: &AirEnvironment,
-) -> Result<Signal> {
+/// The propagation bodies ([`propagate_spectrum_with_gain_curve`] and the
+/// room model's reflections) read the source only through this, so a
+/// caller that propagates one source many times — every distance of a
+/// sweep, the bystander, a room's reflections — transforms it once per
+/// length and gets the bits a fresh transform would give.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceSpectrum {
+    bins: Vec<Complex>,
+    transform_len: usize,
+    source_len: usize,
+    sample_rate_hz: f64,
+}
+
+impl SourceSpectrum {
+    /// The `transform_len`-point half spectrum of `source`, zero-padded;
+    /// `transform_len` must be a power of two no shorter than `source`.
+    pub fn new(source: &Signal, transform_len: usize) -> Result<Self> {
+        if source.is_empty() {
+            return Err(DspError::invalid("source_at_1m", "empty signal"));
+        }
+        if transform_len < source.len() || !is_power_of_two(transform_len) {
+            return Err(DspError::invalid(
+                "transform_len",
+                format!(
+                    "{transform_len} must be a power of two no shorter than the {}-sample source",
+                    source.len()
+                ),
+            ));
+        }
+        let mut bins = Vec::new();
+        rfft_into(source.samples(), transform_len, &mut bins)?;
+        Ok(SourceSpectrum {
+            bins,
+            transform_len,
+            source_len: source.len(),
+            sample_rate_hz: source.sample_rate_hz(),
+        })
+    }
+
+    /// The bins `0..=n/2`.
+    pub fn bins(&self) -> &[Complex] {
+        &self.bins
+    }
+
+    /// Length `n` of the transform.
+    pub fn transform_len(&self) -> usize {
+        self.transform_len
+    }
+
+    /// Length of the transformed waveform, in samples.
+    pub fn source_len(&self) -> usize {
+        self.source_len
+    }
+
+    /// Sample rate of the transformed waveform, in Hz.
+    pub fn sample_rate_hz(&self) -> f64 {
+        self.sample_rate_hz
+    }
+
+    /// Bytes the bins hold.
+    pub fn byte_size(&self) -> usize {
+        self.bins.len() * std::mem::size_of::<Complex>()
+    }
+}
+
+/// Refuses a path that is not positive and finite or an aperture outside
+/// `[0, 10]` metres.
+fn check_path(distance_m: f64, aperture_m: f64) -> Result<()> {
     if !(distance_m > 0.0) || !distance_m.is_finite() {
         return Err(DspError::invalid(
             "distance_m",
@@ -126,10 +187,58 @@ pub fn propagate_with_gain_curve(
             format!("{aperture_m} must be within [0, 10] metres"),
         ));
     }
-    if source_at_1m.is_empty() {
-        return Err(DspError::invalid("source_at_1m", "empty signal"));
+    Ok(())
+}
+
+/// The room-aware propagation primitive: [`propagate_from_aperture`] with
+/// an extra per-frequency amplitude gain (a sampled curve, see
+/// [`interpolate_gain_curve`]) folded into every bin.
+///
+/// Room models use the curve for what air does not do: surface reflection
+/// losses accumulated along an image-source path, or the transmission loss
+/// of an occluding wall between source and receiver.  Spreading and
+/// atmospheric absorption stay exact per-bin computations over
+/// `distance_m`, so a path through a room pays the same physics as the
+/// free-field path of the same length.
+///
+/// A thin wrapper: the source's transform at `next_power_of_two(len)`
+/// points, then [`propagate_spectrum_with_gain_curve`].
+pub fn propagate_with_gain_curve(
+    source_at_1m: &Signal,
+    distance_m: f64,
+    aperture_m: f64,
+    gain_curve: &[(f64, f64)],
+    env: &AirEnvironment,
+) -> Result<Signal> {
+    check_path(distance_m, aperture_m)?;
+    let spectrum = SourceSpectrum::new(source_at_1m, next_power_of_two(source_at_1m.len()))?;
+    propagate_spectrum_with_gain_curve(&spectrum, distance_m, aperture_m, gain_curve, env)
+}
+
+/// [`propagate_with_gain_curve`]'s body, reading the source as its half
+/// spectrum, which must be at `next_power_of_two(len)` points.
+pub fn propagate_spectrum_with_gain_curve(
+    source_at_1m: &SourceSpectrum,
+    distance_m: f64,
+    aperture_m: f64,
+    gain_curve: &[(f64, f64)],
+    env: &AirEnvironment,
+) -> Result<Signal> {
+    check_path(distance_m, aperture_m)?;
+    let (n, len, fs) = (
+        source_at_1m.transform_len,
+        source_at_1m.source_len,
+        source_at_1m.sample_rate_hz,
+    );
+    if n != next_power_of_two(len) {
+        return Err(DspError::invalid(
+            "source_at_1m",
+            format!(
+                "the direct path reads the {len}-sample source at {} points, not {n}",
+                next_power_of_two(len)
+            ),
+        ));
     }
-    let fs = source_at_1m.sample_rate_hz();
 
     // Frequency-dependent spreading and absorption applied via the FFT.
     // Spreading: the reference distance is 1 m, so the point-source gain is
@@ -137,11 +246,9 @@ pub fn propagate_with_gain_curve(
     // which is the common convention for loudspeaker sensitivity figures).
     // An extended source keeps its on-axis level out to the frequency's
     // Rayleigh distance before the 1/r decay starts.
-    let n = next_power_of_two(source_at_1m.len());
-    let mut spectrum = Vec::new();
-    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
     let air = AirAbsorption::new(env);
-    for (k, value) in spectrum.iter_mut().enumerate() {
+    let mut spectrum = Vec::with_capacity(source_at_1m.bins.len());
+    for (k, value) in source_at_1m.bins.iter().enumerate() {
         let f = bin_frequency(k, n, fs);
         let collimated_to_m = rayleigh_distance_m(aperture_m, f, env).max(1.0);
         let spreading_gain = (collimated_to_m / distance_m).min(1.0);
@@ -150,11 +257,11 @@ pub fn propagate_with_gain_curve(
         // and `x * 1.0 == x` in IEEE arithmetic, so the free-field result
         // is bit-identical to the pre-room-model implementation.
         let curve_gain = interpolate_gain_curve(gain_curve, f);
-        *value = value.scale(gain * spreading_gain * curve_gain);
+        spectrum.push(value.scale(gain * spreading_gain * curve_gain));
     }
     let mut samples = Vec::new();
     irfft_into(&mut spectrum, &mut samples)?;
-    samples.truncate(source_at_1m.len());
+    samples.truncate(len);
 
     // Whole-sample propagation delay.
     let delay_samples = propagation_delay_samples(distance_m, fs, env);

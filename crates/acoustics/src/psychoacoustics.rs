@@ -9,7 +9,7 @@
 //! margin.
 
 use crate::spl::pressure_to_spl_db;
-use ivc_dsp::spectrum::welch_psd;
+use ivc_dsp::spectrum::{welch_psd, PowerSpectrum};
 use ivc_dsp::window::WindowKind;
 use ivc_dsp::{DspError, Result};
 
@@ -57,9 +57,29 @@ pub fn audibility(
     if !(sample_rate_hz > 0.0) {
         return Err(DspError::invalid("sample_rate_hz", "must be positive"));
     }
-    let seg = pressure_samples.len().clamp(512, 8_192);
-    let psd = welch_psd(pressure_samples, sample_rate_hz, seg, 0.5, WindowKind::Hann)?;
+    let psd = welch_psd(
+        pressure_samples,
+        sample_rate_hz,
+        audibility_segment_len(pressure_samples.len()),
+        0.5,
+        WindowKind::Hann,
+    )?;
+    Ok(audibility_from_psd(&psd, sample_rate_hz, margin_db))
+}
 
+/// The Welch segment [`audibility`] asks for on `num_samples` samples (a
+/// Hann window with half overlap).
+pub fn audibility_segment_len(num_samples: usize) -> usize {
+    num_samples.clamp(512, 8_192)
+}
+
+/// [`audibility`]'s verdict from the waveform's PSD (estimated as
+/// [`audibility`] does), for callers that read one PSD several ways.
+pub fn audibility_from_psd(
+    psd: &PowerSpectrum,
+    sample_rate_hz: f64,
+    margin_db: f64,
+) -> AudibilityReport {
     // Third-octave-style analysis bands across the audible range.
     let mut worst_margin = f64::NEG_INFINITY;
     let mut worst_band = AUDIBLE_LOWER_HZ;
@@ -80,12 +100,12 @@ pub fn audibility(
         centre *= 2f64.powf(1.0 / 3.0);
     }
     let audible_band_spl_db = pressure_to_spl_db(audible_power.max(0.0).sqrt());
-    Ok(AudibilityReport {
+    AudibilityReport {
         audible: worst_margin > margin_db,
         worst_margin_db: worst_margin,
         worst_band_hz: worst_band,
         audible_band_spl_db,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -53,14 +53,25 @@ pub fn waveform_spl_dba(pressure_samples: &[f64], sample_rate_hz: f64) -> Result
     if pressure_samples.is_empty() {
         return Err(DspError::invalid("pressure_samples", "empty waveform"));
     }
-    let seg = pressure_samples.len().clamp(256, 8_192);
     let psd = ivc_dsp::spectrum::welch_psd(
         pressure_samples,
         sample_rate_hz,
-        seg,
+        dba_segment_len(pressure_samples.len()),
         0.5,
         ivc_dsp::window::WindowKind::Hann,
     )?;
+    Ok(spl_dba_from_psd(&psd))
+}
+
+/// The Welch segment [`waveform_spl_dba`] asks for on `num_samples`
+/// samples (a Hann window with half overlap).
+pub fn dba_segment_len(num_samples: usize) -> usize {
+    num_samples.clamp(256, 8_192)
+}
+
+/// [`waveform_spl_dba`] from the waveform's PSD (estimated as
+/// [`waveform_spl_dba`] does), for callers that read one PSD several ways.
+pub fn spl_dba_from_psd(psd: &ivc_dsp::spectrum::PowerSpectrum) -> f64 {
     let mut weighted_power = 0.0;
     for (f, p) in psd.frequencies_hz.iter().zip(psd.power.iter()) {
         // A-weighting is defined over the audible range; ultrasonic content
@@ -72,7 +83,7 @@ pub fn waveform_spl_dba(pressure_samples: &[f64], sample_rate_hz: f64) -> Result
         weighted_power += p * w * psd.resolution_hz;
     }
     let rms = weighted_power.max(0.0).sqrt();
-    Ok(pressure_to_spl_db(rms))
+    pressure_to_spl_db(rms)
 }
 
 #[cfg(test)]

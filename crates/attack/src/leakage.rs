@@ -9,10 +9,14 @@
 
 use ivc_acoustics::array::{ElementDrive, SpeakerArray};
 use ivc_acoustics::environment::AirEnvironment;
-use ivc_acoustics::psychoacoustics::{audibility, AudibilityReport};
-use ivc_acoustics::spl::{pressure_to_spl_db, waveform_spl_dba};
-use ivc_dsp::spectrum::band_power;
-use ivc_dsp::Result;
+use ivc_acoustics::psychoacoustics::{
+    audibility_from_psd, audibility_segment_len, AudibilityReport,
+};
+use ivc_acoustics::spl::{dba_segment_len, pressure_to_spl_db, spl_dba_from_psd};
+use ivc_dsp::signal::Signal;
+use ivc_dsp::spectrum::{band_power_segment_len, welch_psd, welch_segment_len, PowerSpectrum};
+use ivc_dsp::window::WindowKind;
+use ivc_dsp::{DspError, Result};
 
 /// Result of a leakage analysis at a bystander's position.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,23 +59,85 @@ pub fn estimate_leakage(
 /// position — the back half of [`estimate_leakage`], split out so callers
 /// that propagate through a room model (multipath, occlusion) can reuse
 /// the psychoacoustic analysis unchanged.
+///
+/// The audibility verdict, both band powers and the dB(A) level each read
+/// a Hann Welch PSD with half overlap.  They ask for different segment
+/// lengths, which Welch clamps to the field, so each distinct effective
+/// length is estimated once (today's requests all clamp to the same one:
+/// one PSD per field instead of four), and the report equals the four
+/// separate estimates bit for bit.
 pub fn leakage_from_field(
-    field: &ivc_dsp::signal::Signal,
+    field: &Signal,
     bystander_distance_m: f64,
     audibility_margin_db: f64,
 ) -> Result<LeakageReport> {
-    let fs = field.sample_rate_hz();
-    let report = audibility(field.samples(), fs, audibility_margin_db)?;
-    let audible_power = band_power(field.samples(), fs, 50.0, 18_000.0)?;
-    let voice_power = band_power(field.samples(), fs, 300.0, 4_000.0)?;
-    let dba = waveform_spl_dba(field.samples(), fs)?;
+    let (samples, fs) = (field.samples(), field.sample_rate_hz());
+    if samples.is_empty() {
+        return Err(DspError::invalid("pressure_samples", "empty waveform"));
+    }
+    if !(fs > 0.0) {
+        return Err(DspError::invalid("sample_rate_hz", "must be positive"));
+    }
+    let segment = |requested: usize| welch_segment_len(requested, samples.len());
+    let wanted = [
+        segment(audibility_segment_len(samples.len())),
+        segment(band_power_segment_len(samples.len())),
+        segment(dba_segment_len(samples.len())),
+    ];
+    let mut psds: Vec<(usize, PowerSpectrum)> = Vec::with_capacity(wanted.len());
+    for segment_len in wanted {
+        if !psds.iter().any(|(len, _)| *len == segment_len) {
+            let psd = welch_psd(samples, fs, segment_len, 0.5, WindowKind::Hann)?;
+            psds.push((segment_len, psd));
+        }
+    }
+    let psd_at = |segment_len: usize| {
+        &psds
+            .iter()
+            .find(|(len, _)| *len == segment_len)
+            .expect("every wanted segment length was estimated")
+            .1
+    };
+    let [audibility_psd, band_psd, dba_psd] = wanted.map(psd_at);
+    let report = audibility_from_psd(audibility_psd, fs, audibility_margin_db);
+    let audible_power = band_psd.band_power(50.0, 18_000.0);
+    let voice_power = band_psd.band_power(300.0, 4_000.0);
     Ok(LeakageReport {
         audible_spl_db: pressure_to_spl_db(audible_power.max(0.0).sqrt()),
-        audible_spl_dba: dba,
+        audible_spl_dba: spl_dba_from_psd(dba_psd),
         voice_band_spl_db: pressure_to_spl_db(voice_power.max(0.0).sqrt()),
         audibility: report,
         bystander_distance_m,
     })
+}
+
+/// The leakage analysis as four separate PSD estimates, the oracle
+/// [`leakage_from_field`] is checked against bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use ivc_acoustics::psychoacoustics::audibility;
+    use ivc_acoustics::spl::waveform_spl_dba;
+    use ivc_dsp::spectrum::band_power;
+
+    pub fn leakage_from_field(
+        field: &Signal,
+        bystander_distance_m: f64,
+        audibility_margin_db: f64,
+    ) -> Result<LeakageReport> {
+        let fs = field.sample_rate_hz();
+        let report = audibility(field.samples(), fs, audibility_margin_db)?;
+        let audible_power = band_power(field.samples(), fs, 50.0, 18_000.0)?;
+        let voice_power = band_power(field.samples(), fs, 300.0, 4_000.0)?;
+        let dba = waveform_spl_dba(field.samples(), fs)?;
+        Ok(LeakageReport {
+            audible_spl_db: pressure_to_spl_db(audible_power.max(0.0).sqrt()),
+            audible_spl_dba: dba,
+            voice_band_spl_db: pressure_to_spl_db(voice_power.max(0.0).sqrt()),
+            audibility: report,
+            bystander_distance_m,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -79,7 +145,6 @@ mod tests {
     use super::*;
     use crate::multispeaker::{single_speaker_element_drives, MultiSpeakerAttack};
     use crate::single::SingleSpeakerAttack;
-    use ivc_dsp::signal::Signal;
 
     fn synthetic_voice() -> Signal {
         let fs = 48_000.0;
@@ -167,5 +232,52 @@ mod tests {
         let near = estimate_leakage(&array, &drives, 1.0, &env, 0.0).unwrap();
         let far = estimate_leakage(&array, &drives, 4.0, &env, 0.0).unwrap();
         assert!(near.audible_spl_db > far.audible_spl_db + 8.0);
+    }
+
+    /// The report's fields as bits, so a comparison cannot pass on
+    /// rounding.
+    fn report_bits(report: &LeakageReport) -> Vec<u64> {
+        let a = &report.audibility;
+        vec![
+            u64::from(a.audible),
+            a.worst_margin_db.to_bits(),
+            a.worst_band_hz.to_bits(),
+            a.audible_band_spl_db.to_bits(),
+            report.audible_spl_db.to_bits(),
+            report.audible_spl_dba.to_bits(),
+            report.voice_band_spl_db.to_bits(),
+            report.bystander_distance_m.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn one_psd_per_segment_length_matches_four_estimates_bit_for_bit() {
+        let fs = 192_000.0;
+        let mut voice = Signal::tone(400.0, 0.5, 0.7, 48_000.0).unwrap();
+        voice
+            .mix(&Signal::tone(2_600.0, 0.3, 0.7, 48_000.0).unwrap())
+            .unwrap();
+        let attack = SingleSpeakerAttack::build(&voice, 40_000.0).unwrap();
+        let drives = single_speaker_element_drives(&attack, 20.0).unwrap();
+        let array = SpeakerArray::new(1).unwrap();
+        let env = AirEnvironment::default();
+        let field = array.field_at_bystander(&drives, 1.0, &env).unwrap();
+        assert!(field.len() >= 120_000);
+        // 300 samples: every request clamps to the field; 5 000: below
+        // Welch's cap; 120 000: every request is the 8 192-sample cap.
+        for len in [300, 5_000, 120_000] {
+            let field = Signal::new(field.samples()[..len].to_vec(), fs).unwrap();
+            for margin_db in [0.0, 10.0] {
+                let shared = leakage_from_field(&field, 1.0, margin_db).unwrap();
+                let separate = reference::leakage_from_field(&field, 1.0, margin_db).unwrap();
+                assert_eq!(
+                    report_bits(&shared),
+                    report_bits(&separate),
+                    "{len} samples"
+                );
+            }
+        }
+        let empty = Signal::new(vec![], fs).unwrap();
+        assert!(leakage_from_field(&empty, 1.0, 0.0).is_err());
     }
 }

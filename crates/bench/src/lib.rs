@@ -705,10 +705,14 @@ const PROFILE_ROWS: &[(&str, &[&str])] = &[
             "prepare.utterance_render",
             "prepare.attack_build",
             "prepare.rir_build",
+            "prepare.source_spectrum",
             "prepare.convolution",
+            "prepare.convolution.direct",
+            "prepare.convolution.reflections",
             "prepare.leakage",
             "prepare.capture_spectra",
             "prepare.capture_spectrum_bytes",
+            "prepare.noise_shape",
             "prepare.noise_table_bytes",
             "prepare.cache_wait",
             "prepare_cache.wait",

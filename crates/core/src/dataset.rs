@@ -142,10 +142,6 @@ impl DatasetConfig {
     pub fn labelled_features(&self, first_seed: u64) -> Result<Vec<(FeatureVector, bool)>> {
         let microphone = DEVICE.microphone();
         let mut scratch = CaptureScratch::new();
-        // Noise shapes depend on the transform length alone (one device,
-        // one ambient level), so the corpus's few are shared by all its
-        // recordings.
-        let mut noise = Vec::new();
         let mut samples = Vec::new();
         for cell in self.cells(first_seed)? {
             for &seed in &cell.seeds {
@@ -161,14 +157,14 @@ impl DatasetConfig {
                     // corpus as prepared cells pinned 9.9 MB (quick
                     // detector) and 145 MB (full) for the life of the
                     // process, a quarter more peak RSS on a `repeat`-shaped
-                    // run.  The attack build and the renders the path
-                    // reads still come through the cache.
-                    let shaped = {
+                    // run.  The attack build, its half spectra, the
+                    // renders and the noise tables still come through the
+                    // cache.
+                    let capture = {
                         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
-                        let clean = path.build()?;
-                        shape_for_capture(&microphone, &clean, AMBIENT_NOISE_SPL_DB, &mut noise)?
+                        shape_for_capture(DEVICE, &path.build()?, AMBIENT_NOISE_SPL_DB)?
                     };
-                    perturb_path(&shaped, &noise, &microphone, seed, &mut scratch)?
+                    perturb_path(&capture, &microphone, seed, &mut scratch)?
                 };
                 let _span = telemetry::span("campaign.detector_train.features");
                 let features = DefenseFeatures::extract(&recording)?.to_vector();

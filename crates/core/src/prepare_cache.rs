@@ -2,12 +2,13 @@
 //!
 //! Adjacent cells of a campaign differ in one axis, yet a naive Prepare
 //! rebuilds everything: the TTS render, the attack build (modulation,
-//! power allocation, the array's emitted near field) and both propagation
-//! runs.  Each of those is a pure function of a *sub-tuple* of the cell's
-//! axes, and each product names that sub-tuple as a plain inputs struct
-//! (`UtteranceInputs`, `AttackInputs`, `PathInputs`, `LeakageInputs` and
-//! the detector's `DatasetConfig` in [`crate::stages`], plus
-//! [`DefaultRecognizer`]) implementing [`Product`].  The struct holds
+//! power allocation, the array's emitted near field), the near field's
+//! transforms, the leakage and the noise tables.  Each of those is a pure
+//! function of a *sub-tuple* of the cell's axes, and each product names
+//! that sub-tuple as a plain inputs struct (`UtteranceInputs`,
+//! `AttackInputs`, `SpectrumInputs`, `PathInputs`, `LeakageInputs` and
+//! `NoiseInputs` in [`crate::stages`], the detector's `DatasetConfig`,
+//! plus [`DefaultRecognizer`]) implementing [`Product`].  The struct holds
 //! exactly the fields its [`Product::build`] reads, and the cache key is
 //! the struct's derived `Debug` rendering (range-vector-hashing style: the
 //! key *is* the deterministic render of the determining inputs).  A build
@@ -30,11 +31,11 @@
 //! Lookups are single-flight.  The map lock only finds or inserts a key's
 //! slot; the first misser builds under the slot's own lock, same-key
 //! callers wait on it and count as hits, and distinct keys never contend.
-//! Nested builds (propagation → attack build → utterance) lock slots in
-//! dependency order without the map lock, so they cannot deadlock.  A
-//! build that returns `Err` or panics leaves no entry, so the next caller
-//! rebuilds; poisoned locks are recovered, since no lock guards a
-//! half-written value.
+//! Nested builds (leakage → spectrum → attack build → utterance) lock
+//! slots in dependency order without the map lock, so they cannot
+//! deadlock.  A build that returns `Err` or panics leaves no entry, so the
+//! next caller rebuilds; poisoned locks are recovered, since no lock
+//! guards a half-written value.
 //!
 //! Memory is bounded: finished entries are evicted least-recently-used by
 //! byte estimate once the cache exceeds its capacity, a constant 512 MiB.

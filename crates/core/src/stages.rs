@@ -10,11 +10,11 @@
 //! * **Prepare** ([`PreparedCell::prepare`]) — everything cell-invariant,
 //!   packaged as an immutable [`PreparedCell`]: the clean (noise-free)
 //!   pressure at the device port per talker, through the microphone's
-//!   front end as a spectrum ([`ShapedPath`]); one noise shape
+//!   front end as a spectrum ([`ShapedPath`]), with the noise table
 //!   ([`NoiseShape`], the per-bin deviation of ambient plus self noise)
-//!   per transform length those paths need; the leakage report and the
-//!   power shortfall.  Prepared once per cell and shared by reference
-//!   across worker threads.
+//!   its captures draw from; the leakage report and the power shortfall.
+//!   Prepared once per cell and shared by reference across worker
+//!   threads.
 //! * **Perturb** ([`PreparedCell::perturb`]) — the seed-dependent part,
 //!   synthesised in the frequency domain: one Gaussian draw of the noise
 //!   bins, their sum with the path's spectrum through one inverse FFT,
@@ -26,18 +26,33 @@
 //! * **Evaluate** ([`PreparedCell::evaluate`]) — recognition, defense
 //!   feature extraction and the optional trained detector.
 //!
-//! Prepare's products — the render, the attack build, the target path
-//! and the leakage — are memoised process-wide in [`crate::prepare_cache`].
-//! Each is named by a plain inputs struct holding exactly the fields its
-//! build reads ([`UtteranceInputs`], [`AttackInputs`], [`PathInputs`],
-//! [`LeakageInputs`]); [`CellInputs::project`] is the one place a
-//! scenario is projected onto them, and no build sees a [`Scenario`].
+//! Prepare's products — the render, the attack build, the build's near
+//! field as a half spectrum, the leakage and the noise table — are
+//! memoised process-wide in [`crate::prepare_cache`].  Each is named by a
+//! plain inputs struct holding exactly the fields its build reads
+//! ([`UtteranceInputs`], [`AttackInputs`], [`SpectrumInputs`],
+//! [`LeakageInputs`], [`NoiseInputs`]); [`CellInputs::project`] is the one
+//! place a scenario is projected onto them, and no build sees a
+//! [`Scenario`].
+//!
+//! Propagation reads the source only as half spectra
+//! ([`SourceSpectrum`]): the direct path at `next_power_of_two(len)`
+//! points and a room's reflections at the longer length that holds its
+//! latest tap.  An attack's spectra are cached per `(build, length)`, so
+//! every distance, room and the bystander of one build share two
+//! transforms; a talker's path transforms its own render.  The target
+//! path ([`PathInputs`]) is built, not cached: a cell reads it once, into
+//! its capture spectrum.  Every transform sees the samples the
+//! signal-taking propagation would and every bin gets the same
+//! arithmetic, so the output is bit for bit what transforming per path
+//! gave.
 //!
 //! The detector's training corpus ([`crate::dataset`]) is one more
 //! caller of the same stages: its cells are projected by
 //! [`CellInputs::project`], their paths built by [`Product::build`],
-//! shaped for capture like a cell's and captured by the one Perturb body,
-//! so the detector trains on exactly the recordings trials score.
+//! shaped for capture like a cell's (sharing the cells' noise tables) and
+//! captured by the one Perturb body, so the detector trains on exactly
+//! the recordings trials score.
 //!
 //! [`crate::pipeline::run_trial`] survives as the compose-all wrapper; the
 //! staged outputs are pinned per delivery kind × room axis by the trial
@@ -57,8 +72,8 @@ use crate::Result;
 use ivc_acoustics::adc::digitize;
 use ivc_acoustics::array::SpeakerArray;
 use ivc_acoustics::environment::AirEnvironment;
-use ivc_acoustics::microphone::{CaptureScratch, Microphone, NoiseShape, ShapedPath};
-use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
+use ivc_acoustics::microphone::{CaptureScratch, DevicePreset, Microphone, NoiseShape, ShapedPath};
+use ivc_acoustics::propagation::{propagate_spectrum_with_gain_curve, SourceSpectrum};
 use ivc_acoustics::speaker::MAX_POWER_W;
 use ivc_acoustics::spl::spl_db_to_pressure;
 use ivc_attack::leakage::{leakage_from_field, LeakageReport};
@@ -67,8 +82,10 @@ use ivc_attack::single::SingleSpeakerAttack;
 use ivc_defense::classifier::LogisticRegression;
 use ivc_defense::countermeasures::precompensated_baseband;
 use ivc_defense::features::DefenseFeatures;
+use ivc_dsp::fft::next_power_of_two;
 use ivc_dsp::signal::Signal;
-use ivc_room::{propagate_in_room, RoomPreset};
+use ivc_room::propagate::{add_reflections, direct_in_room, reflections_transform_len};
+use ivc_room::{RoomImpulseResponse, RoomPreset};
 use ivc_speech::cache::TalkerKey;
 use ivc_speech::commands::VoiceCommand;
 use ivc_speech::recognizer::{EvalScratch, Recognizer};
@@ -233,6 +250,8 @@ impl Product for PathInputs {
         path.len() * 8 + 64
     }
 
+    /// An attack's path reads the build's shared half spectra
+    /// ([`SpectrumInputs`]); a talker's transforms its own render.
     fn build(&self) -> Result<Signal> {
         match &self.source {
             Source::Talker {
@@ -243,11 +262,16 @@ impl Product for PathInputs {
                 let voice = voice.voice(*max_voice_duration_s)?;
                 let rms = voice.rms().max(1e-12);
                 let at_1m = voice.scaled(spl_db_to_pressure(*talker_spl_db) / rms);
-                self.propagate(&at_1m, 0.0)
+                self.propagate(&at_1m, 0.0, |n| {
+                    let _span = telemetry::span("prepare.source_spectrum");
+                    Ok(Arc::new(SourceSpectrum::new(&at_1m, n)?))
+                })
             }
             Source::Attack(attack) => {
                 let build = prepare_cache::get(attack)?;
-                self.propagate(&build.near_field_at_1m, build.aperture_m)
+                self.propagate(&build.near_field_at_1m, build.aperture_m, |n| {
+                    attack.spectrum(n)
+                })
             }
         }
     }
@@ -255,17 +279,131 @@ impl Product for PathInputs {
 
 impl PathInputs {
     /// Propagates a 1 m-referenced pressure waveform from a source of
-    /// `aperture_m` to the target microphone: free field, or through the
-    /// room's image-source response.
-    fn propagate(&self, at_1m: &Signal, aperture_m: f64) -> Result<Signal> {
+    /// `aperture_m` to the target microphone, free field or through the
+    /// room's image-source response, reading the source's half spectra
+    /// from `spectrum_at` before the convolution's span opens.
+    fn propagate(
+        &self,
+        at_1m: &Signal,
+        aperture_m: f64,
+        spectrum_at: impl Fn(usize) -> Result<Arc<SourceSpectrum>>,
+    ) -> Result<Signal> {
+        let channel = match self.room {
+            None => Channel::Free {
+                distance_m: self.distance_m,
+                aperture_m,
+            },
+            Some(preset) => {
+                let _span = telemetry::span("prepare.rir_build");
+                Channel::Room(preset.target_rir(self.distance_m, aperture_m)?)
+            }
+        };
+        let (direct, reflections) = channel.spectra(at_1m, &self.env, spectrum_at)?;
         let _span = telemetry::span("prepare.convolution");
-        Ok(match self.room {
-            None => propagate_from_aperture(at_1m, self.distance_m, aperture_m, &self.env)?,
-            Some(preset) => propagate_in_room(
-                at_1m,
-                &preset.target_rir(self.distance_m, aperture_m)?,
-                &self.env,
-            )?,
+        let direct = {
+            let _span = telemetry::span("prepare.convolution.direct");
+            channel.direct(&direct, &self.env)?
+        };
+        let _span = matches!(channel, Channel::Room(_))
+            .then(|| telemetry::span("prepare.convolution.reflections"));
+        channel.reflect(direct, reflections.as_deref(), &self.env)
+    }
+}
+
+/// The channel from a source's 1 m reference to one listener.
+enum Channel {
+    /// The free field over `distance_m` from a source of `aperture_m`.
+    Free { distance_m: f64, aperture_m: f64 },
+    /// A room's image-source response.
+    Room(RoomImpulseResponse),
+}
+
+impl Channel {
+    /// The half spectra a propagation of `at_1m` over this channel reads,
+    /// from `spectrum_at`: the direct path's, and the reflections' when
+    /// the room has any.
+    fn spectra(
+        &self,
+        at_1m: &Signal,
+        env: &AirEnvironment,
+        spectrum_at: impl Fn(usize) -> Result<Arc<SourceSpectrum>>,
+    ) -> Result<(Arc<SourceSpectrum>, Option<Arc<SourceSpectrum>>)> {
+        let (len, fs) = (at_1m.len(), at_1m.sample_rate_hz());
+        let direct = spectrum_at(next_power_of_two(len))?;
+        let reflections = match self {
+            Channel::Free { .. } => None,
+            Channel::Room(rir) => reflections_transform_len(rir, len, fs, env)
+                .map(&spectrum_at)
+                .transpose()?,
+        };
+        Ok((direct, reflections))
+    }
+
+    /// The direct path from the source's spectrum at
+    /// `next_power_of_two(len)` points.
+    fn direct(&self, spectrum: &SourceSpectrum, env: &AirEnvironment) -> Result<Signal> {
+        Ok(match self {
+            Channel::Free {
+                distance_m,
+                aperture_m,
+            } => propagate_spectrum_with_gain_curve(spectrum, *distance_m, *aperture_m, &[], env)?,
+            Channel::Room(rir) => direct_in_room(spectrum, rir, env)?,
+        })
+    }
+
+    /// `direct` with the room's reflections added, from the source's
+    /// spectrum at the reflections' length; the free field has none.
+    fn reflect(
+        &self,
+        direct: Signal,
+        reflections: Option<&SourceSpectrum>,
+        env: &AirEnvironment,
+    ) -> Result<Signal> {
+        Ok(match self {
+            Channel::Free { .. } => direct,
+            Channel::Room(rir) => add_reflections(direct, reflections, rir, env)?,
+        })
+    }
+}
+
+/// Inputs of an attack build's near field as a half spectrum at one
+/// transform length: what every propagation of the build reads, so a
+/// sweep over distances, rooms and the bystander transforms the near
+/// field once per length (`next_power_of_two(len)` for direct paths, and
+/// per room the reflections' longer one).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpectrumInputs {
+    /// The attack build whose near field is transformed.
+    pub source: AttackInputs,
+    /// Transform length, a power of two no shorter than the near field.
+    pub transform_len: usize,
+}
+
+impl Product for SpectrumInputs {
+    type Output = SourceSpectrum;
+    const REUSED_COUNTER: &'static str = "prepare.source_spectrum_reused";
+
+    fn byte_estimate(spectrum: &SourceSpectrum) -> usize {
+        spectrum.byte_size() + 64
+    }
+
+    fn build(&self) -> Result<SourceSpectrum> {
+        let build = prepare_cache::get(&self.source)?;
+        let _span = telemetry::span("prepare.source_spectrum");
+        Ok(SourceSpectrum::new(
+            &build.near_field_at_1m,
+            self.transform_len,
+        )?)
+    }
+}
+
+impl AttackInputs {
+    /// The build's near field as a half spectrum of `transform_len` points,
+    /// from the Prepare cache.
+    fn spectrum(&self, transform_len: usize) -> Result<Arc<SourceSpectrum>> {
+        prepare_cache::get(&SpectrumInputs {
+            source: self.clone(),
+            transform_len,
         })
     }
 }
@@ -293,15 +431,26 @@ impl Product for LeakageInputs {
         512
     }
 
+    /// Reads the build's shared half spectra, like the target path.
     fn build(&self) -> Result<LeakageReport> {
         let build = prepare_cache::get(&self.source)?;
-        let _span = telemetry::span("prepare.leakage");
         let near = &build.near_field_at_1m;
-        let (distance_m, env) = (BYSTANDER_DISTANCE_M, &self.env);
-        let field = match self.room {
-            None => propagate(near, distance_m, env)?,
-            Some(preset) => propagate_in_room(near, &preset.bystander_rir(distance_m)?, env)?,
+        let distance_m = BYSTANDER_DISTANCE_M;
+        let channel = match self.room {
+            None => Channel::Free {
+                distance_m,
+                aperture_m: 0.0,
+            },
+            Some(preset) => {
+                let _span = telemetry::span("prepare.rir_build");
+                Channel::Room(preset.bystander_rir(distance_m)?)
+            }
         };
+        let (direct, reflections) =
+            channel.spectra(near, &self.env, |n| self.source.spectrum(n))?;
+        let _span = telemetry::span("prepare.leakage");
+        let direct = channel.direct(&direct, &self.env)?;
+        let field = channel.reflect(direct, reflections.as_deref(), &self.env)?;
         Ok(leakage_from_field(&field, distance_m, 0.0)?)
     }
 }
@@ -408,44 +557,83 @@ impl CellInputs {
     }
 }
 
-/// The clean (noise-free) pressure at the device port through the
-/// microphone's front end, per talker path.
-///
-/// The spectra belong to the cell and are dropped with it: the clean
-/// waveforms they are computed from stay in the process-wide Prepare
-/// cache, which would pin the spectra for the life of the process.
+/// Inputs of the noise table captures draw from: the device, the
+/// transform length and rate of the paths it serves, and the ambient
+/// level.  Every cell of one device and ambient level whose paths share a
+/// transform shares one table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoiseInputs {
+    /// The capturing device.
+    pub device: DevicePreset,
+    /// Length of the paths' transform, a power of two.
+    pub transform_len: usize,
+    /// Sample rate of the paths, in Hz.
+    pub sample_rate_hz: f64,
+    /// Ambient room noise, in dB SPL.
+    pub ambient_noise_spl_db: f64,
+}
+
+impl Product for NoiseInputs {
+    type Output = NoiseShape;
+    const REUSED_COUNTER: &'static str = "prepare.noise_shape_reused";
+
+    fn byte_estimate(shape: &NoiseShape) -> usize {
+        shape.byte_size() + 64
+    }
+
+    fn build(&self) -> Result<NoiseShape> {
+        let _span = telemetry::span("prepare.noise_shape");
+        let shape = self.device.microphone().noise_shape(
+            self.transform_len,
+            self.sample_rate_hz,
+            Some(self.ambient_noise_spl_db),
+        )?;
+        telemetry::add_count("prepare.noise_table_bytes", shape.byte_size() as u64);
+        Ok(shape)
+    }
+}
+
+/// Prepare's capture products for one clean path: the path through the
+/// microphone's front end as a spectrum, which belongs to the cell and is
+/// dropped with it, and the shared noise table its captures draw from.
+#[derive(Debug, Clone)]
+pub(crate) struct Capture {
+    path: ShapedPath,
+    noise: Arc<NoiseShape>,
+}
+
+/// The capture products of `clean` on `device` at `ambient_noise_spl_db`.
+/// The noise table comes from the Prepare cache, fetched outside the
+/// `prepare.capture_spectra` span so its build and any wait on it keep
+/// spans of their own.
+pub(crate) fn shape_for_capture(
+    device: DevicePreset,
+    clean: &Signal,
+    ambient_noise_spl_db: f64,
+) -> Result<Capture> {
+    let path = {
+        let _span = telemetry::span("prepare.capture_spectra");
+        let path = device.microphone().shape_path(clean)?;
+        telemetry::add_count("prepare.capture_spectrum_bytes", path.byte_size() as u64);
+        path
+    };
+    let noise = prepare_cache::get(&NoiseInputs {
+        device,
+        transform_len: path.transform_len(),
+        sample_rate_hz: path.sample_rate_hz(),
+        ambient_noise_spl_db,
+    })?;
+    Ok(Capture { path, noise })
+}
+
+/// The capture products of a cell, per talker path.
 #[derive(Debug, Clone)]
 enum PreparedPaths {
     /// Attack deliveries: the canonical TTS voice — one path.
-    Attack(ShapedPath),
+    Attack(Capture),
     /// Legitimate deliveries: one path per prepared talker variant
-    /// (`(variant, shaped path)`, sorted by variant).
-    Legitimate(Vec<(usize, ShapedPath)>),
-}
-
-/// Prepare's capture products for one clean path: the path through
-/// `microphone`'s front end, and — unless one in `noise` already fits its
-/// transform — the noise shape at `ambient_noise_spl_db` its captures
-/// draw from, appended to `noise`.
-pub(crate) fn shape_for_capture(
-    microphone: &Microphone,
-    clean: &Signal,
-    ambient_noise_spl_db: f64,
-    noise: &mut Vec<NoiseShape>,
-) -> Result<ShapedPath> {
-    let _span = telemetry::span("prepare.capture_spectra");
-    let path = microphone.shape_path(clean)?;
-    telemetry::add_count("prepare.capture_spectrum_bytes", path.byte_size() as u64);
-    if !noise.iter().any(|shape| shape.fits(&path)) {
-        let shape = microphone.noise_shape(
-            path.transform_len(),
-            path.sample_rate_hz(),
-            Some(ambient_noise_spl_db),
-        )?;
-        telemetry::add_count("prepare.noise_table_bytes", shape.byte_size() as u64);
-        noise.push(shape);
-    }
-    Ok(path)
+    /// (`(variant, capture)`, sorted by variant).
+    Legitimate(Vec<(usize, Capture)>),
 }
 
 /// Stage 1 of the trial pipeline: everything invariant across the trials
@@ -456,8 +644,6 @@ pub struct PreparedCell {
     command: VoiceCommand,
     microphone: Microphone,
     paths: PreparedPaths,
-    /// One noise shape per transform length (and rate) of `paths`.
-    noise: Vec<NoiseShape>,
     /// Speaker-side leakage report (attack deliveries only).
     pub leakage: Option<LeakageReport>,
     /// Electrical budget the delivery could not place (see
@@ -472,24 +658,22 @@ impl PreparedCell {
     /// deliveries render one path per distinct `seed % 8` talker variant,
     /// so the `seed`-selects-the-talker semantics are preserved exactly.
     /// Attack deliveries always use the canonical TTS voice and prepare a
-    /// single path.  Every product comes from (or lands in) the Prepare
-    /// cache under the inputs [`CellInputs::project`] names; the capture
-    /// spectra and noise shapes computed from them belong to the cell
-    /// alone.
+    /// single path.  The attack build, its half spectra, the leakage and
+    /// the noise tables come from (or land in) the Prepare cache under the
+    /// inputs [`CellInputs::project`] names.  The target paths are built,
+    /// not cached: each is read once, by its capture spectrum, which
+    /// belongs to the cell alone.
     pub fn prepare(
         command: &VoiceCommand,
         scenario: &Scenario,
         seeds: &[u64],
     ) -> Result<PreparedCell> {
         let _stage = telemetry::span(telemetry::SPAN_STAGE_PREPARE);
-        let microphone = scenario.device.microphone();
-        let mut noise = Vec::new();
-        let mut shape = |clean: Arc<Signal>| {
+        let shape = |path: &PathInputs| {
             shape_for_capture(
-                &microphone,
-                &clean,
+                scenario.device,
+                &path.build()?,
                 scenario.ambient_noise_spl_db,
-                &mut noise,
             )
         };
         let (paths, leakage, power_shortfall_w) =
@@ -497,7 +681,7 @@ impl PreparedCell {
                 CellInputs::Legitimate(paths) => {
                     let paths = paths
                         .iter()
-                        .map(|(variant, path)| Ok((*variant, shape(prepare_cache::get(path)?)?)))
+                        .map(|(variant, path)| Ok((*variant, shape(path)?)))
                         .collect::<Result<_>>()?;
                     (PreparedPaths::Legitimate(paths), None, 0.0)
                 }
@@ -507,16 +691,15 @@ impl PreparedCell {
                     leakage,
                 } => {
                     let shortfall_w = prepare_cache::get(&build)?.power_shortfall_w;
-                    let at_port = shape(prepare_cache::get(&path)?)?;
+                    let at_port = shape(&path)?;
                     let leakage = (*prepare_cache::get(&leakage)?).clone();
                     (PreparedPaths::Attack(at_port), Some(leakage), shortfall_w)
                 }
             };
         Ok(PreparedCell {
             command: command.clone(),
-            microphone,
+            microphone: scenario.device.microphone(),
             paths,
-            noise,
             leakage,
             power_shortfall_w,
         })
@@ -531,7 +714,7 @@ impl PreparedCell {
     /// per call.  The output is bit-identical with a fresh or a reused
     /// scratch.
     pub fn perturb(&self, seed: u64, scratch: &mut CaptureScratch) -> Result<Signal> {
-        let path = match &self.paths {
+        let capture = match &self.paths {
             PreparedPaths::Attack(at_port) => at_port,
             PreparedPaths::Legitimate(variants) => {
                 let wanted = talker_variant(seed);
@@ -547,7 +730,7 @@ impl PreparedCell {
                     .1
             }
         };
-        perturb_path(path, &self.noise, &self.microphone, seed, scratch)
+        perturb_path(capture, &self.microphone, seed, scratch)
     }
 
     /// Stage 3: recognition, defense features and the optional trained
@@ -642,25 +825,21 @@ impl PreparedCell {
 }
 
 /// The Perturb stage's body: trial `seed`'s noise bins drawn from the
-/// shape in `noise` that fits `path`, added to `path`'s spectrum and
-/// captured by `microphone` (inverse FFT, non-linearity and ADC).
+/// capture's noise table, added to its path's spectrum and captured by
+/// `microphone` (inverse FFT, non-linearity and ADC).
 /// [`PreparedCell::perturb`] and the detector corpus both run it.
 pub(crate) fn perturb_path(
-    path: &ShapedPath,
-    noise: &[NoiseShape],
+    capture: &Capture,
     microphone: &Microphone,
     seed: u64,
     scratch: &mut CaptureScratch,
 ) -> Result<Signal> {
     let _stage = telemetry::span(telemetry::SPAN_STAGE_PERTURB);
-    let noise = noise
-        .iter()
-        .find(|shape| shape.fits(path))
-        .ok_or("no noise shape was prepared for the path's transform")?;
+    let path = &capture.path;
     {
         // Ambient and self noise in one draw of Gaussian bins.
         let _span = telemetry::span("perturb.ambient_noise");
-        noise.draw(seed, scratch);
+        capture.noise.draw(seed, scratch);
     }
     // `Microphone::capture_shaped`, split so each step gets its own span.
     let _span = telemetry::span("perturb.mic_capture");
@@ -834,5 +1013,158 @@ mod tests {
             suppressed.defense_features.shadow_correlation
                 < plain.defense_features.shadow_correlation
         );
+    }
+
+    fn bits(signal: &Signal) -> Vec<u64> {
+        let mut bits = vec![signal.sample_rate_hz().to_bits()];
+        bits.extend(signal.samples().iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    /// The shared-spectrum paths against the signal-taking wrappers, which
+    /// transform the source themselves: free field, an order-2 and an
+    /// order-3 room, a single speaker, a 16-element array and a talker.
+    #[test]
+    fn propagation_from_shared_spectra_is_bit_identical_to_the_signal_path() {
+        use ivc_acoustics::propagation::{propagate, propagate_from_aperture};
+        use ivc_room::propagate_in_room;
+        let env = AirEnvironment::default();
+        let distance_m = 2.0;
+        let command = corpus()[0].clone();
+        let rooms = [
+            None,
+            Some(RoomPreset::Office),
+            Some(RoomPreset::ConferenceRoom),
+        ];
+        let mut longer_reflections = false;
+        for num_elements in [1, 16] {
+            let attack = AttackInputs {
+                voice: UtteranceInputs {
+                    command: command.clone(),
+                    talker: TalkerKey::Canonical,
+                },
+                max_voice_duration_s: 0.25,
+                shadow_suppression: 0.0,
+                num_elements,
+                total_power_w: 20.0,
+                carrier_hz: 40_000.0,
+            };
+            let build = prepare_cache::get(&attack).unwrap();
+            let (near, aperture_m) = (&build.near_field_at_1m, build.aperture_m);
+            for room in rooms {
+                let path = PathInputs {
+                    source: Source::Attack(attack.clone()),
+                    distance_m,
+                    room,
+                    env,
+                };
+                let (signal_path, bystander) = match room {
+                    None => (
+                        propagate_from_aperture(near, distance_m, aperture_m, &env).unwrap(),
+                        propagate(near, BYSTANDER_DISTANCE_M, &env).unwrap(),
+                    ),
+                    Some(preset) => {
+                        let rir = preset.target_rir(distance_m, aperture_m).unwrap();
+                        let n = reflections_transform_len(
+                            &rir,
+                            near.len(),
+                            near.sample_rate_hz(),
+                            &env,
+                        );
+                        longer_reflections |= n > Some(next_power_of_two(near.len()));
+                        let bystander_rir = preset.bystander_rir(BYSTANDER_DISTANCE_M).unwrap();
+                        (
+                            propagate_in_room(near, &rir, &env).unwrap(),
+                            propagate_in_room(near, &bystander_rir, &env).unwrap(),
+                        )
+                    }
+                };
+                let label = format!("{num_elements} elements, {room:?}");
+                assert_eq!(bits(&path.build().unwrap()), bits(&signal_path), "{label}");
+                let leakage = LeakageInputs {
+                    source: attack.clone(),
+                    room,
+                    env,
+                };
+                let expected = leakage_from_field(&bystander, BYSTANDER_DISTANCE_M, 0.0).unwrap();
+                assert_eq!(
+                    format!("{:?}", leakage.build().unwrap()),
+                    format!("{expected:?}"),
+                    "{label}"
+                );
+            }
+        }
+        // Some room read the near field at a longer transform than the
+        // direct path, so the shared spectrum served two lengths.
+        assert!(longer_reflections);
+
+        let voice = UtteranceInputs {
+            command,
+            talker: TalkerKey::Variant(3),
+        };
+        for room in rooms {
+            let path = PathInputs {
+                source: Source::Talker {
+                    voice: voice.clone(),
+                    max_voice_duration_s: 0.25,
+                    talker_spl_db: 65.0,
+                },
+                distance_m,
+                room,
+                env,
+            };
+            let render = voice.voice(0.25).unwrap();
+            let at_1m = render.scaled(spl_db_to_pressure(65.0) / render.rms().max(1e-12));
+            let signal_path = match room {
+                None => propagate(&at_1m, distance_m, &env).unwrap(),
+                Some(preset) => {
+                    let rir = preset.target_rir(distance_m, 0.0).unwrap();
+                    propagate_in_room(&at_1m, &rir, &env).unwrap()
+                }
+            };
+            assert_eq!(
+                bits(&path.build().unwrap()),
+                bits(&signal_path),
+                "talker, {room:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn noise_tables_are_keyed_on_device_length_rate_and_ambient_level() {
+        prepare_cache::set_enabled(true);
+        let base = NoiseInputs {
+            device: DevicePreset::AndroidPhone,
+            transform_len: 1 << 12,
+            sample_rate_hz: 48_000.0,
+            ambient_noise_spl_db: 40.0,
+        };
+        let table = prepare_cache::get(&base).unwrap();
+        // Equal inputs share one table.
+        assert!(Arc::ptr_eq(
+            &table,
+            &prepare_cache::get(&base.clone()).unwrap()
+        ));
+        let changed = [
+            NoiseInputs {
+                device: DevicePreset::AmazonEcho,
+                ..base.clone()
+            },
+            NoiseInputs {
+                transform_len: 1 << 13,
+                ..base.clone()
+            },
+            NoiseInputs {
+                sample_rate_hz: 192_000.0,
+                ..base.clone()
+            },
+            NoiseInputs {
+                ambient_noise_spl_db: 50.0,
+                ..base.clone()
+            },
+        ];
+        for inputs in changed {
+            assert_ne!(*prepare_cache::get(&inputs).unwrap(), *table, "{inputs:?}");
+        }
     }
 }

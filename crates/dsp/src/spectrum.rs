@@ -107,6 +107,13 @@ pub fn welch_psd(
     )
 }
 
+/// The segment length [`welch_psd`] uses when asked for `segment_len` on
+/// `num_samples` samples: at most the signal, at least 16.  Two requests
+/// with the same effective length estimate the same PSD, bit for bit.
+pub fn welch_segment_len(segment_len: usize, num_samples: usize) -> usize {
+    segment_len.min(num_samples).max(16)
+}
+
 /// [`welch_psd`] with its window, frame and spectrum in `scratch`; the
 /// estimate is bit-identical with a fresh or a reused scratch.
 pub fn welch_psd_into(
@@ -128,7 +135,7 @@ pub fn welch_psd_into(
     if !(0.0..1.0).contains(&overlap) {
         return Err(DspError::invalid("overlap", "must be in [0, 1)"));
     }
-    let segment_len = segment_len.min(samples.len()).max(16);
+    let segment_len = welch_segment_len(segment_len, samples.len());
     let nfft = next_power_of_two(segment_len);
     let hop = ((segment_len as f64) * (1.0 - overlap)).max(1.0) as usize;
     if scratch.window_kind != Some(window) || scratch.window.len() != segment_len {
@@ -194,9 +201,20 @@ pub fn band_power(samples: &[f64], sample_rate_hz: f64, low_hz: f64, high_hz: f6
             format!("low {low_hz} must not exceed high {high_hz}"),
         ));
     }
-    let seg = samples.len().clamp(64, 8_192);
-    let psd = welch_psd(samples, sample_rate_hz, seg, 0.5, WindowKind::Hann)?;
+    let psd = welch_psd(
+        samples,
+        sample_rate_hz,
+        band_power_segment_len(samples.len()),
+        0.5,
+        WindowKind::Hann,
+    )?;
     Ok(psd.band_power(low_hz, high_hz))
+}
+
+/// The Welch segment [`band_power`] asks for on `num_samples` samples (a
+/// Hann window with half overlap).
+pub fn band_power_segment_len(num_samples: usize) -> usize {
+    num_samples.clamp(64, 8_192)
 }
 
 #[cfg(test)]

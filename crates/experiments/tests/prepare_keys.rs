@@ -4,12 +4,16 @@
 //! its own, apart from `prepare_cache.rs`'s exact counter assertions.
 
 use ivc_acoustics::microphone::DevicePreset;
+use ivc_acoustics::propagation::SourceSpectrum;
 use ivc_core::prepare_cache::{self, Product};
 use ivc_core::scenario::{Delivery, Scenario};
 use ivc_core::stages::{
-    AttackBuild, AttackInputs, CellInputs, LeakageInputs, PathInputs, Source, UtteranceInputs,
+    AttackBuild, AttackInputs, CellInputs, LeakageInputs, PathInputs, Source, SpectrumInputs,
+    UtteranceInputs,
 };
+use ivc_dsp::fft::next_power_of_two;
 use ivc_dsp::signal::Signal;
+use ivc_room::propagate::reflections_transform_len;
 use ivc_room::RoomPreset;
 use ivc_speech::commands::corpus;
 use ivc_speech::synthesis::Utterance;
@@ -242,6 +246,41 @@ fn path_of(cell: &CellInputs) -> Option<PathInputs> {
     }
 }
 
+/// The half spectrum a cell's target path reads last: the attack build's
+/// near field at the reflections' transform length in a room that has
+/// reflections, at the direct path's otherwise.
+fn spectrum_of(cell: &CellInputs) -> Option<SpectrumInputs> {
+    let CellInputs::Attack { build, path, .. } = cell else {
+        return None;
+    };
+    let attack = prepare_cache::get(build).expect("attack builds");
+    let near = &attack.near_field_at_1m;
+    let reflections = path.room.and_then(|room| {
+        let rir = room
+            .target_rir(path.distance_m, attack.aperture_m)
+            .expect("the draw places the target");
+        reflections_transform_len(&rir, near.len(), near.sample_rate_hz(), &path.env)
+    });
+    Some(SpectrumInputs {
+        source: build.clone(),
+        transform_len: reflections.unwrap_or(next_power_of_two(near.len())),
+    })
+}
+
+fn spectrum_bits(spectrum: &SourceSpectrum) -> Vec<u64> {
+    let mut bits = vec![
+        spectrum.sample_rate_hz().to_bits(),
+        spectrum.source_len() as u64,
+    ];
+    bits.extend(
+        spectrum
+            .bins()
+            .iter()
+            .flat_map(|bin| [bin.re.to_bits(), bin.im.to_bits()]),
+    );
+    bits
+}
+
 /// What the property has seen so far, across cases.
 #[derive(Default)]
 struct Tally {
@@ -314,8 +353,9 @@ impl<P: Product> Kind<P> {
     }
 }
 
-/// Keys by construction: for the four Scenario-projected products
-/// (utterance, attack build, target path, leakage), a perturbation of
+/// Keys by construction: for the five Scenario-projected products
+/// (utterance, attack build, its half spectrum, target path, leakage), a
+/// perturbation of
 /// one field of `(command, scenario, seeds)` at a time shows
 /// * **soundness** — cells whose inputs render the same key build
 ///   bit-identical products (a fresh build against the cached one);
@@ -362,6 +402,12 @@ fn projected_inputs_are_sound_and_minimal() {
             bits
         },
     };
+    let spectrum: Kind<SpectrumInputs> = Kind {
+        name: "source spectrum",
+        of: spectrum_of,
+        fields: fields!(source, transform_len),
+        bits: spectrum_bits,
+    };
     let path: Kind<PathInputs> = Kind {
         name: "target path",
         of: path_of,
@@ -394,10 +440,22 @@ fn projected_inputs_are_sound_and_minimal() {
             let (a, b) = (project(&base), project(&changed));
             utterance.check(name, &a, &b, &mut tally);
             attack.check(name, &a, &b, &mut tally);
+            spectrum.check(name, &a, &b, &mut tally);
             path.check(name, &a, &b, &mut tally);
             leakage.check(name, &a, &b, &mut tally);
         }
     }
+    // A cell perturbation moves the transform length only together with
+    // the build, or within a room's reflections, so the length is shown
+    // needed directly: one build at two lengths, two products.
+    let cell = spectrum_of(&project(&draw(&mut rng, 2))).expect("an attack draw reads a spectrum");
+    let longer = SpectrumInputs {
+        transform_len: 2 * cell.transform_len,
+        ..cell.clone()
+    };
+    let product = |inputs: &SpectrumInputs| spectrum_bits(&prepare_cache::get(inputs).unwrap());
+    assert_ne!(product(&cell), product(&longer));
+    tally.needed.insert(("source spectrum", "transform_len"));
     let unneeded: Vec<_> = tally.fields.difference(&tally.needed).collect();
     assert!(
         unneeded.is_empty(),
@@ -409,5 +467,5 @@ fn projected_inputs_are_sound_and_minimal() {
         "perturbations that changed a key but never its product: {over_keyed:?}"
     );
     // Every kind was built on both sides of the comparison.
-    assert_eq!(tally.fields.len(), 2 + 6 + 4 + 3);
+    assert_eq!(tally.fields.len(), 2 + 6 + 2 + 4 + 3);
 }

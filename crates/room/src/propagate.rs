@@ -1,14 +1,14 @@
 //! Multipath propagation of a [`Signal`] through a room impulse response.
 //!
 //! The direct path goes through the exact free-field machinery
-//! ([`ivc_acoustics::propagation::propagate_with_gain_curve`]): per-bin
-//! spreading (aperture-aware, so a collimated ultrasonic beam keeps its
-//! Rayleigh-distance reach), per-bin atmospheric absorption, whole-sample
-//! delay.  With no reflections and no occlusion this *is* the free-field
+//! ([`ivc_acoustics::propagation::propagate_spectrum_with_gain_curve`]):
+//! per-bin spreading (aperture-aware, so a collimated ultrasonic beam
+//! keeps its Rayleigh-distance reach), per-bin atmospheric absorption,
+//! whole-sample delay.  With no reflections and no occlusion this *is* the free-field
 //! result, bit for bit.
 //!
 //! The reflected taps form one linear, time-invariant filter, applied as
-//! its frequency response.  The source is transformed once at
+//! its frequency response.  The source is read as its half spectrum at
 //! `N = next_power_of_two(len + max_delay)` points, so no tap's delay
 //! wraps around, and every bin `k` is multiplied by
 //!
@@ -21,13 +21,13 @@
 //! bin's band: surface losses × occlusion × air absorption over the path
 //! × spherical spreading.  Band `i` holds the bins closest in
 //! log-frequency to anchor `i`.  One inverse transform then yields every
-//! reflection at once, added onto the direct path.  The work is two
-//! transforms plus taps × N/2 complex multiply-adds, where taps that land
-//! on the same sample count once (a 62-tap conference-room response has
-//! 36–52 distinct delays).  Each tap's phase steps from bin to bin by one
-//! complex multiplication and is re-anchored to an exact `cis` every
-//! `REANCHOR_BINS` bins, so rounding cannot accumulate across a long
-//! transform.
+//! reflection at once, added onto the direct path.  The work is one
+//! inverse transform plus taps × N/2 complex multiply-adds, where taps
+//! that land on the same sample count once (a 62-tap conference-room
+//! response has 36–52 distinct delays).  Each tap's phase steps from bin
+//! to bin by one complex multiplication and is re-anchored to an exact
+//! `cis` every `REANCHOR_BINS` bins, so rounding cannot accumulate across
+//! a long transform.
 //!
 //! The response is applied whole, including the ringing that a band edge's
 //! step in gain spreads past the end of the source.  An earlier banded
@@ -38,18 +38,26 @@
 //! Reflected paths are treated as point sources (no collimation): a beam
 //! that bounced off a wall has left the array's axis, so the `1/r` law
 //! over the full path length is the right spreading model.
+//!
+//! Both halves read the source only as [`SourceSpectrum`]s: the direct
+//! path at `next_power_of_two(len)` points, the reflections at
+//! [`reflections_transform_len`] points ([`propagate_spectra_in_room`]).
+//! A caller that propagates one source to many listeners transforms it
+//! once per length; [`propagate_in_room`] transforms the signal it is
+//! given, and both give the same bits.
 
 use crate::material::{ANCHOR_FREQUENCIES_HZ, NUM_ANCHORS};
 use crate::rir::RoomImpulseResponse;
 use ivc_acoustics::absorption::AirAbsorption;
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::propagation::{
-    interpolate_gain_curve, propagate_with_gain_curve, propagation_delay_samples,
+    interpolate_gain_curve, propagate_spectrum_with_gain_curve, propagation_delay_samples,
+    SourceSpectrum,
 };
 use ivc_dsp::complex::Complex;
-use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two, rfft_into};
+use ivc_dsp::fft::{bin_frequency, irfft_into, next_power_of_two};
 use ivc_dsp::signal::Signal;
-use ivc_dsp::Result;
+use ivc_dsp::{DspError, Result};
 use std::f64::consts::PI;
 
 /// Bins between exact re-evaluations of each tap's phase; in between, the
@@ -72,35 +80,122 @@ fn band_upper_edge_hz(i: usize) -> f64 {
 /// receiver.
 ///
 /// The output is long enough for the latest reflection's tail; for a
-/// direct-path-only response it is exactly the free-field result.
+/// direct-path-only response it is exactly the free-field result.  A thin
+/// wrapper: the source's transforms at the lengths the two halves read,
+/// then [`propagate_spectra_in_room`].
 pub fn propagate_in_room(
     source_at_1m: &Signal,
     rir: &RoomImpulseResponse,
     env: &AirEnvironment,
 ) -> Result<Signal> {
-    let direct = rir.direct();
-    let direct_signal = propagate_with_gain_curve(
-        source_at_1m,
-        direct.distance_m,
+    let (len, fs) = (source_at_1m.len(), source_at_1m.sample_rate_hz());
+    let direct = SourceSpectrum::new(source_at_1m, next_power_of_two(len))?;
+    let reflections = reflections_transform_len(rir, len, fs, env)
+        .map(|n| SourceSpectrum::new(source_at_1m, n))
+        .transpose()?;
+    propagate_spectra_in_room(&direct, reflections.as_ref(), rir, env)
+}
+
+/// [`propagate_in_room`]'s body, reading the source as its half spectra:
+/// `direct` at `next_power_of_two(len)` points for the direct path
+/// ([`direct_in_room`]) and `reflections` at
+/// [`reflections_transform_len`] points for the taps
+/// ([`add_reflections`]; `None` only when `rir` has no reflections).
+pub fn propagate_spectra_in_room(
+    direct: &SourceSpectrum,
+    reflections: Option<&SourceSpectrum>,
+    rir: &RoomImpulseResponse,
+    env: &AirEnvironment,
+) -> Result<Signal> {
+    add_reflections(direct_in_room(direct, rir, env)?, reflections, rir, env)
+}
+
+/// The direct path of `rir` alone, from the source's half spectrum at
+/// `next_power_of_two(len)` points: the free-field machinery with the
+/// path's gain curve.
+pub fn direct_in_room(
+    direct: &SourceSpectrum,
+    rir: &RoomImpulseResponse,
+    env: &AirEnvironment,
+) -> Result<Signal> {
+    let path = rir.direct();
+    propagate_spectrum_with_gain_curve(
+        direct,
+        path.distance_m,
         rir.aperture_m,
-        &direct.gain_curve,
+        &path.gain_curve,
         env,
-    )?;
+    )
+}
+
+/// The distinct whole-sample delays of `rir`'s reflected taps at `fs`,
+/// ascending.  Delay rounding is owned by the acoustics layer, so
+/// reflected taps share the direct path's exact time axis.
+fn reflection_delays(rir: &RoomImpulseResponse, fs: f64, env: &AirEnvironment) -> Vec<usize> {
+    let mut delays: Vec<usize> = rir
+        .reflected()
+        .iter()
+        .map(|tap| propagation_delay_samples(tap.distance_m, fs, env))
+        .collect();
+    delays.sort_unstable();
+    delays.dedup();
+    delays
+}
+
+/// The transform length the reflections of `rir` read a `source_len`-sample
+/// source at `fs` with: `next_power_of_two(source_len + max_delay)`, so no
+/// tap's delay wraps around; `None` when `rir` has no reflections.
+pub fn reflections_transform_len(
+    rir: &RoomImpulseResponse,
+    source_len: usize,
+    fs: f64,
+    env: &AirEnvironment,
+) -> Option<usize> {
+    let max_delay = *reflection_delays(rir, fs, env).last()?;
+    Some(next_power_of_two(source_len + max_delay))
+}
+
+/// Adds every reflection of `rir` onto `direct_signal` (the output of
+/// [`direct_in_room`]), from the source's half spectrum at
+/// [`reflections_transform_len`] points: one response multiply and one
+/// inverse transform.  With no reflections `direct_signal` is returned as
+/// it is and `reflections` is not read.
+pub fn add_reflections(
+    direct_signal: Signal,
+    reflections: Option<&SourceSpectrum>,
+    rir: &RoomImpulseResponse,
+    env: &AirEnvironment,
+) -> Result<Signal> {
     let reflected = rir.reflected();
     if reflected.is_empty() {
         return Ok(direct_signal);
     }
-
-    let fs = source_at_1m.sample_rate_hz();
-    let len = source_at_1m.len();
-    // Delay rounding is owned by the acoustics layer, so reflected taps
-    // share the direct path's exact time axis.
-    let delay_of = |distance_m: f64| propagation_delay_samples(distance_m, fs, env);
-    let mut delays: Vec<usize> = reflected.iter().map(|t| delay_of(t.distance_m)).collect();
-    delays.sort_unstable();
-    delays.dedup();
+    let source = reflections.ok_or_else(|| {
+        DspError::invalid(
+            "reflections",
+            "the room's reflections need the source's spectrum",
+        )
+    })?;
+    let (len, fs) = (source.source_len(), source.sample_rate_hz());
+    if direct_signal.sample_rate_hz() != fs {
+        return Err(DspError::invalid(
+            "reflections",
+            "the spectrum's rate differs from the direct path's",
+        ));
+    }
+    let delays = reflection_delays(rir, fs, env);
     let max_delay = *delays.last().expect("reflected is non-empty");
     let out_len = len + max_delay;
+    let n = next_power_of_two(out_len);
+    if source.transform_len() != n {
+        return Err(DspError::invalid(
+            "reflections",
+            format!(
+                "the reflections read the {len}-sample source at {n} points, not {}",
+                source.transform_len()
+            ),
+        ));
+    }
     let mut out = direct_signal.into_samples();
     out.resize(out.len().max(out_len), 0.0);
 
@@ -113,7 +208,7 @@ pub fn propagate_in_room(
     let mut gains = vec![0.0; NUM_ANCHORS * delays.len()];
     for tap in reflected {
         let slot = delays
-            .binary_search(&delay_of(tap.distance_m))
+            .binary_search(&propagation_delay_samples(tap.distance_m, fs, env))
             .expect("every tap's delay is listed");
         for (band, &anchor_hz) in ANCHOR_FREQUENCIES_HZ.iter().enumerate() {
             let surface = interpolate_gain_curve(&tap.gain_curve, anchor_hz);
@@ -123,9 +218,7 @@ pub fn propagate_in_room(
         }
     }
 
-    let n = next_power_of_two(out_len);
-    let mut spectrum = Vec::new();
-    rfft_into(source_at_1m.samples(), n, &mut spectrum)?;
+    let mut spectrum = source.bins().to_vec();
     apply_reflections(&mut spectrum, n, fs, &delays, &gains);
     let mut reflections = Vec::new();
     irfft_into(&mut spectrum, &mut reflections)?;
@@ -176,8 +269,9 @@ mod tests {
     use crate::geometry::Point3;
     use crate::material::SurfaceMaterial;
     use crate::shoebox::Shoebox;
-    use ivc_acoustics::propagation::propagate_from_aperture;
+    use ivc_acoustics::propagation::{propagate_from_aperture, propagate_with_gain_curve};
     use ivc_acoustics::spl::waveform_spl_db;
+    use ivc_dsp::fft::rfft_into;
 
     fn tone(freq: f64, fs: f64) -> Signal {
         Signal::tone(freq, 0.5, 0.1, fs).unwrap()
@@ -261,6 +355,33 @@ mod tests {
             + (rir.reflected().last().unwrap().distance_m / env.speed_of_sound_m_per_s() * 48_000.0)
                 .round() as usize;
         assert_eq!(out.len(), expected_len);
+    }
+
+    #[test]
+    fn spectra_are_read_at_the_lengths_each_half_needs() {
+        let env = AirEnvironment::default();
+        let signal = tone(1_000.0, 48_000.0);
+        let rir = rir_between(SurfaceMaterial::painted_concrete(), 1, 0.0);
+        let (len, fs) = (signal.len(), signal.sample_rate_hz());
+        let direct = SourceSpectrum::new(&signal, next_power_of_two(len)).unwrap();
+        let n = reflections_transform_len(&rir, len, fs, &env).unwrap();
+        let reflections = SourceSpectrum::new(&signal, n).unwrap();
+        assert_eq!(
+            propagate_spectra_in_room(&direct, Some(&reflections), &rir, &env).unwrap(),
+            propagate_in_room(&signal, &rir, &env).unwrap()
+        );
+        // A room with reflections needs their spectrum, at their length;
+        // the direct path reads its own length only.
+        let longer = SourceSpectrum::new(&signal, 2 * n).unwrap();
+        assert!(propagate_spectra_in_room(&direct, None, &rir, &env).is_err());
+        assert!(propagate_spectra_in_room(&direct, Some(&longer), &rir, &env).is_err());
+        assert!(propagate_spectra_in_room(&longer, Some(&reflections), &rir, &env).is_err());
+        // Without reflections the second spectrum is not read.
+        let dead = rir_between(SurfaceMaterial::anechoic(), 1, 0.0);
+        assert_eq!(reflections_transform_len(&dead, len, fs, &env), None);
+        assert!(propagate_spectra_in_room(&direct, None, &dead, &env).is_ok());
+        // A transform shorter than the source is refused.
+        assert!(SourceSpectrum::new(&signal, next_power_of_two(len) / 2).is_err());
     }
 
     /// `e^(−j2π·(d·k mod n)/n)`, evaluated directly.
